@@ -495,12 +495,30 @@ func BenchmarkWedgeMulticast(b *testing.B) {
 // --- Wire-layer benches --------------------------------------------------
 
 // wireBenchPayload mimics an update dissemination message: a URL, version
-// metadata, and a diff body of realistic size.
+// metadata, and a diff body of realistic size, in its native binary form.
 type wireBenchPayload struct {
-	URL     string `json:"url"`
-	Version uint64 `json:"version"`
-	Diff    string `json:"diff"`
-	Bytes   int    `json:"bytes"`
+	URL     string
+	Version uint64
+	Diff    string
+	Bytes   int
+}
+
+// AppendBinary implements codec.BinaryMarshaler.
+func (p *wireBenchPayload) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wirebin.AppendString(dst, p.URL)
+	dst = wirebin.AppendUvarint(dst, p.Version)
+	dst = wirebin.AppendString(dst, p.Diff)
+	return wirebin.AppendSint(dst, p.Bytes), nil
+}
+
+// DecodeBinary implements codec.BinaryUnmarshaler.
+func (p *wireBenchPayload) DecodeBinary(src []byte) error {
+	r := wirebin.NewReader(src)
+	p.URL = r.String()
+	p.Version = r.Uvarint()
+	p.Diff = r.String()
+	p.Bytes = r.Sint()
+	return r.Err()
 }
 
 func init() {
@@ -521,165 +539,108 @@ func wireBenchMessage() pastry.Message {
 	}
 }
 
-// BenchmarkWireEncode measures per-message serialization cost for both
-// codecs — the CPU side of the wire path.
+// BenchmarkWireEncode measures per-message serialization cost — the CPU
+// side of the wire path.
 func BenchmarkWireEncode(b *testing.B) {
 	msg := wireBenchMessage()
-	for _, c := range []codec.Codec{codec.JSON, codec.Binary} {
-		b.Run(c.Name(), func(b *testing.B) {
-			body, err := c.Encode(msg)
-			if err != nil {
+	b.Run("binary", func(b *testing.B) {
+		body, err := codec.Encode(msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportMetric(float64(len(body)), "bytes/msg")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.Encode(msg); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(body)))
-			b.ReportMetric(float64(len(body)), "bytes/msg")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkWireRoundTrip measures delivered-message throughput over real
-// loopback TCP. "sync-json" reproduces the seed's wire behavior — one JSON
-// envelope per frame, one write per message — while "batched-binary" is
-// the default path: binary codec, up to 64 messages coalesced per frame.
+// loopback TCP on the default path: up to 64 messages coalesced per frame.
 func BenchmarkWireRoundTrip(b *testing.B) {
-	cases := []struct {
-		name  string
-		c     codec.Codec
-		batch int
-	}{
-		{"sync-json", codec.JSON, 1},
-		{"batched-binary", codec.Binary, 0}, // 0 = default MaxBatch
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			var got atomic.Int64
-			rx, err := netwire.Listen("127.0.0.1:0", func(pastry.Message) { got.Add(1) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rx.Close()
-			tx, err := netwire.Listen("127.0.0.1:0", nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tx.Close()
-			tx.Codec = tc.c
-			tx.MaxBatch = tc.batch
-			tx.Backpressure = netwire.Block // lossless: every send must arrive
-			to := pastry.Addr{ID: ids.HashString("rx"), Endpoint: rx.Addr()}
-			msg := wireBenchMessage()
-			// Warm the connection so dialing stays out of the measurement.
+	b.Run("batched-binary", func(b *testing.B) {
+		var got atomic.Int64
+		rx, err := netwire.Listen("127.0.0.1:0", func(pastry.Message) { got.Add(1) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rx.Close()
+		tx, err := netwire.Listen("127.0.0.1:0", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tx.Close()
+		tx.Backpressure = netwire.Block // lossless: every send must arrive
+		to := pastry.Addr{ID: ids.HashString("rx"), Endpoint: rx.Addr()}
+		msg := wireBenchMessage()
+		// Warm the connection so dialing stays out of the measurement.
+		if err := tx.Send(to, msg); err != nil {
+			b.Fatal(err)
+		}
+		for got.Load() < 1 {
+			runtime.Gosched()
+		}
+		got.Store(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := tx.Send(to, msg); err != nil {
 				b.Fatal(err)
 			}
-			for got.Load() < 1 {
-				runtime.Gosched()
-			}
-			got.Store(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := tx.Send(to, msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for got.Load() < int64(b.N) {
-				runtime.Gosched()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-		})
-	}
-}
-
-// binWireBenchPayload is wireBenchPayload with the native binary payload
-// contract, for measuring the zero-copy path against the JSON fallback.
-type binWireBenchPayload struct {
-	URL     string `json:"url"`
-	Version uint64 `json:"version"`
-	Diff    string `json:"diff"`
-	Bytes   int    `json:"bytes"`
-}
-
-// AppendBinary implements codec.BinaryMarshaler.
-func (p *binWireBenchPayload) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirebin.AppendString(dst, p.URL)
-	dst = wirebin.AppendUvarint(dst, p.Version)
-	dst = wirebin.AppendString(dst, p.Diff)
-	return wirebin.AppendSint(dst, p.Bytes), nil
-}
-
-// DecodeBinary implements codec.BinaryUnmarshaler.
-func (p *binWireBenchPayload) DecodeBinary(src []byte) error {
-	r := wirebin.NewReader(src)
-	p.URL = r.String()
-	p.Version = r.Uvarint()
-	p.Diff = r.String()
-	p.Bytes = r.Sint()
-	return r.Err()
-}
-
-func init() {
-	codec.RegisterPayload("bench.wire.bin", func() any { return &binWireBenchPayload{} })
+		}
+		for got.Load() < int64(b.N) {
+			runtime.Gosched()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
+	})
 }
 
 // BenchmarkUpdateDissemination runs the end-to-end hot path of §3.4 under
 // simnet with codec-measured byte accounting: a level-1 wedge broadcast of
 // an update diff floods the DAG across 256 nodes, every hop paying the
 // measured encode cost of its fan-out exactly as a live deployment pays
-// the wire encode. The two payload variants compare the JSON-fallback
-// path against the native binary zero-copy path.
+// the wire encode.
 func BenchmarkUpdateDissemination(b *testing.B) {
 	diff := make([]byte, 1024)
 	for i := range diff {
 		diff[i] = byte('a' + i%26)
 	}
-	cases := []struct {
-		name    string
-		msgType string
-		payload any
-	}{
-		{"json-payload", "bench.wire", &wireBenchPayload{URL: "http://example.com/feed.rss", Version: 17, Diff: string(diff), Bytes: len(diff)}},
-		{"binary-payload", "bench.wire.bin", &binWireBenchPayload{URL: "http://example.com/feed.rss", Version: 17, Diff: string(diff), Bytes: len(diff)}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			sim := eventsim.New(5)
-			net := simnet.New(sim, simnet.FixedLatency(0))
-			rng := sim.RNG("bench-dissem")
-			const n = 256
-			nodes := make([]*pastry.Node, n)
-			for i := range nodes {
-				ep := fmt.Sprintf("sim://%d", i)
-				var node *pastry.Node
-				endpoint := net.Attach(ep, func(m pastry.Message) {
-					if node != nil {
-						node.Deliver(m)
-					}
-				})
-				node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-				nodes[i] = node
-			}
-			pastry.BuildStaticOverlay(nodes)
-			received := 0
-			for _, nd := range nodes {
-				nd.Handle(tc.msgType, func(pastry.Message) { received++ })
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nodes[i%n].Broadcast(1, tc.msgType, tc.payload)
-				sim.RunFor(time.Second)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(received)/float64(b.N), "nodes_reached")
-			b.ReportMetric(float64(net.Bytes())/float64(b.N), "wire_bytes")
-		})
-	}
+	payload := &wireBenchPayload{URL: "http://example.com/feed.rss", Version: 17, Diff: string(diff), Bytes: len(diff)}
+	b.Run("binary-payload", func(b *testing.B) {
+		sim := eventsim.New(5)
+		net := simnet.New(sim, simnet.FixedLatency(0))
+		rng := sim.RNG("bench-dissem")
+		const n = 256
+		nodes := make([]*pastry.Node, n)
+		for i := range nodes {
+			ep := fmt.Sprintf("sim://%d", i)
+			var node *pastry.Node
+			endpoint := net.Attach(ep, func(m pastry.Message) {
+				if node != nil {
+					node.Deliver(m)
+				}
+			})
+			node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
+			nodes[i] = node
+		}
+		pastry.BuildStaticOverlay(nodes)
+		received := 0
+		for _, nd := range nodes {
+			nd.Handle("bench.wire", func(pastry.Message) { received++ })
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nodes[i%n].Broadcast(1, "bench.wire", payload)
+			sim.RunFor(time.Second)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(received)/float64(b.N), "nodes_reached")
+		b.ReportMetric(float64(net.Bytes())/float64(b.N), "wire_bytes")
+	})
 }
 
 // BenchmarkAblationTransportOverhead compares message delivery through the
@@ -694,7 +655,7 @@ func BenchmarkAblationTransportOverhead(b *testing.B) {
 		_ = dst
 		src := net.Attach("sim://src", nil)
 		to := pastry.Addr{ID: ids.HashString("dst"), Endpoint: "sim://dst"}
-		msg := pastry.Message{Type: "bench.msg", Payload: map[string]any{"k": "v"}}
+		msg := pastry.Message{Type: "bench.wire", Payload: &wireBenchPayload{URL: "k", Diff: "v"}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			src.Send(to, msg)
@@ -719,7 +680,7 @@ func BenchmarkAblationTransportOverhead(b *testing.B) {
 		}
 		defer tx.Close()
 		to := pastry.Addr{ID: ids.HashString("dst"), Endpoint: rx.Addr()}
-		msg := pastry.Message{Type: "bench.msg", Payload: map[string]any{"k": "v"}}
+		msg := pastry.Message{Type: "bench.wire", Payload: &wireBenchPayload{URL: "k", Diff: "v"}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := tx.Send(to, msg); err != nil {

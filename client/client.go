@@ -1,7 +1,7 @@
 // Package client is the Go SDK for subscribing to a live Corona cloud.
 //
-// A Conn speaks the versioned binary client protocol
-// (internal/clientproto) to one node of the cloud at a time, chosen from
+// A Conn speaks the binary client protocol (internal/clientproto) to one
+// node of the cloud at a time, chosen from
 // the address list given to Dial. Subscribe and Unsubscribe block until
 // the serving node acknowledges the request; update notifications stream
 // through the Notifications channel.
@@ -14,8 +14,9 @@
 // receiving notifications without re-calling Subscribe. The same frame
 // repeats on every ping tick as an entry-node lease heartbeat, letting
 // owners detect and route around dead entry nodes server-side. Failover
-// is invisible apart from the gap it takes to reconnect. (Version-1
-// servers get the old per-URL Subscribe replay instead.)
+// is invisible apart from the gap it takes to reconnect. Only a node that
+// naks the lease refresh gets the subscriptions re-asserted one Subscribe
+// at a time.
 //
 //	conn, err := client.Dial(ctx, []string{"10.0.0.1:9201", "10.0.0.2:9201"},
 //		client.Options{Handle: "alice"})
@@ -104,13 +105,6 @@ type ServerInfo struct {
 	StoreRecordsSinceSnapshot int
 	// StoreErr is the store's latched IO error, empty while healthy.
 	StoreErr string
-	// HasFanout reports whether the node advertised fan-out accounting
-	// (protocol version 3 servers do; older servers leave Fanout zero).
-	HasFanout bool
-	// Fanout is the node's update fan-out accounting: batched
-	// notification sends, delegate-sharding activity, and client-edge
-	// delivery losses.
-	Fanout clientproto.FanoutInfo
 }
 
 // ErrClosed is returned by operations on a Conn after Close.
@@ -148,7 +142,6 @@ type Conn struct {
 	curAddr   string
 	connReady chan struct{} // closed while connected; fresh while not
 	token     []byte
-	version   byte // negotiated protocol version of the current connection
 	subs      map[string]struct{}
 	pending   map[uint64]chan result
 	lastInfo  ServerInfo
@@ -398,8 +391,8 @@ func (c *Conn) send(f clientproto.Frame) error {
 	return nil
 }
 
-// connect dials one node, negotiates the protocol, logs in (resuming with
-// the held token), replays the subscription set, and installs the
+// connect dials one node, checks the protocol hello, logs in (resuming
+// with the held token), re-asserts the subscription set, and installs the
 // connection as current.
 func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: c.opts.DialTimeout}
@@ -408,8 +401,7 @@ func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
-	version, err := clientproto.Hello(conn)
-	if err != nil {
+	if err := clientproto.Hello(conn); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -447,11 +439,10 @@ func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
 	conn.SetDeadline(time.Time{})
 
 	// Install, re-assert the desired subscription set, and only then
-	// mark the Conn connected. On a version-2 server one LeaseRefresh
-	// frame carries the whole set: each channel owner refreshes the
-	// subscriber's lease and re-points its entry record at this node —
-	// failover without a Subscribe replay. A version-1 server still gets
-	// the old per-URL replay. Keeping connReady unreadied until the
+	// mark the Conn connected. One LeaseRefresh frame per chunk carries
+	// the whole set: each channel owner refreshes the subscriber's lease
+	// and re-points its entry record at this node — failover without a
+	// Subscribe replay. Keeping connReady unreadied until the
 	// frames are written means a concurrent Subscribe or Unsubscribe
 	// call's frame is ordered AFTER the re-assert, so the server's final
 	// state matches the desired set.
@@ -464,30 +455,21 @@ func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
 	c.cur = conn
 	c.curAddr = addr
 	c.token = token
-	c.version = version
-	replay := make([]string, 0, len(c.subs))
+	urls := make([]string, 0, len(c.subs))
 	for u := range c.subs {
-		replay = append(replay, u)
+		urls = append(urls, u)
 	}
 	c.mu.Unlock()
-	if len(replay) > 0 && version >= 2 {
-		for _, chunk := range chunkLeaseURLs(replay) {
-			id, ch := c.register()
-			if err := c.send(&clientproto.LeaseRefresh{ReqID: id, URLs: chunk}); err != nil {
-				c.unregister(id) // the read loop will reconnect and re-assert
-				break
-			}
-			// Watch the reply: a nak (a server that cannot route leases)
-			// falls back to the explicit replay so the subscriptions are
-			// not stranded until the next reconnect.
-			go c.watchLeaseRefresh(chunk, ch)
+	for _, chunk := range chunkLeaseURLs(urls) {
+		id, ch := c.register()
+		if err := c.send(&clientproto.LeaseRefresh{ReqID: id, URLs: chunk}); err != nil {
+			c.unregister(id) // the read loop will reconnect and re-assert
+			break
 		}
-	} else {
-		for _, u := range replay {
-			if !c.replaySubscribe(u) {
-				break // the read loop will reconnect and replay again
-			}
-		}
+		// Watch the reply: a nak (a server that cannot route leases)
+		// falls back to the explicit replay so the subscriptions are
+		// not stranded until the next reconnect.
+		go c.watchLeaseRefresh(chunk, ch)
 	}
 	c.mu.Lock()
 	close(c.connReady)
@@ -693,8 +675,6 @@ func (c *Conn) readAll(conn net.Conn) {
 				StoreWALBytes:             int64(m.Store.WALBytes),
 				StoreRecordsSinceSnapshot: int(m.Store.RecordsSinceSnapshot),
 				StoreErr:                  m.Store.Err,
-				HasFanout:                 m.HasFanout,
-				Fanout:                    m.Fanout,
 			}
 			c.haveInfo = true
 			c.mu.Unlock()
@@ -722,8 +702,8 @@ func (c *Conn) deliver(n corona.Notification) {
 }
 
 // pingLoop probes connection liveness; the acks also refresh ServerInfo
-// and keep the read deadline fed. On version-2 servers each tick also
-// heartbeats the entry-node lease for every subscribed channel, which is
+// and keep the read deadline fed. Each tick also heartbeats the
+// entry-node lease for every subscribed channel, which is
 // what keeps the owners' lease records fresh — an owner that stops
 // hearing these re-routes the subscriber's notifications elsewhere.
 func (c *Conn) pingLoop(conn net.Conn, stop chan struct{}) {
@@ -739,20 +719,17 @@ func (c *Conn) pingLoop(conn net.Conn, stop chan struct{}) {
 				return
 			}
 			c.mu.Lock()
-			v2 := c.version >= 2
 			urls := make([]string, 0, len(c.subs))
 			for u := range c.subs {
 				urls = append(urls, u)
 			}
 			c.mu.Unlock()
-			if v2 && len(urls) > 0 {
-				for _, chunk := range chunkLeaseURLs(urls) {
-					id, _ := c.register()
-					if err := c.send(&clientproto.LeaseRefresh{ReqID: id, URLs: chunk}); err != nil {
-						c.unregister(id)
-						conn.Close()
-						return
-					}
+			for _, chunk := range chunkLeaseURLs(urls) {
+				id, _ := c.register()
+				if err := c.send(&clientproto.LeaseRefresh{ReqID: id, URLs: chunk}); err != nil {
+					c.unregister(id)
+					conn.Close()
+					return
 				}
 			}
 		case <-stop:

@@ -3,7 +3,9 @@ package client
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +106,7 @@ func (b *fakeBackend) notify(client string, n im.Notification) bool {
 	rec, ok := b.deliverers[client]
 	b.mu.Unlock()
 	if ok {
+		n.Shared = &im.Shared{} // a batch of one, as the gateway delivers it
 		rec.fn(n)
 	}
 	return ok
@@ -227,6 +230,36 @@ func TestDialFailsWhenAllDown(t *testing.T) {
 	}
 	if _, err := Dial(ctx, []string{addr}, Options{}); err == nil {
 		t.Fatal("Dial succeeded without a handle")
+	}
+}
+
+// TestDialReportsRefusedHello pins the fail-closed client hello: a node
+// that answers the SDK's protocol byte with 0 (the reply to any version
+// it does not speak) makes Dial fail with the refusal in its error.
+func TestDialReportsRefusedHello(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			var hello [1]byte
+			if _, err := io.ReadFull(conn, hello[:]); err == nil {
+				conn.Write([]byte{0})
+			}
+			conn.Close()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = Dial(ctx, []string{l.Addr().String()}, testOptions())
+	if err == nil || !strings.Contains(err.Error(), "refused protocol version") {
+		t.Fatalf("Dial against a refusing node: %v, want a refused-version error", err)
 	}
 }
 

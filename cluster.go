@@ -38,30 +38,25 @@ type cloud struct {
 // notifier adapts callback dispatch to core.Notifier.
 type notifier struct{ c *cloud }
 
-// Notify implements core.Notifier.
-func (n notifier) Notify(client, channelURL string, version uint64, diff string, at time.Time) {
-	n.c.mu.Lock()
-	cb := n.c.callbacks[client]
-	n.c.mu.Unlock()
+// NotifyBatch implements core.Notifier: callback dispatch has no shared
+// encode to amortize, so each client's callback gets its own value.
+func (n notifier) NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time) {
 	if at.IsZero() {
 		at = n.c.clk.Now()
 	}
-	if cb != nil {
-		cb(Notification{
-			Client:  client,
-			Channel: channelURL,
-			Version: version,
-			Diff:    diff,
-			At:      at,
-		})
-	}
-}
-
-// NotifyBatch implements core.Notifier: callback dispatch has no shared
-// encode to amortize, so a batch is the per-client path in a loop.
-func (n notifier) NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time) {
-	for _, c := range clients {
-		n.Notify(c, channelURL, version, diff, at)
+	for _, client := range clients {
+		n.c.mu.Lock()
+		cb := n.c.callbacks[client]
+		n.c.mu.Unlock()
+		if cb != nil {
+			cb(Notification{
+				Client:  client,
+				Channel: channelURL,
+				Version: version,
+				Diff:    diff,
+				At:      at,
+			})
+		}
 	}
 }
 

@@ -3,7 +3,8 @@
 // ports, subscribes to the given URLs, and prints notifications as they
 // arrive — the "feed reader" end of the system. Given several node
 // addresses it survives node failure: the SDK resumes the session and
-// replays the subscriptions against the next address.
+// re-asserts the subscriptions with one lease refresh against the next
+// address.
 //
 // Usage:
 //

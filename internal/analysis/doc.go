@@ -35,8 +35,10 @@
 //
 // wiresym (wire symmetry). The codec's binary payload contract
 // (PR 2) lets a registered type ship a native AppendBinary/DecodeBinary
-// pair; anything else silently rides the JSON fallback. That asymmetry
-// bit twice: replicateMsg stayed JSON until PR 3 made replication hot,
+// pair; anything else rode a JSON fallback, since removed (the codec
+// now refuses to register or encode a payload without the binary
+// contract). That asymmetry bit twice: replicateMsg stayed JSON until
+// PR 3 made replication hot,
 // and the PR 5/6/8 message additions each had to remember the
 // truncation-at-every-byte/fuzz suite by convention. wiresym checks
 // every type handed to a codec registration (codec.RegisterPayload or

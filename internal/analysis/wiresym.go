@@ -12,9 +12,9 @@ import (
 // binary registry must define BOTH halves of the native binary contract —
 // an AppendBinary encoder and a DecodeBinary decoder — and must be
 // exercised by a robustness test (a Fuzz* function or a truncation test)
-// in the package's _test.go files. A type with only one half decodes to
-// garbage or silently falls back to JSON on one side of a version-skewed
-// cluster; a type without a truncation/fuzz test is one hostile frame
+// in the package's _test.go files. A type with only one half panics at
+// registration or fails every encode at run time, which no test of its
+// own package necessarily exercises; a type without a truncation/fuzz test is one hostile frame
 // away from a panic in the decode path.
 //
 // Registration sites are recognized structurally: any call of the
@@ -65,7 +65,7 @@ func runWireSym(pass *Pass) error {
 		case hasEnc && !hasDec:
 			pass.Reportf(site.Pos(), "%s registered with an AppendBinary encoder but no DecodeBinary decoder: peers cannot parse what this node sends", tn.Name())
 		case !hasEnc && hasDec:
-			pass.Reportf(site.Pos(), "%s registered with a DecodeBinary decoder but no AppendBinary encoder: this node falls back to JSON while peers expect binary", tn.Name())
+			pass.Reportf(site.Pos(), "%s registered with a DecodeBinary decoder but no AppendBinary encoder: every send of it fails to encode", tn.Name())
 		case !hasEnc && !hasDec:
 			pass.Reportf(site.Pos(), "%s registered without a native binary wire form: define AppendBinary/DecodeBinary (or register a type that has them)", tn.Name())
 		}

@@ -95,14 +95,6 @@ func (d *DeliveryLog) record(client, url string, version uint64) {
 	}
 }
 
-// Notify implements core.Notifier.
-func (d *DeliveryLog) Notify(client, url string, version uint64, diff string, at time.Time) {
-	d.mu.Lock()
-	d.record(client, url, version)
-	d.observe(at)
-	d.mu.Unlock()
-}
-
 // NotifyBatch implements core.Notifier.
 func (d *DeliveryLog) NotifyBatch(clients []string, url string, version uint64, diff string, at time.Time) {
 	d.mu.Lock()

@@ -39,9 +39,11 @@ func BenchmarkClientNotifyEncode(b *testing.B) {
 }
 
 // BenchmarkClientGatewayFanout measures a channel update fanning out
-// through the gateway's structured path to attached protocol clients,
-// each encoding its Notify frame — the full gateway→clientproto encode
-// pipeline per notification, without socket IO.
+// through the gateway's structured path to attached protocol clients as
+// one single-client NotifyBatch call per client, each deliverer encoding
+// its own Notify frame — the full gateway→clientproto encode pipeline per
+// notification, without socket IO. (BenchmarkFanoutNotifyBatch measures
+// the shared-encode path with every client in one batch.)
 func BenchmarkClientGatewayFanout(b *testing.B) {
 	for _, clients := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -58,12 +60,14 @@ func BenchmarkClientGatewayFanout(b *testing.B) {
 				})
 			}
 			const url = "http://feeds.example.com/headlines.xml"
+			one := make([]string, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v := uint64(i + 1)
 				for _, h := range handles {
-					g.Notify(h, url, v, benchDiff, time.Time{})
+					one[0] = h
+					g.NotifyBatch(one, url, v, benchDiff, time.Time{})
 				}
 			}
 			b.StopTimer()

@@ -1,21 +1,15 @@
-// Package clientproto is Corona's versioned, length-framed binary client
-// protocol: the wire surface between a subscriber (the corona/client SDK)
+// Package clientproto is Corona's length-framed binary client protocol: the wire surface between a subscriber (the corona/client SDK)
 // and one node's client port. It replaces the prototype's stringly IM
 // line protocol as the primary ingress; the line protocol survives on a
 // separate port as a thin adapter over the same gateway.
 //
-// # Hello and version negotiation
+// # Hello
 //
 // A connection opens with a one-byte hello in each direction, mirroring
-// netwire's codec hello. The client sends the highest protocol version it
-// speaks; the server replies with the negotiated version — the minimum of
-// the client's hello and the server's own maximum — and both sides then
-// speak that version. A server reply of 0 means no common version; the
-// connection is closed. Versions are cumulative: a version-v speaker
-// understands every frame of versions 1..v. The current version is 3,
-// which added the ServerInfo fan-out extension; version 2 added the
-// LeaseRefresh frame, which a client that negotiated version 1 must not
-// send (the SDK falls back to Subscribe replay).
+// netwire's codec hello. The client sends Version; the server echoes it
+// when it matches exactly and replies 0 to any other byte, then closes
+// the connection. There is no negotiation: a deployment runs one build,
+// so a skewed client or server fails closed at the hello.
 //
 // # Framing
 //
@@ -44,7 +38,7 @@
 //	0x02 Subscribe     req uvarint · url string
 //	0x03 Unsubscribe   req uvarint · url string
 //	0x04 Ping          req uvarint
-//	0x05 LeaseRefresh  req uvarint · urls list(string)        (version 2)
+//	0x05 LeaseRefresh  req uvarint · urls list(string)
 //
 // Server to client:
 //
@@ -55,18 +49,11 @@
 //	0x13 ServerInfo   node string · peers list(string) ·
 //	                  store: enabled bool · generation uvarint ·
 //	                  walBytes uvarint · recordsSinceSnapshot uvarint ·
-//	                  err string ·
-//	                  [ fanout: notifyBatches uvarint ·
-//	                    delegateUpdates uvarint · delegatesActive uvarint ·
-//	                    delegatesHeld uvarint · undeliverable uvarint ·
-//	                    notifyDropped uvarint ]              (version 3)
+//	                  err string
 //
-// The bracketed fan-out extension is a trailing block a version-3 server
-// appends to ServerInfo: the node's update fan-out accounting (batched
-// notification sends, delegate disseminations and partitions held, and
-// the gateway's undeliverable/dropped counters — see FanoutInfo). Its
-// absence is the version-2 byte form, so a version-2 frame decodes
-// unchanged and a version-2 client simply never sees the extension.
+// A node's fan-out and commit-latency counters are not part of
+// ServerInfo; operators read them from the admin plane's /metrics and
+// from corona.LiveStats.
 //
 // # Sessions and resumption
 //
@@ -83,8 +70,8 @@
 // already holds.
 //
 // Subscriptions live in the overlay (at the channel's owner), not in the
-// session. A version-2 client reconnecting after failover sends one
-// LeaseRefresh listing its subscription set instead of replaying
+// session. A client reconnecting after failover sends one LeaseRefresh
+// listing its subscription set instead of replaying
 // Subscribe frames: the serving node routes an entry-node lease
 // heartbeat to each channel's owner, which refreshes the subscriber's
 // lease, re-points its entry record at this node, and — being an
@@ -94,8 +81,8 @@
 // whose lease for a subscriber expires (its entry node died without the
 // client reappearing) proactively re-routes the entry record to a
 // surviving node. The durable store (internal/store) remains the server
-// half of failover; against a version-1 server the SDK falls back to the
-// old Subscribe replay.
+// half of failover. A node that naks a LeaseRefresh gets the listed
+// subscriptions re-asserted one Subscribe frame at a time.
 //
 // After a successful Login, and again after every Ping ack, the server
 // pushes a ServerInfo frame: the node's advertised overlay endpoint, the
@@ -106,8 +93,8 @@
 //
 // Notify frames are unacknowledged and may arrive at any time after
 // Login; ordering is per-channel by version, with no cross-channel
-// guarantee. When one update fans out to many clients of the same node
-// (the gateway's NotifyBatch path), the server encodes the Notify frame
-// once into the batch's shared cell and every connection writes the same
-// buffer — the marginal cost per recipient is an enqueue, not an encode.
+// guarantee. Every update reaches the server as one gateway NotifyBatch
+// per entry node: the server encodes the Notify frame once into the
+// batch's shared cell and every connection writes the same buffer — the
+// marginal cost per recipient is an enqueue, not an encode.
 package clientproto

@@ -10,14 +10,9 @@ import (
 	"corona/internal/wirebin"
 )
 
-// Version is the highest protocol version this package speaks.
-// Version 2 added the LeaseRefresh frame (entry-node lease heartbeats).
-// Version 3 added the ServerInfo fan-out extension (FanoutInfo); frames
-// are otherwise unchanged, so the negotiation only gates whether the
-// server appends the extension fields.
-// Version 4 added the ServerInfo commit-latency extension (the durable
-// store's group-commit histogram), stacked after the fan-out fields the
-// same trailing-bytes way.
+// Version is the protocol's hello byte. Both ends must send exactly this
+// value; there is no negotiation. It is 4 because that is the byte
+// earlier SDK builds already sent.
 const Version = 4
 
 // MaxFrame bounds one frame's type+body byte count.
@@ -29,7 +24,7 @@ const (
 	TypeSubscribe    = 0x02
 	TypeUnsubscribe  = 0x03
 	TypePing         = 0x04
-	TypeLeaseRefresh = 0x05 // version 2
+	TypeLeaseRefresh = 0x05
 	TypeAck          = 0x10
 	TypeNak          = 0x11
 	TypeNotify       = 0x12
@@ -71,7 +66,7 @@ type Ping struct {
 	ReqID uint64
 }
 
-// LeaseRefresh (version 2) asserts that the logged-in handle is alive on
+// LeaseRefresh asserts that the logged-in handle is alive on
 // this connection and still wants the listed channels. The serving node
 // forwards each assertion to the channel's owner as an entry-node lease
 // heartbeat, which refreshes the subscriber's lease and re-points its
@@ -120,29 +115,6 @@ type StoreInfo struct {
 	Err string
 }
 
-// FanoutInfo is the serving node's update fan-out accounting, advertised
-// in ServerInfo since version 3.
-type FanoutInfo struct {
-	// NotifyBatches counts batched notification sends this node issued to
-	// entry nodes (its own gateway included).
-	NotifyBatches uint64
-	// DelegateUpdates counts per-delegate update disseminations sent by
-	// sharded channels this node owns.
-	DelegateUpdates uint64
-	// DelegatesActive counts delegates currently recruited across the
-	// channels this node owns.
-	DelegatesActive uint64
-	// DelegatesHeld counts channels this node holds a delegate partition
-	// for on some other owner's behalf.
-	DelegatesHeld uint64
-	// Undeliverable counts notifications that found neither an attached
-	// deliverer nor an IM account for their client.
-	Undeliverable uint64
-	// NotifyDropped counts notification frames discarded because a
-	// client's outbound queue was full (or a frame was oversized).
-	NotifyDropped uint64
-}
-
 // ServerInfo advertises the serving node and its view of the ring.
 type ServerInfo struct {
 	// Node is the serving node's advertised overlay endpoint.
@@ -152,20 +124,6 @@ type ServerInfo struct {
 	Peers []string
 	// Store is the durable store's health.
 	Store StoreInfo
-	// HasFanout reports whether Fanout carries data. Encoding appends the
-	// fan-out fields only when set, which keeps the version-2 byte form
-	// intact; decoding sets it when the extension bytes are present.
-	HasFanout bool
-	// Fanout is the fan-out accounting (version 3).
-	Fanout FanoutInfo
-	// HasCommitLatency gates the version-4 trailing extension below; it
-	// can only be encoded when HasFanout is also set (extensions stack
-	// in version order).
-	HasCommitLatency bool
-	// CommitLatency is the durable store's fixed-bucket group-commit
-	// latency histogram (store.CommitLatencyBounds order, final element
-	// the overflow bucket); empty for in-memory nodes.
-	CommitLatency []uint64
 }
 
 func (f *Login) frameType() byte        { return TypeLogin }
@@ -234,24 +192,7 @@ func (f *ServerInfo) appendBody(dst []byte) []byte {
 	dst = wirebin.AppendUvarint(dst, f.Store.Generation)
 	dst = wirebin.AppendUvarint(dst, f.Store.WALBytes)
 	dst = wirebin.AppendUvarint(dst, f.Store.RecordsSinceSnapshot)
-	dst = wirebin.AppendString(dst, f.Store.Err)
-	if !f.HasFanout {
-		return dst
-	}
-	dst = wirebin.AppendUvarint(dst, f.Fanout.NotifyBatches)
-	dst = wirebin.AppendUvarint(dst, f.Fanout.DelegateUpdates)
-	dst = wirebin.AppendUvarint(dst, f.Fanout.DelegatesActive)
-	dst = wirebin.AppendUvarint(dst, f.Fanout.DelegatesHeld)
-	dst = wirebin.AppendUvarint(dst, f.Fanout.Undeliverable)
-	dst = wirebin.AppendUvarint(dst, f.Fanout.NotifyDropped)
-	if !f.HasCommitLatency {
-		return dst
-	}
-	dst = wirebin.AppendUvarint(dst, uint64(len(f.CommitLatency)))
-	for _, c := range f.CommitLatency {
-		dst = wirebin.AppendUvarint(dst, c)
-	}
-	return dst
+	return wirebin.AppendString(dst, f.Store.Err)
 }
 
 // AppendFrame appends f's full wire form — u32 big-endian length, type
@@ -315,28 +256,6 @@ func DecodeFrame(body []byte) (Frame, error) {
 			RecordsSinceSnapshot: r.Uvarint(),
 			Err:                  r.String(),
 		}
-		if r.Err() == nil && r.Len() > 0 {
-			// Version-3 fan-out extension: present iff bytes remain.
-			si.HasFanout = true
-			si.Fanout = FanoutInfo{
-				NotifyBatches:   r.Uvarint(),
-				DelegateUpdates: r.Uvarint(),
-				DelegatesActive: r.Uvarint(),
-				DelegatesHeld:   r.Uvarint(),
-				Undeliverable:   r.Uvarint(),
-				NotifyDropped:   r.Uvarint(),
-			}
-		}
-		if r.Err() == nil && r.Len() > 0 {
-			// Version-4 commit-latency extension.
-			si.HasCommitLatency = true
-			if n := r.ListLen(1); n > 0 {
-				si.CommitLatency = make([]uint64, 0, n)
-				for i := 0; i < n; i++ {
-					si.CommitLatency = append(si.CommitLatency, r.Uvarint())
-				}
-			}
-		}
 		f = si
 	default:
 		return nil, ErrFrame
@@ -380,38 +299,38 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // Negotiate runs the server side of the hello exchange on conn-like rw:
-// it reads the client's version byte and replies with the negotiated
-// version, returning it. A client hello of 0 is refused (reply 0, error).
-func Negotiate(rw io.ReadWriter) (byte, error) {
+// it reads the client's hello byte and echoes Version when it matches,
+// or replies 0 and returns an error when it does not.
+func Negotiate(rw io.ReadWriter) error {
 	var hello [1]byte
 	if _, err := io.ReadFull(rw, hello[:]); err != nil {
-		return 0, err
+		return err
 	}
-	v := hello[0]
-	if v > Version {
-		v = Version
+	reply := byte(Version)
+	if hello[0] != Version {
+		reply = 0
 	}
-	if _, err := rw.Write([]byte{v}); err != nil {
-		return 0, err
+	if _, err := rw.Write([]byte{reply}); err != nil {
+		return err
 	}
-	if v == 0 {
-		return 0, fmt.Errorf("clientproto: no common protocol version")
+	if reply == 0 {
+		return fmt.Errorf("clientproto: unsupported protocol version %d", hello[0])
 	}
-	return v, nil
+	return nil
 }
 
-// Hello runs the client side of the hello exchange: it offers Version and
-// returns the server's negotiated choice.
-func Hello(rw io.ReadWriter) (byte, error) {
+// Hello runs the client side of the hello exchange: it sends Version and
+// fails unless the server echoes it.
+func Hello(rw io.ReadWriter) error {
 	if _, err := rw.Write([]byte{Version}); err != nil {
-		return 0, err
+		return err
 	}
 	var reply [1]byte
 	if _, err := io.ReadFull(rw, reply[:]); err != nil {
-		return 0, err
+		return err
 	}
-	if reply[0] == 0 || reply[0] > Version {
-		return 0, fmt.Errorf("clientproto: server refused version (replied %d)", reply[0])
+	if reply[0] != Version {
+		return fmt.Errorf("clientproto: server refused protocol version %d (replied %d)", Version, reply[0])
 	}
-	return reply[0], nil
+	return nil
 }

@@ -32,20 +32,6 @@ func everyFrame() []Frame {
 				RecordsSinceSnapshot: 17, Err: "disk on fire"},
 		},
 		&ServerInfo{Node: "10.0.0.1:9001"},
-		&ServerInfo{
-			Node:      "10.0.0.1:9001",
-			Peers:     []string{"10.0.0.2:9001"},
-			HasFanout: true,
-			Fanout: FanoutInfo{NotifyBatches: 12, DelegateUpdates: 4, DelegatesActive: 3,
-				DelegatesHeld: 2, Undeliverable: 1, NotifyDropped: 9},
-		},
-		&ServerInfo{
-			Node:             "10.0.0.1:9001",
-			HasFanout:        true,
-			Fanout:           FanoutInfo{NotifyBatches: 12},
-			HasCommitLatency: true,
-			CommitLatency:    []uint64{0, 3, 18, 4, 0, 0, 1, 0, 0, 0, 2},
-		},
 	}
 }
 
@@ -89,22 +75,12 @@ func TestReadWriteFrame(t *testing.T) {
 }
 
 func TestDecodeRejectsHostileInput(t *testing.T) {
-	// Truncation at every byte boundary of every frame must error — or,
-	// for the legal cases (a ServerInfo cut exactly at an extension
-	// boundary, where the shorter version's frame is itself valid),
-	// decode canonically: the accepted prefix must re-encode to exactly
-	// the bytes that decoded.
+	// Truncation at every byte boundary of every frame must error.
 	for _, f := range everyFrame() {
 		body := AppendFrame(nil, f)[4:]
 		for cut := 0; cut < len(body); cut++ {
-			got, err := DecodeFrame(body[:cut])
-			if err == nil {
-				if _, ok := got.(*ServerInfo); !ok {
-					t.Fatalf("%T truncated to %d bytes decoded", f, cut)
-				}
-				if !bytes.Equal(AppendFrame(nil, got)[4:], body[:cut]) {
-					t.Fatalf("%T truncated to %d bytes decoded non-canonically", f, cut)
-				}
+			if _, err := DecodeFrame(body[:cut]); err == nil {
+				t.Fatalf("%T truncated to %d bytes decoded", f, cut)
 			}
 		}
 		// Trailing garbage is a framing error too.
@@ -127,72 +103,6 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	}
 }
 
-// TestServerInfoV2Compat pins the fan-out extension's compatibility
-// contract: with HasFanout unset the encoding carries no extension bytes
-// (what a version-2 peer must receive), and decoding such a frame leaves
-// HasFanout false.
-func TestServerInfoV2Compat(t *testing.T) {
-	si := &ServerInfo{
-		Node:  "10.0.0.1:9001",
-		Peers: []string{"10.0.0.2:9001"},
-		Store: StoreInfo{Enabled: true, Generation: 3, WALBytes: 4096, RecordsSinceSnapshot: 17},
-	}
-	plain := AppendFrame(nil, si)
-	withExt := *si
-	withExt.HasFanout = true
-	withExt.Fanout = FanoutInfo{NotifyBatches: 1}
-	ext := AppendFrame(nil, &withExt)
-	if len(ext) <= len(plain) || ext[4] != plain[4] {
-		t.Fatalf("extension added %d bytes over %d", len(ext), len(plain))
-	}
-	if !bytes.Equal(ext[5:len(plain)], plain[5:]) {
-		t.Fatal("extension altered the version-2 prefix bytes")
-	}
-	got, err := DecodeFrame(plain[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gsi := got.(*ServerInfo); gsi.HasFanout || gsi.Fanout != (FanoutInfo{}) {
-		t.Fatalf("extension-free frame decoded with fan-out set: %+v", gsi)
-	}
-}
-
-// TestServerInfoV3Compat pins the commit-latency extension's stacking
-// contract: with HasCommitLatency unset the encoding is byte-identical to
-// a version-3 frame, and a version-4 frame decodes with the histogram
-// intact while its version-3 prefix bytes are unchanged.
-func TestServerInfoV3Compat(t *testing.T) {
-	v3 := &ServerInfo{
-		Node:      "10.0.0.1:9001",
-		HasFanout: true,
-		Fanout:    FanoutInfo{NotifyBatches: 7, NotifyDropped: 1},
-	}
-	plain := AppendFrame(nil, v3)
-	v4 := *v3
-	v4.HasCommitLatency = true
-	v4.CommitLatency = []uint64{0, 5, 12, 0, 1}
-	ext := AppendFrame(nil, &v4)
-	if len(ext) <= len(plain) {
-		t.Fatalf("extension added no bytes: %d vs %d", len(ext), len(plain))
-	}
-	if !bytes.Equal(ext[5:len(plain)], plain[5:]) {
-		t.Fatal("commit-latency extension altered the version-3 prefix bytes")
-	}
-	got, err := DecodeFrame(ext[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsi := got.(*ServerInfo)
-	if !gsi.HasCommitLatency || !reflect.DeepEqual(gsi.CommitLatency, v4.CommitLatency) {
-		t.Fatalf("histogram did not round-trip: %+v", gsi)
-	}
-	if plainGot, err := DecodeFrame(plain[4:]); err != nil {
-		t.Fatal(err)
-	} else if psi := plainGot.(*ServerInfo); psi.HasCommitLatency || psi.CommitLatency != nil {
-		t.Fatalf("extension-free frame decoded with commit latency set: %+v", psi)
-	}
-}
-
 func TestReadFrameBoundsLength(t *testing.T) {
 	var buf bytes.Buffer
 	var lenBuf [4]byte
@@ -209,60 +119,54 @@ func TestReadFrameBoundsLength(t *testing.T) {
 }
 
 func TestHelloNegotiation(t *testing.T) {
-	// Matching versions negotiate to Version.
+	type res struct{ err error }
+	// hello runs the server side against a client that sends one byte,
+	// returning the server's reply byte and result.
+	hello := func(clientByte byte) (byte, error) {
+		cEnd, sEnd := net.Pipe()
+		defer cEnd.Close()
+		defer sEnd.Close()
+		srv := make(chan res, 1)
+		go func() { srv <- res{Negotiate(sEnd)} }()
+		cEnd.Write([]byte{clientByte})
+		var reply [1]byte
+		io.ReadFull(cEnd, reply[:])
+		return reply[0], (<-srv).err
+	}
+
+	// The SDK's own hello is echoed, on both sides.
 	cEnd, sEnd := net.Pipe()
 	defer cEnd.Close()
 	defer sEnd.Close()
-	type res struct {
-		v   byte
-		err error
-	}
 	srv := make(chan res, 1)
-	go func() {
-		v, err := Negotiate(sEnd)
-		srv <- res{v, err}
-	}()
-	v, err := Hello(cEnd)
-	if err != nil || v != Version {
-		t.Fatalf("client negotiated (%d, %v), want (%d, nil)", v, err, Version)
+	go func() { srv <- res{Negotiate(sEnd)} }()
+	if err := Hello(cEnd); err != nil {
+		t.Fatalf("client hello: %v", err)
 	}
-	if r := <-srv; r.err != nil || r.v != Version {
-		t.Fatalf("server negotiated (%d, %v)", r.v, r.err)
+	if r := <-srv; r.err != nil {
+		t.Fatalf("server hello: %v", r.err)
 	}
 
-	// A future client (higher hello) is negotiated down to our Version.
+	// Any other byte — an older or newer version, or 0 — is refused with
+	// a 0 reply: the check is an exact match, not a negotiation.
+	for _, b := range []byte{0, 1, 2, 3, Version + 1, 0xFF} {
+		reply, err := hello(b)
+		if reply != 0 || err == nil {
+			t.Fatalf("hello %d: reply %d err %v, want reply 0 and an error", b, reply, err)
+		}
+	}
+
+	// A client whose hello the server refuses reports it.
 	cEnd2, sEnd2 := net.Pipe()
 	defer cEnd2.Close()
 	defer sEnd2.Close()
 	go func() {
-		v, err := Negotiate(sEnd2)
-		srv <- res{v, err}
+		var b [1]byte
+		io.ReadFull(sEnd2, b[:])
+		sEnd2.Write([]byte{0})
 	}()
-	cEnd2.Write([]byte{Version + 9})
-	var reply [1]byte
-	io.ReadFull(cEnd2, reply[:])
-	if reply[0] != Version {
-		t.Fatalf("future client negotiated to %d, want %d", reply[0], Version)
-	}
-	if r := <-srv; r.err != nil || r.v != Version {
-		t.Fatalf("server side: (%d, %v)", r.v, r.err)
-	}
-
-	// A zero hello is refused.
-	cEnd3, sEnd3 := net.Pipe()
-	defer cEnd3.Close()
-	defer sEnd3.Close()
-	go func() {
-		v, err := Negotiate(sEnd3)
-		srv <- res{v, err}
-	}()
-	cEnd3.Write([]byte{0})
-	io.ReadFull(cEnd3, reply[:])
-	if reply[0] != 0 {
-		t.Fatalf("zero hello got reply %d, want 0", reply[0])
-	}
-	if r := <-srv; r.err == nil {
-		t.Fatal("server accepted version 0")
+	if err := Hello(cEnd2); err == nil {
+		t.Fatal("client accepted a 0 reply")
 	}
 }
 
@@ -276,6 +180,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{TypeNotify})
 	f.Add([]byte{TypeServerInfo, 0xFF, 0xFF, 0xFF})
+	// ServerInfo followed by the retired fan-out and commit-latency
+	// extension blocks: trailing bytes, now a framing error.
+	si := AppendFrame(nil, &ServerInfo{Node: "10.0.0.1:9001"})[4:]
+	f.Add(append(append([]byte(nil), si...), 12, 4, 3, 2, 1, 9))
+	f.Add(append(append([]byte(nil), si...), 12, 4, 3, 2, 1, 9, 3, 0, 5, 1))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := DecodeFrame(body)
 		if err != nil {

@@ -59,6 +59,16 @@ type sharedFrame struct {
 	oversize bool
 }
 
+// queued is one entry of a connection's outbound queue. A notification
+// carries its client_enqueue latency, measured as it entered the queue;
+// the writer records it before the frame reaches the socket, so a
+// client that holds a notification can rely on it being counted.
+type queued struct {
+	f        Frame
+	latency  time.Duration
+	observed bool // latency is set: the notification carried a detection stamp
+}
+
 // sharedKeyFrame keys this package's slot in a batch's im.Shared cell;
 // other delivery layers (the web gateway's JSON encoding) hold their own
 // slots in the same cell.
@@ -138,14 +148,13 @@ func (s *Server) SetNotifyLatencyObserver(obs func(time.Duration)) {
 	s.notifyLatency.Store(&obs)
 }
 
-// observeEnqueue records one enqueue-stage latency observation for a
-// notification stamped at detection time at.
-func (s *Server) observeEnqueue(at time.Time) {
+// observeEnqueue records one enqueue-stage latency observation.
+func (s *Server) observeEnqueue(d time.Duration) {
 	p := s.notifyLatency.Load()
-	if p == nil || *p == nil || at.IsZero() {
+	if p == nil || *p == nil {
 		return
 	}
-	(*p)(time.Since(at))
+	(*p)(d)
 }
 
 // Close shuts the listener, asks every live connection to finish, and
@@ -217,21 +226,20 @@ func (s *Server) forget(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn owns one connection: hello negotiation, then a read loop
+// serveConn owns one connection: the hello check, then a read loop
 // dispatching requests, with all writes funneled through one writer
 // goroutine so notification delivery (from gateway goroutines) cannot
 // interleave frames with request replies.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.forget(conn)
-	ver, err := Negotiate(conn)
-	if err != nil {
+	if err := Negotiate(conn); err != nil {
 		return
 	}
 
 	// The out channel is never closed (late notification deliverers may
 	// race past detach); the writer exits on readerDone and, after a write
 	// error, keeps draining so no sender can block on a dead connection.
-	out := make(chan Frame, outQueueLen)
+	out := make(chan queued, outQueueLen)
 	readerDone := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
@@ -241,21 +249,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		dead := false
 		// writeOne encodes and writes one frame (no flush), skipping
 		// oversized ones: a frame beyond MaxFrame would make the client's
-		// decoder drop the connection, so it is dropped here instead (a
-		// >1MiB diff, in practice) and the lost notification counted.
-		// Pre-encoded shared frames skip the encode entirely — their bytes
-		// were built once for the whole batch (oversized ones never reach
-		// the queue).
-		writeOne := func(f Frame) {
-			frame := buf
+		// decoder drop the connection. Notifications arrive pre-encoded
+		// as shared frames — their bytes were built once for the whole
+		// batch, and oversized ones were dropped and counted before
+		// reaching the queue — so only control frames encode here.
+		writeOne := func(q queued) {
+			if q.observed {
+				s.observeEnqueue(q.latency)
+			}
+			if dead {
+				return
+			}
+			f, frame := q.f, buf
 			if sf, ok := f.(*sharedFrame); ok {
 				frame = sf.buf
 			} else {
 				buf = AppendFrame(buf[:0], f)
 				if len(buf)-4 > MaxFrame {
-					if _, isNotify := f.(*Notify); isNotify {
-						s.notifyDropped.Add(1)
-					}
 					return
 				}
 				frame = buf
@@ -274,18 +284,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		for {
 			select {
-			case f := <-out:
-				if !dead {
-					writeOne(f)
-				}
+			case q := <-out:
+				writeOne(q)
 			case <-readerDone:
 				// Graceful exit: drain whatever the queue still holds —
 				// a shutdown must not cut a notification stream mid-frame
 				// — then flush once.
 				for !dead {
 					select {
-					case f := <-out:
-						writeOne(f)
+					case q := <-out:
+						writeOne(q)
 					default:
 						bw.Flush()
 						return
@@ -301,7 +309,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// reply enqueues a control frame, waiting for space: acks and naks
 	// are request-paced and must not be lost to a burst of notifications.
 	// The writer drains even after a write error, so this cannot wedge.
-	reply := func(f Frame) { out <- f }
+	reply := func(f Frame) { out <- queued{f: f} }
 
 	var handle string
 	var sess *TableSession
@@ -332,34 +340,26 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			deliver := func(n im.Notification) {
-				if n.Shared != nil {
-					// Batch delivery: the first recipient's deliverer
-					// encodes the frame into the batch's Shared cell; every
-					// later recipient reuses the bytes. Deliverers for one
-					// batch run sequentially on the gateway's goroutine, so
-					// the cell needs no locking.
-					sf, _ := n.Shared.Load(sharedKeyFrame).(*sharedFrame)
-					if sf == nil {
-						b := AppendFrame(nil, &Notify{Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: n.At})
-						sf = &sharedFrame{buf: b, oversize: len(b)-4 > MaxFrame}
-						n.Shared.Store(sharedKeyFrame, sf)
-					}
-					if sf.oversize {
-						s.notifyDropped.Add(1)
-						return
-					}
-					select {
-					case out <- sf:
-						s.observeEnqueue(n.At)
-					default:
-						s.notifyDropped.Add(1)
-					}
+				// The first recipient's deliverer encodes the frame into
+				// the batch's Shared cell; every later recipient reuses
+				// the bytes. Deliverers for one batch run sequentially on
+				// the gateway's goroutine, so the cell needs no locking.
+				sf, _ := n.Shared.Load(sharedKeyFrame).(*sharedFrame)
+				if sf == nil {
+					b := AppendFrame(nil, &Notify{Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: n.At})
+					sf = &sharedFrame{buf: b, oversize: len(b)-4 > MaxFrame}
+					n.Shared.Store(sharedKeyFrame, sf)
+				}
+				if sf.oversize {
+					s.notifyDropped.Add(1)
 					return
 				}
-				nf := &Notify{Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: n.At}
+				q := queued{f: sf, observed: !n.At.IsZero()}
+				if q.observed {
+					q.latency = time.Since(n.At)
+				}
 				select {
-				case out <- nf:
-					s.observeEnqueue(n.At)
+				case out <- q:
 				default:
 					s.notifyDropped.Add(1)
 				}
@@ -371,7 +371,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			handle, sess, detach = req.Handle, ts, det
 			reply(&Ack{ReqID: req.ReqID, Token: token})
-			reply(s.info(ver))
+			reply(s.info())
 		case *Subscribe:
 			s.subReply(req.ReqID, handle, req.URL, false, reply)
 		case *Unsubscribe:
@@ -388,7 +388,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			reply(&Ack{ReqID: req.ReqID})
 		case *Ping:
 			reply(&Ack{ReqID: req.ReqID})
-			reply(s.info(ver))
+			reply(s.info())
 		default:
 			return // a server-to-client frame from a client: protocol error
 		}
@@ -418,20 +418,9 @@ func (s *Server) subReply(reqID uint64, handle, url string, remove bool, reply f
 	reply(&Ack{ReqID: reqID})
 }
 
-// info snapshots the backend's ServerInfo as a frame. Trailing
-// extensions are stripped for connections older than the version that
-// introduced them: their strict decoders treat the extra bytes as a
-// malformed frame.
-func (s *Server) info(ver byte) *ServerInfo {
+// info snapshots the backend's ServerInfo as a frame.
+func (s *Server) info() *ServerInfo {
 	si := s.backend.Info()
-	if ver < 3 {
-		si.HasFanout = false
-		si.Fanout = FanoutInfo{}
-	}
-	if ver < 4 {
-		si.HasCommitLatency = false
-		si.CommitLatency = nil
-	}
 	return &si
 }
 

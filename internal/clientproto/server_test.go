@@ -87,6 +87,7 @@ func (b *fakeBackend) notify(client string, n im.Notification) bool {
 	rec, ok := b.deliverers[client]
 	b.mu.Unlock()
 	if ok {
+		n.Shared = &im.Shared{} // a batch of one, as the gateway delivers it
 		rec.fn(n)
 	}
 	return ok
@@ -111,7 +112,7 @@ func dialServer(t *testing.T, addr string) *testClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Hello(conn); err != nil {
+	if err := Hello(conn); err != nil {
 		t.Fatal(err)
 	}
 	return &testClient{t: t, conn: conn}
@@ -294,7 +295,7 @@ func TestServerDropsMalformedStream(t *testing.T) {
 	}
 }
 
-// TestServerLeaseRefresh covers the version-2 lease heartbeat frame: a
+// TestServerLeaseRefresh covers the lease heartbeat frame: a
 // logged-in client's refresh fans out to the backend and is acked, a
 // refresh before login is naked, and a backend failure naks with its
 // reason (the SDK's cue to fall back to Subscribe replay).

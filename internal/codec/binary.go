@@ -1,18 +1,20 @@
 package codec
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"corona/internal/ids"
 	"corona/internal/pastry"
 	"corona/internal/wirebin"
 )
 
-// binaryCodec is the compact default format. The envelope layout is:
+// The envelope layout is:
 //
 //	-- hop-invariant prefix ------------------------------------------
 //	flags    byte     bit 0: key present; bit 1: payload present;
-//	                  bit 2: payload is native binary (else JSON)
+//	                  bit 2: payload is native binary (set with bit 1)
 //	type     uvarint length + bytes
 //	key      20 bytes (only when bit 0 set)
 //	from.id  20 bytes
@@ -24,8 +26,10 @@ import (
 //
 // All varints are unsigned LEB128 (encoding/binary). Identifiers travel as
 // raw 20-byte values instead of 40-char hex strings, and no field names
-// appear on the wire, which roughly halves Corona's control messages
-// relative to the JSON envelope.
+// appear on the wire.
+//
+// Bit 2 is a format marker: Encode sets it on every payload, and Decode
+// rejects a payload without it as malformed.
 //
 // The field order is deliberate: everything that is identical across the
 // copies of a broadcast fanned out to N routing contacts — which is
@@ -33,17 +37,12 @@ import (
 // caches that prefix in the message's shared-encoding cell (attached by
 // pastry's fanOut), so the payload region is encoded once per hop and each
 // additional contact costs only the two-varint trailer plus a copy.
-type binaryCodec struct{}
 
-func (binaryCodec) Name() string { return "binary" }
-
-// ID is 'B'. PR 1's binary envelope (ID 'b') carried Hops/Cover before
-// the payload; moving them to the trailer is incompatible, and reusing
-// 'b' would let a skewed peer negotiate successfully and silently
-// misparse every envelope. A fresh ID makes mixed-version connections
-// fail closed instead: the old node's hello is unknown here and the
-// connection is dropped.
-func (binaryCodec) ID() byte { return 'B' }
+// ID is the connection hello byte, 'B'. PR 1's binary envelope (ID 'b')
+// carried Hops/Cover before the payload, and the seed's JSON envelope was
+// 'j'; transports drop a connection opening with any byte but ID, so a
+// skewed peer fails closed instead of misparsing every envelope.
+const ID byte = 'B'
 
 const (
 	flagKey           = 1 << 0
@@ -51,12 +50,18 @@ const (
 	flagBinaryPayload = 1 << 2
 )
 
+// errNotBinary rejects an envelope whose payload lacks the native-binary
+// flag: such a payload is in no format this codec can decode.
+var errNotBinary = errors.New("codec: malformed envelope: payload not flagged native binary")
+
 // maxTrailer bounds the encoded size of the Hops/Cover trailer: two
 // varints, each at most 10 bytes.
 const maxTrailer = 20
 
-func (c binaryCodec) Encode(msg pastry.Message) ([]byte, error) {
-	if prefix, ok := msg.CachedEncodePrefix(c.ID()); ok {
+// Encode renders the message as a self-contained body. A payload blob
+// retained from a previous Decode is re-encoded verbatim.
+func Encode(msg pastry.Message) ([]byte, error) {
+	if prefix, ok := msg.CachedEncodePrefix(); ok {
 		body := make([]byte, 0, len(prefix)+maxTrailer)
 		body = append(body, prefix...)
 		return appendTrailer(body, msg), nil
@@ -64,18 +69,18 @@ func (c binaryCodec) Encode(msg pastry.Message) ([]byte, error) {
 	if msg.SharesEncoding() {
 		// First encode of a fanned-out broadcast: render the prefix into
 		// its own buffer so the cell can hand it to the other contacts.
-		prefix, err := c.appendPrefix(nil, msg)
+		prefix, err := appendPrefix(nil, msg)
 		if err != nil {
 			return nil, err
 		}
-		msg.StoreEncodePrefix(c.ID(), prefix)
+		msg.StoreEncodePrefix(prefix)
 		body := make([]byte, 0, len(prefix)+maxTrailer)
 		body = append(body, prefix...)
 		return appendTrailer(body, msg), nil
 	}
 	// Unicast: render straight into the final body — no separate prefix
 	// buffer, no second copy.
-	body, err := c.appendPrefix(nil, msg)
+	body, err := appendPrefix(nil, msg)
 	if err != nil {
 		return nil, err
 	}
@@ -89,28 +94,48 @@ func appendTrailer(body []byte, msg pastry.Message) []byte {
 	return body
 }
 
+// scratchPool holds payload staging buffers: a typed payload encodes into
+// a pooled buffer first, so the envelope is allocated once at its exact
+// size. Buffers grown past maxPooledScratch (a huge diff) are not kept.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledScratch = 64 << 10
+
 // appendPrefix renders the hop-invariant region — flags, type, key,
 // origin, and the payload blob — onto dst (allocating when dst is nil).
-func (binaryCodec) appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) {
-	payload, payloadBinary, err := payloadWire(msg)
-	if err != nil {
-		return nil, err
+// A payload blob retained from a previous Decode is copied verbatim.
+func appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) {
+	payload, forwarded := msg.RawPayload()
+	if !forwarded && msg.Payload != nil {
+		bm, err := marshalerFor(msg)
+		if err != nil {
+			return nil, err
+		}
+		scratch := scratchPool.Get().(*[]byte)
+		defer func() {
+			if cap(*scratch) <= maxPooledScratch {
+				scratchPool.Put(scratch)
+			}
+		}()
+		if payload, err = bm.AppendBinary((*scratch)[:0]); err != nil {
+			return nil, fmt.Errorf("codec: encoding %s payload: %w", msg.Type, err)
+		}
+		*scratch = payload[:0]
 	}
 	var flags byte
 	if !msg.Key.IsZero() {
 		flags |= flagKey
 	}
-	if payload != nil {
-		flags |= flagPayload
-		if payloadBinary {
-			flags |= flagBinaryPayload
-		}
+	if len(payload) > 0 {
+		flags |= flagPayload | flagBinaryPayload
 	}
 	if dst == nil {
-		// Envelope overhead is bounded by ~2*20 bytes of IDs plus short
-		// strings; size the buffer to fit the trailer too, so the unicast
-		// path never regrows.
-		dst = make([]byte, 0, 64+maxTrailer+len(msg.Type)+len(msg.From.Endpoint)+len(payload))
+		// Size the buffer for the whole prefix (a key slot included) plus
+		// the trailer, so the unicast path never regrows.
+		dst = make([]byte, 0, 1+2*ids.Bytes+maxTrailer+
+			uvarintLen(uint64(len(msg.Type)))+len(msg.Type)+
+			uvarintLen(uint64(len(msg.From.Endpoint)))+len(msg.From.Endpoint)+
+			uvarintLen(uint64(len(payload)))+len(payload))
 	}
 	dst = append(dst, flags)
 	dst = wirebin.AppendString(dst, msg.Type)
@@ -125,7 +150,11 @@ func (binaryCodec) appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) 
 	return dst, nil
 }
 
-func (binaryCodec) Decode(body []byte) (pastry.Message, error) {
+// Decode parses a body produced by Encode. The payload is not
+// materialized: its raw bytes are retained on the message for zero-copy
+// forwarding, and resolve through the type registry when
+// pastry.Message.MaterializePayload runs.
+func Decode(body []byte) (pastry.Message, error) {
 	r := wirebin.NewReader(body)
 	flags := r.Byte()
 	var msg pastry.Message
@@ -144,10 +173,13 @@ func (binaryCodec) Decode(body []byte) (pastry.Message, error) {
 	if err := r.Err(); err != nil {
 		return pastry.Message{}, fmt.Errorf("codec: truncated binary envelope: %w", err)
 	}
+	if flags&flagPayload != 0 && flags&flagBinaryPayload == 0 {
+		return pastry.Message{}, errNotBinary
+	}
 	if len(rawPayload) > 0 {
 		// Retained, not decoded: forwarding re-sends these bytes verbatim
 		// and only a local delivery materializes the struct.
-		msg.SetRawPayload(rawPayload, flags&flagBinaryPayload != 0)
+		msg.SetRawPayload(rawPayload)
 	}
 	return msg, nil
 }

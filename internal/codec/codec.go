@@ -1,22 +1,18 @@
 // Package codec serializes overlay messages for the wire.
 //
-// A Codec turns a pastry.Message into a self-contained byte body and back.
-// Two codecs ship with the repo: a JSON codec (the seed's envelope shape,
-// kept for debuggability) and a compact length-delimited binary codec
-// that is the default for node-to-node traffic. Transports declare the
-// codec per connection with a one-byte hello (the codec's ID byte), so
-// nodes preferring different codecs interoperate and new codecs can roll
-// out without cluster-wide coordination. Note the hello and the batch
-// framing around these bodies are new in this wire protocol: nodes
-// running the seed's helloless single-message framing cannot talk to it.
+// Encode turns a pastry.Message into a self-contained byte body and Decode
+// turns it back. There is one format: a compact length-delimited binary
+// envelope (see binary.go for the layout) whose payload region is the
+// payload type's own native binary encoding. Transports announce it with
+// a one-byte connection hello, ID; a connection whose hello is anything
+// else is dropped, so a skewed peer fails closed.
 //
 // Message payloads are application structs, resolved through a
 // process-wide registry mapping message types to payload constructors.
-// Hot payload types additionally implement the BinaryMarshaler /
-// BinaryUnmarshaler contract and travel in a native binary form; every
-// other payload falls back to a JSON blob. Which form a payload region is
-// in travels as an envelope flag, so the fallback needs no out-of-band
-// agreement.
+// Every registered type implements both halves of the native contract,
+// BinaryMarshaler and BinaryUnmarshaler (corona-lint's wiresym analyzer
+// checks every registration site). Encoding a payload whose type is
+// unregistered, or whose value has no AppendBinary, is an error.
 //
 // Decoding is lazy and forwarding is zero-copy: Decode retains the raw
 // payload bytes on the message (pastry.Message.SetRawPayload) instead of
@@ -28,30 +24,11 @@
 package codec
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
 	"corona/internal/pastry"
 )
-
-// Codec encodes and decodes one overlay message body. Implementations must
-// be safe for concurrent use; the transports share one instance across all
-// connections.
-type Codec interface {
-	// Name identifies the codec in logs and stats.
-	Name() string
-	// ID is the one-byte wire identifier sent in the connection hello.
-	ID() byte
-	// Encode renders the message as a self-contained body. A payload blob
-	// retained from a previous Decode is re-encoded verbatim.
-	Encode(msg pastry.Message) ([]byte, error)
-	// Decode parses a body produced by Encode. The payload is not
-	// materialized: its raw bytes are retained on the message for
-	// zero-copy forwarding, and resolve through the type registry when
-	// pastry.Message.MaterializePayload runs.
-	Decode(body []byte) (pastry.Message, error)
-}
 
 // BinaryMarshaler is implemented by payload structs that have a native
 // binary wire form. AppendBinary appends the encoding to dst and returns
@@ -69,180 +46,88 @@ type BinaryUnmarshaler interface {
 	DecodeBinary(src []byte) error
 }
 
-// Registered codec singletons.
-var (
-	// JSON is the seed wire format: a JSON envelope with a JSON payload.
-	JSON Codec = jsonCodec{}
-	// Binary is the compact default format: fixed-width envelope fields
-	// with varint lengths, native binary payloads for registered hot
-	// types, and a varint Hops/Cover trailer so broadcast fan-out shares
-	// one encoded prefix across contacts.
-	Binary Codec = binaryCodec{}
-	// Default is the codec transports prefer for outbound connections.
-	Default = Binary
-)
-
-// ByID resolves a hello byte to its codec, or nil when unknown.
-func ByID(id byte) Codec {
-	switch id {
-	case JSON.ID():
-		return JSON
-	case Binary.ID():
-		return Binary
-	}
-	return nil
-}
-
 func init() {
 	// Retained raw payloads resolve through this registry when the
-	// overlay materializes them for a local handler.
+	// overlay materializes them for a local handler. The overlay's own
+	// join and state messages are registered here, so every binary that
+	// encodes (netwire) or sizes (simnet) messages can handle them.
 	pastry.SetPayloadDecoder(decodePayload)
+	pastry.RegisterPayloadTypes(RegisterPayload)
 }
 
-// payloadEntry is one registered payload type: its constructor, plus
-// whether the constructed struct speaks the native binary contract (probed
-// once at registration).
-type payloadEntry struct {
-	factory func() any
-	binary  bool
-}
-
-// payloadFactories maps message types to their registrations, letting
-// decoders produce typed payloads.
+// payloadFactories maps message types to their payload constructors,
+// letting decoders produce typed payloads.
 var (
 	registryMu       sync.RWMutex
-	payloadFactories = map[string]payloadEntry{}
+	payloadFactories = map[string]func() any{}
 )
 
 // RegisterPayload associates a message type with a payload constructor.
-// Types without a registration decode their payload as map[string]any.
-// When the constructed payload implements BinaryUnmarshaler (and values
-// sent under this type implement BinaryMarshaler), the type travels in
-// its native binary form; otherwise it falls back to JSON payload bytes.
-// Registering the same type twice replaces the factory (packages register
-// their types from init-like hooks that may run more than once per
-// process).
+// The constructed value must implement BinaryUnmarshaler (and values sent
+// under this type BinaryMarshaler); registering a type without the binary
+// contract panics, since no peer could decode what it sends. Registering
+// the same type twice replaces the factory (packages register their types
+// from init-like hooks that may run more than once per process).
 func RegisterPayload(msgType string, factory func() any) {
-	_, binary := factory().(BinaryUnmarshaler)
+	if _, ok := factory().(BinaryUnmarshaler); !ok {
+		panic(fmt.Sprintf("codec: payload type %s registered without DecodeBinary", msgType))
+	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
-	payloadFactories[msgType] = payloadEntry{factory: factory, binary: binary}
+	payloadFactories[msgType] = factory
 }
 
-// lookupPayload returns the registration for msgType, if any.
-func lookupPayload(msgType string) (payloadEntry, bool) {
+// lookupPayload returns the constructor registered for msgType, if any.
+func lookupPayload(msgType string) (func() any, bool) {
 	registryMu.RLock()
-	e, ok := payloadFactories[msgType]
+	f, ok := payloadFactories[msgType]
 	registryMu.RUnlock()
-	return e, ok
+	return f, ok
 }
 
-// decodePayload resolves raw payload bytes — native binary or JSON,
-// per the binary flag — into the registered typed struct for msgType.
-// Unregistered JSON payloads fall back to a generic map; unregistered
-// binary payloads (version skew) drop the payload but keep the envelope,
-// mirroring the JSON unknown-shape behavior.
-func decodePayload(msgType string, raw []byte, binary bool) (any, error) {
+// decodePayload resolves raw native-binary payload bytes into the
+// registered typed struct for msgType. An unregistered type (version
+// skew) drops the payload but keeps the envelope.
+func decodePayload(msgType string, raw []byte) (any, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
-	e, registered := lookupPayload(msgType)
-	if binary {
-		if !registered || !e.binary {
-			return nil, nil
-		}
-		p := e.factory()
-		if err := p.(BinaryUnmarshaler).DecodeBinary(raw); err != nil {
-			return nil, fmt.Errorf("codec: decoding %s binary payload: %w", msgType, err)
-		}
-		return p, nil
-	}
-	if registered {
-		p := e.factory()
-		if err := json.Unmarshal(raw, p); err != nil {
-			return nil, fmt.Errorf("codec: decoding %s payload: %w", msgType, err)
-		}
-		return p, nil
-	}
-	var generic map[string]any
-	if err := json.Unmarshal(raw, &generic); err != nil {
-		return nil, nil // unknown shape; drop the payload, keep the envelope
-	}
-	return generic, nil
-}
-
-// payloadWire renders a message's payload region: the encoded bytes plus
-// which form they are in. A blob retained from a previous Decode is reused
-// verbatim; otherwise the typed payload encodes natively when its type is
-// registered for binary, and as JSON when not.
-func payloadWire(msg pastry.Message) (raw []byte, binary bool, err error) {
-	if raw, binary, ok := msg.RawPayload(); ok {
-		return raw, binary, nil
-	}
-	if msg.Payload == nil {
-		return nil, false, nil
-	}
-	if bm, ok := msg.Payload.(BinaryMarshaler); ok {
-		if e, registered := lookupPayload(msg.Type); registered && e.binary {
-			b, err := bm.AppendBinary(nil)
-			if err != nil {
-				return nil, false, fmt.Errorf("codec: encoding %s binary payload: %w", msg.Type, err)
-			}
-			return b, true, nil
-		}
-	}
-	b, err := json.Marshal(msg.Payload)
-	if err != nil {
-		return nil, false, fmt.Errorf("codec: encoding payload of %s: %w", msg.Type, err)
-	}
-	return b, false, nil
-}
-
-// payloadJSON renders a message's payload region as JSON bytes
-// specifically, for the JSON codec: a retained binary blob is materialized
-// through the registry and re-marshaled.
-func payloadJSON(msg pastry.Message) ([]byte, error) {
-	if raw, binary, ok := msg.RawPayload(); ok {
-		if !binary {
-			return raw, nil
-		}
-		p, err := decodePayload(msg.Type, raw, true)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, nil
-		}
-		b, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("codec: encoding payload of %s: %w", msg.Type, err)
-		}
-		return b, nil
-	}
-	if msg.Payload == nil {
+	factory, ok := lookupPayload(msgType)
+	if !ok {
 		return nil, nil
 	}
-	b, err := json.Marshal(msg.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("codec: encoding payload of %s: %w", msg.Type, err)
+	p := factory()
+	if err := p.(BinaryUnmarshaler).DecodeBinary(raw); err != nil {
+		return nil, fmt.Errorf("codec: decoding %s payload: %w", msgType, err)
 	}
-	return b, nil
+	return p, nil
 }
 
-// Measure returns the encoded size of msg under the default codec, for
-// transports that account bytes without materializing frames (simnet). A
-// message that fails to encode measures zero. Fan-out copies carrying a
-// shared-encoding cell amortize the measurement the way real frames do —
-// the prefix encodes once — and because only a size is needed, later
-// copies cost O(trailer): cached prefix length plus two varint widths,
-// no body built at all.
-func Measure(msg pastry.Message) int {
-	if Default.ID() == Binary.ID() {
-		if prefix, ok := msg.CachedEncodePrefix(Binary.ID()); ok {
-			return len(prefix) + uvarintLen(uint64(msg.Hops)) + uvarintLen(uint64(msg.Cover))
-		}
+// marshalerFor returns the native encoder of a message's typed payload. A
+// payload whose type is unregistered, or whose value has no AppendBinary,
+// is an error: there is no other payload form to fall back to.
+func marshalerFor(msg pastry.Message) (BinaryMarshaler, error) {
+	if _, registered := lookupPayload(msg.Type); !registered {
+		return nil, fmt.Errorf("codec: payload type %s is not registered", msg.Type)
 	}
-	body, err := Default.Encode(msg)
+	bm, ok := msg.Payload.(BinaryMarshaler)
+	if !ok {
+		return nil, fmt.Errorf("codec: %s payload %T has no AppendBinary", msg.Type, msg.Payload)
+	}
+	return bm, nil
+}
+
+// Measure returns the encoded size of msg, for transports that account
+// bytes without materializing frames (simnet). A message that fails to
+// encode measures zero. Fan-out copies carrying a shared-encoding cell
+// amortize the measurement the way real frames do — the prefix encodes
+// once — and because only a size is needed, later copies cost O(trailer):
+// cached prefix length plus two varint widths, no body built at all.
+func Measure(msg pastry.Message) int {
+	if prefix, ok := msg.CachedEncodePrefix(); ok {
+		return len(prefix) + uvarintLen(uint64(msg.Hops)) + uvarintLen(uint64(msg.Cover))
+	}
+	body, err := Encode(msg)
 	if err != nil {
 		return 0
 	}

@@ -1,16 +1,37 @@
 package codec_test
 
 import (
+	"strings"
 	"testing"
 
 	"corona/internal/codec"
 	"corona/internal/ids"
 	"corona/internal/pastry"
+	"corona/internal/wirebin"
 )
 
 type testPayload struct {
-	Text  string `json:"text"`
-	Count int    `json:"count"`
+	Text  string
+	Count int
+}
+
+// AppendBinary implements codec.BinaryMarshaler.
+func (p *testPayload) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wirebin.AppendString(dst, p.Text)
+	return wirebin.AppendSint(dst, p.Count), nil
+}
+
+// DecodeBinary implements codec.BinaryUnmarshaler.
+func (p *testPayload) DecodeBinary(src []byte) error {
+	r := wirebin.NewReader(src)
+	p.Text = r.String()
+	p.Count = r.Sint()
+	return r.Err()
+}
+
+// jsonOnlyPayload has no native binary form.
+type jsonOnlyPayload struct {
+	Text string `json:"text"`
 }
 
 func init() {
@@ -28,165 +49,141 @@ func sampleMessage() pastry.Message {
 	}
 }
 
+// TestRoundTripBothCodecs round-trips a typed message through the
+// codec. It keeps the name and the "binary" case it had when the package
+// carried a second codec; binary is now the only one.
 func TestRoundTripBothCodecs(t *testing.T) {
-	for _, c := range []codec.Codec{codec.JSON, codec.Binary} {
-		t.Run(c.Name(), func(t *testing.T) {
-			want := sampleMessage()
-			body, err := c.Encode(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Decode(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Type != want.Type || got.Key != want.Key || got.From != want.From ||
-				got.Hops != want.Hops || got.Cover != want.Cover {
-				t.Fatalf("envelope mismatch: got %+v want %+v", got, want)
-			}
-			if got.Payload != nil {
-				t.Fatalf("payload should stay lazy until materialized, got %#v", got.Payload)
-			}
-			if err := got.MaterializePayload(); err != nil {
-				t.Fatal(err)
-			}
-			p, ok := got.Payload.(*testPayload)
-			if !ok {
-				t.Fatalf("payload type = %T", got.Payload)
-			}
-			if *p != *want.Payload.(*testPayload) {
-				t.Fatalf("payload = %+v", p)
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		want := sampleMessage()
+		body, err := codec.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body[0]&(1<<2) == 0 {
+			t.Fatalf("payload not flagged native binary: flags %08b", body[0])
+		}
+		got, err := codec.Decode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != want.Type || got.Key != want.Key || got.From != want.From ||
+			got.Hops != want.Hops || got.Cover != want.Cover {
+			t.Fatalf("envelope mismatch: got %+v want %+v", got, want)
+		}
+		if got.Payload != nil {
+			t.Fatalf("payload should stay lazy until materialized, got %#v", got.Payload)
+		}
+		if err := got.MaterializePayload(); err != nil {
+			t.Fatal(err)
+		}
+		p, ok := got.Payload.(*testPayload)
+		if !ok {
+			t.Fatalf("payload type = %T", got.Payload)
+		}
+		if *p != *want.Payload.(*testPayload) {
+			t.Fatalf("payload = %+v", p)
+		}
+	})
 }
 
 func TestRoundTripZeroKeyNilPayload(t *testing.T) {
-	for _, c := range []codec.Codec{codec.JSON, codec.Binary} {
-		t.Run(c.Name(), func(t *testing.T) {
-			want := pastry.Message{Type: "codec.bare", From: pastry.Addr{ID: ids.HashString("n"), Endpoint: "e"}}
-			body, err := c.Encode(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Decode(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Key.IsZero() {
-				t.Fatalf("key should stay zero, got %v", got.Key)
-			}
-			if err := got.MaterializePayload(); err != nil {
-				t.Fatal(err)
-			}
-			if got.Payload != nil {
-				t.Fatalf("payload should stay nil, got %#v", got.Payload)
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		want := pastry.Message{Type: "codec.bare", From: pastry.Addr{ID: ids.HashString("n"), Endpoint: "e"}}
+		body, err := codec.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := codec.Decode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Key.IsZero() {
+			t.Fatalf("key should stay zero, got %v", got.Key)
+		}
+		if err := got.MaterializePayload(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Payload != nil {
+			t.Fatalf("payload should stay nil, got %#v", got.Payload)
+		}
+	})
 }
 
-// TestRegisteredJSONFallbackRoundTrip pins the fallback rule for
-// registered types without the native binary contract: inside the binary
-// envelope the payload region travels as JSON bytes, flagged as such,
-// and round-trips byte-stably. Every production Corona type now encodes
-// natively, so this dedicated test is what keeps the fallback path — the
-// road new message types roll out on — exercised.
-func TestRegisteredJSONFallbackRoundTrip(t *testing.T) {
-	want := sampleMessage() // codec.typed has no AppendBinary/DecodeBinary
-	body, err := codec.Binary.Encode(want)
-	if err != nil {
-		t.Fatal(err)
+// TestEncodeRejectsNonBinaryPayload pins the fail-closed encode: a payload
+// whose type is unregistered, or whose value has no AppendBinary, is an
+// encode error (the transport drops the message) rather than a silent
+// JSON fallback.
+func TestEncodeRejectsNonBinaryPayload(t *testing.T) {
+	cases := map[string]pastry.Message{
+		"unregistered":    {Type: "codec.unregistered", Payload: &testPayload{Text: "x"}},
+		"no-AppendBinary": {Type: "codec.typed", Payload: &jsonOnlyPayload{Text: "x"}},
 	}
-	got, err := codec.Binary.Decode(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, binary, ok := got.RawPayload()
-	if !ok || binary {
-		t.Fatalf("registered non-binary type should ride the JSON fallback: ok=%v binary=%v", ok, binary)
-	}
-	if len(raw) == 0 || raw[0] != '{' {
-		t.Fatalf("fallback blob does not look like JSON: %q", raw)
-	}
-	// Forward re-encode consumes the retained blob verbatim.
-	reBody, err := codec.Binary.Encode(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(reBody) != string(body) {
-		t.Fatal("fallback forward re-encode not byte-identical")
-	}
-	if err := got.MaterializePayload(); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := got.Payload.(*testPayload)
-	if !ok || *p != *want.Payload.(*testPayload) {
-		t.Fatalf("fallback payload = %#v", got.Payload)
-	}
-}
-
-func TestUnregisteredPayloadDecodesGeneric(t *testing.T) {
-	for _, c := range []codec.Codec{codec.JSON, codec.Binary} {
-		t.Run(c.Name(), func(t *testing.T) {
-			body, err := c.Encode(pastry.Message{
-				Type:    "codec.unregistered",
-				Payload: map[string]any{"k": "v"},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Decode(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := got.MaterializePayload(); err != nil {
-				t.Fatal(err)
-			}
-			m, ok := got.Payload.(map[string]any)
-			if !ok || m["k"] != "v" {
-				t.Fatalf("generic payload = %#v", got.Payload)
-			}
-		})
-	}
-}
-
-func TestBinarySmallerThanJSON(t *testing.T) {
-	msg := sampleMessage()
-	jb, err := codec.JSON.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := codec.Binary.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bb) >= len(jb) {
-		t.Fatalf("binary (%d bytes) not smaller than JSON (%d bytes)", len(bb), len(jb))
-	}
-}
-
-func TestBinaryDecodeTruncated(t *testing.T) {
-	body, err := codec.Binary.Encode(sampleMessage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(body); cut++ {
-		if _, err := codec.Binary.Decode(body[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded without error", cut, len(body))
+	for name, msg := range cases {
+		if body, err := codec.Encode(msg); err == nil {
+			t.Fatalf("%s: encoded %d bytes, want an error", name, len(body))
+		}
+		if n := codec.Measure(msg); n != 0 {
+			t.Fatalf("%s: Measure = %d, want 0 for an unencodable message", name, n)
 		}
 	}
 }
 
-func TestByID(t *testing.T) {
-	if codec.ByID(codec.JSON.ID()) != codec.JSON {
-		t.Fatal("ByID(json)")
+// TestDecodeRejectsUnflaggedPayload pins the fail-closed decode: an
+// envelope whose payload lacks the native-binary flag (bit 2) is
+// malformed, whatever the payload bytes.
+func TestDecodeRejectsUnflaggedPayload(t *testing.T) {
+	body, err := codec.Encode(sampleMessage())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if codec.ByID(codec.Binary.ID()) != codec.Binary {
-		t.Fatal("ByID(binary)")
+	body[0] &^= 1 << 2
+	if _, err := codec.Decode(body); err == nil || !strings.Contains(err.Error(), "malformed") {
+		t.Fatalf("unflagged payload decoded: err=%v", err)
 	}
-	if codec.ByID(0xff) != nil {
-		t.Fatal("unknown ID should resolve to nil")
+}
+
+// TestRegisterRejectsNonBinaryType pins registration: a constructor whose
+// value cannot DecodeBinary would make every peer drop the payload, so
+// registering it panics at init rather than failing on the wire.
+func TestRegisterRejectsNonBinaryType(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a type without DecodeBinary did not panic")
+		}
+	}()
+	codec.RegisterPayload("codec.jsononly", func() any { return &jsonOnlyPayload{} })
+}
+
+// TestUnregisteredPayloadDropsOnMaterialize pins the version-skew rule:
+// a binary payload of a type this node never registered keeps its
+// envelope and materializes to no payload.
+func TestUnregisteredPayloadDropsOnMaterialize(t *testing.T) {
+	body, err := codec.Encode(sampleMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := codec.Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg.Type = "codec.unregistered"
+	if err := msg.MaterializePayload(); err != nil {
+		t.Fatal(err)
+	}
+	if msg.Payload != nil {
+		t.Fatalf("unregistered payload materialized as %#v", msg.Payload)
+	}
+}
+
+func TestBinaryDecodeTruncated(t *testing.T) {
+	body, err := codec.Encode(sampleMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := codec.Decode(body[:cut]); err == nil {
+			t.Fatalf("truncation at %d/%d decoded without error", cut, len(body))
+		}
 	}
 }
 
@@ -202,7 +199,7 @@ func TestSharedPrefixFanOut(t *testing.T) {
 	for cover := 1; cover <= 4; cover++ {
 		out := base
 		out.Cover = cover
-		body, err := codec.Binary.Encode(out)
+		body, err := codec.Encode(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +211,7 @@ func TestSharedPrefixFanOut(t *testing.T) {
 		plain := sampleMessage()
 		plain.Hops = base.Hops
 		plain.Cover = cover
-		want, err := codec.Binary.Encode(plain)
+		want, err := codec.Encode(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +229,7 @@ func TestSharedPrefixFanOut(t *testing.T) {
 	}
 	// And each decodes back with its own trailer.
 	for i, b := range bodies {
-		got, err := codec.Binary.Decode(b)
+		got, err := codec.Decode(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +241,7 @@ func TestSharedPrefixFanOut(t *testing.T) {
 
 func TestMeasureMatchesEncode(t *testing.T) {
 	msg := sampleMessage()
-	body, err := codec.Default.Encode(msg)
+	body, err := codec.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}

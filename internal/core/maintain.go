@@ -337,7 +337,6 @@ func (n *Node) registerHandlers() {
 	n.overlay.Handle(msgReport, n.handleReport)
 	n.overlay.Handle(msgMaintain, n.handleMaintain)
 	n.overlay.Handle(msgWedgeFwd, n.handleWedgeFwd)
-	n.overlay.Handle(msgNotify, n.handleNotify)
 	n.overlay.Handle(msgNotifyBatch, n.handleNotifyBatch)
 	n.overlay.Handle(msgLease, n.handleLease)
 	n.overlay.Handle(msgLeaseExpire, n.handleLeaseExpire)

@@ -17,7 +17,6 @@ func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
 	register(msgReport, func() any { return &reportMsg{} })
 	register(msgMaintain, func() any { return &maintainMsg{} })
 	register(msgWedgeFwd, func() any { return &wedgeFwdMsg{} })
-	register(msgNotify, func() any { return &notifyMsg{} })
 	register(msgNotifyBatch, func() any { return &notifyBatchMsg{} })
 	register(msgLease, func() any { return &leaseMsg{} })
 	register(msgLeaseExpire, func() any { return &leaseExpireMsg{} })
@@ -35,7 +34,6 @@ const (
 	msgReport      = "corona.report"
 	msgMaintain    = "corona.maintain"
 	msgWedgeFwd    = "corona.wedgefwd"
-	msgNotify      = "corona.notify"
 	msgLease       = "corona.lease"
 
 	msgNotifyBatch    = "corona.notifybatch"
@@ -65,33 +63,21 @@ type replicatedSub struct {
 	Entry  pastry.Addr `json:"entry"`
 }
 
-// notifyMsg carries one client's update notification from the channel
-// owner to the client's entry node, whose IM gateway delivers it.
-type notifyMsg struct {
-	Client  string `json:"client"`
-	URL     string `json:"url"`
-	Version uint64 `json:"version"`
-	Diff    string `json:"diff,omitempty"`
-	// At is the detection timestamp (unix nanoseconds): when the polling
-	// node first observed this version. It rides every hop of the
-	// notification path unchanged, so each stage can report its latency
-	// since detection. Zero from nodes predating the field.
-	At int64 `json:"at,omitempty"`
-}
-
-// notifyBatchMsg carries one update for many clients from the channel
-// owner (or one of its delegates) to a shared entry node: one diff, a
-// list of client handles. It replaces the per-subscriber notifyMsg on the
-// fan-out path, making the owner's per-update overlay cost proportional
-// to distinct entry nodes rather than subscribers; the entry node's
-// gateway re-fans it to the attached clients with a single shared frame
-// encoding. notifyMsg survives for wire compatibility with older nodes.
+// notifyBatchMsg carries one update for one or many clients from the
+// channel owner (or one of its delegates) to a shared entry node: one
+// diff, a list of client handles. The owner's per-update overlay cost is
+// proportional to distinct entry nodes rather than subscribers; the entry
+// node's gateway re-fans it to the attached clients with a single shared
+// frame encoding.
 type notifyBatchMsg struct {
 	URL     string   `json:"url"`
 	Version uint64   `json:"version"`
 	Diff    string   `json:"diff,omitempty"`
 	Clients []string `json:"clients"`
-	// At is the detection timestamp (unix nanoseconds); see notifyMsg.At.
+	// At is the detection timestamp (unix nanoseconds): when the polling
+	// node first observed this version. It rides every hop of the
+	// notification path unchanged, so each stage can report its latency
+	// since detection.
 	At int64 `json:"at,omitempty"`
 }
 
@@ -261,7 +247,7 @@ type delegateNotifyMsg struct {
 	Version    uint64 `json:"version"`
 	Diff       string `json:"diff,omitempty"`
 	OwnerEpoch uint64 `json:"owner_epoch"`
-	// At is the detection timestamp (unix nanoseconds); see notifyMsg.At.
+	// At is the detection timestamp (unix nanoseconds); see notifyBatchMsg.At.
 	At int64 `json:"at,omitempty"`
 }
 

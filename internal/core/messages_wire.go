@@ -9,16 +9,9 @@ import (
 	"corona/internal/wirebin"
 )
 
-// Native binary wire forms for Corona's hot message payloads — the
-// AppendBinary/DecodeBinary contract the codec package probes for at
-// registration. These are the messages multiplied by wedge fan-out
-// (updates, poll control, their wedge-forward wrapper), the periodic
-// aggregation exchange, and the per-subscription control paths; encoding
-// them natively removes the JSON marshal/unmarshal from every hop.
-// replicateMsg joined the native set when restart reconciliation made
-// replication traffic hot (recovered owners re-push their whole state on
-// rejoin); the JSON fallback path is exercised by a dedicated codec test
-// instead (codec.TestRegisteredJSONFallbackRoundTrip).
+// Native binary wire forms for every Corona message payload — the
+// AppendBinary/DecodeBinary contract the codec package requires at
+// registration and is the only payload form on the wire.
 //
 // Conventions (package wirebin): uvarint for unsigned counters, zigzag
 // svarint for int fields, length-prefixed strings, fixed 8-byte floats,
@@ -67,28 +60,6 @@ func (m *subscribeMsg) DecodeBinary(src []byte) error {
 	m.Entry = readAddr(r)
 	m.Remove = r.Bool()
 	return wireErr("subscribe", r)
-}
-
-// --- notifyMsg (corona.notify) -------------------------------------------
-
-// AppendBinary implements the codec binary payload contract.
-func (m *notifyMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirebin.AppendString(dst, m.Client)
-	dst = wirebin.AppendString(dst, m.URL)
-	dst = wirebin.AppendUvarint(dst, m.Version)
-	dst = wirebin.AppendString(dst, m.Diff)
-	return wirebin.AppendUvarint(dst, uint64(m.At)), nil
-}
-
-// DecodeBinary implements the codec binary payload contract.
-func (m *notifyMsg) DecodeBinary(src []byte) error {
-	r := wirebin.NewReader(src)
-	m.Client = r.String()
-	m.URL = r.String()
-	m.Version = r.Uvarint()
-	m.Diff = r.String()
-	m.At = int64(r.Uvarint())
-	return wireErr("notify", r)
 }
 
 // --- notifyBatchMsg (corona.notifybatch) ---------------------------------

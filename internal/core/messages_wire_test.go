@@ -1,16 +1,10 @@
 package core
 
 // Property tests for the native binary payload path: for every registered
-// Corona message type, the binary encoding must round-trip byte-stably
-// and produce exactly the struct the JSON path produces. All
-// registrations travel natively (replicateMsg joined when restart
-// reconciliation made replication hot; the batch fan-out trio —
-// notifybatch, delegate, delegatenotify — when delegate sharding landed);
-// the registered-type JSON fallback itself is pinned by a dedicated test
-// in the codec package.
-// Messages are exercised through the codec envelope, the way they
-// actually reach the wire, including lazy materialization and verbatim
-// re-encoding of forwarded payloads.
+// Corona message type, the binary encoding must round-trip to the original
+// struct and re-encode byte-stably. Messages are exercised through the
+// codec envelope, the way they actually reach the wire, including lazy
+// materialization and verbatim re-encoding of forwarded payloads.
 
 import (
 	"bytes"
@@ -144,9 +138,6 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 		}
 		return m
 	},
-	msgNotify: func(rng *rand.Rand) any {
-		return &notifyMsg{Client: randString(rng), URL: randString(rng), Version: rng.Uint64(), Diff: randString(rng), At: rng.Int63() >> uint(rng.Intn(63))}
-	},
 	msgLease: func(rng *rand.Rand) any {
 		return &leaseMsg{URL: randString(rng), Client: randString(rng), Entry: randAddr(rng)}
 	},
@@ -203,46 +194,38 @@ func wireMessage(msgType string, payload any, rng *rand.Rand) pastry.Message {
 	}
 }
 
-// decodeAndMaterialize runs a body back through a codec the way the
+// decodeAndMaterialize runs a body back through the codec the way the
 // overlay does on local delivery.
-func decodeAndMaterialize(t *testing.T, c codec.Codec, body []byte) pastry.Message {
+func decodeAndMaterialize(t *testing.T, body []byte) pastry.Message {
 	t.Helper()
-	msg, err := c.Decode(body)
+	msg, err := codec.Decode(body)
 	if err != nil {
-		t.Fatalf("%s decode: %v", c.Name(), err)
+		t.Fatalf("decode: %v", err)
 	}
 	if err := msg.MaterializePayload(); err != nil {
-		t.Fatalf("%s materialize: %v", c.Name(), err)
+		t.Fatalf("materialize: %v", err)
 	}
 	return msg
 }
 
-// TestBinaryPayloadEquivalentToJSONPath is the core equivalence property:
-// for every registered message type, sending through the binary codec
-// yields exactly the payload that sending through the JSON codec yields.
-func TestBinaryPayloadEquivalentToJSONPath(t *testing.T) {
+// TestBinaryPayloadRoundTrip is the core round-trip property: for every
+// registered message type, sending through the codec yields exactly the
+// envelope and payload that were sent.
+func TestBinaryPayloadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for msgType, gen := range payloadGenerators {
 		t.Run(msgType, func(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				msg := wireMessage(msgType, gen(rng), rng)
-				jsonBody, err := codec.JSON.Encode(msg)
+				body, err := codec.Encode(msg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				binBody, err := codec.Binary.Encode(msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				viaJSON := decodeAndMaterialize(t, codec.JSON, jsonBody)
-				viaBinary := decodeAndMaterialize(t, codec.Binary, binBody)
-				if viaBinary.Type != viaJSON.Type || viaBinary.Key != viaJSON.Key ||
-					viaBinary.From != viaJSON.From || viaBinary.Hops != viaJSON.Hops ||
-					viaBinary.Cover != viaJSON.Cover {
-					t.Fatalf("envelope diverges:\n bin  %+v\n json %+v", viaBinary, viaJSON)
-				}
-				if !reflect.DeepEqual(viaBinary.Payload, viaJSON.Payload) {
-					t.Fatalf("payload diverges:\n bin  %#v\n json %#v", viaBinary.Payload, viaJSON.Payload)
+				viaBinary := decodeAndMaterialize(t, body)
+				if viaBinary.Type != msg.Type || viaBinary.Key != msg.Key ||
+					viaBinary.From != msg.From || viaBinary.Hops != msg.Hops ||
+					viaBinary.Cover != msg.Cover {
+					t.Fatalf("envelope changed by round trip:\n got  %+v\n want %+v", viaBinary, msg)
 				}
 				if !reflect.DeepEqual(viaBinary.Payload, msg.Payload) {
 					t.Fatalf("payload changed by round trip:\n got  %#v\n want %#v", viaBinary.Payload, msg.Payload)
@@ -262,16 +245,16 @@ func TestBinaryPayloadByteStable(t *testing.T) {
 		t.Run(msgType, func(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				msg := wireMessage(msgType, gen(rng), rng)
-				body, err := codec.Binary.Encode(msg)
+				body, err := codec.Encode(msg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Zero-copy forward: decode, re-encode without materializing.
-				fwd, err := codec.Binary.Decode(body)
+				fwd, err := codec.Decode(body)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fwdBody, err := codec.Binary.Encode(fwd)
+				fwdBody, err := codec.Encode(fwd)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,8 +262,8 @@ func TestBinaryPayloadByteStable(t *testing.T) {
 					t.Fatal("verbatim forward re-encode not byte-identical")
 				}
 				// Materialized re-send: decode, materialize, re-encode.
-				mat := decodeAndMaterialize(t, codec.Binary, body)
-				matBody, err := codec.Binary.Encode(mat)
+				mat := decodeAndMaterialize(t, body)
+				matBody, err := codec.Encode(mat)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,20 +281,20 @@ func TestBinaryPayloadByteStable(t *testing.T) {
 func TestForwardedPayloadStaysLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	msg := wireMessage(msgUpdate, randUpdate(rng), rng)
-	body, err := codec.Binary.Encode(msg)
+	body, err := codec.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.Binary.Decode(body)
+	got, err := codec.Decode(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Payload != nil {
 		t.Fatalf("payload decoded eagerly: %#v", got.Payload)
 	}
-	raw, binary, ok := got.RawPayload()
-	if !ok || !binary || len(raw) == 0 {
-		t.Fatalf("raw payload not retained: ok=%v binary=%v len=%d", ok, binary, len(raw))
+	raw, ok := got.RawPayload()
+	if !ok || len(raw) == 0 {
+		t.Fatalf("raw payload not retained: ok=%v len=%d", ok, len(raw))
 	}
 	want, err := msg.Payload.(*updateMsg).AppendBinary(nil)
 	if err != nil {
@@ -325,28 +308,28 @@ func TestForwardedPayloadStaysLazy(t *testing.T) {
 	if err := got.MaterializePayload(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := got.RawPayload(); ok {
+	if _, ok := got.RawPayload(); ok {
 		t.Fatal("raw blob survived materialization")
 	}
 }
 
-// TestReplicateTravelsNatively pins replicateMsg to the native binary
-// path: restart reconciliation re-pushes whole owner states through it,
-// so it must not ride the JSON fallback anymore.
+// TestReplicateTravelsNatively pins replicateMsg's retained blob to its
+// own AppendBinary encoding: restart reconciliation re-pushes whole owner
+// states through it.
 func TestReplicateTravelsNatively(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	msg := wireMessage(msgReplicate, payloadGenerators[msgReplicate](rng), rng)
-	body, err := codec.Binary.Encode(msg)
+	body, err := codec.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.Binary.Decode(body)
+	got, err := codec.Decode(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, binary, ok := got.RawPayload()
-	if !ok || !binary || len(raw) == 0 {
-		t.Fatalf("replicate should travel natively: ok=%v binary=%v len=%d", ok, binary, len(raw))
+	raw, ok := got.RawPayload()
+	if !ok || len(raw) == 0 {
+		t.Fatalf("replicate should travel natively: ok=%v len=%d", ok, len(raw))
 	}
 	want, err := msg.Payload.(*replicateMsg).AppendBinary(nil)
 	if err != nil {
@@ -367,7 +350,6 @@ type binaryPayload interface {
 // fuzzTargets constructs one empty payload of each natively-encoded type.
 var fuzzTargets = []func() binaryPayload{
 	func() binaryPayload { return &subscribeMsg{} },
-	func() binaryPayload { return &notifyMsg{} },
 	func() binaryPayload { return &pollCtlMsg{} },
 	func() binaryPayload { return &updateMsg{} },
 	func() binaryPayload { return &reportMsg{} },
@@ -389,17 +371,17 @@ func FuzzBinaryPayloadDecode(f *testing.F) {
 		return b
 	}
 	f.Add(uint8(0), seedFor(&subscribeMsg{URL: "u", Client: "c", Entry: randAddr(rng)}))
-	f.Add(uint8(1), seedFor(&notifyMsg{Client: "c", URL: "u", Version: 3, Diff: "d", At: 12345}))
-	f.Add(uint8(2), seedFor(randPollCtl(rng)))
-	f.Add(uint8(3), seedFor(randUpdate(rng)))
-	f.Add(uint8(4), seedFor(&reportMsg{URL: "u", ObservedVersion: 9}))
-	f.Add(uint8(5), seedFor(&maintainMsg{Row: 2, Clusters: randClusterSet(rng)}))
-	f.Add(uint8(6), seedFor(&wedgeFwdMsg{URL: "u", InnerType: msgUpdate, Update: randUpdate(rng)}))
-	f.Add(uint8(7), seedFor(payloadGenerators[msgReplicate](rng).(*replicateMsg)))
-	f.Add(uint8(9), seedFor(payloadGenerators[msgNotifyBatch](rng).(*notifyBatchMsg)))
-	f.Add(uint8(10), seedFor(payloadGenerators[msgDelegate](rng).(*delegateMsg)))
-	f.Add(uint8(11), seedFor(&delegateNotifyMsg{URL: "u", Version: 7, Diff: "d", OwnerEpoch: 2, At: 12345}))
-	f.Add(uint8(6), []byte{})
+	f.Add(uint8(1), seedFor(randPollCtl(rng)))
+	f.Add(uint8(2), seedFor(randUpdate(rng)))
+	f.Add(uint8(3), seedFor(&reportMsg{URL: "u", ObservedVersion: 9}))
+	f.Add(uint8(4), seedFor(&maintainMsg{Row: 2, Clusters: randClusterSet(rng)}))
+	f.Add(uint8(5), seedFor(&wedgeFwdMsg{URL: "u", InnerType: msgUpdate, Update: randUpdate(rng)}))
+	f.Add(uint8(6), seedFor(payloadGenerators[msgReplicate](rng).(*replicateMsg)))
+	f.Add(uint8(7), seedFor(&leaseMsg{URL: "u", Client: "c", Entry: randAddr(rng)}))
+	f.Add(uint8(8), seedFor(payloadGenerators[msgNotifyBatch](rng).(*notifyBatchMsg)))
+	f.Add(uint8(9), seedFor(payloadGenerators[msgDelegate](rng).(*delegateMsg)))
+	f.Add(uint8(10), seedFor(&delegateNotifyMsg{URL: "u", Version: 7, Diff: "d", OwnerEpoch: 2, At: 12345}))
+	f.Add(uint8(5), []byte{})
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		target := fuzzTargets[int(which)%len(fuzzTargets)]
 		m := target()
@@ -429,12 +411,17 @@ func FuzzBinaryPayloadDecode(f *testing.F) {
 func FuzzBinaryEnvelopeDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(47))
 	for msgType, gen := range payloadGenerators {
-		if body, err := codec.Binary.Encode(wireMessage(msgType, gen(rng), rng)); err == nil {
+		if body, err := codec.Encode(wireMessage(msgType, gen(rng), rng)); err == nil {
 			f.Add(body)
 		}
 	}
+	// An update whose payload lost its native-binary flag: malformed.
+	if body, err := codec.Encode(wireMessage(msgUpdate, randUpdate(rng), rng)); err == nil {
+		body[0] &^= 1 << 2
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := codec.Binary.Decode(data)
+		msg, err := codec.Decode(data)
 		if err != nil {
 			return
 		}

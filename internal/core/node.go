@@ -25,18 +25,16 @@ type Fetcher interface {
 
 // Notifier delivers update notifications to subscribers; the IM gateway
 // implements it (paper §3.5). In counting mode the node calls
-// NotifyCount instead of per-client Notify.
+// NotifyCount instead of NotifyBatch.
 type Notifier interface {
-	// Notify sends one client the diff for a channel update. at is the
-	// detection timestamp — when the polling node first observed the
-	// version — carried end to end so delivery latency is measurable;
-	// a zero at means the origin predates the timestamp.
-	Notify(client, channelURL string, version uint64, diff string, at time.Time)
 	// NotifyBatch sends every listed client the same diff for a channel
 	// update — one call per entry node per update, so the gateway can
 	// encode the notification once and share the bytes across clients.
-	// The clients slice is only valid for the duration of the call; the
-	// notifier must copy it if it retains the handles.
+	// A single subscriber is a batch of one. at is the detection
+	// timestamp — when the polling node first observed the version —
+	// carried end to end so delivery latency is measurable. The clients
+	// slice is only valid for the duration of the call; the notifier
+	// must copy it if it retains the handles.
 	NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time)
 	// NotifyCount reports that count subscribers of a channel were
 	// notified of version (counting mode, used at simulation scale).

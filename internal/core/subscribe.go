@@ -592,31 +592,9 @@ func (n *Node) expireFailedEntries(ch *channelState, failed []notifyTarget) {
 	}
 }
 
-// handleNotify delivers a notification that was routed through this node
-// because the subscriber entered the system here. It survives for wire
-// compatibility with nodes that predate batching; the fan-out path now
-// sends notifyBatch.
-func (n *Node) handleNotify(msg pastry.Message) {
-	p, ok := msg.Payload.(*notifyMsg)
-	if !ok {
-		return
-	}
-	n.mu.Lock()
-	notify := n.notify
-	obs := n.obsEntryRecv
-	n.mu.Unlock()
-	at := atTime(p.At)
-	if obs != nil && !at.IsZero() {
-		obs(n.now().Sub(at))
-	}
-	if notify != nil {
-		notify.Notify(p.Client, p.URL, p.Version, p.Diff, at)
-	}
-}
-
-// handleNotifyBatch delivers one update to every listed client attached
-// to this node's gateway — the batched form of handleNotify, carrying the
-// diff once per entry node instead of once per subscriber.
+// handleNotifyBatch delivers one update to every listed client that
+// entered the system through this node, carrying the diff once per entry
+// node instead of once per subscriber.
 func (n *Node) handleNotifyBatch(msg pastry.Message) {
 	p, ok := msg.Payload.(*notifyBatchMsg)
 	if !ok || len(p.Clients) == 0 {

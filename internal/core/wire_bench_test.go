@@ -1,10 +1,10 @@
 package core
 
-// Wire-path benchmarks for the zero-copy payload work: payload encode
-// throughput (native binary vs the PR 1 JSON-payload fallback inside the
-// same binary envelope) and broadcast fan-out cost per routing contact
-// (encode-once shared prefix vs re-encoding the whole message per
-// contact). `make bench` records these in BENCH_wire.json.
+// Wire-path benchmarks for the zero-copy payload work: update encode
+// throughput, per-hop forwarding cost (verbatim forward vs materialize and
+// re-encode) and broadcast fan-out cost per routing contact (encode-once
+// shared prefix vs re-encoding the whole message per contact).
+// `make bench` records these in BENCH_wire.json.
 
 import (
 	"fmt"
@@ -16,19 +16,6 @@ import (
 	"corona/internal/ids"
 	"corona/internal/pastry"
 )
-
-// jsonUpdateMsg mirrors updateMsg field-for-field but opts out of the
-// binary contract, reproducing PR 1's JSON-payload path for comparison.
-type jsonUpdateMsg struct {
-	URL     string `json:"url"`
-	Version uint64 `json:"version"`
-	Diff    string `json:"diff,omitempty"`
-	Bytes   int    `json:"bytes"`
-}
-
-func init() {
-	codec.RegisterPayload("bench.update.json", func() any { return &jsonUpdateMsg{} })
-}
 
 // representativeDiff builds a real encoded diff the way polling does: a
 // 100-item micronews feed gaining `items` fresh items, run through the
@@ -60,78 +47,61 @@ func benchUpdateMessage(diff string, payload any) pastry.Message {
 	}
 }
 
-// BenchmarkUpdateEncode compares encoding an update dissemination message
-// with its native binary payload against the PR 1 baseline (same binary
-// envelope, JSON payload blob). The acceptance bar is ≥ 2x encode
-// throughput for the binary payload.
+// BenchmarkUpdateEncode measures encoding an update dissemination message
+// with its native binary payload.
 func BenchmarkUpdateEncode(b *testing.B) {
 	diff := representativeDiff(3)
-	cases := []struct {
-		name    string
-		msgType string
-		payload any
-	}{
-		{"binary-payload", msgUpdate, &updateMsg{URL: "http://example.com/feed.rss", Version: 17, Diff: diff, Bytes: len(diff)}},
-		{"json-payload", "bench.update.json", &jsonUpdateMsg{URL: "http://example.com/feed.rss", Version: 17, Diff: diff, Bytes: len(diff)}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			msg := benchUpdateMessage(diff, tc.payload)
-			msg.Type = tc.msgType
-			body, err := codec.Binary.Encode(msg)
-			if err != nil {
+	b.Run("binary-payload", func(b *testing.B) {
+		msg := benchUpdateMessage(diff, &updateMsg{URL: "http://example.com/feed.rss", Version: 17, Diff: diff, Bytes: len(diff)})
+		body, err := codec.Encode(msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportMetric(float64(len(body)), "bytes/msg")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.Encode(msg); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(body)))
-			b.ReportMetric(float64(len(body)), "bytes/msg")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.Binary.Encode(msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkUpdateDecodeForward compares the per-hop cost of preparing a
 // received update for re-forwarding: decode plus re-encode. The zero-copy
-// path never materializes the payload; the baseline decodes the JSON blob
-// and re-marshals it.
+// path never materializes the payload; the baseline decodes the payload
+// into its struct and re-marshals it, as a node holding a typed struct
+// would.
 func BenchmarkUpdateDecodeForward(b *testing.B) {
 	diff := representativeDiff(3)
 	cases := []struct {
 		name        string
-		msgType     string
-		payload     any
 		materialize bool
 	}{
-		{"zero-copy", msgUpdate, &updateMsg{URL: "u", Version: 17, Diff: diff, Bytes: len(diff)}, false},
-		{"materialize-remarshal", "bench.update.json", &jsonUpdateMsg{URL: "u", Version: 17, Diff: diff, Bytes: len(diff)}, true},
+		{"zero-copy", false},
+		{"materialize-remarshal", true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			msg := benchUpdateMessage(diff, tc.payload)
-			msg.Type = tc.msgType
-			body, err := codec.Binary.Encode(msg)
+			msg := benchUpdateMessage(diff, &updateMsg{URL: "u", Version: 17, Diff: diff, Bytes: len(diff)})
+			body, err := codec.Encode(msg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(body)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, err := codec.Binary.Decode(body)
+				got, err := codec.Decode(body)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if tc.materialize {
-					// PR 1 semantics: the forwarding node held a typed
-					// struct, so re-encoding re-marshaled it.
 					if err := got.MaterializePayload(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := codec.Binary.Encode(got); err != nil {
+				if _, err := codec.Encode(got); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -142,8 +112,6 @@ func BenchmarkUpdateDecodeForward(b *testing.B) {
 // BenchmarkFanOutEncode measures encoding one broadcast toward N routing
 // contacts, the per-hop hot loop of wedge dissemination (§3.4):
 //
-//   - reencode-json: PR 1 behavior — every contact re-marshals the JSON
-//     payload and the whole envelope.
 //   - reencode-binary: native payload, but still a full encode per contact.
 //   - shared-prefix: the landed path — the hop-invariant prefix, envelope
 //     plus payload, encodes once and each contact adds a 2-varint trailer.
@@ -156,19 +124,15 @@ func BenchmarkFanOutEncode(b *testing.B) {
 	for _, size := range []int{256, 4096} {
 		diff := strings.Repeat("d", size)
 		cases := []struct {
-			name    string
-			msgType string
-			payload any
-			share   bool
+			name  string
+			share bool
 		}{
-			{"reencode-json", "bench.update.json", &jsonUpdateMsg{URL: "u", Version: 9, Diff: diff, Bytes: size}, false},
-			{"reencode-binary", msgUpdate, &updateMsg{URL: "u", Version: 9, Diff: diff, Bytes: size}, false},
-			{"shared-prefix", msgUpdate, &updateMsg{URL: "u", Version: 9, Diff: diff, Bytes: size}, true},
+			{"reencode-binary", false},
+			{"shared-prefix", true},
 		}
 		for _, tc := range cases {
 			b.Run(fmt.Sprintf("diff=%dB/%s", size, tc.name), func(b *testing.B) {
-				msg := benchUpdateMessage(diff, tc.payload)
-				msg.Type = tc.msgType
+				msg := benchUpdateMessage(diff, &updateMsg{URL: "u", Version: 9, Diff: diff, Bytes: size})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					out := msg
@@ -179,7 +143,7 @@ func BenchmarkFanOutEncode(b *testing.B) {
 					for c := 0; c < contacts; c++ {
 						send := out
 						send.Cover = c + 2
-						if _, err := codec.Binary.Encode(send); err != nil {
+						if _, err := codec.Encode(send); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -97,9 +97,6 @@ type Options struct {
 // countingNotifier is the default sink for notifications.
 type countingNotifier struct{ count uint64 }
 
-func (c *countingNotifier) Notify(client, url string, version uint64, diff string, at time.Time) {
-	c.count++
-}
 func (c *countingNotifier) NotifyBatch(clients []string, url string, version uint64, diff string, at time.Time) {
 	c.count += uint64(len(clients))
 }

@@ -34,8 +34,8 @@ type Notification struct {
 	// carried one, else the gateway-side emission time — either way the
 	// best anchor the delivery layer has for end-to-end latency.
 	At time.Time
-	// Shared, when non-nil, is a per-batch cell a delivery layer may use
-	// to encode the notification once and reuse the result for every
+	// Shared is the per-batch cell a delivery layer uses to encode the
+	// notification once and reuse the result for every
 	// client in the batch (the encoded body excludes Client, so the bytes
 	// are identical). Deliverers for the same batch run sequentially on
 	// one goroutine, so the cell needs no locking — but for exactly that
@@ -127,7 +127,7 @@ type Gateway struct {
 	batchClients  uint64            // clients covered by those batches
 
 	// tap, when set, observes every channel update flowing through the
-	// gateway — once per Notify/NotifyBatch call, before any deliverer
+	// gateway — once per NotifyBatch call, before any deliverer
 	// runs (same goroutine), so a consumer recording updates (the web
 	// gateway's replay rings) is guaranteed to hold an update before any
 	// per-client delivery of it can be observed or suppressed.
@@ -251,51 +251,13 @@ func (g *Gateway) reply(to, body string) {
 	g.service.Send(g.handle, to, body)
 }
 
-// Notify implements the Corona node's Notifier. An attached client gets
-// the structured notification immediately; everyone else gets the legacy
-// IM rendering through the pacing queue.
-func (g *Gateway) Notify(client, channelURL string, version uint64, diff string, at time.Time) {
-	if at.IsZero() {
-		at = g.clk.Now()
-	}
-	n := Notification{
-		Client:  client,
-		Channel: channelURL,
-		Version: version,
-		Diff:    diff,
-		At:      at,
-	}
-	g.mu.Lock()
-	tap := g.tap
-	g.mu.Unlock()
-	if tap != nil {
-		// Before the deliverer (and before the attachment check): a
-		// notification for a detached client must still reach the tap's
-		// replay rings, or the client could never fetch what it missed.
-		tap(channelURL, version, diff, at)
-	}
-	g.mu.Lock()
-	g.notifyCounts[channelURL]++
-	if a, ok := g.attached[client]; ok {
-		g.mu.Unlock()
-		a.deliver(n)
-		return
-	}
-	g.queue = append(g.queue, queued{to: client, body: n.LegacyBody()})
-	start := !g.draining
-	g.draining = true
-	g.mu.Unlock()
-	if start {
-		g.drainOne()
-	}
-}
-
-// NotifyBatch implements the Corona node's batch Notifier: every listed
-// client receives the same update. Attached clients share one
-// Notification value carrying one Shared cell, so the client-protocol
-// server encodes the frame once and hands the same bytes to every
-// connection; unattached clients fall back to the paced legacy IM queue,
-// with the text body rendered once for the whole batch.
+// NotifyBatch implements the Corona node's Notifier: every listed client
+// receives the same update. An attached client gets the structured
+// notification immediately; everyone else gets the legacy IM rendering
+// through the pacing queue. Attached clients share one Notification value
+// carrying one Shared cell, so the client-protocol server encodes the
+// frame once and hands the same bytes to every connection; the legacy
+// text body is likewise rendered once for the whole batch.
 func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time) {
 	if len(clients) == 0 {
 		return
@@ -314,11 +276,20 @@ func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint6
 	tap := g.tap
 	g.mu.Unlock()
 	if tap != nil {
-		// Once per batch, before any deliverer: see Notify.
+		// Once per batch, before any deliverer (and before the
+		// attachment check): a notification for a detached client must
+		// still reach the tap's replay rings, or the client could never
+		// fetch what it missed.
 		tap(channelURL, version, diff, at)
 	}
-	var delivers []Deliverer
-	var handles []string
+	// Attached recipients, collected under the lock and delivered outside
+	// it; the inline array keeps small batches off the heap.
+	type recipient struct {
+		client  string
+		deliver Deliverer
+	}
+	var inline [8]recipient
+	attached := inline[:0]
 	legacyBody := ""
 	start := false
 	g.mu.Lock()
@@ -327,8 +298,7 @@ func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint6
 	g.batchClients += uint64(len(clients))
 	for _, c := range clients {
 		if a, ok := g.attached[c]; ok {
-			delivers = append(delivers, a.deliver)
-			handles = append(handles, c)
+			attached = append(attached, recipient{c, a.deliver})
 			continue
 		}
 		if legacyBody == "" {
@@ -343,9 +313,9 @@ func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint6
 	g.mu.Unlock()
 	// Deliver outside the lock, sequentially: the first deliverer fills
 	// the Shared cell, the rest reuse it.
-	for i, deliver := range delivers {
-		n.Client = handles[i]
-		deliver(n)
+	for _, r := range attached {
+		n.Client = r.client
+		r.deliver(n)
 	}
 	if start {
 		g.drainOne()

@@ -175,7 +175,7 @@ func TestGatewayPacesNotifications(t *testing.T) {
 		s.Login(u, func(m Message) { arrivals = append(arrivals, sim.Now()) })
 	}
 	for i := 0; i < 5; i++ {
-		g.Notify(fmt.Sprintf("user%d", i), "http://x/f.xml", 2, "diff", time.Time{})
+		g.NotifyBatch([]string{fmt.Sprintf("user%d", i)}, "http://x/f.xml", 2, "diff", time.Time{})
 	}
 	sim.RunFor(5 * time.Second)
 	if len(arrivals) != 5 {
@@ -205,7 +205,7 @@ func TestGatewayRecoversFromRateLimit(t *testing.T) {
 		s.Login(u, func(m Message) { delivered++ })
 	}
 	for i := 0; i < 4; i++ {
-		g.Notify(fmt.Sprintf("u%d", i), "http://x/f.xml", 1, "d", time.Time{})
+		g.NotifyBatch([]string{fmt.Sprintf("u%d", i)}, "http://x/f.xml", 1, "d", time.Time{})
 	}
 	// Two go out immediately; the rest must drain after window resets.
 	sim.RunFor(5 * time.Minute)
@@ -237,7 +237,7 @@ func TestGatewayAttachedDeliveryBypassesPacing(t *testing.T) {
 	var got []Notification
 	detach := g.Attach("alice", func(n Notification) { got = append(got, n) })
 	for i := uint64(1); i <= 3; i++ {
-		g.Notify("alice", "http://x/f.xml", i, "d", time.Time{})
+		g.NotifyBatch([]string{"alice"}, "http://x/f.xml", i, "d", time.Time{})
 	}
 	// No simulated time passes: structured delivery is immediate.
 	if len(got) != 3 || got[0].Version != 1 || got[2].Version != 3 {
@@ -259,7 +259,7 @@ func TestGatewayAttachedDeliveryBypassesPacing(t *testing.T) {
 	var legacy []string
 	s.Login("alice", func(m Message) { legacy = append(legacy, m.Body) })
 	g.SetPaceInterval(time.Millisecond)
-	g.Notify("alice", "http://x/f.xml", 4, "d4", time.Time{})
+	g.NotifyBatch([]string{"alice"}, "http://x/f.xml", 4, "d4", time.Time{})
 	sim.RunFor(time.Second)
 	if len(legacy) != 1 || !strings.HasPrefix(legacy[0], "UPDATE http://x/f.xml v4") {
 		t.Fatalf("legacy fallback = %v", legacy)
@@ -279,7 +279,7 @@ func TestGatewayAttachReplacesAndGuardsDetach(t *testing.T) {
 	if !g.Attached("alice") {
 		t.Fatal("stale detach removed the replacement deliverer")
 	}
-	g.Notify("alice", "u", 1, "", time.Time{})
+	g.NotifyBatch([]string{"alice"}, "u", 1, "", time.Time{})
 	if first != 0 || second != 1 {
 		t.Fatalf("delivery counts = (%d, %d), want (0, 1)", first, second)
 	}
@@ -291,7 +291,7 @@ func TestGatewayCountsUndeliverable(t *testing.T) {
 	g := NewGateway(s, sim, "corona", &fakeNode{})
 	g.SetPaceInterval(time.Millisecond)
 	// No deliverer, no IM account: the notification has nowhere to go.
-	g.Notify("ghost", "http://x/f.xml", 1, "d", time.Time{})
+	g.NotifyBatch([]string{"ghost"}, "http://x/f.xml", 1, "d", time.Time{})
 	sim.RunFor(time.Second)
 	if g.Undeliverable() != 1 {
 		t.Fatalf("Undeliverable = %d, want 1", g.Undeliverable())

@@ -31,16 +31,12 @@
 // # Wire protocol
 //
 // Each connection is one-directional: the dialer writes, the accepter
-// reads. A connection opens with a one-byte hello naming the codec for
-// every frame that follows:
-//
-//	'B'  compact binary envelope with varint Hops/Cover trailer
-//	     (codec.Binary, the default)
-//	'j'  JSON envelope (codec.JSON, the seed format)
-//
-// ('b' was PR 1's binary envelope, which carried Hops/Cover before the
-// payload; its ID is retired rather than reused so a skewed peer fails
-// closed — unknown hello, connection dropped — instead of misparsing.)
+// reads. A connection opens with a one-byte hello, codec.ID ('B'): the
+// compact binary envelope with a varint Hops/Cover trailer. A connection
+// opening with any other byte is dropped — 'j' (the seed's JSON envelope)
+// and 'b' (PR 1's binary envelope, which carried Hops/Cover before the
+// payload) included — so a skewed peer fails closed instead of
+// misparsing.
 //
 // After the hello, the stream is a sequence of frames:
 //
@@ -50,33 +46,28 @@
 //
 // length is the big-endian byte count of everything after it (count plus
 // all message records); it is bounded by maxFrame. Each body is one
-// overlay message encoded by the negotiated codec (see internal/codec for
-// both envelope layouts). Messages within a frame, and frames within a
-// connection, preserve the sender's enqueue order.
+// overlay message encoded by internal/codec (see there for the envelope
+// layout). Messages within a frame, and frames within a connection,
+// preserve the sender's enqueue order.
 //
 // # Payload formats
 //
-// Within a binary-codec body, the payload region is a length-prefixed
-// blob in one of two forms, selected by the envelope's payload-format
-// flag (bit 2 of the flags byte):
+// Within a body, the payload region is a length-prefixed blob holding the
+// payload type's own AppendBinary encoding (codec.BinaryMarshaler), with
+// bit 2 of the envelope's flags byte set. Every Corona message type —
+// subscribe/unsubscribe, notifybatch, pollctl, update, report, maintain
+// (including the sparse honeycomb.ClusterSet form), the wedgefwd wrapper,
+// replicate, lease and delegate traffic, and the overlay's own join and
+// state messages — travels this way; field layouts are documented at the
+// implementations in internal/core/messages_wire.go,
+// internal/honeycomb/wire.go and internal/pastry/join_wire.go.
 //
-//   - native binary: the payload type's own AppendBinary encoding
-//     (codec.BinaryMarshaler). Corona's hot types — subscribe/unsubscribe,
-//     notify, pollctl, update, report, maintain (including the sparse
-//     honeycomb.ClusterSet form), and the wedgefwd wrapper — travel this
-//     way; their field layouts are documented at their implementations in
-//     internal/core/messages_wire.go and internal/honeycomb/wire.go.
-//   - JSON: the payload struct as a JSON object.
-//
-// The rule for senders: a payload encodes natively iff its message type
-// is registered with a constructor implementing codec.BinaryUnmarshaler;
-// every other payload — unregistered types, and registered types without
-// the binary contract (replicate) — falls back to JSON payload bytes with
-// the flag clear. Receivers decode strictly by the flag, so new native
-// formats roll out per message type with no connection-level negotiation.
-// A receiver that sees the binary flag on a type it has no binary decoder
-// for (version skew) keeps the envelope and drops the payload, the same
-// treatment an unknown-shaped JSON payload gets.
+// A payload whose type is unregistered, or whose value has no
+// AppendBinary, fails to encode; the writer drops that message and counts
+// it in Dropped. A received payload without the binary flag makes the
+// envelope malformed and it is skipped. A received payload of a type this
+// node has no decoder for (version skew) keeps the envelope and drops the
+// payload.
 //
 // The binary envelope orders its fields so everything except the Hops and
 // Cover counters — which differ per broadcast recipient — forms a

@@ -38,14 +38,6 @@ const (
 	bufSize             = 64 << 10
 )
 
-// RegisterPayload associates a message type with a payload constructor.
-//
-// Deprecated: the registry lives in the codec package now; this forwards
-// to codec.RegisterPayload and remains for older call sites.
-func RegisterPayload(msgType string, factory func() any) {
-	codec.RegisterPayload(msgType, factory)
-}
-
 // BackpressurePolicy selects what Send does when a peer's outbound queue
 // is full.
 type BackpressurePolicy int
@@ -97,10 +89,6 @@ type Transport struct {
 	// DialTimeout and WriteTimeout bound blocking network operations.
 	DialTimeout  time.Duration
 	WriteTimeout time.Duration
-	// Codec is the codec used for outbound connections (inbound codecs
-	// are chosen by the remote dialer's hello byte). Nil means
-	// codec.Default.
-	Codec codec.Codec
 	// QueueLen is the per-peer outbound queue depth.
 	QueueLen int
 	// MaxBatch caps how many queued messages one frame coalesces.
@@ -344,9 +332,8 @@ func (t *Transport) readLoop(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	c := codec.ByID(hello)
-	if c == nil {
-		return // unknown codec; drop the connection
+	if hello != codec.ID {
+		return // not this wire format ('j', 'b', garbage); drop the connection
 	}
 	t.addBytesRecv(1)
 	var lenBuf [4]byte
@@ -363,7 +350,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		t.addBytesRecv(uint64(4 + n))
-		if !t.deliverFrame(c, body) {
+		if !t.deliverFrame(body) {
 			return
 		}
 	}
@@ -374,7 +361,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 // a framing error the stream position is unrecoverable). The handler is
 // snapshotted once per frame, not per message, to keep the receive hot
 // path off the transport mutex.
-func (t *Transport) deliverFrame(c codec.Codec, body []byte) bool {
+func (t *Transport) deliverFrame(body []byte) bool {
 	t.mu.Lock()
 	deliver := t.deliver
 	closed := t.closed
@@ -394,7 +381,7 @@ func (t *Transport) deliverFrame(c codec.Codec, body []byte) bool {
 		}
 		msgBody := rest[m : m+int(l)]
 		rest = rest[m+int(l):]
-		msg, err := c.Decode(msgBody)
+		msg, err := codec.Decode(msgBody)
 		if err != nil {
 			continue // skip one undecodable message, keep the stream
 		}
@@ -466,14 +453,6 @@ func (t *Transport) fault(to pastry.Addr, err error) {
 	if f != nil {
 		go f(to, fmt.Errorf("%w: %v", pastry.ErrUnreachable, err))
 	}
-}
-
-// codecFor returns the configured outbound codec.
-func (t *Transport) codecFor() codec.Codec {
-	if t.Codec != nil {
-		return t.Codec
-	}
-	return codec.Default
 }
 
 // outMsg is one queued message with the full destination address kept for
@@ -572,7 +551,6 @@ func (p *peer) writeLoop() {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxBatch
 	}
-	c := p.t.codecFor()
 	var conn net.Conn
 	var bw *bufio.Writer
 	defer func() {
@@ -620,7 +598,7 @@ func (p *peer) writeLoop() {
 
 		bodies = bodies[:0]
 		for _, m := range batch {
-			body, err := c.Encode(m.msg)
+			body, err := codec.Encode(m.msg)
 			if err != nil || len(body) > maxFrame-frameOverhead {
 				p.drop(1)
 				continue
@@ -712,7 +690,7 @@ func (p *peer) dialOnce(r retryPolicy) (net.Conn, *bufio.Writer, error) {
 		return nil, nil, err
 	}
 	bw := bufio.NewWriterSize(conn, bufSize)
-	if err := bw.WriteByte(p.t.codecFor().ID()); err != nil {
+	if err := bw.WriteByte(codec.ID); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}

@@ -12,24 +12,54 @@ import (
 	"corona/internal/ids"
 	"corona/internal/netwire"
 	"corona/internal/pastry"
+	"corona/internal/wirebin"
 )
 
 func init() {
-	pastry.RegisterPayloadTypes(codec.RegisterPayload)
 	codec.RegisterPayload("test.typed", func() any { return &typedPayload{} })
 	codec.RegisterPayload("test.seq", func() any { return &seqPayload{} })
 }
 
 type typedPayload struct {
-	Text  string `json:"text"`
-	Count int    `json:"count"`
+	Text  string
+	Count int
+}
+
+// AppendBinary implements codec.BinaryMarshaler.
+func (p *typedPayload) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wirebin.AppendString(dst, p.Text)
+	return wirebin.AppendSint(dst, p.Count), nil
+}
+
+// DecodeBinary implements codec.BinaryUnmarshaler.
+func (p *typedPayload) DecodeBinary(src []byte) error {
+	r := wirebin.NewReader(src)
+	p.Text = r.String()
+	p.Count = r.Sint()
+	return r.Err()
 }
 
 // seqPayload identifies one message in the concurrent-sender stress test.
 type seqPayload struct {
-	Sender int    `json:"sender"`
-	Seq    int    `json:"seq"`
-	Fill   string `json:"fill,omitempty"`
+	Sender int
+	Seq    int
+	Fill   string
+}
+
+// AppendBinary implements codec.BinaryMarshaler.
+func (p *seqPayload) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wirebin.AppendSint(dst, p.Sender)
+	dst = wirebin.AppendSint(dst, p.Seq)
+	return wirebin.AppendString(dst, p.Fill), nil
+}
+
+// DecodeBinary implements codec.BinaryUnmarshaler.
+func (p *seqPayload) DecodeBinary(src []byte) error {
+	r := wirebin.NewReader(src)
+	p.Sender = r.Sint()
+	p.Seq = r.Sint()
+	p.Fill = r.String()
+	return r.Err()
 }
 
 // collector accumulates delivered messages.
@@ -215,47 +245,63 @@ func TestManyMessagesInOrderPerConnection(t *testing.T) {
 	}
 }
 
-func TestUnregisteredPayloadDecodesGeneric(t *testing.T) {
+// TestUnencodablePayloadIsDropped pins the fail-closed send: a payload
+// whose type is unregistered cannot be encoded, so the writer drops and
+// counts it instead of inventing a format, and the connection keeps
+// carrying well-formed messages.
+func TestUnencodablePayloadIsDropped(t *testing.T) {
 	rx := newCollector()
 	a, _ := netwire.Listen("127.0.0.1:0", nil)
 	defer a.Close()
 	b, _ := netwire.Listen("127.0.0.1:0", rx.deliver)
 	defer b.Close()
-	err := a.Send(pastry.Addr{Endpoint: b.Addr()}, pastry.Message{
-		Type:    "test.unregistered",
-		Payload: map[string]any{"k": "v"},
-	})
-	if err != nil {
+	a.Backpressure = netwire.Block
+	to := pastry.Addr{Endpoint: b.Addr()}
+	if err := a.Send(to, pastry.Message{Type: "test.unregistered", Payload: &typedPayload{Text: "lost"}}); err != nil {
 		t.Fatal(err)
 	}
-	got := rx.wait(t, 1)[0]
-	m, ok := got.Payload.(map[string]any)
-	if !ok || m["k"] != "v" {
-		t.Fatalf("generic payload = %#v", got.Payload)
+	if err := a.Send(to, pastry.Message{Type: "test.typed", Payload: &typedPayload{Text: "kept"}}); err != nil {
+		t.Fatal(err)
+	}
+	got := rx.wait(t, 1)
+	if len(got) != 1 || got[0].Payload.(*typedPayload).Text != "kept" {
+		t.Fatalf("delivered %+v, want only the registered message", got)
+	}
+	if a.Dropped() != 1 {
+		t.Fatalf("Dropped = %d, want 1 (the unencodable message)", a.Dropped())
 	}
 }
 
-// TestJSONCodecNegotiation pins the per-connection hello: a sender
-// configured for the seed's JSON format interoperates with a default
-// (binary-preferring) receiver.
-func TestJSONCodecNegotiation(t *testing.T) {
+// TestNonBinaryHelloDropsConnection pins the fail-closed hello: a peer
+// opening with the retired JSON codec's 'j' (or any byte but codec.ID)
+// has its connection dropped before any frame is read, and the
+// transport keeps serving well-formed peers.
+func TestNonBinaryHelloDropsConnection(t *testing.T) {
 	rx := newCollector()
-	a, _ := netwire.Listen("127.0.0.1:0", nil)
-	defer a.Close()
-	a.Codec = codec.JSON
 	b, _ := netwire.Listen("127.0.0.1:0", rx.deliver)
 	defer b.Close()
-	err := a.Send(pastry.Addr{Endpoint: b.Addr()}, pastry.Message{
-		Type:    "test.typed",
-		Payload: &typedPayload{Text: "via-json", Count: 7},
-	})
+	conn, err := net.Dial("tcp", b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rx.wait(t, 1)[0]
-	p, ok := got.Payload.(*typedPayload)
-	if !ok || p.Text != "via-json" {
-		t.Fatalf("payload = %#v", got.Payload)
+	defer conn.Close()
+	// 'j', then what a JSON-codec frame would have looked like.
+	if _, err := conn.Write([]byte("j\x00\x00\x00\x03\x01\x01{")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("read succeeded; want the receiver to close the connection")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("connection with a 'j' hello was not dropped")
+	}
+	a, _ := netwire.Listen("127.0.0.1:0", nil)
+	defer a.Close()
+	if err := a.Send(pastry.Addr{Endpoint: b.Addr()}, pastry.Message{Type: "test.typed", Payload: &typedPayload{Count: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rx.wait(t, 1); len(got) != 1 || got[0].Payload.(*typedPayload).Count != 7 {
+		t.Fatalf("delivered %+v after the dropped connection", got)
 	}
 }
 

@@ -36,7 +36,8 @@ func (n *Node) registerProtocolHandlers() {
 }
 
 // RegisterPayloadTypes hands the overlay's protocol payload constructors
-// to a wire codec (netwire) so typed payloads survive serialization.
+// to the wire codec so typed payloads survive serialization (the codec
+// package calls it from its init).
 func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
 	register(msgJoin, func() any { return &joinPayload{} })
 	register(msgJoinReply, func() any { return &statePayload{} })

@@ -9,10 +9,8 @@ import (
 
 // Native binary wire forms for the overlay's own protocol payloads,
 // matching the codec contract the Corona message set follows (package
-// core, messages_wire.go): join requests and state snapshots previously
-// rode the codec's JSON fallback, which made them the only registered
-// payloads without a deterministic byte encoding. Conventions are the
-// wirebin house rules: uvarint counts, length-prefixed strings, and a
+// core, messages_wire.go), so join requests and state snapshots have a
+// deterministic byte encoding. Conventions are the wirebin house rules: uvarint counts, length-prefixed strings, and a
 // raw 20-byte identifier plus endpoint string per address.
 
 func appendAddr(dst []byte, a Addr) []byte {

@@ -42,8 +42,8 @@ func (a Addr) String() string {
 
 // Message is the overlay message envelope. Payloads are application-defined;
 // under simnet they are passed by reference (and must be treated as
-// immutable), under netwire they are serialized by the codec package —
-// natively binary for registered hot types, JSON otherwise.
+// immutable), under netwire they are serialized by the codec package in
+// each registered type's native binary form.
 type Message struct {
 	// Type selects the application handler at the destination.
 	Type string `json:"type"`
@@ -63,61 +63,56 @@ type Message struct {
 
 	// raw retains the encoded payload body exactly as it arrived off the
 	// wire, so forwarding (routed next-hop or broadcast fan-out) re-sends
-	// the bytes verbatim instead of decode-struct→re-marshal. rawBinary
-	// records which encoding the blob is in: the native binary payload
-	// format or the JSON fallback. The slice aliases the receive buffer
-	// and must be treated as immutable. Materializing the typed payload
-	// clears raw, because a handler may mutate the struct and re-send it.
-	raw       []byte
-	rawBinary bool
-	hasRaw    bool
+	// the bytes verbatim instead of decode-struct→re-marshal. The slice
+	// aliases the receive buffer and must be treated as immutable.
+	// Materializing the typed payload clears raw, because a handler may
+	// mutate the struct and re-send it.
+	raw    []byte
+	hasRaw bool
 
 	// shared, when non-nil, is an encode-once cell attached by fanOut to
-	// every copy of a broadcast: codecs cache the hop-invariant encoded
+	// every copy of a broadcast: the codec caches the hop-invariant encoded
 	// prefix (everything but the varint Hops/Cover trailer) here, so the
 	// payload region is encoded once per hop and shared across all
 	// routing contacts.
 	shared *sharedEncoding
 }
 
-// sharedEncoding caches, per codec ID, the encoded hop-invariant prefix of
-// a message fanned out to many contacts. Writer goroutines of different
-// peers encode concurrently, hence the mutex. Copies sharing a cell must
-// differ only in Hops and Cover — fanOut, the only producer, guarantees it.
+// sharedEncoding caches the encoded hop-invariant prefix of a message
+// fanned out to many contacts. Writer goroutines of different peers
+// encode concurrently, hence the mutex. Copies sharing a cell must differ
+// only in Hops and Cover — fanOut, the only producer, guarantees it.
 type sharedEncoding struct {
-	mu      sync.Mutex
-	byCodec map[byte][]byte
+	mu     sync.Mutex
+	prefix []byte // nil until the first encode stores it
 }
 
 // payloadDecoder resolves a retained raw payload blob into its registered
 // typed struct. The codec package installs it from init, before any
 // message can be decoded; transports that never serialize (simnet) never
 // set raw, so a nil decoder is only reachable when no codec is linked in.
-var payloadDecoder func(msgType string, raw []byte, binary bool) (any, error)
+var payloadDecoder func(msgType string, raw []byte) (any, error)
 
 // SetPayloadDecoder installs the raw-payload resolver. It is called once,
 // at init time, by the codec package.
-func SetPayloadDecoder(f func(msgType string, raw []byte, binary bool) (any, error)) {
+func SetPayloadDecoder(f func(msgType string, raw []byte) (any, error)) {
 	payloadDecoder = f
 }
 
 // SetRawPayload attaches the wire-encoded payload body to the message,
-// deferring typed decoding until MaterializePayload. binary reports
-// whether raw is in the native binary payload format (as opposed to the
-// JSON fallback). Codecs call this from Decode.
-func (m *Message) SetRawPayload(raw []byte, binary bool) {
+// deferring typed decoding until MaterializePayload. The codec calls this
+// from Decode.
+func (m *Message) SetRawPayload(raw []byte) {
 	m.raw = raw
-	m.rawBinary = binary
 	m.hasRaw = true
 	m.Payload = nil
 }
 
-// RawPayload returns the retained encoded payload body and its encoding.
-// ok is false when the message has no retained blob (locally constructed,
-// or already materialized). Codecs use it to re-send forwarded payloads
-// verbatim.
-func (m Message) RawPayload() (raw []byte, binary bool, ok bool) {
-	return m.raw, m.rawBinary, m.hasRaw
+// RawPayload returns the retained encoded payload body. ok is false when
+// the message has no retained blob (locally constructed, or already
+// materialized). The codec uses it to re-send forwarded payloads verbatim.
+func (m Message) RawPayload() (raw []byte, ok bool) {
+	return m.raw, m.hasRaw
 }
 
 // MaterializePayload decodes the retained raw payload into its registered
@@ -129,12 +124,12 @@ func (m *Message) MaterializePayload() error {
 	if !m.hasRaw {
 		return nil
 	}
-	raw, binary := m.raw, m.rawBinary
+	raw := m.raw
 	m.raw, m.hasRaw = nil, false
 	if m.Payload != nil || payloadDecoder == nil {
 		return nil
 	}
-	p, err := payloadDecoder(m.Type, raw, binary)
+	p, err := payloadDecoder(m.Type, raw)
 	if err != nil {
 		return err
 	}
@@ -150,38 +145,34 @@ func (m *Message) ShareEncoding() {
 }
 
 // SharesEncoding reports whether the message carries an encode-once cell,
-// so codecs can skip the separate prefix buffer for unicast messages
+// so the codec can skip the separate prefix buffer for unicast messages
 // (where caching would be a dead store).
 func (m Message) SharesEncoding() bool {
 	return m.shared != nil
 }
 
 // CachedEncodePrefix returns the encoded hop-invariant prefix previously
-// stored for the given codec ID, or ok=false when the message has no
-// sharing cell or nothing is cached yet.
-func (m Message) CachedEncodePrefix(codecID byte) (prefix []byte, ok bool) {
+// stored, or ok=false when the message has no sharing cell or nothing is
+// cached yet.
+func (m Message) CachedEncodePrefix() (prefix []byte, ok bool) {
 	if m.shared == nil {
 		return nil, false
 	}
 	m.shared.mu.Lock()
 	defer m.shared.mu.Unlock()
-	prefix, ok = m.shared.byCodec[codecID]
-	return prefix, ok
+	return m.shared.prefix, m.shared.prefix != nil
 }
 
-// StoreEncodePrefix caches the encoded hop-invariant prefix for the given
-// codec ID. It is a no-op when the message has no sharing cell. The stored
-// slice must not be mutated afterwards.
-func (m Message) StoreEncodePrefix(codecID byte, prefix []byte) {
+// StoreEncodePrefix caches the encoded hop-invariant prefix. It is a no-op
+// when the message has no sharing cell. The stored slice must not be
+// mutated afterwards.
+func (m Message) StoreEncodePrefix(prefix []byte) {
 	if m.shared == nil {
 		return
 	}
 	m.shared.mu.Lock()
 	defer m.shared.mu.Unlock()
-	if m.shared.byCodec == nil {
-		m.shared.byCodec = make(map[byte][]byte, 1)
-	}
-	m.shared.byCodec[codecID] = prefix
+	m.shared.prefix = prefix
 }
 
 // Transport delivers messages between overlay nodes.

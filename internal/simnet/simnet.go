@@ -300,7 +300,7 @@ func (n *Network) Dropped() uint64 {
 
 // Bytes returns the codec-measured volume of all traffic that left a
 // sender — what the same message flow would have cost on a real wire
-// under the default codec (zero when byte accounting is disabled).
+// (zero when byte accounting is disabled).
 func (n *Network) Bytes() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -112,10 +112,8 @@
 // crc is CRC-32C over body. A snapshot that fails its magic, CRC, or
 // decode is ignored and recovery falls back to the previous generation
 // (if its files survive) or to an empty image plus whatever WALs exist.
-// The previous formats are still decoded — "CORSNP2\n" predates the
-// delegate roster, "CORSNP1\n" additionally predates ownerEpoch and
-// leases; fields a version predates recover zero-valued — and the
-// post-recovery compaction rewrites the directory in the v3 form.
+// Any other magic — the retired "CORSNP1\n" and "CORSNP2\n" formats
+// included — fails the magic check the same way.
 //
 // # Recovery
 //

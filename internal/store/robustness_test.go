@@ -3,12 +3,9 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"testing"
 	"time"
-
-	"corona/internal/wirebin"
 )
 
 // buildWAL writes a generation-1 WAL containing recs and returns the file
@@ -297,135 +294,34 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// encodeSnapshotV1 renders a snapshot in the pre-owner-epoch v1 format,
-// for the backward-compatibility decode test.
-func encodeSnapshotV1(gen uint64, channels []Channel) []byte {
-	body := binary.AppendUvarint(nil, gen)
-	body = binary.AppendUvarint(body, uint64(len(channels)))
-	for _, ch := range channels {
-		body = wirebin.AppendString(body, ch.URL)
-		var flags byte
-		if ch.Owner {
-			flags |= metaOwner
-		}
-		if ch.Replica {
-			flags |= metaReplica
-		}
-		body = append(body, flags)
-		body = wirebin.AppendSint(body, ch.Level)
-		body = wirebin.AppendUvarint(body, ch.Epoch)
-		body = wirebin.AppendUvarint(body, ch.Version)
-		body = wirebin.AppendSint(body, ch.Count)
-		body = wirebin.AppendSint(body, ch.SizeBytes)
-		body = wirebin.AppendFloat64(body, ch.IntervalSec)
-		body = binary.AppendUvarint(body, uint64(len(ch.Subs)))
-		for _, s := range ch.Subs {
-			body = appendSub(body, s)
-		}
-	}
-	out := append([]byte(nil), snapMagicV1...)
-	out = append(out, body...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+// withMagic returns a copy of a snapshot file with its magic replaced.
+func withMagic(snap []byte, magic string) []byte {
+	out := append([]byte(nil), snap...)
+	copy(out, magic)
+	return out
 }
 
-// encodeSnapshotV2 renders a snapshot in the pre-delegate v2 format (the
-// v1 fields plus owner epoch and lease marks), for the second
-// backward-compatibility decode test.
-func encodeSnapshotV2(gen uint64, channels []Channel) []byte {
-	body := binary.AppendUvarint(nil, gen)
-	body = binary.AppendUvarint(body, uint64(len(channels)))
-	for _, ch := range channels {
-		body = wirebin.AppendString(body, ch.URL)
-		var flags byte
-		if ch.Owner {
-			flags |= metaOwner
-		}
-		if ch.Replica {
-			flags |= metaReplica
-		}
-		body = append(body, flags)
-		body = wirebin.AppendSint(body, ch.Level)
-		body = wirebin.AppendUvarint(body, ch.Epoch)
-		body = wirebin.AppendUvarint(body, ch.Version)
-		body = wirebin.AppendSint(body, ch.Count)
-		body = wirebin.AppendSint(body, ch.SizeBytes)
-		body = wirebin.AppendFloat64(body, ch.IntervalSec)
-		body = binary.AppendUvarint(body, uint64(len(ch.Subs)))
-		for _, s := range ch.Subs {
-			body = appendSub(body, s)
-		}
-		body = wirebin.AppendUvarint(body, ch.OwnerEpoch)
-		body = wirebin.AppendUvarint(body, uint64(len(ch.Leases)))
-		for _, l := range ch.Leases {
-			body = wirebin.AppendString(body, l.Client)
-			body = wirebin.AppendUvarint(body, uint64(l.UnixNano))
+// TestDecodeSnapshotRejectsRetiredMagics pins the single snapshot format:
+// an otherwise intact file (valid CRC, well-formed body) under the retired
+// v1 or v2 magic is rejected like any other unknown magic.
+func TestDecodeSnapshotRejectsRetiredMagics(t *testing.T) {
+	snap := encodeSnapshot(7, imageSlice(applyAll(testRecords())))
+	if _, _, err := decodeSnapshot(snap); err != nil {
+		t.Fatalf("current snapshot rejected: %v", err)
+	}
+	for _, magic := range []string{"CORSNP1\n", "CORSNP2\n"} {
+		if _, _, err := decodeSnapshot(withMagic(snap, magic)); err == nil {
+			t.Fatalf("snapshot with retired magic %q decoded", magic)
 		}
 	}
-	out := append([]byte(nil), snapMagicV2...)
-	out = append(out, body...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
-}
-
-// TestDecodeSnapshotV2Fallback pins the second format migration: a
-// snapshot written before the delegate roster (magic CORSNP2) still
-// decodes losslessly, with the roster empty.
-func TestDecodeSnapshotV2Fallback(t *testing.T) {
-	state := applyAll(testRecords())
-	want := imageSlice(state)
-	for i := range want {
-		want[i].Delegates = nil
-	}
-	gen, got, err := decodeSnapshot(encodeSnapshotV2(9, want))
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
-	}
-	if gen != 9 || len(got) != len(want) {
-		t.Fatalf("v2 snapshot decoded gen=%d channels=%d, want 9/%d", gen, len(got), len(want))
-	}
-	gm, wm := make(map[string]*Channel), make(map[string]*Channel)
-	for i := range got {
-		gm[got[i].URL] = &got[i]
-	}
-	for i := range want {
-		wm[want[i].URL] = &want[i]
-	}
-	channelsEqual(t, gm, wm, "v2 fallback")
-}
-
-// TestDecodeSnapshotV1Fallback pins the format migration: a snapshot
-// written before the owner-epoch and lease fields (magic CORSNP1) still
-// decodes losslessly, with the new fields zero-valued.
-func TestDecodeSnapshotV1Fallback(t *testing.T) {
-	state := applyAll(testRecords())
-	want := imageSlice(state)
-	for i := range want {
-		want[i].OwnerEpoch = 0
-		want[i].Leases = nil
-		want[i].Delegates = nil
-	}
-	gen, got, err := decodeSnapshot(encodeSnapshotV1(7, want))
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if gen != 7 || len(got) != len(want) {
-		t.Fatalf("v1 snapshot decoded gen=%d channels=%d, want 7/%d", gen, len(got), len(want))
-	}
-	gm, wm := make(map[string]*Channel), make(map[string]*Channel)
-	for i := range got {
-		gm[got[i].URL] = &got[i]
-	}
-	for i := range want {
-		wm[want[i].URL] = &want[i]
-	}
-	channelsEqual(t, gm, wm, "v1 fallback")
 }
 
 // FuzzDecodeSnapshot exercises snapshot validation with arbitrary bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
 	state := applyAll(testRecords())
 	f.Add(encodeSnapshot(3, imageSlice(state)))
-	f.Add(encodeSnapshotV2(3, imageSlice(state)))
-	f.Add(encodeSnapshotV1(3, imageSlice(state)))
+	f.Add(withMagic(encodeSnapshot(3, imageSlice(state)), "CORSNP2\n"))
+	f.Add(withMagic(encodeSnapshot(3, imageSlice(state)), "CORSNP1\n"))
 	f.Add([]byte("CORSNP1\n"))
 	f.Add([]byte("CORSNP2\n"))
 	f.Add([]byte("CORSNP3\n"))

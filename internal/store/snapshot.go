@@ -10,9 +10,7 @@ import (
 	"corona/internal/wirebin"
 )
 
-// appendChannel encodes one materialized channel image (v3 shape: the v1
-// fields, then the ownership fencing epoch and the lease marks added by
-// v2, then the delegate roster added by v3).
+// appendChannel encodes one materialized channel image.
 func appendChannel(dst []byte, ch Channel) []byte {
 	dst = wirebin.AppendString(dst, ch.URL)
 	var flags byte
@@ -42,10 +40,8 @@ func appendChannel(dst []byte, ch Channel) []byte {
 	return appendDelegates(dst, ch.Delegates)
 }
 
-// readChannel decodes one channel image at the given snapshot format
-// version. v1 snapshots predate the owner epoch and lease marks, v2 the
-// delegate roster; fields a version predates decode zero-valued.
-func readChannel(r *wirebin.Reader, version int) Channel {
+// readChannel decodes one channel image written by appendChannel.
+func readChannel(r *wirebin.Reader) Channel {
 	var ch Channel
 	ch.URL = r.String()
 	flags := r.Byte()
@@ -58,9 +54,6 @@ func readChannel(r *wirebin.Reader, version int) Channel {
 	ch.SizeBytes = r.Sint()
 	ch.IntervalSec = r.Float64()
 	ch.Subs = readSubs(r)
-	if version < 2 {
-		return ch
-	}
 	ch.OwnerEpoch = r.Uvarint()
 	// Each lease costs at least one client length byte and one time byte.
 	n := r.ListLen(2)
@@ -69,9 +62,6 @@ func readChannel(r *wirebin.Reader, version int) Channel {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			ch.Leases = append(ch.Leases, Lease{Client: r.String(), UnixNano: int64(r.Uvarint())})
 		}
-	}
-	if version < 3 {
-		return ch
 	}
 	ch.Delegates = readDelegates(r)
 	return ch
@@ -93,21 +83,9 @@ func encodeSnapshot(gen uint64, channels []Channel) []byte {
 // decodeSnapshot parses and validates a snapshot file. Any damage —
 // magic, CRC, or structure — rejects the whole file: unlike the WAL,
 // a snapshot is atomic (it was written by rename) so partial recovery
-// from one is never attempted. The current v3 magic and the two older
-// magics are all accepted, so a directory written before the delegate
-// roster (v2) or before the owner-epoch and lease records (v1) recovers
-// losslessly and is rewritten as v3 by the post-recovery compaction.
-// All magics are eight bytes, so the body slice below holds regardless
-// of which one matched.
+// from one is never attempted. Only snapMagic is accepted.
 func decodeSnapshot(buf []byte) (gen uint64, channels []Channel, err error) {
-	version := 3
-	switch {
-	case len(buf) >= len(snapMagic)+4 && string(buf[:len(snapMagic)]) == snapMagic:
-	case len(buf) >= len(snapMagicV2)+4 && string(buf[:len(snapMagicV2)]) == snapMagicV2:
-		version = 2
-	case len(buf) >= len(snapMagicV1)+4 && string(buf[:len(snapMagicV1)]) == snapMagicV1:
-		version = 1
-	default:
+	if len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic {
 		return 0, nil, fmt.Errorf("store: snapshot magic mismatch")
 	}
 	body := buf[len(snapMagic) : len(buf)-4]
@@ -123,7 +101,7 @@ func decodeSnapshot(buf []byte) (gen uint64, channels []Channel, err error) {
 	}
 	channels = make([]Channel, 0, n)
 	for i := uint64(0); i < n; i++ {
-		channels = append(channels, readChannel(r, version))
+		channels = append(channels, readChannel(r))
 		if r.Err() != nil {
 			return 0, nil, fmt.Errorf("store: snapshot channel %d malformed: %w", i, r.Err())
 		}

@@ -48,7 +48,7 @@ type Store struct {
 	lock *os.File // flock on Dir/LOCK, held for the store's lifetime
 
 	mu         sync.Mutex
-	rotated    sync.Cond // broadcast when a compaction's rotation finishes
+	rotated    sync.Cond // broadcast when a compaction finishes
 	state      map[string]*Channel
 	wal        *walFile
 	gen        uint64
@@ -320,6 +320,7 @@ func (s *Store) compact() {
 	s.mu.Lock()
 	if s.closed || s.rotating {
 		s.compacting = false
+		s.rotated.Broadcast()
 		s.mu.Unlock()
 		return
 	}
@@ -348,46 +349,52 @@ func (s *Store) compact() {
 	}
 
 	s.mu.Lock()
-	s.rotating = false
-	s.compacting = false
-	if s.closed {
+	switch {
+	case s.closed:
 		// Abort raced the rotation; leftover new-generation files are
 		// harmless (recovery replays idempotently and re-sweeps).
 		if wal != nil {
 			wal.close()
 		}
-		s.rotated.Broadcast()
-		s.mu.Unlock()
-		return
-	}
-	if err != nil {
+	case err != nil:
 		if s.err == nil {
 			s.err = err
 		}
 		// Back off: the records stay replayable in the old WAL; retry
 		// only after another CompactEvery records, not on every append.
 		s.walRecords = 0
-		s.commitLocked()
-		s.rotated.Broadcast()
+	default:
+		oldWAL.close()
+		s.wal = wal
+		s.gen = newGen
+		s.walRecords = 0
 		s.mu.Unlock()
-		return
+		// The old generation goes while the rotation is still marked in
+		// flight: Close and Compact wait it out, so neither returns with
+		// a deletion still running in the data directory.
+		os.Remove(walPath(s.opts.Dir, oldGen))
+		os.Remove(snapPath(s.opts.Dir, oldGen))
+		s.mu.Lock()
 	}
-	oldWAL.close()
-	s.wal = wal
-	s.gen = newGen
-	s.walRecords = 0
-	s.commitLocked() // records buffered during rotation land in the new log
+	s.rotating = false
+	s.compacting = false
+	if !s.closed {
+		s.commitLocked() // records buffered during rotation land in the live log
+	}
 	s.rotated.Broadcast()
 	s.mu.Unlock()
-	os.Remove(walPath(s.opts.Dir, oldGen))
-	os.Remove(snapPath(s.opts.Dir, oldGen))
 }
 
 // Compact runs one compaction synchronously (exposed for tests and for
-// operators wanting a bounded-replay shutdown).
+// operators wanting a bounded-replay shutdown). A background compaction
+// already in flight is waited out first, so when Compact returns no
+// compaction file IO is running.
 func (s *Store) Compact() error {
 	s.mu.Lock()
-	if s.compacting || s.closed {
+	for s.compacting && !s.closed {
+		s.rotated.Wait()
+	}
+	if s.closed {
 		err := s.err
 		s.mu.Unlock()
 		return err

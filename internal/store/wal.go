@@ -8,15 +8,10 @@ import (
 )
 
 // walMagic and snapMagic open every WAL and snapshot file; a file whose
-// first eight bytes differ is ignored by recovery. Older snapshots are
-// still readable by their magic (see decodeSnapshot): v1 predates the
-// owner-epoch/lease fields, v2 the delegate roster. New snapshots always
-// use the v3 form.
+// first eight bytes differ is ignored by recovery.
 const (
-	walMagic    = "CORWAL1\n"
-	snapMagic   = "CORSNP3\n"
-	snapMagicV2 = "CORSNP2\n"
-	snapMagicV1 = "CORSNP1\n"
+	walMagic  = "CORWAL1\n"
+	snapMagic = "CORSNP3\n"
 )
 
 // MaxRecordBytes bounds one WAL frame payload. A length prefix beyond it

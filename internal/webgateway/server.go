@@ -494,15 +494,10 @@ func (ws *webSession) control(ev outEvent) {
 // JSON once per batch through the Shared cell (synchronously — the cell
 // contract) and enqueues it under the watermark/gate filters.
 func (ws *webSession) deliver(n im.Notification) {
-	var data []byte
-	if n.Shared != nil {
-		data, _ = n.Shared.Load(sharedKeyJSON).([]byte)
-	}
+	data, _ := n.Shared.Load(sharedKeyJSON).([]byte)
 	if data == nil {
 		data = notifyJSON(n.Channel, n.Version, n.Diff, n.At)
-		if n.Shared != nil {
-			n.Shared.Store(sharedKeyJSON, data)
-		}
+		n.Shared.Store(sharedKeyJSON, data)
 	}
 	if len(data) > maxWSMessage {
 		ws.s.dropsOversize.Add(1)

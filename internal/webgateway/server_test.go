@@ -369,7 +369,7 @@ func TestSlowClientDropOldest(t *testing.T) {
 	ws.mu.Unlock()
 	// No writer drains the queue: fill it past capacity.
 	for v := uint64(1); v <= 10; v++ {
-		ws.deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now()})
+		ws.deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &im.Shared{}})
 	}
 	ws.mu.Lock()
 	queued := entryVersionsOut(ws.queue)
@@ -407,7 +407,7 @@ func TestSlowClientDisconnectPolicy(t *testing.T) {
 	ws := s.newSession(TransportSSE, nil)
 	ws.handle = "h"
 	for v := uint64(1); v <= 3; v++ {
-		ws.deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now()})
+		ws.deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &im.Shared{}})
 	}
 	select {
 	case <-ws.done:

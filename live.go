@@ -124,8 +124,8 @@ type LiveNode struct {
 }
 
 func init() {
-	// Wire payload codecs once for every live node in the process.
-	pastry.RegisterPayloadTypes(codec.RegisterPayload)
+	// Wire Corona's payload types once for every live node in the
+	// process (the codec registers the overlay's own).
 	core.RegisterPayloadTypes(codec.RegisterPayload)
 }
 
@@ -403,21 +403,6 @@ func (ln *LiveNode) Info() clientproto.ServerInfo {
 		if st.Err != nil {
 			si.Store.Err = st.Err.Error()
 		}
-		si.HasCommitLatency = true
-		si.CommitLatency = st.CommitLatency[:]
-	}
-	ns := ln.node.Stats()
-	gc := ln.notifier.CounterSnapshot()
-	si.HasFanout = true
-	si.Fanout = clientproto.FanoutInfo{
-		NotifyBatches:   ns.NotifyBatchesSent,
-		DelegateUpdates: ns.DelegateUpdates,
-		DelegatesActive: uint64(ns.DelegatesActive),
-		DelegatesHeld:   uint64(ns.DelegatesHeld),
-		Undeliverable:   gc.Undeliverable,
-	}
-	if ln.clients != nil {
-		si.Fanout.NotifyDropped = ln.clients.NotifyDropped()
 	}
 	return si
 }

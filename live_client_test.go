@@ -39,7 +39,7 @@ func startFailoverOrigin(t *testing.T, updateEvery time.Duration) (feedURL strin
 // notifications by resuming against the second node — the application
 // never re-calls Subscribe; the SDK's reconnect-time lease refresh
 // re-points the channel owner at the surviving node (no Subscribe
-// replay on a version-2 server).
+// replay).
 func TestClientFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")

@@ -16,8 +16,8 @@ import (
 // bookkeeping routes around the dead gateway instead of black-holing),
 // the first by failing over to the surviving node, whose lease-refresh
 // frame re-points the owner's entry record. Neither client calls
-// Subscribe again and the SDK performs no Subscribe replay: on a
-// version-2 server the reconnect path sends a single LeaseRefresh.
+// Subscribe again and the SDK performs no Subscribe replay: the
+// reconnect path sends a single LeaseRefresh.
 func TestEntryNodeLeaseReroute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
