@@ -51,7 +51,9 @@ lint:
 # labeled lookup, histogram observe, a full /metrics render at 1k
 # series) recorded in BENCH_obs.json; web-edge benchmarks (replay ring
 # append/replay, WS frame encode/parse, tap-to-queue delivery with the
-# encode-once shared slot) recorded in BENCH_web.json.
+# encode-once shared slot) recorded in BENCH_web.json; difference-engine
+# benchmarks (Extract, Compute, Encode, Decode+Apply on one update of a
+# feed.Generator channel) recorded in BENCH_diff.json.
 bench:
 	$(GO) test -run xxx -bench 'Wire|UpdateEncode|UpdateDecodeForward|FanOutEncode|UpdateDissemination' -benchmem . ./internal/core/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_wire.json
@@ -65,6 +67,8 @@ bench:
 		| $(GO) run ./cmd/bench2json -o BENCH_obs.json
 	$(GO) test -run xxx -bench 'Web' -benchmem ./internal/webgateway/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_web.json
+	$(GO) test -run xxx -bench 'Extract|Compute|Encode|DecodeApply' -benchmem ./internal/diffengine/ \
+		| $(GO) run ./cmd/bench2json -o BENCH_diff.json
 	$(MAKE) chaos
 
 # The torture suite: every chaos scenario at CI scale, with the invariant

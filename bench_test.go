@@ -25,7 +25,6 @@ import (
 
 	"corona/internal/codec"
 	"corona/internal/core"
-	"corona/internal/diffengine"
 	"corona/internal/eventsim"
 	"corona/internal/experiments"
 	"corona/internal/honeycomb"
@@ -396,30 +395,6 @@ func BenchmarkAblationTradeoffBins(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDiffEngine measures extraction plus Myers diff on feed-sized
-// documents — the per-update cost of the difference engine (§3.4).
-func BenchmarkDiffEngine(b *testing.B) {
-	e := diffengine.RSSProfile()
-	old := makeFeedDoc(100, 0)
-	new := makeFeedDoc(100, 2) // two new items
-	b.SetBytes(int64(len(new)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := e.DiffDocuments(old, new, 1, 2)
-		if d.Empty() {
-			b.Fatal("expected a diff")
-		}
-	}
-}
-
-func makeFeedDoc(items, shift int) string {
-	doc := "<rss version=\"2.0\"><channel><title>bench</title>\n"
-	for i := 0; i < items; i++ {
-		doc += fmt.Sprintf("<item><title>story %d</title><guid>g%d</guid><description>body of story %d with some words</description></item>\n", i+shift, i+shift, i+shift)
-	}
-	return doc + "</channel></rss>\n"
 }
 
 // BenchmarkPastryRouting measures prefix-routing next-hop computation —

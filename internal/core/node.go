@@ -179,7 +179,12 @@ type channelState struct {
 	sizeBytes   int
 	est         intervalEstimator
 	lastVersion uint64
-	content     []string // extracted core content (content mode)
+	// content is the extracted core content of version contentVersion
+	// (content mode; nil and 0 until known). contentVersion moves only
+	// forward, unless a diff fails to apply and the cache is dropped, and
+	// may trail lastVersion.
+	content        []string
+	contentVersion uint64
 
 	pollTimer clock.Timer
 }

@@ -75,13 +75,20 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 	var diffBytes int
 	if n.cfg.ContentMode && res.Body != nil {
 		// Run the difference engine over extracted core content; only
-		// germane changes disseminate (§3.4).
+		// germane changes disseminate (§3.4). The diff names as its base
+		// the version of the content it was computed against, which may
+		// trail lastVersion: replicate pushes, delegate notifies and
+		// restarts raise lastVersion alone.
 		newContent := rssExtractor.Extract(string(res.Body))
 		n.mu.Lock()
-		old := ch.content
-		oldVersion := ch.lastVersion
-		ch.content = newContent
+		old, oldVersion := ch.content, ch.contentVersion
+		if res.Version > oldVersion {
+			ch.content, ch.contentVersion = newContent, res.Version
+		}
 		n.mu.Unlock()
+		if res.Version <= oldVersion {
+			return // raced with dissemination
+		}
 		d := diffengine.Compute(old, newContent, oldVersion, res.Version)
 		if d.Empty() && oldVersion > 0 {
 			// Superficial churn only: remember the version, no dissemination.
@@ -223,11 +230,14 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 	for _, s := range handoff {
 		n.overlay.Route(ch.id, msgSubscribe, &subscribeMsg{URL: ch.url, Client: s.Client, Entry: s.Entry})
 	}
-	if !fresh {
-		return
-	}
+	// A diff against the content this node holds moves it forward even
+	// when the version is not news here: a replicate push may have raised
+	// lastVersion before the update carrying the content arrived.
 	if n.cfg.ContentMode && p.Diff != "" {
 		n.applyDiff(ch, p.Diff)
+	}
+	if !fresh {
+		return
 	}
 	// Owners notify their subscribers when the update reaches them via
 	// dissemination rather than their own poll. Updates carry no
@@ -240,7 +250,8 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 
 // applyDiff patches the locally cached core content so this node can
 // generate future diffs against the newest version (§3.1: every polling
-// node keeps a copy of the latest version).
+// node keeps a copy of the latest version). Only a diff whose base is the
+// cached content's version applies; others leave the cache as it is.
 func (n *Node) applyDiff(ch *channelState, encoded string) {
 	d, err := diffengine.Decode(encoded)
 	if err != nil {
@@ -248,14 +259,17 @@ func (n *Node) applyDiff(ch *channelState, encoded string) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	patched, err := d.Apply(ch.content)
-	if err != nil {
-		// Base mismatch: drop the cache; the next poll refetches whole
-		// content.
-		ch.content = nil
+	if d.OldVersion != ch.contentVersion || d.NewVersion <= ch.contentVersion {
 		return
 	}
-	ch.content = patched
+	patched, err := d.Apply(ch.content)
+	if err != nil {
+		// The diff does not fit the content it names as its base: drop
+		// the cache; the next poll diffs against nothing.
+		ch.content, ch.contentVersion = nil, 0
+		return
+	}
+	ch.content, ch.contentVersion = patched, d.NewVersion
 }
 
 // handleReport runs at the primary owner for channels whose versions it

@@ -1,0 +1,55 @@
+package diffengine
+
+import "testing"
+
+// The benchmarks run on one update of a feed.Generator channel: two
+// consecutive snapshots, the second publishing two fresh items.
+func benchPair() (oldDoc, newDoc string, old, new []string) {
+	docs := generatorDocs(1, 2)
+	e := RSSProfile()
+	return docs[0], docs[1], e.Extract(docs[0]), e.Extract(docs[1])
+}
+
+var benchSink any
+
+func BenchmarkExtract(b *testing.B) {
+	_, doc, _, _ := benchPair()
+	e := RSSProfile()
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink = e.Extract(doc)
+	}
+}
+
+func BenchmarkCompute(b *testing.B) {
+	_, _, old, new := benchPair()
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink = Compute(old, new, 1, 2)
+	}
+}
+
+func BenchmarkEncode(b *testing.B) {
+	_, _, old, new := benchPair()
+	d := Compute(old, new, 1, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink = Encode(d)
+	}
+}
+
+func BenchmarkDecodeApply(b *testing.B) {
+	_, _, old, new := benchPair()
+	enc := Encode(Compute(old, new, 1, 2))
+	b.ReportAllocs()
+	for b.Loop() {
+		d, err := Decode(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if benchSink, err = d.Apply(old); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,19 +2,22 @@
 // (paper §3.4).
 //
 // The engine determines whether a freshly polled copy of a channel carries
-// germane new information: it extracts the core content (filtering out
-// superficial, frequently changing elements such as timestamps, hit
-// counters, and advertisements), compares it with the previous version
-// line by line, and emits a compact delta. Deltas resemble POSIX diff
+// germane new information. An Extractor reduces the document to its core
+// content lines: comments, script and style blocks and volatile elements
+// such as RSS's lastBuildDate are cut out, ad lines are dropped, and
+// timestamps, clocks, render times and hit counters are blanked (the
+// Extractor doc lists the rules). Tag names match case-insensitively in
+// ASCII only, and trailing carriage returns are trimmed, so the result
+// does not depend on the origin's line endings. Compute then compares the
+// core content with the previous version's line by line (Myers' O(ND)
+// algorithm) and emits a compact delta. Deltas resemble POSIX diff
 // output: each hunk carries the line numbers where the change occurs, the
 // changed content, whether it is an addition, omission, or replacement,
-// and the version number of the old content to apply against.
+// and the version number of the old content to apply against. Encode and
+// Decode carry a delta as text; Apply rebuilds the new version.
 package diffengine
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // OpKind classifies a diff hunk.
 type OpKind byte
@@ -88,21 +91,6 @@ func Compute(old, new []string, oldVersion, newVersion uint64) *Diff {
 	d := &Diff{OldVersion: oldVersion, NewVersion: newVersion}
 	d.Ops = myersOps(old, new)
 	return d
-}
-
-// ComputeStrings is Compute on newline-joined documents.
-func ComputeStrings(old, new string, oldVersion, newVersion uint64) *Diff {
-	return Compute(SplitLines(old), SplitLines(new), oldVersion, newVersion)
-}
-
-// SplitLines splits a document into lines without the trailing newline
-// artifacts that would make diffs unstable.
-func SplitLines(s string) []string {
-	if s == "" {
-		return nil
-	}
-	s = strings.TrimSuffix(s, "\n")
-	return strings.Split(s, "\n")
 }
 
 // Apply reconstructs the new document from the old one. It returns an
@@ -224,20 +212,19 @@ func myersOps(a, b []string) []Op {
 }
 
 // myersScript runs the classic greedy forward O(ND) algorithm and
-// backtracks the edit script.
+// backtracks the edit script. Backtracking needs the frontier of every
+// step, but step d only reaches diagonals -d..d, so the trace keeps those
+// 2d+1 entries per step, D² in all, in one flat slice: step d's
+// diagonal k sits at trace[d*d+d+k].
 func myersScript(a, b []string) []edits {
 	n, m := len(a), len(b)
 	max := n + m
 	// v[k+max] = furthest x on diagonal k.
 	v := make([]int, 2*max+1)
-	// trace saves v per step for backtracking.
-	var trace [][]int
-	var dFound = -1
+	var trace []int
+	dFound := -1
 outer:
 	for d := 0; d <= max; d++ {
-		cp := make([]int, len(v))
-		copy(cp, v)
-		trace = append(trace, cp)
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[k-1+max] < v[k+1+max]) {
@@ -256,20 +243,22 @@ outer:
 				break outer
 			}
 		}
+		trace = append(trace, v[max-d:max+d+1]...)
 	}
 	// Backtrack.
-	var script []edits
+	script := make([]edits, 0, dFound)
 	x, y := n, m
 	for d := dFound; d > 0; d-- {
-		vPrev := trace[d]
+		// The frontier after step d-1: diagonal k at prev[k+d-1].
+		prev := trace[(d-1)*(d-1) : d*d]
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vPrev[k-1+len(v)/2] < vPrev[k+1+len(v)/2]) {
+		if k == -d || (k != d && prev[k-1+d-1] < prev[k+1+d-1]) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vPrev[prevK+len(v)/2]
+		prevX := prev[prevK+d-1]
 		prevY := prevX - prevK
 		// Walk back through the snake.
 		for x > prevX && y > prevY {

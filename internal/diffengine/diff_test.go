@@ -3,6 +3,7 @@ package diffengine
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,8 +178,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Decode: %v\n%s", trial, err, enc)
 		}
-		if back.OldVersion != d.OldVersion || back.NewVersion != d.NewVersion {
-			t.Fatalf("trial %d: version mismatch", trial)
+		if !reflect.DeepEqual(back, d) {
+			t.Fatalf("trial %d: Decode(Encode(d)) = %+v, want %+v", trial, back, d)
 		}
 		got, err := back.Apply(old)
 		if err != nil {
@@ -214,6 +215,9 @@ func TestDecodeErrors(t *testing.T) {
 		"CORONA-DIFF v1 2\nxyz\n",
 		"CORONA-DIFF v1 2\n3a\nline without terminator\n",
 		"CORONA-DIFF v1 2\n1,0d\n",
+		"CORONA-DIFF v1 2 3\n",
+		"CORONA-DIFF v1 2\n\n1,1d\n",
+		"CORONA-DIFF v1 2\r\n1,1d\r\n",
 	}
 	for _, c := range cases {
 		if _, err := Decode(c); err == nil {
@@ -248,4 +252,81 @@ func equalDocs(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestMyersEditCountMatchesLCS checks minimality: on random small
+// inputs the diff changes exactly len(a)+len(b)-2·LCS(a,b) lines, and
+// Apply rebuilds the new side.
+func TestMyersEditCountMatchesLCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	words := []string{"a", "b", "c", "d"}
+	doc := func() []string {
+		out := make([]string, rng.Intn(12))
+		for i := range out {
+			out[i] = words[rng.Intn(len(words))]
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := doc(), doc()
+		d := Compute(a, b, 1, 2)
+		if want := len(a) + len(b) - 2*lcsLen(a, b); d.LineCount() != want {
+			t.Fatalf("trial %d: %q -> %q changes %d lines, minimum is %d (ops %+v)", trial, a, b, d.LineCount(), want, d.Ops)
+		}
+		checkApply(t, a, b, d)
+	}
+}
+
+// lcsLen is the textbook dynamic program for the longest common
+// subsequence length.
+func lcsLen(a, b []string) int {
+	row := make([]int, len(b)+1)
+	for i := range a {
+		diag := 0
+		for j := range b {
+			up := row[j+1]
+			if a[i] == b[j] {
+				row[j+1] = diag + 1
+			} else if row[j] > row[j+1] {
+				row[j+1] = row[j]
+			}
+			diag = up
+		}
+	}
+	return row[len(b)]
+}
+
+// TestDecodeKeepsCarriageReturns pins the round trip of lines ending in
+// '\r': Decode splits at '\n' only, so a replica applying the diff holds
+// the same lines as the node that computed it.
+func TestDecodeKeepsCarriageReturns(t *testing.T) {
+	old := []string{"<title>one</title>\r", "x"}
+	new := []string{"<title>two</title>\r", "x", "\r"}
+	back, err := Decode(Encode(Compute(old, new, 1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkApply(t, old, new, back)
+}
+
+func FuzzDiffRoundTrip(f *testing.F) {
+	f.Add("a\nb\nc", "a\nc\nd")
+	f.Add("", ".\n..\n.x")
+	f.Add("<title>one</title>\r\nx", "<title>two</title>\r\nx\r\n")
+	f.Add("x\n\n\ny", "\n\nx")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		old, new := strings.Split(a, "\n"), strings.Split(b, "\n")
+		enc := Encode(Compute(old, new, 3, 4))
+		d, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode(%q): %v", enc, err)
+		}
+		got, err := d.Apply(old)
+		if err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		if !slices.Equal(got, new) {
+			t.Fatalf("round trip rebuilt %q, want %q (encoding %q)", got, new, enc)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package diffengine
 
 import (
-	"bufio"
 	"fmt"
 	"strconv"
 	"strings"
@@ -16,14 +15,16 @@ import (
 //
 //	CORONA-DIFF v<old> <new>
 //	<old>a                      (addition after line <old>)
-//	> inserted line
+//	inserted line
+//	.
 //	<old>,<count>d              (omission of <count> lines at <old>)
 //	<old>,<count>c              (replacement)
-//	> replacement line
+//	replacement line
 //	.
 //
-// Each hunk's inserted lines are terminated by a lone "." line; lines that
-// begin with "." are dot-stuffed, as in SMTP.
+// Each hunk's inserted lines follow its header verbatim and end with a
+// lone "." line; a line that begins with "." gets one more, as in SMTP.
+// Every line, the last included, ends with "\n".
 func Encode(d *Diff) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "CORONA-DIFF v%d %d\n", d.OldVersion, d.NewVersion)
@@ -53,41 +54,90 @@ func writeLines(sb *strings.Builder, lines []string) {
 	sb.WriteString(".\n")
 }
 
-// Decode parses the textual representation produced by Encode.
+// Decode parses the textual representation produced by Encode. It is the
+// exact inverse of Encode: given the encoding of a diff Compute produced
+// from lines that hold no '\n', Decode returns that diff. Lines are split
+// at '\n' only, so a '\r' a line carries survives the round trip; a final
+// line may omit its '\n'.
 func Decode(s string) (*Diff, error) {
-	sc := bufio.NewScanner(strings.NewReader(s))
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
+	r := lineReader{s: s}
+	header, ok := r.next()
+	if !ok {
 		return nil, fmt.Errorf("diffengine: empty diff")
 	}
-	header := sc.Text()
-	var oldV, newV uint64
-	if _, err := fmt.Sscanf(header, "CORONA-DIFF v%d %d", &oldV, &newV); err != nil {
-		return nil, fmt.Errorf("diffengine: bad header %q: %w", header, err)
+	oldV, newV, err := parseHeader(header)
+	if err != nil {
+		return nil, err
 	}
 	d := &Diff{OldVersion: oldV, NewVersion: newV}
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
+	for {
+		line, ok := r.next()
+		if !ok {
+			return d, nil
 		}
 		op, needsBody, err := parseOpHeader(line)
 		if err != nil {
 			return nil, err
 		}
 		if needsBody {
-			body, err := readBody(sc)
-			if err != nil {
+			if op.NewLines, err = r.body(); err != nil {
 				return nil, err
 			}
-			op.NewLines = body
 		}
 		d.Ops = append(d.Ops, op)
 	}
-	return d, sc.Err()
+}
+
+// lineReader yields the '\n'-terminated lines of s as substrings.
+type lineReader struct{ s string }
+
+func (r *lineReader) next() (string, bool) {
+	if r.s == "" {
+		return "", false
+	}
+	line := r.s
+	if i := strings.IndexByte(r.s, '\n'); i >= 0 {
+		line, r.s = r.s[:i], r.s[i+1:]
+	} else {
+		r.s = ""
+	}
+	return line, true
+}
+
+// body reads hunk lines up to the terminating ".", undoing dot-stuffing.
+func (r *lineReader) body() ([]string, error) {
+	var lines []string
+	for {
+		l, ok := r.next()
+		if !ok {
+			return nil, fmt.Errorf("diffengine: unterminated hunk body")
+		}
+		if l == "." {
+			return lines, nil
+		}
+		lines = append(lines, strings.TrimPrefix(l, "."))
+	}
+}
+
+func parseHeader(line string) (oldV, newV uint64, err error) {
+	rest, ok := strings.CutPrefix(line, "CORONA-DIFF v")
+	o, n, ok2 := strings.Cut(rest, " ")
+	if ok && ok2 {
+		oldV, err = strconv.ParseUint(o, 10, 64)
+		if err == nil {
+			newV, err = strconv.ParseUint(n, 10, 64)
+		}
+		if err == nil {
+			return oldV, newV, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("diffengine: bad header %q", line)
 }
 
 func parseOpHeader(line string) (Op, bool, error) {
+	if line == "" {
+		return Op{}, false, fmt.Errorf("diffengine: empty hunk header")
+	}
 	kind := line[len(line)-1]
 	spec := line[:len(line)-1]
 	switch OpKind(kind) {
@@ -98,31 +148,16 @@ func parseOpHeader(line string) (Op, bool, error) {
 		}
 		return Op{Kind: OpAdd, Old: n}, true, nil
 	case OpDelete, OpReplace:
-		parts := strings.SplitN(spec, ",", 2)
-		if len(parts) != 2 {
+		o, c, ok := strings.Cut(spec, ",")
+		if !ok {
 			return Op{}, false, fmt.Errorf("diffengine: bad hunk %q", line)
 		}
-		old, err1 := strconv.Atoi(parts[0])
-		count, err2 := strconv.Atoi(parts[1])
+		old, err1 := strconv.Atoi(o)
+		count, err2 := strconv.Atoi(c)
 		if err1 != nil || err2 != nil || count < 1 {
 			return Op{}, false, fmt.Errorf("diffengine: bad hunk %q", line)
 		}
 		return Op{Kind: OpKind(kind), Old: old, OldCount: count}, OpKind(kind) == OpReplace, nil
 	}
 	return Op{}, false, fmt.Errorf("diffengine: unknown hunk kind in %q", line)
-}
-
-func readBody(sc *bufio.Scanner) ([]string, error) {
-	var lines []string
-	for sc.Scan() {
-		l := sc.Text()
-		if l == "." {
-			return lines, nil
-		}
-		if strings.HasPrefix(l, ".") {
-			l = l[1:]
-		}
-		lines = append(lines, l)
-	}
-	return nil, fmt.Errorf("diffengine: unterminated hunk body")
 }

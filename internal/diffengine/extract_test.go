@@ -1,9 +1,15 @@
 package diffengine
 
 import (
+	"fmt"
+	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"corona/internal/feed"
 )
 
 func TestExtractStripsComments(t *testing.T) {
@@ -149,10 +155,305 @@ func TestExtractUnterminatedBlocks(t *testing.T) {
 	}
 }
 
-func TestWithVolatileLinePattern(t *testing.T) {
-	e := NewExtractor(WithVolatileLinePattern(regexp.MustCompile(`^noise:`)))
-	got := e.Extract("noise: 123\nsignal")
-	if len(got) != 1 || got[0] != "signal" {
-		t.Fatalf("custom line pattern not applied: %q", got)
+// TestExtractFoldsTagsInASCIIOnly pins the regression where tag search
+// ran on strings.ToLower(doc) but cut doc: runes whose lowercase form has
+// a different UTF-8 length shifted every later offset, panicking on Ⱥ
+// (2 bytes, lowercase 3) and silently corrupting the output on İ and the
+// Kelvin sign.
+func TestExtractFoldsTagsInASCIIOnly(t *testing.T) {
+	e := RSSProfile()
+	for _, prefix := range []string{
+		strings.Repeat("Ⱥ", 20),
+		strings.Repeat("İ", 20),
+		strings.Repeat("\u212a", 20), // Kelvin sign
+	} {
+		doc := prefix + "<ttl>5</ttl>\n<TITLE>keep</TITLE><TTL>6</TTL>\n<title>more</title>"
+		got := e.Extract(doc)
+		want := []string{prefix, "<TITLE>keep</TITLE>", "<title>more</title>"}
+		if !slices.Equal(got, want) {
+			t.Errorf("Extract(%q) = %q, want %q", doc, got, want)
+		}
+	}
+}
+
+// TestExtractIgnoresLineEndings pins the CRLF rule: the extraction of a
+// document does not depend on whether the origin ends lines with "\r\n".
+func TestExtractIgnoresLineEndings(t *testing.T) {
+	e := RSSProfile()
+	lf := "<rss>\n<title>two</title>\n<ttl>5</ttl>\n<item>story \t</item>\n</rss>\n"
+	crlf := strings.ReplaceAll(lf, "\n", "\r\n")
+	if got, want := e.Extract(crlf), e.Extract(lf); !slices.Equal(got, want) {
+		t.Fatalf("CRLF extraction %q, LF extraction %q", got, want)
+	}
+}
+
+func TestExtractMatchesReferenceOnGeneratorDocs(t *testing.T) {
+	e, ref := RSSProfile(), newReferenceRSS()
+	docs := 0
+	for seed := int64(1); docs < 1200; seed++ {
+		for _, doc := range generatorDocs(seed, 24) {
+			checkAgainstReference(t, e, ref, doc)
+			docs++
+		}
+	}
+}
+
+// TestExtractMatchesReferenceOnDecoratedDocs checks generator documents
+// with lines every rule acts on spliced in, in mixed case and with CRLF
+// endings, so each rule's fast path is compared on matching input too.
+func TestExtractMatchesReferenceOnDecoratedDocs(t *testing.T) {
+	e, ref := RSSProfile(), newReferenceRSS()
+	rng := rand.New(rand.NewSource(11))
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, doc := range generatorDocs(seed, 6) {
+			checkAgainstReference(t, e, ref, decorate(rng, doc))
+		}
+	}
+}
+
+// ruleFragments are snippets each rule acts on, plus near misses.
+var ruleFragments = []string{
+	"<!-- c -->", "  <!---->\t", "<!--->", "<!<!--x-->--->", "<!-- open", "-->", "<!",
+	`<div class="ad">x</div>`, `<p ID = "promo-1">`, `<p class="read">`, `class="x" id=`,
+	"Mon, 02 Jan 2006 15:04:05 GMT", "tuesday 7 MAY 06", "Sun, 1 Dec 2024 01:02 +0100",
+	"2006-01-02T15:04:05.123+01:00", "2006-01-02 15:04", "1-22-3",
+	"9:05:07", "12:34:56", "1:2:3",
+	"page generated in 12 ms", "Rendered in 3.5 SECONDS", "served in 7s",
+	"8241 visitors so far", "1 visitor", "12 HITS today", "3\tviews",
+	"<script>x</script>", "<STYLE type=x>y</STYLE>", "<script src=a/>", "<scripts>",
+	"<lastBuildDate>Mon, 02 Jan 2006</lastBuildDate>", "<TTL>5</ttl>", "<cloud/>", "<generator>",
+	"</generator>", "<skipHours><hour>1</hour></skipHours>", "<skipdays", "\r", " \t ", "Ⱥİ\u212a", "\xff\xfe",
+}
+
+func decorate(rng *rand.Rand, doc string) string {
+	lines := strings.Split(doc, "\n")
+	for i := rng.Intn(12); i > 0; i-- {
+		p := rng.Intn(len(lines))
+		f := ruleFragments[rng.Intn(len(ruleFragments))]
+		if rng.Intn(2) == 0 {
+			lines[p] += f
+		} else {
+			lines = slices.Insert(lines, p, f)
+		}
+	}
+	sep := "\n"
+	if rng.Intn(3) == 0 {
+		sep = "\r\n"
+	}
+	return strings.Join(lines, sep)
+}
+
+// generatorDocs renders versions consecutive snapshots of one seeded
+// feed.Generator channel.
+func generatorDocs(seed int64, versions int) []string {
+	g := feed.NewGenerator(fmt.Sprintf("http://origin.example/feed/%d.xml", seed), seed)
+	now := time.Date(2006, 5, 2, 15, 4, 5, 0, time.UTC)
+	g.Bootstrap(now)
+	var docs []string
+	for v := 0; v < versions; v++ {
+		now = now.Add(time.Duration(seed) * time.Minute)
+		g.Update(now)
+		body, err := g.Snapshot(now.Add(time.Second))
+		if err != nil {
+			panic(err)
+		}
+		docs = append(docs, string(body))
+	}
+	return docs
+}
+
+func checkAgainstReference(t *testing.T, e *Extractor, ref *referenceExtractor, doc string) {
+	t.Helper()
+	if got, want := e.Extract(doc), ref.Extract(doc); !slices.Equal(got, want) {
+		t.Fatalf("Extract differs from the reference on %q:\n got %q\nwant %q", doc, got, want)
+	}
+}
+
+func FuzzExtractMatchesReference(f *testing.F) {
+	for _, s := range ruleFragments {
+		f.Add(s)
+	}
+	f.Add(generatorDocs(1, 1)[0])
+	f.Add(strings.Repeat("Ⱥ", 20) + "<ttl>5</ttl>")
+	e, ref := RSSProfile(), newReferenceRSS()
+	f.Fuzz(func(t *testing.T, doc string) {
+		checkAgainstReference(t, e, ref, doc)
+	})
+}
+
+// referenceExtractor is the regexp pipeline Extract replaced, kept as the
+// oracle Extract must match byte for byte. It differs from the pipeline
+// it was in two places only, both bug fixes: tag matching folds ASCII
+// letters only (asciiLower instead of strings.ToLower), and lines are
+// trimmed of "\r" as well as " \t".
+type referenceExtractor struct {
+	volatileTags  []string
+	volatileAttrs []*regexp.Regexp
+	volatileLine  []*regexp.Regexp
+	inlinePatches []*regexp.Regexp
+}
+
+func newReferenceRSS() *referenceExtractor {
+	e := &referenceExtractor{
+		volatileTags: []string{"script", "style"},
+		volatileAttrs: []*regexp.Regexp{
+			regexp.MustCompile(`(?i)(class|id)\s*=\s*"[^"]*\b(ad|ads|advert|banner|sponsor|promo)\b`),
+		},
+		volatileLine: []*regexp.Regexp{
+			regexp.MustCompile(`(?i)^\s*<!--.*-->\s*$`),
+		},
+		inlinePatches: []*regexp.Regexp{
+			// RFC 1123 / RFC 822 style dates: Mon, 02 Jan 2006 15:04:05 GMT
+			regexp.MustCompile(`(?i)\b(mon|tue|wed|thu|fri|sat|sun)[a-z]*,?\s+\d{1,2}\s+(jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec)[a-z]*\s+\d{2,4}(\s+\d{1,2}:\d{2}(:\d{2})?)?(\s+[a-z]{2,4}|\s+[+-]\d{4})?`),
+			// ISO 8601 timestamps.
+			regexp.MustCompile(`\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2})?(\.\d+)?(Z|[+-]\d{2}:?\d{2})?`),
+			// Bare clocks.
+			regexp.MustCompile(`\b\d{1,2}:\d{2}:\d{2}\b`),
+			// Hit counters and render-time banners.
+			regexp.MustCompile(`(?i)\b(page )?(generated|rendered|served) in \d+(\.\d+)?\s*(ms|s|seconds|milliseconds)\b`),
+			regexp.MustCompile(`(?i)\b\d+\s+(visitors?|hits|views)( so far| today)?\b`),
+		},
+	}
+	for _, tag := range []string{"lastBuildDate", "ttl", "skipHours", "skipDays", "cloud", "generator"} {
+		e.volatileTags = append(e.volatileTags, asciiLower(tag))
+	}
+	return e
+}
+
+func (e *referenceExtractor) Extract(doc string) []string {
+	doc = stripBlocks(doc, "<!--", "-->")
+	for _, tag := range e.volatileTags {
+		doc = stripTag(doc, tag)
+	}
+	lines := splitLines(doc)
+	out := make([]string, 0, len(lines))
+	for _, line := range lines {
+		skip := false
+		for _, re := range e.volatileLine {
+			if re.MatchString(line) {
+				skip = true
+				break
+			}
+		}
+		if !skip {
+			for _, re := range e.volatileAttrs {
+				if re.MatchString(line) {
+					skip = true
+					break
+				}
+			}
+		}
+		if skip {
+			continue
+		}
+		for _, re := range e.inlinePatches {
+			line = re.ReplaceAllString(line, "")
+		}
+		line = strings.TrimRight(line, " \t\r")
+		if line == "" {
+			continue
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+// splitLines splits a document into lines without the trailing newline
+// artifacts that would make diffs unstable.
+func splitLines(s string) []string {
+	if s == "" {
+		return nil
+	}
+	s = strings.TrimSuffix(s, "\n")
+	return strings.Split(s, "\n")
+}
+
+// asciiLower lowercases ASCII letters only, keeping every byte offset.
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
+// stripBlocks removes every region delimited by open/close markers,
+// tolerating unterminated blocks (dropped to end of input).
+func stripBlocks(doc, open, close string) string {
+	if !strings.Contains(doc, open) {
+		return doc
+	}
+	var sb strings.Builder
+	for {
+		i := strings.Index(doc, open)
+		if i < 0 {
+			sb.WriteString(doc)
+			return sb.String()
+		}
+		sb.WriteString(doc[:i])
+		rest := doc[i+len(open):]
+		j := strings.Index(rest, close)
+		if j < 0 {
+			return sb.String()
+		}
+		doc = rest[j+len(close):]
+	}
+}
+
+// stripTag removes <tag ...>...</tag> regions (case-insensitive), as well
+// as self-closing <tag ... /> forms.
+func stripTag(doc, tag string) string {
+	lower := asciiLower(doc)
+	openTag := "<" + tag
+	closeTag := "</" + tag + ">"
+	var sb strings.Builder
+	for {
+		i := indexTagStart(lower, openTag)
+		if i < 0 {
+			sb.WriteString(doc)
+			return sb.String()
+		}
+		sb.WriteString(doc[:i])
+		// Find the end of the opening tag.
+		gt := strings.Index(lower[i:], ">")
+		if gt < 0 {
+			return sb.String()
+		}
+		if gt >= 1 && lower[i+gt-1] == '/' {
+			// Self-closing.
+			doc = doc[i+gt+1:]
+			lower = lower[i+gt+1:]
+			continue
+		}
+		j := strings.Index(lower[i:], closeTag)
+		if j < 0 {
+			return sb.String()
+		}
+		doc = doc[i+j+len(closeTag):]
+		lower = lower[i+j+len(closeTag):]
+	}
+}
+
+// indexTagStart finds an occurrence of openTag that is a real tag start
+// (followed by whitespace, '>', or '/'), so "<a" does not match "<article".
+func indexTagStart(lower, openTag string) int {
+	from := 0
+	for {
+		i := strings.Index(lower[from:], openTag)
+		if i < 0 {
+			return -1
+		}
+		i += from
+		end := i + len(openTag)
+		if end >= len(lower) {
+			return -1
+		}
+		switch lower[end] {
+		case ' ', '\t', '\n', '\r', '>', '/':
+			return i
+		}
+		from = i + 1
 	}
 }

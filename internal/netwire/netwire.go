@@ -616,8 +616,10 @@ func (p *peer) writeLoop() {
 				if err == errClosed {
 					return
 				}
-				p.t.fault(batch[len(batch)-1].to, err)
+				// Count the drop before reporting the fault, so whoever
+				// the fault reaches already sees it in Dropped.
 				p.drop(uint64(len(bodies)))
+				p.t.fault(batch[len(batch)-1].to, err)
 				continue
 			}
 		}
@@ -646,8 +648,8 @@ func (p *peer) writeLoop() {
 				}
 			}
 			if len(remaining) > 0 {
-				p.t.fault(batch[len(batch)-1].to, err)
 				p.drop(uint64(len(remaining)))
+				p.t.fault(batch[len(batch)-1].to, err)
 			}
 		}
 	}
