@@ -53,7 +53,8 @@ lint:
 # append/replay, WS frame encode/parse, tap-to-queue delivery with the
 # encode-once shared slot) recorded in BENCH_web.json; difference-engine
 # benchmarks (Extract, Compute, Encode, Decode+Apply on one update of a
-# feed.Generator channel) recorded in BENCH_diff.json.
+# feed.Generator channel) and the origin poll that feeds them (HTTPFetch,
+# 304 and 200 over loopback) recorded in BENCH_diff.json.
 bench:
 	$(GO) test -run xxx -bench 'Wire|UpdateEncode|UpdateDecodeForward|FanOutEncode|UpdateDissemination' -benchmem . ./internal/core/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_wire.json
@@ -67,7 +68,7 @@ bench:
 		| $(GO) run ./cmd/bench2json -o BENCH_obs.json
 	$(GO) test -run xxx -bench 'Web' -benchmem ./internal/webgateway/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_web.json
-	$(GO) test -run xxx -bench 'Extract|Compute|Encode|DecodeApply' -benchmem ./internal/diffengine/ \
+	$(GO) test -run xxx -bench '^Benchmark(Extract|Compute|Encode|DecodeApply|HTTPFetch)$$' -benchmem ./internal/diffengine/ ./internal/core/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_diff.json
 	$(MAKE) chaos
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -106,7 +107,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 				return res.Version
 			}
 			detect := func(v uint64) {
-				replica.updateDetected(replica.channel(url), fetchedUpdate{Version: v, Bytes: len(bodies[v]), Body: bodies[v], HasTimestamp: true})
+				replica.updateDetected(replica.channel(url), fetchedUpdate{Version: v, Bytes: len(bodies[v]), Body: bytes.Clone(bodies[v]), HasTimestamp: true})
 				sim.RunFor(time.Second)
 			}
 			core := func(v uint64) []string { return diffengine.RSSProfile().Extract(string(bodies[v])) }

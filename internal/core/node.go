@@ -19,7 +19,8 @@ import (
 type Fetcher interface {
 	// Fetch polls url. haveVersion is the validator: when the server's
 	// content still matches, the result reports Modified=false and costs
-	// only a probe. Version 0 forces a full fetch.
+	// only a probe. Version 0 forces a full fetch. The caller owns the
+	// returned Body: the difference engine cuts it in place.
 	Fetch(url string, haveVersion uint64) (webserver.FetchResult, error)
 }
 

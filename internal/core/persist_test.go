@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -309,5 +310,103 @@ func TestReconcileHandsOffMovedChannels(t *testing.T) {
 	got, ok := owner.Channel(url)
 	if !ok || !got.Owner || got.Subscribers != 1 {
 		t.Fatalf("current owner did not receive the handed-off subscription: %+v", got)
+	}
+}
+
+// countingSink passes records through to a store, counting the ones
+// offered for one channel.
+type countingSink struct {
+	st      *store.Store
+	url     string
+	offered int
+}
+
+func (s *countingSink) StateChanged(rec store.Record) {
+	if rec.URL == s.url {
+		s.offered++
+	}
+	s.st.StateChanged(rec)
+}
+
+// TestReplicaHeartbeatsLeaveWALUnchanged pins the store's elision of
+// image-neutral records on the path that produces most of them: every
+// maintenance round the owner heartbeat-replicates a quiescent channel,
+// and each push re-offers the replica's store an owner-epoch record and
+// a full metadata-plus-subscribers record. Once the first push has
+// landed, the identical pushes after it must not grow the replica's
+// WAL, and a restart must still recover the pushed subscriber set and
+// owner epoch.
+func TestReplicaHeartbeatsLeaveWALUnchanged(t *testing.T) {
+	url := "http://feeds.example.net/heartbeat.xml"
+	tc := newTestCloud(t, 8, nil)
+	tc.host(url, 48*time.Hour) // quiescent: no version moves in the run
+	owner := tc.ownerOf(url)
+	dirs := make([]string, len(tc.nodes))
+	sinks := make([]*countingSink, len(tc.nodes))
+	for i, n := range tc.nodes {
+		dirs[i] = t.TempDir()
+		st, _, err := store.Open(store.Options{Dir: dirs[i], CommitWindow: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks[i] = &countingSink{st: st, url: url}
+		n.SetStateSink(sinks[i])
+	}
+	defer func() {
+		for _, s := range sinks {
+			s.st.Close()
+		}
+	}()
+	owner.Subscribe("alice", url)
+	owner.Subscribe("bob", url)
+	tc.sim.RunFor(time.Hour) // subscription pushes, level settling, first heartbeats
+
+	replica := -1
+	for i, n := range tc.nodes {
+		if info, ok := n.Channel(url); ok && info.Replica && !info.Owner {
+			replica = i
+			break
+		}
+	}
+	if replica < 0 {
+		t.Fatal("no replica holds the channel")
+	}
+	sink := sinks[replica]
+	walBefore, offeredBefore := sink.st.Stats().WALBytes, sink.offered
+
+	const heartbeats = 5
+	tc.sim.RunFor(heartbeats * 20 * time.Minute) // one heartbeat per maintenance round
+	if got := sink.offered - offeredBefore; got < 2*heartbeats {
+		t.Fatalf("replica store was offered %d records over %d heartbeats, want at least %d", got, heartbeats, 2*heartbeats)
+	}
+	if got := sink.st.Stats().WALBytes; got != walBefore {
+		t.Fatalf("replica WAL grew from %d to %d bytes over %d identical heartbeats", walBefore, got, heartbeats)
+	}
+
+	live, _ := tc.nodes[replica].Channel(url)
+	if err := sink.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, recovered, err := store.Open(store.Options{Dir: dirs[replica], CommitWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.st = st
+	var image *store.Channel
+	for i := range recovered {
+		if recovered[i].URL == url {
+			image = &recovered[i]
+		}
+	}
+	if image == nil || !image.Replica || image.OwnerEpoch != live.OwnerEpoch {
+		t.Fatalf("recovered image %+v, want a replica at owner epoch %d", image, live.OwnerEpoch)
+	}
+	var clients []string
+	for _, s := range image.Subs {
+		clients = append(clients, s.Client)
+	}
+	sort.Strings(clients)
+	if fmt.Sprint(clients) != "[alice bob]" {
+		t.Fatalf("recovered subscribers %v, want [alice bob]", clients)
 	}
 }

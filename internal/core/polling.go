@@ -79,7 +79,7 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 		// the version of the content it was computed against, which may
 		// trail lastVersion: replicate pushes, delegate notifies and
 		// restarts raise lastVersion alone.
-		newContent := rssExtractor.Extract(string(res.Body))
+		newContent := rssExtractor.ExtractBytes(res.Body)
 		n.mu.Lock()
 		old, oldVersion := ch.content, ch.contentVersion
 		if res.Version > oldVersion {

@@ -17,7 +17,11 @@
 // Decode carry a delta as text; Apply rebuilds the new version.
 package diffengine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // OpKind classifies a diff hunk.
 type OpKind byte
@@ -155,7 +159,9 @@ func myersOps(a, b []string) []Op {
 	b = b[prefix : m-suffix]
 	n, m = len(a), len(b)
 
-	var script []edits
+	sc := myersPool.Get().(*myersScratch)
+	defer myersPool.Put(sc)
+	script := sc.script[:0]
 	switch {
 	case n == 0 && m == 0:
 		// identical after trimming
@@ -168,8 +174,9 @@ func myersOps(a, b []string) []Op {
 			script = append(script, edits{del: true, ai: i})
 		}
 	default:
-		script = myersScript(a, b)
+		script = sc.run(a, b, script)
 	}
+	sc.script = script
 	if len(script) == 0 {
 		return nil
 	}
@@ -211,17 +218,30 @@ func myersOps(a, b []string) []Op {
 	return ops
 }
 
-// myersScript runs the classic greedy forward O(ND) algorithm and
-// backtracks the edit script. Backtracking needs the frontier of every
-// step, but step d only reaches diagonals -d..d, so the trace keeps those
-// 2d+1 entries per step, D² in all, in one flat slice: step d's
-// diagonal k sits at trace[d*d+d+k].
-func myersScript(a, b []string) []edits {
+// myersScratch is the working memory of one Myers run: the frontier,
+// the trace of every step's frontier, and the edit script. Runs take it
+// from myersPool, so a steady stream of diffs reuses the same slices.
+type myersScratch struct {
+	v      []int
+	trace  []int
+	script []edits
+}
+
+var myersPool = sync.Pool{New: func() any { return new(myersScratch) }}
+
+// run performs the classic greedy forward O(ND) algorithm and backtracks
+// the edit script, appending it to script. Backtracking needs the
+// frontier of every step, but step d only reaches diagonals -d..d, so the
+// trace keeps those 2d+1 entries per step, D² in all, in one flat slice:
+// step d's diagonal k sits at trace[d*d+d+k].
+func (sc *myersScratch) run(a, b []string, script []edits) []edits {
 	n, m := len(a), len(b)
 	max := n + m
 	// v[k+max] = furthest x on diagonal k.
-	v := make([]int, 2*max+1)
-	var trace []int
+	v := slices.Grow(sc.v[:0], 2*max+1)[:2*max+1]
+	clear(v)
+	sc.v = v
+	trace := sc.trace[:0]
 	dFound := -1
 outer:
 	for d := 0; d <= max; d++ {
@@ -245,8 +265,9 @@ outer:
 		}
 		trace = append(trace, v[max-d:max+d+1]...)
 	}
+	sc.trace = trace
 	// Backtrack.
-	script := make([]edits, 0, dFound)
+	first := len(script)
 	x, y := n, m
 	for d := dFound; d > 0; d-- {
 		// The frontier after step d-1: diagonal k at prev[k+d-1].
@@ -275,7 +296,7 @@ outer:
 		x, y = prevX, prevY
 	}
 	// Reverse to forward order.
-	for i, j := 0, len(script)-1; i < j; i, j = i+1, j-1 {
+	for i, j := first, len(script)-1; i < j; i, j = i+1, j-1 {
 		script[i], script[j] = script[j], script[i]
 	}
 	return script

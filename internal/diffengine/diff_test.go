@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -329,4 +330,38 @@ func FuzzDiffRoundTrip(f *testing.F) {
 			t.Fatalf("round trip rebuilt %q, want %q (encoding %q)", got, new, enc)
 		}
 	})
+}
+
+// TestConcurrentExtractAndDiff runs the pooled scratch — the folded twin
+// Extract cuts against and the Myers frontier and trace — from several
+// goroutines at once: every result must equal the one-goroutine result.
+func TestConcurrentExtractAndDiff(t *testing.T) {
+	docs := generatorDocs(3, 6)
+	e := RSSProfile()
+	var want []string
+	var prev []string
+	for i, doc := range docs {
+		cur := e.Extract(doc)
+		want = append(want, Encode(Compute(prev, cur, uint64(i), uint64(i+1))))
+		prev = cur
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				var prev []string
+				for i, doc := range docs {
+					cur := e.ExtractBytes([]byte(doc))
+					if got := Encode(Compute(prev, cur, uint64(i), uint64(i+1))); got != want[i] {
+						t.Errorf("version %d: concurrent diff differs:\n got %q\nwant %q", i+1, got, want[i])
+						return
+					}
+					prev = cur
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -27,29 +27,69 @@ import (
 // Every line, the last included, ends with "\n".
 func Encode(d *Diff) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "CORONA-DIFF v%d %d\n", d.OldVersion, d.NewVersion)
+	sb.Grow(encodedSizeBound(d))
+	sb.WriteString("CORONA-DIFF v")
+	writeUint(&sb, d.OldVersion)
+	sb.WriteByte(' ')
+	writeUint(&sb, d.NewVersion)
+	sb.WriteByte('\n')
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpAdd:
-			fmt.Fprintf(&sb, "%da\n", op.Old)
+			writeUint(&sb, uint64(op.Old))
+			sb.WriteString("a\n")
 			writeLines(&sb, op.NewLines)
 		case OpDelete:
-			fmt.Fprintf(&sb, "%d,%dd\n", op.Old, op.OldCount)
+			writeRange(&sb, op)
+			sb.WriteString("d\n")
 		case OpReplace:
-			fmt.Fprintf(&sb, "%d,%dc\n", op.Old, op.OldCount)
+			writeRange(&sb, op)
+			sb.WriteString("c\n")
 			writeLines(&sb, op.NewLines)
 		}
 	}
 	return sb.String()
 }
 
+// maxUintDigits is the length of the longest decimal uint64.
+const maxUintDigits = 20
+
+// encodedSizeBound bounds the length of Encode(d) from above, taking
+// every number at its widest, so Encode allocates its output once.
+func encodedSizeBound(d *Diff) int {
+	size := len("CORONA-DIFF v \n") + 2*maxUintDigits
+	for _, op := range d.Ops {
+		size += 2*maxUintDigits + len(",c\n")
+		if op.Kind == OpDelete {
+			continue
+		}
+		for _, l := range op.NewLines {
+			size += len(".\n") + len(l)
+		}
+		size += len(".\n")
+	}
+	return size
+}
+
+func writeUint(sb *strings.Builder, v uint64) {
+	var buf [maxUintDigits]byte
+	sb.Write(strconv.AppendUint(buf[:0], v, 10))
+}
+
+// writeRange writes a hunk header's "<old>,<count>".
+func writeRange(sb *strings.Builder, op Op) {
+	writeUint(sb, uint64(op.Old))
+	sb.WriteByte(',')
+	writeUint(sb, uint64(op.OldCount))
+}
+
 func writeLines(sb *strings.Builder, lines []string) {
 	for _, l := range lines {
 		if strings.HasPrefix(l, ".") {
-			sb.WriteString(".")
+			sb.WriteByte('.')
 		}
 		sb.WriteString(l)
-		sb.WriteString("\n")
+		sb.WriteByte('\n')
 	}
 	sb.WriteString(".\n")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"regexp"
 	"strings"
+	"sync"
 )
 
 // Extractor isolates the core content of a polled document before
@@ -59,7 +60,7 @@ func WithVolatileTag(tag string) Option {
 }
 
 func (e *Extractor) addTag(tag string) {
-	name := foldASCII(tag)
+	name := appendFoldASCII(nil, []byte(tag))
 	e.tags = append(e.tags, volatileTag{
 		open:  append([]byte("<"), name...),
 		close: append(append([]byte("</"), name...), '>'),
@@ -113,10 +114,18 @@ var (
 
 // Extract returns the core-content lines of a document. The output is the
 // canonical form handed to Compute; two documents with equal extractions
-// carry no germane update. Lines that no per-line rule changes are
-// substrings of the document left after the cuts, not copies.
+// carry no germane update. It copies doc and extracts the copy with
+// ExtractBytes.
 func (e *Extractor) Extract(doc string) []string {
-	text := e.cut(doc)
+	return e.ExtractBytes([]byte(doc))
+}
+
+// ExtractBytes is Extract for a document held in bytes the caller hands
+// over: the cuts run in place in doc, so the caller must not use doc
+// afterwards. The text left after the cuts is copied once into a string;
+// lines that no per-line rule changes are substrings of it, not copies.
+func (e *Extractor) ExtractBytes(doc []byte) []string {
+	text := string(e.cut(doc))
 	out := make([]string, 0, strings.Count(text, "\n")+1)
 	for text != "" {
 		line := text
@@ -247,22 +256,26 @@ func hasDigitRun(s string, sep byte) bool {
 	return false
 }
 
-// cut applies the comment and volatile-tag cuts, returning doc itself when
-// nothing is cut.
-func (e *Extractor) cut(doc string) string {
-	if strings.IndexByte(doc, '<') < 0 {
+// cut applies the comment and volatile-tag cuts in place and returns
+// what is left of doc.
+func (e *Extractor) cut(doc []byte) []byte {
+	if bytes.IndexByte(doc, '<') < 0 {
 		return doc
 	}
-	c := cutter{text: []byte(doc), lower: foldASCII(doc)}
+	scratch := foldPool.Get().(*[]byte)
+	c := cutter{text: doc, lower: appendFoldASCII((*scratch)[:0], doc)}
 	c.cutComments()
 	for _, t := range e.tags {
 		c.cutTag(t)
 	}
-	if len(c.text) == len(doc) {
-		return doc
-	}
-	return string(c.text)
+	*scratch = c.lower[:0]
+	foldPool.Put(scratch)
+	return c.text
 }
+
+// foldPool holds the ASCII-folded twins cut searches, so a poll does not
+// allocate one the size of its document.
+var foldPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // cutter removes regions from a document found by searching its
 // ASCII-lowercased twin. ASCII folding keeps every byte offset, so each
@@ -363,14 +376,15 @@ func (c *cutter) truncate(w int) {
 	c.lower = c.lower[:w]
 }
 
-// foldASCII returns a copy of s with its ASCII letters lowercased and
-// every other byte as it is, so the copy keeps the offsets of s.
-func foldASCII(s string) []byte {
-	b := []byte(s)
-	for i, c := range b {
+// appendFoldASCII appends s to dst with its ASCII letters lowercased and
+// every other byte as it is, so the result keeps the offsets of s.
+func appendFoldASCII(dst, s []byte) []byte {
+	n := len(dst)
+	dst = append(dst, s...)
+	for i, c := range dst[n:] {
 		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
+			dst[n+i] = c + 'a' - 'A'
 		}
 	}
-	return b
+	return dst
 }

@@ -701,40 +701,59 @@ func (p *peer) dialOnce(r retryPolicy) (net.Conn, *bufio.Writer, error) {
 }
 
 // writeFrames packs encoded bodies into one or more frames (splitting
-// when a batch exceeds maxFrameFill) and flushes them. It returns how
+// when a batch exceeds maxFrameFill) and flushes them. Each frame's
+// header, body lengths and bodies go straight into bw. It returns how
 // many bodies reached the wire before any error.
 func (p *peer) writeFrames(conn net.Conn, bw *bufio.Writer, bodies [][]byte) (int, error) {
 	sent := 0
 	for len(bodies) > 0 {
 		n, size := 0, 0
 		for n < len(bodies) {
-			recSize := binary.MaxVarintLen32 + len(bodies[n])
+			recSize := uvarintLen(uint64(len(bodies[n]))) + len(bodies[n])
 			if n > 0 && size+recSize > maxFrameFill {
 				break
 			}
 			size += recSize
 			n++
 		}
-		frame := make([]byte, 4, 4+binary.MaxVarintLen32+size)
-		frame = binary.AppendUvarint(frame, uint64(n))
-		for _, body := range bodies[:n] {
-			frame = binary.AppendUvarint(frame, uint64(len(body)))
-			frame = append(frame, body...)
-		}
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+		length := uvarintLen(uint64(n)) + size
 
 		if p.t.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(p.t.WriteTimeout))
 		}
-		if _, err := bw.Write(frame); err != nil {
-			return sent, err
+		for shift := 24; shift >= 0; shift -= 8 {
+			bw.WriteByte(byte(length >> shift))
 		}
+		writeUvarint(bw, uint64(n))
+		for _, body := range bodies[:n] {
+			writeUvarint(bw, uint64(len(body)))
+			bw.Write(body)
+		}
+		// bw latches the first write error; Flush reports it.
 		if err := bw.Flush(); err != nil {
 			return sent, err
 		}
-		p.t.addBytesSent(uint64(len(frame)))
+		p.t.addBytesSent(uint64(4 + length))
 		sent += n
 		bodies = bodies[n:]
 	}
 	return sent, nil
+}
+
+// writeUvarint writes v to bw as a uvarint, a byte at a time so no
+// scratch escapes to the heap.
+func writeUvarint(bw *bufio.Writer, v uint64) {
+	for ; v >= 0x80; v >>= 7 {
+		bw.WriteByte(byte(v) | 0x80)
+	}
+	bw.WriteByte(byte(v))
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -44,6 +45,32 @@ func BenchmarkStoreAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := subscribeRec(fmt.Sprintf("http://bench.example.net/feed/%d.xml", i%4096), i%64)
+		s.Append(rec)
+	}
+	if err := s.Sync(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkStoreAppendReassert measures an owner heartbeat landing on a
+// replica's store: the same metadata and subscriber set, re-asserted in
+// a shuffled order, on a channel the size of the flash-crowd workload's.
+func BenchmarkStoreAppendReassert(b *testing.B) {
+	s, _, err := Open(Options{Dir: b.TempDir(), CommitWindow: defaultCommitWindow})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const subs = 1200
+	rec := Record{Op: OpMeta, URL: "http://bench.example.net/hot.xml", Replica: true, Level: 1, Epoch: 2,
+		Version: 9, SizeBytes: 4096, IntervalSec: 1, ReplaceSubs: true}
+	for i := 0; i < subs; i++ {
+		rec.Subs = append(rec.Subs, sub(i))
+	}
+	s.Append(rec)
+	rand.New(rand.NewSource(1)).Shuffle(subs, func(i, j int) { rec.Subs[i], rec.Subs[j] = rec.Subs[j], rec.Subs[i] })
+	b.ReportAllocs()
+	for b.Loop() {
 		s.Append(rec)
 	}
 	if err := s.Sync(); err != nil {

@@ -79,6 +79,27 @@
 // point reproduces the snapshot exactly, which is what makes the crash
 // windows around compaction safe to replay.
 //
+// # What the log holds
+//
+// The WAL holds every change of the image, not every call to Append. A
+// record whose apply would leave the image as it is is dropped before it
+// is framed: an OpVersion or OpOwnerEpoch that does not raise its value,
+// and an OpMeta whose fields equal the image's and whose subscriber list,
+// when it replaces the set, is the same set (in any order) with every
+// lease mark still naming a member. Owners re-assert replica state on
+// every maintenance round; only the rounds that change something reach
+// the disk. The set comparison is linear in its size, through the
+// channel's client index. Other ops are always journaled.
+//
+// Recovery folds apply over the surviving records in order, so skipping
+// a record that is a no-op at its point in that order cannot change the
+// recovered image: the dropped record's in-memory effect was nothing,
+// and so is its absence on replay. A dropped replacement that lists the
+// set in another order leaves the old order, in memory and on disk
+// alike; nothing reads that order. Dropping stops once an IO error is latched: the disk
+// may then lack changes the image holds, and a re-assertion is the only
+// thing that could still write them.
+//
 // OpOwnerEpoch journals the ownership fencing epoch the owner-epoch
 // handshake compares (internal/core: exactly one owner survives a
 // restart merge). OpLease journals which subscribers live under

@@ -137,8 +137,10 @@ type Channel struct {
 // client index instead of scanning.
 const indexThreshold = 64
 
-// upsertSub adds or refreshes one subscriber.
-func (ch *Channel) upsertSub(s Sub) {
+// subIndex returns the position of client in Subs, or -1. Past
+// indexThreshold subscribers it builds and consults the client index
+// instead of scanning.
+func (ch *Channel) subIndex(client string) int {
 	if ch.index == nil && len(ch.Subs) >= indexThreshold {
 		ch.index = make(map[string]int, len(ch.Subs))
 		for i := range ch.Subs {
@@ -146,42 +148,36 @@ func (ch *Channel) upsertSub(s Sub) {
 		}
 	}
 	if ch.index != nil {
-		if i, ok := ch.index[s.Client]; ok {
-			ch.Subs[i] = s
-			return
+		if i, ok := ch.index[client]; ok {
+			return i
 		}
-		ch.index[s.Client] = len(ch.Subs)
-		ch.Subs = append(ch.Subs, s)
-		return
+		return -1
 	}
 	for i := range ch.Subs {
-		if ch.Subs[i].Client == s.Client {
-			ch.Subs[i] = s
-			return
+		if ch.Subs[i].Client == client {
+			return i
 		}
+	}
+	return -1
+}
+
+// upsertSub adds or refreshes one subscriber.
+func (ch *Channel) upsertSub(s Sub) {
+	if i := ch.subIndex(s.Client); i >= 0 {
+		ch.Subs[i] = s
+		return
+	}
+	if ch.index != nil {
+		ch.index[s.Client] = len(ch.Subs)
 	}
 	ch.Subs = append(ch.Subs, s)
 }
 
 // removeSub deletes one subscriber by client identity.
 func (ch *Channel) removeSub(client string) {
-	i := -1
-	if ch.index != nil {
-		pos, ok := ch.index[client]
-		if !ok {
-			return
-		}
-		i = pos
-	} else {
-		for j := range ch.Subs {
-			if ch.Subs[j].Client == client {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return
-		}
+	i := ch.subIndex(client)
+	if i < 0 {
+		return
 	}
 	ch.Subs = append(ch.Subs[:i], ch.Subs[i+1:]...)
 	if ch.index != nil {
@@ -469,6 +465,60 @@ func (rec Record) apply(state map[string]*Channel) {
 		// clears (the channel cooled or its owner demoted).
 		ch.Delegates = append([]Delegate(nil), rec.Delegates...)
 	}
+}
+
+// changes reports whether applying rec would change the image ch, the
+// record's channel (nil when the image has none). It answers exactly for
+// the records a heartbeat re-asserts — OpVersion, OpOwnerEpoch and
+// OpMeta — and says true for every other op.
+func (rec Record) changes(ch *Channel) bool {
+	if rec.URL == "" {
+		return false
+	}
+	if ch == nil {
+		return true
+	}
+	switch rec.Op {
+	case OpVersion:
+		return rec.Version > ch.Version
+	case OpOwnerEpoch:
+		return rec.OwnerEpoch > ch.OwnerEpoch
+	case OpMeta:
+		if rec.Owner != ch.Owner || rec.Replica != ch.Replica || rec.Level != ch.Level ||
+			rec.Epoch != ch.Epoch || rec.Version > ch.Version ||
+			rec.SizeBytes != ch.SizeBytes || rec.IntervalSec != ch.IntervalSec {
+			return true
+		}
+		if rec.ReplaceSubs {
+			return ch.Count != len(rec.Subs) || !ch.holdsExactly(rec.Subs)
+		}
+		return len(ch.Subs) == 0 && ch.Count != rec.Count
+	}
+	return true
+}
+
+// holdsExactly reports whether replacing the subscriber set with subs
+// would leave ch as it is: subs is a permutation of ch.Subs and every
+// lease mark names one of them, so pruning drops none. It runs in time
+// linear in the set, looking clients up through the index.
+func (ch *Channel) holdsExactly(subs []Sub) bool {
+	if len(subs) != len(ch.Subs) {
+		return false
+	}
+	matched := make([]bool, len(subs))
+	for _, s := range subs {
+		i := ch.subIndex(s.Client)
+		if i < 0 || matched[i] || ch.Subs[i] != s {
+			return false
+		}
+		matched[i] = true
+	}
+	for _, l := range ch.Leases {
+		if ch.subIndex(l.Client) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // imageSlice snapshots the materialized map as a deterministic, sorted

@@ -3,7 +3,9 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
+	"sort"
 	"testing"
 	"time"
 )
@@ -337,4 +339,164 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("re-encode of accepted snapshot rejected: %v", err)
 		}
 	})
+}
+
+// neutralRecord re-asserts part of ch as it stands — the version, the
+// owner epoch, or the metadata with the subscriber set in a shuffled
+// order — the shape an owner's heartbeat push takes. Applying it mostly
+// leaves the image as it is; a replacement of the set also prunes lease
+// marks of clients outside it, and an empty replacement resets a
+// counted-only total.
+func neutralRecord(rng *rand.Rand, ch *Channel) Record {
+	switch rng.Intn(3) {
+	case 0:
+		return Record{Op: OpVersion, URL: ch.URL, Version: uint64(rng.Int63n(int64(ch.Version) + 1))}
+	case 1:
+		return Record{Op: OpOwnerEpoch, URL: ch.URL, OwnerEpoch: uint64(rng.Int63n(int64(ch.OwnerEpoch) + 1))}
+	}
+	subs := append([]Sub(nil), ch.Subs...)
+	rng.Shuffle(len(subs), func(i, j int) { subs[i], subs[j] = subs[j], subs[i] })
+	return Record{
+		Op: OpMeta, URL: ch.URL, Owner: ch.Owner, Replica: ch.Replica,
+		Level: ch.Level, Epoch: ch.Epoch, Version: ch.Version, Count: ch.Count,
+		SizeBytes: ch.SizeBytes, IntervalSec: ch.IntervalSec,
+		ReplaceSubs: len(ch.Subs) > 0 || rng.Intn(2) == 0, Subs: subs,
+	}
+}
+
+// perturb changes one field of a re-assertion, so the store must tell
+// a record that changes one thing from one that changes nothing.
+func perturb(rng *rand.Rand, rec *Record) {
+	switch rng.Intn(10) {
+	case 0:
+		rec.Owner = !rec.Owner
+	case 1:
+		rec.Replica = !rec.Replica
+	case 2:
+		rec.Level++
+	case 3:
+		rec.Epoch++
+	case 4:
+		rec.Version++
+		rec.OwnerEpoch++
+	case 5:
+		rec.SizeBytes++
+	case 6:
+		rec.IntervalSec += 0.5
+	case 7:
+		rec.Count++
+		rec.ReplaceSubs = false
+	case 8:
+		if len(rec.Subs) > 1 {
+			rec.Subs[0] = rec.Subs[1] // same length, one client twice
+		}
+	default:
+		if len(rec.Subs) > 0 {
+			rec.Subs[0].EntryEndpoint = "elsewhere:1"
+		}
+	}
+}
+
+// randomRecord draws one mutation over a small space of channels,
+// clients and field values, so records collide often.
+func randomRecord(rng *rand.Rand) Record {
+	url := fmt.Sprintf("http://p/%d", rng.Intn(3))
+	client := func() Sub {
+		s := sub(rng.Intn(8))
+		if rng.Intn(4) == 0 {
+			s.EntryEndpoint = "moved:1" // the same client through another entry
+		}
+		return s
+	}
+	switch rng.Intn(6) {
+	case 0:
+		return Record{Op: OpSubscribe, URL: url, Sub: client()}
+	case 1:
+		return Record{Op: OpUnsubscribe, URL: url, Sub: Sub{Client: client().Client}}
+	case 2:
+		rec := Record{
+			Op: OpMeta, URL: url, Owner: rng.Intn(2) == 0, Replica: rng.Intn(2) == 0,
+			Level: rng.Intn(3), Epoch: uint64(rng.Intn(3)), Version: uint64(rng.Intn(10)),
+			Count: rng.Intn(4), SizeBytes: 512 * rng.Intn(2), IntervalSec: 1.5 * float64(rng.Intn(2)),
+			ReplaceSubs: rng.Intn(2) == 0,
+		}
+		if rec.ReplaceSubs {
+			for i := rng.Intn(5); i > 0; i-- {
+				rec.Subs = append(rec.Subs, client())
+			}
+		}
+		return rec
+	case 3:
+		return Record{Op: OpVersion, URL: url, Version: uint64(rng.Intn(10))}
+	case 4:
+		return Record{Op: OpOwnerEpoch, URL: url, OwnerEpoch: uint64(rng.Intn(5))}
+	default:
+		l := Lease{Client: client().Client, UnixNano: int64(1 + rng.Intn(3))}
+		if rng.Intn(3) == 0 {
+			l.UnixNano = 0 // a lease clear
+		}
+		return Record{Op: OpLease, URL: url, Lease: l}
+	}
+}
+
+// sortedSubs returns state with every channel's subscriber set in
+// client order: an elided re-assertion keeps the set's order where the
+// applied one would have reordered it, and nothing reads the order.
+func sortedSubs(state map[string]*Channel) map[string]*Channel {
+	out := make(map[string]*Channel, len(state))
+	for _, c := range imageSlice(state) {
+		c := c
+		sort.Slice(c.Subs, func(i, j int) bool { return c.Subs[i].Client < c.Subs[j].Client })
+		out[c.URL] = &c
+	}
+	return out
+}
+
+// TestElisionKeepsRecoveredImage is the elision property: random record
+// histories laced with image-neutral re-assertions, some with one field
+// changed, recover, through the
+// store, to the image that applying every record in order builds —
+// whether the store journaled a record or dropped it — and the store
+// does drop some.
+func TestElisionKeepsRecoveredImage(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		s, _ := openT(t, dir, Options{CommitWindow: -1})
+		want := make(map[string]*Channel)
+		appended := 0
+		for i := 0; i < 200; i++ {
+			rec := randomRecord(rng)
+			if ch := want[rec.URL]; ch != nil && rng.Intn(2) == 0 {
+				rec = neutralRecord(rng, ch)
+				if rng.Intn(3) == 0 {
+					perturb(rng, &rec)
+				}
+			}
+			rec.apply(want)
+			s.Append(rec)
+			appended++
+		}
+		context := fmt.Sprintf("seed %d", seed)
+		live := make(map[string]*Channel)
+		for _, c := range s.Channels() {
+			c := c
+			live[c.URL] = &c
+		}
+		channelsEqual(t, sortedSubs(live), sortedSubs(want), context+" live image")
+		if journaled := s.Stats().RecordsSinceSnapshot; journaled >= appended {
+			t.Fatalf("%s: journaled %d of %d records, want some dropped", context, journaled, appended)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, recovered := openT(t, dir, Options{})
+		got := make(map[string]*Channel)
+		for _, c := range recovered {
+			c := c
+			got[c.URL] = &c
+		}
+		channelsEqual(t, sortedSubs(got), sortedSubs(want), context+" recovered image")
+		s.Close()
+	}
 }

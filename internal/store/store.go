@@ -217,29 +217,33 @@ const maxSubsPerRecord = 8192
 // Append logs one record. The call is asynchronous: it materializes the
 // change in memory, queues the frame, and returns; durability follows
 // within the commit window (or immediately when the window is negative).
+//
+// A record that would leave the image as it is — a re-asserted epoch or
+// version, or replicated metadata and subscriber set equal to what the
+// image holds — is dropped: the log holds every change of the image, not
+// every call. Records are dropped only while the log has taken every
+// frame; after an IO error each record is journaled again.
 func (s *Store) Append(rec Record) {
+	s.mu.Lock()
+	if s.closed || s.err == nil && !rec.changes(s.state[rec.URL]) {
+		s.mu.Unlock()
+		return
+	}
 	if rec.Op == OpMeta && rec.ReplaceSubs && len(rec.Subs) > maxSubsPerRecord {
 		// Split a huge subscriber replacement: the capped OpMeta replaces
 		// the set, OpSubsChunk records top it up. Each piece stays far
 		// below the replay-side frame limit.
 		head := rec
 		head.Subs = rec.Subs[:maxSubsPerRecord]
-		s.Append(head)
+		s.appendLocked(head)
 		for rest := rec.Subs[maxSubsPerRecord:]; len(rest) > 0; {
 			n := min(maxSubsPerRecord, len(rest))
-			s.Append(Record{Op: OpSubsChunk, URL: rec.URL, Subs: rest[:n]})
+			s.appendLocked(Record{Op: OpSubsChunk, URL: rec.URL, Subs: rest[:n]})
 			rest = rest[n:]
 		}
-		return
+	} else {
+		s.appendLocked(rec)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	rec.apply(s.state)
-	s.pending = appendFrame(s.pending, appendRecord(nil, rec))
-	s.walRecords++
 	syncNow := s.opts.CommitWindow < 0
 	if !syncNow && s.flushTimer == nil {
 		s.flushTimer = time.AfterFunc(s.opts.CommitWindow, s.flushWindow)
@@ -255,6 +259,14 @@ func (s *Store) Append(rec Record) {
 	if compactNow {
 		go s.compact()
 	}
+}
+
+// appendLocked materializes one record and queues its frame. Callers
+// hold mu.
+func (s *Store) appendLocked(rec Record) {
+	rec.apply(s.state)
+	s.pending = appendFrame(s.pending, appendRecord(nil, rec))
+	s.walRecords++
 }
 
 // flushWindow is the group-commit timer callback.

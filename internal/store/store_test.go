@@ -422,3 +422,58 @@ func TestStatsCommitLatencyHistogram(t *testing.T) {
 		t.Fatalf("histogram counts %d commits, want %d", total, appends)
 	}
 }
+
+// TestRecordChanges pins which records the store may drop: exactly the
+// ones whose apply leaves the channel's image as it is.
+func TestRecordChanges(t *testing.T) {
+	const url = "http://c/f.xml"
+	image := func() *Channel {
+		state := make(map[string]*Channel)
+		for _, rec := range []Record{
+			{Op: OpMeta, URL: url, Owner: true, Level: 2, Epoch: 3, Version: 7, SizeBytes: 512, IntervalSec: 1.5,
+				ReplaceSubs: true, Subs: []Sub{sub(1), sub(2), sub(3)}},
+			{Op: OpOwnerEpoch, URL: url, OwnerEpoch: 4},
+			{Op: OpLease, URL: url, Lease: Lease{Client: sub(2).Client, UnixNano: 1}},
+		} {
+			rec.apply(state)
+		}
+		return state[url]
+	}
+	meta := func(subs ...Sub) Record {
+		return Record{Op: OpMeta, URL: url, Owner: true, Level: 2, Epoch: 3, Version: 7, SizeBytes: 512,
+			IntervalSec: 1.5, ReplaceSubs: true, Subs: subs}
+	}
+	moved := sub(2)
+	moved.EntryEndpoint = "elsewhere:1"
+	counted := meta()
+	counted.ReplaceSubs = false
+	counted.Count = 5
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		ch   *Channel
+		want bool
+	}{
+		{"new channel", Record{Op: OpVersion, URL: url, Version: 1}, nil, true},
+		{"no URL", Record{Op: OpVersion, Version: 1}, nil, false},
+		{"version behind", Record{Op: OpVersion, URL: url, Version: 6}, image(), false},
+		{"version equal", Record{Op: OpVersion, URL: url, Version: 7}, image(), false},
+		{"version ahead", Record{Op: OpVersion, URL: url, Version: 8}, image(), true},
+		{"owner epoch equal", Record{Op: OpOwnerEpoch, URL: url, OwnerEpoch: 4}, image(), false},
+		{"owner epoch ahead", Record{Op: OpOwnerEpoch, URL: url, OwnerEpoch: 5}, image(), true},
+		{"same set, other order", meta(sub(3), sub(1), sub(2)), image(), false},
+		{"a client twice", meta(sub(1), sub(1), sub(2)), image(), true},
+		{"a client moved", meta(sub(1), moved, sub(3)), image(), true},
+		{"a client fewer", meta(sub(1), sub(2)), image(), true},
+		{"metadata without subscribers", func() Record { r := meta(); r.ReplaceSubs = false; return r }(), image(), false},
+		{"level moved", func() Record { r := meta(sub(1), sub(2), sub(3)); r.Level = 1; return r }(), image(), true},
+		{"orphan lease pruned", meta(sub(1), sub(3), sub(4)), image(), true},
+		{"counted total equal", counted, func() *Channel { c := image(); c.Subs, c.index, c.Leases, c.Count = nil, nil, nil, 5; return c }(), false},
+		{"counted total reset", meta(), func() *Channel { c := image(); c.Subs, c.index, c.Leases, c.Count = nil, nil, nil, 5; return c }(), true},
+		{"subscribe", subscribeRec(url, 1), image(), true},
+	} {
+		if got := tc.rec.changes(tc.ch); got != tc.want {
+			t.Errorf("%s: changes = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

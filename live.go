@@ -98,6 +98,7 @@ type LiveNode struct {
 	transport *netwire.Transport
 	overlay   *pastry.Node
 	node      *core.Node
+	fetcher   *core.HTTPFetcher
 	notifier  *im.Gateway
 	service   *im.Service
 	store     *store.Store        // nil when DataDir is unset
@@ -179,7 +180,8 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	}
 
 	service := im.NewService(clock.Real{})
-	node := core.NewNode(ccfg, overlay, clock.Real{}, &core.HTTPFetcher{}, nil, nil)
+	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
+	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, nil, nil)
 	gateway := im.NewGateway(service, clock.Real{}, "corona", node)
 	// Rebind the node's notifier to the gateway (constructed after the
 	// node because the gateway needs the node as its Subscriber).
@@ -205,6 +207,7 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		transport:         transport,
 		overlay:           overlay,
 		node:              node,
+		fetcher:           fetcher,
 		notifier:          gateway,
 		service:           service,
 		store:             st,
@@ -586,8 +589,9 @@ func (ln *LiveNode) CloseClients() {
 }
 
 // Close stops the client listener (draining per-connection writers), the
-// protocol and the transport, then flushes and closes the durable store
-// so no committed-window state is lost on a graceful shutdown.
+// protocol, the origin connections and the transport, then flushes and
+// closes the durable store so no committed-window state is lost on a
+// graceful shutdown.
 func (ln *LiveNode) Close() error {
 	ln.closeAdmin()
 	if ln.clients != nil {
@@ -595,6 +599,7 @@ func (ln *LiveNode) Close() error {
 	}
 	ln.closeWeb()
 	ln.node.Stop()
+	ln.fetcher.Close()
 	err := ln.transport.Close()
 	if ln.store != nil {
 		if serr := ln.store.Close(); serr != nil && err == nil {
@@ -615,6 +620,7 @@ func (ln *LiveNode) Kill() {
 	}
 	ln.closeWeb() // WS/SSE clients see an abrupt EOF too
 	ln.node.Stop()
+	ln.fetcher.Close()
 	ln.transport.Close()
 	if ln.store != nil {
 		ln.store.Abort()

@@ -135,7 +135,8 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 	ccfg.PollInterval = time.Hour
 	ccfg.MaintenanceInterval = time.Hour
 	service := im.NewService(clock.Real{})
-	node := core.NewNode(ccfg, overlay, clock.Real{}, &core.HTTPFetcher{}, nil, nil)
+	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
+	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, nil, nil)
 	gateway := im.NewGateway(service, clock.Real{}, "corona", node)
 	node.SetNotifier(gateway)
 	st, _, err := store.Open(store.Options{Dir: t.TempDir()})
@@ -148,6 +149,7 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 		transport: transport,
 		overlay:   overlay,
 		node:      node,
+		fetcher:   fetcher,
 		notifier:  gateway,
 		service:   service,
 		store:     st,
