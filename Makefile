@@ -68,7 +68,7 @@ bench:
 		| $(GO) run ./cmd/bench2json -o BENCH_obs.json
 	$(GO) test -run xxx -bench 'Web' -benchmem ./internal/webgateway/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_web.json
-	$(GO) test -run xxx -bench '^Benchmark(Extract|Compute|Encode|DecodeApply|HTTPFetch)$$' -benchmem ./internal/diffengine/ ./internal/core/ \
+	$(GO) test -run xxx -bench '^Benchmark(Extract|ExtractDecorated|Compute|Encode|DecodeApply|HTTPFetch)$$' -benchmem ./internal/diffengine/ ./internal/core/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_diff.json
 	$(MAKE) chaos
 

@@ -1,6 +1,9 @@
 package diffengine
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The benchmarks run on one update of a feed.Generator channel: two
 // consecutive snapshots, the second publishing two fresh items.
@@ -19,6 +22,27 @@ func BenchmarkExtract(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		benchSink = e.Extract(doc)
+	}
+}
+
+// BenchmarkExtractDecorated runs on generator documents with lines every
+// rule acts on spliced in (see decorate), so each matcher does its work.
+func BenchmarkExtractDecorated(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var docs []string
+	size := 0
+	for _, doc := range generatorDocs(1, 8) {
+		doc = decorate(rng, doc)
+		docs = append(docs, doc)
+		size += len(doc)
+	}
+	e := RSSProfile()
+	b.SetBytes(int64(size / len(docs)))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		benchSink = e.Extract(docs[i%len(docs)])
+		i++
 	}
 }
 

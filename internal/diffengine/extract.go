@@ -2,9 +2,8 @@ package diffengine
 
 import (
 	"bytes"
-	"regexp"
+	"math/bits"
 	"strings"
-	"sync"
 )
 
 // Extractor isolates the core content of a polled document before
@@ -31,15 +30,29 @@ import (
 //  4. From each remaining line, in this order, are blanked: RFC 1123
 //     dates ("Mon, 02 Jan 2006 15:04:05 GMT"), ISO 8601 timestamps, bare
 //     HH:MM:SS clocks, "generated in N ms"-style render times and
-//     "N visitors/hits/views" counters.
+//     "N visitors/hits/views" counters. Each rule matches exactly what
+//     its Go regexp in linerules.go matches, each on the output of the
+//     one before.
 //  5. Trailing spaces, tabs and carriage returns are trimmed, so the
 //     result does not depend on the origin's line endings, and lines left
 //     empty are dropped.
 //
+// Case folding follows Go's regexp package. Tag names (rule 2) fold
+// ASCII letters only. The per-line rules (3 and 4) fold ASCII letters
+// and also take ſ (U+017F) for s and the Kelvin sign (U+212A) for k, the
+// two non-ASCII runes Unicode case folding pairs with an ASCII letter; a
+// letter range such as a day name's tail takes them too. Their word
+// boundaries, digits and whitespace are ASCII-only, so neither rune is a
+// word character.
+//
 // The zero value is not usable; construct with NewExtractor. An Extractor
 // is safe for concurrent use.
 type Extractor struct {
-	tags []volatileTag
+	tags  []volatileTag
+	reach int // bytes a cut marker spans, its delimiter included
+	// next[b] holds the counted cut passes (see cut) whose marker can
+	// have b right after its '<'.
+	next [256]uint64
 }
 
 // volatileTag holds the ASCII-lowercased open and close markers of one
@@ -60,17 +73,30 @@ func WithVolatileTag(tag string) Option {
 }
 
 func (e *Extractor) addTag(tag string) {
-	name := appendFoldASCII(nil, []byte(tag))
-	e.tags = append(e.tags, volatileTag{
+	name := []byte(tag)
+	for i, c := range name {
+		name[i] = lowerASCII(c)
+	}
+	t := volatileTag{
 		open:  append([]byte("<"), name...),
 		close: append(append([]byte("</"), name...), '>'),
-	})
+	}
+	e.tags = append(e.tags, t)
+	e.reach = max(e.reach, len(commentOpen), len(t.open)+1)
+	if pass := len(e.tags); pass < maxCounted {
+		for b := range e.next {
+			if len(name) == 0 || lowerASCII(byte(b)) == name[0] {
+				e.next[b] |= 1 << pass
+			}
+		}
+	}
 }
 
 // NewExtractor builds an extractor with the built-in rules (see
 // Extractor) plus the given options.
 func NewExtractor(opts ...Option) *Extractor {
 	e := &Extractor{}
+	e.next['!'] = 1 // pass 0, comments
 	e.addTag("script")
 	e.addTag("style")
 	for _, o := range opts {
@@ -94,24 +120,6 @@ func RSSProfile() *Extractor {
 	)
 }
 
-// The per-line rules. Each runs only on lines that pass a cheap test for
-// a substring every match must contain, so most lines cost a byte scan.
-var (
-	// Needs '='.
-	adAttr = regexp.MustCompile(`(?i)(class|id)\s*=\s*"[^"]*\b(ad|ads|advert|banner|sponsor|promo)\b`)
-	// RFC 1123 / RFC 822 style dates: Mon, 02 Jan 2006 15:04:05 GMT.
-	// Needs whitespace followed by a digit.
-	rfc1123 = regexp.MustCompile(`(?i)\b(mon|tue|wed|thu|fri|sat|sun)[a-z]*,?\s+\d{1,2}\s+(jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec)[a-z]*\s+\d{2,4}(\s+\d{1,2}:\d{2}(:\d{2})?)?(\s+[a-z]{2,4}|\s+[+-]\d{4})?`)
-	// ISO 8601 timestamps. Needs "D-DD-D" (D a digit).
-	iso8601 = regexp.MustCompile(`\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2})?(\.\d+)?(Z|[+-]\d{2}:?\d{2})?`)
-	// Bare clocks. Needs "D:DD:D".
-	clock = regexp.MustCompile(`\b\d{1,2}:\d{2}:\d{2}\b`)
-	// Render-time banners. Needs a space followed by a digit.
-	renderTime = regexp.MustCompile(`(?i)\b(page )?(generated|rendered|served) in \d+(\.\d+)?\s*(ms|s|seconds|milliseconds)\b`)
-	// Hit counters. Needs a digit followed by whitespace.
-	hitCounter = regexp.MustCompile(`(?i)\b\d+\s+(visitors?|hits|views)( so far| today)?\b`)
-)
-
 // Extract returns the core-content lines of a document. The output is the
 // canonical form handed to Compute; two documents with equal extractions
 // carry no germane update. It copies doc and extracts the copy with
@@ -121,168 +129,92 @@ func (e *Extractor) Extract(doc string) []string {
 }
 
 // ExtractBytes is Extract for a document held in bytes the caller hands
-// over: the cuts run in place in doc, so the caller must not use doc
-// afterwards. The text left after the cuts is copied once into a string;
-// lines that no per-line rule changes are substrings of it, not copies.
+// over: the cuts and the per-line rules run in place in doc, so the
+// caller must not use doc afterwards. The kept lines are copied once, into
+// one string, and the returned lines are substrings of it.
 func (e *Extractor) ExtractBytes(doc []byte) []string {
-	text := string(e.cut(doc))
-	out := make([]string, 0, strings.Count(text, "\n")+1)
-	for text != "" {
-		line := text
-		if i := strings.IndexByte(text, '\n'); i >= 0 {
-			line, text = text[:i], text[i+1:]
+	doc = e.cut(doc)
+	w := 0
+	for pos := 0; pos < len(doc); {
+		end := bytes.IndexByte(doc[pos:], '\n')
+		if end < 0 {
+			end = len(doc)
 		} else {
-			text = ""
+			end += pos
 		}
-		if line = extractLine(line); line != "" {
-			out = append(out, line)
+		line := extractLine(doc[pos:end])
+		pos = end + 1
+		if len(line) == 0 {
+			continue
 		}
+		// Kept lines, never empty, are packed to the front of doc with
+		// '\n' between them; w stays behind the line being read.
+		if w > 0 {
+			doc[w] = '\n'
+			w++
+		}
+		w += copy(doc[w:], line)
 	}
-	return out
-}
-
-// Changed reports whether two documents differ in core content.
-func (e *Extractor) Changed(old, new string) bool {
-	a, b := e.Extract(old), e.Extract(new)
-	if len(a) != len(b) {
-		return true
+	if w == 0 {
+		return []string{}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// DiffDocuments extracts both documents and computes the delta between
-// their core contents.
-func (e *Extractor) DiffDocuments(old, new string, oldVersion, newVersion uint64) *Diff {
-	return Compute(e.Extract(old), e.Extract(new), oldVersion, newVersion)
-}
-
-// extractLine applies the per-line rules, returning "" for a dropped line.
-func extractLine(line string) string {
-	if isCommentLine(line) || strings.IndexByte(line, '=') >= 0 && adAttr.MatchString(line) {
-		return ""
-	}
-	if hasDigit(line) {
-		if hasSpaceDigit(line) {
-			line = blank(rfc1123, line)
-		}
-		if hasDigitRun(line, '-') {
-			line = blank(iso8601, line)
-		}
-		if hasDigitRun(line, ':') {
-			line = blank(clock, line)
-		}
-		if hasSpaceDigit(line) {
-			line = blank(renderTime, line)
-		}
-		if hasDigitSpace(line) {
-			line = blank(hitCounter, line)
-		}
-	}
-	return strings.TrimRight(line, " \t\r")
-}
-
-// blank deletes every match of re from line; a line without one is
-// returned as is, without a copy. None of the rules matches the empty
-// string, so this equals re.ReplaceAllString(line, "").
-func blank(re *regexp.Regexp, line string) string {
-	locs := re.FindAllStringIndex(line, -1)
-	if locs == nil {
-		return line
-	}
-	var sb strings.Builder
-	sb.Grow(len(line))
-	last := 0
-	for _, loc := range locs {
-		sb.WriteString(line[last:loc[0]])
-		last = loc[1]
-	}
-	sb.WriteString(line[last:])
-	return sb.String()
-}
-
-// isCommentLine reports whether line is "<!--", anything, "-->" between
-// optional whitespace (the regexp `^\s*<!--.*-->\s*$`).
-func isCommentLine(line string) bool {
-	t := strings.Trim(line, "\t\n\f\r ")
-	return len(t) >= len("<!---->") && strings.HasPrefix(t, "<!--") && strings.HasSuffix(t, "-->")
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-// isSpace is the regexp class \s.
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
-}
-
-func hasDigit(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if isDigit(s[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasSpaceDigit(s string) bool {
-	for i := 1; i < len(s); i++ {
-		if isDigit(s[i]) && isSpace(s[i-1]) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasDigitSpace(s string) bool {
-	for i := 1; i < len(s); i++ {
-		if isSpace(s[i]) && isDigit(s[i-1]) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasDigitRun reports whether s contains "D<sep>DD<sep>D", D a digit.
-func hasDigitRun(s string, sep byte) bool {
-	for i := 1; i+4 < len(s); i++ {
-		if s[i] == sep && s[i+3] == sep && isDigit(s[i-1]) && isDigit(s[i+1]) && isDigit(s[i+2]) && isDigit(s[i+4]) {
-			return true
-		}
-	}
-	return false
+	return strings.Split(string(doc[:w]), "\n")
 }
 
 // cut applies the comment and volatile-tag cuts in place and returns
-// what is left of doc.
+// what is left of doc. Pass 0 cuts comments and pass k the k-th volatile
+// tag, in that order, each on the text the earlier passes left. One scan
+// over the '<' bytes counts each pass's markers; a pass with none is
+// skipped, and a pass stops searching once it has met as many as were
+// counted. A cut joins the text on either side of it, which can create a
+// marker only across the join, so after a pass only the bytes just before
+// each join are counted again. Passes from the 64th on are not counted
+// and always search to the end of the text.
 func (e *Extractor) cut(doc []byte) []byte {
-	if bytes.IndexByte(doc, '<') < 0 {
-		return doc
+	c := cutter{e: e, text: doc}
+	c.count(0, len(doc), 0)
+	for pass := 0; pass <= len(e.tags); pass++ {
+		limit := -1
+		if pass < maxCounted {
+			if limit = c.counts[pass]; limit == 0 {
+				continue
+			}
+		}
+		c.nj = 0
+		if pass == 0 {
+			c.cutComments(limit)
+		} else {
+			c.cutTag(e.tags[pass-1], limit)
+		}
+		if c.nj > len(c.joins) {
+			clear(c.counts[min(pass+1, maxCounted):])
+			c.count(0, len(c.text), pass+1)
+			continue
+		}
+		for _, w := range c.joins[:c.nj] {
+			c.count(max(w-e.reach+1, 0), w, pass+1)
+		}
 	}
-	scratch := foldPool.Get().(*[]byte)
-	c := cutter{text: doc, lower: appendFoldASCII((*scratch)[:0], doc)}
-	c.cutComments()
-	for _, t := range e.tags {
-		c.cutTag(t)
-	}
-	*scratch = c.lower[:0]
-	foldPool.Put(scratch)
 	return c.text
 }
 
-// foldPool holds the ASCII-folded twins cut searches, so a poll does not
-// allocate one the size of its document.
-var foldPool = sync.Pool{New: func() any { return new([]byte) }}
+// maxCounted is the number of cut passes whose markers cut counts.
+const maxCounted = 64
 
-// cutter removes regions from a document found by searching its
-// ASCII-lowercased twin. ASCII folding keeps every byte offset, so each
-// cut applies to both at the same positions.
+// cutter removes regions from a document in place.
 type cutter struct {
-	text  []byte // the document's remaining bytes
-	lower []byte // their ASCII-folded twin
+	e    *Extractor
+	text []byte // the document's remaining bytes
+
+	// counts[p] is at least the number of pass p's markers in text: a
+	// cut can remove counted markers, and may leave them counted.
+	counts [maxCounted]int
+
+	// The current pass's joins: offsets in text where it put bytes that
+	// were not adjacent before. nj counts past len(joins) when more joins
+	// happened than fit.
+	joins [8]int
+	nj    int
 }
 
 var (
@@ -290,70 +222,121 @@ var (
 	commentClose = []byte("-->")
 )
 
-// cutComments removes every "<!-- ... -->" region.
-func (c *cutter) cutComments() {
+// count adds to counts the markers of passes from first on that start at
+// a '<' in text[from:to]. A marker may end past to.
+func (c *cutter) count(from, to, first int) {
+	if first >= maxCounted {
+		return
+	}
+	for from < to {
+		i := bytes.IndexByte(c.text[from:to], '<')
+		if i < 0 || from+i+1 == len(c.text) {
+			return
+		}
+		i += from
+		from = i + 1
+		for m := c.e.next[c.text[from]] >> first << first; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros64(m)
+			if p == 0 && bytes.HasPrefix(c.text[i:], commentOpen) || p > 0 && c.tagAt(i, c.e.tags[p-1].open) {
+				c.counts[p]++
+			}
+		}
+	}
+}
+
+// cutComments removes every "<!-- ... -->" region, stopping its search
+// after limit of them when limit is not negative.
+func (c *cutter) cutComments(limit int) {
 	w, pos := 0, 0
-	for {
-		i := bytes.Index(c.lower[pos:], commentOpen)
+	for met := 0; ; met++ {
+		i := -1
+		if met != limit {
+			if i = bytes.Index(c.text[pos:], commentOpen); i >= 0 {
+				i += pos
+			}
+		}
 		if i < 0 {
-			w = c.keep(w, pos, len(c.lower))
+			w = c.keep(w, pos, len(c.text))
 			break
 		}
-		i += pos
 		w = c.keep(w, pos, i)
-		j := bytes.Index(c.lower[i+len(commentOpen):], commentClose)
+		j := bytes.Index(c.text[i+len(commentOpen):], commentClose)
 		if j < 0 {
 			break
 		}
 		pos = i + len(commentOpen) + j + len(commentClose)
 	}
-	c.truncate(w)
+	c.text = c.text[:w]
 }
 
 // cutTag removes every <tag ...>...</tag> region and self-closing
-// <tag ... /> form.
-func (c *cutter) cutTag(t volatileTag) {
+// <tag ... /> form, stopping its search after limit tag starts when limit
+// is not negative.
+func (c *cutter) cutTag(t volatileTag, limit int) {
 	w, pos := 0, 0
-	for {
-		i := c.indexTagStart(pos, t.open)
+	for met := 0; ; met++ {
+		i := -1
+		if met != limit {
+			i = c.indexTag(pos, t.open)
+		}
 		if i < 0 {
-			w = c.keep(w, pos, len(c.lower))
+			w = c.keep(w, pos, len(c.text))
 			break
 		}
 		w = c.keep(w, pos, i)
-		gt := bytes.IndexByte(c.lower[i:], '>')
+		gt := bytes.IndexByte(c.text[i:], '>')
 		if gt < 0 {
 			break
 		}
-		if c.lower[i+gt-1] == '/' {
+		if c.text[i+gt-1] == '/' {
 			pos = i + gt + 1
 			continue
 		}
-		j := bytes.Index(c.lower[i:], t.close)
+		j := c.indexFold(i, t.close)
 		if j < 0 {
 			break
 		}
-		pos = i + j + len(t.close)
+		pos = j + len(t.close)
 	}
-	c.truncate(w)
+	c.text = c.text[:w]
 }
 
-// indexTagStart finds, at or after from, an occurrence of open that is a
-// real tag start (followed by whitespace, '>' or '/'), so "<a" does not
-// match "<article".
-func (c *cutter) indexTagStart(from int, open []byte) int {
+// indexTag finds, at or after from, the first tag start for open.
+func (c *cutter) indexTag(from int, open []byte) int {
 	for {
-		i := bytes.Index(c.lower[from:], open)
+		i := c.indexFold(from, open)
+		if i < 0 || c.tagAt(i, open) {
+			return i
+		}
+		from = i + 1
+	}
+}
+
+// tagAt reports whether a real tag start for open is at i: open, matched
+// with ASCII folding, followed by whitespace, '>' or '/', so "<a" does
+// not match "<article".
+func (c *cutter) tagAt(i int, open []byte) bool {
+	end := i + len(open)
+	if end >= len(c.text) || !hasFoldPrefix(c.text[i:], open) {
+		return false
+	}
+	switch c.text[end] {
+	case ' ', '\t', '\n', '\r', '>', '/':
+		return true
+	}
+	return false
+}
+
+// indexFold finds, at or after from, the first occurrence of marker, an
+// ASCII-lowercased string starting with '<', matched with ASCII folding.
+func (c *cutter) indexFold(from int, marker []byte) int {
+	for {
+		i := bytes.IndexByte(c.text[from:], '<')
 		if i < 0 {
 			return -1
 		}
 		i += from
-		end := i + len(open)
-		if end >= len(c.lower) {
-			return -1
-		}
-		switch c.lower[end] {
-		case ' ', '\t', '\n', '\r', '>', '/':
+		if hasFoldPrefix(c.text[i:], marker) {
 			return i
 		}
 		from = i + 1
@@ -361,30 +344,38 @@ func (c *cutter) indexTagStart(from int, open []byte) int {
 }
 
 // keep moves bytes [from, to) of the current pass down to offset w and
-// returns the offset after them. Bytes a pass skips over are cut.
+// returns the offset after them. Bytes a pass skips over are cut; the
+// first bytes kept after a cut are joined to the text before it at w.
 func (c *cutter) keep(w, from, to int) int {
 	if w != from {
+		if c.nj == 0 || c.nj > len(c.joins) || c.joins[c.nj-1] != w {
+			if c.nj < len(c.joins) {
+				c.joins[c.nj] = w
+			}
+			c.nj++
+		}
 		copy(c.text[w:], c.text[from:to])
-		copy(c.lower[w:], c.lower[from:to])
 	}
 	return w + to - from
 }
 
-// truncate ends a pass that kept w bytes.
-func (c *cutter) truncate(w int) {
-	c.text = c.text[:w]
-	c.lower = c.lower[:w]
-}
-
-// appendFoldASCII appends s to dst with its ASCII letters lowercased and
-// every other byte as it is, so the result keeps the offsets of s.
-func appendFoldASCII(dst, s []byte) []byte {
-	n := len(dst)
-	dst = append(dst, s...)
-	for i, c := range dst[n:] {
-		if 'A' <= c && c <= 'Z' {
-			dst[n+i] = c + 'a' - 'A'
+// hasFoldPrefix reports whether s starts with lower, an ASCII-lowercased
+// string, when ASCII letters in s are folded to lower case.
+func hasFoldPrefix(s, lower []byte) bool {
+	if len(s) < len(lower) {
+		return false
+	}
+	for i, c := range lower {
+		if lowerASCII(s[i]) != c {
+			return false
 		}
 	}
-	return dst
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }

@@ -12,6 +12,12 @@ import (
 	"corona/internal/feed"
 )
 
+// changed reports whether two documents differ in core content: whether
+// their extractions differ.
+func changed(e *Extractor, old, new string) bool {
+	return !slices.Equal(e.Extract(old), e.Extract(new))
+}
+
 func TestExtractStripsComments(t *testing.T) {
 	e := NewExtractor()
 	doc := "<html>\n<!-- cache key 8231 -->\n<p>news</p>\n</html>"
@@ -53,12 +59,12 @@ func TestExtractBlanksTimestamps(t *testing.T) {
 	e := NewExtractor()
 	v1 := "<p>Served at Tue, 02 May 2006 15:04:05 GMT</p>\n<p>story</p>"
 	v2 := "<p>Served at Tue, 02 May 2006 16:11:32 GMT</p>\n<p>story</p>"
-	if e.Changed(v1, v2) {
+	if changed(e, v1, v2) {
 		t.Fatal("timestamp-only difference reported as update")
 	}
 	v3 := "<p>Served at 2006-05-02T15:04:05Z</p>\n<p>story</p>"
 	v4 := "<p>Served at 2006-05-02T16:11:32Z</p>\n<p>story</p>"
-	if e.Changed(v3, v4) {
+	if changed(e, v3, v4) {
 		t.Fatal("ISO timestamp-only difference reported as update")
 	}
 }
@@ -67,7 +73,7 @@ func TestExtractBlanksCounters(t *testing.T) {
 	e := NewExtractor()
 	v1 := "<p>8241 visitors so far</p>\n<p>page generated in 12 ms</p>\n<p>story</p>"
 	v2 := "<p>8250 visitors so far</p>\n<p>page generated in 48 ms</p>\n<p>story</p>"
-	if e.Changed(v1, v2) {
+	if changed(e, v1, v2) {
 		t.Fatal("counter-only difference reported as update")
 	}
 }
@@ -76,7 +82,7 @@ func TestExtractDetectsRealChanges(t *testing.T) {
 	e := NewExtractor()
 	v1 := "<p>old headline</p>\n<p>posted Tue, 02 May 2006 15:04:05 GMT</p>"
 	v2 := "<p>new headline</p>\n<p>posted Tue, 02 May 2006 16:00:00 GMT</p>"
-	if !e.Changed(v1, v2) {
+	if !changed(e, v1, v2) {
 		t.Fatal("germane change not detected")
 	}
 }
@@ -90,12 +96,12 @@ func TestRSSProfileIgnoresBookkeeping(t *testing.T) {
 </channel></rss>`
 	v2 := strings.ReplaceAll(v1, "15:00:00", "15:30:00")
 	v2 = strings.ReplaceAll(v2, "<ttl>30</ttl>", "<ttl>60</ttl>")
-	if e.Changed(v1, v2) {
+	if changed(e, v1, v2) {
 		t.Fatal("RSS bookkeeping churn reported as update")
 	}
 	v3 := strings.ReplaceAll(v1, "<item><title>story</title></item>",
 		"<item><title>breaking</title></item><item><title>story</title></item>")
-	if !e.Changed(v1, v3) {
+	if !changed(e, v1, v3) {
 		t.Fatal("new item not detected")
 	}
 }
@@ -110,7 +116,7 @@ func TestRSSProfileDiffIsNewItemSized(t *testing.T) {
 	}
 	old := "<rss><channel>\n" + strings.Join(items, "\n") + "\n</channel></rss>"
 	new := "<rss><channel>\n<item>\n<title>breaking news</title>\n<link>http://example.com/fresh</link>\n</item>\n" + strings.Join(items, "\n") + "\n</channel></rss>"
-	d := e.DiffDocuments(old, new, 1, 2)
+	d := Compute(e.Extract(old), e.Extract(new), 1, 2)
 	if d.Empty() {
 		t.Fatal("new item produced empty diff")
 	}
@@ -184,6 +190,27 @@ func TestExtractIgnoresLineEndings(t *testing.T) {
 	crlf := strings.ReplaceAll(lf, "\n", "\r\n")
 	if got, want := e.Extract(crlf), e.Extract(lf); !slices.Equal(got, want) {
 		t.Fatalf("CRLF extraction %q, LF extraction %q", got, want)
+	}
+}
+
+// TestExtractCutJoinsMakeMarkers pins the cut passes' bookkeeping: a cut
+// can join text into a marker for a later pass, and that pass must still
+// run, both when the pass that made it made few joins and when it made
+// more than cut re-counts one by one.
+func TestExtractCutJoinsMakeMarkers(t *testing.T) {
+	e, ref := RSSProfile(), newReferenceRSS()
+	many := strings.Repeat("<!---->a", 10)
+	for _, c := range []struct{ doc, want string }{
+		{"<sty<!-- -->le>x</style>kept", "kept"},
+		{many + "<sty<!-- -->le>x</style>kept", strings.Repeat("a", 10) + "kept"},
+		{"<ttl>1</ttl><ttl>2</ttl><ttl>3</ttl>kept", "kept"},
+		{"<t<script></script>tl>1</ttl>kept", "kept"},
+		{"<lastBuildDate<!-- -->>x</lastBuildDate>kept", "kept"}, // longest marker, joined at its delimiter
+	} {
+		if got := e.Extract(c.doc); !slices.Equal(got, []string{c.want}) {
+			t.Errorf("Extract(%q) = %q, want [%q]", c.doc, got, c.want)
+		}
+		checkAgainstReference(t, e, ref, c.doc)
 	}
 }
 
@@ -278,6 +305,79 @@ func FuzzExtractMatchesReference(f *testing.F) {
 	e, ref := RSSProfile(), newReferenceRSS()
 	f.Fuzz(func(t *testing.T, doc string) {
 		checkAgainstReference(t, e, ref, doc)
+	})
+}
+
+// lineCases are single lines at the edges of the per-line rules: Go
+// regexp's case folding (ſ, U+017F, is s and the Kelvin sign, U+212A, is
+// k under (?i), but neither is a \b word character), optional groups dropped when the \b after them
+// fails, alternation fall-through and ISO 8601's missing \b.
+var lineCases = []struct{ line, want string }{
+	{"ſun, 01 May 2006 UTC", "ſun, 01 May 2006 UTC"},
+	{"ſun, 01 May 2006 00:00:00 UTC", "ſun, 01 May 2006  UTC"}, // the clock rule still fires
+	{"xſun, 01 May 2006", "x"},
+	{"Mon\u212a, 01 May 2006 00:00:00 GMT", ""}, // Kelvin sign
+	{"Mon, 01 May 2006 G\u212a", ""},
+	{"Sun, 1 Dec 2024 am", ""},
+	{"Mon, 01 May 20061 x", "1 x"},
+	{"Mon, 01 May 2006 00:00:00 GMTXY", "Y"},
+	{"Mon, 01 May 2006 00:00:00 +0000 rest", " rest"},
+	{"rendered in 12 seconds", ""},
+	{"rendered in 12 ſx", "x"},
+	{"3 visitors so farm", " so farm"},
+	{"3 visitorſ", "ſ"},
+	{"12024-01-01T10:00Z", "1"},
+	{`<div class="x-ads">`, ""},
+	{`<p valid="ad">`, ""},
+	{`<p class="bad">`, `<p class="bad">`},
+}
+
+func TestExtractLineEdgeCases(t *testing.T) {
+	e, ref := RSSProfile(), newReferenceRSS()
+	for _, c := range lineCases {
+		var want []string
+		if c.want != "" {
+			want = []string{c.want}
+		}
+		if got := e.Extract(c.line); !slices.Equal(got, want) {
+			t.Errorf("Extract(%q) = %q, want %q", c.line, got, want)
+		}
+		checkAgainstReference(t, e, ref, c.line)
+	}
+}
+
+// TestIndexDigitOrEq checks the word-at-a-time scan against a byte loop
+// for every byte value in every lane of a word and in the tail.
+func TestIndexDigitOrEq(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		for pos := 0; pos < n; pos++ {
+			for b := 0; b < 256; b++ {
+				s := []byte(strings.Repeat("a\xff", n)[:n])
+				s[pos] = byte(b)
+				want := -1
+				if isDigit(byte(b)) || b == '=' {
+					want = pos
+				}
+				if got := indexDigitOrEq(s); got != want {
+					t.Fatalf("indexDigitOrEq(%q) = %d, want %d", s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzExtractLineMatchesReference checks single lines, where the
+// per-line rules do their work, against the reference.
+func FuzzExtractLineMatchesReference(f *testing.F) {
+	for _, c := range lineCases {
+		f.Add(c.line)
+	}
+	for _, s := range ruleFragments {
+		f.Add(s)
+	}
+	e, ref := RSSProfile(), newReferenceRSS()
+	f.Fuzz(func(t *testing.T, line string) {
+		checkAgainstReference(t, e, ref, strings.ReplaceAll(line, "\n", " "))
 	})
 }
 

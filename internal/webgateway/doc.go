@@ -44,8 +44,8 @@
 // # Resume and replay
 //
 // Every update the node would deliver locally is also appended — before
-// any deliverer runs — to a per-channel, fixed-capacity, version-indexed
-// replay ring. A subscribe carrying since replays, in order and
+// any deliverer runs — to a per-channel, bounded, version-indexed
+// replay ring (it grows as updates arrive, up to its capacity). A subscribe carrying since replays, in order and
 // exactly once, every buffered version strictly greater than since,
 // merged gap-free with live deliveries (a gate suppresses live events
 // for the channel while the subscribe is in flight; the ring holds

@@ -18,7 +18,7 @@ type Entry struct {
 	At      time.Time
 }
 
-// Replay is the gateway's per-channel replay memory: a fixed-capacity,
+// Replay is the gateway's per-channel replay memory: a bounded,
 // version-indexed ring per channel, fed from the im.Gateway update tap
 // (every update the node would deliver to any local client, whether or
 // not one is attached) and read by reconnecting WebSocket/SSE sessions
@@ -37,7 +37,9 @@ type Replay struct {
 }
 
 // ring is one channel's buffer: a circular slice with start pointing at
-// the oldest live entry.
+// the oldest live entry. It grows by appending until it holds the
+// Replay's capacity and only then wraps, so a channel that sees a few
+// updates holds a few entries.
 type ring struct {
 	buf   []Entry
 	start int
@@ -61,15 +63,21 @@ func (r *Replay) Append(channel string, version uint64, diff string, at time.Tim
 	defer r.mu.Unlock()
 	rg := r.channels[channel]
 	if rg == nil {
-		rg = &ring{buf: make([]Entry, r.capacity)}
+		rg = &ring{}
 		r.channels[channel] = rg
 	}
 	if rg.n > 0 && version <= rg.at(rg.n-1).Version {
 		return
 	}
 	e := Entry{Version: version, Diff: diff, At: at}
-	if rg.n < len(rg.buf) {
-		rg.buf[(rg.start+rg.n)%len(rg.buf)] = e
+	if rg.n < r.capacity {
+		// Not yet full: start is 0 and buf holds exactly the n entries.
+		if rg.n == cap(rg.buf) {
+			grown := make([]Entry, rg.n, min(max(2*rg.n, 4), r.capacity))
+			copy(grown, rg.buf)
+			rg.buf = grown
+		}
+		rg.buf = append(rg.buf, e)
 		rg.n++
 		return
 	}

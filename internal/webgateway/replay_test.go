@@ -209,3 +209,37 @@ func TestReplayConcurrentAppendWhileReplay(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestReplayRingGrowsOnDemand pins the ring's memory to what a channel
+// has seen: a few updates hold a few entries, and a ring that fills
+// wraps at the configured capacity as before.
+func TestReplayRingGrowsOnDemand(t *testing.T) {
+	r := NewReplay(DefaultReplayCap)
+	for v := uint64(1); v <= 3; v++ {
+		r.Append("ch", v, "d", time.Time{})
+	}
+	if got := cap(r.channels["ch"].buf); got > 16 {
+		t.Fatalf("ring holding 3 entries has capacity %d", got)
+	}
+	for v := uint64(4); v <= DefaultReplayCap+10; v++ {
+		r.Append("ch", v, "d", time.Time{})
+	}
+	if got := cap(r.channels["ch"].buf); got != DefaultReplayCap {
+		t.Fatalf("full ring has capacity %d, want %d", got, DefaultReplayCap)
+	}
+	if _, complete := r.From("ch", 0); complete {
+		t.Fatal("From(0) after a wrap should be incomplete")
+	}
+	entries, complete := r.From("ch", 10)
+	if !complete || len(entries) != DefaultReplayCap {
+		t.Fatalf("From(10) = %d entries complete=%v, want %d complete", len(entries), complete, DefaultReplayCap)
+	}
+	for i, e := range entries {
+		if want := uint64(11 + i); e.Version != want {
+			t.Fatalf("entry %d has version %d, want %d", i, e.Version, want)
+		}
+	}
+	if got := r.Stats().Wraps; got != 10 {
+		t.Fatalf("Wraps = %d, want 10", got)
+	}
+}
