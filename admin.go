@@ -89,14 +89,15 @@ func liveStatValue(ls LiveStats, path string) (float64, bool) {
 	return 0, false
 }
 
-// newAdminRegistry builds the node's metric registry: the liveStatsSpec
+// newRegistry builds the node's metric registry: the liveStatsSpec
 // scalars, the overlay/transport counters, the store's commit-latency
 // histogram re-exposed in its native buckets, per-peer queue gauges,
-// and the per-stage notification latency histograms (which it wires
-// into the core node and — when running — the client-protocol server).
-// Snapshot-fed families refresh in one OnGather pass per scrape, each
-// source read through a single coherent snapshot.
-func (ln *LiveNode) newAdminRegistry() *metrics.Registry {
+// and the per-stage notification latency histogram (it wires the core
+// node's two stages; each client edge gets its stage's observer from
+// observeStage when it is constructed). Snapshot-fed families refresh in
+// one OnGather pass per scrape, each source read through a single
+// coherent snapshot.
+func (ln *LiveNode) newRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 
 	counters := make(map[string]*metrics.Counter, len(liveStatsSpec))
@@ -135,31 +136,10 @@ func (ln *LiveNode) newAdminRegistry() *metrics.Registry {
 
 	clientSessions := reg.Gauge("corona_client_sessions", "Client-protocol sessions currently attached.")
 
-	stage := reg.HistogramVec("corona_notify_stage_latency_seconds",
+	ln.stages = reg.HistogramVec("corona_notify_stage_latency_seconds",
 		"Wall-clock latency from update detection to each notification pipeline stage.",
 		metrics.DurationBuckets, "stage")
-	ownerSend := stage.With("owner_send")
-	entryRecv := stage.With("entry_recv")
-	clientEnqueue := stage.With("client_enqueue")
-	webEnqueue := stage.With("web_enqueue")
-	ln.node.SetNotifyLatencyObservers(
-		func(d time.Duration) { ownerSend.Observe(d.Seconds()) },
-		func(d time.Duration) { entryRecv.Observe(d.Seconds()) },
-	)
-	ln.obsClientEnqueue = func(d time.Duration) { clientEnqueue.Observe(d.Seconds()) }
-	if ln.clients != nil {
-		ln.clients.SetNotifyLatencyObserver(ln.obsClientEnqueue)
-	}
-	// The web gateway registers its own labeled families (sessions by
-	// transport, replay hits/misses/wraps, drops and disconnects by
-	// cause) and observes the web_enqueue stage. Each wiring happens in
-	// whichever of ServeAdmin/ServeWeb runs second, so both orders work
-	// and each instrument registers exactly once.
-	ln.obsWebEnqueue = func(d time.Duration) { webEnqueue.Observe(d.Seconds()) }
-	if ln.web != nil {
-		ln.web.RegisterMetrics(reg)
-		ln.web.SetNotifyLatencyObserver(ln.obsWebEnqueue)
-	}
+	ln.node.SetStageObservers(ln.observeStage("owner_send"), ln.observeStage("entry_recv"))
 
 	reg.OnGather(func() {
 		ls := ln.Stats()
@@ -220,6 +200,13 @@ func (ln *LiveNode) newAdminRegistry() *metrics.Registry {
 	return reg
 }
 
+// observeStage returns the observer feeding one stage of the
+// notification latency histogram.
+func (ln *LiveNode) observeStage(stage string) func(time.Duration) {
+	h := ln.stages.With(stage)
+	return func(d time.Duration) { h.Observe(d.Seconds()) }
+}
+
 // adminChannel is the JSON projection of one core.ChannelRecords entry
 // served by /channels: routing state flattened to counts and endpoint
 // strings, stable enough for operators and scripts to depend on.
@@ -268,11 +255,10 @@ func (ln *LiveNode) ServeAdmin(bind string) (addr string, err error) {
 	if ln.admin != nil {
 		return "", fmt.Errorf("corona: admin listener already running at %s", ln.adminL.Addr())
 	}
-	reg := ln.newAdminRegistry()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", metrics.ContentType)
-		reg.WriteText(w)
+		ln.reg.WriteText(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -320,7 +306,6 @@ func (ln *LiveNode) ServeAdmin(bind string) (addr string, err error) {
 	go srv.Serve(l)
 	ln.admin = srv
 	ln.adminL = l
-	ln.adminReg = reg
 	return l.Addr().String(), nil
 }
 
@@ -333,7 +318,7 @@ func (ln *LiveNode) AdminAddr() string {
 	return ln.adminL.Addr().String()
 }
 
-// Metrics returns the admin plane's registry, nil before ServeAdmin.
-// Embedders can add their own instruments to it; they appear on
-// /metrics alongside the node's.
-func (ln *LiveNode) Metrics() *metrics.Registry { return ln.adminReg }
+// Metrics returns the node's metric registry, the one ServeAdmin serves
+// on /metrics. Embedders can add their own instruments to it; they
+// appear there alongside the node's.
+func (ln *LiveNode) Metrics() *metrics.Registry { return ln.reg }

@@ -67,7 +67,6 @@ func main() {
 	adminBind := flag.String("admin", "", "HTTP admin-plane listen address serving /metrics, /healthz, /readyz, /channels, /debug/pprof (empty = disabled)")
 	webBind := flag.String("web", "", "web edge gateway listen address serving /ws (WebSocket) and /sse (Server-Sent Events) with replay-ring resume (empty = disabled)")
 	webReplay := flag.Int("web-replay", 0, "web gateway per-channel replay ring capacity (0 = default)")
-	webDisconnectSlow := flag.Bool("web-disconnect-slow", false, "disconnect slow web clients instead of dropping their oldest queued notification")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -85,7 +84,6 @@ func main() {
 		AdminBind:           *adminBind,
 		WebBind:             *webBind,
 		WebReplayCap:        *webReplay,
-		WebDisconnectSlow:   *webDisconnectSlow,
 	}
 	if *seedNode != "" {
 		cfg.Seeds = []string{*seedNode}

@@ -91,6 +91,21 @@
 // records since the last snapshot, and the latched IO error, empty when
 // the store is healthy or the node runs in-memory.
 //
+// # Slow clients
+//
+// Every frame to a client, Notify and reply alike, goes through the
+// connection's outbox (Outbox, the same queue the web gateway's WS and
+// SSE sessions use) and one writer loop that flushes once per batch. At
+// most 256 Notify frames wait per connection; when another arrives, the
+// oldest queued Notify is evicted and counted, so a slow client sees a
+// version gap rather than a growing backlog. Replies (Ack, Nak,
+// ServerInfo) are never shed, but a client that lets 256 of them pile up
+// unread is disconnected. A Notify whose version is not above the newest
+// the connection already queued for that channel is dropped, so a
+// connection never sees the same (channel, version) twice. When the
+// server closes, each connection writes what its outbox holds, for up to
+// three seconds, before its socket closes.
+//
 // Notify frames are unacknowledged and may arrive at any time after
 // Login; ordering is per-channel by version, with no cross-channel
 // guarantee. Every update reaches the server as one gateway NotifyBatch

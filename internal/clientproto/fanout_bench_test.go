@@ -11,49 +11,36 @@ import (
 
 // BenchmarkFanoutNotifyBatch measures the encode-once batch path: one
 // gateway NotifyBatch call fanning an update out to every attached
-// protocol client, with the Notify frame encoded a single time into the
-// batch's shared cell and the bytes reused by each per-connection
-// deliverer — the marginal cost per client is one channel enqueue and no
-// allocation, against BenchmarkClientGatewayFanout's per-client encode
-// baseline. allocs/op is per batch and stays flat as clients grow.
+// protocol client through the server's real deliverer (Outbox.Deliver),
+// with the Notify frame encoded a single time into the batch's shared
+// cell and the bytes reused by every outbox — the marginal cost per
+// client is one outbox enqueue and no allocation, against
+// BenchmarkClientGatewayFanout's per-client encode baseline. Each outbox
+// is drained by its writer's own batch step between iterations.
+// allocs/op is per batch and stays flat as clients grow.
 func BenchmarkFanoutNotifyBatch(b *testing.B) {
 	for _, clients := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			service := im.NewService(clock.Real{})
 			g := im.NewGateway(service, clock.Real{}, "corona", nopSubscriber{})
+			edge := NewEdge(DefaultQueueLen, encodeNotify, nil)
 			handles := make([]string, clients)
-			// One deep buffered channel per client stands in for the
-			// connection's outbound queue; frames are drained (and the
-			// shared buffer length accumulated) between iterations.
-			outs := make([]chan Frame, clients)
-			var sink int
+			outs := make([]*Outbox[Frame], clients)
+			batches := make([][]Queued[Frame], clients)
 			for i := range handles {
 				handles[i] = fmt.Sprintf("user%d", i)
-				out := make(chan Frame, 1)
-				outs[i] = out
-				g.Attach(handles[i], func(n im.Notification) {
-					// The server's batch deliverer: encode into the shared
-					// cell once, reuse the bytes for every later recipient.
-					sf, _ := n.Shared.Load(sharedKeyFrame).(*sharedFrame)
-					if sf == nil {
-						wire := AppendFrame(nil, &Notify{Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: n.At})
-						sf = &sharedFrame{buf: wire, oversize: len(wire)-4 > MaxFrame}
-						n.Shared.Store(sharedKeyFrame, sf)
-					}
-					select {
-					case out <- sf:
-					default:
-					}
-				})
+				outs[i], _ = edge.Open(nil)
+				g.Attach(handles[i], outs[i].Deliver)
 			}
+			var sink int
 			const url = "http://feeds.example.com/headlines.xml"
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.NotifyBatch(handles, url, uint64(i+1), benchDiff, time.Time{})
-				for _, out := range outs {
-					sf := (<-out).(*sharedFrame)
-					sink += len(sf.buf)
+				for j, o := range outs {
+					batches[j], _ = o.next(batches[j])
+					sink += len(batches[j][0].Msg.(*sharedFrame).buf)
 				}
 			}
 			b.StopTimer()

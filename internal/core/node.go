@@ -248,7 +248,7 @@ type Node struct {
 	recentFaults map[ids.ID]time.Time
 
 	// obsOwnerSend/obsEntryRecv are per-stage latency callbacks on the
-	// notification path (SetNotifyLatencyObservers); nil disables them.
+	// notification path (SetStageObservers); nil disables them.
 	obsOwnerSend func(time.Duration)
 	obsEntryRecv func(time.Duration)
 
@@ -288,14 +288,14 @@ func (n *Node) SetNotifier(notify Notifier) {
 	n.notify = notify
 }
 
-// SetNotifyLatencyObservers installs per-stage latency callbacks on the
+// SetStageObservers installs per-stage latency callbacks on the
 // notification hot path, each invoked with the elapsed time since the
 // update's detection timestamp: ownerSend as the owner hands the update
 // to dissemination, entryRecv as an entry node receives a notify batch
 // for its attached clients. Either may be nil. The admin plane wires
 // these into latency histograms; a node without observers pays only a
 // nil check.
-func (n *Node) SetNotifyLatencyObservers(ownerSend, entryRecv func(time.Duration)) {
+func (n *Node) SetStageObservers(ownerSend, entryRecv func(time.Duration)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.obsOwnerSend = ownerSend

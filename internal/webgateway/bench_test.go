@@ -1,35 +1,38 @@
 package webgateway
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"corona/internal/clientproto"
 	"corona/internal/im"
 )
 
 // BenchmarkWebFanoutDeliver measures the hot path a channel update takes
-// through the web edge: one shared JSON encode per batch, then a
-// watermark check and queue append per session. Sessions are drained by
-// writer stand-ins so the queues stay below the slow-client bound.
+// through the web edge: one shared JSON encode per batch, then each
+// session outbox's real deliverer (watermark check and queue append).
+// Every outbox runs its writer loop with a discarding write, so the
+// queues stay below the slow-client bound.
 func BenchmarkWebFanoutDeliver(b *testing.B) {
 	diff := strings.Repeat("x", 512)
+	discard := func(clientproto.Queued[outEvent]) error { return nil }
+	flush := func() error { return nil }
 	for _, clients := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			s := New(Config{Backend: newFakeBackend(), QueueLen: 1 << 16})
+			s := New(Config{Backend: newFakeBackend(), QueueLen: 1 << 16}, nil)
 			sessions := make([]*webSession, clients)
+			var writers sync.WaitGroup
 			for i := range sessions {
-				ws := s.newSession(TransportWS, nil)
+				ws, _ := s.open(nil)
+				writers.Add(1)
 				go func() {
-					for {
-						select {
-						case <-ws.kick:
-							ws.drain()
-						case <-ws.done:
-							return
-						}
-					}
+					defer writers.Done()
+					ws.out.Drain(discard, flush)
 				}()
 				sessions[i] = ws
 			}
@@ -40,13 +43,14 @@ func BenchmarkWebFanoutDeliver(b *testing.B) {
 				shared := &im.Shared{}
 				n := im.Notification{Channel: "u", Version: uint64(i + 1), Diff: diff, At: at, Shared: shared}
 				for _, ws := range sessions {
-					ws.deliver(n)
+					ws.out.Deliver(n)
 				}
 			}
 			b.StopTimer()
 			for _, ws := range sessions {
-				ws.close(causeGone)
+				ws.out.Close(clientproto.CloseGone)
 			}
+			writers.Wait()
 		})
 	}
 }
@@ -79,14 +83,15 @@ func BenchmarkWebReplayFrom(b *testing.B) {
 	}
 }
 
-// BenchmarkWebWSFrameEncode measures server-frame encoding alone.
+// BenchmarkWebWSFrameEncode measures the WS framing of one queued
+// notify event into the writer's buffer, socket excluded.
 func BenchmarkWebWSFrameEncode(b *testing.B) {
-	payload := []byte(strings.Repeat("x", 512))
-	var buf []byte
+	q := clientproto.Queued[outEvent]{Msg: outEvent{name: "notify", opcode: opText, json: []byte(strings.Repeat("x", 512))}}
+	bw := bufio.NewWriter(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendWSFrame(buf[:0], opText, payload)
+		writeWS(bw, q)
 	}
-	_ = buf
+	bw.Flush()
 }

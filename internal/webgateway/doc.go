@@ -67,13 +67,19 @@
 //
 // # Slow clients
 //
-// Each session has a bounded outbound queue. When it fills,
-// PolicyDropOldest (default) evicts the oldest queued notification —
-// the client sees a version gap it can replay later — while
-// PolicyDisconnect closes the session and lets the client reconnect at
-// its own pace. Control events (acks, hello, snapshot_required) are
-// never dropped. Both outcomes, and displacement evictions, are
-// counted by cause in the node's stats and /metrics.
+// Every session — WS and SSE here, and the binary protocol's — queues
+// through the same outbox (clientproto.Outbox) with one shed rule. At
+// most QueueLen (default 256) notify events wait per session; when
+// another arrives, the oldest queued notify is evicted, and the client
+// sees a version gap it can replay later (subscribe with since on WS,
+// reconnect with the cursor on SSE). Control events — acks, naks, hello,
+// snapshot_required, heartbeats, pongs — are never shed, but they are
+// bounded too: a session that lets QueueLen of them pile up unread (a
+// client sending pings and never reading, say) is closed and counted as
+// a slow-client disconnect. Evictions, oversize drops, slow-client
+// disconnects and displacement evictions are counted by cause in the
+// node's stats and /metrics. On Close, each session writes what its
+// outbox holds, for up to a few seconds, before its connection closes.
 //
 // # Liveness
 //

@@ -1,12 +1,13 @@
 package webgateway
 
 import (
+	"bufio"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"corona/internal/clientproto"
@@ -25,26 +26,10 @@ const (
 	TransportSSE = "sse"
 )
 
-// Policy is the slow-client policy: what happens when a session's
-// outbound queue is full and another notification arrives.
-type Policy int
-
-const (
-	// PolicyDropOldest evicts the oldest queued notification to make
-	// room (the client sees a version gap and can re-subscribe with
-	// since to fetch it from the replay buffer). The default.
-	PolicyDropOldest Policy = iota
-	// PolicyDisconnect closes the session instead; the client reconnects
-	// with its cursor and replays the backlog at its own pace.
-	PolicyDisconnect
-)
-
 // Server tunables.
 const (
-	defaultQueueLen   = 256
 	defaultLeaseEvery = 30 * time.Second
 	defaultHeartbeat  = 25 * time.Second
-	wsWriteTimeout    = 10 * time.Second
 )
 
 // sharedKeyJSON keys this package's slot in a batch's im.Shared cell:
@@ -64,11 +49,10 @@ type Config struct {
 	// ReplayCap is the per-channel replay ring capacity
 	// (DefaultReplayCap when zero).
 	ReplayCap int
-	// QueueLen is the per-session outbound event queue depth (default
-	// 256, matching the binary edge).
+	// QueueLen is the per-session bound on queued notify events, and
+	// separately on queued control events (default 256, matching the
+	// binary edge).
 	QueueLen int
-	// SlowPolicy picks what a full queue does to a slow client.
-	SlowPolicy Policy
 	// LeaseEvery is the session lease-refresh cadence (default 30s,
 	// matching the SDK's ping loop); the refresh is what keeps a web
 	// subscriber's entry-node lease alive at channel owners.
@@ -79,65 +63,38 @@ type Config struct {
 
 // Server is the web edge: an http.Handler exposing /ws (RFC 6455) and
 // /sse (Server-Sent Events), both speaking a JSON projection of the
-// client-protocol session model, backed by per-channel replay rings.
+// client-protocol session model over the shared session outbox
+// (clientproto.Outbox), backed by per-channel replay rings.
 type Server struct {
 	backend Backend
 	table   *clientproto.SessionTable
 	replay  *Replay
+	edge    *clientproto.Edge[outEvent]
 
-	queueLen   int
-	slowPolicy Policy
 	leaseEvery time.Duration
 	heartbeat  time.Duration
 
 	mu       sync.Mutex
-	sessions map[*webSession]struct{}
 	closed   bool
 	http     *http.Server
 	listener net.Listener
-
-	sessionsWS    atomic.Int64
-	sessionsSSE   atomic.Int64
-	dropsSlow     atomic.Uint64 // notify events evicted or refused, full queue
-	dropsOversize atomic.Uint64 // notify events beyond the message bound
-	discSlow      atomic.Uint64 // sessions closed by PolicyDisconnect
-	discDisplaced atomic.Uint64 // sessions closed by a displacing login
-	notifies      atomic.Uint64 // notify events enqueued across sessions
-
-	// notifyLatency, when set, observes detection-to-web-enqueue latency
-	// per delivered notification; the admin plane wires it into the
-	// web_enqueue stage of the notification latency histogram.
-	notifyLatency atomic.Pointer[func(time.Duration)]
 }
 
-// disconnect causes, recorded once per closed session.
-type closeCause int
-
-const (
-	causeNone      closeCause = iota
-	causeGone                 // client went away or server shut down
-	causeSlow                 // PolicyDisconnect on a full queue
-	causeDisplaced            // a newer login took the handle
-)
-
-// New builds a Server. Call Handler to mount it, or Serve to run it on
-// a listener.
-func New(cfg Config) *Server {
+// New builds a Server. observe, when set, receives per queued
+// notification the time from the update's detection to the event
+// entering a session's outbox (the admin plane's web_enqueue stage).
+// Call Handler to mount the server, or Serve to run it on a listener.
+func New(cfg Config, observe func(time.Duration)) *Server {
 	s := &Server{
 		backend:    cfg.Backend,
 		table:      cfg.Sessions,
 		replay:     NewReplay(cfg.ReplayCap),
-		queueLen:   cfg.QueueLen,
-		slowPolicy: cfg.SlowPolicy,
+		edge:       clientproto.NewEdge(cfg.QueueLen, encodeNotify, observe),
 		leaseEvery: cfg.LeaseEvery,
 		heartbeat:  cfg.HeartbeatEvery,
-		sessions:   make(map[*webSession]struct{}),
 	}
 	if s.table == nil {
 		s.table = clientproto.NewSessionTable()
-	}
-	if s.queueLen <= 0 {
-		s.queueLen = defaultQueueLen
 	}
 	if s.leaseEvery <= 0 {
 		s.leaseEvery = defaultLeaseEvery
@@ -156,9 +113,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// connKey carries an SSE request's connection in its context, so Close
+// can force-close a stream that will not drain.
+type connKey struct{}
+
 // Serve runs the gateway's HTTP server on l until Close.
 func (s *Server) Serve(l net.Listener) {
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ConnContext: func(ctx context.Context, c net.Conn) context.Context {
+			return context.WithValue(ctx, connKey{}, c)
+		},
+	}
 	s.mu.Lock()
 	s.http = srv
 	s.listener = l
@@ -176,9 +143,10 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// Close stops the HTTP server and every live session. Hijacked WS
-// connections are outside the http.Server's reach, so sessions are
-// closed explicitly.
+// Close drains every live session by the edge's Close rule
+// (clientproto.Edge.Shutdown) — each writes what its outbox holds,
+// sessions still alive after the drain window are force-closed — then
+// stops the HTTP server.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -187,19 +155,12 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	srv := s.http
-	live := make([]*webSession, 0, len(s.sessions))
-	for ws := range s.sessions {
-		live = append(live, ws)
-	}
 	s.mu.Unlock()
-	var err error
+	s.edge.Shutdown()
 	if srv != nil {
-		err = srv.Close()
+		return srv.Close()
 	}
-	for _, ws := range live {
-		ws.close(causeGone)
-	}
-	return err
+	return nil
 }
 
 // Closed reports whether Close has run.
@@ -220,52 +181,50 @@ func (s *Server) Tap() im.Tap {
 // Replay exposes the replay memory (tests and benchmarks).
 func (s *Server) Replay() *Replay { return s.replay }
 
-// SetNotifyLatencyObserver installs a callback observing, per delivered
-// notification, the elapsed time between the update's detection
-// timestamp and the event entering a web session's outbound queue.
-func (s *Server) SetNotifyLatencyObserver(obs func(time.Duration)) {
-	s.notifyLatency.Store(&obs)
-}
-
-func (s *Server) observeEnqueue(at time.Time) {
-	p := s.notifyLatency.Load()
-	if p == nil || *p == nil || at.IsZero() {
-		return
-	}
-	(*p)(time.Since(at))
-}
-
-// Counters is one snapshot of the gateway's delivery accounting.
+// Counters is the web edge's session and delivery accounting — the
+// struct corona.LiveStats carries as Web. Shed and disconnect outcomes
+// are split by cause: slow-client (a full queue), buffer-wrap (a resume
+// cursor fell out of the replay window and was answered
+// snapshot-required), and displaced (a newer login took the handle).
 type Counters struct {
+	// SessionsWS and SessionsSSE count logged-in sessions by transport.
 	SessionsWS  int
 	SessionsSSE int
-	// NotifyDroppedSlow counts notify events shed on full queues
-	// (evicted under PolicyDropOldest, or refused when the queue held
-	// only control events).
-	NotifyDroppedSlow uint64
-	// NotifyDroppedOversize counts notify events beyond the 1 MiB
-	// message bound, dropped before any queue.
-	NotifyDroppedOversize uint64
-	// DisconnectsSlow counts sessions closed by PolicyDisconnect.
-	DisconnectsSlow uint64
+	// DroppedSlowClient counts notify events evicted from full queues.
+	DroppedSlowClient uint64
+	// DroppedOversize counts notify events beyond the 1 MiB message
+	// bound, dropped before any queue.
+	DroppedOversize uint64
+	// DisconnectsSlowClient counts sessions closed because their bound of
+	// queued control events was reached.
+	DisconnectsSlowClient uint64
 	// DisconnectsDisplaced counts sessions closed by a displacing login.
 	DisconnectsDisplaced uint64
-	// Notifies counts notify events enqueued across all sessions.
+	// ReplayHits counts resume cursors served completely from the ring;
+	// ReplayMissesBufferWrap counts cursors past the window (the
+	// buffer-wrap outcome, answered snapshot-required); ReplayWraps
+	// counts ring entries overwritten by wrap-around.
+	ReplayHits             uint64
+	ReplayMissesBufferWrap uint64
+	ReplayWraps            uint64
+	// Notifies counts notify events queued across all sessions.
 	Notifies uint64
-	Replay   ReplayStats
 }
 
 // Counters snapshots the gateway's counters.
 func (s *Server) Counters() Counters {
+	e, r := s.edge.Stats(), s.replay.Stats()
 	return Counters{
-		SessionsWS:            int(s.sessionsWS.Load()),
-		SessionsSSE:           int(s.sessionsSSE.Load()),
-		NotifyDroppedSlow:     s.dropsSlow.Load(),
-		NotifyDroppedOversize: s.dropsOversize.Load(),
-		DisconnectsSlow:       s.discSlow.Load(),
-		DisconnectsDisplaced:  s.discDisplaced.Load(),
-		Notifies:              s.notifies.Load(),
-		Replay:                s.replay.Stats(),
+		SessionsWS:             s.table.Count(TransportWS),
+		SessionsSSE:            s.table.Count(TransportSSE),
+		DroppedSlowClient:      e.DroppedSlow,
+		DroppedOversize:        e.DroppedOversize,
+		DisconnectsSlowClient:  e.ClosedSlow,
+		DisconnectsDisplaced:   e.ClosedDisplaced,
+		ReplayHits:             r.Hits,
+		ReplayMissesBufferWrap: r.Misses,
+		ReplayWraps:            r.Wraps,
+		Notifies:               e.Notifies,
 	}
 }
 
@@ -295,12 +254,12 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		c := s.Counters()
 		sessWS.Set(float64(c.SessionsWS))
 		sessSSE.Set(float64(c.SessionsSSE))
-		hits.Set(c.Replay.Hits)
-		misses.Set(c.Replay.Misses)
-		wraps.Set(c.Replay.Wraps)
-		dropSlow.Set(c.NotifyDroppedSlow)
-		dropOversize.Set(c.NotifyDroppedOversize)
-		discSlow.Set(c.DisconnectsSlow)
+		hits.Set(c.ReplayHits)
+		misses.Set(c.ReplayMissesBufferWrap)
+		wraps.Set(c.ReplayWraps)
+		dropSlow.Set(c.DroppedSlowClient)
+		dropOversize.Set(c.DroppedOversize)
+		discSlow.Set(c.DisconnectsSlowClient)
 		discDisplaced.Set(c.DisconnectsDisplaced)
 		notifies.Set(c.Notifies)
 	})
@@ -332,345 +291,158 @@ type serverMsg struct {
 	At      int64    `json:"at,omitempty"` // detection time, Unix nanoseconds
 }
 
-// outEvent is one queued server-to-client event. Only notify events are
-// droppable; control events (acks, hello, snapshot-required, WS pings)
-// always queue.
+// outEvent is one queued server-to-client event: a JSON message (WS
+// text frame, SSE event named name), or a heartbeat (WS ping, SSE
+// comment), or a WS pong.
 type outEvent struct {
-	name    string // SSE event name; "notify" marks droppable events
-	opcode  byte   // WS frame opcode (opText for JSON; opPing for heartbeats)
-	json    []byte
-	channel string
-	version uint64
+	name   string
+	opcode byte
+	json   []byte
 }
 
-func (e outEvent) notify() bool { return e.name == "notify" }
-
-func marshalMsg(m serverMsg) []byte {
+// event is the queued form of a JSON message.
+func event(m serverMsg) outEvent {
 	b, _ := json.Marshal(m)
-	return b
+	return outEvent{name: m.Type, opcode: opText, json: b}
 }
 
-func notifyJSON(channel string, version uint64, diff string, at time.Time) []byte {
-	var nanos int64
-	if !at.IsZero() {
-		nanos = at.UnixNano()
-	}
-	return marshalMsg(serverMsg{Type: "notify", Channel: channel, Version: version, Diff: diff, At: nanos})
-}
-
-// webSession is one live WS or SSE session's server-side state. The
-// single mutex orders three things that must not interleave: live
-// delivery (the gateway deliverer), replay (the subscribe path), and
-// the per-channel version watermark that makes their union duplicate-
-// free and monotonic. Events enter the queue already filtered, so the
-// writer emits them in queue order with no further checks.
-type webSession struct {
-	s         *Server
-	transport string
-	handle    string
-	conn      net.Conn // WS only; SSE writes through the handler
-
-	mu     sync.Mutex
-	queue  []outEvent
-	kick   chan struct{} // cap 1: the writer drains the whole queue per kick
-	done   chan struct{} // closed once, by close()
-	closed bool
-	// last is the per-channel delivered-version watermark: an event is
-	// enqueued only with a version strictly above it, so replayed and
-	// live notifications merge without duplicates. Its key set doubles
-	// as the session's channel set for lease refreshes.
-	last map[string]uint64
-	// gated marks channels mid-subscribe: live deliveries are suppressed
-	// (the replay ring holds them — the gateway tap runs before any
-	// deliverer) until the subscribe path replays and ungates.
-	gated map[string]struct{}
-}
-
-func (s *Server) newSession(transport string, conn net.Conn) *webSession {
-	ws := &webSession{
-		s:         s,
-		transport: transport,
-		conn:      conn,
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		last:      make(map[string]uint64),
-		gated:     make(map[string]struct{}),
-	}
-	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.sessions[ws] = struct{}{}
-	}
-	s.mu.Unlock()
-	if closed {
-		ws.close(causeGone)
-		return ws
-	}
-	if transport == TransportWS {
-		s.sessionsWS.Add(1)
-	} else {
-		s.sessionsSSE.Add(1)
-	}
-	return ws
-}
-
-// close tears the session down once, recording why. Safe from any
-// goroutine, including under the session table's lock (it never
-// re-enters the table).
-func (ws *webSession) close(cause closeCause) {
-	ws.mu.Lock()
-	if ws.closed {
-		ws.mu.Unlock()
-		return
-	}
-	ws.closed = true
-	close(ws.done)
-	ws.mu.Unlock()
-	switch cause {
-	case causeSlow:
-		ws.s.discSlow.Add(1)
-	case causeDisplaced:
-		ws.s.discDisplaced.Add(1)
-	}
-	if ws.conn != nil {
-		ws.conn.Close()
-	}
-	ws.s.mu.Lock()
-	delete(ws.s.sessions, ws)
-	ws.s.mu.Unlock()
-	if ws.transport == TransportWS {
-		ws.s.sessionsWS.Add(-1)
-	} else {
-		ws.s.sessionsSSE.Add(-1)
-	}
-}
-
-// enqueueLocked appends one event, applying the slow-client policy to
-// notify events when the queue is full; callers hold ws.mu.
-func (ws *webSession) enqueueLocked(ev outEvent) {
-	if ev.notify() && len(ws.queue) >= ws.s.queueLen {
-		if ws.s.slowPolicy == PolicyDisconnect {
-			ws.s.dropsSlow.Add(1)
-			// Unlock around close: it re-takes ws.mu.
-			ws.mu.Unlock()
-			ws.close(causeSlow)
-			ws.mu.Lock()
-			return
-		}
-		// Drop-oldest: evict the oldest queued notify. With none to
-		// evict (a queue full of control events — not a real shape, but
-		// possible), shed the new one instead.
-		ws.s.dropsSlow.Add(1)
-		evicted := false
-		for i := range ws.queue {
-			if ws.queue[i].notify() {
-				copy(ws.queue[i:], ws.queue[i+1:])
-				ws.queue = ws.queue[:len(ws.queue)-1]
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return
-		}
-	}
-	ws.queue = append(ws.queue, ev)
-	select {
-	case ws.kick <- struct{}{}:
-	default:
-	}
-}
-
-// control enqueues a control event.
-func (ws *webSession) control(ev outEvent) {
-	ws.mu.Lock()
-	if !ws.closed {
-		ws.enqueueLocked(ev)
-	}
-	ws.mu.Unlock()
-}
-
-// deliver is the session's gateway deliverer: it encodes the notify
-// JSON once per batch through the Shared cell (synchronously — the cell
-// contract) and enqueues it under the watermark/gate filters.
-func (ws *webSession) deliver(n im.Notification) {
+// encodeNotify is the web edge's notify encoder: the first web recipient
+// of a batch marshals the JSON into the batch's Shared cell (the cell
+// contract: deliverers of one batch run sequentially) and every later
+// one reuses the bytes.
+func encodeNotify(n im.Notification) (outEvent, bool) {
 	data, _ := n.Shared.Load(sharedKeyJSON).([]byte)
 	if data == nil {
-		data = notifyJSON(n.Channel, n.Version, n.Diff, n.At)
+		var nanos int64
+		if !n.At.IsZero() {
+			nanos = n.At.UnixNano()
+		}
+		data = event(serverMsg{Type: "notify", Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: nanos}).json
 		n.Shared.Store(sharedKeyJSON, data)
 	}
-	if len(data) > maxWSMessage {
-		ws.s.dropsOversize.Add(1)
-		return
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.closed {
-		return
-	}
-	if _, gated := ws.gated[n.Channel]; gated {
-		return // mid-subscribe; the replay scan picks it out of the ring
-	}
-	if n.Version <= ws.last[n.Channel] {
-		return // duplicate (replayed already, or a re-observed batch)
-	}
-	ws.last[n.Channel] = n.Version
-	ws.enqueueLocked(outEvent{name: "notify", opcode: opText, json: data, channel: n.Channel, version: n.Version})
-	ws.s.notifies.Add(1)
-	ws.s.observeEnqueue(n.At)
+	return outEvent{name: "notify", opcode: opText, json: data}, len(data) <= maxWSMessage
 }
 
-// gate suppresses live delivery for a channel while its subscribe is in
-// flight.
-func (ws *webSession) gate(url string) {
+// webSession is one live WS or SSE session: its outbox, and the handle
+// its lease refreshes name (set at login, read by the keep-alive loop).
+type webSession struct {
+	out *clientproto.Outbox[outEvent]
+
+	mu     sync.Mutex
+	handle string
+}
+
+// open starts a session on the edge; false once the gateway is closed.
+// conn, when known, is what a displaced or undrainable session's
+// teardown closes.
+func (s *Server) open(conn net.Conn) (*webSession, bool) {
+	var teardown func()
+	if conn != nil {
+		teardown = func() { conn.Close() }
+	}
+	out, ok := s.edge.Open(teardown)
+	if !ok {
+		return nil, false
+	}
+	return &webSession{out: out}, true
+}
+
+func (ws *webSession) login(handle string) {
 	ws.mu.Lock()
-	ws.gated[url] = struct{}{}
+	ws.handle = handle
 	ws.mu.Unlock()
 }
 
-// replayAndUngate finishes a subscribe: with a cursor, it replays the
-// buffered gap (or signals snapshot-required) and advances the
-// watermark; without one, delivery simply starts live. The scan, the
-// watermark update, and the ungate form one critical section with the
-// deliverer's filter, which is what makes the replayed and live streams
-// merge exactly-once: any live update suppressed by the gate was
-// appended to the ring before its deliverer ran (the tap ordering
-// guarantee), so the scan below either sees it or a newer one.
-func (ws *webSession) replayAndUngate(url string, since *uint64) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	defer delete(ws.gated, url)
-	if _, tracked := ws.last[url]; !tracked {
-		ws.last[url] = 0
-	}
-	if ws.closed || since == nil {
-		return
-	}
-	entries, complete := ws.s.replay.From(url, *since)
-	if !complete {
-		newest := ws.s.replay.Newest(url)
-		if newest > ws.last[url] {
-			ws.last[url] = newest
-		}
-		ws.enqueueLocked(outEvent{name: "snapshot_required", opcode: opText,
-			json: marshalMsg(serverMsg{Type: "snapshot_required", Channel: url, Version: newest})})
-		return
-	}
-	for _, e := range entries {
-		if e.Version <= ws.last[url] {
-			continue
-		}
-		ws.last[url] = e.Version
-		data := notifyJSON(url, e.Version, e.Diff, e.At)
-		if len(data) > maxWSMessage {
-			ws.s.dropsOversize.Add(1)
-			continue
-		}
-		ws.enqueueLocked(outEvent{name: "notify", opcode: opText, json: data, channel: url, version: e.Version})
-		ws.s.notifies.Add(1)
-	}
-}
-
-// drain returns every queued event, or nil; the writer calls it per
-// kick.
-func (ws *webSession) drain() []outEvent {
-	ws.mu.Lock()
-	batch := ws.queue
-	ws.queue = nil
-	ws.mu.Unlock()
-	return batch
-}
-
-// refreshLeases heartbeats the session's channels at their owners; what
-// keeps web subscribers inside the entry-node lease-failover machinery.
-// Runs on the ticker goroutine, so the handle (written at login) and the
-// channel set are both read under the session lock.
-func (ws *webSession) refreshLeases() {
-	ws.mu.Lock()
-	handle := ws.handle
-	urls := make([]string, 0, len(ws.last))
-	for url := range ws.last {
-		urls = append(urls, url)
-	}
-	ws.mu.Unlock()
-	if handle == "" || len(urls) == 0 {
-		return
-	}
-	ws.s.backend.RefreshLeases(handle, urls)
-}
-
-// handleWS serves one WebSocket connection: hijack, then a read loop
-// dispatching JSON messages, a writer goroutine draining the event
-// queue, and a heartbeat/lease ticker loop.
-func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
-	conn, br, err := upgradeWS(w, r)
-	if err != nil {
-		return
-	}
-	ws := s.newSession(TransportWS, conn)
-	// Teardown order matters: the writer and ticker goroutines exit on
-	// ws.done, so the session must close BEFORE waiting for them.
-	var writerWG, tickerWG sync.WaitGroup
-	defer func() {
-		ws.close(causeGone)
-		writerWG.Wait()
-		tickerWG.Wait()
-	}()
-
-	// Writer: one goroutine owns the socket's write side.
-	writerWG.Add(1)
+// keepAlive queues a heartbeat every HeartbeatEvery and refreshes the
+// session's entry-node leases at channel owners every LeaseEvery — what
+// keeps web subscribers inside the lease-failover machinery — until the
+// outbox closes. The returned channel is closed when it stops.
+func (s *Server) keepAlive(ws *webSession) <-chan struct{} {
+	stopped := make(chan struct{})
 	go func() {
-		defer writerWG.Done()
-		var buf []byte
-		for {
-			select {
-			case <-ws.kick:
-			case <-ws.done:
-				return
-			}
-			for _, ev := range ws.drain() {
-				payload := ev.json
-				if ev.opcode == opPing {
-					payload = nil
-				}
-				buf = appendWSFrame(buf[:0], ev.opcode, payload)
-				conn.SetWriteDeadline(time.Now().Add(wsWriteTimeout))
-				if _, err := conn.Write(buf); err != nil {
-					ws.close(causeGone)
-					return
-				}
-			}
-		}
-	}()
-
-	// Heartbeats and lease refreshes.
-	tickerWG.Add(1)
-	go func() {
-		defer tickerWG.Done()
+		defer close(stopped)
 		hb := time.NewTicker(s.heartbeat)
 		lease := time.NewTicker(s.leaseEvery)
 		defer hb.Stop()
 		defer lease.Stop()
 		for {
 			select {
-			case <-ws.done:
+			case <-ws.out.Done():
 				return
 			case <-hb.C:
-				ws.control(outEvent{opcode: opPing})
+				ws.out.Control(outEvent{opcode: opPing})
 			case <-lease.C:
-				ws.refreshLeases()
+				ws.mu.Lock()
+				handle := ws.handle
+				ws.mu.Unlock()
+				if urls := ws.out.Channels(); handle != "" && len(urls) > 0 {
+					s.backend.RefreshLeases(handle, urls)
+				}
 			}
 		}
 	}()
+	return stopped
+}
 
+// catchUp replays what a resuming subscriber missed on url: with a
+// cursor, every buffered version above it — or snapshot_required, with
+// the newest version known, when the ring has wrapped past the cursor.
+// Without one, delivery simply starts live.
+func (s *Server) catchUp(g clientproto.Gap[outEvent], url string, since *uint64) {
+	if since == nil {
+		return
+	}
+	entries, complete := s.replay.From(url, *since)
+	if !complete {
+		newest := s.replay.Newest(url)
+		g.Skip(newest, event(serverMsg{Type: "snapshot_required", Channel: url, Version: newest}))
+		return
+	}
+	for _, e := range entries {
+		g.Replay(im.Notification{Channel: url, Version: e.Version, Diff: e.Diff, At: e.At, Shared: &im.Shared{}})
+	}
+}
+
+// writeWS is the WS framing of a queued event.
+func writeWS(bw *bufio.Writer, q clientproto.Queued[outEvent]) error {
+	if _, err := bw.Write(appendWSHeader(bw.AvailableBuffer(), q.Msg.opcode, len(q.Msg.json))); err != nil {
+		return err
+	}
+	_, err := bw.Write(q.Msg.json)
+	return err
+}
+
+// handleWS serves one WebSocket connection: hijack, then a read loop
+// dispatching JSON messages, with the outbox's writer loop and the
+// keep-alive loop beside it.
+func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
+	conn, br, err := upgradeWS(w, r)
+	if err != nil {
+		return
+	}
+	ws, ok := s.open(conn)
+	if !ok {
+		conn.Close()
+		return
+	}
+	stopped := ws.out.Pump(conn, writeWS)
+	alive := s.keepAlive(ws)
+	defer func() {
+		ws.out.Close(clientproto.CloseGone)
+		<-stopped
+		<-alive
+		ws.out.End()
+	}()
+
+	var handle string
 	var detach func()
 	var sess *clientproto.TableSession
 	defer func() {
 		if detach != nil {
 			detach()
 		}
-		if ws.handle != "" {
-			s.table.End(ws.handle, sess)
+		if handle != "" {
+			s.table.End(handle, sess)
 		}
 	}()
 
@@ -680,7 +452,7 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		// responsive client is not presumed dead mid-readWSMessage.
 		conn.SetReadDeadline(time.Now().Add(3 * s.heartbeat))
 		if opcode == opPing {
-			ws.control(outEvent{opcode: opPong, json: payload})
+			ws.out.Control(outEvent{opcode: opPong, json: payload})
 		}
 		return nil
 	}
@@ -694,18 +466,16 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		}
 		var req clientMsg
 		if err := json.Unmarshal(data, &req); err != nil {
-			ws.control(outEvent{name: "nak", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "nak", Reason: "malformed message: " + err.Error()})})
+			ws.out.Control(event(serverMsg{Type: "nak", Reason: "malformed message: " + err.Error()}))
 			continue
 		}
 		nak := func(reason string) {
-			ws.control(outEvent{name: "nak", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "nak", Req: req.Req, Reason: reason})})
+			ws.out.Control(event(serverMsg{Type: "nak", Req: req.Req, Reason: reason}))
 		}
 		switch req.Type {
 		case "login":
-			if ws.handle != "" {
-				nak("already logged in as " + ws.handle)
+			if handle != "" {
+				nak("already logged in as " + handle)
 				continue
 			}
 			if req.Handle == "" {
@@ -718,23 +488,19 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			tok, ts, det, ok := s.table.Begin(req.Handle, token, TransportWS,
-				func() { ws.close(causeDisplaced) },
-				func() func() { return s.backend.Attach(req.Handle, ws.deliver) })
+				func() { ws.out.Close(clientproto.CloseDisplaced) },
+				func() func() { return s.backend.Attach(req.Handle, ws.out.Deliver) })
 			if !ok {
 				nak("handle in use (resume token mismatch)")
 				continue
 			}
-			ws.mu.Lock()
-			ws.handle = req.Handle // under mu: the lease ticker reads it
-			ws.mu.Unlock()
-			sess, detach = ts, det
-			ws.control(outEvent{name: "ack", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "ack", Req: req.Req, Token: hex.EncodeToString(tok)})})
+			handle, sess, detach = req.Handle, ts, det
+			ws.login(handle)
+			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req, Token: hex.EncodeToString(tok)}))
 			info := s.backend.Info()
-			ws.control(outEvent{name: "hello", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "hello", Node: info.Node, Peers: info.Peers})})
+			ws.out.Control(event(serverMsg{Type: "hello", Node: info.Node, Peers: info.Peers}))
 		case "subscribe":
-			if ws.handle == "" {
+			if handle == "" {
 				nak("not logged in")
 				continue
 			}
@@ -742,35 +508,28 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 				nak("empty url")
 				continue
 			}
-			ws.gate(req.URL)
-			if err := s.backend.Subscribe(ws.handle, req.URL); err != nil {
-				ws.mu.Lock()
-				delete(ws.gated, req.URL)
-				ws.mu.Unlock()
+			err := ws.out.Subscribe(req.URL,
+				func() error { return s.backend.Subscribe(handle, req.URL) },
+				func(g clientproto.Gap[outEvent]) {
+					g.Control(event(serverMsg{Type: "ack", Req: req.Req}))
+					s.catchUp(g, req.URL, req.Since)
+				})
+			if err != nil {
 				nak(err.Error())
-				continue
 			}
-			ws.control(outEvent{name: "ack", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "ack", Req: req.Req})})
-			ws.replayAndUngate(req.URL, req.Since)
 		case "unsubscribe":
-			if ws.handle == "" {
+			if handle == "" {
 				nak("not logged in")
 				continue
 			}
-			if err := s.backend.Unsubscribe(ws.handle, req.URL); err != nil {
+			if err := s.backend.Unsubscribe(handle, req.URL); err != nil {
 				nak(err.Error())
 				continue
 			}
-			ws.mu.Lock()
-			delete(ws.last, req.URL)
-			delete(ws.gated, req.URL)
-			ws.mu.Unlock()
-			ws.control(outEvent{name: "ack", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "ack", Req: req.Req})})
+			ws.out.Forget(req.URL)
+			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req}))
 		case "ping":
-			ws.control(outEvent{name: "ack", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "ack", Req: req.Req})})
+			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req}))
 		default:
 			nak("unknown message type " + req.Type)
 		}

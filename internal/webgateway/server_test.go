@@ -92,6 +92,11 @@ func (b *fakeBackend) Info() clientproto.ServerInfo {
 func (b *fakeBackend) notify(s *Server, channel string, version uint64, diff string) {
 	at := time.Now()
 	s.Tap()(channel, version, diff, at)
+	b.deliver(channel, version, diff, at)
+}
+
+// deliver runs every attached deliverer on one update, sharing one cell.
+func (b *fakeBackend) deliver(channel string, version uint64, diff string, at time.Time) {
 	b.mu.Lock()
 	deliverers := make([]func(im.Notification), 0, len(b.deliverer))
 	for _, d := range b.deliverer {
@@ -107,7 +112,7 @@ func (b *fakeBackend) notify(s *Server, channel string, version uint64, diff str
 // startServer runs a gateway on a loopback listener.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	s := New(cfg)
+	s := New(cfg, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +228,7 @@ func TestWSResumeReplaysGap(t *testing.T) {
 	if fmt.Sprint(got) != "[2 3 4 5]" {
 		t.Fatalf("replayed versions %v, want [2 3 4 5]", got)
 	}
-	if r := s.Counters().Replay; r.Hits == 0 {
+	if r := s.Counters(); r.ReplayHits == 0 {
 		t.Fatalf("replay stats %+v, want a hit", r)
 	}
 }
@@ -254,7 +259,7 @@ func TestWSResumePastWindowSignalsSnapshot(t *testing.T) {
 	if n := wsExpect(t, c, "notify"); n.Version != 11 {
 		t.Fatalf("post-snapshot notify version %d, want 11", n.Version)
 	}
-	if m := s.Counters().Replay.Misses; m != 1 {
+	if m := s.Counters().ReplayMissesBufferWrap; m != 1 {
 		t.Fatalf("replay misses = %d, want 1", m)
 	}
 }
@@ -361,66 +366,46 @@ func TestWSDisplacementAcrossConnections(t *testing.T) {
 
 func TestSlowClientDropOldest(t *testing.T) {
 	b := newFakeBackend()
-	s := New(Config{Backend: b, QueueLen: 4, SlowPolicy: PolicyDropOldest})
-	ws := s.newSession(TransportWS, nil)
-	ws.handle = "h"
-	ws.mu.Lock()
-	ws.last["u"] = 0
-	ws.mu.Unlock()
+	s := New(Config{Backend: b, QueueLen: 4}, nil)
+	ws, _ := s.open(nil)
 	// No writer drains the queue: fill it past capacity.
 	for v := uint64(1); v <= 10; v++ {
-		ws.deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &im.Shared{}})
-	}
-	ws.mu.Lock()
-	queued := entryVersionsOut(ws.queue)
-	ws.mu.Unlock()
-	if fmt.Sprint(queued) != "[7 8 9 10]" {
-		t.Fatalf("queue = %v, want the newest 4", queued)
+		ws.out.Deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &im.Shared{}})
 	}
 	c := s.Counters()
-	if c.NotifyDroppedSlow != 6 || c.DisconnectsSlow != 0 {
+	if c.DroppedSlowClient != 6 || c.DisconnectsSlowClient != 0 {
 		t.Fatalf("counters = %+v, want 6 slow drops, no disconnects", c)
 	}
 	// Control events still get through a full queue.
-	ws.control(outEvent{name: "ack", opcode: opText, json: []byte("{}")})
-	ws.mu.Lock()
-	n := len(ws.queue)
-	ws.mu.Unlock()
-	if n != 5 {
+	ws.out.Control(event(serverMsg{Type: "ack"}))
+	queued := drained(ws.out)
+	if got := entryVersionsOut(queued); fmt.Sprint(got) != "[7 8 9 10]" {
+		t.Fatalf("queue = %v, want the newest 4", got)
+	}
+	if n := len(queued); n != 5 {
 		t.Fatalf("control event did not enqueue past a full queue: %d", n)
 	}
 }
 
-func entryVersionsOut(evs []outEvent) []uint64 {
+// drained closes an outbox and returns what its writer loop writes.
+func drained(o *clientproto.Outbox[outEvent]) []clientproto.Queued[outEvent] {
+	o.Close(clientproto.CloseGone)
+	var got []clientproto.Queued[outEvent]
+	o.Drain(func(q clientproto.Queued[outEvent]) error {
+		got = append(got, q)
+		return nil
+	}, func() error { return nil })
+	return got
+}
+
+func entryVersionsOut(evs []clientproto.Queued[outEvent]) []uint64 {
 	var vs []uint64
 	for _, e := range evs {
-		if e.notify() {
-			vs = append(vs, e.version)
+		if e.Msg.name == "notify" {
+			vs = append(vs, e.Version)
 		}
 	}
 	return vs
-}
-
-func TestSlowClientDisconnectPolicy(t *testing.T) {
-	b := newFakeBackend()
-	s := New(Config{Backend: b, QueueLen: 2, SlowPolicy: PolicyDisconnect})
-	ws := s.newSession(TransportSSE, nil)
-	ws.handle = "h"
-	for v := uint64(1); v <= 3; v++ {
-		ws.deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &im.Shared{}})
-	}
-	select {
-	case <-ws.done:
-	default:
-		t.Fatal("session not closed by PolicyDisconnect")
-	}
-	c := s.Counters()
-	if c.DisconnectsSlow != 1 || c.NotifyDroppedSlow != 1 {
-		t.Fatalf("counters = %+v, want 1 slow disconnect, 1 drop", c)
-	}
-	if c.SessionsSSE != 0 {
-		t.Fatalf("sse sessions = %d, want 0 after close", c.SessionsSSE)
-	}
 }
 
 func sseConnect(t *testing.T, addr, query, lastEventID string) (net.Conn, *bufio.Reader) {
@@ -538,7 +523,7 @@ func TestSSEHelloNotifyAndResume(t *testing.T) {
 	if fmt.Sprint(versions) != "[3 4]" {
 		t.Fatalf("resumed versions %v, want [3 4]", versions)
 	}
-	if c := s.Counters(); c.Replay.Hits == 0 {
+	if c := s.Counters(); c.ReplayHits == 0 {
 		t.Fatalf("counters %+v, want a replay hit", c)
 	}
 }

@@ -1,14 +1,19 @@
 package webgateway
 
 import (
+	"context"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"corona/internal/clientproto"
 )
 
 // SSE cursor: every event's id line carries the session's full position
@@ -65,16 +70,15 @@ func cursorString(cursor map[string]uint64) string {
 // carries what WS messages carry: handle and token as query parameters,
 // channels as repeated ch parameters; the resume cursor arrives in
 // Last-Event-ID (browser reconnect) or a since parameter (curl). The
-// handler goroutine is the writer: it subscribes, replays, then drains
-// the session queue into the response until the client goes away or the
-// session is closed (displacement, slow-client policy, shutdown).
+// handler goroutine is the writer: it subscribes, replays, then runs the
+// outbox's writer loop into the response until the client goes away or
+// the session is closed (displacement, a slow client, shutdown).
 func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
@@ -97,19 +101,22 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 		cursor = parseCursor(since)
 	}
 
-	ws := s.newSession(TransportSSE, nil)
-	defer ws.close(causeGone)
+	conn, _ := r.Context().Value(connKey{}).(net.Conn)
+	ws, ok := s.open(conn)
+	if !ok {
+		http.Error(w, "gateway closed", http.StatusServiceUnavailable)
+		return
+	}
+	defer ws.out.End()
 
 	tok, sess, detach, ok := s.table.Begin(handle, token, TransportSSE,
-		func() { ws.close(causeDisplaced) },
-		func() func() { return s.backend.Attach(handle, ws.deliver) })
+		func() { ws.out.Close(clientproto.CloseDisplaced) },
+		func() func() { return s.backend.Attach(handle, ws.out.Deliver) })
 	if !ok {
 		http.Error(w, "handle in use (resume token mismatch)", http.StatusConflict)
 		return
 	}
-	ws.mu.Lock()
-	ws.handle = handle
-	ws.mu.Unlock()
+	ws.login(handle)
 	defer func() {
 		detach()
 		s.table.End(handle, sess)
@@ -129,77 +136,49 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 	written := make(map[string]uint64, len(cursor))
 
 	info := s.backend.Info()
-	ws.control(outEvent{name: "hello", opcode: opText,
-		json: marshalMsg(serverMsg{Type: "hello", Token: hex.EncodeToString(tok), Node: info.Node, Peers: info.Peers})})
+	ws.out.Control(event(serverMsg{Type: "hello", Token: hex.EncodeToString(tok), Node: info.Node, Peers: info.Peers}))
 
 	// Subscribe each channel; per-channel failures become nak events on
 	// the stream rather than killing it (the client may hold a mix of
 	// valid and stale URLs after a failover).
 	for _, ch := range channels {
-		ws.gate(ch)
-		if err := s.backend.Subscribe(handle, ch); err != nil {
-			ws.mu.Lock()
-			delete(ws.gated, ch)
-			ws.mu.Unlock()
-			ws.control(outEvent{name: "nak", opcode: opText,
-				json: marshalMsg(serverMsg{Type: "nak", Channel: ch, Reason: err.Error()})})
-			continue
-		}
 		var since *uint64
 		if v, resumed := cursor[ch]; resumed {
 			since = &v
-			written[ch] = v
 		}
-		ws.replayAndUngate(ch, since)
+		err := ws.out.Subscribe(ch,
+			func() error { return s.backend.Subscribe(handle, ch) },
+			func(g clientproto.Gap[outEvent]) { s.catchUp(g, ch, since) })
+		if err != nil {
+			ws.out.Control(event(serverMsg{Type: "nak", Channel: ch, Reason: err.Error()}))
+			continue
+		}
+		if since != nil {
+			written[ch] = *since
+		}
 	}
 
+	alive := s.keepAlive(ws)
+	stop := context.AfterFunc(r.Context(), func() { ws.out.Close(clientproto.CloseGone) })
+	defer stop()
 	rc := http.NewResponseController(w)
-	hb := time.NewTicker(s.heartbeat)
-	lease := time.NewTicker(s.leaseEvery)
-	defer hb.Stop()
-	defer lease.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ws.kick:
-			rc.SetWriteDeadline(time.Now().Add(wsWriteTimeout))
-			for _, ev := range ws.drain() {
-				if err := writeSSEEvent(w, ev, written); err != nil {
-					return
-				}
-			}
-			flusher.Flush()
-		case <-hb.C:
-			rc.SetWriteDeadline(time.Now().Add(wsWriteTimeout))
-			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-lease.C:
-			ws.refreshLeases()
-		case <-ctx.Done():
-			return
-		case <-ws.done:
-			// Flush whatever was queued before the close, then end the
-			// stream; the client reconnects with its cursor.
-			for _, ev := range ws.drain() {
-				writeSSEEvent(w, ev, written)
-			}
-			flusher.Flush()
-			return
-		}
-	}
+	ws.out.Drain(func(q clientproto.Queued[outEvent]) error {
+		rc.SetWriteDeadline(time.Now().Add(clientproto.WriteTimeout))
+		return writeSSEEvent(w, q, written)
+	}, rc.Flush)
+	<-alive
 }
 
 // writeSSEEvent renders one queued event as an SSE frame, advancing the
-// writer's cursor on notify events. WS heartbeat pings queued before a
-// transport switch would be meaningless here and are skipped.
-func writeSSEEvent(w http.ResponseWriter, ev outEvent, written map[string]uint64) error {
-	if ev.opcode != opText {
-		return nil
+// writer's cursor on notify events; a heartbeat is a comment line.
+func writeSSEEvent(w io.Writer, q clientproto.Queued[outEvent], written map[string]uint64) error {
+	ev := q.Msg
+	if ev.opcode == opPing {
+		_, err := io.WriteString(w, ": hb\n\n")
+		return err
 	}
 	if ev.name == "notify" {
-		written[ev.channel] = ev.version
+		written[q.Channel] = q.Version
 	}
 	if ev.name == "notify" || ev.name == "snapshot_required" {
 		if _, err := fmt.Fprintf(w, "id: %s\n", cursorString(written)); err != nil {

@@ -232,20 +232,15 @@ func readWSMessage(br *bufio.Reader, requireMask bool, onControl func(opcode byt
 	}
 }
 
-// appendWSFrame appends one final, unmasked server frame (RFC 6455
-// §5.1: a server must not mask) to dst and returns it.
-func appendWSFrame(dst []byte, opcode byte, payload []byte) []byte {
+// appendWSHeader appends the header of one final, unmasked server frame
+// (RFC 6455 §5.1: a server must not mask) carrying n payload bytes.
+func appendWSHeader(dst []byte, opcode byte, n int) []byte {
 	dst = append(dst, 0x80|opcode)
-	switch n := len(payload); {
+	switch {
 	case n <= 125:
-		dst = append(dst, byte(n))
+		return append(dst, byte(n))
 	case n <= 1<<16-1:
-		dst = append(dst, 126, byte(n>>8), byte(n))
-	default:
-		dst = append(dst, 127)
-		var ext [8]byte
-		binary.BigEndian.PutUint64(ext[:], uint64(n))
-		dst = append(dst, ext[:]...)
+		return append(dst, 126, byte(n>>8), byte(n))
 	}
-	return append(dst, payload...)
+	return binary.BigEndian.AppendUint64(append(dst, 127), uint64(n))
 }

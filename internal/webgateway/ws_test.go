@@ -243,3 +243,8 @@ func FuzzWSFrame(f *testing.F) {
 		}
 	})
 }
+
+// appendWSFrame appends one whole server frame, header and payload.
+func appendWSFrame(dst []byte, opcode byte, payload []byte) []byte {
+	return append(appendWSHeader(dst, opcode, len(payload)), payload...)
+}

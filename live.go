@@ -85,11 +85,6 @@ type LiveConfig struct {
 	// WebReplayCap is the web gateway's per-channel replay ring capacity;
 	// zero uses the package default.
 	WebReplayCap int
-	// WebDisconnectSlow switches the web gateway's slow-client policy
-	// from drop-oldest (default: shed the oldest queued notification and
-	// let the client replay the gap) to disconnect (close the session and
-	// let the client reconnect with its resume cursor).
-	WebDisconnectSlow bool
 }
 
 // LiveNode is one Corona overlay member speaking TCP, polling real HTTP
@@ -106,22 +101,19 @@ type LiveNode struct {
 	web       *webgateway.Server  // nil until ServeWeb
 	admin     *http.Server        // nil until ServeAdmin
 	adminL    net.Listener
-	adminReg  *metrics.Registry
+	// reg is the node's metric registry, built at start; ServeAdmin
+	// mounts it. stages is its per-stage notification latency histogram,
+	// whose observers each edge gets when it is constructed.
+	reg    *metrics.Registry
+	stages *metrics.HistogramVec
 	// sessions is the node-wide resume-token session table, shared by the
 	// binary client-protocol server and the web gateway so a handle has
 	// one live session per node however it connects, and displacement
 	// works across transports.
 	sessions *clientproto.SessionTable
-	// Web-gateway tuning captured from LiveConfig for a ServeWeb that
-	// runs after StartLiveNode.
-	webReplayCap      int
-	webDisconnectSlow bool
-	// obsClientEnqueue and obsWebEnqueue are the admin plane's
-	// client_enqueue / web_enqueue stage observers, held so a listener
-	// started after ServeAdmin still gets wired into the latency
-	// histogram.
-	obsClientEnqueue func(time.Duration)
-	obsWebEnqueue    func(time.Duration)
+	// webReplayCap is captured from LiveConfig for a ServeWeb that runs
+	// after StartLiveNode.
+	webReplayCap int
 }
 
 func init() {
@@ -204,17 +196,17 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	}
 
 	ln := &LiveNode{
-		transport:         transport,
-		overlay:           overlay,
-		node:              node,
-		fetcher:           fetcher,
-		notifier:          gateway,
-		service:           service,
-		store:             st,
-		sessions:          clientproto.NewSessionTable(),
-		webReplayCap:      cfg.WebReplayCap,
-		webDisconnectSlow: cfg.WebDisconnectSlow,
+		transport:    transport,
+		overlay:      overlay,
+		node:         node,
+		fetcher:      fetcher,
+		notifier:     gateway,
+		service:      service,
+		store:        st,
+		sessions:     clientproto.NewSessionTable(),
+		webReplayCap: cfg.WebReplayCap,
 	}
+	ln.reg = ln.newRegistry()
 	// The admin plane comes up before the join so /healthz answers and
 	// /readyz reports the 503→200 transition instead of appearing only
 	// after the node is already ready.
@@ -316,19 +308,15 @@ func (ln *LiveNode) ServeClients(bind string) (addr string, err error) {
 	if err != nil {
 		return "", fmt.Errorf("corona: client listener: %w", err)
 	}
-	ln.clients = clientproto.ServeSessions(l, ln, ln.sessions)
-	if ln.obsClientEnqueue != nil {
-		ln.clients.SetNotifyLatencyObserver(ln.obsClientEnqueue)
-	}
+	ln.clients = clientproto.ServeSessions(l, ln, ln.sessions, ln.observeStage("client_enqueue"))
 	return ln.clients.Addr(), nil
 }
 
 // ServeWeb starts the web edge gateway (internal/webgateway: /ws and
 // /sse with per-channel replay rings) on bind and returns the bound
 // address. The gateway shares the node's session table with the binary
-// client listener, installs its update tap on the gateway seam, and —
-// when the admin plane is running — registers its instruments on the
-// node's metric registry. A node serves at most one web listener, which
+// client listener, installs its update tap on the gateway seam, and
+// registers its instruments on the node's metric registry. A node serves at most one web listener, which
 // closes with the node; StartLiveNode calls it when WebBind is set.
 func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 	if ln.web != nil {
@@ -338,28 +326,18 @@ func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 	if err != nil {
 		return "", fmt.Errorf("corona: web listener: %w", err)
 	}
-	policy := webgateway.PolicyDropOldest
-	if ln.webDisconnectSlow {
-		policy = webgateway.PolicyDisconnect
-	}
 	web := webgateway.New(webgateway.Config{
-		Backend:    ln,
-		Sessions:   ln.sessions,
-		ReplayCap:  ln.webReplayCap,
-		SlowPolicy: policy,
-	})
+		Backend:   ln,
+		Sessions:  ln.sessions,
+		ReplayCap: ln.webReplayCap,
+	}, ln.observeStage("web_enqueue"))
 	// The tap feeds every local-delivery update into the replay rings
 	// before any deliverer runs — the ordering the resume path's
 	// exactly-once merge depends on.
 	ln.notifier.SetTap(web.Tap())
 	web.Serve(l)
 	ln.web = web
-	if ln.adminReg != nil {
-		web.RegisterMetrics(ln.adminReg)
-	}
-	if ln.obsWebEnqueue != nil {
-		web.SetNotifyLatencyObserver(ln.obsWebEnqueue)
-	}
+	web.RegisterMetrics(ln.reg)
 	return web.Addr(), nil
 }
 
@@ -434,52 +412,23 @@ type StoreStats struct {
 	Err string
 }
 
-// WebStats is the web edge gateway's session and delivery accounting,
-// zero-valued when no web listener runs. Disconnect and shed outcomes
-// are split by cause: slow-client (the drop policy fired), buffer-wrap
-// (a resume cursor fell out of the replay window and was answered
-// snapshot-required), and displaced (a newer login took the handle).
-// These fields mirror the gateway's self-registered labeled metric
-// families (corona_web_*) rather than the liveStatsSpec scalars.
-type WebStats struct {
-	// SessionsWS and SessionsSSE count currently attached sessions by
-	// transport.
-	SessionsWS  int
-	SessionsSSE int
-	// DroppedSlowClient counts notify events shed on full outbound
-	// queues under the drop-oldest policy (or refused at the bound).
-	DroppedSlowClient uint64
-	// DroppedOversize counts notify events beyond the message bound.
-	DroppedOversize uint64
-	// DisconnectsSlowClient counts sessions closed by the disconnect
-	// slow-client policy.
-	DisconnectsSlowClient uint64
-	// DisconnectsDisplaced counts sessions evicted by a displacing login.
-	DisconnectsDisplaced uint64
-	// ReplayHits counts resume cursors served completely from the ring;
-	// ReplayMissesBufferWrap counts cursors past the window (the
-	// buffer-wrap outcome, answered snapshot-required); ReplayWraps
-	// counts ring entries overwritten by wrap-around.
-	ReplayHits             uint64
-	ReplayMissesBufferWrap uint64
-	ReplayWraps            uint64
-	// Notifies counts notify events enqueued to web sessions.
-	Notifies uint64
-}
-
 // LiveStats extends the node's protocol counters with deployment-only
 // state: the durable store's health and the client and web edges'
 // delivery counters.
 type LiveStats struct {
 	core.Stats
 	Store StoreStats
-	Web   WebStats
+	// Web is the web edge gateway's session and delivery accounting,
+	// zero-valued when no web listener runs. Its fields are exposed by
+	// the gateway's own labeled metric families (corona_web_*) rather
+	// than the liveStatsSpec scalars.
+	Web webgateway.Counters
 	// Undeliverable counts notifications that found neither an attached
 	// deliverer nor an IM account for their client at this node's gateway.
 	Undeliverable uint64
 	// NotifyDropped counts notification frames the client-protocol server
-	// discarded because a client's outbound queue was full (zero when no
-	// client listener runs).
+	// discarded: evicted from a client's full outbox, or beyond the frame
+	// bound (zero when no client listener runs).
 	NotifyDropped uint64
 	// NotifyBatchesRecv and BatchClients count batched notification calls
 	// the gateway received and the client deliveries they covered.
@@ -500,19 +449,7 @@ func (ln *LiveNode) Stats() LiveStats {
 		ls.NotifyDropped = ln.clients.NotifyDropped()
 	}
 	if ln.web != nil {
-		wc := ln.web.Counters()
-		ls.Web = WebStats{
-			SessionsWS:             wc.SessionsWS,
-			SessionsSSE:            wc.SessionsSSE,
-			DroppedSlowClient:      wc.NotifyDroppedSlow,
-			DroppedOversize:        wc.NotifyDroppedOversize,
-			DisconnectsSlowClient:  wc.DisconnectsSlow,
-			DisconnectsDisplaced:   wc.DisconnectsDisplaced,
-			ReplayHits:             wc.Replay.Hits,
-			ReplayMissesBufferWrap: wc.Replay.Misses,
-			ReplayWraps:            wc.Replay.Wraps,
-			Notifies:               wc.Notifies,
-		}
+		ls.Web = ln.web.Counters()
 	}
 	if ln.store != nil {
 		st := ln.store.Stats()
@@ -576,8 +513,8 @@ func (ln *LiveNode) closeWeb() {
 }
 
 // CloseClients gracefully stops the client-facing listeners — the
-// binary client protocol (draining every connection's writer goroutine
-// so no client sees a torn frame) and the web gateway's WS/SSE sessions.
+// binary client protocol and the web gateway's WS/SSE sessions, each
+// session draining its outbox so no client sees a torn frame.
 // Safe to call before Close (which is idempotent about it); a no-op when
 // neither is running. cmd/corona-node's signal handler uses it to stop
 // client traffic alongside the IM listener before the node's WAL flush.
@@ -588,7 +525,7 @@ func (ln *LiveNode) CloseClients() {
 	ln.closeWeb()
 }
 
-// Close stops the client listener (draining per-connection writers), the
+// Close stops the client listeners (draining every session's outbox), the
 // protocol, the origin connections and the transport, then flushes and
 // closes the durable store so no committed-window state is lost on a
 // graceful shutdown.

@@ -145,7 +145,7 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 		t.Fatal(err)
 	}
 	node.SetStateSink(st)
-	return &LiveNode{
+	ln := &LiveNode{
 		transport: transport,
 		overlay:   overlay,
 		node:      node,
@@ -154,6 +154,8 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 		service:   service,
 		store:     st,
 	}
+	ln.reg = ln.newRegistry()
+	return ln
 }
 
 func httpGet(t *testing.T, url string) (int, string) {
