@@ -57,8 +57,8 @@ var liveStatsSpec = []liveStatSpec{
 	{"Store.Generation", "corona_store_generation", "Durable store snapshot/WAL generation.", statGauge},
 	{"Store.WALBytes", "corona_store_wal_bytes", "Current write-ahead log size on disk.", statGauge},
 	{"Store.RecordsSinceSnapshot", "corona_store_records_since_snapshot", "WAL records a restart would replay.", statGauge},
-	{"Undeliverable", "corona_gateway_undeliverable_total", "Notifications with neither an attached deliverer nor an IM account.", statCounter},
-	{"NotifyDropped", "corona_client_notify_dropped_total", "Notification frames dropped on full client outbound queues.", statCounter},
+	{"Undeliverable", "corona_gateway_undeliverable_total", "Notifications for a client with no live session on this node.", statCounter},
+	{"NotifyDropped", "corona_client_notify_dropped_total", "Notifications dropped by the binary and line edges: evicted from full client outbound queues, or oversize.", statCounter},
 	{"NotifyBatchesRecv", "corona_gateway_notify_batches_total", "Batched notification calls received by the gateway.", statCounter},
 	{"BatchClients", "corona_gateway_batch_clients_total", "Client deliveries covered by gateway notification batches.", statCounter},
 }

@@ -23,33 +23,36 @@
 //
 // Legacy IM protocol (one command per line):
 //
-//	LOGIN <handle>          register/login; notifications follow as MSG lines
+//	LOGIN <handle>          log in; notifications follow as MSG lines
 //	SUBSCRIBE <url>         subscribe to a channel (acked with OK/ERR)
 //	UNSUBSCRIBE <url>       unsubscribe (acked with OK/ERR)
-//	QUIT                    disconnect (handle goes offline; messages buffer)
+//	QUIT                    disconnect
 //
 // Server lines:
 //
-//	OK <info> | ERR <reason> | MSG <from> <quoted-body>
+//	OK <info> | ERR <reason> | MSG corona <quoted-body>
+//
+// A handle has one live session per node across every transport: a
+// LOGIN for a handle already logged in over this port, the binary
+// protocol or the web edge is refused. Nothing is buffered for a handle
+// after QUIT: subscriptions stay in the overlay, but updates that arrive
+// while no session is logged in are counted undeliverable and lost, as
+// for every other client edge. Line sessions share the binary edge's
+// outbox rules (internal/clientproto): a slow reader sees the oldest
+// queued MSG lines dropped, not a stalled node.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"corona"
-	"corona/internal/im"
 )
 
 func main() {
@@ -101,58 +104,22 @@ func main() {
 		logger.Error("start failed", "err", err)
 		os.Exit(1)
 	}
+	imAddr := ""
+	if *imBind != "" {
+		if imAddr, err = node.ServeIM(*imBind); err != nil {
+			node.Close()
+			logger.Error("IM listener failed", "bind", *imBind, "err", err)
+			os.Exit(1)
+		}
+	}
 	logger.Info("started",
 		"overlay", node.Addr(), "client", node.ClientAddr(), "admin", node.AdminAddr(),
-		"web", node.WebAddr(), "im", *imBind, "scheme", fmt.Sprint(cfg.Scheme), "mode", joinMode)
+		"web", node.WebAddr(), "im", imAddr, "scheme", fmt.Sprint(cfg.Scheme), "mode", joinMode)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-
-	if *imBind == "" {
-		// Client-protocol only: block until a shutdown signal.
-		sig := <-sigs
-		shutdown(logger, node, sig)
-		return
-	}
-
-	ln, err := net.Listen("tcp", *imBind)
-	if err != nil {
-		node.Close()
-		logger.Error("IM listener failed", "bind", *imBind, "err", err)
-		os.Exit(1)
-	}
-
-	// A blocking Accept loop never reaches a defer, so shutdown runs off
-	// the signal handler: close the client-protocol listener (draining
-	// its per-connection writer goroutines, so no client dies mid-frame)
-	// alongside the IM listener (unblocking Accept), then stop the node,
-	// which flushes the durable store only after client traffic is done.
-	var shuttingDown atomic.Bool
-	var sig os.Signal
-	go func() {
-		sig = <-sigs
-		shuttingDown.Store(true)
-		node.CloseClients()
-		ln.Close()
-	}()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if shuttingDown.Load() {
-				break
-			}
-			logger.Error("accept failed", "err", err)
-			os.Exit(1)
-		}
-		go serveIM(conn, node)
-	}
-	shutdown(logger, node, sig)
-}
-
-// shutdown is the single graceful-exit path: stop the node (flushing
-// the durable store) and report.
-func shutdown(logger *slog.Logger, node *corona.LiveNode, sig os.Signal) {
+	sig := <-sigs
+	// Close drains every client session before the WAL flush.
 	logger.Info("shutting down", "reason", fmt.Sprint(sig))
 	if err := node.Close(); err != nil {
 		logger.Error("shutdown failed", "err", err)
@@ -173,93 +140,5 @@ func parseScheme(s string) corona.Scheme {
 		return corona.FairLog
 	default:
 		return corona.Lite
-	}
-}
-
-// subscriber is the node surface serveIM drives (LiveNode implements it;
-// tests substitute fakes).
-type subscriber interface {
-	Subscribe(client, url string) error
-	Unsubscribe(client, url string) error
-}
-
-// imService is the IM surface serveIM drives.
-type imService interface {
-	Register(handle string)
-	Login(handle string, deliver im.DeliverFunc) error
-	Logout(handle string)
-}
-
-// serveIM bridges one TCP client to the node's IM service, acking every
-// command: a SUBSCRIBE or UNSUBSCRIBE that cannot be issued replies ERR
-// instead of silently vanishing into a fire-and-forget IM send.
-func serveIM(conn net.Conn, node *corona.LiveNode) {
-	serveIMOn(conn, node, node.IM())
-}
-
-func serveIMOn(conn net.Conn, node subscriber, service imService) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	out := bufio.NewWriter(conn)
-	// reply is called from this goroutine (command acks) and from IM
-	// delivery callbacks on gateway pacing timers (MSG lines); the mutex
-	// keeps the two from interleaving partial lines in the writer.
-	var outMu sync.Mutex
-	reply := func(format string, args ...any) {
-		outMu.Lock()
-		defer outMu.Unlock()
-		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
-	}
-	var handle string
-	defer func() {
-		if handle != "" {
-			service.Logout(handle)
-		}
-	}()
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		cmd := strings.ToUpper(fields[0])
-		switch {
-		case cmd == "LOGIN" && len(fields) == 2:
-			if handle != "" {
-				reply("ERR already logged in as %s", handle)
-				continue
-			}
-			h := fields[1]
-			service.Register(h)
-			err := service.Login(h, func(m im.Message) {
-				// Quote the body so multi-line diffs survive the line
-				// protocol.
-				reply("MSG %s %s", m.From, strconv.Quote(m.Body))
-			})
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			handle = h
-			reply("OK logged in as %s", h)
-		case cmd == "SUBSCRIBE" && len(fields) == 2 && handle != "":
-			if err := node.Subscribe(handle, fields[1]); err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK subscribed %s", fields[1])
-		case cmd == "UNSUBSCRIBE" && len(fields) == 2 && handle != "":
-			if err := node.Unsubscribe(handle, fields[1]); err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("OK unsubscribed %s", fields[1])
-		case cmd == "QUIT":
-			reply("OK bye")
-			return
-		default:
-			reply("ERR expected LOGIN <handle> | SUBSCRIBE <url> | UNSUBSCRIBE <url> | QUIT")
-		}
 	}
 }

@@ -5,21 +5,25 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"corona/internal/clock"
+	"corona/internal/clientproto"
 	"corona/internal/im"
 )
 
 // fakeSub records subscription calls; failing ones must surface as ERR
-// lines instead of vanishing into fire-and-forget IM sends.
+// lines instead of vanishing into fire-and-forget sends.
 type fakeSub struct {
+	mu           sync.Mutex
 	subs, unsubs []string
 	fail         bool
 }
 
 func (f *fakeSub) Subscribe(client, url string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.fail {
 		return fmt.Errorf("overlay unreachable")
 	}
@@ -28,23 +32,38 @@ func (f *fakeSub) Subscribe(client, url string) error {
 }
 
 func (f *fakeSub) Unsubscribe(client, url string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.unsubs = append(f.unsubs, client+" "+url)
 	return nil
 }
 
-func runIMSession(t *testing.T, node subscriber, service imService, lines []string) []string {
+func (f *fakeSub) RefreshLeases(string, []string) error { return nil }
+
+func (f *fakeSub) Attach(string, func(im.Notification)) func() { return func() {} }
+
+func (f *fakeSub) Info() clientproto.ServerInfo { return clientproto.ServerInfo{} }
+
+// runIMSession sends lines to a line-protocol server over TCP, one reply
+// line per command, and returns the replies once the server is closed.
+func runIMSession(t *testing.T, node *fakeSub, lines []string) []string {
 	t.Helper()
-	clientEnd, serverEnd := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		serveIMOn(serverEnd, node, service)
-	}()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := clientproto.ServeLine(l, node, clientproto.NewSessionTable(), nil)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 	var replies []string
-	sc := bufio.NewScanner(clientEnd)
-	clientEnd.SetDeadline(time.Now().Add(5 * time.Second))
+	sc := bufio.NewScanner(conn)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	for _, l := range lines {
-		if _, err := fmt.Fprintln(clientEnd, l); err != nil {
+		if _, err := fmt.Fprintln(conn, l); err != nil {
 			t.Fatal(err)
 		}
 		if !sc.Scan() {
@@ -52,15 +71,12 @@ func runIMSession(t *testing.T, node subscriber, service imService, lines []stri
 		}
 		replies = append(replies, sc.Text())
 	}
-	clientEnd.Close()
-	<-done
 	return replies
 }
 
 func TestServeIMAcksSubscribeCommands(t *testing.T) {
 	node := &fakeSub{}
-	service := im.NewService(clock.Real{})
-	replies := runIMSession(t, node, service, []string{
+	replies := runIMSession(t, node, []string{
 		"LOGIN alice",
 		"SUBSCRIBE http://x/f.xml",
 		"UNSUBSCRIBE http://x/f.xml",
@@ -82,8 +98,7 @@ func TestServeIMAcksSubscribeCommands(t *testing.T) {
 
 func TestServeIMErrsFailedSubscribe(t *testing.T) {
 	node := &fakeSub{fail: true}
-	service := im.NewService(clock.Real{})
-	replies := runIMSession(t, node, service, []string{
+	replies := runIMSession(t, node, []string{
 		"LOGIN bob",
 		"SUBSCRIBE http://x/f.xml",
 	})
@@ -94,8 +109,7 @@ func TestServeIMErrsFailedSubscribe(t *testing.T) {
 
 func TestServeIMRejectsCommandsBeforeLogin(t *testing.T) {
 	node := &fakeSub{}
-	service := im.NewService(clock.Real{})
-	replies := runIMSession(t, node, service, []string{"SUBSCRIBE http://x/f.xml"})
+	replies := runIMSession(t, node, []string{"SUBSCRIBE http://x/f.xml"})
 	if !strings.HasPrefix(replies[0], "ERR") {
 		t.Fatalf("pre-login subscribe reply = %q, want ERR", replies[0])
 	}

@@ -19,11 +19,6 @@ var benchDiff = func() string {
 	return s
 }()
 
-type nopSubscriber struct{}
-
-func (nopSubscriber) Subscribe(client, url string) error   { return nil }
-func (nopSubscriber) Unsubscribe(client, url string) error { return nil }
-
 // BenchmarkClientNotifyEncode measures the raw frame encode of one
 // structured notification — the per-subscriber marginal cost at the
 // client edge.
@@ -47,8 +42,7 @@ func BenchmarkClientNotifyEncode(b *testing.B) {
 func BenchmarkClientGatewayFanout(b *testing.B) {
 	for _, clients := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			service := im.NewService(clock.Real{})
-			g := im.NewGateway(service, clock.Real{}, "corona", nopSubscriber{})
+			g := im.NewGateway(clock.Real{})
 			handles := make([]string, clients)
 			var sink int
 			for i := range handles {

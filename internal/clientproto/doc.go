@@ -1,7 +1,14 @@
-// Package clientproto is Corona's length-framed binary client protocol: the wire surface between a subscriber (the corona/client SDK)
-// and one node's client port. It replaces the prototype's stringly IM
-// line protocol as the primary ingress; the line protocol survives on a
-// separate port as a thin adapter over the same gateway.
+// Package clientproto is Corona's length-framed binary client protocol:
+// the wire surface between a subscriber (the corona/client SDK) and one
+// node's client port. It replaces the prototype's stringly IM line
+// protocol as the primary ingress; the line protocol survives on a
+// separate port as a second framing of the same session server
+// (line.go): its LOGIN, SUBSCRIBE, UNSUBSCRIBE and QUIT lines are the
+// Login, Subscribe and Unsubscribe requests below plus an end-of-session
+// request, its OK/ERR lines the Ack and Nak, and its MSG lines the
+// Notify, under the same session, resumption and slow-client rules
+// (a line client has no resume token, so it cannot displace a live
+// session).
 //
 // # Hello
 //
@@ -94,17 +101,18 @@
 // # Slow clients
 //
 // Every frame to a client, Notify and reply alike, goes through the
-// connection's outbox (Outbox, the same queue the web gateway's WS and
-// SSE sessions use) and one writer loop that flushes once per batch. At
-// most 256 Notify frames wait per connection; when another arrives, the
-// oldest queued Notify is evicted and counted, so a slow client sees a
-// version gap rather than a growing backlog. Replies (Ack, Nak,
-// ServerInfo) are never shed, but a client that lets 256 of them pile up
-// unread is disconnected. A Notify whose version is not above the newest
-// the connection already queued for that channel is dropped, so a
-// connection never sees the same (channel, version) twice. When the
-// server closes, each connection writes what its outbox holds, for up to
-// three seconds, before its socket closes.
+// connection's outbox (Outbox) and one writer loop that flushes once
+// per batch. The rule below is the same for all four framings — binary,
+// line, and the web gateway's WS and SSE — with "frame" read as line or
+// event. At most 256 Notify frames wait per connection; when another
+// arrives, the oldest queued Notify is evicted and counted, so a slow
+// client sees a version gap rather than a growing backlog. Replies
+// (Ack, Nak, ServerInfo) are never shed, but a client that lets 256 of
+// them pile up unread is disconnected. A Notify whose version is not
+// above the newest the connection already queued for that channel is
+// dropped, so a connection never sees the same (channel, version)
+// twice. When the server closes, each connection writes what its outbox
+// holds, for up to three seconds, before its socket closes.
 //
 // Notify frames are unacknowledged and may arrive at any time after
 // Login; ordering is per-channel by version, with no cross-channel

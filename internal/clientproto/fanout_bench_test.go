@@ -21,8 +21,7 @@ import (
 func BenchmarkFanoutNotifyBatch(b *testing.B) {
 	for _, clients := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			service := im.NewService(clock.Real{})
-			g := im.NewGateway(service, clock.Real{}, "corona", nopSubscriber{})
+			g := im.NewGateway(clock.Real{})
 			edge := NewEdge(DefaultQueueLen, encodeNotify, nil)
 			handles := make([]string, clients)
 			outs := make([]*Outbox[Frame], clients)

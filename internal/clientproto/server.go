@@ -2,6 +2,8 @@ package clientproto
 
 import (
 	"bufio"
+	"errors"
+	"io"
 	"net"
 	"time"
 
@@ -68,57 +70,126 @@ func encodeNotify(n im.Notification) (Frame, bool) {
 	return sf, !sf.oversize
 }
 
-// TransportBinary is this server's transport name in the session table;
-// the web gateway registers its sessions as "ws" and "sse".
+// TransportBinary is the binary framing's transport name in the
+// session table; the line framing registers its sessions as "line", the
+// web gateway as "ws" and "sse".
 const TransportBinary = "binary"
 
-// Server accepts client-protocol connections on a listener and serves
-// them against a Backend: binary framing over one outbox per
-// connection.
-type Server struct {
-	backend  Backend
-	table    *SessionTable
-	listener net.Listener
-	edge     *Edge[Frame]
+// binaryFraming is the length-framed binary protocol this package's doc
+// specifies.
+var binaryFraming = framing[Frame]{
+	transport: TransportBinary,
+	hello:     Negotiate,
+	reader: func(r io.Reader) func() (Frame, error) {
+		br := bufio.NewReader(r)
+		return func() (Frame, error) { return ReadFrame(br) }
+	},
+	reply:  replyFrame,
+	info:   func(si ServerInfo) Frame { return &si },
+	write:  writeFrame,
+	encode: encodeNotify,
 }
 
-// Serve starts accepting connections from ln with a private session
-// table. Close stops the server and every live connection.
+// framing is one socket encoding of the client session model. The
+// Server runs the session — accept loop, outbox, session-table claim and
+// gateway attach, request dispatch — and calls its framing only to read
+// requests off the socket and to render what goes back.
+type framing[T any] struct {
+	// transport names the framing's sessions in the session table.
+	transport string
+	// hello runs the connection's opening exchange; nil when there is
+	// none.
+	hello func(io.ReadWriter) error
+	// reader returns the connection's request reader. Each call yields
+	// the next request: *Login, *Subscribe, *Unsubscribe, *LeaseRefresh,
+	// *Ping or *quit. A badRequest error is answered and the session
+	// reads on; any other error ends the session.
+	reader func(io.Reader) func() (Frame, error)
+	// reply renders a request's outcome: err is nil on success, token is
+	// set only on a login's success. req is nil for a badRequest.
+	reply func(req Frame, token []byte, err error) T
+	// info renders the ServerInfo pushed after a login and after each
+	// ping; nil when the framing carries none.
+	info func(ServerInfo) T
+	// write writes one queued item into the connection's buffered writer.
+	write func(*bufio.Writer, Queued[T]) error
+	// encode is the edge's notify encoder (NewEdge).
+	encode func(im.Notification) (T, bool)
+}
+
+// quit asks the server to end the session once its reply and whatever
+// else the outbox holds are written. Only the line framing reads one; a
+// binary client closes its socket instead, and a quit never goes on the
+// binary wire.
+type quit struct{}
+
+func (*quit) frameType() byte              { return 0 }
+func (*quit) appendBody(dst []byte) []byte { return dst }
+
+// badRequest is a reader error for a request that could not be parsed
+// while the stream stays intact: the session answers it and reads on.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// Server accepts connections on a listener and serves them against a
+// Backend, one outbox per connection, in one framing.
+type Server struct {
+	backend   Backend
+	table     *SessionTable
+	listener  net.Listener
+	transport string
+	edge      interface {
+		Stats() EdgeStats
+		Shutdown()
+	}
+}
+
+// Serve starts accepting binary-protocol connections from ln with a
+// private session table. Close stops the server and every live
+// connection.
 func Serve(ln net.Listener, backend Backend) *Server {
 	return ServeSessions(ln, backend, NewSessionTable(), nil)
 }
 
-// ServeSessions starts accepting connections from ln, registering
-// sessions in the given table — share one table across transports so a
-// handle has one live session per node however it connects. observe,
-// when set, receives per queued notification the time from the update's
-// detection to the frame entering a client's outbox (the admin plane's
-// client_enqueue stage).
+// ServeSessions starts accepting binary-protocol connections from ln,
+// registering sessions in the given table — share one table across
+// transports so a handle has one live session per node however it
+// connects. observe, when set, receives per queued notification the
+// time from the update's detection to the frame entering a client's
+// outbox (the admin plane's client_enqueue stage).
 func ServeSessions(ln net.Listener, backend Backend, table *SessionTable, observe func(time.Duration)) *Server {
-	s := &Server{
-		backend:  backend,
-		table:    table,
-		listener: ln,
-		edge:     NewEdge(DefaultQueueLen, encodeNotify, observe),
-	}
-	go s.acceptLoop()
+	return serve(ln, backend, table, &binaryFraming, observe)
+}
+
+// ServeLine is ServeSessions for the line framing (line.go), the
+// prototype's IM line protocol; observe feeds the im_enqueue stage.
+func ServeLine(ln net.Listener, backend Backend, table *SessionTable, observe func(time.Duration)) *Server {
+	return serve(ln, backend, table, &lineFraming, observe)
+}
+
+func serve[T any](ln net.Listener, backend Backend, table *SessionTable, f *framing[T], observe func(time.Duration)) *Server {
+	e := NewEdge(DefaultQueueLen, f.encode, observe)
+	s := &Server{backend: backend, table: table, listener: ln, transport: f.transport, edge: e}
+	go acceptLoop(s, f, e)
 	return s
 }
 
 // Addr returns the listener address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// NotifyDropped returns how many notification frames were discarded:
-// evicted from a full outbox, or beyond MaxFrame.
+// NotifyDropped returns how many notifications were discarded: evicted
+// from a full outbox, or beyond MaxFrame.
 func (s *Server) NotifyDropped() uint64 {
 	st := s.edge.Stats()
 	return st.DroppedSlow + st.DroppedOversize
 }
 
-// Sessions returns the number of live logged-in binary-protocol
-// sessions (web-transport sessions in a shared table are not counted).
+// Sessions returns the number of live logged-in sessions of this
+// server's framing (other transports' sessions in a shared table are not
+// counted).
 func (s *Server) Sessions() int {
-	return s.table.Count(TransportBinary)
+	return s.table.Count(s.transport)
 }
 
 // Close shuts the listener and drains every connection by the edge's
@@ -130,18 +201,18 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) acceptLoop() {
+func acceptLoop[T any](s *Server, f *framing[T], e *Edge[T]) {
 	for {
 		conn, err := s.listener.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		o, ok := s.edge.Open(func() { conn.Close() })
+		o, ok := e.Open(func() { conn.Close() })
 		if !ok {
 			conn.Close()
 			return
 		}
-		go s.serveConn(conn, o)
+		go serveConn(s, f, conn, o)
 	}
 }
 
@@ -162,18 +233,40 @@ func writeFrame(bw *bufio.Writer, q Queued[Frame]) error {
 	return err
 }
 
-// serveConn owns one connection: the hello check, then a read loop
-// dispatching requests. Every frame to the client goes through the
+// replyFrame renders a request's outcome as the Ack or Nak echoing its
+// request ID.
+func replyFrame(req Frame, token []byte, err error) Frame {
+	var id uint64
+	switch r := req.(type) {
+	case *Login:
+		id = r.ReqID
+	case *Subscribe:
+		id = r.ReqID
+	case *Unsubscribe:
+		id = r.ReqID
+	case *LeaseRefresh:
+		id = r.ReqID
+	case *Ping:
+		id = r.ReqID
+	}
+	if err != nil {
+		return &Nak{ReqID: id, Reason: err.Error()}
+	}
+	return &Ack{ReqID: id, Token: token}
+}
+
+// serveConn owns one connection: the framing's hello, then a read loop
+// dispatching requests. Everything to the client goes through the
 // connection's outbox, so notification delivery (from gateway
-// goroutines) cannot interleave frames with request replies.
-func (s *Server) serveConn(conn net.Conn, o *Outbox[Frame]) {
-	stopped := o.Pump(conn, writeFrame)
+// goroutines) cannot interleave with request replies.
+func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
+	stopped := o.Pump(conn, f.write)
 	defer func() {
 		o.Close(CloseGone)
 		<-stopped
 		o.End()
 	}()
-	if err := Negotiate(conn); err != nil {
+	if f.hello != nil && f.hello(conn) != nil {
 		return
 	}
 
@@ -188,82 +281,79 @@ func (s *Server) serveConn(conn net.Conn, o *Outbox[Frame]) {
 			s.table.End(handle, sess)
 		}
 	}()
+	reply := func(req Frame, err error) { o.Control(f.reply(req, nil, err)) }
+	info := func() {
+		if f.info != nil {
+			o.Control(f.info(s.backend.Info()))
+		}
+	}
 
-	br := bufio.NewReader(conn)
+	read := f.reader(conn)
 	for {
-		f, err := ReadFrame(br)
+		req, err := read()
+		if bad, ok := err.(badRequest); ok {
+			reply(nil, bad)
+			continue
+		}
 		if err != nil {
 			return // EOF, network error, or malformed frame: drop the conn
 		}
-		switch req := f.(type) {
+		switch req := req.(type) {
 		case *Login:
 			if handle != "" {
-				o.Control(&Nak{ReqID: req.ReqID, Reason: "already logged in as " + handle})
+				reply(req, errors.New("already logged in as "+handle))
 				continue
 			}
 			if req.Handle == "" {
-				o.Control(&Nak{ReqID: req.ReqID, Reason: "empty handle"})
+				reply(req, errors.New("empty handle"))
 				continue
 			}
 			// The table runs the attach under its lock, making claim and
 			// attach one atomic step (the gateway's lock is leaf-level,
 			// and the displaced session's detach is identity-guarded).
-			token, ts, det, ok := s.table.Begin(req.Handle, req.ResumeToken, TransportBinary,
+			token, ts, det, ok := s.table.Begin(req.Handle, req.ResumeToken, f.transport,
 				func() { o.Close(CloseDisplaced) },
 				func() func() { return s.backend.Attach(req.Handle, o.Deliver) })
 			if !ok {
-				o.Control(&Nak{ReqID: req.ReqID, Reason: "handle in use (resume token mismatch)"})
+				reply(req, errors.New("handle in use (resume token mismatch)"))
 				continue
 			}
 			handle, sess, detach = req.Handle, ts, det
-			o.Control(&Ack{ReqID: req.ReqID, Token: token})
-			o.Control(s.info())
+			o.Control(f.reply(req, token, nil))
+			info()
 		case *Subscribe:
-			o.Control(s.subReply(req.ReqID, handle, req.URL, false))
+			reply(req, s.subscribe(handle, req.URL, false))
 		case *Unsubscribe:
-			o.Control(s.subReply(req.ReqID, handle, req.URL, true))
+			reply(req, s.subscribe(handle, req.URL, true))
 		case *LeaseRefresh:
 			if handle == "" {
-				o.Control(&Nak{ReqID: req.ReqID, Reason: "not logged in"})
+				reply(req, errNotLoggedIn)
 				continue
 			}
-			if err := s.backend.RefreshLeases(handle, req.URLs); err != nil {
-				o.Control(&Nak{ReqID: req.ReqID, Reason: err.Error()})
-				continue
-			}
-			o.Control(&Ack{ReqID: req.ReqID})
+			reply(req, s.backend.RefreshLeases(handle, req.URLs))
 		case *Ping:
-			o.Control(&Ack{ReqID: req.ReqID})
-			o.Control(s.info())
+			reply(req, nil)
+			info()
+		case *quit:
+			reply(req, nil)
+			return
 		default:
 			return // a server-to-client frame from a client: protocol error
 		}
 	}
 }
 
-// subReply runs one subscribe/unsubscribe request and returns its ack or
-// nak.
-func (s *Server) subReply(reqID uint64, handle, url string, remove bool) Frame {
-	if handle == "" {
-		return &Nak{ReqID: reqID, Reason: "not logged in"}
-	}
-	if url == "" {
-		return &Nak{ReqID: reqID, Reason: "empty url"}
-	}
-	var err error
-	if remove {
-		err = s.backend.Unsubscribe(handle, url)
-	} else {
-		err = s.backend.Subscribe(handle, url)
-	}
-	if err != nil {
-		return &Nak{ReqID: reqID, Reason: err.Error()}
-	}
-	return &Ack{ReqID: reqID}
-}
+var errNotLoggedIn = errors.New("not logged in")
 
-// info snapshots the backend's ServerInfo as a frame.
-func (s *Server) info() *ServerInfo {
-	si := s.backend.Info()
-	return &si
+// subscribe runs one subscribe or unsubscribe request.
+func (s *Server) subscribe(handle, url string, remove bool) error {
+	switch {
+	case handle == "":
+		return errNotLoggedIn
+	case url == "":
+		return errors.New("empty url")
+	case remove:
+		return s.backend.Unsubscribe(handle, url)
+	}
+	return s.backend.Subscribe(handle, url)
 }

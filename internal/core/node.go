@@ -279,15 +279,6 @@ func NewNode(cfg Config, overlay *pastry.Node, clk clock.Clock, fetcher Fetcher,
 // Overlay returns the underlying overlay node.
 func (n *Node) Overlay() *pastry.Node { return n.overlay }
 
-// SetNotifier replaces the node's notification sink. Live deployments use
-// it to wire the IM gateway, which cannot exist before the node (the
-// gateway needs the node as its subscription target).
-func (n *Node) SetNotifier(notify Notifier) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.notify = notify
-}
-
 // SetStageObservers installs per-stage latency callbacks on the
 // notification hot path, each invoked with the elapsed time since the
 // update's detection timestamp: ownerSend as the owner hands the update

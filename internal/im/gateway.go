@@ -1,26 +1,25 @@
+// Package im is the notification router between a Corona node and its
+// client edges. It descends from the prototype's IM front end (paper
+// §3.5, §4), where users added Corona as a buddy and a centralized
+// gateway relayed their subscriptions and paced their updates; what
+// remains is the node-side half. The Gateway implements the node's
+// Notifier: every client session of every edge — binary, line (the IM
+// protocol, internal/clientproto), WebSocket and SSE — attaches a
+// Deliverer for its handle, and each notification batch goes to the
+// attached deliverers and the edges' update tap, and is counted.
 package im
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"corona/internal/clock"
 )
 
-// Subscriber is the Corona-node surface the gateway drives: subscription
-// requests parsed from instant messages are forwarded here.
-type Subscriber interface {
-	// Subscribe registers a client's interest in a channel URL.
-	Subscribe(client, url string) error
-	// Unsubscribe removes it.
-	Unsubscribe(client, url string) error
-}
-
 // Notification is one structured update notification: what the node
-// detected, addressed to one subscriber. The client protocol server
-// delivers it as a typed frame; the legacy IM path renders it to text.
+// detected, addressed to one subscriber. Each edge encodes it in its own
+// framing: a binary frame, a JSON event, or the line protocol's text.
 type Notification struct {
 	// Client is the subscriber handle the notification is addressed to.
 	Client string
@@ -46,11 +45,11 @@ type Notification struct {
 	Shared *Shared
 }
 
-// Shared is the batch-scoped encode-once cell. With the binary client
-// protocol and the web gateway attached to the same node, one batch can
-// have more than one delivery layer encoding it (a wire frame and a JSON
-// event), so the cell holds one slot per consumer, keyed by a pointer
-// each consumer owns. Two slots cover every deployed shape; more append.
+// Shared is the batch-scoped encode-once cell. With several edges
+// attached to the same node, one batch can have more than one delivery
+// layer encoding it (a wire frame, a JSON event, a line of text), so the
+// cell holds one slot per consumer, keyed by a pointer each consumer
+// owns; a slot is appended the first time its consumer stores.
 // The gateway only allocates the cell; deliverers for one batch run
 // sequentially, so Load/Store need no locking.
 type Shared struct {
@@ -93,38 +92,19 @@ func (n Notification) LegacyBody() string {
 // Deliverer consumes structured notifications for one attached client.
 type Deliverer func(Notification)
 
-// Gateway is the intermediary between clients and Corona nodes — the
-// prototype's centralized stop-gap for the single-login constraint (§4),
-// generalized: it owns the "corona" buddy handle on the IM service and,
-// for clients attached through the binary client protocol, delivers
-// structured notifications directly.
-//
-// Delivery is two-tier. A client with an attached Deliverer (the client
-// protocol server registers one per connection) receives the structured
-// Notification immediately — typed frames need no IM-era pacing. Every
-// other client gets the legacy path: the notification is rendered to IM
-// text and sent through the pacing queue, which spaces outgoing messages
-// so updates are not sent in bursts ("Corona's implementation limits the
-// rate of updates sent to clients and avoids sending updates in bursts",
-// §4).
+// Gateway routes each notification batch to the deliverers attached for
+// its clients. A client with no attached deliverer has no live session
+// on this node — it quit, or failed over to another node whose lease
+// refresh re-points its subscriptions — and its notification is counted
+// as undeliverable.
 type Gateway struct {
-	service *Service
-	clk     clock.Clock
-	handle  string
-	node    Subscriber
+	clk clock.Clock
 
-	mu       sync.Mutex
-	attached map[string]*attachment
-	queue    []queued
-	draining bool
-	// paceInterval is the gap enforced between outgoing legacy
-	// notifications.
-	paceInterval time.Duration
-
-	notifyCounts  map[string]uint64 // url -> clients notified (counting mode)
-	undeliverable uint64            // notifications with no deliverer and no IM account
-	notifyBatches uint64            // NotifyBatch calls received
-	batchClients  uint64            // clients covered by those batches
+	mu            sync.Mutex
+	attached      map[string]*attachment
+	undeliverable uint64 // notifications for a client with no deliverer
+	notifyBatches uint64 // NotifyBatch calls received
+	batchClients  uint64 // clients covered by those batches
 
 	// tap, when set, observes every channel update flowing through the
 	// gateway — once per NotifyBatch call, before any deliverer
@@ -144,40 +124,11 @@ type attachment struct {
 	deliver Deliverer
 }
 
-// queued is one pending outgoing legacy notification.
-type queued struct {
-	to   string
-	body string
+// NewGateway returns a gateway with no attached clients; clk stamps
+// notifications that carry no detection time.
+func NewGateway(clk clock.Clock) *Gateway {
+	return &Gateway{clk: clk, attached: make(map[string]*attachment)}
 }
-
-// NewGateway registers the gateway's buddy handle on the service and
-// connects it to a Corona node.
-func NewGateway(service *Service, clk clock.Clock, handle string, node Subscriber) *Gateway {
-	g := &Gateway{
-		service:      service,
-		clk:          clk,
-		handle:       handle,
-		node:         node,
-		attached:     make(map[string]*attachment),
-		paceInterval: 20 * time.Millisecond,
-		notifyCounts: make(map[string]uint64),
-	}
-	service.Register(handle)
-	service.Login(handle, g.handleInbound)
-	return g
-}
-
-// SetPaceInterval adjusts the outgoing legacy-notification spacing.
-func (g *Gateway) SetPaceInterval(d time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if d > 0 {
-		g.paceInterval = d
-	}
-}
-
-// Handle returns the gateway's buddy handle.
-func (g *Gateway) Handle() string { return g.handle }
 
 // SetTap installs the gateway's update tap (nil clears it). The tap runs
 // once per notification call, on the delivering goroutine, before the
@@ -190,7 +141,6 @@ func (g *Gateway) SetTap(tap Tap) {
 
 // Attach registers a structured deliverer for client, replacing any
 // previous one (a reconnecting client displaces its stale registration).
-// Notifications for the client bypass the IM text path while attached.
 // The returned detach func removes the registration — but only if it has
 // not already been replaced by a newer Attach, so a slow-dying old
 // connection cannot detach its successor.
@@ -216,48 +166,11 @@ func (g *Gateway) Attached(client string) bool {
 	return ok
 }
 
-// handleInbound parses user commands: "subscribe <url>" and
-// "unsubscribe <url>" (§3.5).
-func (g *Gateway) handleInbound(m Message) {
-	fields := strings.Fields(strings.TrimSpace(m.Body))
-	if len(fields) != 2 {
-		g.reply(m.From, "error: expected 'subscribe <url>' or 'unsubscribe <url>'")
-		return
-	}
-	cmd, url := strings.ToLower(fields[0]), fields[1]
-	var err error
-	switch cmd {
-	case "subscribe":
-		err = g.node.Subscribe(m.From, url)
-		if err == nil {
-			g.reply(m.From, "subscribed "+url)
-		}
-	case "unsubscribe":
-		err = g.node.Unsubscribe(m.From, url)
-		if err == nil {
-			g.reply(m.From, "unsubscribed "+url)
-		}
-	default:
-		err = fmt.Errorf("unknown command %q", cmd)
-	}
-	if err != nil {
-		g.reply(m.From, "error: "+err.Error())
-	}
-}
-
-// reply sends a control response immediately (not paced — these are
-// two-way conversation, which IM systems already optimize, §3.5).
-func (g *Gateway) reply(to, body string) {
-	g.service.Send(g.handle, to, body)
-}
-
 // NotifyBatch implements the Corona node's Notifier: every listed client
-// receives the same update. An attached client gets the structured
-// notification immediately; everyone else gets the legacy IM rendering
-// through the pacing queue. Attached clients share one Notification value
-// carrying one Shared cell, so the client-protocol server encodes the
-// frame once and hands the same bytes to every connection; the legacy
-// text body is likewise rendered once for the whole batch.
+// receives the same update, through its attached deliverer; a client
+// with none is counted as undeliverable. The recipients share one
+// Notification value carrying one Shared cell, so each edge encodes the
+// update once and hands the same bytes to every session.
 func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time) {
 	if len(clients) == 0 {
 		return
@@ -290,24 +203,14 @@ func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint6
 	}
 	var inline [8]recipient
 	attached := inline[:0]
-	legacyBody := ""
-	start := false
 	g.mu.Lock()
-	g.notifyCounts[channelURL] += uint64(len(clients))
 	g.notifyBatches++
 	g.batchClients += uint64(len(clients))
 	for _, c := range clients {
 		if a, ok := g.attached[c]; ok {
 			attached = append(attached, recipient{c, a.deliver})
-			continue
-		}
-		if legacyBody == "" {
-			legacyBody = n.LegacyBody()
-		}
-		g.queue = append(g.queue, queued{to: c, body: legacyBody})
-		if !g.draining {
-			g.draining = true
-			start = true
+		} else {
+			g.undeliverable++
 		}
 	}
 	g.mu.Unlock()
@@ -317,64 +220,17 @@ func (g *Gateway) NotifyBatch(clients []string, channelURL string, version uint6
 		n.Client = r.client
 		r.deliver(n)
 	}
-	if start {
-		g.drainOne()
-	}
 }
 
-// NotifyCount implements counting-mode notification accounting.
-func (g *Gateway) NotifyCount(channelURL string, version uint64, count int, at time.Time) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.notifyCounts[channelURL] += uint64(count)
-}
-
-// drainOne sends the head of the queue and schedules the next send after
-// the pacing interval.
-func (g *Gateway) drainOne() {
-	g.mu.Lock()
-	if len(g.queue) == 0 {
-		g.draining = false
-		g.mu.Unlock()
-		return
-	}
-	head := g.queue[0]
-	g.queue = g.queue[1:]
-	g.mu.Unlock()
-
-	err := g.service.Send(g.handle, head.to, head.body)
-	if err == ErrRateLimited {
-		// Re-queue at the tail and back off a full window.
-		g.mu.Lock()
-		g.queue = append(g.queue, head)
-		g.mu.Unlock()
-		g.clk.AfterFunc(time.Minute, g.drainOne)
-		return
-	}
-	if err == ErrUnknownUser {
-		// No deliverer and no IM account: the client left this node (a
-		// protocol client that failed over elsewhere); its replayed
-		// subscription redirects future notifications.
-		g.mu.Lock()
-		g.undeliverable++
-		g.mu.Unlock()
-	}
-	g.clk.AfterFunc(g.paceInterval, g.drainOne)
-}
-
-// Notified returns how many client notifications were issued for a URL.
-func (g *Gateway) Notified(url string) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.notifyCounts[url]
-}
+// NotifyCount implements the Notifier's counting mode, which live nodes
+// never run (they track clients), so it does nothing.
+func (g *Gateway) NotifyCount(channelURL string, version uint64, count int, at time.Time) {}
 
 // Counters is one coherent snapshot of the gateway's delivery counters.
 type Counters struct {
 	Undeliverable uint64
 	NotifyBatches uint64
 	BatchClients  uint64
-	QueueDepth    int
 }
 
 // CounterSnapshot reads every delivery counter under one lock
@@ -388,29 +244,5 @@ func (g *Gateway) CounterSnapshot() Counters {
 		Undeliverable: g.undeliverable,
 		NotifyBatches: g.notifyBatches,
 		BatchClients:  g.batchClients,
-		QueueDepth:    len(g.queue),
 	}
-}
-
-// Undeliverable returns how many notifications found neither an attached
-// deliverer nor an IM account for their client.
-func (g *Gateway) Undeliverable() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.undeliverable
-}
-
-// NotifyBatches returns how many batched notification calls the gateway
-// has received and how many client deliveries they covered.
-func (g *Gateway) NotifyBatches() (batches, clients uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.notifyBatches, g.batchClients
-}
-
-// QueueDepth returns the number of legacy notifications awaiting pacing.
-func (g *Gateway) QueueDepth() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.queue)
 }

@@ -11,23 +11,16 @@ import (
 	"corona/internal/clock"
 )
 
-type nopNode struct{}
-
-func (nopNode) Subscribe(client, url string) error   { return nil }
-func (nopNode) Unsubscribe(client, url string) error { return nil }
-
 // TestNotifyBatchAttachDetachRace pins the gateway seam's concurrency
-// contract now that three delivery layers consume it (binary client
-// protocol, web gateway, legacy IM): deliverers may attach and detach
+// contract now that several delivery layers consume it (the binary,
+// line, WebSocket and SSE edges): deliverers may attach and detach
 // while NotifyBatch calls are in flight from several goroutines (an
 // owner's local batch racing entry-node batch receipts), every deliverer
 // touches its batch's Shared cell and the update tap observes each call
 // — all of it must be race-clean, and a detach mid-batch must never
 // corrupt a later recipient's view of the cell. Run under -race.
 func TestNotifyBatchAttachDetachRace(t *testing.T) {
-	service := NewService(clock.Real{})
-	g := NewGateway(service, clock.Real{}, "corona", nopNode{})
-	g.SetPaceInterval(time.Millisecond)
+	g := NewGateway(clock.Real{})
 
 	var tapped atomic.Uint64
 	g.SetTap(func(channel string, version uint64, diff string, at time.Time) {
@@ -115,41 +108,36 @@ func TestNotifyBatchAttachDetachRace(t *testing.T) {
 }
 
 // TestSharedCellPerConsumerSlots pins the multi-consumer cell shape: one
-// batch delivered to clients attached through two different delivery
-// layers encodes exactly once per layer, and neither layer ever reads
-// the other's slot — the regression the keyed slots fix (a single Enc
+// batch delivered to clients attached through three different delivery
+// layers (a binary frame, a JSON event, a line of text) encodes exactly
+// once per layer, and no layer ever reads another's slot — the regression the keyed slots fix (a single Enc
 // field thrashed between consumer types, degrading the encode-once edge
 // to per-client encodes whenever transports interleave).
 func TestSharedCellPerConsumerSlots(t *testing.T) {
-	service := NewService(clock.Real{})
-	g := NewGateway(service, clock.Real{}, "corona", nopNode{})
+	g := NewGateway(clock.Real{})
 
-	keyA, keyB := new(byte), new(byte)
-	var encodesA, encodesB int
-	attach := func(h string, key *byte, encodes *int, want string) {
+	keys := map[byte]*byte{'f': new(byte), 'j': new(byte), 'l': new(byte)}
+	encodes := map[byte]int{}
+	// Interleave the three consumers across the batch order; a handle's
+	// first byte names its consumer.
+	handles := []string{"f0", "j0", "l0", "f1", "j1", "l1", "f2", "j2", "l2"}
+	for _, h := range handles {
+		c := h[0]
+		want := "enc-" + string(c)
 		g.Attach(h, func(n Notification) {
-			enc, _ := n.Shared.Load(key).(string)
+			enc, _ := n.Shared.Load(keys[c]).(string)
 			if enc == "" {
-				*encodes++
+				encodes[c]++
 				enc = want
-				n.Shared.Store(key, enc)
+				n.Shared.Store(keys[c], enc)
 			}
 			if enc != want {
 				t.Errorf("client %s read %q from its consumer slot, want %q", h, enc, want)
 			}
 		})
 	}
-	// Interleave the two consumers across the batch order.
-	handles := []string{"a0", "b0", "a1", "b1", "a2", "b2"}
-	for _, h := range handles {
-		if h[0] == 'a' {
-			attach(h, keyA, &encodesA, "enc-A")
-		} else {
-			attach(h, keyB, &encodesB, "enc-B")
-		}
-	}
 	g.NotifyBatch(handles, "http://feeds.example.com/a.xml", 7, "d", time.Time{})
-	if encodesA != 1 || encodesB != 1 {
-		t.Fatalf("encodes per consumer = %d/%d, want 1/1", encodesA, encodesB)
+	if encodes['f'] != 1 || encodes['j'] != 1 || encodes['l'] != 1 {
+		t.Fatalf("encodes per consumer = %v, want 1 each", encodes)
 	}
 }

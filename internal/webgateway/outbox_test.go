@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httputil"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,6 +198,50 @@ func binaryHarness(t *testing.T) *edgeHarness {
 	}
 }
 
+func lineHarness(t *testing.T) *edgeHarness {
+	b := newFakeBackend()
+	l := newPipeListener()
+	srv := clientproto.ServeLine(l, b, clientproto.NewSessionTable(), nil)
+	t.Cleanup(func() { srv.Close() })
+	conn, server := l.dial()
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "LOGIN h\n")
+	if line, err := br.ReadString('\n'); line != "OK logged in as h\n" {
+		t.Fatalf("login reply %q, %v", line, err)
+	}
+	return &edgeHarness{
+		b:      b,
+		server: server,
+		next: func() (edgeItem, error) {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return edgeItem{}, err
+			}
+			if ctl, ok := strings.CutPrefix(line, "OK subscribed ctl"); ok {
+				req, err := strconv.ParseUint(strings.TrimSpace(ctl), 10, 64)
+				return edgeItem{req: req}, err
+			}
+			quoted, ok := strings.CutPrefix(line, "MSG corona ")
+			if !ok {
+				return edgeItem{}, fmt.Errorf("unexpected line %q", line)
+			}
+			body, err := strconv.Unquote(strings.TrimSuffix(quoted, "\n"))
+			if err != nil {
+				return edgeItem{}, err
+			}
+			var it edgeItem
+			_, err = fmt.Sscanf(body, "UPDATE %s v%d\n", &it.channel, &it.version)
+			it.notify = true
+			return it, err
+		},
+		control: func(req uint64) { fmt.Fprintf(conn, "SUBSCRIBE ctl%d\n", req) },
+		close:   srv.Close,
+		dropped: srv.NotifyDropped,
+	}
+}
+
 func webHarness(t *testing.T, cfg Config) (*edgeHarness, *Server, *bufio.Reader, net.Conn) {
 	b := newFakeBackend()
 	cfg.Backend = b
@@ -284,8 +329,9 @@ func sseHarness(t *testing.T) *edgeHarness {
 }
 
 // TestOutboxPerFraming runs the shared outbox's shed, filter and drain
-// rules through each edge's real framing: binary frames, WS JSON and
-// SSE events, each over a pipe whose writer the test can stall.
+// rules through each edge's real framing: binary frames, line-protocol
+// text, WS JSON and SSE events, each over a pipe whose writer the test
+// can stall.
 func TestOutboxPerFraming(t *testing.T) {
 	const bound = clientproto.DefaultQueueLen
 	framings := []struct {
@@ -296,6 +342,7 @@ func TestOutboxPerFraming(t *testing.T) {
 		isControl func(edgeItem) bool
 	}{
 		{"binary", binaryHarness, func(it edgeItem) bool { return !it.notify && it.req == 99 }},
+		{"line", lineHarness, func(it edgeItem) bool { return !it.notify && it.req == 99 }},
 		{"ws", wsHarness, func(it edgeItem) bool { return !it.notify && it.req == 99 }},
 		{"sse", sseHarness, func(it edgeItem) bool { return !it.notify && it.channel == "" }},
 	}

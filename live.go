@@ -95,9 +95,9 @@ type LiveNode struct {
 	node      *core.Node
 	fetcher   *core.HTTPFetcher
 	notifier  *im.Gateway
-	service   *im.Service
 	store     *store.Store        // nil when DataDir is unset
 	clients   *clientproto.Server // nil until ServeClients
+	lines     *clientproto.Server // nil until ServeIM
 	web       *webgateway.Server  // nil until ServeWeb
 	admin     *http.Server        // nil until ServeAdmin
 	adminL    net.Listener
@@ -107,9 +107,9 @@ type LiveNode struct {
 	reg    *metrics.Registry
 	stages *metrics.HistogramVec
 	// sessions is the node-wide resume-token session table, shared by the
-	// binary client-protocol server and the web gateway so a handle has
-	// one live session per node however it connects, and displacement
-	// works across transports.
+	// binary and line servers and the web gateway so a handle has one
+	// live session per node however it connects, and displacement works
+	// across transports.
 	sessions *clientproto.SessionTable
 	// webReplayCap is captured from LiveConfig for a ServeWeb that runs
 	// after StartLiveNode.
@@ -123,9 +123,9 @@ func init() {
 }
 
 // StartLiveNode binds the transport, joins (or bootstraps) the ring, and
-// starts the protocol. The returned node's IM service accepts local
-// client registrations; production deployments front it with
-// cmd/corona-node's line-protocol listener.
+// starts the protocol, then serves the client edges LiveConfig names
+// (ClientBind, WebBind, AdminBind). Clients of the line protocol are
+// served by ServeIM, which cmd/corona-node calls for its -im address.
 func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	if cfg.Bind == "" {
 		return nil, fmt.Errorf("corona: Bind address required")
@@ -171,13 +171,9 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		ccfg.Seed = int64(beUint(idFromEndpoint(advertise)))
 	}
 
-	service := im.NewService(clock.Real{})
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
-	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, nil, nil)
-	gateway := im.NewGateway(service, clock.Real{}, "corona", node)
-	// Rebind the node's notifier to the gateway (constructed after the
-	// node because the gateway needs the node as its Subscriber).
-	node.SetNotifier(gateway)
+	gateway := im.NewGateway(clock.Real{})
+	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, gateway, nil)
 
 	// Durable state: recover the previous incarnation's channel image
 	// before joining, so the ring sees a member that already holds its
@@ -201,7 +197,6 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		node:         node,
 		fetcher:      fetcher,
 		notifier:     gateway,
-		service:      service,
 		store:        st,
 		sessions:     clientproto.NewSessionTable(),
 		webReplayCap: cfg.WebReplayCap,
@@ -270,15 +265,8 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 // Addr returns the node's advertised overlay address.
 func (ln *LiveNode) Addr() string { return ln.overlay.Self().Endpoint }
 
-// IM returns the node-local instant-messaging service clients register
-// and log in through.
-func (ln *LiveNode) IM() *im.Service { return ln.service }
-
-// Gateway returns the node's IM gateway (the "corona" buddy).
-func (ln *LiveNode) Gateway() *im.Gateway { return ln.notifier }
-
-// Subscribe registers a client directly (bypassing the client protocol
-// and IM front ends), with this node as the client's entry point.
+// Subscribe registers a client directly (bypassing the client edges),
+// with this node as the client's entry point.
 func (ln *LiveNode) Subscribe(client, url string) error {
 	return ln.node.Subscribe(client, url)
 }
@@ -312,12 +300,31 @@ func (ln *LiveNode) ServeClients(bind string) (addr string, err error) {
 	return ln.clients.Addr(), nil
 }
 
+// ServeIM starts serving the line-oriented IM protocol (the prototype's
+// client front end; internal/clientproto's line framing) on bind and
+// returns the bound address. Line sessions share the node's session
+// table and the binary edge's outbox rules. A node serves at most one
+// line listener, which closes with the node; call it once, before the
+// node is shared across goroutines.
+func (ln *LiveNode) ServeIM(bind string) (addr string, err error) {
+	if ln.lines != nil {
+		return "", fmt.Errorf("corona: IM listener already running at %s", ln.lines.Addr())
+	}
+	l, err := net.Listen("tcp", bind)
+	if err != nil {
+		return "", fmt.Errorf("corona: IM listener: %w", err)
+	}
+	ln.lines = clientproto.ServeLine(l, ln, ln.sessions, ln.observeStage("im_enqueue"))
+	return ln.lines.Addr(), nil
+}
+
 // ServeWeb starts the web edge gateway (internal/webgateway: /ws and
 // /sse with per-channel replay rings) on bind and returns the bound
 // address. The gateway shares the node's session table with the binary
-// client listener, installs its update tap on the gateway seam, and
-// registers its instruments on the node's metric registry. A node serves at most one web listener, which
-// closes with the node; StartLiveNode calls it when WebBind is set.
+// and line listeners, installs its update tap on the gateway seam, and
+// registers its instruments on the node's metric registry. A node
+// serves at most one web listener, which closes with the node;
+// StartLiveNode calls it when WebBind is set.
 func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 	if ln.web != nil {
 		return "", fmt.Errorf("corona: web listener already running at %s", ln.web.Addr())
@@ -423,12 +430,12 @@ type LiveStats struct {
 	// the gateway's own labeled metric families (corona_web_*) rather
 	// than the liveStatsSpec scalars.
 	Web webgateway.Counters
-	// Undeliverable counts notifications that found neither an attached
-	// deliverer nor an IM account for their client at this node's gateway.
+	// Undeliverable counts notifications for a client with no live
+	// session at this node's gateway.
 	Undeliverable uint64
-	// NotifyDropped counts notification frames the client-protocol server
+	// NotifyDropped counts notifications the binary and line servers
 	// discarded: evicted from a client's full outbox, or beyond the frame
-	// bound (zero when no client listener runs).
+	// bound (zero when neither listener runs).
 	NotifyDropped uint64
 	// NotifyBatchesRecv and BatchClients count batched notification calls
 	// the gateway received and the client deliveries they covered.
@@ -447,6 +454,9 @@ func (ln *LiveNode) Stats() LiveStats {
 	ls.NotifyBatchesRecv, ls.BatchClients = gc.NotifyBatches, gc.BatchClients
 	if ln.clients != nil {
 		ls.NotifyDropped = ln.clients.NotifyDropped()
+	}
+	if ln.lines != nil {
+		ls.NotifyDropped += ln.lines.NotifyDropped()
 	}
 	if ln.web != nil {
 		ls.Web = ln.web.Counters()
@@ -504,25 +514,21 @@ func (ln *LiveNode) closeAdmin() {
 	}
 }
 
-// closeWeb tears down the web gateway listener and every live WS/SSE
-// session; a no-op when none is running.
-func (ln *LiveNode) closeWeb() {
-	if ln.web != nil {
-		ln.web.Close()
-	}
-}
-
 // CloseClients gracefully stops the client-facing listeners — the
-// binary client protocol and the web gateway's WS/SSE sessions, each
-// session draining its outbox so no client sees a torn frame.
-// Safe to call before Close (which is idempotent about it); a no-op when
-// neither is running. cmd/corona-node's signal handler uses it to stop
-// client traffic alongside the IM listener before the node's WAL flush.
+// binary and line servers and the web gateway's WS/SSE sessions, each
+// session draining its outbox so no client sees a torn frame. Safe to
+// call before Close (which is idempotent about it); a no-op when none is
+// running.
 func (ln *LiveNode) CloseClients() {
 	if ln.clients != nil {
 		ln.clients.Close()
 	}
-	ln.closeWeb()
+	if ln.lines != nil {
+		ln.lines.Close()
+	}
+	if ln.web != nil {
+		ln.web.Close()
+	}
 }
 
 // Close stops the client listeners (draining every session's outbox), the
@@ -531,10 +537,7 @@ func (ln *LiveNode) CloseClients() {
 // graceful shutdown.
 func (ln *LiveNode) Close() error {
 	ln.closeAdmin()
-	if ln.clients != nil {
-		ln.clients.Close()
-	}
-	ln.closeWeb()
+	ln.CloseClients()
 	ln.node.Stop()
 	ln.fetcher.Close()
 	err := ln.transport.Close()
@@ -552,10 +555,7 @@ func (ln *LiveNode) Close() error {
 // window. Production shutdown is Close.
 func (ln *LiveNode) Kill() {
 	ln.closeAdmin()
-	if ln.clients != nil {
-		ln.clients.Close() // connected clients see an abrupt EOF, as in a crash
-	}
-	ln.closeWeb() // WS/SSE clients see an abrupt EOF too
+	ln.CloseClients() // connected clients see an abrupt EOF, as in a crash
 	ln.node.Stop()
 	ln.fetcher.Close()
 	ln.transport.Close()

@@ -134,11 +134,9 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 	ccfg := core.DefaultConfig()
 	ccfg.PollInterval = time.Hour
 	ccfg.MaintenanceInterval = time.Hour
-	service := im.NewService(clock.Real{})
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
-	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, nil, nil)
-	gateway := im.NewGateway(service, clock.Real{}, "corona", node)
-	node.SetNotifier(gateway)
+	gateway := im.NewGateway(clock.Real{})
+	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, gateway, nil)
 	st, _, err := store.Open(store.Options{Dir: t.TempDir()})
 	if err != nil {
 		transport.Close()
@@ -151,7 +149,6 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 		node:      node,
 		fetcher:   fetcher,
 		notifier:  gateway,
-		service:   service,
 		store:     st,
 	}
 	ln.reg = ln.newRegistry()

@@ -1,14 +1,16 @@
 package corona
 
 import (
+	"bufio"
+	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"corona/internal/feed"
-	"corona/internal/im"
 	"corona/internal/webserver"
 )
 
@@ -57,30 +59,24 @@ func TestLiveNodeEndToEnd(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// Subscribe through node 0's IM front end.
-	service := nodes[0].IM()
-	service.Register("alice")
-	got := make(chan im.Message, 32)
-	if err := service.Login("alice", func(m im.Message) { got <- m }); err != nil {
-		t.Fatal(err)
-	}
-	service.Send("alice", nodes[0].Gateway().Handle(), "subscribe "+feedURL)
+	// Subscribe through node 0's IM line protocol.
+	got := dialIM(t, nodes[0], "LOGIN alice", "SUBSCRIBE "+feedURL)
 
 	deadline := time.After(20 * time.Second)
 	sawAck, sawUpdate := false, false
 	for !sawAck || !sawUpdate {
 		select {
-		case m := <-got:
-			switch {
-			case strings.HasPrefix(m.Body, "subscribed"):
+		case line := <-got:
+			switch body := imUpdate(line); {
+			case strings.HasPrefix(line, "OK subscribed"):
 				sawAck = true
-			case strings.HasPrefix(m.Body, "UPDATE"):
+			case strings.HasPrefix(body, "UPDATE"):
 				sawUpdate = true
-				if !strings.Contains(m.Body, "CORONA-DIFF") {
-					t.Fatalf("update without encoded diff: %.120s", m.Body)
+				if !strings.Contains(body, "CORONA-DIFF") {
+					t.Fatalf("update without encoded diff: %.120s", body)
 				}
-			case strings.HasPrefix(m.Body, "error"):
-				t.Fatalf("gateway error: %s", m.Body)
+			case strings.HasPrefix(line, "ERR"):
+				t.Fatalf("line protocol error: %s", line)
 			}
 		case <-deadline:
 			t.Fatalf("timed out (ack=%v update=%v)", sawAck, sawUpdate)
@@ -119,20 +115,64 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// loginAndWaitUpdate logs handle in on node's IM service and waits for
-// one UPDATE notification, returning false on deadline.
-func loginAndWaitUpdate(t *testing.T, node *LiveNode, handle string, timeout time.Duration) bool {
+// dialIM serves the line protocol on node, connects a client, sends
+// commands, and streams the server's lines until the test ends.
+func dialIM(t *testing.T, node *LiveNode, commands ...string) <-chan string {
 	t.Helper()
-	got := make(chan im.Message, 64)
-	node.IM().Register(handle)
-	if err := node.IM().Login(handle, func(m im.Message) { got <- m }); err != nil {
+	addr, err := node.ServeIM("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(done)
+		conn.Close()
+	})
+	for _, c := range commands {
+		if _, err := fmt.Fprintln(conn, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := make(chan string, 64)
+	go func() {
+		sc := bufio.NewScanner(conn)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			select {
+			case lines <- sc.Text():
+			case <-done:
+				return
+			}
+		}
+	}()
+	return lines
+}
+
+// imUpdate returns the unquoted body of a line-protocol MSG line, empty
+// for any other line.
+func imUpdate(line string) string {
+	quoted, ok := strings.CutPrefix(line, "MSG corona ")
+	if !ok {
+		return ""
+	}
+	body, _ := strconv.Unquote(quoted)
+	return body
+}
+
+// loginAndWaitUpdate logs handle in over node's line protocol and waits
+// for one UPDATE notification, returning false on deadline.
+func loginAndWaitUpdate(t *testing.T, node *LiveNode, handle string, timeout time.Duration) bool {
+	t.Helper()
+	got := dialIM(t, node, "LOGIN "+handle)
 	deadline := time.After(timeout)
 	for {
 		select {
-		case m := <-got:
-			if strings.HasPrefix(m.Body, "UPDATE") {
+		case line := <-got:
+			if strings.HasPrefix(imUpdate(line), "UPDATE") {
 				return true
 			}
 		case <-deadline:
@@ -186,22 +226,16 @@ func TestLiveNodeRestartRecovery(t *testing.T) {
 	}()
 
 	// Subscribe alice through node 0 and wait for the flow to be live.
-	service := nodes[0].IM()
-	service.Register("alice")
-	got := make(chan im.Message, 64)
-	if err := service.Login("alice", func(m im.Message) { got <- m }); err != nil {
-		t.Fatal(err)
-	}
-	service.Send("alice", nodes[0].Gateway().Handle(), "subscribe "+feedURL)
+	got := dialIM(t, nodes[0], "LOGIN alice", "SUBSCRIBE "+feedURL)
 	deadline := time.After(20 * time.Second)
 	for sawUpdate := false; !sawUpdate; {
 		select {
-		case m := <-got:
-			if strings.HasPrefix(m.Body, "UPDATE") {
+		case line := <-got:
+			if strings.HasPrefix(imUpdate(line), "UPDATE") {
 				sawUpdate = true
 			}
-			if strings.HasPrefix(m.Body, "error") {
-				t.Fatalf("gateway error: %s", m.Body)
+			if strings.HasPrefix(line, "ERR") {
+				t.Fatalf("line protocol error: %s", line)
 			}
 		case <-deadline:
 			t.Fatal("subscription never delivered before the kill")
@@ -293,9 +327,8 @@ func TestLiveNodeRestartRecovery(t *testing.T) {
 	}
 
 	// No one re-subscribes. If the owner was also alice's entry node the
-	// IM session died with the process, so log in again (an IM-layer
-	// reconnect, not a subscription); otherwise the original login keeps
-	// listening.
+	// line session died with the process, so log in again (a reconnect,
+	// not a subscription); otherwise the original login keeps listening.
 	if ownerIdx == 0 {
 		if !loginAndWaitUpdate(t, restarted, "alice", 30*time.Second) {
 			t.Fatal("no update delivered after restart")
@@ -305,8 +338,8 @@ func TestLiveNodeRestartRecovery(t *testing.T) {
 	deadline = time.After(30 * time.Second)
 	for {
 		select {
-		case m := <-got:
-			if strings.HasPrefix(m.Body, "UPDATE") {
+		case line := <-got:
+			if strings.HasPrefix(imUpdate(line), "UPDATE") {
 				return // durable subscription survived the restart
 			}
 		case <-deadline:
