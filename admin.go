@@ -39,6 +39,7 @@ type liveStatSpec struct {
 
 var liveStatsSpec = []liveStatSpec{
 	{"Stats.PollsIssued", "corona_polls_issued_total", "HTTP polls issued against channel origins.", statCounter},
+	{"Stats.PollErrors", "corona_poll_errors_total", "Origin polls that failed: unreachable, timed out, an error status or an oversized body.", statCounter},
 	{"Stats.UpdatesDetected", "corona_updates_detected_total", "Channel updates detected first-hand by this node's polls.", statCounter},
 	{"Stats.UpdatesReceived", "corona_updates_received_total", "Channel updates learned via cooperative dissemination.", statCounter},
 	{"Stats.NotificationsSent", "corona_notifications_sent_total", "Per-client notifications sent toward entry nodes.", statCounter},
@@ -57,6 +58,7 @@ var liveStatsSpec = []liveStatSpec{
 	{"Store.Generation", "corona_store_generation", "Durable store snapshot/WAL generation.", statGauge},
 	{"Store.WALBytes", "corona_store_wal_bytes", "Current write-ahead log size on disk.", statGauge},
 	{"Store.RecordsSinceSnapshot", "corona_store_records_since_snapshot", "WAL records a restart would replay.", statGauge},
+	{"OriginDials", "corona_origin_dials_total", "Connections dialed to channel origins; polls reuse idle keep-alive connections, so this stays far below the poll count.", statCounter},
 	{"Undeliverable", "corona_gateway_undeliverable_total", "Notifications for a client with no live session on this node.", statCounter},
 	{"NotifyDropped", "corona_client_notify_dropped_total", "Notifications dropped by the binary and line edges: evicted from full client outbound queues, or oversize.", statCounter},
 	{"NotifyBatchesRecv", "corona_gateway_notify_batches_total", "Batched notification calls received by the gateway.", statCounter},

@@ -1,11 +1,21 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
+	"crypto/tls"
+	"crypto/x509"
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +49,8 @@ func (f *OriginFetcher) Fetch(url string, haveVersion uint64) (webserver.FetchRe
 // originIdleConnsPerHost is how many idle connections an HTTPFetcher
 // keeps to one origin host. A node polls each of its channels once per
 // interval at a random phase, so the polls in flight to one host at once
-// stay in the tens even for hundreds of channels; net/http's default of
-// 2 would close and redial for nearly every overlapping poll.
+// stay in the tens even for hundreds of channels; a smaller pool would
+// close and redial for nearly every overlapping poll.
 const originIdleConnsPerHost = 64
 
 // maxBodyBytes caps a fetched document. A longer 200 body is a fetch
@@ -52,18 +62,59 @@ const maxBodyBytes = 16 << 20
 // without reading an arbitrarily long error page.
 const maxDrainBytes = 64 << 10
 
+// maxRedirects is how many redirect responses a poll takes before it
+// gives up, as net/http's client does.
+const maxRedirects = 10
+
 // errBodyTooLarge reports a 200 body longer than maxBodyBytes.
 var errBodyTooLarge = fmt.Errorf("core: body exceeds %d bytes", maxBodyBytes)
 
 // HTTPFetcher polls real HTTP origins, using ETag validators when the
-// server provides them. It is the live-deployment Fetcher. Each fetcher
-// owns its connection pool; construct it with NewHTTPFetcher.
+// server provides them. It is the live-deployment Fetcher. It speaks
+// HTTP/1.1 over plain TCP or TLS (http:// and https:// URLs), offers
+// gzip and decodes it, and follows up to 10 redirects. A poll, redirects
+// included, gives up one poll interval after it starts. Proxy
+// environment variables are not consulted: polls go straight to the
+// origin.
+//
+// Each fetcher owns its connection pool: up to originIdleConnsPerHost
+// idle keep-alive connections per origin, each with its own buffered
+// reader and writer. A poll takes one, writes its GET and parses the
+// reply on the calling goroutine; no goroutine, context or timer lives
+// per connection or per request. Construct it with NewHTTPFetcher.
 type HTTPFetcher struct {
-	client *http.Client
-	closed atomic.Bool
+	timeout time.Duration
+	rootCAs *x509.CertPool // TLS trust roots; nil means the host's
+	dials   atomic.Uint64
 
-	mu    sync.Mutex
-	sizes map[string]int // length of each URL's last 200 body
+	mu     sync.Mutex
+	closed bool
+	idle   map[string][]*originConn // by originTarget.key, most recent last
+	polled map[string]*polledURL    // by URL
+}
+
+// polledURL is what the fetcher keeps per polled URL.
+type polledURL struct {
+	target *originTarget
+	size   int // length of the URL's last 200 body; guarded by HTTPFetcher.mu
+}
+
+// originTarget is one URL's request, resolved once.
+type originTarget struct {
+	url        *url.URL
+	key        string // scheme://host:port; connections pool per key
+	addr       string // host:port to dial
+	tls        bool
+	serverName string
+	head       string // request line and fixed headers, each line CRLF-ended
+}
+
+// originConn is one pooled connection to an origin.
+type originConn struct {
+	conn net.Conn
+	key  string
+	br   *bufio.Reader
+	bw   *bufio.Writer
 }
 
 // NewHTTPFetcher returns a fetcher for a node polling every
@@ -71,55 +122,99 @@ type HTTPFetcher struct {
 // channel's next poll is due, so a black-holed origin holds at most about
 // one request per channel instead of one more every interval.
 func NewHTTPFetcher(pollInterval time.Duration) *HTTPFetcher {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = originIdleConnsPerHost
 	return &HTTPFetcher{
-		client: &http.Client{Transport: tr, Timeout: pollInterval},
-		sizes:  make(map[string]int),
+		timeout: pollInterval,
+		idle:    make(map[string][]*originConn),
+		polled:  make(map[string]*polledURL),
 	}
 }
 
 // Close drops the fetcher's idle origin connections. A poll still in
 // flight closes its own connection once it finishes.
 func (f *HTTPFetcher) Close() {
-	f.closed.Store(true)
-	f.client.CloseIdleConnections()
+	f.mu.Lock()
+	idle := f.idle
+	f.idle, f.closed = nil, true
+	f.mu.Unlock()
+	for _, conns := range idle {
+		for _, oc := range conns {
+			oc.conn.Close()
+		}
+	}
 }
+
+// Dials reports how many connections the fetcher has dialed to origins.
+func (f *HTTPFetcher) Dials() uint64 { return f.dials.Load() }
 
 // Fetch implements Fetcher. The returned version is the server's ETag when
 // numeric, else a content-hash-derived counter is unavailable and the
 // caller must operate in content mode.
-func (f *HTTPFetcher) Fetch(url string, haveVersion uint64) (webserver.FetchResult, error) {
-	req, err := http.NewRequest("GET", url, nil)
+func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
+	p, err := f.lookup(rawURL)
 	if err != nil {
 		return webserver.FetchResult{}, fmt.Errorf("core: building request: %w", err)
 	}
-	if haveVersion != 0 {
-		req.Header.Set("If-None-Match", strconv.FormatUint(haveVersion, 10))
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return webserver.FetchResult{}, fmt.Errorf("core: polling %s: %w", url, err)
-	}
-	defer func() {
-		resp.Body.Close()
-		if f.closed.Load() {
-			f.client.CloseIdleConnections()
+	//lint:allow wallclock a socket deadline is wall time; HTTPFetcher only ever talks to real origins
+	deadline := time.Now().Add(f.timeout)
+	t := p.target
+	for redirects := 0; ; {
+		oc, resp, err := f.roundTrip(t, haveVersion, deadline)
+		if err != nil {
+			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: %w", rawURL, err)
 		}
-	}()
+		loc := resp.Header.Get("Location")
+		if !isRedirect(resp.StatusCode) || loc == "" {
+			return f.finish(p, oc, resp, rawURL, haveVersion)
+		}
+		f.release(oc, resp, drain(resp))
+		if redirects++; redirects >= maxRedirects {
+			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: stopped after %d redirects", rawURL, maxRedirects)
+		}
+		next, err := t.url.Parse(loc)
+		if err == nil {
+			t, err = newOriginTarget(next)
+		}
+		if err != nil {
+			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: redirect to %q: %w", rawURL, loc, err)
+		}
+	}
+}
+
+// finish turns a final response into a fetch result and hands its
+// connection back.
+func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, resp *http.Response, rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
 	switch resp.StatusCode {
 	case http.StatusNotModified:
+		f.release(oc, resp, true)
 		return webserver.FetchResult{Version: haveVersion, Modified: false, Bytes: 300}, nil
 	case http.StatusOK:
-		if resp.ContentLength > maxBodyBytes {
-			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", url, errBodyTooLarge)
+		r, contentLength := io.Reader(resp.Body), resp.ContentLength
+		if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+			zr, err := gzip.NewReader(resp.Body)
+			if err != nil {
+				oc.conn.Close()
+				return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, err)
+			}
+			r, contentLength = zr, -1 // the cap and the size hint count decoded bytes
 		}
-		body, err := readBody(resp.Body, f.sizeHint(url, resp.ContentLength))
+		if contentLength > maxBodyBytes {
+			oc.conn.Close()
+			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, errBodyTooLarge)
+		}
+		sizeHint := int(contentLength)
+		if contentLength < 0 {
+			f.mu.Lock()
+			sizeHint = p.size
+			f.mu.Unlock()
+		}
+		body, err := readBody(r, sizeHint)
 		if err != nil {
-			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", url, err)
+			oc.conn.Close()
+			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, err)
 		}
+		f.release(oc, resp, true)
 		f.mu.Lock()
-		f.sizes[url] = len(body)
+		p.size = len(body)
 		f.mu.Unlock()
 		version := haveVersion + 1
 		if etag := resp.Header.Get("ETag"); etag != "" {
@@ -129,22 +224,207 @@ func (f *HTTPFetcher) Fetch(url string, haveVersion uint64) (webserver.FetchResu
 		}
 		return webserver.FetchResult{Version: version, Modified: true, Bytes: len(body), Body: body}, nil
 	default:
-		// Drain so the connection is reused; a failed drain only costs it.
-		io.CopyN(io.Discard, resp.Body, maxDrainBytes)
-		return webserver.FetchResult{}, fmt.Errorf("core: polling %s: status %d", url, resp.StatusCode)
+		f.release(oc, resp, drain(resp))
+		return webserver.FetchResult{}, fmt.Errorf("core: polling %s: status %d", rawURL, resp.StatusCode)
 	}
 }
 
-// sizeHint is the length to allocate for url's body: the declared
-// Content-Length, else the length of the URL's last body, which a feed
-// rarely outgrows between versions.
-func (f *HTTPFetcher) sizeHint(url string, contentLength int64) int {
-	if contentLength >= 0 {
-		return int(contentLength)
-	}
+// lookup returns the fetcher's record of rawURL, resolving its request
+// on the first poll.
+func (f *HTTPFetcher) lookup(rawURL string) (*polledURL, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.sizes[url]
+	if p := f.polled[rawURL]; p != nil {
+		return p, nil
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, err
+	}
+	t, err := newOriginTarget(u)
+	if err != nil {
+		return nil, err
+	}
+	p := &polledURL{target: t}
+	f.polled[rawURL] = p
+	return p, nil
+}
+
+// newOriginTarget resolves the request for u: where to connect and the
+// request head every poll of u writes.
+func newOriginTarget(u *url.URL) (*originTarget, error) {
+	var port string
+	switch u.Scheme {
+	case "http":
+		port = "80"
+	case "https":
+		port = "443"
+	default:
+		return nil, fmt.Errorf("unsupported protocol scheme %q", u.Scheme)
+	}
+	host := strings.TrimSuffix(u.Host, ":")
+	if host == "" {
+		return nil, errors.New("no host in URL")
+	}
+	for i := 0; i < len(host); i++ {
+		if host[i] <= ' ' || host[i] >= 0x7f {
+			return nil, fmt.Errorf("invalid host %q", host)
+		}
+	}
+	if p := u.Port(); p != "" {
+		port = p
+	}
+	addr := net.JoinHostPort(u.Hostname(), port)
+	// The URL parser leaves spaces in a raw query; the request line may
+	// not carry them.
+	head := "GET " + strings.ReplaceAll(u.RequestURI(), " ", "%20") + " HTTP/1.1\r\n" +
+		"Host: " + host + "\r\n" +
+		"User-Agent: corona\r\n" +
+		"Accept-Encoding: gzip\r\n"
+	if u.User != nil {
+		password, _ := u.User.Password()
+		head += "Authorization: Basic " + base64.StdEncoding.EncodeToString([]byte(u.User.Username()+":"+password)) + "\r\n"
+	}
+	return &originTarget{
+		url:        u,
+		key:        u.Scheme + "://" + addr,
+		addr:       addr,
+		tls:        u.Scheme == "https",
+		serverName: u.Hostname(),
+		head:       head,
+	}, nil
+}
+
+// roundTrip sends one GET for t and reads the response head. A pooled
+// connection the origin closed while it sat idle fails before any byte
+// of a response arrives; the GET is idempotent, so it is sent once more
+// on a fresh connection.
+func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, deadline time.Time) (*originConn, *http.Response, error) {
+	oc, reused, err := f.take(t, deadline)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, answered, err := oc.exchange(t, haveVersion)
+	if err != nil && reused && !answered && !errors.Is(err, os.ErrDeadlineExceeded) {
+		oc.conn.Close()
+		if oc, err = f.dial(t, deadline); err != nil {
+			return nil, nil, err
+		}
+		resp, _, err = oc.exchange(t, haveVersion)
+	}
+	if err != nil {
+		oc.conn.Close()
+		return nil, nil, err
+	}
+	return oc, resp, nil
+}
+
+// exchange writes the GET and parses the response head. answered
+// reports whether any byte of a response arrived.
+func (oc *originConn) exchange(t *originTarget, haveVersion uint64) (resp *http.Response, answered bool, err error) {
+	oc.bw.WriteString(t.head)
+	if haveVersion != 0 {
+		oc.bw.WriteString("If-None-Match: ")
+		oc.bw.Write(strconv.AppendUint(oc.bw.AvailableBuffer(), haveVersion, 10))
+		oc.bw.WriteString("\r\n")
+	}
+	oc.bw.WriteString("\r\n")
+	if err := oc.bw.Flush(); err != nil {
+		return nil, false, err
+	}
+	if _, err := oc.br.Peek(1); err != nil {
+		return nil, false, err
+	}
+	resp, err = http.ReadResponse(oc.br, nil)
+	// Skip interim responses (103 Early Hints, a stray 100 Continue), as
+	// net/http's client does.
+	for i := 0; err == nil && resp.StatusCode < 200 && resp.StatusCode != http.StatusSwitchingProtocols && i < 5; i++ {
+		resp, err = http.ReadResponse(oc.br, nil)
+	}
+	return resp, true, err
+}
+
+// take returns a connection to t's origin with its deadline set: the
+// most recently pooled idle one, else a new one. reused reports a pooled
+// connection.
+func (f *HTTPFetcher) take(t *originTarget, deadline time.Time) (oc *originConn, reused bool, err error) {
+	f.mu.Lock()
+	if conns := f.idle[t.key]; len(conns) > 0 {
+		oc = conns[len(conns)-1]
+		conns[len(conns)-1] = nil
+		f.idle[t.key] = conns[:len(conns)-1]
+	}
+	f.mu.Unlock()
+	if oc != nil {
+		if err := oc.conn.SetDeadline(deadline); err == nil {
+			return oc, true, nil
+		}
+		oc.conn.Close()
+	}
+	oc, err = f.dial(t, deadline)
+	return oc, false, err
+}
+
+// dial connects to t's origin, shaking hands for https, all within
+// deadline.
+func (f *HTTPFetcher) dial(t *originTarget, deadline time.Time) (*originConn, error) {
+	f.dials.Add(1)
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.Dial("tcp", t.addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.SetDeadline(deadline); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	if t.tls {
+		tc := tls.Client(conn, &tls.Config{ServerName: t.serverName, RootCAs: f.rootCAs, NextProtos: []string{"http/1.1"}})
+		if err := tc.Handshake(); err != nil {
+			conn.Close()
+			return nil, err
+		}
+		conn = tc
+	}
+	return &originConn{conn: conn, key: t.key, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
+}
+
+// release pools oc when its response was read to the end (consumed) and
+// leaves the connection fit for another request; otherwise, or once the
+// fetcher is closed or the origin's pool is full, it closes oc.
+func (f *HTTPFetcher) release(oc *originConn, resp *http.Response, consumed bool) {
+	if consumed && !resp.Close && resp.StatusCode >= 200 && oc.br.Buffered() == 0 {
+		f.mu.Lock()
+		if !f.closed && len(f.idle[oc.key]) < originIdleConnsPerHost {
+			f.idle[oc.key] = append(f.idle[oc.key], oc)
+			oc = nil
+		}
+		f.mu.Unlock()
+	}
+	if oc != nil {
+		oc.conn.Close()
+	}
+}
+
+// drain reads up to maxDrainBytes of a response body that is not wanted
+// and reports whether that reached its end, leaving the connection
+// reusable.
+func drain(resp *http.Response) bool {
+	if resp.Close {
+		return false
+	}
+	_, err := io.CopyN(io.Discard, resp.Body, maxDrainBytes+1)
+	return err == io.EOF
+}
+
+// isRedirect reports the statuses a poll follows to their Location.
+func isRedirect(status int) bool {
+	switch status {
+	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
+		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		return true
+	}
+	return false
 }
 
 // readBody reads r to its end into one allocation of sizeHint bytes plus

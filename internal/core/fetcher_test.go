@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"corona/internal/ids"
 	"corona/internal/pastry"
 	"corona/internal/simnet"
+	"corona/internal/webserver"
 )
 
 // TestHTTPFetchGivesUpAfterPollInterval pins the fetch deadline: a
@@ -251,5 +254,334 @@ func BenchmarkHTTPFetch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestHTTPFetchHTTPS polls a TLS origin: the fetcher speaks https when
+// the URL asks for it and verifies the origin against its trust roots.
+func TestHTTPFetchHTTPS(t *testing.T) {
+	srv := httptest.NewTLSServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", "4")
+		w.Write([]byte("<rss>secure</rss>\n"))
+	}))
+	defer srv.Close()
+
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	if _, err := f.Fetch(srv.URL, 0); err == nil {
+		t.Fatal("fetch from an origin with an untrusted certificate succeeded")
+	}
+	trustOrigin(f, srv)
+	for i := 0; i < 2; i++ {
+		res, err := f.Fetch(srv.URL+"/feed", 0)
+		if err != nil || res.Version != 4 || string(res.Body) != "<rss>secure</rss>\n" {
+			t.Fatalf("https fetch %d = %+v, %v", i, res, err)
+		}
+	}
+}
+
+// TestHTTPFetchFollowsRedirects follows a 301 then a 302 to the document
+// and reports the final response's version.
+func TestHTTPFetchFollowsRedirects(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/old":
+			http.Redirect(w, r, "/moved", http.StatusMovedPermanently)
+		case "/moved":
+			http.Redirect(w, r, "/feed.xml", http.StatusFound)
+		case "/feed.xml":
+			w.Header().Set("ETag", "9")
+			w.Write([]byte("<rss>final</rss>\n"))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	res, err := f.Fetch(srv.URL+"/old", 0)
+	if err != nil || res.Version != 9 || string(res.Body) != "<rss>final</rss>\n" {
+		t.Fatalf("fetch through 301 -> 302 -> 200 = %+v, %v", res, err)
+	}
+}
+
+// TestHTTPFetchRedirectLoopFails pins the redirect limit: an origin that
+// redirects forever is a poll error after at most 11 requests.
+func TestHTTPFetchRedirectLoopFails(t *testing.T) {
+	var hops atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := hops.Add(1)
+		http.Redirect(w, r, fmt.Sprintf("/hop/%d", n), http.StatusFound)
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	if res, err := f.Fetch(srv.URL+"/hop/0", 0); err == nil {
+		t.Fatalf("fetch through a redirect loop = %+v, want an error", res)
+	}
+	if got := hops.Load(); got > 11 {
+		t.Fatalf("redirect loop followed for %d requests, want at most 11", got)
+	}
+}
+
+// TestHTTPFetchSendsURLCredentials sends a URL's user information as
+// basic authentication.
+func TestHTTPFetchSendsURLCredentials(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if user, pass, ok := r.BasicAuth(); !ok || user != "reader" || pass != "s3cret" {
+			w.WriteHeader(http.StatusUnauthorized)
+			return
+		}
+		w.Header().Set("ETag", "3")
+		w.Write([]byte("<rss>private</rss>\n"))
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	u := "http://reader:s3cret@" + strings.TrimPrefix(srv.URL, "http://") + "/private.xml"
+	if res, err := f.Fetch(u, 0); err != nil || res.Version != 3 {
+		t.Fatalf("fetch with URL credentials = %+v, %v", res, err)
+	}
+}
+
+// TestHTTPFetchSkipsInterimResponses reads past a 103 Early Hints
+// response to the final one.
+func TestHTTPFetchSkipsInterimResponses(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Link", "</style.css>; rel=preload")
+		w.WriteHeader(http.StatusEarlyHints)
+		w.Header().Set("ETag", "8")
+		w.Write([]byte("<rss>hinted</rss>\n"))
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	for i := 0; i < 2; i++ {
+		if res, err := f.Fetch(srv.URL, 0); err != nil || res.Version != 8 || string(res.Body) != "<rss>hinted</rss>\n" {
+			t.Fatalf("fetch %d after a 103 = %+v, %v", i, res, err)
+		}
+	}
+}
+
+// gzipped returns b gzip-compressed.
+func gzipped(t testing.TB, b []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHTTPFetchDecodesGzip pins transparent decompression: the fetcher
+// offers gzip, and a gzip-encoded 200 yields the decoded document with
+// its ETag version.
+func TestHTTPFetchDecodesGzip(t *testing.T) {
+	doc := bytes.Repeat([]byte("<item>compressible news</item>\n"), 200)
+	packed := gzipped(t, doc)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			t.Errorf("request offers Accept-Encoding %q, want gzip", r.Header.Get("Accept-Encoding"))
+		}
+		w.Header().Set("ETag", "12")
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Write(packed)
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	for i := 0; i < 2; i++ {
+		res, err := f.Fetch(srv.URL, 0)
+		if err != nil || res.Version != 12 || !bytes.Equal(res.Body, doc) {
+			t.Fatalf("gzip fetch %d = version %d, %d body bytes, err %v; want version 12, %d bytes", i, res.Version, len(res.Body), err, len(doc))
+		}
+	}
+}
+
+// TestHTTPFetchCapsDecodedGzipBody applies the body cap to the decoded
+// document: a chunked gzip stream a few KiB long that inflates past the
+// cap is errBodyTooLarge.
+func TestHTTPFetchCapsDecodedGzipBody(t *testing.T) {
+	packed := gzipped(t, oversized())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Encoding", "gzip")
+		w.(http.Flusher).Flush() // no length: the body streams chunked
+		w.Write(packed)
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	res, err := f.Fetch(srv.URL, 0)
+	if !errors.Is(err, errBodyTooLarge) || res.Body != nil {
+		t.Fatalf("Fetch = %d body bytes, err %v; want errBodyTooLarge", len(res.Body), err)
+	}
+}
+
+// TestHTTPFetchRejectsControlCharacters refuses a URL that would smuggle
+// a header into the request, before it dials the origin.
+func TestHTTPFetchRejectsControlCharacters(t *testing.T) {
+	var opened atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	for _, bad := range []string{"/feed\r\nX-Injected: 1", "/feed\x00", "/feed\x7f"} {
+		if _, err := f.Fetch(srv.URL+bad, 0); err == nil {
+			t.Errorf("fetch of %q succeeded", bad)
+		}
+	}
+	if got := opened.Load(); got != 0 {
+		t.Fatalf("rejected URLs opened %d connections", got)
+	}
+}
+
+// TestHTTPFetchRetriesClosedIdleConnection polls an origin that closes
+// its idle keep-alive connections between polls: the next poll finds its
+// pooled connection dead and succeeds on a fresh one, without an error.
+func TestHTTPFetchRetriesClosedIdleConnection(t *testing.T) {
+	var opened atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", "2")
+		w.Write([]byte("<rss>v2</rss>\n"))
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	for i := 0; i < 3; i++ {
+		if res, err := f.Fetch(srv.URL, 0); err != nil || res.Version != 2 {
+			t.Fatalf("poll %d = %+v, %v", i, res, err)
+		}
+		srv.CloseClientConnections()
+	}
+	if got := opened.Load(); got != 3 {
+		t.Fatalf("3 polls across closed idle connections opened %d connections, want 3", got)
+	}
+}
+
+// TestHTTPFetchCloseDuringPoll closes the fetcher while a poll waits on
+// its origin: the poll completes, and its connection is closed instead of
+// returning to the pool.
+func TestHTTPFetchCloseDuringPoll(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	closed := make(chan struct{})
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		w.Header().Set("ETag", "6")
+		w.Write([]byte("<rss>v6</rss>\n"))
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateClosed {
+			close(closed)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	f := NewHTTPFetcher(10 * time.Second)
+	type result struct {
+		res webserver.FetchResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := f.Fetch(srv.URL, 0)
+		done <- result{res, err}
+	}()
+	<-entered
+	f.Close()
+	close(release)
+	r := <-done
+	if r.err != nil || r.res.Version != 6 {
+		t.Fatalf("poll in flight across Close = %+v, %v", r.res, r.err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the in-flight poll's connection stayed open after Close")
+	}
+}
+
+// trustOrigin makes f trust the TLS test server srv's certificate.
+func trustOrigin(f *HTTPFetcher, srv *httptest.Server) {
+	f.rootCAs = srv.Client().Transport.(*http.Transport).TLSClientConfig.RootCAs
+}
+
+// TestHTTPFetchCountsDials counts connections, not polls: polls share
+// one keep-alive connection, and one the origin closed while idle costs
+// exactly one more dial.
+func TestHTTPFetchCountsDials(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotModified)
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	poll := func() {
+		t.Helper()
+		if _, err := f.Fetch(srv.URL, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		poll()
+	}
+	if got := f.Dials(); got != 1 {
+		t.Fatalf("5 polls dialed %d connections, want 1", got)
+	}
+	srv.CloseClientConnections()
+	poll()
+	if got := f.Dials(); got != 2 {
+		t.Fatalf("a poll across a closed idle connection brought the dials to %d, want 2", got)
+	}
+}
+
+// TestPollErrorsCounted counts a failed poll in Stats.PollErrors instead
+// of dropping it silently.
+func TestPollErrorsCounted(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down for maintenance", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
+	var overlay *pastry.Node
+	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
+	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"}, endpoint, sim)
+	overlay.Bootstrap()
+	cfg := DefaultConfig()
+	cfg.NodeCount = 1
+	cfg.PollInterval = 1000 * time.Hour // the test drives every poll
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	n := NewNode(cfg, overlay, sim, f, nil, nil)
+	n.Start()
+	if err := n.Subscribe("alice", srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(time.Minute)
+	before := n.Stats()
+	n.pollChannel(n.channel(srv.URL))
+	after := n.Stats()
+	if after.PollsIssued != before.PollsIssued+1 || after.PollErrors != before.PollErrors+1 {
+		t.Fatalf("a 503 poll moved polls %d -> %d and errors %d -> %d, want one each",
+			before.PollsIssued, after.PollsIssued, before.PollErrors, after.PollErrors)
 	}
 }

@@ -193,6 +193,7 @@ type channelState struct {
 // Stats counts a node's Corona-level activity.
 type Stats struct {
 	PollsIssued       uint64
+	PollErrors        uint64 // polls whose fetch failed: unreachable, timed out, error status, oversized
 	UpdatesDetected   uint64
 	UpdatesReceived   uint64 // learned via dissemination
 	NotificationsSent uint64

@@ -54,6 +54,9 @@ func (n *Node) pollChannel(ch *channelState) {
 	res, err := n.fetcher.Fetch(url, have)
 	if err != nil {
 		// Origin unreachable this round; keep polling.
+		n.mu.Lock()
+		n.stats.PollErrors++
+		n.mu.Unlock()
 		return
 	}
 	if !res.Modified || res.Version <= have {

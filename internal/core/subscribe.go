@@ -375,12 +375,12 @@ func (n *Node) handleReplicate(msg pastry.Message) {
 		ch.ownerSeen = n.now()
 	}
 	ch.subs.count = p.Count
-	if p.Subscribers != nil {
+	if p.Subscribers != nil && !sameSubscribers(ch.subs.ids, p.Subscribers) {
 		ch.subs.ids = make(map[string]pastry.Addr, len(p.Subscribers))
 		for _, sub := range p.Subscribers {
 			ch.subs.ids[sub.Client] = sub.Entry
 		}
-	} else if p.Count == 0 {
+	} else if p.Subscribers == nil && p.Count == 0 {
 		// An emptied channel replicates with no subscriber list; drop any
 		// stale identities so a later promotion cannot resurrect clients
 		// that unsubscribed.
@@ -429,6 +429,23 @@ func (n *Node) handleReplicate(msg pastry.Message) {
 	for _, s := range handoff {
 		n.overlay.Route(ch.id, msgSubscribe, &subscribeMsg{URL: ch.url, Client: s.Client, Entry: s.Entry})
 	}
+}
+
+// sameSubscribers reports whether a pushed subscriber list names exactly
+// the identities held. Owners push every channel to its replicas every
+// maintenance round, and the set rarely changes between rounds, so the
+// replica keeps its map instead of rebuilding it. Pushes are built from
+// the owner's map and list each client once.
+func sameSubscribers(held map[string]pastry.Addr, pushed []replicatedSub) bool {
+	if held == nil || len(held) != len(pushed) {
+		return false
+	}
+	for _, sub := range pushed {
+		if entry, ok := held[sub.Client]; !ok || entry != sub.Entry {
+			return false
+		}
+	}
+	return true
 }
 
 // handlePeerFault runs when the overlay detects a dead peer: replicas

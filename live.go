@@ -430,6 +430,8 @@ type LiveStats struct {
 	// the gateway's own labeled metric families (corona_web_*) rather
 	// than the liveStatsSpec scalars.
 	Web webgateway.Counters
+	// OriginDials counts connections the node dialed to channel origins.
+	OriginDials uint64
 	// Undeliverable counts notifications for a client with no live
 	// session at this node's gateway.
 	Undeliverable uint64
@@ -446,7 +448,7 @@ type LiveStats struct {
 // Stats exposes the node's activity counters and, for durable nodes, the
 // store's WAL size, records-since-snapshot, and latched IO error.
 func (ln *LiveNode) Stats() LiveStats {
-	ls := LiveStats{Stats: ln.node.Stats()}
+	ls := LiveStats{Stats: ln.node.Stats(), OriginDials: ln.fetcher.Dials()}
 	// One gateway lock acquisition for the whole counter group, so the
 	// batch totals and undeliverable count come from the same instant.
 	gc := ln.notifier.CounterSnapshot()

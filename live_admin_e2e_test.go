@@ -111,6 +111,8 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		}
 	}
 	mustAtLeast("corona_polls_issued_total", 1)
+	mustAtLeast("corona_poll_errors_total", 0)
+	mustAtLeast("corona_origin_dials_total", 1)
 	mustAtLeast("corona_updates_detected_total", 1)
 	mustAtLeast("corona_subscriptions_held", 1)
 	mustAtLeast("corona_channels_owned", 1)
