@@ -43,15 +43,15 @@ lint:
 # dissemination) recorded in BENCH_wire.json; durable-store benchmarks
 # (append throughput, WAL/snapshot replay vs channel count, full restart
 # Open) recorded in BENCH_store.json; client-edge benchmarks
-# (notification fan-out through the gateway into clientproto frame
-# encode) recorded in BENCH_client.json; hot-channel fan-out benchmarks
+# (notification fan-out through the node's session table into
+# clientproto frame encode) recorded in BENCH_client.json; hot-channel fan-out benchmarks
 # (owner messages per update with and without delegate sharding, plus the
 # encode-once NotifyBatch edge against the per-client-encode baseline)
 # recorded in BENCH_fanout.json; observability benchmarks (counter inc,
 # labeled lookup, histogram observe, a full /metrics render at 1k
-# series) recorded in BENCH_obs.json; web-edge benchmarks (replay ring
-# append/replay, WS frame encode/parse, tap-to-queue delivery with the
-# encode-once shared slot) recorded in BENCH_web.json; difference-engine
+# series) recorded in BENCH_obs.json; web-edge benchmarks (the session
+# table's replay ring append/replay, WS frame encode, notify-to-queue
+# delivery with the encode-once shared slot) recorded in BENCH_web.json; difference-engine
 # benchmarks (Extract, Compute, Encode, Decode+Apply on one update of a
 # feed.Generator channel) and the origin poll that feeds them (HTTPFetch,
 # 304 and 200 over loopback) recorded in BENCH_diff.json.
@@ -66,7 +66,7 @@ bench:
 		| $(GO) run ./cmd/bench2json -o BENCH_fanout.json
 	$(GO) test -run xxx -bench 'Obs' -benchmem ./internal/metrics/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_obs.json
-	$(GO) test -run xxx -bench 'Web' -benchmem ./internal/webgateway/ \
+	$(GO) test -run xxx -bench 'Web' -benchmem ./internal/webgateway/ ./internal/clientproto/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_web.json
 	$(GO) test -run xxx -bench '^Benchmark(Extract|ExtractDecorated|Compute|Encode|DecodeApply|HTTPFetch)$$' -benchmem ./internal/diffengine/ ./internal/core/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_diff.json

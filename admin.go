@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"corona/internal/clientproto"
 	"corona/internal/core"
 	"corona/internal/metrics"
 	"corona/internal/store"
@@ -61,8 +62,8 @@ var liveStatsSpec = []liveStatSpec{
 	{"OriginDials", "corona_origin_dials_total", "Connections dialed to channel origins; polls reuse idle keep-alive connections, so this stays far below the poll count.", statCounter},
 	{"Undeliverable", "corona_gateway_undeliverable_total", "Notifications for a client with no live session on this node.", statCounter},
 	{"NotifyDropped", "corona_client_notify_dropped_total", "Notifications dropped by the binary and line edges: evicted from full client outbound queues, or oversize.", statCounter},
-	{"NotifyBatchesRecv", "corona_gateway_notify_batches_total", "Batched notification calls received by the gateway.", statCounter},
-	{"BatchClients", "corona_gateway_batch_clients_total", "Client deliveries covered by gateway notification batches.", statCounter},
+	{"NotifyBatchesRecv", "corona_gateway_notify_batches_total", "Batched notification calls received by the node's client registry.", statCounter},
+	{"BatchClients", "corona_gateway_batch_clients_total", "Client deliveries covered by those notification batches.", statCounter},
 }
 
 // liveStatValue resolves a liveStatsSpec dot path against a LiveStats
@@ -136,7 +137,10 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 	peerCapacity := reg.GaugeVec("corona_peer_queue_capacity", "Outbound send-queue capacity toward one overlay peer.", "peer")
 	peerDrops := reg.CounterVec("corona_peer_queue_dropped_total", "Messages toward one overlay peer dropped locally.", "peer")
 
-	clientSessions := reg.Gauge("corona_client_sessions", "Client-protocol sessions currently attached.")
+	clientSessions := reg.GaugeVec("corona_client_sessions",
+		"Binary and line client sessions currently logged in, by transport.", "transport")
+	binarySessions := clientSessions.With(clientproto.TransportBinary)
+	lineSessions := clientSessions.With(clientproto.TransportLine)
 
 	ln.stages = reg.HistogramVec("corona_notify_stage_latency_seconds",
 		"Wall-clock latency from update detection to each notification pipeline stage.",
@@ -195,9 +199,8 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 			peerDrops.With(q.Endpoint).Set(q.Drops)
 		}
 
-		if ln.clients != nil {
-			clientSessions.Set(float64(ln.clients.Sessions()))
-		}
+		binarySessions.Set(float64(ln.sessions.Count(clientproto.TransportBinary)))
+		lineSessions.Set(float64(ln.sessions.Count(clientproto.TransportLine)))
 	})
 	return reg
 }

@@ -11,30 +11,26 @@ import (
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/im"
 )
 
-// fakeBackend is a minimal clientproto.Backend: it records subscriptions
-// and lets the test push notifications at attached clients.
+// fakeBackend is a minimal clientproto.Backend: it records subscriptions,
+// and its session table lets the test push notifications at logged-in
+// clients.
 type fakeBackend struct {
-	name string
+	name  string
+	table *clientproto.SessionTable
 
-	mu         sync.Mutex
-	subs       map[string][]string // client -> urls, in arrival order
-	nakSub     string              // nak any subscribe for this URL
-	nakTimes   int                 // ... only this many times (0 = forever)
-	deliverers map[string]*attachRec
-}
-
-type attachRec struct {
-	fn func(im.Notification)
+	mu       sync.Mutex
+	subs     map[string][]string // client -> urls, in arrival order
+	nakSub   string              // nak any subscribe for this URL
+	nakTimes int                 // ... only this many times (0 = forever)
 }
 
 func newFakeBackend(name string) *fakeBackend {
 	return &fakeBackend{
-		name:       name,
-		subs:       make(map[string][]string),
-		deliverers: make(map[string]*attachRec),
+		name:  name,
+		table: clientproto.NewSessionTable(nil),
+		subs:  make(map[string][]string),
 	}
 }
 
@@ -75,20 +71,6 @@ func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
 	return nil
 }
 
-func (b *fakeBackend) Attach(client string, deliver func(im.Notification)) func() {
-	rec := &attachRec{fn: deliver}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.deliverers[client] = rec
-	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.deliverers[client] == rec {
-			delete(b.deliverers, client)
-		}
-	}
-}
-
 func (b *fakeBackend) Info() clientproto.ServerInfo {
 	return clientproto.ServerInfo{Node: b.name}
 }
@@ -99,41 +81,35 @@ func (b *fakeBackend) subscribed(client string) []string {
 	return append([]string(nil), b.subs[client]...)
 }
 
-// notify pushes one notification at the attached client, reporting
-// whether one was attached.
-func (b *fakeBackend) notify(client string, n im.Notification) bool {
-	b.mu.Lock()
-	rec, ok := b.deliverers[client]
-	b.mu.Unlock()
-	if ok {
-		n.Shared = &im.Shared{} // a batch of one, as the gateway delivers it
-		rec.fn(n)
-	}
-	return ok
+// notify pushes one notification at client through the session table,
+// as a batch of one, reporting whether client held a session.
+func (b *fakeBackend) notify(client string, n clientproto.Notification) bool {
+	before := b.table.DeliveryStats().Undeliverable
+	b.table.NotifyBatch([]string{client}, n.Channel, n.Version, n.Diff, n.At)
+	return b.table.DeliveryStats().Undeliverable == before
 }
 
+// waitAttached waits for client's login. Each test logs one client in
+// per backend, so any live binary session is client's.
 func (b *fakeBackend) waitAttached(t *testing.T, client string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		b.mu.Lock()
-		_, ok := b.deliverers[client]
-		b.mu.Unlock()
-		if ok {
+		if b.table.Count(clientproto.TransportBinary) > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("%s: %s never attached", b.name, client)
+	t.Fatalf("%s: %s never logged in", b.name, client)
 }
 
-func startServer(t *testing.T, b clientproto.Backend) *clientproto.Server {
+func startServer(t *testing.T, b *fakeBackend) *clientproto.Server {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := clientproto.Serve(l, b)
+	s := clientproto.ServeSessions(l, b, b.table, nil)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -167,7 +143,7 @@ func TestDialSubscribeNotify(t *testing.T) {
 	}
 
 	at := time.Unix(1700000000, 0)
-	b.notify("alice", im.Notification{Client: "alice", Channel: "http://x/f.xml", Version: 7, Diff: "dd", At: at})
+	b.notify("alice", clientproto.Notification{Client: "alice", Channel: "http://x/f.xml", Version: 7, Diff: "dd", At: at})
 	select {
 	case n := <-c.Notifications():
 		if n.Client != "alice" || n.Channel != "http://x/f.xml" || n.Version != 7 || n.Diff != "dd" || !n.At.Equal(at) {
@@ -315,7 +291,7 @@ func TestFailoverResumesAndReplaysSubscriptions(t *testing.T) {
 	}
 
 	// Notifications keep flowing from the new node.
-	b2.notify("alice", im.Notification{Client: "alice", Channel: "http://x/a.xml", Version: 2})
+	b2.notify("alice", clientproto.Notification{Client: "alice", Channel: "http://x/a.xml", Version: 2})
 	select {
 	case n := <-c.Notifications():
 		if n.Channel != "http://x/a.xml" || n.Version != 2 {
@@ -404,7 +380,7 @@ func TestNotificationOverflowDropsOldest(t *testing.T) {
 	defer c.Close()
 	b.waitAttached(t, "alice")
 	for v := uint64(1); v <= 3; v++ {
-		b.notify("alice", im.Notification{Client: "alice", Channel: "u", Version: v})
+		b.notify("alice", clientproto.Notification{Client: "alice", Channel: "u", Version: v})
 	}
 	// The stream stays current: eventually version 3 is readable and two
 	// drops are counted.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"corona/internal/clientproto"
 	"corona/internal/clock"
 	"corona/internal/core"
 	"corona/internal/eventsim"
@@ -17,7 +18,7 @@ import (
 
 // cloud is the shared assembly behind Cluster and Simulation: N Corona
 // nodes on a message fabric, one origin hosting generator-backed feeds,
-// and a dispatcher delivering notifications to Go callbacks.
+// and one client registry delivering notifications to Go callbacks.
 type cloud struct {
 	opts   Options
 	origin *webserver.Origin
@@ -28,51 +29,25 @@ type cloud struct {
 	// goroutine that owns the event loop. Simulations run inline (the
 	// caller owns the loop); real-time clusters enqueue onto the driver.
 	exec func(func())
+	// clients is every node's notifier: each subscriber's callback is
+	// an in-process claim on its handle.
+	clients *clientproto.SessionTable
 
-	mu        sync.Mutex
-	callbacks map[string]func(Notification)
-	seq       int
-	feedSeed  int64
+	mu       sync.Mutex
+	seq      int
+	feedSeed int64
 }
-
-// notifier adapts callback dispatch to core.Notifier.
-type notifier struct{ c *cloud }
-
-// NotifyBatch implements core.Notifier: callback dispatch has no shared
-// encode to amortize, so each client's callback gets its own value.
-func (n notifier) NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time) {
-	if at.IsZero() {
-		at = n.c.clk.Now()
-	}
-	for _, client := range clients {
-		n.c.mu.Lock()
-		cb := n.c.callbacks[client]
-		n.c.mu.Unlock()
-		if cb != nil {
-			cb(Notification{
-				Client:  client,
-				Channel: channelURL,
-				Version: version,
-				Diff:    diff,
-				At:      at,
-			})
-		}
-	}
-}
-
-// NotifyCount implements core.Notifier (unused: clusters track clients).
-func (n notifier) NotifyCount(channelURL string, version uint64, count int, at time.Time) {}
 
 // buildCloud assembles nodes over the given simulator-backed network.
 func buildCloud(opts Options, sim *eventsim.Sim, net *simnet.Network, clk clock.Clock) *cloud {
 	c := &cloud{
-		opts:      opts,
-		origin:    webserver.NewOrigin(),
-		net:       net,
-		clk:       clk,
-		exec:      func(f func()) { f() },
-		callbacks: make(map[string]func(Notification)),
-		feedSeed:  opts.Seed * 7919,
+		opts:     opts,
+		origin:   webserver.NewOrigin(),
+		net:      net,
+		clk:      clk,
+		exec:     func(f func()) { f() },
+		clients:  clientproto.NewSessionTable(clk.Now),
+		feedSeed: opts.Seed * 7919,
 	}
 	fetcher := &core.OriginFetcher{Origin: c.origin, Clock: clk}
 	rng := sim.RNG("corona-cluster-ids")
@@ -100,7 +75,7 @@ func buildCloud(opts Options, sim *eventsim.Sim, net *simnet.Network, clk clock.
 		cfg.DelegateThreshold = opts.DelegateThreshold
 		cfg.ContentMode = opts.ContentMode
 		cfg.Seed = opts.Seed + int64(i)
-		n := core.NewNode(cfg, overlay, clk, fetcher, notifier{c}, nil)
+		n := core.NewNode(cfg, overlay, clk, fetcher, c.clients, nil)
 		c.nodes = append(c.nodes, n)
 		n.Start()
 	}
@@ -142,9 +117,7 @@ func (c *cloud) Subscribe(client, url string, fn func(Notification)) error {
 	if fn == nil {
 		return fmt.Errorf("corona: nil notification callback")
 	}
-	c.mu.Lock()
-	c.callbacks[client] = fn
-	c.mu.Unlock()
+	c.clients.Claim(client, fn)
 	c.exec(func() { c.entryNode(client).Subscribe(client, url) })
 	return nil
 }

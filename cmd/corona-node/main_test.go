@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/im"
 )
 
 // fakeSub records subscription calls; failing ones must surface as ERR
@@ -40,8 +39,6 @@ func (f *fakeSub) Unsubscribe(client, url string) error {
 
 func (f *fakeSub) RefreshLeases(string, []string) error { return nil }
 
-func (f *fakeSub) Attach(string, func(im.Notification)) func() { return func() {} }
-
 func (f *fakeSub) Info() clientproto.ServerInfo { return clientproto.ServerInfo{} }
 
 // runIMSession sends lines to a line-protocol server over TCP, one reply
@@ -52,7 +49,7 @@ func runIMSession(t *testing.T, node *fakeSub, lines []string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := clientproto.ServeLine(l, node, clientproto.NewSessionTable(), nil)
+	srv := clientproto.ServeLine(l, node, clientproto.NewSessionTable(nil), nil)
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

@@ -27,8 +27,8 @@ import (
 	"fmt"
 	"time"
 
+	"corona/internal/clientproto"
 	"corona/internal/core"
-	"corona/internal/im"
 )
 
 // Scheme selects the optimization policy (paper Table 1).
@@ -71,10 +71,12 @@ func (s Scheme) coreScheme() core.Scheme {
 // Notification is one update delivered to a subscriber: Client (the
 // handle it was addressed to), Channel (the subscribed URL), Version,
 // Diff (the delta-encoded change, see internal/diffengine; empty in
-// version-only mode) and At (the delivery time). It is the same value
-// the gateway produces and the client protocol carries, aliased so the
-// structure cannot drift between the public API and the delivery path.
-type Notification = im.Notification
+// version-only mode) and At (the detection time, or the delivery time
+// when the update carried none). It is the same value
+// the node's client registry delivers and the client protocol carries,
+// aliased so the structure cannot drift between the public API and the
+// delivery path.
+type Notification = clientproto.Notification
 
 // Options configures a Cluster or Simulation.
 type Options struct {

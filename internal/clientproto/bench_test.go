@@ -2,11 +2,9 @@ package clientproto
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
-
-	"corona/internal/clock"
-	"corona/internal/im"
 )
 
 // benchDiff approximates one RSS item diff (the common notification
@@ -34,21 +32,21 @@ func BenchmarkClientNotifyEncode(b *testing.B) {
 }
 
 // BenchmarkClientGatewayFanout measures a channel update fanning out
-// through the gateway's structured path to attached protocol clients as
-// one single-client NotifyBatch call per client, each deliverer encoding
-// its own Notify frame — the full gateway→clientproto encode pipeline per
-// notification, without socket IO. (BenchmarkFanoutNotifyBatch measures
+// through the session table to its clients as one single-client
+// NotifyBatch call per client, each deliverer encoding its own Notify
+// frame — the full registry→frame encode pipeline per notification,
+// without socket IO. (BenchmarkFanoutNotifyBatch measures
 // the shared-encode path with every client in one batch.)
 func BenchmarkClientGatewayFanout(b *testing.B) {
 	for _, clients := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			g := im.NewGateway(clock.Real{})
+			g := NewSessionTable(nil)
 			handles := make([]string, clients)
 			var sink int
 			for i := range handles {
 				handles[i] = fmt.Sprintf("user%d", i)
 				var buf []byte
-				g.Attach(handles[i], func(n im.Notification) {
+				g.Claim(handles[i], func(n Notification) {
 					buf = AppendFrame(buf[:0], &Notify{Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: n.At})
 					sink += len(buf)
 				})
@@ -72,5 +70,34 @@ func BenchmarkClientGatewayFanout(b *testing.B) {
 			perNotify := float64(b.Elapsed().Nanoseconds()) / float64(b.N*clients)
 			b.ReportMetric(perNotify, "ns/notify")
 		})
+	}
+}
+
+// BenchmarkWebReplayAppend measures the replay ring's cost per update:
+// what every notification pays on a node serving the web edge, whether
+// or not a web client is connected.
+func BenchmarkWebReplayAppend(b *testing.B) {
+	r := NewReplay(DefaultReplayCap)
+	diff := strings.Repeat("x", 512)
+	at := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Append("u", uint64(i+1), diff, at)
+	}
+}
+
+// BenchmarkWebReplayFrom measures a resume scan over a full ring.
+func BenchmarkWebReplayFrom(b *testing.B) {
+	r := NewReplay(DefaultReplayCap)
+	for v := uint64(1); v <= DefaultReplayCap; v++ {
+		r.Append("u", v, "diff", time.Time{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, complete := r.From("u", DefaultReplayCap/2); !complete {
+			b.Fatal("expected complete replay")
+		}
 	}
 }

@@ -116,8 +116,20 @@
 //
 // Notify frames are unacknowledged and may arrive at any time after
 // Login; ordering is per-channel by version, with no cross-channel
-// guarantee. Every update reaches the server as one gateway NotifyBatch
-// per entry node: the server encodes the Notify frame once into the
-// batch's shared cell and every connection writes the same buffer — the
-// marginal cost per recipient is an enqueue, not an encode.
+// guarantee.
+//
+// # Client registry
+//
+// The SessionTable a server logs its sessions into is the node's only
+// client registry and its notifier: one handle-keyed map, under one
+// lock, of every session on every transport (binary, line, WS, SSE, and
+// in-process claims such as corona.LiveNode.Attach), each entry holding
+// its session's deliverer (Outbox.Deliver). Every update reaches the
+// node as one NotifyBatch per entry node; the table hands it to the
+// named sessions' deliverers, counting clients with no session as
+// undeliverable. The edge encodes the Notify frame once into the batch's
+// shared cell and every connection writes the same buffer — the
+// marginal cost per recipient is an enqueue, not an encode. When the
+// node serves the web edge, the table also appends every update to its
+// per-channel replay rings (Replay) before any deliverer runs.
 package clientproto

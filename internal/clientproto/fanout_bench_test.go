@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"corona/internal/clock"
-	"corona/internal/im"
 )
 
 // BenchmarkFanoutNotifyBatch measures the encode-once batch path: one
-// gateway NotifyBatch call fanning an update out to every attached
+// session-table NotifyBatch call fanning an update out to every logged-in
 // protocol client through the server's real deliverer (Outbox.Deliver),
 // with the Notify frame encoded a single time into the batch's shared
 // cell and the bytes reused by every outbox — the marginal cost per
@@ -21,7 +18,7 @@ import (
 func BenchmarkFanoutNotifyBatch(b *testing.B) {
 	for _, clients := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			g := im.NewGateway(clock.Real{})
+			g := NewSessionTable(nil)
 			edge := NewEdge(DefaultQueueLen, encodeNotify, nil)
 			handles := make([]string, clients)
 			outs := make([]*Outbox[Frame], clients)
@@ -29,7 +26,7 @@ func BenchmarkFanoutNotifyBatch(b *testing.B) {
 			for i := range handles {
 				handles[i] = fmt.Sprintf("user%d", i)
 				outs[i], _ = edge.Open(nil)
-				g.Attach(handles[i], outs[i].Deliver)
+				g.Claim(handles[i], outs[i].Deliver)
 			}
 			var sink int
 			const url = "http://feeds.example.com/headlines.xml"

@@ -5,8 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"corona/internal/im"
 )
 
 // TransportLine is the line framing's transport name in the session
@@ -86,14 +84,14 @@ func replyLine(req Frame, _ []byte, err error) string {
 	return "OK bye\n"
 }
 
-// sharedKeyLine keys the line framing's slot in a batch's im.Shared
+// sharedKeyLine keys the line framing's slot in a batch's Shared
 // cell.
 var sharedKeyLine = new(byte)
 
 // encodeLine is the line edge's notify encoder: the first recipient of a
 // batch renders the MSG line into the batch's Shared cell and every
 // later one reuses the string.
-func encodeLine(n im.Notification) (string, bool) {
+func encodeLine(n Notification) (string, bool) {
 	msg, _ := n.Shared.Load(sharedKeyLine).(string)
 	if msg == "" {
 		msg = "MSG corona " + strconv.Quote(n.LegacyBody()) + "\n"

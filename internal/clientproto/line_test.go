@@ -9,22 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"corona/internal/clock"
-	"corona/internal/im"
 )
-
-// gatewayBackend is fakeBackend with a real gateway doing the attach
-// routing, so tests drive delivery through Gateway.NotifyBatch as a live
-// node does.
-type gatewayBackend struct {
-	*fakeBackend
-	g *im.Gateway
-}
-
-func (b gatewayBackend) Attach(client string, deliver func(im.Notification)) func() {
-	return b.g.Attach(client, deliver)
-}
 
 func startLine(t *testing.T, b Backend, table *SessionTable) *Server {
 	t.Helper()
@@ -89,12 +74,12 @@ func (c *lineClient) version() (uint64, error) {
 }
 
 // TestLineStalledSessionDoesNotBlockNotifyBatch: a line client that
-// stops reading must neither block the gateway's caller (on a live node,
+// stops reading must neither block NotifyBatch's caller (on a live node,
 // the overlay's per-peer read loop) nor hold back another session's
 // delivery.
 func TestLineStalledSessionDoesNotBlockNotifyBatch(t *testing.T) {
-	g := im.NewGateway(clock.Real{})
-	s := startLine(t, gatewayBackend{newFakeBackend(), g}, NewSessionTable())
+	g := NewSessionTable(nil)
+	s := startLine(t, newFakeBackend(), g)
 	stalled, healthy := dialLine(t, s.Addr()), dialLine(t, s.Addr())
 	for name, c := range map[string]*lineClient{"stalled": stalled, "healthy": healthy} {
 		if r := c.do("LOGIN " + name); r != "OK logged in as "+name {
@@ -130,8 +115,8 @@ func TestLineStalledSessionDoesNotBlockNotifyBatch(t *testing.T) {
 // every one of them at once, as the line protocol's MSG line; no
 // node-wide pacer spaces the sends.
 func TestLineFanoutIsNotPaced(t *testing.T) {
-	g := im.NewGateway(clock.Real{})
-	s := startLine(t, gatewayBackend{newFakeBackend(), g}, NewSessionTable())
+	g := NewSessionTable(nil)
+	s := startLine(t, newFakeBackend(), g)
 	clients := make([]*lineClient, 100)
 	handles := make([]string, len(clients))
 	for i := range clients {
@@ -157,7 +142,7 @@ func TestLineFanoutIsNotPaced(t *testing.T) {
 // handle is free again once its line session has quit.
 func TestLineSingleLoginAcrossTransports(t *testing.T) {
 	b := newFakeBackend()
-	table := NewSessionTable()
+	table := NewSessionTable(nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

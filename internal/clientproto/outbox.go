@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"corona/internal/im"
 )
 
 // Outbox tunables, shared by every client-facing edge.
@@ -68,7 +66,7 @@ type EdgeStats struct {
 // counters, and the set of live sessions its Shutdown drains.
 type Edge[T any] struct {
 	queueLen int
-	encode   func(im.Notification) (msg T, ok bool)
+	encode   func(Notification) (msg T, ok bool)
 	observe  func(time.Duration)
 
 	notifies, droppedSlow, droppedOversize, closedDisplaced, closedSlow atomic.Uint64
@@ -87,7 +85,7 @@ type Edge[T any] struct {
 // time from an update's detection to its notify entering a queue; it
 // runs under the outbox's lock, so the writer cannot send the notify
 // before it is counted, and must not block.
-func NewEdge[T any](queueLen int, encode func(im.Notification) (T, bool), observe func(time.Duration)) *Edge[T] {
+func NewEdge[T any](queueLen int, encode func(Notification) (T, bool), observe func(time.Duration)) *Edge[T] {
 	if queueLen <= 0 {
 		queueLen = DefaultQueueLen
 	}
@@ -235,11 +233,11 @@ func (o *Outbox[T]) End() {
 	o.edge.ended.Done()
 }
 
-// Deliver is the session's gateway deliverer: it encodes the
+// Deliver is the session's deliverer in the SessionTable: it encodes the
 // notification (once per batch, through the edge's encoder) and queues
 // it unless it is oversize, its channel is mid-subscribe, or its version
 // is not above the channel's watermark.
-func (o *Outbox[T]) Deliver(n im.Notification) {
+func (o *Outbox[T]) Deliver(n Notification) {
 	msg, ok := o.edge.encode(n)
 	if !ok {
 		o.edge.droppedOversize.Add(1)
@@ -310,8 +308,8 @@ func (o *Outbox[T]) signal() {
 // releases the channel. Whatever catchUp queues goes out after anything
 // already queued and before any later live notify for the channel, and
 // the watermark keeps the union free of duplicates: any live update
-// suppressed meanwhile must be one catchUp can find (the web edge's
-// replay ring takes every update before any deliverer runs).
+// suppressed meanwhile must be one catchUp can find (the SessionTable
+// appends every update to its replay rings before any deliverer runs).
 func (o *Outbox[T]) Subscribe(channel string, subscribe func() error, catchUp func(Gap[T])) error {
 	o.mu.Lock()
 	o.gated[channel] = struct{}{}
@@ -370,7 +368,7 @@ func (g Gap[T]) Control(msg T) {
 
 // Replay queues a notification the session missed, unless its version
 // is not above the channel's watermark. n.Shared must be set.
-func (g Gap[T]) Replay(n im.Notification) {
+func (g Gap[T]) Replay(n Notification) {
 	o := g.o
 	if n.Version <= o.last[g.channel] {
 		return

@@ -1,13 +1,13 @@
-package webgateway
+package clientproto
 
 import (
 	"sync"
 	"time"
 )
 
-// DefaultReplayCap is the per-channel ring capacity when Config leaves
-// it zero: enough to ride out a browser reconnect (seconds to a minute)
-// on an active channel without holding feed history forever.
+// DefaultReplayCap is the per-channel ring capacity when the caller
+// leaves it zero: enough to ride out a browser reconnect (seconds to a
+// minute) on an active channel without holding feed history forever.
 const DefaultReplayCap = 256
 
 // Entry is one buffered notification: what a reconnecting client fetches
@@ -18,12 +18,12 @@ type Entry struct {
 	At      time.Time
 }
 
-// Replay is the gateway's per-channel replay memory: a bounded,
-// version-indexed ring per channel, fed from the im.Gateway update tap
-// (every update the node would deliver to any local client, whether or
-// not one is attached) and read by reconnecting WebSocket/SSE sessions
+// Replay is the node's per-channel replay memory: a bounded,
+// version-indexed ring per channel, appended to by the SessionTable's
+// NotifyBatch (every update the node would deliver to any local client,
+// whether or not one has a session) and read by reconnecting sessions
 // resuming from a version cursor. Versions in a ring are strictly
-// increasing — the tap can observe one update several times (one batch
+// increasing — the table can see one update several times (one batch
 // per delegate shard reaching this entry node), so Append drops
 // anything at or below the newest buffered version.
 type Replay struct {

@@ -1,4 +1,4 @@
-package webgateway
+package clientproto
 
 import (
 	"fmt"
@@ -123,8 +123,8 @@ func TestReplaySparseVersions(t *testing.T) {
 	}
 }
 
-// TestReplayAppendDedup drops duplicate and stale versions — the tap
-// observes one update once per delegate batch that reaches this node.
+// TestReplayAppendDedup drops duplicate and stale versions — the session
+// table sees one update once per delegate batch that reaches this node.
 func TestReplayAppendDedup(t *testing.T) {
 	r := NewReplay(8)
 	r.Append("ch", 3, "v3", time.Time{})

@@ -6,16 +6,15 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"corona/internal/im"
 )
 
 // tokenLen is the resume-token size in bytes.
 const tokenLen = 16
 
 // Backend is the node surface the protocol server drives: subscription
-// calls, structured-notification attachment, and the node's ServerInfo
-// advertisement. corona.LiveNode implements it.
+// calls and the node's ServerInfo advertisement. Notifications reach a
+// session through the SessionTable it logged in to. corona.LiveNode
+// implements it.
 type Backend interface {
 	// Subscribe registers a client's interest in a channel URL, with
 	// this node as the client's entry point.
@@ -26,9 +25,6 @@ type Backend interface {
 	// client's channels: each channel owner refreshes the subscriber's
 	// lease and re-points its entry record at this node.
 	RefreshLeases(client string, urls []string) error
-	// Attach registers a structured-notification deliverer for client,
-	// displacing any previous one; the returned detach removes it.
-	Attach(client string, deliver func(im.Notification)) (detach func())
 	// Info returns the node's current ServerInfo advertisement.
 	Info() ServerInfo
 }
@@ -46,7 +42,7 @@ type sharedFrame struct {
 	oversize bool
 }
 
-// sharedKeyFrame keys this package's slot in a batch's im.Shared cell;
+// sharedKeyFrame keys this package's slot in a batch's Shared cell;
 // other delivery layers (the web gateway's JSON encoding) hold their own
 // slots in the same cell.
 var sharedKeyFrame = new(byte)
@@ -59,8 +55,8 @@ func (f *sharedFrame) appendBody(dst []byte) []byte {
 // encodeNotify is the binary edge's notify encoder: the first recipient
 // of a batch encodes the frame into the batch's Shared cell and every
 // later one reuses the bytes. Deliverers for one batch run sequentially
-// on the gateway's goroutine, so the cell needs no locking.
-func encodeNotify(n im.Notification) (Frame, bool) {
+// on NotifyBatch's goroutine, so the cell needs no locking.
+func encodeNotify(n Notification) (Frame, bool) {
 	sf, _ := n.Shared.Load(sharedKeyFrame).(*sharedFrame)
 	if sf == nil {
 		b := AppendFrame(nil, &Notify{Channel: n.Channel, Version: n.Version, Diff: n.Diff, At: n.At})
@@ -91,9 +87,9 @@ var binaryFraming = framing[Frame]{
 }
 
 // framing is one socket encoding of the client session model. The
-// Server runs the session — accept loop, outbox, session-table claim and
-// gateway attach, request dispatch — and calls its framing only to read
-// requests off the socket and to render what goes back.
+// Server runs the session — accept loop, outbox, session-table claim,
+// request dispatch — and calls its framing only to read requests off
+// the socket and to render what goes back.
 type framing[T any] struct {
 	// transport names the framing's sessions in the session table.
 	transport string
@@ -114,7 +110,7 @@ type framing[T any] struct {
 	// write writes one queued item into the connection's buffered writer.
 	write func(*bufio.Writer, Queued[T]) error
 	// encode is the edge's notify encoder (NewEdge).
-	encode func(im.Notification) (T, bool)
+	encode func(Notification) (T, bool)
 }
 
 // quit asks the server to end the session once its reply and whatever
@@ -135,11 +131,10 @@ func (e badRequest) Error() string { return string(e) }
 // Server accepts connections on a listener and serves them against a
 // Backend, one outbox per connection, in one framing.
 type Server struct {
-	backend   Backend
-	table     *SessionTable
-	listener  net.Listener
-	transport string
-	edge      interface {
+	backend  Backend
+	table    *SessionTable
+	listener net.Listener
+	edge     interface {
 		Stats() EdgeStats
 		Shutdown()
 	}
@@ -149,7 +144,7 @@ type Server struct {
 // private session table. Close stops the server and every live
 // connection.
 func Serve(ln net.Listener, backend Backend) *Server {
-	return ServeSessions(ln, backend, NewSessionTable(), nil)
+	return ServeSessions(ln, backend, NewSessionTable(nil), nil)
 }
 
 // ServeSessions starts accepting binary-protocol connections from ln,
@@ -170,7 +165,7 @@ func ServeLine(ln net.Listener, backend Backend, table *SessionTable, observe fu
 
 func serve[T any](ln net.Listener, backend Backend, table *SessionTable, f *framing[T], observe func(time.Duration)) *Server {
 	e := NewEdge(DefaultQueueLen, f.encode, observe)
-	s := &Server{backend: backend, table: table, listener: ln, transport: f.transport, edge: e}
+	s := &Server{backend: backend, table: table, listener: ln, edge: e}
 	go acceptLoop(s, f, e)
 	return s
 }
@@ -183,13 +178,6 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 func (s *Server) NotifyDropped() uint64 {
 	st := s.edge.Stats()
 	return st.DroppedSlow + st.DroppedOversize
-}
-
-// Sessions returns the number of live logged-in sessions of this
-// server's framing (other transports' sessions in a shared table are not
-// counted).
-func (s *Server) Sessions() int {
-	return s.table.Count(s.transport)
 }
 
 // Close shuts the listener and drains every connection by the edge's
@@ -257,8 +245,8 @@ func replyFrame(req Frame, token []byte, err error) Frame {
 
 // serveConn owns one connection: the framing's hello, then a read loop
 // dispatching requests. Everything to the client goes through the
-// connection's outbox, so notification delivery (from gateway
-// goroutines) cannot interleave with request replies.
+// connection's outbox, so notification delivery (from NotifyBatch
+// callers) cannot interleave with request replies.
 func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
 	stopped := o.Pump(conn, f.write)
 	defer func() {
@@ -272,11 +260,7 @@ func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
 
 	var handle string
 	var sess *TableSession
-	var detach func()
 	defer func() {
-		if detach != nil {
-			detach()
-		}
 		if handle != "" {
 			s.table.End(handle, sess)
 		}
@@ -308,17 +292,13 @@ func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
 				reply(req, errors.New("empty handle"))
 				continue
 			}
-			// The table runs the attach under its lock, making claim and
-			// attach one atomic step (the gateway's lock is leaf-level,
-			// and the displaced session's detach is identity-guarded).
-			token, ts, det, ok := s.table.Begin(req.Handle, req.ResumeToken, f.transport,
-				func() { o.Close(CloseDisplaced) },
-				func() func() { return s.backend.Attach(req.Handle, o.Deliver) })
+			token, ts, ok := s.table.Begin(req.Handle, req.ResumeToken, f.transport,
+				func() { o.Close(CloseDisplaced) }, o.Deliver)
 			if !ok {
 				reply(req, errors.New("handle in use (resume token mismatch)"))
 				continue
 			}
-			handle, sess, detach = req.Handle, ts, det
+			handle, sess = req.Handle, ts
 			o.Control(f.reply(req, token, nil))
 			info()
 		case *Subscribe:

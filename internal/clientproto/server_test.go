@@ -6,29 +6,20 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"corona/internal/im"
 )
 
-// fakeBackend records subscription calls and lets tests drive attached
-// deliverers directly. Detach is identity-guarded like the gateway's: a
-// displaced session's late detach must not remove its successor.
-type attachRec struct {
-	fn func(im.Notification)
-}
-
+// fakeBackend records subscription calls.
 type fakeBackend struct {
-	mu         sync.Mutex
-	subs       []string
-	unsubs     []string
-	leases     []string
-	failSub    bool
-	failLease  bool
-	deliverers map[string]*attachRec
+	mu        sync.Mutex
+	subs      []string
+	unsubs    []string
+	leases    []string
+	failSub   bool
+	failLease bool
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{deliverers: make(map[string]*attachRec)}
+	return &fakeBackend{}
 }
 
 func (b *fakeBackend) Subscribe(client, url string) error {
@@ -60,20 +51,6 @@ func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
 	return nil
 }
 
-func (b *fakeBackend) Attach(client string, deliver func(im.Notification)) func() {
-	rec := &attachRec{fn: deliver}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.deliverers[client] = rec
-	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.deliverers[client] == rec {
-			delete(b.deliverers, client)
-		}
-	}
-}
-
 func (b *fakeBackend) Info() ServerInfo {
 	return ServerInfo{
 		Node:  "overlay:1",
@@ -82,22 +59,12 @@ func (b *fakeBackend) Info() ServerInfo {
 	}
 }
 
-func (b *fakeBackend) notify(client string, n im.Notification) bool {
-	b.mu.Lock()
-	rec, ok := b.deliverers[client]
-	b.mu.Unlock()
-	if ok {
-		n.Shared = &im.Shared{} // a batch of one, as the gateway delivers it
-		rec.fn(n)
-	}
-	return ok
-}
-
-func (b *fakeBackend) attached(client string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.deliverers[client]
-	return ok
+// notify delivers one update to client through the server's session
+// table, as a batch of one, reporting whether client held a session.
+func notify(s *Server, client, channel string, version uint64, at time.Time) bool {
+	before := s.table.DeliveryStats().Undeliverable
+	s.table.NotifyBatch([]string{client}, channel, version, "d", at)
+	return s.table.DeliveryStats().Undeliverable == before
 }
 
 // testClient is a minimal raw-protocol client for server tests.
@@ -176,10 +143,11 @@ func TestServerLoginSubscribeNotify(t *testing.T) {
 		t.Fatalf("backend subs = %v", subs)
 	}
 
-	// A notification delivered through the attachment arrives as a frame.
+	// A notification delivered through the session table arrives as a
+	// frame.
 	at := time.Unix(1700000000, 0)
-	if !b.notify("alice", im.Notification{Client: "alice", Channel: "http://x/f.xml", Version: 3, Diff: "d", At: at}) {
-		t.Fatal("alice not attached after login")
+	if !notify(s, "alice", "http://x/f.xml", 3, at) {
+		t.Fatal("alice has no session after login")
 	}
 	n, ok := c.read().(*Notify)
 	if !ok || n.Channel != "http://x/f.xml" || n.Version != 3 || n.Diff != "d" || !n.At.Equal(at) {
@@ -270,12 +238,8 @@ func TestServerResumeTokenDisplacesStaleSession(t *testing.T) {
 	}
 
 	// The new session receives notifications.
-	deadline := time.Now().Add(5 * time.Second)
-	for !b.attached("alice") && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !b.notify("alice", im.Notification{Client: "alice", Channel: "u", Version: 1}) {
-		t.Fatal("alice not attached after displacement")
+	if !notify(s, "alice", "u", 1, time.Time{}) {
+		t.Fatal("alice has no session after displacement")
 	}
 	if n, ok := c3.read().(*Notify); !ok || n.Version != 1 {
 		t.Fatalf("notify after displacement = %#v", n)
@@ -354,8 +318,8 @@ func TestServerCloseDrainsQueuedNotifies(t *testing.T) {
 
 	const queued = 32
 	for v := uint64(1); v <= queued; v++ {
-		if !b.notify("alice", im.Notification{Client: "alice", Channel: "u", Version: v}) {
-			t.Fatal("alice not attached")
+		if !notify(s, "alice", "u", v, time.Time{}) {
+			t.Fatal("alice has no session")
 		}
 	}
 	done := make(chan error, 1)

@@ -67,8 +67,8 @@ type replicatedSub struct {
 // channel owner (or one of its delegates) to a shared entry node: one
 // diff, a list of client handles. The owner's per-update overlay cost is
 // proportional to distinct entry nodes rather than subscribers; the entry
-// node's gateway re-fans it to the attached clients with a single shared
-// frame encoding.
+// node's notifier re-fans it to the clients' sessions with a single
+// shared frame encoding.
 type notifyBatchMsg struct {
 	URL     string   `json:"url"`
 	Version uint64   `json:"version"`

@@ -24,12 +24,13 @@ type Fetcher interface {
 	Fetch(url string, haveVersion uint64) (webserver.FetchResult, error)
 }
 
-// Notifier delivers update notifications to subscribers; the IM gateway
-// implements it (paper §3.5). In counting mode the node calls
-// NotifyCount instead of NotifyBatch.
+// Notifier delivers update notifications to subscribers, the role of the
+// paper's IM gateway (§3.5); a node's client registry
+// (clientproto.SessionTable) implements it. In counting mode the node
+// calls NotifyCount instead of NotifyBatch.
 type Notifier interface {
 	// NotifyBatch sends every listed client the same diff for a channel
-	// update — one call per entry node per update, so the gateway can
+	// update — one call per entry node per update, so the notifier can
 	// encode the notification once and share the bytes across clients.
 	// A single subscriber is a batch of one. at is the detection
 	// timestamp — when the polling node first observed the version —

@@ -1,14 +1,13 @@
 // Package stats provides the measurement and reporting primitives the
 // evaluation harness uses: bucketed time series (the x-axis of Figures 3,
 // 4, 9, 10), weighted means (the paper's subscription-weighted update
-// detection time), histograms with quantiles, and fixed-width table
-// rendering for paper-shaped output.
+// detection time), and fixed-width table rendering for paper-shaped
+// output.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -114,55 +113,6 @@ func (m *WeightedMean) Mean() float64 {
 
 // Weight returns the total weight accumulated.
 func (m *WeightedMean) Weight() float64 { return m.weight }
-
-// Histogram collects samples for quantile queries. It stores raw values;
-// experiment sample counts (≤ millions) make that the simple, exact
-// choice.
-type Histogram struct {
-	values []float64
-	sorted bool
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	h.values = append(h.values, v)
-	h.sorted = false
-}
-
-// N returns the sample count.
-func (h *Histogram) N() int { return len(h.values) }
-
-// Mean returns the sample mean, or NaN when empty.
-func (h *Histogram) Mean() float64 {
-	if len(h.values) == 0 {
-		return math.NaN()
-	}
-	total := 0.0
-	for _, v := range h.values {
-		total += v
-	}
-	return total / float64(len(h.values))
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) by nearest-rank, or NaN
-// when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.values) == 0 {
-		return math.NaN()
-	}
-	if !h.sorted {
-		sort.Float64s(h.values)
-		h.sorted = true
-	}
-	idx := int(math.Ceil(q*float64(len(h.values)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.values) {
-		idx = len(h.values) - 1
-	}
-	return h.values[idx]
-}
 
 // Table renders fixed-width rows for the benchmark output, mirroring how
 // the paper presents Table 2.

@@ -82,36 +82,6 @@ func TestWeightedMean(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	if !math.IsNaN(h.Quantile(0.5)) || !math.IsNaN(h.Mean()) {
-		t.Fatal("empty histogram should be NaN")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
-	}
-	if got := h.Quantile(0.5); got != 50 {
-		t.Fatalf("median = %v, want 50", got)
-	}
-	if got := h.Quantile(0.99); got != 99 {
-		t.Fatalf("p99 = %v, want 99", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Fatalf("p0 = %v, want 1", got)
-	}
-	if got := h.Quantile(1); got != 100 {
-		t.Fatalf("p100 = %v, want 100", got)
-	}
-	if got := h.Mean(); got != 50.5 {
-		t.Fatalf("mean = %v, want 50.5", got)
-	}
-	// Adding after a quantile query must re-sort.
-	h.Add(0.5)
-	if got := h.Quantile(0); got != 0.5 {
-		t.Fatalf("p0 after re-add = %v", got)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("Scheme", "Detection (s)", "Load")
 	tbl.AddRow("Legacy-RSS", 900.0, 50.0)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/im"
 )
 
 // BenchmarkWebFanoutDeliver measures the hot path a channel update takes
@@ -40,8 +39,8 @@ func BenchmarkWebFanoutDeliver(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				shared := &im.Shared{}
-				n := im.Notification{Channel: "u", Version: uint64(i + 1), Diff: diff, At: at, Shared: shared}
+				shared := &clientproto.Shared{}
+				n := clientproto.Notification{Channel: "u", Version: uint64(i + 1), Diff: diff, At: at, Shared: shared}
 				for _, ws := range sessions {
 					ws.out.Deliver(n)
 				}
@@ -52,34 +51,6 @@ func BenchmarkWebFanoutDeliver(b *testing.B) {
 			}
 			writers.Wait()
 		})
-	}
-}
-
-// BenchmarkWebReplayAppend measures the tap's cost per update: what
-// every notification pays whether or not a web client is connected.
-func BenchmarkWebReplayAppend(b *testing.B) {
-	r := NewReplay(DefaultReplayCap)
-	diff := strings.Repeat("x", 512)
-	at := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Append("u", uint64(i+1), diff, at)
-	}
-}
-
-// BenchmarkWebReplayFrom measures a resume scan over a full ring.
-func BenchmarkWebReplayFrom(b *testing.B) {
-	r := NewReplay(DefaultReplayCap)
-	for v := uint64(1); v <= DefaultReplayCap; v++ {
-		r.Append("u", v, "diff", time.Time{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, complete := r.From("u", DefaultReplayCap/2); !complete {
-			b.Fatal("expected complete replay")
-		}
 	}
 }
 

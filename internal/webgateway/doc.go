@@ -45,7 +45,11 @@
 //
 // Every update the node would deliver locally is also appended — before
 // any deliverer runs — to a per-channel, bounded, version-indexed
-// replay ring (it grows as updates arrive, up to its capacity). A subscribe carrying since replays, in order and
+// replay ring (it grows as updates arrive, up to its capacity). The
+// rings live in the node's session table (clientproto.SessionTable,
+// clientproto.Replay), whose NotifyBatch appends to them directly; the
+// first gateway built on a table switches them on, so a node without a
+// web edge keeps none. A subscribe carrying since replays, in order and
 // exactly once, every buffered version strictly greater than since,
 // merged gap-free with live deliveries (a gate suppresses live events
 // for the channel while the subscribe is in flight; the ring holds

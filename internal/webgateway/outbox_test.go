@@ -81,10 +81,11 @@ type edgeItem struct {
 }
 
 // edgeHarness drives one framing's edge over a pipe: deliveries go
-// through the backend's attached deliverer (the real Outbox.Deliver),
-// items are decoded from the client end of the socket.
+// through the session table to the session's real Outbox.Deliver, items
+// are decoded from the client end of the socket. Every harness session
+// logs in as "h".
 type edgeHarness struct {
-	b       *fakeBackend
+	table   *clientproto.SessionTable
 	server  *watchedConn
 	next    func() (edgeItem, error)
 	control func(req uint64) // make the server queue a control item
@@ -93,7 +94,7 @@ type edgeHarness struct {
 }
 
 func (h *edgeHarness) deliver(channel string, version uint64, diff string) {
-	h.b.deliver(channel, version, diff, time.Now())
+	h.table.NotifyBatch([]string{"h"}, channel, version, diff, time.Now())
 }
 
 // stall leaves the session's writer blocked mid-write: a priming
@@ -160,9 +161,9 @@ func seq(from, to uint64) []uint64 {
 }
 
 func binaryHarness(t *testing.T) *edgeHarness {
-	b := newFakeBackend()
+	table := clientproto.NewSessionTable(nil)
 	l := newPipeListener()
-	srv := clientproto.Serve(l, b)
+	srv := clientproto.ServeSessions(l, newFakeBackend(), table, nil)
 	t.Cleanup(func() { srv.Close() })
 	conn, server := l.dial()
 	t.Cleanup(func() { conn.Close() })
@@ -180,7 +181,7 @@ func binaryHarness(t *testing.T) *edgeHarness {
 		}
 	}
 	return &edgeHarness{
-		b:      b,
+		table:  table,
 		server: server,
 		next: func() (edgeItem, error) {
 			f, err := clientproto.ReadFrame(br)
@@ -199,9 +200,9 @@ func binaryHarness(t *testing.T) *edgeHarness {
 }
 
 func lineHarness(t *testing.T) *edgeHarness {
-	b := newFakeBackend()
+	table := clientproto.NewSessionTable(nil)
 	l := newPipeListener()
-	srv := clientproto.ServeLine(l, b, clientproto.NewSessionTable(), nil)
+	srv := clientproto.ServeLine(l, newFakeBackend(), table, nil)
 	t.Cleanup(func() { srv.Close() })
 	conn, server := l.dial()
 	t.Cleanup(func() { conn.Close() })
@@ -212,7 +213,7 @@ func lineHarness(t *testing.T) *edgeHarness {
 		t.Fatalf("login reply %q, %v", line, err)
 	}
 	return &edgeHarness{
-		b:      b,
+		table:  table,
 		server: server,
 		next: func() (edgeItem, error) {
 			line, err := br.ReadString('\n')
@@ -243,8 +244,7 @@ func lineHarness(t *testing.T) *edgeHarness {
 }
 
 func webHarness(t *testing.T, cfg Config) (*edgeHarness, *Server, *bufio.Reader, net.Conn) {
-	b := newFakeBackend()
-	cfg.Backend = b
+	cfg.Backend = newFakeBackend()
 	s := New(cfg, nil)
 	l := newPipeListener()
 	s.Serve(l)
@@ -253,7 +253,7 @@ func webHarness(t *testing.T, cfg Config) (*edgeHarness, *Server, *bufio.Reader,
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	return &edgeHarness{
-		b:       b,
+		table:   s.table,
 		server:  server,
 		close:   s.Close,
 		dropped: func() uint64 { c := s.Counters(); return c.DroppedSlowClient + c.DroppedOversize },

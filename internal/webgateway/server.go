@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/im"
 	"corona/internal/metrics"
 )
 
@@ -32,7 +31,7 @@ const (
 	defaultHeartbeat  = 25 * time.Second
 )
 
-// sharedKeyJSON keys this package's slot in a batch's im.Shared cell:
+// sharedKeyJSON keys this package's slot in a batch's Shared cell:
 // the marshaled notify JSON, encoded once per batch and reused by every
 // web session's deliverer (the binary protocol's frame lives in its own
 // slot of the same cell).
@@ -42,12 +41,15 @@ var sharedKeyJSON = new(byte)
 type Config struct {
 	// Backend is the node; required.
 	Backend Backend
-	// Sessions is the resume-token session table, shared with the binary
-	// protocol server so displacement spans transports. Nil gets a
-	// private table.
+	// Sessions is the node's client registry, shared with the binary
+	// and line servers so displacement spans transports; it delivers
+	// notifications to the gateway's sessions and keeps the replay
+	// rings they resume from. Nil gets a private table.
 	Sessions *clientproto.SessionTable
 	// ReplayCap is the per-channel replay ring capacity
-	// (DefaultReplayCap when zero).
+	// (clientproto.DefaultReplayCap when zero). The table's rings are
+	// created by the first gateway built on it, with that gateway's
+	// capacity.
 	ReplayCap int
 	// QueueLen is the per-session bound on queued notify events, and
 	// separately on queued control events (default 256, matching the
@@ -68,7 +70,7 @@ type Config struct {
 type Server struct {
 	backend Backend
 	table   *clientproto.SessionTable
-	replay  *Replay
+	replay  *clientproto.Replay
 	edge    *clientproto.Edge[outEvent]
 
 	leaseEvery time.Duration
@@ -88,14 +90,14 @@ func New(cfg Config, observe func(time.Duration)) *Server {
 	s := &Server{
 		backend:    cfg.Backend,
 		table:      cfg.Sessions,
-		replay:     NewReplay(cfg.ReplayCap),
 		edge:       clientproto.NewEdge(cfg.QueueLen, encodeNotify, observe),
 		leaseEvery: cfg.LeaseEvery,
 		heartbeat:  cfg.HeartbeatEvery,
 	}
 	if s.table == nil {
-		s.table = clientproto.NewSessionTable()
+		s.table = clientproto.NewSessionTable(nil)
 	}
+	s.replay = s.table.EnableReplay(cfg.ReplayCap)
 	if s.leaseEvery <= 0 {
 		s.leaseEvery = defaultLeaseEvery
 	}
@@ -169,17 +171,6 @@ func (s *Server) Closed() bool {
 	defer s.mu.Unlock()
 	return s.closed
 }
-
-// Tap returns the im.Gateway update tap feeding the replay rings;
-// install it with Gateway.SetTap.
-func (s *Server) Tap() im.Tap {
-	return func(channel string, version uint64, diff string, at time.Time) {
-		s.replay.Append(channel, version, diff, at)
-	}
-}
-
-// Replay exposes the replay memory (tests and benchmarks).
-func (s *Server) Replay() *Replay { return s.replay }
 
 // Counters is the web edge's session and delivery accounting — the
 // struct corona.LiveStats carries as Web. Shed and disconnect outcomes
@@ -310,7 +301,7 @@ func event(m serverMsg) outEvent {
 // of a batch marshals the JSON into the batch's Shared cell (the cell
 // contract: deliverers of one batch run sequentially) and every later
 // one reuses the bytes.
-func encodeNotify(n im.Notification) (outEvent, bool) {
+func encodeNotify(n clientproto.Notification) (outEvent, bool) {
 	data, _ := n.Shared.Load(sharedKeyJSON).([]byte)
 	if data == nil {
 		var nanos int64
@@ -399,7 +390,7 @@ func (s *Server) catchUp(g clientproto.Gap[outEvent], url string, since *uint64)
 		return
 	}
 	for _, e := range entries {
-		g.Replay(im.Notification{Channel: url, Version: e.Version, Diff: e.Diff, At: e.At, Shared: &im.Shared{}})
+		g.Replay(clientproto.Notification{Channel: url, Version: e.Version, Diff: e.Diff, At: e.At, Shared: &clientproto.Shared{}})
 	}
 }
 
@@ -435,12 +426,8 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var handle string
-	var detach func()
 	var sess *clientproto.TableSession
 	defer func() {
-		if detach != nil {
-			detach()
-		}
 		if handle != "" {
 			s.table.End(handle, sess)
 		}
@@ -487,14 +474,13 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 				nak("malformed token: not hex")
 				continue
 			}
-			tok, ts, det, ok := s.table.Begin(req.Handle, token, TransportWS,
-				func() { ws.out.Close(clientproto.CloseDisplaced) },
-				func() func() { return s.backend.Attach(req.Handle, ws.out.Deliver) })
+			tok, ts, ok := s.table.Begin(req.Handle, token, TransportWS,
+				func() { ws.out.Close(clientproto.CloseDisplaced) }, ws.out.Deliver)
 			if !ok {
 				nak("handle in use (resume token mismatch)")
 				continue
 			}
-			handle, sess, detach = req.Handle, ts, det
+			handle, sess = req.Handle, ts
 			ws.login(handle)
 			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req, Token: hex.EncodeToString(tok)}))
 			info := s.backend.Info()

@@ -13,16 +13,12 @@ import (
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/im"
 	"corona/internal/metrics"
 )
 
-// fakeBackend implements Backend in-memory and exposes the attached
-// deliverers so tests can push notifications through the real delivery
-// path (tap first, then deliverer — the order the gateway guarantees).
+// fakeBackend implements Backend in-memory.
 type fakeBackend struct {
 	mu        sync.Mutex
-	deliverer map[string]func(im.Notification)
 	subs      map[string]map[string]bool
 	refreshes map[string]int
 	subErr    error
@@ -33,7 +29,6 @@ type fakeBackend struct {
 
 func newFakeBackend() *fakeBackend {
 	return &fakeBackend{
-		deliverer: make(map[string]func(im.Notification)),
 		subs:      make(map[string]map[string]bool),
 		refreshes: make(map[string]int),
 	}
@@ -72,41 +67,20 @@ func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
 	return nil
 }
 
-func (b *fakeBackend) Attach(client string, deliver func(im.Notification)) func() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.deliverer[client] = deliver
-	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		delete(b.deliverer, client)
-	}
-}
-
 func (b *fakeBackend) Info() clientproto.ServerInfo {
 	return clientproto.ServerInfo{Node: "overlay:1", Peers: []string{"overlay:2"}}
 }
 
-// notify pushes one update through the tap-then-deliver path, exactly
-// as im.Gateway orders it, sharing one cell across all deliverers.
-func (b *fakeBackend) notify(s *Server, channel string, version uint64, diff string) {
-	at := time.Now()
-	s.Tap()(channel, version, diff, at)
-	b.deliver(channel, version, diff, at)
-}
+// testHandles is every handle these tests log in with: notify addresses
+// its batch to all of them, as an entry node addresses one batch to a
+// channel's local subscribers.
+var testHandles = []string{"alice", "ann", "bob", "carol", "dora", "eve", "fin", "h"}
 
-// deliver runs every attached deliverer on one update, sharing one cell.
-func (b *fakeBackend) deliver(channel string, version uint64, diff string, at time.Time) {
-	b.mu.Lock()
-	deliverers := make([]func(im.Notification), 0, len(b.deliverer))
-	for _, d := range b.deliverer {
-		deliverers = append(deliverers, d)
-	}
-	b.mu.Unlock()
-	shared := &im.Shared{}
-	for _, d := range deliverers {
-		d(im.Notification{Channel: channel, Version: version, Diff: diff, At: at, Shared: shared})
-	}
+// notify pushes one update through the gateway's session table, the
+// node's delivery path: the replay rings record it, then every session
+// of testHandles gets it.
+func notify(s *Server, channel string, version uint64, diff string) {
+	s.table.NotifyBatch(testHandles, channel, version, diff, time.Now())
 }
 
 // startServer runs a gateway on a loopback listener.
@@ -173,14 +147,14 @@ func TestWSLoginSubscribeNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 	wsExpect(t, c, "ack")
-	b.notify(s, "http://feed/1", 7, "diff-7")
+	notify(s, "http://feed/1", 7, "diff-7")
 	n := wsExpect(t, c, "notify")
 	if n.Channel != "http://feed/1" || n.Version != 7 || n.Diff != "diff-7" || n.At == 0 {
 		t.Fatalf("notify = %+v", n)
 	}
 	// Duplicate delivery (re-observed batch) is filtered.
-	b.notify(s, "http://feed/1", 7, "diff-7")
-	b.notify(s, "http://feed/1", 8, "diff-8")
+	notify(s, "http://feed/1", 7, "diff-7")
+	notify(s, "http://feed/1", 8, "diff-8")
 	if n = wsExpect(t, c, "notify"); n.Version != 8 {
 		t.Fatalf("after duplicate: version %d, want 8", n.Version)
 	}
@@ -199,7 +173,7 @@ func TestWSResumeReplaysGap(t *testing.T) {
 	token := wsLogin(t, c, "alice", "")
 	c.WriteJSON(clientMsg{Type: "subscribe", Req: 2, URL: "u"})
 	wsExpect(t, c, "ack")
-	b.notify(s, "u", 1, "d1")
+	notify(s, "u", 1, "d1")
 	if n := wsExpect(t, c, "notify"); n.Version != 1 {
 		t.Fatalf("version %d, want 1", n.Version)
 	}
@@ -207,7 +181,7 @@ func TestWSResumeReplaysGap(t *testing.T) {
 	// Hard disconnect; miss versions 2..4.
 	c.Kill()
 	for v := uint64(2); v <= 4; v++ {
-		b.notify(s, "u", v, fmt.Sprintf("d%d", v))
+		notify(s, "u", v, fmt.Sprintf("d%d", v))
 	}
 
 	c2, err := DialWS("ws://" + addr + "/ws")
@@ -219,7 +193,7 @@ func TestWSResumeReplaysGap(t *testing.T) {
 	since := uint64(1)
 	c2.WriteJSON(clientMsg{Type: "subscribe", Req: 2, URL: "u", Since: &since})
 	wsExpect(t, c2, "ack")
-	b.notify(s, "u", 5, "d5") // live update racing the replay
+	notify(s, "u", 5, "d5") // live update racing the replay
 	var got []uint64
 	for len(got) < 4 {
 		n := wsExpect(t, c2, "notify")
@@ -237,7 +211,7 @@ func TestWSResumePastWindowSignalsSnapshot(t *testing.T) {
 	b := newFakeBackend()
 	s, addr := startServer(t, Config{Backend: b, ReplayCap: 4})
 	for v := uint64(1); v <= 10; v++ {
-		s.Tap()("u", v, "d", time.Now())
+		s.replay.Append("u", v, "d", time.Now())
 	}
 	c, err := DialWS("ws://" + addr + "/ws")
 	if err != nil {
@@ -254,8 +228,8 @@ func TestWSResumePastWindowSignalsSnapshot(t *testing.T) {
 	}
 	// The watermark advanced to newest: stale re-deliveries are dropped,
 	// newer ones flow.
-	b.notify(s, "u", 10, "d")
-	b.notify(s, "u", 11, "d11")
+	notify(s, "u", 10, "d")
+	notify(s, "u", 11, "d11")
 	if n := wsExpect(t, c, "notify"); n.Version != 11 {
 		t.Fatalf("post-snapshot notify version %d, want 11", n.Version)
 	}
@@ -285,18 +259,18 @@ func TestWSExactlyOnceAcrossGate(t *testing.T) {
 	since := uint64(0)
 	c.WriteJSON(clientMsg{Type: "subscribe", Req: 2, URL: "u", Since: &since})
 	// The subscribe is now blocked inside the backend. Updates arriving
-	// meanwhile reach the tap (and, because the deliverer attached at
-	// login, the gate filter).
+	// meanwhile reach the replay ring (and, because the session's
+	// deliverer is in the table since login, the gate filter).
 	time.Sleep(20 * time.Millisecond)
 	for v := uint64(1); v <= 3; v++ {
-		b.notify(s, "u", v, "d")
+		notify(s, "u", v, "d")
 	}
 	b.mu.Lock()
 	b.subscribeGate = nil
 	b.mu.Unlock()
 	close(gate)
 	wsExpect(t, c, "ack")
-	b.notify(s, "u", 4, "d")
+	notify(s, "u", 4, "d")
 	var got []uint64
 	for len(got) < 4 {
 		got = append(got, wsExpect(t, c, "notify").Version)
@@ -370,7 +344,7 @@ func TestSlowClientDropOldest(t *testing.T) {
 	ws, _ := s.open(nil)
 	// No writer drains the queue: fill it past capacity.
 	for v := uint64(1); v <= 10; v++ {
-		ws.out.Deliver(im.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &im.Shared{}})
+		ws.out.Deliver(clientproto.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &clientproto.Shared{}})
 	}
 	c := s.Counters()
 	if c.DroppedSlowClient != 6 || c.DisconnectsSlowClient != 0 {
@@ -487,8 +461,8 @@ func TestSSEHelloNotifyAndResume(t *testing.T) {
 		t.Fatalf("hello = %+v", hm)
 	}
 
-	b.notify(s, "u", 1, "d1")
-	b.notify(s, "u", 2, "d2")
+	notify(s, "u", 1, "d1")
+	notify(s, "u", 2, "d2")
 	ev := readSSEEvent(t, br)
 	if ev.name != "notify" {
 		t.Fatalf("event %q, want notify", ev.name)
@@ -506,8 +480,8 @@ func TestSSEHelloNotifyAndResume(t *testing.T) {
 
 	// Hard-disconnect, miss 3..4, reconnect with Last-Event-ID.
 	conn.Close()
-	b.notify(s, "u", 3, "d3")
-	b.notify(s, "u", 4, "d4")
+	notify(s, "u", 3, "d3")
+	notify(s, "u", 4, "d4")
 	conn2, br2 := sseConnect(t, addr, "handle=bob&token="+hm.Token+"&ch=u", lastID)
 	defer conn2.Close()
 	var versions []uint64
@@ -642,7 +616,7 @@ func TestWSHeartbeatPing(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		time.Sleep(150 * time.Millisecond)
-		b.notify(s, "u", 1, "d")
+		notify(s, "u", 1, "d")
 		close(done)
 	}()
 	if n := wsExpect(t, c, "notify"); n.Version != 1 {

@@ -109,18 +109,14 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ws.out.End()
 
-	tok, sess, detach, ok := s.table.Begin(handle, token, TransportSSE,
-		func() { ws.out.Close(clientproto.CloseDisplaced) },
-		func() func() { return s.backend.Attach(handle, ws.out.Deliver) })
+	tok, sess, ok := s.table.Begin(handle, token, TransportSSE,
+		func() { ws.out.Close(clientproto.CloseDisplaced) }, ws.out.Deliver)
 	if !ok {
 		http.Error(w, "handle in use (resume token mismatch)", http.StatusConflict)
 		return
 	}
 	ws.login(handle)
-	defer func() {
-		detach()
-		s.table.End(handle, sess)
-	}()
+	defer s.table.End(handle, sess)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")

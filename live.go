@@ -11,7 +11,6 @@ import (
 	"corona/internal/codec"
 	"corona/internal/core"
 	"corona/internal/ids"
-	"corona/internal/im"
 	"corona/internal/metrics"
 	"corona/internal/netwire"
 	"corona/internal/pastry"
@@ -82,8 +81,10 @@ type LiveConfig struct {
 	// per-channel replay ring buffers (internal/webgateway). Empty starts
 	// no web listener; ServeWeb can start one later.
 	WebBind string
-	// WebReplayCap is the web gateway's per-channel replay ring capacity;
-	// zero uses the package default.
+	// WebReplayCap is the per-channel capacity of the replay rings that
+	// web sessions resume from; zero uses the package default. The node's
+	// client registry keeps the rings, and only once ServeWeb runs: a
+	// node without a web edge holds none.
 	WebReplayCap int
 }
 
@@ -94,7 +95,6 @@ type LiveNode struct {
 	overlay   *pastry.Node
 	node      *core.Node
 	fetcher   *core.HTTPFetcher
-	notifier  *im.Gateway
 	store     *store.Store        // nil when DataDir is unset
 	clients   *clientproto.Server // nil until ServeClients
 	lines     *clientproto.Server // nil until ServeIM
@@ -106,10 +106,11 @@ type LiveNode struct {
 	// whose observers each edge gets when it is constructed.
 	reg    *metrics.Registry
 	stages *metrics.HistogramVec
-	// sessions is the node-wide resume-token session table, shared by the
-	// binary and line servers and the web gateway so a handle has one
-	// live session per node however it connects, and displacement works
-	// across transports.
+	// sessions is the node's client registry and its notifier: the
+	// resume-token session table shared by the binary and line servers
+	// and the web gateway (so a handle has one live session per node
+	// however it connects, and displacement works across transports),
+	// which delivers every notification batch to the sessions it names.
 	sessions *clientproto.SessionTable
 	// webReplayCap is captured from LiveConfig for a ServeWeb that runs
 	// after StartLiveNode.
@@ -172,8 +173,8 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	}
 
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
-	gateway := im.NewGateway(clock.Real{})
-	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, gateway, nil)
+	sessions := clientproto.NewSessionTable(nil)
+	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, sessions, nil)
 
 	// Durable state: recover the previous incarnation's channel image
 	// before joining, so the ring sees a member that already holds its
@@ -196,9 +197,8 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		overlay:      overlay,
 		node:         node,
 		fetcher:      fetcher,
-		notifier:     gateway,
 		store:        st,
-		sessions:     clientproto.NewSessionTable(),
+		sessions:     sessions,
 		webReplayCap: cfg.WebReplayCap,
 	}
 	ln.reg = ln.newRegistry()
@@ -321,7 +321,7 @@ func (ln *LiveNode) ServeIM(bind string) (addr string, err error) {
 // ServeWeb starts the web edge gateway (internal/webgateway: /ws and
 // /sse with per-channel replay rings) on bind and returns the bound
 // address. The gateway shares the node's session table with the binary
-// and line listeners, installs its update tap on the gateway seam, and
+// and line listeners, has the table start keeping replay rings, and
 // registers its instruments on the node's metric registry. A node
 // serves at most one web listener, which closes with the node;
 // StartLiveNode calls it when WebBind is set.
@@ -338,10 +338,6 @@ func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 		Sessions:  ln.sessions,
 		ReplayCap: ln.webReplayCap,
 	}, ln.observeStage("web_enqueue"))
-	// The tap feeds every local-delivery update into the replay rings
-	// before any deliverer runs — the ordering the resume path's
-	// exactly-once merge depends on.
-	ln.notifier.SetTap(web.Tap())
 	web.Serve(l)
 	ln.web = web
 	web.RegisterMetrics(ln.reg)
@@ -366,10 +362,12 @@ func (ln *LiveNode) ClientAddr() string {
 	return ln.clients.Addr()
 }
 
-// Attach implements clientproto.Backend: it registers a structured
-// notification deliverer for client on the node's gateway.
-func (ln *LiveNode) Attach(client string, deliver func(im.Notification)) (detach func()) {
-	return ln.notifier.Attach(client, deliver)
+// Attach claims client on the node's session table for an in-process
+// subscriber: deliver receives the client's notifications. The claim
+// displaces whatever session holds the handle, over any transport; the
+// returned detach ends this claim only.
+func (ln *LiveNode) Attach(client string, deliver func(Notification)) (detach func()) {
+	return ln.sessions.Claim(client, deliver)
 }
 
 // Info implements clientproto.Backend: the node's advertisement to
@@ -433,14 +431,15 @@ type LiveStats struct {
 	// OriginDials counts connections the node dialed to channel origins.
 	OriginDials uint64
 	// Undeliverable counts notifications for a client with no live
-	// session at this node's gateway.
+	// session on this node.
 	Undeliverable uint64
 	// NotifyDropped counts notifications the binary and line servers
 	// discarded: evicted from a client's full outbox, or beyond the frame
 	// bound (zero when neither listener runs).
 	NotifyDropped uint64
 	// NotifyBatchesRecv and BatchClients count batched notification calls
-	// the gateway received and the client deliveries they covered.
+	// the node's session table received and the client deliveries they
+	// covered.
 	NotifyBatchesRecv uint64
 	BatchClients      uint64
 }
@@ -449,9 +448,9 @@ type LiveStats struct {
 // store's WAL size, records-since-snapshot, and latched IO error.
 func (ln *LiveNode) Stats() LiveStats {
 	ls := LiveStats{Stats: ln.node.Stats(), OriginDials: ln.fetcher.Dials()}
-	// One gateway lock acquisition for the whole counter group, so the
+	// One table lock acquisition for the whole counter group, so the
 	// batch totals and undeliverable count come from the same instant.
-	gc := ln.notifier.CounterSnapshot()
+	gc := ln.sessions.DeliveryStats()
 	ls.Undeliverable = gc.Undeliverable
 	ls.NotifyBatchesRecv, ls.BatchClients = gc.NotifyBatches, gc.BatchClients
 	if ln.clients != nil {

@@ -116,7 +116,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	mustAtLeast("corona_updates_detected_total", 1)
 	mustAtLeast("corona_subscriptions_held", 1)
 	mustAtLeast("corona_channels_owned", 1)
-	mustAtLeast("corona_client_sessions", 1)
+	mustAtLeast(`corona_client_sessions{transport="binary"}`, 1)
 	mustAtLeast("corona_store_enabled", 1)
 	mustAtLeast("corona_overlay_joined", 1)
 	for _, stage := range []string{"owner_send", "entry_recv", "client_enqueue"} {

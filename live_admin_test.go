@@ -1,18 +1,20 @@
 package corona
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"corona/internal/clientproto"
 	"corona/internal/clock"
 	"corona/internal/core"
-	"corona/internal/im"
 	"corona/internal/netwire"
 	"corona/internal/pastry"
 	"corona/internal/store"
@@ -135,8 +137,8 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 	ccfg.PollInterval = time.Hour
 	ccfg.MaintenanceInterval = time.Hour
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
-	gateway := im.NewGateway(clock.Real{})
-	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, gateway, nil)
+	sessions := clientproto.NewSessionTable(nil)
+	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, sessions, nil)
 	st, _, err := store.Open(store.Options{Dir: t.TempDir()})
 	if err != nil {
 		transport.Close()
@@ -148,8 +150,8 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 		overlay:   overlay,
 		node:      node,
 		fetcher:   fetcher,
-		notifier:  gateway,
 		store:     st,
+		sessions:  sessions,
 	}
 	ln.reg = ln.newRegistry()
 	return ln
@@ -263,5 +265,31 @@ func TestAdminMetricsRegistryBuilds(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE corona_notify_stage_latency_seconds histogram") {
 		t.Error("/metrics missing the notify-stage latency histogram family")
+	}
+
+	// A line login moves the line series of the client-sessions gauge,
+	// read from the same session table as the binary series.
+	imAddr, err := n.ServeIM("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", imAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(conn, "LOGIN alice\n")
+	if line, err := bufio.NewReader(conn).ReadString('\n'); line != "OK logged in as alice\n" {
+		t.Fatalf("line login reply %q, %v", line, err)
+	}
+	_, body = httpGet(t, "http://"+n.AdminAddr()+"/metrics")
+	for _, sample := range []string{
+		`corona_client_sessions{transport="line"} 1`,
+		`corona_client_sessions{transport="binary"} 0`,
+	} {
+		if !strings.Contains(body, sample+"\n") {
+			t.Errorf("/metrics after a line login lacks %s", sample)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package corona
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"corona/internal/clientproto"
 	"corona/internal/feed"
 	"corona/internal/webserver"
 )
@@ -354,6 +356,62 @@ func TestLiveNodeValidation(t *testing.T) {
 	}
 	if _, err := StartLiveNode(LiveConfig{Bind: "127.0.0.1:0", Seeds: []string{"127.0.0.1:1"}}); err == nil {
 		t.Fatal("unreachable seed accepted")
+	}
+}
+
+// TestLiveNodeAttachDisplacesBinarySession: LiveNode.Attach is an
+// in-process claim on the node's one client registry. On a handle held
+// by a live binary session it closes that session as displaced and takes
+// its notifications; a later Attach displaces it in turn, and the first
+// claim's detach does not remove the later one.
+func TestLiveNodeAttachDisplacesBinarySession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time TCP test")
+	}
+	n, err := StartLiveNode(LiveConfig{Bind: "127.0.0.1:0", ClientBind: "127.0.0.1:0", PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	conn, err := net.Dial("tcp", n.ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := clientproto.Hello(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := clientproto.WriteFrame(conn, &clientproto.Login{ReqID: 1, Handle: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	for range 2 { // Ack, ServerInfo
+		if _, err := clientproto.ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var first, second []uint64
+	detach := n.Attach("alice", func(nt Notification) { first = append(first, nt.Version) })
+	if f, err := clientproto.ReadFrame(br); err != io.EOF {
+		t.Fatalf("binary session after Attach read %#v, %v; want EOF", f, err)
+	}
+	n.sessions.NotifyBatch([]string{"alice"}, "u", 1, "d", time.Time{})
+
+	detach2 := n.Attach("alice", func(nt Notification) { second = append(second, nt.Version) })
+	detach() // the displaced claim's detach must leave the later claim
+	n.sessions.NotifyBatch([]string{"alice"}, "u", 2, "d", time.Time{})
+	if fmt.Sprint(first, second) != "[1] [2]" {
+		t.Fatalf("deliveries first=%v second=%v, want [1] and [2]", first, second)
+	}
+	if u := n.Stats().Undeliverable; u != 0 {
+		t.Fatalf("Undeliverable = %d with a claim holding alice, want 0", u)
+	}
+	detach2()
+	n.sessions.NotifyBatch([]string{"alice"}, "u", 3, "d", time.Time{})
+	if u := n.Stats().Undeliverable; u != 1 {
+		t.Fatalf("Undeliverable = %d after the last detach, want 1", u)
 	}
 }
 
