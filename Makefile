@@ -46,7 +46,8 @@ lint:
 # (notification fan-out through the node's session table into
 # clientproto frame encode) recorded in BENCH_client.json; hot-channel fan-out benchmarks
 # (owner messages per update with and without delegate sharding, plus the
-# encode-once NotifyBatch edge against the per-client-encode baseline)
+# encode-once NotifyBatch edge against the per-client-encode baseline,
+# and subscription ingest into one channel at 100/1000/6000 subscribers)
 # recorded in BENCH_fanout.json; observability benchmarks (counter inc,
 # labeled lookup, histogram observe, a full /metrics render at 1k
 # series) recorded in BENCH_obs.json; web-edge benchmarks (the session
@@ -62,7 +63,7 @@ bench:
 		| $(GO) run ./cmd/bench2json -o BENCH_store.json
 	$(GO) test -run xxx -bench 'Client' -benchmem ./internal/clientproto/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_client.json
-	$(GO) test -run xxx -bench 'Fanout' -benchmem ./internal/core/ ./internal/clientproto/ \
+	$(GO) test -run xxx -bench 'Fanout|SubscribeIngest' -benchmem ./internal/core/ ./internal/clientproto/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_fanout.json
 	$(GO) test -run xxx -bench 'Obs' -benchmem ./internal/metrics/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_obs.json

@@ -66,6 +66,16 @@ var liveStatsSpec = []liveStatSpec{
 	{"BatchClients", "corona_gateway_batch_clients_total", "Client deliveries covered by those notification batches.", statCounter},
 }
 
+// replicationKinds maps each label of corona_replication_sent_total to
+// the core.ReplicationStats field behind it, in exposition order; the
+// completeness test checks it covers every field.
+var replicationKinds = []struct{ kind, field string }{
+	{"full", "FullPushes"},
+	{"delta", "Deltas"},
+	{"heartbeat", "Heartbeats"},
+	{"resync", "Resyncs"},
+}
+
 // liveStatValue resolves a liveStatsSpec dot path against a LiveStats
 // snapshot and returns the field as a float64. The second result is
 // false when the path does not name a numeric field — a spec/struct
@@ -137,6 +147,11 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 	peerCapacity := reg.GaugeVec("corona_peer_queue_capacity", "Outbound send-queue capacity toward one overlay peer.", "peer")
 	peerDrops := reg.CounterVec("corona_peer_queue_dropped_total", "Messages toward one overlay peer dropped locally.", "peer")
 
+	// One labelled family for the replication message kinds, so an
+	// operator reads resyncs against the steady heartbeat traffic.
+	replSent := reg.CounterVec("corona_replication_sent_total",
+		"Replication messages sent, by kind: full pushes, deltas, per-round heartbeats, and resync requests.", "kind")
+
 	clientSessions := reg.GaugeVec("corona_client_sessions",
 		"Binary and line client sessions currently logged in, by transport.", "transport")
 	binarySessions := clientSessions.With(clientproto.TransportBinary)
@@ -160,6 +175,13 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 			case statGauge:
 				gauges[spec.field].Set(v)
 			}
+		}
+		for _, k := range replicationKinds {
+			v, ok := liveStatValue(ls, "Stats.Replication."+k.field)
+			if !ok {
+				continue // the completeness test catches a missing field
+			}
+			replSent.With(k.kind).Set(uint64(v))
 		}
 		if ls.Store.Enabled {
 			storeEnabled.Set(1)

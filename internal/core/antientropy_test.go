@@ -113,8 +113,8 @@ func TestHealedPartitionMergesQuiescentOwners(t *testing.T) {
 // replica: the replica holds the state but is not root, the root holds
 // nothing and never hears about the channel, and with no subscribe or
 // update traffic the channel stays ownerless forever. The maintenance
-// pass closes the gap: owners heartbeat-replicate every round, and a
-// replica that has heard nothing for ownerReplicaStale rounds routes its
+// pass closes the gap: owners heartbeat their replicas every round, and
+// a replica that has heard nothing for ownerReplicaStale rounds routes its
 // state to the root, which adopts the claim and reconquers above it.
 func TestOwnerlessChannelReelectsOwner(t *testing.T) {
 	tc := newTestCloud(t, 16, func(i int, cfg *core.Config) {

@@ -88,6 +88,7 @@ func (n *Node) handleLease(msg pastry.Message) {
 		delete(ch.unsubbed, p.Client)
 	}
 	changed := ch.subs.add(p.Client, p.Entry, false)
+	wasOwner := ch.isOwner
 	n.becomeOwnerLocked(ch)
 	now := n.now()
 	var hadLease bool
@@ -112,13 +113,12 @@ func (n *Node) handleLease(msg pastry.Message) {
 		// from before the crash.
 		n.emitLeaseLocked(ch, p.Client, now)
 	}
+	n.replicateSubLocked(ch, wasOwner, changed, p.Client, p.Entry, false)
 	n.mu.Unlock()
 	if push != nil {
 		n.overlay.SendDirect(push.to, msgDelegate, push.msg)
 	}
-	if changed {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 }
 
 // handleLeaseExpire runs at a channel owner: a delegate reports clients
@@ -164,10 +164,9 @@ func (n *Node) leaseSweep() {
 	}
 	now := n.now()
 	n.mu.Lock()
-	var rerouted []*channelState
 	var pushes []delegatePush
 	// Sweep channels and leases in sorted order: fallback picks, WAL
-	// records, and replication pushes all flow from this loop, and map
+	// records, and replication deltas all flow from this loop, and map
 	// iteration order would make them differ between identically seeded
 	// runs.
 	swept := make([]*channelState, 0, len(n.channels))
@@ -178,7 +177,6 @@ func (n *Node) leaseSweep() {
 	}
 	sort.Slice(swept, func(i, j int) bool { return swept[i].url < swept[j].url })
 	for _, ch := range swept {
-		moved := false
 		clients := make([]string, 0, len(ch.leases))
 		for client := range ch.leases {
 			clients = append(clients, client)
@@ -201,14 +199,14 @@ func (n *Node) leaseSweep() {
 				ch.leases[client] = now
 				continue
 			}
-			ch.subs.ids[client] = fallback
+			ch.subs.add(client, fallback, false)
 			// The re-route is one-shot: drop the lease mark rather than
 			// re-arming it. A live client's next heartbeat re-creates the
 			// lease (and re-points the entry authoritatively); a
 			// subscriber that never heartbeats — IM, simulation, or a
 			// permanently departed client — keeps the guessed entry
 			// instead of being shuffled to a new node (with a WAL record
-			// and a replication push) every TTL forever. If the guessed
+			// and a replication delta) every TTL forever. If the guessed
 			// node later dies too, the peer fault re-arms the mark.
 			delete(ch.leases, client)
 			n.stats.LeaseReroutes++
@@ -221,17 +219,12 @@ func (n *Node) leaseSweep() {
 			// discipline — and this re-route — on every owner restart for
 			// a client that may never heartbeat again.
 			n.emitLeaseLocked(ch, client, time.Time{})
-			moved = true
-		}
-		if moved {
-			rerouted = append(rerouted, ch)
+			n.replicateSubLocked(ch, true, true, client, fallback, false)
 		}
 	}
 	n.mu.Unlock()
 	n.sendDelegatePushes(pushes)
-	for _, ch := range rerouted {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 }
 
 // fallbackEntryLocked picks a replacement entry node for a client whose

@@ -332,6 +332,8 @@ func (n *Node) handleMaintain(msg pastry.Message) {
 func (n *Node) registerHandlers() {
 	n.overlay.Handle(msgSubscribe, n.handleSubscribe)
 	n.overlay.Handle(msgReplicate, n.handleReplicate)
+	n.overlay.Handle(msgReplDelta, n.handleReplDelta)
+	n.overlay.Handle(msgReplBeat, n.handleReplBeat)
 	n.overlay.Handle(msgPollCtl, n.handlePollCtl)
 	n.overlay.Handle(msgUpdate, n.handleUpdate)
 	n.overlay.Handle(msgReport, n.handleReport)

@@ -12,6 +12,8 @@ func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
 	register(msgSubscribe, func() any { return &subscribeMsg{} })
 	register(msgUnsubscribe, func() any { return &subscribeMsg{} })
 	register(msgReplicate, func() any { return &replicateMsg{} })
+	register(msgReplDelta, func() any { return &replDeltaMsg{} })
+	register(msgReplBeat, func() any { return &replBeatMsg{} })
 	register(msgPollCtl, func() any { return &pollCtlMsg{} })
 	register(msgUpdate, func() any { return &updateMsg{} })
 	register(msgReport, func() any { return &reportMsg{} })
@@ -29,6 +31,8 @@ const (
 	msgSubscribe   = "corona.subscribe"
 	msgUnsubscribe = "corona.unsubscribe"
 	msgReplicate   = "corona.replicate"
+	msgReplDelta   = "corona.repldelta"
+	msgReplBeat    = "corona.replbeat"
 	msgPollCtl     = "corona.pollctl"
 	msgUpdate      = "corona.update"
 	msgReport      = "corona.report"
@@ -81,10 +85,16 @@ type notifyBatchMsg struct {
 	At int64 `json:"at,omitempty"`
 }
 
-// replicateMsg carries owner state to the f closest neighbors so channel
-// ownership survives failures (§3.3).
+// replicateMsg carries a channel's whole owner state to the f closest
+// neighbors so channel ownership survives failures (§3.3). It is the
+// full push: owners send it on promotion and reconquest, as routed
+// claims and counter-pushes, on recovery, and in answer to a replica's
+// resync request; ordinary subscriber changes travel as replDeltaMsg.
 type replicateMsg struct {
 	URL string `json:"url"`
+	// Seq is the owner's replication sequence for the pushed state; a
+	// replica adopting the push continues from it.
+	Seq uint64 `json:"seq"`
 	// Subscribers lists client identities with their entry nodes, or is
 	// nil in counting mode.
 	Subscribers []replicatedSub `json:"subscribers,omitempty"`
@@ -110,6 +120,46 @@ type replicateMsg struct {
 	// whose identifier happens to sit closer to the channel would demote
 	// a healthy owner every time its heartbeat went stale.
 	FromOwner bool `json:"from_owner,omitempty"`
+}
+
+// replDeltaMsg is one subscriber change, sent by a channel's owner to
+// each replica. A replica applies it only if it mirrors the owner at
+// OwnerEpoch, holds Seq-1, and its digest after the change equals
+// Digest; otherwise it asks the owner for a full push.
+type replDeltaMsg struct {
+	URL        string      `json:"url"`
+	OwnerEpoch uint64      `json:"owner_epoch"`
+	Seq        uint64      `json:"seq"`
+	Digest     uint64      `json:"digest"`
+	Client     string      `json:"client"`
+	Entry      pastry.Addr `json:"entry"`
+	Remove     bool        `json:"remove,omitempty"`
+}
+
+// replBeatMsg is an owner's per-round replication heartbeat to one
+// neighbor: one entry per channel it owns as root, at most replBeatCap
+// entries per message. A replica whose state matches an entry refreshes
+// its owner-liveness clock and scalars; any mismatch asks for a full
+// push. With Resync set the message travels the other way — a replica
+// asking the owner for full pushes of the listed channels — and its
+// entries carry only URL.
+type replBeatMsg struct {
+	Resync   bool            `json:"resync,omitempty"`
+	Channels []replBeatEntry `json:"channels"`
+}
+
+// replBeatEntry summarizes one owned channel in a heartbeat.
+type replBeatEntry struct {
+	URL         string  `json:"url"`
+	OwnerEpoch  uint64  `json:"owner_epoch"`
+	Seq         uint64  `json:"seq"`
+	Digest      uint64  `json:"digest"`
+	Count       int     `json:"count"`
+	LastVersion uint64  `json:"last_version"`
+	Level       int     `json:"level"`
+	Epoch       uint64  `json:"epoch"`
+	SizeBytes   int     `json:"size_bytes"`
+	IntervalSec float64 `json:"interval_sec"`
 }
 
 // pollCtlMsg adjusts a channel's polling level across its wedge. It is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"corona/internal/honeycomb"
@@ -29,6 +30,21 @@ func readAddr(r *wirebin.Reader) pastry.Addr {
 	copy(a.ID[:], r.Take(ids.Bytes))
 	a.Endpoint = r.String()
 	return a
+}
+
+// appendFixed64 and readFixed64 carry a 64-bit digest as 8 fixed
+// little-endian bytes: hash sums are uniformly large, so a varint would
+// cost more.
+func appendFixed64(dst []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, v)
+}
+
+func readFixed64(r *wirebin.Reader) uint64 {
+	b := r.Take(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
 }
 
 // wireErr wraps a reader's latched error with the payload type.
@@ -174,6 +190,7 @@ func (m *delegateNotifyMsg) DecodeBinary(src []byte) error {
 // AppendBinary implements the codec binary payload contract.
 func (m *replicateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
+	dst = wirebin.AppendUvarint(dst, m.Seq)
 	dst = wirebin.AppendUvarint(dst, uint64(len(m.Subscribers)))
 	for _, s := range m.Subscribers {
 		dst = wirebin.AppendString(dst, s.Client)
@@ -193,6 +210,7 @@ func (m *replicateMsg) AppendBinary(dst []byte) ([]byte, error) {
 func (m *replicateMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
+	m.Seq = r.Uvarint()
 	// Each subscriber costs at least one length byte, the 20-byte entry
 	// identifier, and one endpoint length byte.
 	n := r.ListLen(ids.Bytes + 2)
@@ -212,6 +230,93 @@ func (m *replicateMsg) DecodeBinary(src []byte) error {
 	m.OwnerEpoch = r.Uvarint()
 	m.FromOwner = r.Bool()
 	return wireErr("replicate", r)
+}
+
+// --- replDeltaMsg (corona.repldelta) ------------------------------------
+
+// AppendBinary implements the codec binary payload contract.
+func (m *replDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wirebin.AppendString(dst, m.URL)
+	dst = wirebin.AppendUvarint(dst, m.OwnerEpoch)
+	dst = wirebin.AppendUvarint(dst, m.Seq)
+	dst = appendFixed64(dst, m.Digest)
+	dst = wirebin.AppendString(dst, m.Client)
+	dst = appendAddr(dst, m.Entry)
+	return wirebin.AppendBool(dst, m.Remove), nil
+}
+
+// DecodeBinary implements the codec binary payload contract.
+func (m *replDeltaMsg) DecodeBinary(src []byte) error {
+	r := wirebin.NewReader(src)
+	m.URL = r.String()
+	m.OwnerEpoch = r.Uvarint()
+	m.Seq = r.Uvarint()
+	m.Digest = readFixed64(r)
+	m.Client = r.String()
+	m.Entry = readAddr(r)
+	m.Remove = r.Bool()
+	return wireErr("repldelta", r)
+}
+
+// --- replBeatMsg (corona.replbeat) ---------------------------------------
+
+// replBeatEntryMin is the fewest bytes one heartbeat entry encodes to:
+// one byte for each length and varint field plus the fixed 8-byte
+// digest and interval. A resync request's entries are URLs alone.
+const replBeatEntryMin = 8 + 8 + 8
+
+// AppendBinary implements the codec binary payload contract.
+func (m *replBeatMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wirebin.AppendBool(dst, m.Resync)
+	dst = wirebin.AppendUvarint(dst, uint64(len(m.Channels)))
+	for i := range m.Channels {
+		e := &m.Channels[i]
+		dst = wirebin.AppendString(dst, e.URL)
+		if m.Resync {
+			continue
+		}
+		dst = wirebin.AppendUvarint(dst, e.OwnerEpoch)
+		dst = wirebin.AppendUvarint(dst, e.Seq)
+		dst = appendFixed64(dst, e.Digest)
+		dst = wirebin.AppendSint(dst, e.Count)
+		dst = wirebin.AppendUvarint(dst, e.LastVersion)
+		dst = wirebin.AppendSint(dst, e.Level)
+		dst = wirebin.AppendUvarint(dst, e.Epoch)
+		dst = wirebin.AppendSint(dst, e.SizeBytes)
+		dst = wirebin.AppendFloat64(dst, e.IntervalSec)
+	}
+	return dst, nil
+}
+
+// DecodeBinary implements the codec binary payload contract.
+func (m *replBeatMsg) DecodeBinary(src []byte) error {
+	r := wirebin.NewReader(src)
+	m.Resync = r.Bool()
+	minSize := replBeatEntryMin
+	if m.Resync {
+		minSize = 1 // a URL length byte
+	}
+	n := r.ListLen(minSize)
+	m.Channels = nil
+	if n > 0 {
+		m.Channels = make([]replBeatEntry, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			e := replBeatEntry{URL: r.String()}
+			if !m.Resync {
+				e.OwnerEpoch = r.Uvarint()
+				e.Seq = r.Uvarint()
+				e.Digest = readFixed64(r)
+				e.Count = r.Sint()
+				e.LastVersion = r.Uvarint()
+				e.Level = r.Sint()
+				e.Epoch = r.Uvarint()
+				e.SizeBytes = r.Sint()
+				e.IntervalSec = r.Float64()
+			}
+			m.Channels = append(m.Channels, e)
+		}
+	}
+	return wireErr("replbeat", r)
 }
 
 // --- pollCtlMsg (corona.pollctl) -----------------------------------------

@@ -17,6 +17,7 @@ import (
 	"corona/internal/honeycomb"
 	"corona/internal/ids"
 	"corona/internal/pastry"
+	"corona/internal/wirebin"
 )
 
 func init() {
@@ -86,6 +87,40 @@ func randUpdate(rng *rand.Rand) *updateMsg {
 	}
 }
 
+func randReplDelta(rng *rand.Rand) *replDeltaMsg {
+	return &replDeltaMsg{
+		URL:        randString(rng),
+		OwnerEpoch: rng.Uint64() >> uint(rng.Intn(64)),
+		Seq:        rng.Uint64() >> uint(rng.Intn(64)),
+		Digest:     rng.Uint64(),
+		Client:     randString(rng),
+		Entry:      randAddr(rng),
+		Remove:     rng.Intn(2) == 0,
+	}
+}
+
+// randReplBeat draws a heartbeat, or one time in four a resync request,
+// whose entries carry only URLs.
+func randReplBeat(rng *rand.Rand) *replBeatMsg {
+	m := &replBeatMsg{Resync: rng.Intn(4) == 0}
+	for i, n := 0, rng.Intn(5); i < n; i++ {
+		e := replBeatEntry{URL: randString(rng)}
+		if !m.Resync {
+			e.OwnerEpoch = rng.Uint64() >> uint(rng.Intn(64))
+			e.Seq = rng.Uint64() >> uint(rng.Intn(64))
+			e.Digest = rng.Uint64()
+			e.Count = rng.Intn(100000)
+			e.LastVersion = rng.Uint64() >> uint(rng.Intn(64))
+			e.Level = rng.Intn(6) - 1
+			e.Epoch = rng.Uint64() >> uint(rng.Intn(64))
+			e.SizeBytes = rng.Intn(1 << 20)
+			e.IntervalSec = randFloat(rng)
+		}
+		m.Channels = append(m.Channels, e)
+	}
+	return m
+}
+
 // payloadGenerators builds one random payload per registered message
 // type, including the wedgeFwd wrapper in each of its shapes.
 var payloadGenerators = map[string]func(rng *rand.Rand) any{
@@ -106,14 +141,17 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 			Epoch:       rng.Uint64() >> uint(rng.Intn(64)),
 			OwnerEpoch:  rng.Uint64() >> uint(rng.Intn(64)),
 			FromOwner:   rng.Intn(2) == 1,
+			Seq:         rng.Uint64() >> uint(rng.Intn(64)),
 		}
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			m.Subscribers = append(m.Subscribers, replicatedSub{Client: randString(rng), Entry: randAddr(rng)})
 		}
 		return m
 	},
-	msgPollCtl: func(rng *rand.Rand) any { return randPollCtl(rng) },
-	msgUpdate:  func(rng *rand.Rand) any { return randUpdate(rng) },
+	msgReplDelta: func(rng *rand.Rand) any { return randReplDelta(rng) },
+	msgReplBeat:  func(rng *rand.Rand) any { return randReplBeat(rng) },
+	msgPollCtl:   func(rng *rand.Rand) any { return randPollCtl(rng) },
+	msgUpdate:    func(rng *rand.Rand) any { return randUpdate(rng) },
 	msgReport: func(rng *rand.Rand) any {
 		return &reportMsg{URL: randString(rng), ObservedVersion: rng.Uint64(), Diff: randString(rng), Bytes: rng.Intn(1 << 20)}
 	},
@@ -360,6 +398,8 @@ var fuzzTargets = []func() binaryPayload{
 	func() binaryPayload { return &notifyBatchMsg{} },
 	func() binaryPayload { return &delegateMsg{} },
 	func() binaryPayload { return &delegateNotifyMsg{} },
+	func() binaryPayload { return &replDeltaMsg{} },
+	func() binaryPayload { return &replBeatMsg{} },
 }
 
 // FuzzBinaryPayloadDecode throws arbitrary bytes at every native decoder:
@@ -382,6 +422,9 @@ func FuzzBinaryPayloadDecode(f *testing.F) {
 	f.Add(uint8(9), seedFor(payloadGenerators[msgDelegate](rng).(*delegateMsg)))
 	f.Add(uint8(10), seedFor(&delegateNotifyMsg{URL: "u", Version: 7, Diff: "d", OwnerEpoch: 2, At: 12345}))
 	f.Add(uint8(5), []byte{})
+	f.Add(uint8(11), seedFor(randReplDelta(rng)))
+	f.Add(uint8(12), seedFor(&replBeatMsg{Channels: []replBeatEntry{{URL: "u", OwnerEpoch: 3, Seq: 9, Digest: 1 << 63, Count: 2, Level: 1}}}))
+	f.Add(uint8(12), seedFor(&replBeatMsg{Resync: true, Channels: []replBeatEntry{{URL: "u"}, {URL: "v"}}}))
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		target := fuzzTargets[int(which)%len(fuzzTargets)]
 		m := target()
@@ -427,4 +470,44 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 		}
 		_ = msg.MaterializePayload()
 	})
+}
+
+// TestReplicationDecodersBoundCounts pins the allocation-bomb guard on
+// the replication payloads: a list count claiming more entries than the
+// remaining bytes could encode is rejected before anything is sized by
+// it, at each decoder's own minimum entry size.
+func TestReplicationDecodersBoundCounts(t *testing.T) {
+	hostile := func(prefix []byte, count uint64, tail int) []byte {
+		b := wirebin.AppendUvarint(prefix, count)
+		return append(b, make([]byte, tail)...)
+	}
+	cases := []struct {
+		name string
+		m    binaryPayload
+		data []byte
+	}{
+		// 23 bytes cannot hold even one full heartbeat entry.
+		{"heartbeat", &replBeatMsg{}, hostile([]byte{0}, 2, 23)},
+		{"heartbeat-huge", &replBeatMsg{}, hostile([]byte{0}, 1<<40, 64)},
+		{"resync", &replBeatMsg{}, hostile([]byte{1}, 1<<30, 16)},
+		{"replicate", &replicateMsg{}, hostile(wirebin.AppendUvarint(wirebin.AppendString(nil, "u"), 1), 1<<30, 64)},
+	}
+	for _, c := range cases {
+		if err := c.m.DecodeBinary(c.data); err == nil {
+			t.Errorf("%s: hostile count decoded without error", c.name)
+		}
+	}
+	// The bound is not stricter than the encoding: minimal entries decode.
+	for _, m := range []binaryPayload{
+		&replBeatMsg{Channels: make([]replBeatEntry, 40)},
+		&replBeatMsg{Resync: true, Channels: make([]replBeatEntry, 40)},
+	} {
+		b, err := m.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DecodeBinary(b); err != nil {
+			t.Fatalf("minimal %T did not decode: %v", m, err)
+		}
+	}
 }

@@ -53,10 +53,13 @@ type DetectionSink interface {
 }
 
 // subscriberSet tracks subscribers either by identity (with the entry
-// node that delivers their notifications) or by count alone.
+// node that delivers their notifications) or by count alone. sum is the
+// set's replication digest in identity mode: the sum of subHash over
+// every (client, entry) record, kept current in O(1) by each change.
 type subscriberSet struct {
 	count int
 	ids   map[string]pastry.Addr // client -> entry node; nil in counting mode
+	sum   uint64
 }
 
 func (s *subscriberSet) add(client string, entry pastry.Addr, countOnly bool) bool {
@@ -68,13 +71,18 @@ func (s *subscriberSet) add(client string, entry pastry.Addr, countOnly bool) bo
 		s.ids = make(map[string]pastry.Addr)
 	}
 	if prev, dup := s.ids[client]; dup {
-		s.ids[client] = entry
+		if prev == entry {
+			return false
+		}
 		// A refreshed entry point is a real change: it must replicate and
 		// persist, or notifications after a failover/restart chase the
 		// client's previous, possibly dead, entry node.
-		return prev != entry
+		s.ids[client] = entry
+		s.sum += subHash(client, entry) - subHash(client, prev)
+		return true
 	}
 	s.ids[client] = entry
+	s.sum += subHash(client, entry)
 	s.count = len(s.ids)
 	return true
 }
@@ -87,12 +95,88 @@ func (s *subscriberSet) remove(client string, countOnly bool) bool {
 		}
 		return false
 	}
-	if _, ok := s.ids[client]; !ok {
+	entry, ok := s.ids[client]
+	if !ok {
 		return false
 	}
 	delete(s.ids, client)
+	s.sum -= subHash(client, entry)
 	s.count = len(s.ids)
 	return true
+}
+
+// replace installs the whole identity set a full push carries.
+func (s *subscriberSet) replace(subs []replicatedSub) {
+	s.ids = make(map[string]pastry.Addr, len(subs))
+	s.sum = 0
+	for _, sub := range subs {
+		if prev, dup := s.ids[sub.Client]; dup {
+			s.sum -= subHash(sub.Client, prev)
+		}
+		s.ids[sub.Client] = sub.Entry
+		s.sum += subHash(sub.Client, sub.Entry)
+	}
+	s.count = len(s.ids)
+}
+
+// clear drops every identity and the count.
+func (s *subscriberSet) clear() {
+	s.ids = nil
+	s.count = 0
+	s.sum = 0
+}
+
+// digest is the set's replication digest: order-independent, identical
+// across processes for identical sets, and in counting mode the count.
+func (s *subscriberSet) digest(countOnly bool) uint64 {
+	if countOnly {
+		return uint64(s.count)
+	}
+	return s.sum
+}
+
+// digestAfter is the digest the set would have after one add or remove,
+// without applying it, so a replica can check a delta before taking it.
+func (s *subscriberSet) digestAfter(client string, entry pastry.Addr, remove, countOnly bool) uint64 {
+	if countOnly {
+		if remove {
+			if s.count == 0 {
+				return 0
+			}
+			return uint64(s.count - 1)
+		}
+		return uint64(s.count + 1)
+	}
+	sum := s.sum
+	if prev, ok := s.ids[client]; ok {
+		sum -= subHash(client, prev)
+	}
+	if !remove {
+		sum += subHash(client, entry)
+	}
+	return sum
+}
+
+// subHash is 64-bit FNV-1a over one subscriber record: the client, a
+// zero byte, the entry identifier and the entry endpoint. It is fixed,
+// not seeded per process, so owner and replica digests compare.
+func subHash(client string, entry pastry.Addr) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for i := 0; i < len(client); i++ {
+		h = (h ^ uint64(client[i])) * prime
+	}
+	h *= prime // the zero separator byte
+	for _, b := range entry.ID {
+		h = (h ^ uint64(b)) * prime
+	}
+	for i := 0; i < len(entry.Endpoint); i++ {
+		h = (h ^ uint64(entry.Endpoint[i])) * prime
+	}
+	return h
 }
 
 // channelState is everything one node knows about one channel. Owners
@@ -123,15 +207,26 @@ type channelState struct {
 	// ownership claim awaits reconciliation against the live ring.
 	recoveredOwner bool
 
-	// ownerSeen is when a replica last accepted a replication push from a
-	// remote owner. Owners heartbeat-replicate every maintenance round, so
-	// prolonged silence means the owner is gone — the anti-entropy pass
-	// then promotes this replica (if it is the root) or routes its state
-	// toward the root, re-electing an owner no fault callback ever will:
-	// the callback only fires on a failed send, and only promotes replicas
-	// that are root at that instant, so a channel whose root-successor
-	// holds no state goes quietly ownerless without this timestamp.
+	// ownerSeen is when a replica last heard a remote owner: an applied
+	// delta, a heartbeat entry that matched its state, or a full push
+	// from a node holding the owner role. Owners heartbeat every
+	// maintenance round, so prolonged silence means the owner is gone —
+	// the anti-entropy pass then promotes this replica (if it is the
+	// root) or routes its state toward the root, re-electing an owner no
+	// fault callback ever will: the callback only fires on a failed send,
+	// and only promotes replicas that are root at that instant, so a
+	// channel whose root-successor holds no state goes quietly ownerless
+	// without this timestamp.
 	ownerSeen time.Time
+
+	// replSeq orders replication within one owner epoch. An owner bumps
+	// it on every subscriber change and stamps it on the delta; a replica
+	// holds the Seq of the owner state it mirrors and applies only the
+	// delta numbered replSeq+1. resyncAsked marks a replica that asked
+	// its owner for a full push after a gap and awaits it, so the deltas
+	// still in flight behind the gap do not each ask again.
+	replSeq     uint64
+	resyncAsked bool
 
 	subs subscriberSet
 
@@ -210,6 +305,16 @@ type Stats struct {
 	ChannelsPolled    int
 	DelegatesHeld     int // fan-out partitions this node carries for other owners
 	DelegatesActive   int // delegates recruited across this node's owned channels
+	Replication       ReplicationStats
+}
+
+// ReplicationStats counts the replication messages a node sends, one per
+// destination.
+type ReplicationStats struct {
+	FullPushes uint64 // whole-state pushes: promotions, claims, counter-pushes and resync answers
+	Deltas     uint64 // one-subscriber changes sent by owners
+	Heartbeats uint64 // per-round digest heartbeats sent by owners
+	Resyncs    uint64 // full-push requests sent by replicas on a gap or a mismatch
 }
 
 // Node is one Corona overlay participant.
@@ -248,6 +353,15 @@ type Node struct {
 	// from the dead becomes eligible again, and one that is still dead
 	// re-records itself on the next failed send.
 	recentFaults map[ids.ID]time.Time
+
+	// replOut queues replication sends in the order they were built under
+	// mu; flushReplication drains it from one goroutine at a time, so the
+	// deltas of one channel leave this node in Seq order even when
+	// handlers run concurrently. replFlushing marks an active drain and
+	// replSpare recycles the drained slice.
+	replOut      []replSend
+	replSpare    []replSend
+	replFlushing bool
 
 	// obsOwnerSend/obsEntryRecv are per-stage latency callbacks on the
 	// notification path (SetStageObservers); nil disables them.

@@ -147,11 +147,10 @@ func (n *Node) RestoreChannels(channels []store.Channel) {
 			ch.est.ewma = c.IntervalSec
 		}
 		if len(c.Subs) > 0 && !n.cfg.CountSubscribersOnly {
-			ch.subs.ids = make(map[string]pastry.Addr, len(c.Subs))
+			ch.subs.clear()
 			for _, s := range c.Subs {
-				ch.subs.ids[s.Client] = pastry.Addr{ID: s.EntryID, Endpoint: s.EntryEndpoint}
+				ch.subs.add(s.Client, pastry.Addr{ID: s.EntryID, Endpoint: s.EntryEndpoint}, false)
 			}
-			ch.subs.count = len(ch.subs.ids)
 		} else {
 			ch.subs.count = c.Count
 		}
@@ -206,7 +205,6 @@ func (n *Node) ReconcileRecovered() {
 		subs []replicatedSub
 	}
 	n.mu.Lock()
-	var resumed []*channelState
 	var handoffs []handoff
 	var pushes []delegatePush
 	// Reconcile channels in URL order: resumption pushes, handoff
@@ -230,7 +228,7 @@ func (n *Node) ReconcileRecovered() {
 				// delegates expired their partitions during the outage.
 				pushes = n.refreshDelegatesLocked(ch, pushes, ids.ID{})
 			}
-			resumed = append(resumed, ch)
+			n.pushFullLocked(ch)
 			continue
 		}
 		// The root moved. Surrender the recovered claim (demote clears
@@ -250,9 +248,7 @@ func (n *Node) ReconcileRecovered() {
 	}
 	n.mu.Unlock()
 	n.sendDelegatePushes(pushes)
-	for _, ch := range resumed {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 	for _, h := range handoffs {
 		for _, s := range h.subs {
 			n.overlay.Route(h.id, msgSubscribe, &subscribeMsg{URL: h.url, Client: s.Client, Entry: s.Entry})

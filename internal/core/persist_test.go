@@ -328,14 +328,13 @@ func (s *countingSink) StateChanged(rec store.Record) {
 	s.st.StateChanged(rec)
 }
 
-// TestReplicaHeartbeatsLeaveWALUnchanged pins the store's elision of
-// image-neutral records on the path that produces most of them: every
-// maintenance round the owner heartbeat-replicates a quiescent channel,
-// and each push re-offers the replica's store an owner-epoch record and
-// a full metadata-plus-subscribers record. Once the first push has
-// landed, the identical pushes after it must not grow the replica's
-// WAL, and a restart must still recover the pushed subscriber set and
-// owner epoch.
+// TestReplicaHeartbeatsLeaveWALUnchanged pins the replica's journal on
+// the path that runs most often: every maintenance round the owner
+// heartbeats a quiescent channel's epoch, Seq and digest. Once the
+// subscriptions have landed, heartbeats that match the replica's state
+// must neither ask for a resync nor grow the replica's WAL, and a
+// restart must still recover the replicated subscriber set and owner
+// epoch.
 func TestReplicaHeartbeatsLeaveWALUnchanged(t *testing.T) {
 	url := "http://feeds.example.net/heartbeat.xml"
 	tc := newTestCloud(t, 8, nil)
@@ -372,12 +371,17 @@ func TestReplicaHeartbeatsLeaveWALUnchanged(t *testing.T) {
 		t.Fatal("no replica holds the channel")
 	}
 	sink := sinks[replica]
-	walBefore, offeredBefore := sink.st.Stats().WALBytes, sink.offered
+	walBefore := sink.st.Stats().WALBytes
+	beatsBefore := owner.Stats().Replication.Heartbeats
+	resyncsBefore := tc.nodes[replica].Stats().Replication.Resyncs
 
 	const heartbeats = 5
 	tc.sim.RunFor(heartbeats * 20 * time.Minute) // one heartbeat per maintenance round
-	if got := sink.offered - offeredBefore; got < 2*heartbeats {
-		t.Fatalf("replica store was offered %d records over %d heartbeats, want at least %d", got, heartbeats, 2*heartbeats)
+	if got := owner.Stats().Replication.Heartbeats - beatsBefore; got < heartbeats {
+		t.Fatalf("owner sent %d heartbeats over %d rounds, want at least %d", got, heartbeats, heartbeats)
+	}
+	if got := tc.nodes[replica].Stats().Replication.Resyncs - resyncsBefore; got != 0 {
+		t.Fatalf("replica asked for %d resyncs over %d matching heartbeats, want none", got, heartbeats)
 	}
 	if got := sink.st.Stats().WALBytes; got != walBefore {
 		t.Fatalf("replica WAL grew from %d to %d bytes over %d identical heartbeats", walBefore, got, heartbeats)

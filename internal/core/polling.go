@@ -216,6 +216,7 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 			}
 		} else if ch.isOwner {
 			counter = n.buildReplicateLocked(ch)
+			n.stats.Replication.FullPushes++
 		}
 	}
 	fresh := p.Version > ch.lastVersion

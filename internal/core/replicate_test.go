@@ -35,9 +35,9 @@ func (j *journal) last() store.Record {
 }
 
 // TestReplicatePushKeepsEqualSubscriberSet pins the replica side of the
-// per-round owner push: a push naming the subscriber set the replica
-// already holds keeps its map, a push that changes the set replaces it,
-// and both journal the whole pushed set.
+// full push (claims, promotions, resync answers): a push naming the
+// subscriber set the replica already holds keeps its map, a push that
+// changes the set replaces it, and both journal the whole pushed set.
 func TestReplicatePushKeepsEqualSubscriberSet(t *testing.T) {
 	const url = "http://feeds.example.net/replicated.xml"
 	sim := eventsim.New(1)

@@ -46,19 +46,19 @@ func (n *Node) handleSubscribe(msg pastry.Message) {
 		changed = ch.subs.add(p.Client, p.Entry, n.cfg.CountSubscribersOnly)
 		delete(ch.unsubbed, p.Client) // an explicit subscribe overrides the tombstone
 	}
+	wasOwner := ch.isOwner
 	n.becomeOwnerLocked(ch)
 	var push *delegatePush
 	if changed {
 		n.emitSubLocked(ch, p.Client, p.Entry, p.Remove)
 		push = n.shardEntryChangedLocked(ch, p.Client, p.Entry, p.Remove)
 	}
+	n.replicateSubLocked(ch, wasOwner, changed, p.Client, p.Entry, p.Remove)
 	n.mu.Unlock()
 	if push != nil {
 		n.overlay.SendDirect(push.to, msgDelegate, push.msg)
 	}
-	if changed {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 }
 
 // becomeOwnerLocked promotes this node to primary owner of the channel if
@@ -103,12 +103,13 @@ func (n *Node) becomeOwnerLocked(ch *channelState) {
 	n.emitMetaLocked(ch, false)
 }
 
-// buildReplicateLocked snapshots the channel's owner state as a
-// replication push (an ownership claim at the current owner epoch).
-// Callers hold n.mu.
+// buildReplicateLocked snapshots the channel's owner state as a full
+// push (an ownership claim at the current owner epoch). Callers hold
+// n.mu.
 func (n *Node) buildReplicateLocked(ch *channelState) *replicateMsg {
 	rep := &replicateMsg{
 		URL:         ch.url,
+		Seq:         ch.replSeq,
 		Count:       ch.subs.count,
 		SizeBytes:   ch.sizeBytes,
 		IntervalSec: ch.est.interval().Seconds(),
@@ -129,68 +130,51 @@ func (n *Node) buildReplicateLocked(ch *channelState) *replicateMsg {
 	return rep
 }
 
-// replicateChannel pushes owner state to the f closest ring neighbors.
-func (n *Node) replicateChannel(ch *channelState) {
-	if n.cfg.OwnerReplicas == 0 {
-		return
-	}
-	n.mu.Lock()
-	if !ch.isOwner {
-		n.mu.Unlock()
-		return
-	}
-	rep := n.buildReplicateLocked(ch)
-	n.mu.Unlock()
-	// Fire-and-forget: a replica that misses this push catches the next
-	// one (replication re-runs on every subscription change), and a dead
-	// neighbor surfaces through the transport's fault callback.
-	for _, neighbor := range n.overlay.Neighbors(n.cfg.OwnerReplicas) {
-		n.overlay.SendDirect(neighbor, msgReplicate, rep)
-	}
-}
-
-// ownerReplicaStale is how many maintenance rounds of replication
-// silence a replica tolerates before treating its owner as gone. Owners
-// heartbeat every round, so three missed rounds is an owner that died,
-// demoted without reaching us, or lost us from its neighbor set.
+// ownerReplicaStale is how many maintenance rounds of owner silence — no
+// applied delta, matching heartbeat or full push — a replica tolerates
+// before treating its owner as gone. Owners heartbeat every round, so
+// three missed rounds is an owner that died, demoted without reaching
+// us, or lost us from its neighbor set.
 const ownerReplicaStale = 3
 
-// ownerAntiEntropy re-asserts ownership claims whose ring placement looks
-// wrong. The epoch-fencing handshake rides on replication pushes and
-// update broadcasts, both of which fire only when something changes — so
-// after a healed partition, two owners of a quiescent channel could keep
-// answering polls forever without ever exchanging claims. Each maintenance
-// round:
+// ownerAntiEntropy is the owner side of the maintenance round's
+// replication and the replica side's re-election. The epoch-fencing
+// handshake rides on full pushes and update broadcasts, and a quiescent
+// channel sends neither — so after a healed partition, two owners could
+// keep answering polls forever without exchanging claims. Each round:
 //
 //   - An owner that is no longer the overlay root of a channel routes its
-//     claim (a full replication push) toward the current root, where the
-//     ordinary handleReplicate handshake runs: the losing epoch demotes
-//     and hands off its subscribers, the root reconquers above the
-//     winner. Dual ownership collapses within one round of the ring
-//     views re-merging.
+//     claim (a full push) toward the current root, where the ordinary
+//     handleReplicate handshake runs: the losing epoch demotes and hands
+//     off its subscribers, the root reconquers above the winner. Dual
+//     ownership collapses within one round of the ring views re-merging.
 //
-//   - An owner that IS the root heartbeat-replicates to its neighbors.
-//     Replication otherwise fires only on subscription changes, which
-//     leaves replicas of a quiescent channel unable to tell a healthy
-//     silent owner from a dead one.
+//   - An owner that IS the root lists the channel in its heartbeat: one
+//     replBeatMsg per neighbor carrying every such channel's epoch, Seq,
+//     digest and scalars, chunked at replBeatCap entries. A replica whose
+//     state matches refreshes its owner-liveness clock; any mismatch —
+//     another epoch, Seq or digest, a neighbor not yet a replica, or one
+//     that is itself an owner or the root — asks for a full push, so the
+//     claim handshake above still runs, one round trip later.
 //
-//   - A replica that has heard no owner push for ownerReplicaStale
-//     rounds re-elects: it promotes itself if it is now the root, or
-//     routes its state toward the root so the root adopts and
-//     reconquers. This is the only path that revives a channel whose
-//     owner died while the root-successor held no replica — the fault
-//     callback promotes replicas only if they are root at the instant
-//     the failure surfaces, and a root with no state never notices.
+//   - A replica that has heard no owner for ownerReplicaStale rounds
+//     re-elects: it promotes itself if it is now the root, or routes its
+//     state toward the root so the root adopts and reconquers. This is
+//     the only path that revives a channel whose owner died while the
+//     root-successor held no replica — the fault callback promotes
+//     replicas only if they are root at the instant the failure
+//     surfaces, and a root with no state never notices.
 //
-// At steady state the owner is the root and replicas hear it every
-// round, so nothing beyond the f heartbeat sends leaves this node.
+// At steady state the owner is the root and every replica matches, so a
+// round costs ⌈owned/replBeatCap⌉ heartbeats per neighbor and nothing
+// else.
 func (n *Node) ownerAntiEntropy() {
 	type claim struct {
 		id  ids.ID
 		rep *replicateMsg
 	}
 	var claims []claim
-	var pushes []*channelState
+	var beat []replBeatEntry
 	staleAfter := ownerReplicaStale * n.cfg.MaintenanceInterval
 	now := n.now()
 	n.mu.Lock()
@@ -207,11 +191,11 @@ func (n *Node) ownerAntiEntropy() {
 		case ch.isOwner && !n.overlay.IsRoot(ch.id):
 			claims = append(claims, claim{ch.id, n.buildReplicateLocked(ch)})
 		case ch.isOwner:
-			pushes = append(pushes, ch)
+			beat = append(beat, n.beatEntryLocked(ch))
 		case ch.isReplica && now.Sub(ch.ownerSeen) > staleAfter:
 			if n.overlay.IsRoot(ch.id) {
 				n.becomeOwnerLocked(ch)
-				pushes = append(pushes, ch)
+				n.pushFullLocked(ch)
 			} else {
 				// Claim every round while stale: early routes can die at
 				// hops whose tables still point at the dead owner (each
@@ -223,16 +207,16 @@ func (n *Node) ownerAntiEntropy() {
 			}
 		}
 	}
+	n.queueHeartbeatsLocked(beat)
 	if len(claims) > 0 {
 		n.stats.OwnerClaimsRouted += uint64(len(claims))
+		n.stats.Replication.FullPushes += uint64(len(claims))
 	}
 	n.mu.Unlock()
 	for _, c := range claims {
 		n.overlay.Route(c.id, msgReplicate, c.rep)
 	}
-	for _, ch := range pushes {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 }
 
 // claimWinsLocked decides an ownership claim at claimEpoch from claimant
@@ -281,8 +265,7 @@ func (n *Node) demoteLocked(ch *channelState, toReplica bool) {
 	}
 	ch.ownEntries = nil
 	if !toReplica {
-		ch.subs.ids = nil
-		ch.subs.count = 0
+		ch.subs.clear()
 	}
 	if ch.polling && !n.overlay.Base().InWedge(n.Self().ID, ch.id, maxInt(ch.level, 0)) {
 		n.stopPollingLocked(ch)
@@ -349,8 +332,12 @@ func (n *Node) handleReplicate(msg pastry.Message) {
 		// alive, its next push or update claim outranks whatever this
 		// adoption produced and the fencing handshake re-converges.
 		counter := n.buildReplicateLocked(ch)
+		self := msg.From.ID == n.Self().ID
+		if !self {
+			n.stats.Replication.FullPushes++
+		}
 		n.mu.Unlock()
-		if msg.From.ID != n.Self().ID {
+		if !self {
 			n.overlay.SendDirect(msg.From, msgReplicate, counter)
 		}
 		return
@@ -374,18 +361,17 @@ func (n *Node) handleReplicate(msg pastry.Message) {
 		// deems the owner dead, and no one re-elects.
 		ch.ownerSeen = n.now()
 	}
-	ch.subs.count = p.Count
+	ch.replSeq = p.Seq
+	ch.resyncAsked = false
 	if p.Subscribers != nil && !sameSubscribers(ch.subs.ids, p.Subscribers) {
-		ch.subs.ids = make(map[string]pastry.Addr, len(p.Subscribers))
-		for _, sub := range p.Subscribers {
-			ch.subs.ids[sub.Client] = sub.Entry
-		}
+		ch.subs.replace(p.Subscribers)
 	} else if p.Subscribers == nil && p.Count == 0 {
 		// An emptied channel replicates with no subscriber list; drop any
 		// stale identities so a later promotion cannot resurrect clients
 		// that unsubscribed.
-		ch.subs.ids = nil
+		ch.subs.clear()
 	}
+	ch.subs.count = p.Count
 	ch.sizeBytes = p.SizeBytes
 	if p.IntervalSec > 0 && ch.est.ewma == 0 {
 		ch.est.ewma = p.IntervalSec
@@ -411,10 +397,9 @@ func (n *Node) handleReplicate(msg pastry.Message) {
 	// gossip re-learns the dead closer peers from neighbors' leaf sets,
 	// IsRoot flips false again, and the replica re-routes the same doomed
 	// claim forever while the channel stays ownerless.
-	reclaimed := false
 	if n.overlay.IsRoot(ch.id) {
 		n.becomeOwnerLocked(ch)
-		reclaimed = ch.isOwner
+		n.pushFullLocked(ch)
 	}
 	n.emitOwnerEpochLocked(ch)
 	// Replica state is exactly what a restart must not lose: persist the
@@ -423,19 +408,17 @@ func (n *Node) handleReplicate(msg pastry.Message) {
 	// unsubscribed clients on restart.
 	n.emitMetaLocked(ch, p.Subscribers != nil || p.Count == 0)
 	n.mu.Unlock()
-	if reclaimed {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 	for _, s := range handoff {
 		n.overlay.Route(ch.id, msgSubscribe, &subscribeMsg{URL: ch.url, Client: s.Client, Entry: s.Entry})
 	}
 }
 
-// sameSubscribers reports whether a pushed subscriber list names exactly
-// the identities held. Owners push every channel to its replicas every
-// maintenance round, and the set rarely changes between rounds, so the
-// replica keeps its map instead of rebuilding it. Pushes are built from
-// the owner's map and list each client once.
+// sameSubscribers reports whether a full push names exactly the
+// identities held. Full pushes are rare — promotions, claims and resync
+// answers — but a claim or resync often carries the set the replica
+// already holds, which it then keeps instead of rebuilding. Pushes are
+// built from the owner's map and list each client once.
 func sameSubscribers(held map[string]pastry.Addr, pushed []replicatedSub) bool {
 	if held == nil || len(held) != len(pushed) {
 		return false
@@ -473,6 +456,7 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 	sort.Slice(promoted, func(i, j int) bool { return promoted[i].url < promoted[j].url })
 	for _, ch := range promoted {
 		n.becomeOwnerLocked(ch)
+		n.pushFullLocked(ch)
 		n.stats.LevelChanges++ // ownership transfer shows up in churn stats
 	}
 	// Force-expire the lease of every subscriber whose entry node just
@@ -514,9 +498,7 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 	}
 	n.mu.Unlock()
 	n.sendDelegatePushes(pushes)
-	for _, ch := range promoted {
-		n.replicateChannel(ch)
-	}
+	n.flushReplication()
 }
 
 // notifySubscribers delivers an update to every subscriber of an owned

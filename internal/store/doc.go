@@ -65,7 +65,8 @@
 //
 // OpMeta flags: bit0 owner, bit1 replica, bit2 subs-present (the
 // subscriber list follows and replaces the durable set wholesale — the
-// shape replication pushes arrive in). A replacement of more than 8192
+// shape a full replication push arrives in; replica deltas arrive as
+// OpSubscribe/OpUnsubscribe). A replacement of more than 8192
 // subscribers is split at append time into one capped OpMeta followed by
 // OpSubsChunk upserts, so a channel of any size stays far below
 // MaxRecordBytes and can always decode its own durable state.
@@ -86,9 +87,9 @@
 // is framed: an OpVersion or OpOwnerEpoch that does not raise its value,
 // and an OpMeta whose fields equal the image's and whose subscriber list,
 // when it replaces the set, is the same set (in any order) with every
-// lease mark still naming a member. Owners re-assert replica state on
-// every maintenance round; only the rounds that change something reach
-// the disk. The set comparison is linear in its size, through the
+// lease mark still naming a member. A replica re-offers state it
+// already holds whenever a claim or resync re-pushes it; only the pushes
+// that change something reach the disk. The set comparison is linear in its size, through the
 // channel's client index. Other ops are always journaled.
 //
 // Recovery folds apply over the surviving records in order, so skipping

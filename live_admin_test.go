@@ -54,6 +54,15 @@ func TestLiveStatsSpecCompleteness(t *testing.T) {
 		}
 		histogramCovered[path] = name
 	}
+	// The replication counters surface as one labelled family,
+	// corona_replication_sent_total{kind}.
+	for _, k := range replicationKinds {
+		path := "Stats.Replication." + k.field
+		if _, dup := histogramCovered[path]; dup {
+			t.Errorf("replication coverage entry %s duplicates another entry", path)
+		}
+		histogramCovered[path] = fmt.Sprintf("corona_replication_sent_total{kind=%q}", k.kind)
+	}
 
 	specFields := make(map[string]liveStatSpec, len(liveStatsSpec))
 	names := make(map[string]string, len(liveStatsSpec))
@@ -265,6 +274,11 @@ func TestAdminMetricsRegistryBuilds(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE corona_notify_stage_latency_seconds histogram") {
 		t.Error("/metrics missing the notify-stage latency histogram family")
+	}
+	for _, k := range replicationKinds {
+		if sample := fmt.Sprintf("corona_replication_sent_total{kind=%q} 0", k.kind); !strings.Contains(body, sample) {
+			t.Errorf("/metrics missing %s on an idle node", sample)
+		}
 	}
 
 	// A line login moves the line series of the client-sessions gauge,
