@@ -3,6 +3,7 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"corona/internal/ids"
@@ -61,28 +62,35 @@ const maxTrailer = 20
 // Encode renders the message as a self-contained body. A payload blob
 // retained from a previous Decode is re-encoded verbatim.
 func Encode(msg pastry.Message) ([]byte, error) {
-	if prefix, ok := msg.CachedEncodePrefix(); ok {
-		body := make([]byte, 0, len(prefix)+maxTrailer)
-		body = append(body, prefix...)
-		return appendTrailer(body, msg), nil
-	}
-	if msg.SharesEncoding() {
+	return AppendEncode(nil, msg)
+}
+
+// AppendEncode appends the message's body, exactly as Encode renders it,
+// to dst and returns the extended slice. On error dst is returned
+// unchanged. Transports encode a whole batch into one reused buffer this
+// way; the prefix cached for a fanned-out broadcast is still rendered
+// into its own allocation, since it outlives any one batch.
+func AppendEncode(dst []byte, msg pastry.Message) ([]byte, error) {
+	prefix, cached := msg.CachedEncodePrefix()
+	if !cached && msg.SharesEncoding() {
 		// First encode of a fanned-out broadcast: render the prefix into
 		// its own buffer so the cell can hand it to the other contacts.
-		prefix, err := appendPrefix(nil, msg)
-		if err != nil {
-			return nil, err
+		var err error
+		if prefix, err = appendPrefix(nil, msg); err != nil {
+			return dst, err
 		}
 		msg.StoreEncodePrefix(prefix)
-		body := make([]byte, 0, len(prefix)+maxTrailer)
-		body = append(body, prefix...)
-		return appendTrailer(body, msg), nil
+		cached = true
 	}
-	// Unicast: render straight into the final body — no separate prefix
-	// buffer, no second copy.
-	body, err := appendPrefix(nil, msg)
+	if cached {
+		dst = slices.Grow(dst, len(prefix)+maxTrailer)
+		return appendTrailer(append(dst, prefix...), msg), nil
+	}
+	// Unicast: render straight onto dst — no separate prefix buffer, no
+	// second copy.
+	body, err := appendPrefix(dst, msg)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	return appendTrailer(body, msg), nil
 }
@@ -103,7 +111,8 @@ const maxPooledScratch = 64 << 10
 
 // appendPrefix renders the hop-invariant region — flags, type, key,
 // origin, and the payload blob — onto dst (allocating when dst is nil).
-// A payload blob retained from a previous Decode is copied verbatim.
+// A payload blob retained from a previous Decode is copied verbatim. On
+// error nothing has been written to dst.
 func appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) {
 	payload, forwarded := msg.RawPayload()
 	if !forwarded && msg.Payload != nil {
@@ -151,9 +160,10 @@ func appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) {
 }
 
 // Decode parses a body produced by Encode. The payload is not
-// materialized: its raw bytes are retained on the message for zero-copy
-// forwarding, and resolve through the type registry when
-// pastry.Message.MaterializePayload runs.
+// materialized: its raw bytes are retained on the message, aliasing body,
+// and resolve through the type registry when
+// pastry.Message.MaterializePayload runs. They are valid only as long as
+// body is: pastry copies them before it queues the message onward.
 func Decode(body []byte) (pastry.Message, error) {
 	r := wirebin.NewReader(body)
 	flags := r.Byte()

@@ -14,13 +14,16 @@
 // checks every registration site). Encoding a payload whose type is
 // unregistered, or whose value has no AppendBinary, is an error.
 //
-// Decoding is lazy and forwarding is zero-copy: Decode retains the raw
-// payload bytes on the message (pastry.Message.SetRawPayload) instead of
-// materializing the struct, and Encode re-sends a retained blob verbatim.
-// A node forwarding a message — a routed next hop, or a broadcast pushed
-// deeper into the dissemination DAG — therefore never unmarshals or
-// re-marshals the payload; only a message delivered to a local handler
-// pays for a decode (pastry materializes it just before the handler runs).
+// Decoding is lazy: Decode retains the raw payload bytes on the message
+// (pastry.Message.SetRawPayload), aliasing the frame they arrived in,
+// instead of materializing the struct, and Encode re-sends a retained blob
+// verbatim. A message delivered to a local handler costs one decode and no
+// copy: pastry materializes it while the frame is still live, and every
+// BinaryUnmarshaler copies what it keeps. A node forwarding a message — a
+// routed next hop, or a broadcast pushed deeper into the dissemination DAG
+// — never unmarshals or re-marshals the payload, but copies its raw bytes
+// once, since the transport reuses the frame before the forwarded copy is
+// written out.
 package codec
 
 import (

@@ -249,3 +249,64 @@ func TestMeasureMatchesEncode(t *testing.T) {
 		t.Fatalf("Measure = %d, want %d", got, len(body))
 	}
 }
+
+// TestAppendEncodeMatchesEncode pins the batch encoder transports use:
+// appending a message to a buffer that already holds earlier bodies
+// yields exactly those bodies followed by Encode's bytes — for a unicast
+// message, for copies of a fanned-out broadcast (first encode and cached
+// prefix), and for a forwarded message re-sending its raw payload — and
+// a message that fails to encode leaves the buffer as it was.
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	unicast := sampleMessage()
+	shared := sampleMessage()
+	shared.ShareEncoding()
+	sharedAgain := shared
+	sharedAgain.Cover = 7
+	plainAgain := sampleMessage()
+	plainAgain.Cover = 7
+	body, err := codec.Encode(sampleMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded, err := codec.Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded.Hops++
+	unregistered := sampleMessage()
+	unregistered.Type = "codec.unregistered"
+
+	dst := []byte("earlier bodies")
+	for _, tc := range []struct {
+		name       string
+		msg, plain pastry.Message // plain: the same message, unshared
+	}{
+		{"unicast", unicast, unicast},
+		{"shared prefix, first copy", shared, sampleMessage()},
+		{"shared prefix, cached", sharedAgain, plainAgain},
+		{"forwarded raw", forwarded, forwarded},
+	} {
+		prior := string(dst)
+		got, err := codec.AppendEncode(dst, tc.msg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, err := codec.Encode(tc.plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := prior + string(body)
+		if string(got) != string(want) {
+			t.Fatalf("%s: AppendEncode = %q, want %q", tc.name, got, want)
+		}
+		dst = got
+	}
+	before := string(dst)
+	got, err := codec.AppendEncode(dst, unregistered)
+	if err == nil {
+		t.Fatal("unregistered payload type encoded")
+	}
+	if len(got) != len(before) || string(got) != before || string(dst) != before {
+		t.Fatalf("failed AppendEncode changed dst: got %q, want %q", got, before)
+	}
+}

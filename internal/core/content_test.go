@@ -168,3 +168,53 @@ func (n *Node) channel(url string) *channelState {
 	defer n.mu.Unlock()
 	return n.getChannel(url)
 }
+
+// TestDuplicateUpdateSkipsDiffDecode delivers the same update twice, as
+// the wedge does (two broadcast copies, or a broadcast copy and the
+// owner's routed backstop). The first delivery patches the cached
+// content; the second leaves it as it is and never decodes the diff.
+func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
+	const url = "http://feeds.example.net/dup.xml"
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
+	var overlay *pastry.Node
+	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
+	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("dup"), Endpoint: "sim://0"}, endpoint, sim)
+	overlay.Bootstrap()
+	cfg := DefaultConfig()
+	cfg.ContentMode = true
+	n := NewNode(cfg, overlay, sim, &OriginFetcher{Origin: webserver.NewOrigin(), Clock: sim}, &diffRecorder{diffs: make(map[uint64]string)}, nil)
+
+	decodes := 0
+	t.Cleanup(func() { decodeDiff = diffengine.Decode })
+	decodeDiff = func(s string) (*diffengine.Diff, error) {
+		decodes++
+		return diffengine.Decode(s)
+	}
+
+	v1, v2 := []string{"<item>a</item>"}, []string{"<item>a</item>", "<item>b</item>"}
+	ch := n.channel(url)
+	n.mu.Lock()
+	ch.content, ch.contentVersion, ch.lastVersion = v1, 1, 1
+	n.mu.Unlock()
+	update := pastry.Message{From: pastry.Addr{ID: ids.HashString("peer"), Endpoint: "sim://1"}, Payload: &updateMsg{
+		URL: url, Version: 2, Diff: diffengine.Encode(diffengine.Compute(v1, v2, 1, 2)),
+	}}
+	state := func() ([]string, uint64) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return slices.Clone(ch.content), ch.contentVersion
+	}
+
+	n.handleUpdate(update)
+	if got, ver := state(); ver != 2 || !slices.Equal(got, v2) || decodes != 1 {
+		t.Fatalf("first delivery: content v%d %q after %d decodes, want v2 %q after 1", ver, got, decodes, v2)
+	}
+	n.handleUpdate(update)
+	if got, ver := state(); ver != 2 || !slices.Equal(got, v2) {
+		t.Fatalf("second delivery moved the content to v%d %q", ver, got)
+	}
+	if decodes != 1 {
+		t.Fatalf("second delivery decoded the diff (%d decodes in all)", decodes)
+	}
+}

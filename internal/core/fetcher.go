@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,6 +47,10 @@ func (f *OriginFetcher) Fetch(url string, haveVersion uint64) (webserver.FetchRe
 	return f.Origin.Fetch(url, f.Clock.Now())
 }
 
+// ReleaseBody implements Fetcher. The origin renders a fresh body per
+// fetch, so there is nothing to reuse.
+func (f *OriginFetcher) ReleaseBody([]byte) {}
+
 // originIdleConnsPerHost is how many idle connections an HTTPFetcher
 // keeps to one origin host. A node polls each of its channels once per
 // interval at a random phase, so the polls in flight to one host at once
@@ -61,6 +66,14 @@ const maxBodyBytes = 16 << 20
 // before closing it, so polls of a failing channel keep their connection
 // without reading an arbitrarily long error page.
 const maxDrainBytes = 64 << 10
+
+// maxKeptBodies and maxKeptBodyBytes bound the body buffers an
+// HTTPFetcher keeps for reuse: a few buffers (polls overlap rarely), none
+// larger than 1 MiB, so one huge feed cannot pin its buffer.
+const (
+	maxKeptBodies    = 8
+	maxKeptBodyBytes = 1 << 20
+)
 
 // maxRedirects is how many redirect responses a poll takes before it
 // gives up, as net/http's client does.
@@ -82,6 +95,10 @@ var errBodyTooLarge = fmt.Errorf("core: body exceeds %d bytes", maxBodyBytes)
 // reader and writer. A poll takes one, writes its GET and parses the
 // reply on the calling goroutine; no goroutine, context or timer lives
 // per connection or per request. Construct it with NewHTTPFetcher.
+//
+// A 200 body is read into a buffer the fetcher reuses: the node hands it
+// back through ReleaseBody once the difference engine has consumed it,
+// and a later poll reads into it.
 type HTTPFetcher struct {
 	timeout time.Duration
 	rootCAs *x509.CertPool // TLS trust roots; nil means the host's
@@ -91,6 +108,7 @@ type HTTPFetcher struct {
 	closed bool
 	idle   map[string][]*originConn // by originTarget.key, most recent last
 	polled map[string]*polledURL    // by URL
+	bodies [][]byte                 // released body buffers, for readBody
 }
 
 // polledURL is what the fetcher keeps per polled URL.
@@ -207,7 +225,7 @@ func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, resp *http.Response, 
 			sizeHint = p.size
 			f.mu.Unlock()
 		}
-		body, err := readBody(r, sizeHint)
+		body, err := readBody(r, f.takeBody(), sizeHint)
 		if err != nil {
 			oc.conn.Close()
 			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, err)
@@ -227,6 +245,33 @@ func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, resp *http.Response, 
 		f.release(oc, resp, drain(resp))
 		return webserver.FetchResult{}, fmt.Errorf("core: polling %s: status %d", rawURL, resp.StatusCode)
 	}
+}
+
+// ReleaseBody implements Fetcher: a later poll reads into body, unless
+// it is larger than maxKeptBodyBytes or maxKeptBodies are kept already.
+func (f *HTTPFetcher) ReleaseBody(body []byte) {
+	if cap(body) == 0 || cap(body) > maxKeptBodyBytes {
+		return
+	}
+	f.mu.Lock()
+	if len(f.bodies) < maxKeptBodies {
+		f.bodies = append(f.bodies, body[:0])
+	}
+	f.mu.Unlock()
+}
+
+// takeBody returns the most recently released body buffer, or nil.
+func (f *HTTPFetcher) takeBody() []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.bodies)
+	if n == 0 {
+		return nil
+	}
+	buf := f.bodies[n-1]
+	f.bodies[n-1] = nil
+	f.bodies = f.bodies[:n-1]
+	return buf
 }
 
 // lookup returns the fetcher's record of rawURL, resolving its request
@@ -427,11 +472,12 @@ func isRedirect(status int) bool {
 	return false
 }
 
-// readBody reads r to its end into one allocation of sizeHint bytes plus
-// room to see EOF, growing only when the body outruns the hint. A body
-// longer than maxBodyBytes is errBodyTooLarge.
-func readBody(r io.Reader, sizeHint int) ([]byte, error) {
-	buf := make([]byte, 0, sizeHint+bytes.MinRead)
+// readBody reads r to its end into buf, first grown (one allocation, if
+// buf is too small) to sizeHint bytes plus room to see EOF, and growing
+// again only when the body outruns the hint. A body longer than
+// maxBodyBytes is errBodyTooLarge.
+func readBody(r io.Reader, buf []byte, sizeHint int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], sizeHint+bytes.MinRead)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]

@@ -149,6 +149,68 @@ func TestOversizedBodyIsNoUpdate(t *testing.T) {
 	}
 }
 
+// TestHTTPFetchReusesReleasedBody pins the body buffer's lifetime: a 200
+// body handed back through ReleaseBody is what the next 200 is read into,
+// a buffer past maxKeptBodyBytes is not kept, and a node's poll hands its
+// body back once extraction is done with it.
+func TestHTTPFetchReusesReleasedBody(t *testing.T) {
+	var version atomic.Uint64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		v := version.Add(1)
+		w.Header().Set("ETag", strconv.FormatUint(v, 10))
+		fmt.Fprintf(w, "<rss><item>news %d</item></rss>\n", v)
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+
+	first, err := f.Fetch(srv.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ReleaseBody(first.Body)
+	second, err := f.Fetch(srv.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "<rss><item>news 2</item></rss>\n"; string(second.Body) != want {
+		t.Fatalf("second body %q, want %q", second.Body, want)
+	}
+	if &second.Body[:1][0] != &first.Body[:1][0] {
+		t.Fatal("the second poll did not read into the released buffer")
+	}
+
+	f.ReleaseBody(make([]byte, 0, maxKeptBodyBytes+1))
+	if buf := f.takeBody(); buf != nil {
+		t.Fatalf("kept a %d-byte buffer past the %d-byte cap", cap(buf), maxKeptBodyBytes)
+	}
+
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
+	var overlay *pastry.Node
+	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
+	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"}, endpoint, sim)
+	overlay.Bootstrap()
+	cfg := DefaultConfig()
+	cfg.NodeCount = 1
+	cfg.ContentMode = true
+	cfg.CountSubscribersOnly = false
+	cfg.PollInterval = 1000 * time.Hour // the test drives every poll
+	n := NewNode(cfg, overlay, sim, f, &diffRecorder{diffs: make(map[uint64]string)}, nil)
+	n.Start()
+	if err := n.Subscribe("alice", srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(time.Minute)
+	n.pollChannel(n.channel(srv.URL))
+	if got := n.Stats().UpdatesDetected; got != 1 {
+		t.Fatalf("poll detected %d update(s), want 1", got)
+	}
+	if buf := f.takeBody(); cap(buf) == 0 {
+		t.Fatal("the poll did not hand its body back to the fetcher")
+	}
+}
+
 // TestHTTPFetchReusesConnection pins connection reuse: polls of one
 // origin from one fetcher — 200s, 304s and error statuses alike — share
 // one connection, because every response body is read or drained before
@@ -194,8 +256,9 @@ func TestHTTPFetchReusesConnection(t *testing.T) {
 }
 
 // TestHTTPFetchConcurrentPolls polls channels of different sizes from
-// several goroutines through one fetcher, racing its per-URL size hints
-// and a Close: every body must arrive whole.
+// several goroutines through one fetcher, racing its per-URL size hints,
+// the body buffers each poll hands back and a Close: every body must
+// arrive whole.
 func TestHTTPFetchConcurrentPolls(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n, _ := strconv.Atoi(r.URL.Path[1:])
@@ -215,6 +278,7 @@ func TestHTTPFetchConcurrentPolls(t *testing.T) {
 					t.Errorf("poll of /%d: %d bytes, err %v", n, len(res.Body), err)
 					return
 				}
+				f.ReleaseBody(res.Body)
 				if g == 0 && i == 20 {
 					f.Close()
 				}

@@ -20,8 +20,15 @@ type Fetcher interface {
 	// Fetch polls url. haveVersion is the validator: when the server's
 	// content still matches, the result reports Modified=false and costs
 	// only a probe. Version 0 forces a full fetch. The caller owns the
-	// returned Body: the difference engine cuts it in place.
+	// returned Body until it hands it back through ReleaseBody: the
+	// difference engine cuts it in place.
 	Fetch(url string, haveVersion uint64) (webserver.FetchResult, error)
+	// ReleaseBody hands back a Body that Fetch returned, once the
+	// difference engine has extracted it (extraction copies what it
+	// keeps) or once the poll drops it unused. The fetcher may read a
+	// later poll into it, so the caller keeps no reference. A nil body
+	// is a no-op.
+	ReleaseBody(body []byte)
 }
 
 // Notifier delivers update notifications to subscribers, the role of the

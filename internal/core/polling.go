@@ -59,15 +59,15 @@ func (n *Node) pollChannel(ch *channelState) {
 		n.mu.Unlock()
 		return
 	}
-	if !res.Modified || res.Version <= have {
-		return
+	if res.Modified && res.Version > have {
+		n.updateDetected(ch, fetchedUpdate{
+			Version:      res.Version,
+			Bytes:        res.Bytes,
+			Body:         res.Body,
+			HasTimestamp: true, // simulated origins expose modification versions
+		})
 	}
-	n.updateDetected(ch, fetchedUpdate{
-		Version:      res.Version,
-		Bytes:        res.Bytes,
-		Body:         res.Body,
-		HasTimestamp: true, // simulated origins expose modification versions
-	})
+	n.fetcher.ReleaseBody(res.Body)
 }
 
 // updateDetected runs when this node's own poll observed a fresh version.
@@ -219,6 +219,11 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 			n.stats.Replication.FullPushes++
 		}
 	}
+	// A copy of an update whose content this node already holds (the
+	// second broadcast copy, or the owner's routed backstop copy) skips
+	// the diff decode: its diff ends at p.Version, which the content has
+	// reached.
+	newContent := p.Version > ch.contentVersion
 	fresh := p.Version > ch.lastVersion
 	if fresh {
 		ch.lastVersion = p.Version
@@ -237,7 +242,7 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 	// A diff against the content this node holds moves it forward even
 	// when the version is not news here: a replicate push may have raised
 	// lastVersion before the update carrying the content arrived.
-	if n.cfg.ContentMode && p.Diff != "" {
+	if n.cfg.ContentMode && p.Diff != "" && newContent {
 		n.applyDiff(ch, p.Diff)
 	}
 	if !fresh {
@@ -252,12 +257,16 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 	}
 }
 
+// decodeDiff is diffengine.Decode, a variable so tests can count the
+// decodes applyDiff runs.
+var decodeDiff = diffengine.Decode
+
 // applyDiff patches the locally cached core content so this node can
 // generate future diffs against the newest version (§3.1: every polling
 // node keeps a copy of the latest version). Only a diff whose base is the
 // cached content's version applies; others leave the cache as it is.
 func (n *Node) applyDiff(ch *channelState, encoded string) {
-	d, err := diffengine.Decode(encoded)
+	d, err := decodeDiff(encoded)
 	if err != nil {
 		return
 	}

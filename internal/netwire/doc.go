@@ -28,6 +28,19 @@
 // next maintenance round repairs — while Block makes Send wait for space,
 // for callers that need lossless local handoff (tests, bulk transfers).
 //
+// # Buffer lifetimes
+//
+// Each writer encodes a whole batch into one buffer (codec.AppendEncode)
+// that it reuses for the next batch, and each reader reads every frame of
+// its connection into one reused buffer. A decoded message's retained raw
+// payload aliases that frame buffer, so it is valid only during the
+// deliver callback: the callback must not keep the raw bytes (or the
+// message, unmaterialized) once it returns. pastry.Node.Deliver keeps
+// that rule: a local handler sees a payload materialized by a decoder
+// that copies, and a routed next hop or a broadcast forwarded deeper
+// copies the raw payload once before it is queued. A buffer grown past
+// 1 MiB by a huge frame or batch is dropped afterwards rather than kept.
+//
 // # Wire protocol
 //
 // Each connection is one-directional: the dialer writes, the accepter
@@ -74,8 +87,9 @@
 // contiguous prefix, with the two counters as a varint trailer. A node
 // fanning a broadcast out to N routing contacts therefore encodes the
 // envelope and payload once and appends a fresh 2-varint trailer per
-// contact; a node forwarding a received message re-sends the retained
-// payload blob verbatim, never re-marshaling it (see internal/codec).
+// contact; a node forwarding a received message re-sends (a copy of) the
+// retained payload blob verbatim, never re-marshaling it (see
+// internal/codec).
 //
 // Payload types are decoded lazily through the codec package's registry
 // keyed by message type, so the same application structs flow over the

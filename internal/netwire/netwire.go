@@ -36,6 +36,10 @@ const (
 	defaultBackoffMax   = 2 * time.Second
 	defaultIdleTimeout  = 2 * time.Minute
 	bufSize             = 64 << 10
+	// maxKeptBuffer caps the frame and batch buffers a connection keeps
+	// across frames: one grown past it by a huge frame is dropped after
+	// that frame instead of pinning the memory.
+	maxKeptBuffer = 1 << 20
 )
 
 // BackpressurePolicy selects what Send does when a peer's outbound queue
@@ -324,7 +328,10 @@ func (t *Transport) forgetInbound(conn net.Conn) {
 }
 
 // readLoop decodes one connection's hello byte and frame stream,
-// delivering every message in order.
+// delivering every message in order. Every frame is read into one buffer
+// the connection reuses: delivery is synchronous, handlers see payloads
+// materialized by decoders that copy, and pastry copies a payload it
+// forwards, so nothing aliases the buffer once deliverFrame returns.
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.forgetInbound(conn)
 	br := bufio.NewReaderSize(conn, bufSize)
@@ -337,6 +344,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 	t.addBytesRecv(1)
 	var lenBuf [4]byte
+	var frame []byte
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
@@ -345,13 +353,19 @@ func (t *Transport) readLoop(conn net.Conn) {
 		if n > maxFrame {
 			return
 		}
-		body := make([]byte, n)
+		if uint32(cap(frame)) < n {
+			frame = make([]byte, n)
+		}
+		body := frame[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
 		t.addBytesRecv(uint64(4 + n))
 		if !t.deliverFrame(body) {
 			return
+		}
+		if cap(frame) > maxKeptBuffer {
+			frame = nil
 		}
 	}
 }
@@ -566,8 +580,15 @@ func (p *peer) writeLoop() {
 	defer idleTimer.Stop()
 	batch := make([]outMsg, 0, maxBatch)
 	bodies := make([][]byte, 0, maxBatch)
+	// buf holds the whole batch's encoded bodies, back to back; ends
+	// marks where each one stops. Both are reused across batches.
+	var buf []byte
+	ends := make([]int, 0, maxBatch)
 	for {
 		batch = batch[:0]
+		if cap(buf) > maxKeptBuffer {
+			buf = nil // a huge batch's buffer is not kept while idle
+		}
 		if !idleTimer.Stop() {
 			select {
 			case <-idleTimer.C:
@@ -596,17 +617,26 @@ func (p *peer) writeLoop() {
 			}
 		}
 
-		bodies = bodies[:0]
+		buf, ends = buf[:0], ends[:0]
 		for _, m := range batch {
-			body, err := codec.Encode(m.msg)
-			if err != nil || len(body) > maxFrame-frameOverhead {
+			start := len(buf)
+			var err error
+			buf, err = codec.AppendEncode(buf, m.msg)
+			if err != nil || len(buf)-start > maxFrame-frameOverhead {
+				buf = buf[:start]
 				p.drop(1)
 				continue
 			}
-			bodies = append(bodies, body)
+			ends = append(ends, len(buf))
 		}
-		if len(bodies) == 0 {
+		if len(ends) == 0 {
 			continue
+		}
+		bodies = bodies[:0]
+		start := 0
+		for _, end := range ends {
+			bodies = append(bodies, buf[start:end])
+			start = end
 		}
 
 		if conn == nil {

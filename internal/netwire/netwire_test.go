@@ -1,8 +1,10 @@
 package netwire_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -568,5 +570,93 @@ func TestPastryOverTCP(t *testing.T) {
 	}
 	if sent == 0 || recv == 0 {
 		t.Fatalf("wire byte counters dead: sent=%d recv=%d", sent, recv)
+	}
+}
+
+// TestForwardedPayloadsSurviveFrameReuse pins the receive buffer's
+// lifetime rule. A middle node's reader reuses one frame buffer while the
+// messages it forwards — routed next hops and broadcasts pushed deeper —
+// still sit in its writer's queue toward the final node. Every payload
+// must reach the final node byte-identical to what was first sent.
+func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
+	src, err := netwire.Listen("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.Backpressure = netwire.Block
+	type hop struct {
+		tr   *netwire.Transport
+		node *pastry.Node
+	}
+	var mid, dst hop
+	for i, h := range []*hop{&mid, &dst} {
+		tr, err := netwire.Listen("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		tr.Backpressure = netwire.Block
+		addr := pastry.Addr{ID: ids.HashString(fmt.Sprintf("reuse-node-%d", i)), Endpoint: tr.Addr()}
+		*h = hop{tr: tr, node: pastry.NewNode(pastry.DefaultConfig(), addr, tr, clock.Real{})}
+	}
+	pastry.BuildStaticOverlay([]*pastry.Node{mid.node, dst.node})
+	mid.tr.OnDeliver(mid.node.Deliver)
+
+	// The final node records each payload's raw bytes as they arrive.
+	const n = 3000
+	var mu sync.Mutex
+	got := map[int][]byte{}
+	done := make(chan struct{})
+	dst.tr.OnDeliver(func(m pastry.Message) {
+		raw, _ := m.RawPayload()
+		raw = bytes.Clone(raw)
+		if err := m.MaterializePayload(); err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		got[m.Payload.(*seqPayload).Seq] = raw
+		if len(got) == n {
+			close(done)
+		}
+	})
+
+	// Alternate routed messages (keyed at the final node, so the middle
+	// node forwards them) with broadcasts whose coverage makes the middle
+	// node push them one row deeper, to the final node. Payload lengths
+	// vary, so a forwarded copy still aliasing the middle node's frame
+	// buffer would be overwritten by a later frame.
+	row := pastry.DefaultConfig().Base.CommonPrefix(mid.node.Self().ID, dst.node.Self().ID)
+	want := make(map[int][]byte, n)
+	from := pastry.Addr{ID: ids.HashString("reuse-src"), Endpoint: src.Addr()}
+	for i := 0; i < n; i++ {
+		p := &seqPayload{Sender: i % 2, Seq: i, Fill: strings.Repeat(string(rune('a'+i%26)), 1+(i*37)%500)}
+		want[i], _ = p.AppendBinary(nil)
+		msg := pastry.Message{Type: "test.seq", From: from, Payload: p}
+		if i%2 == 0 {
+			msg.Key = dst.node.Self().ID
+		} else {
+			msg.Cover = row + 1
+		}
+		if err := src.Send(mid.node.Self(), msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		mu.Lock()
+		received := len(got)
+		mu.Unlock()
+		t.Fatalf("final node got %d of %d payloads", received, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("payload %d reached the final node as %q, want %q", i, got[i], want[i])
+		}
 	}
 }

@@ -50,9 +50,10 @@ type hop struct {
 // The destination list is gathered under RLock into a pooled scratch
 // buffer sized from the table's row occupancy, so a broadcast storm does
 // not allocate a fresh slice (or grow it) per message while holding the
-// lock. All copies share one encode-once cell: a codec encodes the
-// envelope-plus-payload prefix a single time and only the varint
-// Hops/Cover trailer is written per contact.
+// lock. All copies share one encode-once cell and one copy of a
+// forwarded payload blob: a codec encodes the envelope-plus-payload
+// prefix a single time and only the varint Hops/Cover trailer is written
+// per contact.
 func (n *Node) fanOut(msg Message, fromRow int) {
 	hops, _ := n.fanScratch.Get().(*[]hop)
 	if hops == nil {
@@ -77,6 +78,10 @@ func (n *Node) fanOut(msg Message, fromRow int) {
 	if len(*hops) > 0 {
 		msg.Hops++ // same for every contact; only Cover varies below
 		msg.ShareEncoding()
+		// A forwarded blob aliases the transport's receive buffer, which
+		// the queued sends outlive: copy it once for all contacts. The
+		// caller's msg keeps the alias for its local delivery.
+		msg.detachRaw()
 		for _, h := range *hops {
 			out := msg
 			out.Cover = h.cover

@@ -160,3 +160,39 @@ func TestLeafSetIgnoresSelfAndDuplicates(t *testing.T) {
 		t.Fatalf("all() = %d members, want 1", got)
 	}
 }
+
+// TestNextHopInCoveredRingAllocatesNothing pins the leaf-set fast path:
+// in a ring the leaf set covers — every corona-load cluster — each Route
+// and each owner's IsRoot self-check resolves through closestToKey, which
+// must not build a member list per call.
+func TestNextHopInCoveredRingAllocatesNothing(t *testing.T) {
+	n := NewNode(DefaultConfig(), addrN(0), nil, nil)
+	for i := 1; i < 12; i++ {
+		n.Learn(addrN(i))
+	}
+	var keys []ids.ID
+	for i := 0; i < 64; i++ {
+		if key := ids.HashString(fmt.Sprintf("covered-key-%d", i)); n.leaves.coversKey(key) {
+			keys = append(keys, key)
+		}
+	}
+	if len(keys) == 0 {
+		t.Fatal("no sampled key falls inside the leaf set's span")
+	}
+	var roots, remote int
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, key := range keys {
+			if _, more := n.nextHop(key); more {
+				remote++
+			} else {
+				roots++
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("nextHop over %d covered keys allocates %.1f times per pass, want 0", len(keys), allocs)
+	}
+	if roots == 0 || remote == 0 {
+		t.Fatalf("covered keys resolved %d times to self and %d to a member; want both", roots, remote)
+	}
+}

@@ -43,10 +43,8 @@ func (l *leafSet) add(addr Addr) bool {
 // most k entries, and reports whether the slice changed.
 func insertSorted(side *[]Addr, addr Addr, k int, dist func(ids.ID) ids.ID) bool {
 	s := *side
-	for _, a := range s {
-		if a.ID == addr.ID {
-			return false
-		}
+	if containsID(s, addr.ID) {
+		return false
 	}
 	d := dist(addr.ID)
 	pos := sort.Search(len(s), func(i int) bool {
@@ -84,36 +82,31 @@ func (l *leafSet) remove(id ids.ID) bool {
 
 // contains reports whether the identifier is in the leaf set.
 func (l *leafSet) contains(id ids.ID) bool {
-	for _, a := range l.cw {
-		if a.ID == id {
-			return true
+	return containsID(l.cw, id) || containsID(l.ccw, id)
+}
+
+// all returns the distinct members of the leaf set: cw, then the ccw
+// members not already on the cw side. A side holds at most k entries, so
+// the linear membership check beats a map.
+func (l *leafSet) all() []Addr {
+	out := make([]Addr, 0, len(l.cw)+len(l.ccw))
+	out = append(out, l.cw...)
+	for _, a := range l.ccw {
+		if !containsID(l.cw, a.ID) {
+			out = append(out, a)
 		}
 	}
-	for _, a := range l.ccw {
+	return out
+}
+
+// containsID reports whether side holds the identifier.
+func containsID(side []Addr, id ids.ID) bool {
+	for _, a := range side {
 		if a.ID == id {
 			return true
 		}
 	}
 	return false
-}
-
-// all returns the distinct members of the leaf set.
-func (l *leafSet) all() []Addr {
-	seen := make(map[ids.ID]bool, len(l.cw)+len(l.ccw))
-	out := make([]Addr, 0, len(l.cw)+len(l.ccw))
-	for _, a := range l.cw {
-		if !seen[a.ID] {
-			seen[a.ID] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range l.ccw {
-		if !seen[a.ID] {
-			seen[a.ID] = true
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // closest returns up to k distinct members ordered by ring distance from
@@ -135,19 +128,23 @@ func (l *leafSet) closest(k int) []Addr {
 }
 
 // closestToKey returns the leaf set member (or self) numerically closest
-// to key, together with whether that member is self.
+// to key, together with whether that member is self. It scans both sides
+// in place, allocating nothing: a member listed on both sides is simply
+// seen twice, which cannot change the minimum.
 func (l *leafSet) closestToKey(key ids.ID) (Addr, bool) {
 	best := Addr{ID: l.self}
 	bestDist := l.self.Distance(key)
-	for _, a := range l.all() {
-		d := a.ID.Distance(key)
-		switch c := d.Cmp(bestDist); {
-		case c < 0:
-			best, bestDist = a, d
-		case c == 0 && a.ID.Cmp(best.ID) < 0:
-			// Break exact ties toward the smaller identifier so every
-			// node resolves the same root for a key.
-			best = a
+	for _, side := range [2][]Addr{l.cw, l.ccw} {
+		for _, a := range side {
+			d := a.ID.Distance(key)
+			switch c := d.Cmp(bestDist); {
+			case c < 0:
+				best, bestDist = a, d
+			case c == 0 && a.ID.Cmp(best.ID) < 0:
+				// Break exact ties toward the smaller identifier so every
+				// node resolves the same root for a key.
+				best = a
+			}
 		}
 	}
 	return best, best.ID == l.self

@@ -15,6 +15,7 @@
 package pastry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -64,9 +65,11 @@ type Message struct {
 	// raw retains the encoded payload body exactly as it arrived off the
 	// wire, so forwarding (routed next-hop or broadcast fan-out) re-sends
 	// the bytes verbatim instead of decode-struct→re-marshal. The slice
-	// aliases the receive buffer and must be treated as immutable.
-	// Materializing the typed payload clears raw, because a handler may
-	// mutate the struct and re-send it.
+	// aliases the transport's receive buffer, so it is valid only during
+	// the transport's deliver call and must be treated as immutable: a
+	// forwarder copies it once (detachRaw) before queueing the message
+	// onward. Materializing the typed payload clears raw, because a
+	// handler may mutate the struct and re-send it.
 	raw    []byte
 	hasRaw bool
 
@@ -113,6 +116,14 @@ func (m *Message) SetRawPayload(raw []byte) {
 // materialized). The codec uses it to re-send forwarded payloads verbatim.
 func (m Message) RawPayload() (raw []byte, ok bool) {
 	return m.raw, m.hasRaw
+}
+
+// detachRaw gives the message its own copy of a retained raw payload,
+// so it stays valid after the transport reuses its receive buffer.
+func (m *Message) detachRaw() {
+	if m.hasRaw {
+		m.raw = bytes.Clone(m.raw)
+	}
 }
 
 // MaterializePayload decodes the retained raw payload into its registered
@@ -480,10 +491,15 @@ func (n *Node) Deliver(msg Message) {
 		// root and the message belongs here. Without the retry, every
 		// routed message racing a node death is silently lost at whichever
 		// hop still lists the corpse.
+		detached := false
 		for {
 			next, ok := n.nextHop(msg.Key)
 			if !ok {
 				break
+			}
+			if !detached {
+				msg.detachRaw() // the send outlives the receive buffer
+				detached = true
 			}
 			msg.Hops++
 			n.mu.Lock()
