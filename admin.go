@@ -244,6 +244,9 @@ type adminChannel struct {
 	OwnerEpoch      uint64   `json:"owner_epoch"`
 	LastVersion     uint64   `json:"last_version"`
 	Polling         bool     `json:"polling"`
+	Level           int      `json:"level"`
+	Pollers         int      `json:"pollers"`
+	PollSlot        int      `json:"poll_slot"`
 	SubscriberCount int      `json:"subscriber_count"`
 	Leases          int      `json:"leases"`
 	Delegates       []string `json:"delegates,omitempty"`
@@ -259,6 +262,9 @@ func adminChannelFrom(rec core.ChannelRecords) adminChannel {
 		OwnerEpoch:      rec.OwnerEpoch,
 		LastVersion:     rec.LastVersion,
 		Polling:         rec.Polling,
+		Level:           rec.Level,
+		Pollers:         rec.Pollers,
+		PollSlot:        rec.PollSlot,
 		SubscriberCount: rec.SubscriberCount,
 		Leases:          len(rec.Leases),
 		DelegateFrom:    rec.DelegateFrom.Endpoint,

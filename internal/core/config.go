@@ -84,7 +84,9 @@ type Config struct {
 	// Ignored in counting mode, which holds no entry records to shard.
 	DelegateThreshold int
 
-	// Seed drives the node's local randomness (poll phases).
+	// Seed drives the node's local randomness (maintenance phase, ring
+	// stabilization draws). Poll phases are not drawn: they follow from
+	// the poll slot (polling.go).
 	Seed int64
 }
 

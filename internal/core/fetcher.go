@@ -53,9 +53,11 @@ func (f *OriginFetcher) ReleaseBody([]byte) {}
 
 // originIdleConnsPerHost is how many idle connections an HTTPFetcher
 // keeps to one origin host. A node polls each of its channels once per
-// interval at a random phase, so the polls in flight to one host at once
-// stay in the tens even for hundreds of channels; a smaller pool would
-// close and redial for nearly every overlapping poll.
+// interval at the channel's slot, whose offset follows the channel's
+// hash and so spreads a node's channels over the interval like a random
+// phase would: the polls in flight to one host at once stay in the tens
+// even for hundreds of channels; a smaller pool would close and redial
+// for nearly every overlapping poll.
 const originIdleConnsPerHost = 64
 
 // maxBodyBytes caps a fetched document. A longer 200 body is a fetch

@@ -23,6 +23,16 @@ type ChannelRecords struct {
 	LastVersion uint64
 	Polling     bool
 
+	// The channel's polling level as this node believes it, and — when
+	// this node polls — its poll slot: PollSlot is its rank k among the
+	// Pollers (m) it polls beside, or -1 when it does not know the whole
+	// wedge and places itself by identifier, in which case Pollers counts
+	// only the pollers it knows of. A node that does not poll reports
+	// PollSlot -1 and Pollers 0.
+	Level    int
+	Pollers  int
+	PollSlot int
+
 	// Owner-side records. Subscribers maps client → entry record (nil in
 	// counting mode, where only SubscriberCount is meaningful). OwnEntries
 	// is the owner's slot of the sharded set when delegates carry the rest
@@ -74,6 +84,10 @@ func copyTimeMap(m map[string]time.Time) map[string]time.Time {
 }
 
 func (ch *channelState) recordsLocked() ChannelRecords {
+	pollers, slot := 0, -1
+	if ch.polling {
+		pollers, slot = ch.slotPollers, ch.slotRank
+	}
 	return ChannelRecords{
 		URL:             ch.url,
 		Owner:           ch.isOwner,
@@ -81,6 +95,9 @@ func (ch *channelState) recordsLocked() ChannelRecords {
 		OwnerEpoch:      ch.ownerEpoch,
 		LastVersion:     ch.lastVersion,
 		Polling:         ch.polling,
+		Level:           ch.level,
+		Pollers:         pollers,
+		PollSlot:        slot,
 		Subscribers:     copyAddrMap(ch.subs.ids),
 		SubscriberCount: ch.subs.count,
 		Leases:          copyTimeMap(ch.leases),

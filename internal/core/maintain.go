@@ -32,6 +32,7 @@ func (n *Node) maintenanceTick() {
 	n.leaseSweep()
 	n.delegateMaintain()
 	n.optimizePhase()
+	n.reslotPolls()
 	n.aggregationPhase()
 }
 
@@ -221,11 +222,12 @@ func (n *Node) handlePollCtl(msg pastry.Message) {
 	}
 	inWedge := n.overlay.Base().InWedge(n.Self().ID, ch.id, p.Level)
 	switch {
-	case inWedge && !ch.polling:
-		n.startPollingLocked(ch)
-	case !inWedge && ch.polling && !ch.isOwner:
+	case inWedge, ch.polling && ch.isOwner:
+		// Start polling, or re-slot the running loop at the new level.
 		// Owners keep polling their channels even outside the wedge —
 		// they are the level-K fallback.
+		n.startPollingLocked(ch)
+	case ch.polling:
 		n.stopPollingLocked(ch)
 	}
 	// Level bookkeeping for channels this node answers for survives a

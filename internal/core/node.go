@@ -291,6 +291,18 @@ type channelState struct {
 	contentVersion uint64
 
 	pollTimer clock.Timer
+	// pollFn is the poll loop's timer callback, built once per channel so
+	// rescheduling allocates no closure.
+	pollFn func()
+	// The poll slot (see polling.go): the offset within the poll interval
+	// this node polls at, its rank among the channel's pollers (-1 when
+	// it places itself by identifier instead), and the poller count,
+	// computed at level slotLevel against ring view slotSeq.
+	slotPhase   time.Duration
+	slotRank    int
+	slotPollers int
+	slotLevel   int
+	slotSeq     uint64
 }
 
 // Stats counts a node's Corona-level activity.
@@ -341,6 +353,9 @@ type Node struct {
 	// row contact (keyed by column digit): that contact's summary of
 	// channels owned by nodes sharing row+1 prefix digits with it.
 	clusterIn []map[int]*honeycomb.ClusterSet
+	// ring is the cached routing-state view poll slots are ranked
+	// against (ringViewLocked).
+	ring ringView
 
 	maintTimer clock.Timer
 	started    bool
@@ -526,8 +541,8 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
-	// Desynchronize maintenance across nodes with a random initial phase,
-	// like the polling protocol (paper §3.3).
+	// Desynchronize maintenance across nodes with a random initial phase
+	// (paper §3.3's random wait; polls use slots instead, polling.go).
 	phase := time.Duration(n.rng.Int63n(int64(n.cfg.MaintenanceInterval)))
 	n.maintTimer = n.clk.AfterFunc(phase, n.maintenanceTick)
 }

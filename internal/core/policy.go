@@ -83,7 +83,10 @@ func (env TradeoffEnv) Pollers(level int) float64 {
 }
 
 // DetectionTime returns the expected update detection latency at a level:
-// τ/2 divided by the number of cooperating pollers (paper §3.1).
+// τ/2 divided by the number of cooperating pollers (paper §3.1). The
+// figure holds because the pollers split τ into equal gaps (poll slots,
+// polling.go); with independent random phases n pollers would wait
+// τ/(n+1) on average instead.
 func (env TradeoffEnv) DetectionTime(level int) time.Duration {
 	return time.Duration(float64(env.PollInterval) / 2 / env.Pollers(level))
 }

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+	"sort"
 	"time"
 
 	"corona/internal/diffengine"
+	"corona/internal/ids"
 	"corona/internal/pastry"
 )
 
@@ -11,17 +16,179 @@ import (
 // documents; extraction is stateless so one instance serves all channels.
 var rssExtractor = diffengine.RSSProfile()
 
-// startPollingLocked begins the periodic poll loop for a channel with a
-// random initial phase, so polls by different wedge members spread evenly
-// over the polling interval (paper §3.3: "it waits for a random interval
-// of time between 0 and the polling interval").
+// Poll slots. §3.3 starts each poller after "a random interval of time
+// between 0 and the polling interval", but independent random phases
+// leave n pollers a mean detection wait of τ/(n+1), not the τ/(2n) of
+// §3.1 that the optimizer budgets (TradeoffEnv.DetectionTime). Instead
+// each of a channel's m pollers takes a slot k of m and polls at the
+// instants t ≡ (h(channel) + k/m)·τ (mod τ) on its clock (virtual on
+// simnet, wall time live, where NTP-level skew is small against τ): the
+// m pollers split τ into equal gaps, and the channel hash spreads
+// different channels over the interval. The pollers are the wedge
+// members plus the owner, which keeps polling outside the wedge as the
+// level-K fallback. A node whose leaf set spans the wedge knows every
+// poller and ranks itself exactly; one that does not uses its
+// identifier's position inside the wedge range, which is uniform like
+// the random phase it replaces. The slot is cached per channel and
+// recomputed only when the channel's level changes and at the
+// maintenance tick (reslotPolls).
+
+// ringView is the part of the overlay's routing state a slot is
+// computed from: every known peer sorted by identifier, and the leaf
+// set's reach (pastry.Node.LeafReach). The node caches one view and
+// rebuilds it only when the overlay's generation moves.
+type ringView struct {
+	seq     uint64 // advances on every rebuild; 0 = never built
+	gen     uint64 // the overlay generation the view was built at
+	known   []pastry.Addr
+	ccw, cw ids.ID
+	whole   bool
+}
+
+// ringViewLocked returns the cached ring view, rebuilt first if the
+// overlay's routing state changed since. Callers hold n.mu.
+func (n *Node) ringViewLocked() *ringView {
+	if g := n.overlay.Generation(); n.ring.seq == 0 || g != n.ring.gen {
+		v := ringView{seq: n.ring.seq + 1, gen: g, known: n.overlay.KnownNodes()}
+		v.ccw, v.cw, v.whole = n.overlay.LeafReach()
+		n.ring = v
+	}
+	return &n.ring
+}
+
+// assignSlotLocked recomputes the channel's poll slot, unless neither
+// its level nor the ring view moved since the last time. Callers hold
+// n.mu.
+func (n *Node) assignSlotLocked(ch *channelState) {
+	ring := n.ringViewLocked()
+	if ch.slotSeq == ring.seq && ch.slotLevel == ch.level {
+		return
+	}
+	ch.slotSeq, ch.slotLevel = ring.seq, ch.level
+	base := n.overlay.Base()
+	level := ch.level
+	if level < 0 {
+		level = n.env().MaxLevel
+	}
+	rank, pollers := pollRank(base, n.Self().ID, ch.id, level, ring)
+	ch.slotRank, ch.slotPollers = rank, pollers
+	var x uint64 // the slot's offset in the interval, in units of 2^-64
+	if rank >= 0 {
+		x = uint64(rank) * (math.MaxUint64 / uint64(pollers))
+	} else {
+		x = idBits64(n.Self().ID, level*bits.TrailingZeros(uint(base.Radix())))
+	}
+	x += beUint64(ch.id)
+	phase, _ := bits.Mul64(x, uint64(n.cfg.PollInterval))
+	ch.slotPhase = time.Duration(phase)
+}
+
+// pollRank ranks self among the channel's pollers at a level: the wedge
+// members plus the root, which polls as owner wherever it lies. It
+// returns self's rank by identifier and the poller count when the leaf
+// set spans the wedge (whole ring known, or both leaf-set ends outside a
+// wedge that lies between them), and rank -1 with the count of pollers
+// known so far otherwise.
+func pollRank(base ids.Base, self, channel ids.ID, level int, ring *ringView) (rank, pollers int) {
+	exact := ring.whole || (level > 0 &&
+		!base.InWedge(ring.ccw, channel, level) && !base.InWedge(ring.cw, channel, level) &&
+		channel.Between(ring.ccw, ring.cw))
+	known := ring.known
+	inWedge := func(id ids.ID) bool { return base.InWedge(id, channel, level) }
+	// The wedge is a contiguous range of identifiers around the channel,
+	// so its known members are a contiguous run of the sorted view.
+	lo := sort.Search(len(known), func(i int) bool {
+		return known[i].ID.Cmp(channel) > 0 || inWedge(known[i].ID)
+	})
+	hi := sort.Search(len(known), func(i int) bool {
+		return known[i].ID.Cmp(channel) > 0 && !inWedge(known[i].ID)
+	})
+	at := sort.Search(len(known), func(i int) bool { return known[i].ID.Cmp(self) > 0 })
+	pollers = hi - lo
+	below := min(max(at-lo, 0), pollers)
+	// The root is the channel's ring neighbour on one side or the other,
+	// or self; it polls as owner even outside the wedge.
+	root, rootDist := self, self.Distance(channel)
+	if len(known) > 0 {
+		succ := sort.Search(len(known), func(i int) bool { return known[i].ID.Cmp(channel) >= 0 })
+		for _, a := range [2]pastry.Addr{known[succ%len(known)], known[(succ+len(known)-1)%len(known)]} {
+			d := a.ID.Distance(channel)
+			if c := d.Cmp(rootDist); c < 0 || c == 0 && a.ID.Cmp(root) < 0 {
+				root, rootDist = a.ID, d
+			}
+		}
+	}
+	if root != self && !inWedge(root) {
+		pollers++
+		if root.Cmp(self) < 0 {
+			below++
+		}
+	}
+	selfPolls := root == self || inWedge(self)
+	if selfPolls {
+		pollers++
+	}
+	if !exact || !selfPolls {
+		return -1, pollers
+	}
+	return below, pollers
+}
+
+// idBits64 returns the 64 bits of id starting at bit offset off, zero
+// filled past the end.
+func idBits64(id ids.ID, off int) uint64 {
+	var buf [9]byte
+	copy(buf[:], id[off/8:])
+	v := binary.BigEndian.Uint64(buf[:8])
+	if s := uint(off % 8); s > 0 {
+		v = v<<s | uint64(buf[8])>>(8-s)
+	}
+	return v
+}
+
+// reslotPolls refreshes the slot of every channel this node polls: the
+// maintenance tick's pass, which picks up ring changes and the owner's
+// own level moves.
+func (n *Node) reslotPolls() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, ch := range n.channels {
+		if ch.polling {
+			n.assignSlotLocked(ch)
+		}
+	}
+}
+
+// nextSlotDelay returns the wait from now until the first instant at
+// least minGap away whose offset in the interval tau is phase. With
+// minGap = tau/2 successive polls stay between tau/2 and 3tau/2 apart
+// however the slot moves, and a timer that fires late does not carry its
+// lateness into the next poll.
+func nextSlotDelay(now time.Time, tau, phase, minGap time.Duration) time.Duration {
+	t := int64(tau)
+	off := (int64(phase) - now.Add(minGap).UnixNano()%t) % t
+	if off < 0 {
+		off += t
+	}
+	return minGap + time.Duration(off)
+}
+
+// startPollingLocked begins the channel's poll loop at its first slot
+// instant, or refreshes the slot of a loop already running. Callers hold
+// n.mu.
 func (n *Node) startPollingLocked(ch *channelState) {
-	if ch.polling || n.stopped {
+	if n.stopped {
+		return
+	}
+	n.assignSlotLocked(ch)
+	if ch.polling {
 		return
 	}
 	ch.polling = true
-	phase := time.Duration(n.rng.Int63n(int64(n.cfg.PollInterval)))
-	ch.pollTimer = n.clk.AfterFunc(phase, func() { n.pollChannel(ch) })
+	if ch.pollFn == nil {
+		ch.pollFn = func() { n.pollChannel(ch) }
+	}
+	ch.pollTimer = n.clk.AfterFunc(nextSlotDelay(n.now(), n.cfg.PollInterval, ch.slotPhase, 0), ch.pollFn)
 }
 
 // stopPollingLocked halts the poll loop.
@@ -36,6 +203,14 @@ func (n *Node) stopPollingLocked(ch *channelState) {
 	}
 }
 
+// schedulePollLocked arms the channel's timer for its next slot instant.
+// It runs once per poll, so it uses the cached slot and allocates
+// nothing itself. Callers hold n.mu.
+func (n *Node) schedulePollLocked(ch *channelState) {
+	tau := n.cfg.PollInterval
+	ch.pollTimer = n.clk.AfterFunc(nextSlotDelay(n.now(), tau, ch.slotPhase, tau/2), ch.pollFn)
+}
+
 // pollChannel performs one poll and reschedules the next.
 func (n *Node) pollChannel(ch *channelState) {
 	n.mu.Lock()
@@ -45,7 +220,7 @@ func (n *Node) pollChannel(ch *channelState) {
 	}
 	// Reschedule first so a panic in handling cannot silently stop the
 	// loop, and so poll cadence is independent of processing time.
-	ch.pollTimer = n.clk.AfterFunc(n.cfg.PollInterval, func() { n.pollChannel(ch) })
+	n.schedulePollLocked(ch)
 	n.stats.PollsIssued++
 	have := ch.lastVersion
 	url := ch.url

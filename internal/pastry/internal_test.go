@@ -196,3 +196,80 @@ func TestNextHopInCoveredRingAllocatesNothing(t *testing.T) {
 		t.Fatalf("covered keys resolved %d times to self and %d to a member; want both", roots, remote)
 	}
 }
+
+// TestKnownNodesSortedDistinct pins KnownNodes' contract without its old
+// map: every peer of the leaf set and the routing table exactly once,
+// sorted by identifier, in one allocation (the result).
+func TestKnownNodesSortedDistinct(t *testing.T) {
+	n := NewNode(DefaultConfig(), addrN(0), nil, nil)
+	want := map[ids.ID]bool{}
+	for i := 1; i < 40; i++ {
+		n.Learn(addrN(i))
+	}
+	for _, a := range n.leaves.all() {
+		want[a.ID] = true
+	}
+	n.table.each(func(a Addr) { want[a.ID] = true })
+
+	got := n.KnownNodes()
+	if len(got) != len(want) {
+		t.Fatalf("KnownNodes returned %d peers, want %d", len(got), len(want))
+	}
+	for i, a := range got {
+		if !want[a.ID] {
+			t.Fatalf("KnownNodes returned %v, which is in neither leaf set nor table", a)
+		}
+		if i > 0 && got[i-1].ID.Cmp(a.ID) >= 0 {
+			t.Fatalf("KnownNodes not strictly sorted at %d: %v then %v", i, got[i-1].ID, a.ID)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { n.KnownNodes() }); allocs != 1 {
+		t.Fatalf("KnownNodes allocates %.1f times per call, want 1 (the result)", allocs)
+	}
+}
+
+// TestLeafReachAndGeneration covers the accessors poll slots are ranked
+// against: a small ring is held whole by every leaf set, a larger one
+// reports its two farthest leaves, and the generation advances with
+// every change of routing state and only then.
+func TestLeafReachAndGeneration(t *testing.T) {
+	n := NewNode(DefaultConfig(), addrN(0), dropTransport{}, nil)
+	if _, _, whole := n.LeafReach(); !whole {
+		t.Fatal("a lone node's leaf set must hold the whole ring")
+	}
+	g := n.Generation()
+	for i := 1; i <= 4; i++ {
+		n.Learn(addrN(i))
+	}
+	if _, _, whole := n.LeafReach(); !whole {
+		t.Fatal("a 5-node ring must fit in a 4+4 leaf set")
+	}
+	if n.Generation() == g {
+		t.Fatal("Learn of new peers did not advance the generation")
+	}
+	g = n.Generation()
+	n.Learn(addrN(1))
+	if n.Generation() != g {
+		t.Fatal("re-learning a known peer advanced the generation")
+	}
+	for i := 5; i < 40; i++ {
+		n.Learn(addrN(i))
+	}
+	ccw, cw, whole := n.LeafReach()
+	if whole {
+		t.Fatal("a 40-node ring cannot fit in a 4+4 leaf set")
+	}
+	if ccw != n.leaves.ccw[len(n.leaves.ccw)-1].ID || cw != n.leaves.cw[len(n.leaves.cw)-1].ID {
+		t.Fatal("LeafReach does not name the farthest leaf on each side")
+	}
+	g = n.Generation()
+	n.peerFailed(n.leaves.cw[0])
+	if n.Generation() == g {
+		t.Fatal("evicting a leaf did not advance the generation")
+	}
+}
+
+// dropTransport accepts every message and delivers none.
+type dropTransport struct{}
+
+func (dropTransport) Send(Addr, Message) error { return nil }

@@ -234,6 +234,7 @@ func BuildStaticOverlay(nodes []*Node) {
 			node.leaves.add(sorted[(i-d+m)%m].self)
 		}
 		node.joined = true
+		node.gen++
 	}
 	// Routing tables: group nodes by digit prefix. For each node and each
 	// row r, the entry at column j is any node whose first r digits match
@@ -273,7 +274,9 @@ func BuildStaticOverlay(nodes []*Node) {
 				// Deterministic pick: spread choices by hashing the
 				// chooser so entries differ between nodes.
 				pick := candidates[int(node.self.ID[0])%len(candidates)]
-				node.table.add(pick.self)
+				if node.table.add(pick.self) {
+					node.gen++
+				}
 			}
 		}
 	}

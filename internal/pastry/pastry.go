@@ -18,7 +18,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"corona/internal/clock"
@@ -305,6 +305,10 @@ type Node struct {
 	// uses it to trigger subscription-state handoff checks.
 	onFault func(Addr)
 
+	// gen counts changes to the leaf set and routing table, so callers
+	// can cache what they derive from them (Generation).
+	gen uint64
+
 	// fanScratch pools fan-out destination buffers (see fanOut); pooled
 	// rather than a single per-node buffer because concurrent transports
 	// may broadcast from several goroutines at once.
@@ -438,25 +442,59 @@ func (n *Node) RowContacts(r int) []Addr {
 }
 
 // KnownNodes returns every distinct peer in the routing state (leaf set
-// and routing table).
+// and routing table), sorted by identifier. Leaf set and table are merged
+// into one slice, sorted, and adjacent duplicates dropped: no map, so the
+// only allocation is the result.
 func (n *Node) KnownNodes() []Addr {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	seen := map[ids.ID]Addr{}
-	for _, a := range n.leaves.all() {
-		seen[a.ID] = a
-	}
-	n.table.each(func(a Addr) {
-		seen[a.ID] = a
-	})
-	out := make([]Addr, 0, len(seen))
-	for _, a := range seen {
-		out = append(out, a)
+	l := n.leaves
+	out := make([]Addr, 0, len(l.cw)+len(l.ccw)+n.table.contactCount(0))
+	out = append(out, l.cw...)
+	out = append(out, l.ccw...)
+	for _, row := range n.table.rows {
+		for _, a := range row {
+			if !a.IsZero() {
+				out = append(out, a)
+			}
+		}
 	}
 	// Fixed order: callers index into this with seeded draws (Stabilize),
-	// so map-iteration order would desynchronize identically-seeded runs.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Cmp(out[j].ID) < 0 })
-	return out
+	// so the result must not depend on insertion history.
+	slices.SortFunc(out, func(a, b Addr) int { return a.ID.Cmp(b.ID) })
+	return slices.CompactFunc(out, func(a, b Addr) bool { return a.ID == b.ID })
+}
+
+// Generation returns a counter that advances whenever the leaf set or
+// the routing table changes: a view derived from KnownNodes or LeafReach
+// stays current while it does not move.
+func (n *Node) Generation() uint64 {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.gen
+}
+
+// LeafReach reports how far the leaf set reaches around the ring: the
+// identifiers of its farthest counter-clockwise and clockwise members,
+// and whether it holds every other node of the ring (its two sides share
+// a member, or the node is alone). Every node between ccw and cw is in
+// the leaf set, so a range of identifiers lying strictly inside that arc
+// is fully known.
+func (n *Node) LeafReach() (ccw, cw ids.ID, whole bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	l := n.leaves
+	if len(l.cw) == 0 || len(l.ccw) == 0 {
+		// Members join both sides at once, so one empty side means an
+		// empty leaf set: the node is alone.
+		return l.self, l.self, true
+	}
+	for _, a := range l.ccw {
+		if containsID(l.cw, a.ID) {
+			return l.self, l.self, true
+		}
+	}
+	return l.ccw[len(l.ccw)-1].ID, l.cw[len(l.cw)-1].ID, false
 }
 
 // send transmits msg and handles synchronous transport failure by

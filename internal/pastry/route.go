@@ -67,8 +67,10 @@ func (n *Node) Learn(addr Addr) {
 		return
 	}
 	n.mu.Lock()
-	n.table.add(addr)
-	n.leaves.add(addr)
+	changed := n.table.add(addr)
+	if n.leaves.add(addr) || changed {
+		n.gen++
+	}
 	n.mu.Unlock()
 }
 
@@ -80,6 +82,7 @@ func (n *Node) peerFailed(dead Addr) {
 	removedLeaf := n.leaves.remove(dead.ID)
 	if removedTable || removedLeaf {
 		n.stats.Repairs++
+		n.gen++
 	}
 	cb := n.onFault
 	n.mu.Unlock()

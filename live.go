@@ -39,8 +39,8 @@ type LiveConfig struct {
 	// NodeCountHint fixes N for the optimizer; zero estimates it from
 	// the leaf set at runtime.
 	NodeCountHint int
-	// Seed drives poll-phase randomness; zero derives it from the bind
-	// address.
+	// Seed drives the node's randomness (maintenance phase, ring
+	// stabilization draws); zero derives it from the bind address.
 	Seed int64
 	// DataDir, when set, makes the node's channel state durable: owner
 	// and replica state is written through a group-committed WAL with

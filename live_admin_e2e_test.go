@@ -50,7 +50,8 @@ func metricValue(body, sample string) (float64, bool) {
 // update → notify round trip to an SDK client, after which /metrics
 // reports the protocol counters and a count in every notification
 // pipeline stage histogram (owner_send, entry_recv, client_enqueue),
-// /channels lists the channel with its subscriber, and /readyz is 200.
+// /channels lists the channel with its subscriber and poll slot, and
+// /readyz is 200.
 func TestAdminPlaneEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -135,6 +136,13 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(channelsBody, `"subscriber_count": 1`) {
 		t.Fatalf("/channels does not report the subscriber: %s", channelsBody)
+	}
+	// A lone node is its channel's only poller: the level it polls at,
+	// one poller, and slot 0 of 1 (the whole ring is in its leaf set).
+	for _, field := range []string{`"level": 0`, `"pollers": 1`, `"poll_slot": 0`} {
+		if !strings.Contains(channelsBody, field) {
+			t.Fatalf("/channels lacks %s: %s", field, channelsBody)
+		}
 	}
 
 	if code, body := scrape(t, base, "/debug/pprof/cmdline"); code != http.StatusOK {
