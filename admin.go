@@ -51,7 +51,7 @@ var liveStatsSpec = []liveStatSpec{
 	{"Stats.LeaseRefreshes", "corona_lease_refreshes_total", "Entry-node lease heartbeats applied at owned channels.", statCounter},
 	{"Stats.LeaseReroutes", "corona_lease_reroutes_total", "Dead entry records re-pointed by the lease sweep.", statCounter},
 	{"Stats.OwnerClaimsRouted", "corona_owner_claims_routed_total", "Anti-entropy ownership claims routed by displaced owners.", statCounter},
-	{"Stats.SubscriptionsHeld", "corona_subscriptions_held", "Client subscriptions entering the overlay through this node.", statGauge},
+	{"Stats.SubscriptionsHeld", "corona_subscriptions_held", "Subscribers of the channels this node owns, summed over those channels.", statGauge},
 	{"Stats.ChannelsOwned", "corona_channels_owned", "Channels this node currently owns.", statGauge},
 	{"Stats.ChannelsPolled", "corona_channels_polled", "Channels this node currently polls at some level.", statGauge},
 	{"Stats.DelegatesHeld", "corona_delegates_held", "Fan-out partitions this node carries for other owners.", statGauge},

@@ -404,19 +404,7 @@ func BenchmarkPastryRouting(b *testing.B) {
 	net := simnet.New(sim, simnet.FixedLatency(0))
 	rng := sim.RNG("bench-route")
 	const n = 256
-	nodes := make([]*pastry.Node, n)
-	for i := range nodes {
-		ep := fmt.Sprintf("sim://%d", i)
-		var node *pastry.Node
-		endpoint := net.Attach(ep, func(m pastry.Message) {
-			if node != nil {
-				node.Deliver(m)
-			}
-		})
-		node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-		nodes[i] = node
-	}
-	pastry.BuildStaticOverlay(nodes)
+	nodes := net.Ring(pastry.DefaultConfig(), n, rng)
 	delivered := 0
 	for _, nd := range nodes {
 		nd.Handle("bench.route", func(pastry.Message) { delivered++ })
@@ -442,19 +430,7 @@ func BenchmarkWedgeMulticast(b *testing.B) {
 	net := simnet.New(sim, simnet.FixedLatency(0))
 	rng := sim.RNG("bench-bcast")
 	const n = 256
-	nodes := make([]*pastry.Node, n)
-	for i := range nodes {
-		ep := fmt.Sprintf("sim://%d", i)
-		var node *pastry.Node
-		endpoint := net.Attach(ep, func(m pastry.Message) {
-			if node != nil {
-				node.Deliver(m)
-			}
-		})
-		node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-		nodes[i] = node
-	}
-	pastry.BuildStaticOverlay(nodes)
+	nodes := net.Ring(pastry.DefaultConfig(), n, rng)
 	received := 0
 	for _, nd := range nodes {
 		nd.Handle("bench.bcast", func(pastry.Message) { received++ })
@@ -590,19 +566,7 @@ func BenchmarkUpdateDissemination(b *testing.B) {
 		net := simnet.New(sim, simnet.FixedLatency(0))
 		rng := sim.RNG("bench-dissem")
 		const n = 256
-		nodes := make([]*pastry.Node, n)
-		for i := range nodes {
-			ep := fmt.Sprintf("sim://%d", i)
-			var node *pastry.Node
-			endpoint := net.Attach(ep, func(m pastry.Message) {
-				if node != nil {
-					node.Deliver(m)
-				}
-			})
-			node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-			nodes[i] = node
-		}
-		pastry.BuildStaticOverlay(nodes)
+		nodes := net.Ring(pastry.DefaultConfig(), n, rng)
 		received := 0
 		for _, nd := range nodes {
 			nd.Handle("bench.wire", func(pastry.Message) { received++ })

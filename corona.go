@@ -8,14 +8,15 @@
 // optimizer that resolves the bandwidth/latency tradeoff globally — the
 // paper's central contribution.
 //
-// Three entry points cover the common uses:
+// Two entry points cover the common uses:
 //
-//   - Cluster: an in-process, real-time cluster — the quickest way to
-//     embed Corona or experiment with the API.
-//   - Simulation: the same cluster under a virtual clock, for running
-//     hours of protocol time in milliseconds (how the paper's figures are
-//     regenerated; see internal/experiments).
-//   - LiveNode: one overlay node speaking TCP, for actual deployments.
+//   - Simulation: an in-process cloud under a virtual clock, for running
+//     hours of protocol time in milliseconds — the quickest way to
+//     experiment with the API, and how the paper's figures are
+//     regenerated (see internal/experiments).
+//   - LiveNode: one overlay node speaking TCP, for deployments; several
+//     in one process over loopback make a real-time cluster (see
+//     examples/quickstart).
 //
 // Subscribers of a deployed cloud use the corona/client package: a Go
 // SDK over the versioned binary client protocol (internal/clientproto)
@@ -78,7 +79,7 @@ func (s Scheme) coreScheme() core.Scheme {
 // delivery path.
 type Notification = clientproto.Notification
 
-// Options configures a Cluster or Simulation.
+// Options configures a Simulation.
 type Options struct {
 	// Nodes is the cloud size (default 16).
 	Nodes int
@@ -91,9 +92,6 @@ type Options struct {
 	PollInterval time.Duration
 	// MaintenanceInterval is the protocol period (default 2·τ).
 	MaintenanceInterval time.Duration
-	// ContentMode fetches real documents and runs the difference engine
-	// (default true for Cluster, where feeds are generator-backed).
-	ContentMode bool
 	// Replicas is f, the owner replication factor (default 2).
 	Replicas int
 	// DelegateThreshold is the per-channel subscriber count at which a
@@ -134,18 +132,35 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
+// coreConfig maps the options onto one node's protocol configuration,
+// with the given seed. Every node tracks each subscriber by handle and
+// fetches and diffs real documents; Nodes is the optimizer's N, zero to
+// estimate it from the leaf set. StartLiveNode builds its configuration
+// through here too.
+func (o Options) coreConfig(seed int64) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Policy = core.PolicyConfig{Scheme: o.Scheme.coreScheme(), FastTarget: o.FastTarget}
+	cfg.PollInterval = o.PollInterval
+	cfg.MaintenanceInterval = o.MaintenanceInterval
+	cfg.NodeCount = o.Nodes
+	cfg.CountSubscribersOnly = false
+	cfg.ContentMode = true
+	cfg.OwnerReplicas = o.Replicas
+	cfg.DelegateThreshold = o.DelegateThreshold
+	cfg.Seed = seed
+	return cfg
+}
+
 // ChannelStatus reports the cloud's view of one channel.
 type ChannelStatus struct {
 	// URL is the channel identity.
 	URL string
-	// Subscribers is the owner's subscriber count.
+	// Subscribers is the owner's subscriber count for this channel.
 	Subscribers int
 	// Level is the current polling level (lower = more pollers).
 	Level int
 	// Pollers is the number of nodes currently polling the channel.
 	Pollers int
-	// Orphan marks channels pinned at owner-only polling (paper §4).
-	Orphan bool
 	// Delegates is the number of fan-out delegates the owner has
 	// recruited for the channel (zero below DelegateThreshold).
 	Delegates int

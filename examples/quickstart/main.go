@@ -1,9 +1,11 @@
 // Quickstart: an in-process, real-time Corona cluster.
 //
-// Eight nodes cooperatively poll one synthetic RSS feed; a subscriber
+// Eight live nodes join a ring over TCP loopback and cooperatively poll
+// one synthetic RSS feed served over real HTTP; an in-process subscriber
 // receives delta-encoded notifications within a fraction of the polling
 // interval — the cooperative-polling speedup of the paper, live on your
-// machine in a few seconds.
+// machine in a few seconds. It exits non-zero if five notifications do
+// not arrive within 10 s of subscribing.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,33 +13,64 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"time"
 
 	"corona"
+	"corona/internal/feed"
+	"corona/internal/webserver"
 )
 
 func main() {
-	cluster, err := corona.NewCluster(corona.Options{
-		Nodes:               8,
-		Scheme:              corona.Lite,
-		PollInterval:        500 * time.Millisecond, // demo cadence; deployments use 30m
-		MaintenanceInterval: 2 * time.Second,
+	// A feed origin on loopback publishing fresh items every second.
+	origin := webserver.NewOrigin()
+	const path = "/headlines.xml"
+	origin.Host(webserver.ChannelConfig{
+		URL:       path,
+		Process:   webserver.PeriodicProcess{Origin: time.Now(), Interval: time.Second},
+		Generator: feed.NewGenerator(path, 1),
 	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
+	go http.Serve(l, webserver.NewHTTPOrigin(origin, time.Now))
+	feedURL := "http://" + l.Addr().String() + path
 
-	const feedURL = "http://news.example.com/headlines.xml"
-	if err := cluster.HostFeed(feedURL, time.Second); err != nil {
-		log.Fatal(err)
+	// Eight nodes, each joining the ring through the first.
+	var nodes []*corona.LiveNode
+	var seeds []string
+	for i := 0; i < 8; i++ {
+		n, err := corona.StartLiveNode(corona.LiveConfig{
+			Bind:                "127.0.0.1:0",
+			Seeds:               seeds,
+			Scheme:              corona.Lite,
+			PollInterval:        500 * time.Millisecond, // demo cadence; deployments use 30m
+			MaintenanceInterval: 2 * time.Second,
+			NodeCountHint:       8,
+		})
+		if err != nil {
+			log.Fatalf("node %d: %v", i, err)
+		}
+		defer n.Close()
+		nodes = append(nodes, n)
+		seeds = []string{nodes[0].Addr()}
 	}
 
+	// Alice is an in-process subscriber entering the ring at node 1. Her
+	// callback runs on the node's delivery goroutine, so it hands off
+	// without blocking; the buffer holds more updates than the demo waits
+	// for.
 	notifications := make(chan corona.Notification, 16)
-	err = cluster.Subscribe("alice", feedURL, func(n corona.Notification) {
-		notifications <- n
+	entry := nodes[1]
+	entry.Attach("alice", func(n corona.Notification) {
+		select {
+		case notifications <- n:
+		default:
+		}
 	})
-	if err != nil {
+	if err := entry.Subscribe("alice", feedURL); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("subscribed alice to", feedURL)
@@ -61,10 +94,22 @@ func main() {
 		}
 	}
 
-	st := cluster.Stats()
+	var detected, notified uint64
+	var pollers, subscribers int
+	for _, n := range nodes {
+		st := n.Stats()
+		detected += st.UpdatesDetected
+		notified += st.NotificationsSent
+		if info, ok := n.Channel(feedURL); ok {
+			if info.Polling {
+				pollers++
+			}
+			if info.Owner {
+				subscribers = info.Subscribers
+			}
+		}
+	}
 	fmt.Printf("\ncluster stats: %d nodes, %d polls to the origin, %d updates detected, %d notifications\n",
-		st.Nodes, st.Polls, st.UpdatesDetected, st.Notifications)
-	status := cluster.ChannelStatus(feedURL)
-	fmt.Printf("channel status: %d subscriber(s), %d cooperative poller(s)\n",
-		status.Subscribers, status.Pollers)
+		len(nodes), origin.TotalLoad().Polls, detected, notified)
+	fmt.Printf("channel status: %d subscriber(s), %d cooperative poller(s)\n", subscribers, pollers)
 }

@@ -21,15 +21,7 @@ func TestNodeJoinsMidRun(t *testing.T) {
 	tc.sim.RunFor(30 * time.Minute)
 
 	// A thirteenth node joins through node 0.
-	ep := "sim://joiner"
-	holder := &struct{ n *pastry.Node }{}
-	endpoint := tc.net.Attach(ep, func(m pastry.Message) {
-		if holder.n != nil {
-			holder.n.Deliver(m)
-		}
-	})
-	overlay := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("joiner"), Endpoint: ep}, endpoint, tc.sim)
-	holder.n = overlay
+	overlay := tc.net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
 	cfg := core.DefaultConfig()
 	cfg.NodeCount = 13
 	cfg.PollInterval = 10 * time.Minute

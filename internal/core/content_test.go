@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -65,16 +64,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 			fetcher := &OriginFetcher{Origin: origin, Clock: sim}
 			rec := &diffRecorder{diffs: make(map[uint64]string)}
 
-			rng := sim.RNG("ids")
-			overlays := make([]*pastry.Node, 2)
-			for i := range overlays {
-				ep := fmt.Sprintf("sim://%d", i)
-				var overlay *pastry.Node
-				endpoint := net.Attach(ep, func(m pastry.Message) { overlay.Deliver(m) })
-				overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-				overlays[i] = overlay
-			}
-			pastry.BuildStaticOverlay(overlays)
+			overlays := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("ids"))
 			var owner, replica *Node
 			for i, overlay := range overlays {
 				cfg := DefaultConfig()
@@ -177,9 +167,7 @@ func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
 	const url = "http://feeds.example.net/dup.xml"
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	var overlay *pastry.Node
-	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
-	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("dup"), Endpoint: "sim://0"}, endpoint, sim)
+	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("dup"), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.ContentMode = true

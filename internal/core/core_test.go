@@ -103,20 +103,7 @@ func newTestCloud(t testing.TB, n int, mutate func(i int, cfg *core.Config)) *te
 	}
 	tc.net = simnet.New(tc.sim, simnet.FixedLatency(10*time.Millisecond))
 	tc.origin = webserver.NewOrigin()
-	rng := tc.sim.RNG("cloud-ids")
-	overlays := make([]*pastry.Node, n)
-	for i := 0; i < n; i++ {
-		ep := fmt.Sprintf("sim://%d", i)
-		var overlay *pastry.Node
-		endpoint := tc.net.Attach(ep, func(m pastry.Message) {
-			if overlay != nil {
-				overlay.Deliver(m)
-			}
-		})
-		overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, tc.sim)
-		overlays[i] = overlay
-	}
-	pastry.BuildStaticOverlay(overlays)
+	overlays := tc.net.Ring(pastry.DefaultConfig(), n, tc.sim.RNG("cloud-ids"))
 	fetcher := &core.OriginFetcher{Origin: tc.origin, Clock: tc.sim}
 	for i, overlay := range overlays {
 		cfg := core.DefaultConfig()

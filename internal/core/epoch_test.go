@@ -114,13 +114,7 @@ func TestOwnerEpochHandshakeAfterRestart(t *testing.T) {
 	}
 	defer st2.Close()
 	tc.net.Restart(owner.Self().Endpoint)
-	var overlay2 *pastry.Node
-	endpoint := tc.net.Attach(owner.Self().Endpoint, func(m pastry.Message) {
-		if overlay2 != nil {
-			overlay2.Deliver(m)
-		}
-	})
-	overlay2 = pastry.NewNode(pastry.DefaultConfig(), owner.Self(), endpoint, tc.sim)
+	overlay2 := tc.net.Node(pastry.DefaultConfig(), owner.Self())
 	cfg := core.DefaultConfig()
 	cfg.NodeCount = 16
 	cfg.PollInterval = 10 * time.Minute

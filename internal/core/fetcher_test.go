@@ -119,9 +119,7 @@ func TestOversizedBodyIsNoUpdate(t *testing.T) {
 
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	var overlay *pastry.Node
-	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
-	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"}, endpoint, sim)
+	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1
@@ -187,9 +185,7 @@ func TestHTTPFetchReusesReleasedBody(t *testing.T) {
 
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	var overlay *pastry.Node
-	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
-	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"}, endpoint, sim)
+	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1
@@ -626,9 +622,7 @@ func TestPollErrorsCounted(t *testing.T) {
 
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	var overlay *pastry.Node
-	endpoint := net.Attach("sim://0", func(m pastry.Message) { overlay.Deliver(m) })
-	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"}, endpoint, sim)
+	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1

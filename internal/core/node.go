@@ -319,7 +319,7 @@ type Stats struct {
 	LeaseRefreshes    uint64 // entry-node lease heartbeats applied at owned channels
 	LeaseReroutes     uint64 // dead entry records re-pointed by the lease sweep
 	OwnerClaimsRouted uint64 // anti-entropy claims routed by displaced owners
-	SubscriptionsHeld int
+	SubscriptionsHeld int    // subscribers of the channels this node owns, summed over them
 	ChannelsOwned     int
 	ChannelsPolled    int
 	DelegatesHeld     int // fan-out partitions this node carries for other owners

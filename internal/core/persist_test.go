@@ -143,13 +143,7 @@ func TestStateSinkRecordsAndRecovers(t *testing.T) {
 		Process:   webserver.PeriodicProcess{Origin: eventsim.Epoch.Add(time.Minute), Interval: 10 * time.Minute},
 	})
 	self := owner.Self()
-	var overlay *pastry.Node
-	endpoint := net.Attach(self.Endpoint, func(m pastry.Message) {
-		if overlay != nil {
-			overlay.Deliver(m)
-		}
-	})
-	overlay = pastry.NewNode(pastry.DefaultConfig(), self, endpoint, sim)
+	overlay := net.Node(pastry.DefaultConfig(), self)
 	overlay.Bootstrap()
 	cfg := core.DefaultConfig()
 	cfg.NodeCount = 1

@@ -93,15 +93,7 @@ func newSlotCloud(t *testing.T, nodeIDs []ids.ID, pcfg pastry.Config, late time.
 	}
 	overlays := make([]*pastry.Node, len(nodeIDs))
 	for i, id := range nodeIDs {
-		ep := fmt.Sprintf("sim://%d", i)
-		var overlay *pastry.Node
-		endpoint := net.Attach(ep, func(m pastry.Message) {
-			if overlay != nil {
-				overlay.Deliver(m)
-			}
-		})
-		overlay = pastry.NewNode(pcfg, pastry.Addr{ID: id, Endpoint: ep}, endpoint, sc.sim)
-		overlays[i] = overlay
+		overlays[i] = net.Node(pcfg, pastry.Addr{ID: id, Endpoint: fmt.Sprintf("sim://%d", i)})
 	}
 	pastry.BuildStaticOverlay(overlays)
 	origin := &core.OriginFetcher{Origin: sc.origin, Clock: sc.sim}

@@ -169,13 +169,7 @@ func TestReplicaRestartedFromStaleImageRepairs(t *testing.T) {
 	}
 	defer st2.Close()
 	r.net.Restart(old.Self().Endpoint)
-	var overlay *pastry.Node
-	ep := r.net.Attach(old.Self().Endpoint, func(m pastry.Message) {
-		if overlay != nil {
-			overlay.Deliver(m)
-		}
-	})
-	overlay = pastry.NewNode(pastry.DefaultConfig(), old.Self(), ep, r.sim)
+	overlay := r.net.Node(pastry.DefaultConfig(), old.Self())
 	restarted := NewNode(old.cfg, overlay, r.sim, &OriginFetcher{}, nil, nil)
 	restarted.SetStateSink(st2)
 	restarted.RestoreChannels(image)
@@ -207,13 +201,7 @@ func TestJoinedNodeBecomesReplica(t *testing.T) {
 		id = owner.Self().ID.Sub(one)
 	}
 	const name = "sim://joined"
-	var overlay *pastry.Node
-	ep := r.net.Attach(name, func(m pastry.Message) {
-		if overlay != nil {
-			overlay.Deliver(m)
-		}
-	})
-	overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: id, Endpoint: name}, ep, r.sim)
+	overlay := r.net.Node(pastry.DefaultConfig(), pastry.Addr{ID: id, Endpoint: name})
 	joined := NewNode(owner.cfg, overlay, r.sim, &OriginFetcher{}, nil, nil)
 	if err := overlay.Join(r.nodes[0].Self()); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -42,16 +41,7 @@ func TestReplicatePushKeepsEqualSubscriberSet(t *testing.T) {
 	const url = "http://feeds.example.net/replicated.xml"
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	rng := sim.RNG("ids")
-	overlays := make([]*pastry.Node, 2)
-	for i := range overlays {
-		ep := fmt.Sprintf("sim://%d", i)
-		var overlay *pastry.Node
-		endpoint := net.Attach(ep, func(m pastry.Message) { overlay.Deliver(m) })
-		overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-		overlays[i] = overlay
-	}
-	pastry.BuildStaticOverlay(overlays)
+	overlays := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("ids"))
 	var owner, replica *Node
 	for i, overlay := range overlays {
 		cfg := DefaultConfig()

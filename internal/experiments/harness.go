@@ -169,21 +169,7 @@ func NewHarness(scale Scale, opts Options) *Harness {
 		h.notifier = &countingNotifier{}
 	}
 	h.fetcher = &core.OriginFetcher{Origin: h.Origin, Clock: h.Sim}
-	rng := h.Sim.RNG("harness-node-ids")
-	overlays := make([]*pastry.Node, scale.Nodes)
-	for i := range overlays {
-		ep := fmt.Sprintf("sim://%d", i)
-		var node *pastry.Node
-		endpoint := h.Net.Attach(ep, func(m pastry.Message) {
-			if node != nil {
-				node.Deliver(m)
-			}
-		})
-		node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, h.Sim)
-		overlays[i] = node
-	}
-	pastry.BuildStaticOverlay(overlays)
-	for i, overlay := range overlays {
+	for i, overlay := range h.Net.Ring(pastry.DefaultConfig(), scale.Nodes, h.Sim.RNG("harness-node-ids")) {
 		n := core.NewNode(h.nodeConfig(i), overlay, h.Sim, h.fetcher, h.notifier, h.Recorder)
 		h.Nodes = append(h.Nodes, n)
 		h.Endpoints = append(h.Endpoints, overlay.Self().Endpoint)
@@ -258,7 +244,7 @@ func (h *Harness) issueSubscriptions(opts Options) {
 	// Subscribe per subscription with a synthetic handle. Entry node is
 	// random per subscription, as clients connect to arbitrary nodes.
 	subIdx := 0
-	for i, ch := range h.Work.Channels {
+	for _, ch := range h.Work.Channels {
 		for s := 0; s < ch.Subscribers; s++ {
 			entryIdx := rng.Intn(len(h.Nodes))
 			entry := h.Nodes[entryIdx]
@@ -275,7 +261,6 @@ func (h *Harness) issueSubscriptions(opts Options) {
 			at := time.Duration(float64(ramp) * float64(subIdx) / float64(h.Work.TotalSubscriptions+1))
 			h.Sim.AfterFunc(at, func() { entry.Subscribe(client, url) })
 		}
-		_ = i
 	}
 }
 
@@ -331,14 +316,7 @@ func (h *Harness) LiveNodes() []int {
 // blocks on virtual time.
 func (h *Harness) JoinNode(name string, via int, onStarted func(idx int)) error {
 	ep := "sim://" + name
-	holder := &struct{ n *pastry.Node }{}
-	endpoint := h.Net.Attach(ep, func(m pastry.Message) {
-		if holder.n != nil {
-			holder.n.Deliver(m)
-		}
-	})
-	overlay := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString(name), Endpoint: ep}, endpoint, h.Sim)
-	holder.n = overlay
+	overlay := h.Net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString(name), Endpoint: ep})
 	idx := len(h.Nodes)
 	n := core.NewNode(h.nodeConfig(idx), overlay, h.Sim, h.fetcher, h.notifier, h.Recorder)
 	h.Nodes = append(h.Nodes, n)

@@ -17,28 +17,7 @@ func testRing(t testing.TB, n int, seed int64) (*eventsim.Sim, *simnet.Network, 
 	t.Helper()
 	sim := eventsim.New(seed)
 	net := simnet.New(sim, simnet.FixedLatency(5*time.Millisecond))
-	rng := sim.RNG("ring-ids")
-	nodes := make([]*pastry.Node, n)
-	for i := range nodes {
-		ep := fmt.Sprintf("sim://%d", i)
-		holder := &nodeHolder{}
-		endpoint := net.Attach(ep, holder.deliver)
-		node := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-		holder.node = node
-		nodes[i] = node
-	}
-	pastry.BuildStaticOverlay(nodes)
-	return sim, net, nodes
-}
-
-// nodeHolder breaks the construction cycle between an endpoint (which needs
-// a delivery function) and a node (which needs the endpoint as transport).
-type nodeHolder struct{ node *pastry.Node }
-
-func (h *nodeHolder) deliver(m pastry.Message) {
-	if h.node != nil {
-		h.node.Deliver(m)
-	}
+	return sim, net, net.Ring(pastry.DefaultConfig(), n, sim.RNG("ring-ids"))
 }
 
 func TestRoutingReachesNumericallyClosestNode(t *testing.T) {
@@ -195,12 +174,7 @@ func TestJoinProtocolConverges(t *testing.T) {
 	rng := sim.RNG("join-ids")
 
 	mk := func(i int) *pastry.Node {
-		ep := fmt.Sprintf("sim://%d", i)
-		holder := &nodeHolder{}
-		endpoint := net.Attach(ep, holder.deliver)
-		n := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, endpoint, sim)
-		holder.node = n
-		return n
+		return net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("sim://%d", i)})
 	}
 	first := mk(0)
 	first.Bootstrap()
@@ -283,10 +257,7 @@ func TestFailureRepair(t *testing.T) {
 func TestLearnIgnoresSelfAndZero(t *testing.T) {
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(0))
-	holder := &nodeHolder{}
-	ep := net.Attach("sim://0", holder.deliver)
-	n := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("self"), Endpoint: "sim://0"}, ep, sim)
-	holder.node = n
+	n := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("self"), Endpoint: "sim://0"})
 	n.Learn(pastry.Addr{})
 	n.Learn(n.Self())
 	if got := len(n.KnownNodes()); got != 0 {
@@ -297,10 +268,7 @@ func TestLearnIgnoresSelfAndZero(t *testing.T) {
 func TestDuplicateHandlerPanics(t *testing.T) {
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(0))
-	holder := &nodeHolder{}
-	ep := net.Attach("sim://0", holder.deliver)
-	n := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("x"), Endpoint: "sim://0"}, ep, sim)
-	holder.node = n
+	n := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("x"), Endpoint: "sim://0"})
 	n.Handle("dup", func(pastry.Message) {})
 	defer func() {
 		if recover() == nil {

@@ -8,6 +8,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"corona/internal/codec"
 	"corona/internal/eventsim"
+	"corona/internal/ids"
 	"corona/internal/pastry"
 )
 
@@ -155,6 +157,30 @@ func (n *Network) Attach(name string, deliver func(pastry.Message)) *Endpoint {
 	n.endpoints[name] = ep
 	n.mu.Unlock()
 	return ep
+}
+
+// Node attaches an endpoint named addr.Endpoint and builds the overlay
+// node that owns it on the network's simulator clock. The node is not yet
+// in any ring: Bootstrap, Join or BuildStaticOverlay it.
+func (n *Network) Node(cfg pastry.Config, addr pastry.Addr) *pastry.Node {
+	var node *pastry.Node
+	// Deliveries run from the event queue, so node is set before the
+	// first one.
+	ep := n.Attach(addr.Endpoint, func(m pastry.Message) { node.Deliver(m) })
+	node = pastry.NewNode(cfg, addr, ep, n.sim)
+	return node
+}
+
+// Ring builds count nodes named sim://0 .. sim://count-1, drawing their
+// identifiers from rng in that order, and converges them with
+// pastry.BuildStaticOverlay.
+func (n *Network) Ring(cfg pastry.Config, count int, rng *rand.Rand) []*pastry.Node {
+	nodes := make([]*pastry.Node, count)
+	for i := range nodes {
+		nodes[i] = n.Node(cfg, pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("sim://%d", i)})
+	}
+	pastry.BuildStaticOverlay(nodes)
+	return nodes
 }
 
 // Send implements pastry.Transport. The message is delivered through the

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -249,5 +250,65 @@ func TestLinkFaultBothAndClearAll(t *testing.T) {
 	sim.RunFor(time.Second)
 	if len(*got) != 1 {
 		t.Fatalf("cleared link delivered %d, want 1", len(*got))
+	}
+}
+
+// TestRingMatchesHandBuiltRing pins Ring to the loop every simulated ring
+// used to write by hand: the same seed and rng label give the same node
+// identifiers and endpoints, every node has joined, and a routed message
+// lands on the node numerically closest to its key.
+func TestRingMatchesHandBuiltRing(t *testing.T) {
+	const size, seed, label = 32, 17, "ring-ids"
+
+	handSim := eventsim.New(seed)
+	handNet := New(handSim, FixedLatency(time.Millisecond))
+	handRNG := handSim.RNG(label)
+	want := make([]*pastry.Node, size)
+	for i := range want {
+		ep := fmt.Sprintf("sim://%d", i)
+		var node *pastry.Node
+		endpoint := handNet.Attach(ep, func(m pastry.Message) { node.Deliver(m) })
+		node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(handRNG), Endpoint: ep}, endpoint, handSim)
+		want[i] = node
+	}
+	pastry.BuildStaticOverlay(want)
+
+	sim := eventsim.New(seed)
+	net := New(sim, FixedLatency(time.Millisecond))
+	rng := sim.RNG(label)
+	nodes := net.Ring(pastry.DefaultConfig(), size, rng)
+	if len(nodes) != size {
+		t.Fatalf("Ring built %d nodes, want %d", len(nodes), size)
+	}
+	for i, n := range nodes {
+		if n.Self() != want[i].Self() {
+			t.Fatalf("node %d is %v, hand-built ring has %v", i, n.Self(), want[i].Self())
+		}
+		if !n.Joined() {
+			t.Fatalf("node %d (%s) has not joined", i, n.Self().Endpoint)
+		}
+	}
+
+	key := ids.Random(rng)
+	closest := nodes[0]
+	for _, n := range nodes[1:] {
+		if n.Self().ID.Distance(key).Cmp(closest.Self().ID.Distance(key)) < 0 {
+			closest = n
+		}
+	}
+	var at *pastry.Node
+	for _, n := range nodes {
+		n := n
+		n.Handle("test.ring", func(pastry.Message) { at = n })
+	}
+	if err := nodes[0].Route(key, "test.ring", nil); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(time.Second)
+	if at == nil {
+		t.Fatal("routed message never delivered")
+	}
+	if at != closest {
+		t.Fatalf("key %v delivered at %v, want the closest node %v", key, at.Self(), closest.Self())
 	}
 }

@@ -155,21 +155,21 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	overlay := pastry.NewNode(pastry.DefaultConfig(), self, transport, clock.Real{})
 	transport.OnDeliver(overlay.Deliver)
 
-	ccfg := core.DefaultConfig()
-	ccfg.Policy = core.PolicyConfig{Scheme: cfg.Scheme.coreScheme(), FastTarget: cfg.FastTarget}
-	ccfg.PollInterval = cfg.PollInterval
-	ccfg.MaintenanceInterval = cfg.MaintenanceInterval
-	ccfg.OwnerReplicas = cfg.Replicas
-	ccfg.NodeCount = cfg.NodeCountHint
-	ccfg.CountSubscribersOnly = false
-	ccfg.ContentMode = true
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = int64(beUint(idFromEndpoint(advertise)))
+	}
+	ccfg := Options{
+		Nodes:               cfg.NodeCountHint,
+		Scheme:              cfg.Scheme,
+		FastTarget:          cfg.FastTarget,
+		PollInterval:        cfg.PollInterval,
+		MaintenanceInterval: cfg.MaintenanceInterval,
+		Replicas:            cfg.Replicas,
+		DelegateThreshold:   cfg.DelegateThreshold,
+	}.coreConfig(seed)
 	if cfg.LeaseTTL > 0 {
 		ccfg.LeaseTTL = cfg.LeaseTTL
-	}
-	ccfg.DelegateThreshold = cfg.DelegateThreshold
-	ccfg.Seed = cfg.Seed
-	if ccfg.Seed == 0 {
-		ccfg.Seed = int64(beUint(idFromEndpoint(advertise)))
 	}
 
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)

@@ -95,6 +95,50 @@ func TestLiveNodeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLiveRingAttachRealTime is the quickstart's composition: a ring of
+// live nodes over loopback polling an HTTP origin, with an in-process
+// subscriber claimed through Attach receiving a notification in real
+// time.
+func TestLiveRingAttachRealTime(t *testing.T) {
+	feedURL, stopOrigin := startTestOrigin(t, 300*time.Millisecond)
+	defer stopOrigin()
+	var nodes []*LiveNode
+	var seeds []string
+	for i := 0; i < 4; i++ {
+		n, err := StartLiveNode(LiveConfig{
+			Bind:                "127.0.0.1:0",
+			Seeds:               seeds,
+			PollInterval:        200 * time.Millisecond,
+			MaintenanceInterval: time.Second,
+			NodeCountHint:       4,
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		defer n.Close()
+		nodes = append(nodes, n)
+		seeds = []string{nodes[0].Addr()}
+	}
+	ch := make(chan Notification, 1)
+	nodes[1].Attach("dave", func(n Notification) {
+		select {
+		case ch <- n:
+		default:
+		}
+	})
+	if err := nodes[1].Subscribe("dave", feedURL); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-ch:
+		if n.Channel != feedURL || n.Diff == "" {
+			t.Fatalf("unexpected notification: %+v", n)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("no notification within 15s of real time")
+	}
+}
+
 // reservePorts grabs n distinct loopback ports and releases them, so a
 // test can restart a node on the same address (the node identifier is
 // derived from the advertised address, so a restarted node must rebind
