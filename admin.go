@@ -16,64 +16,80 @@ import (
 	"corona/internal/store"
 )
 
-// liveStatKind says how a LiveStats field is exposed.
-type liveStatKind int
-
-const (
-	statCounter liveStatKind = iota
-	statGauge
-)
-
 // liveStatSpec maps one numeric LiveStats field (by dot path, embedded
-// structs included) to its exposed metric. The table is the single
-// source of truth for the snapshot-fed scalar metrics: the admin
-// registry iterates it to register and refresh them, and the
-// completeness test reflects over LiveStats to assert no numeric field
-// is missing from it — adding a counter to core.Stats without wiring it
-// here fails the build's tests, not a dashboard six weeks later.
+// structs included) to its exposed metric. The table is the one route
+// from a node counter to /metrics: the admin registry iterates it to
+// register and refresh the snapshot-fed families, and the completeness
+// test reflects over LiveStats to assert no numeric field is missing
+// from it — adding a counter to core.Stats without wiring it here fails
+// the build's tests, not a dashboard six weeks later. Rows sharing a
+// family name are its series: they repeat its help, kind and one label,
+// each with its own label value.
 type liveStatSpec struct {
 	field string
 	name  string
 	help  string
-	kind  liveStatKind
+	kind  metrics.Kind // KindCounter or KindGauge
+	// label and value (both empty when the family has one series).
+	label, value string
 }
+
+const (
+	helpReplication   = "Replication messages sent, by kind: full pushes, deltas, per-round heartbeats, and resync requests."
+	helpWebSessions   = "Web-gateway sessions currently attached, by transport."
+	helpWebDropped    = "Web notify events shed before delivery, by cause."
+	helpWebDisconnect = "Web sessions closed by the gateway, by cause."
+)
 
 var liveStatsSpec = []liveStatSpec{
-	{"Stats.PollsIssued", "corona_polls_issued_total", "HTTP polls issued against channel origins.", statCounter},
-	{"Stats.PollErrors", "corona_poll_errors_total", "Origin polls that failed: unreachable, timed out, an error status or an oversized body.", statCounter},
-	{"Stats.UpdatesDetected", "corona_updates_detected_total", "Channel updates detected first-hand by this node's polls.", statCounter},
-	{"Stats.UpdatesReceived", "corona_updates_received_total", "Channel updates learned via cooperative dissemination.", statCounter},
-	{"Stats.NotificationsSent", "corona_notifications_sent_total", "Per-client notifications sent toward entry nodes.", statCounter},
-	{"Stats.NotifyBatchesSent", "corona_notify_batches_sent_total", "Entry-node notify batches emitted (local and overlay).", statCounter},
-	{"Stats.DelegateUpdates", "corona_delegate_updates_total", "Per-delegate update disseminations sent by owned channels.", statCounter},
-	{"Stats.MaintenanceRounds", "corona_maintenance_rounds_total", "Maintenance protocol rounds completed.", statCounter},
-	{"Stats.LevelChanges", "corona_level_changes_total", "Polling level transitions applied by maintenance.", statCounter},
-	{"Stats.LeaseRefreshes", "corona_lease_refreshes_total", "Entry-node lease heartbeats applied at owned channels.", statCounter},
-	{"Stats.LeaseReroutes", "corona_lease_reroutes_total", "Dead entry records re-pointed by the lease sweep.", statCounter},
-	{"Stats.OwnerClaimsRouted", "corona_owner_claims_routed_total", "Anti-entropy ownership claims routed by displaced owners.", statCounter},
-	{"Stats.SubscriptionsHeld", "corona_subscriptions_held", "Subscribers of the channels this node owns, summed over those channels.", statGauge},
-	{"Stats.ChannelsOwned", "corona_channels_owned", "Channels this node currently owns.", statGauge},
-	{"Stats.ChannelsPolled", "corona_channels_polled", "Channels this node currently polls at some level.", statGauge},
-	{"Stats.DelegatesHeld", "corona_delegates_held", "Fan-out partitions this node carries for other owners.", statGauge},
-	{"Stats.DelegatesActive", "corona_delegates_active", "Delegates recruited across this node's owned channels.", statGauge},
-	{"Store.Generation", "corona_store_generation", "Durable store snapshot/WAL generation.", statGauge},
-	{"Store.WALBytes", "corona_store_wal_bytes", "Current write-ahead log size on disk.", statGauge},
-	{"Store.RecordsSinceSnapshot", "corona_store_records_since_snapshot", "WAL records a restart would replay.", statGauge},
-	{"OriginDials", "corona_origin_dials_total", "Connections dialed to channel origins; polls reuse idle keep-alive connections, so this stays far below the poll count.", statCounter},
-	{"Undeliverable", "corona_gateway_undeliverable_total", "Notifications for a client with no live session on this node.", statCounter},
-	{"NotifyDropped", "corona_client_notify_dropped_total", "Notifications dropped by the binary and line edges: evicted from full client outbound queues, or oversize.", statCounter},
-	{"NotifyBatchesRecv", "corona_gateway_notify_batches_total", "Batched notification calls received by the node's client registry.", statCounter},
-	{"BatchClients", "corona_gateway_batch_clients_total", "Client deliveries covered by those notification batches.", statCounter},
-}
-
-// replicationKinds maps each label of corona_replication_sent_total to
-// the core.ReplicationStats field behind it, in exposition order; the
-// completeness test checks it covers every field.
-var replicationKinds = []struct{ kind, field string }{
-	{"full", "FullPushes"},
-	{"delta", "Deltas"},
-	{"heartbeat", "Heartbeats"},
-	{"resync", "Resyncs"},
+	{"Stats.PollsIssued", "corona_polls_issued_total", "HTTP polls issued against channel origins.", metrics.KindCounter, "", ""},
+	{"Stats.PollErrors", "corona_poll_errors_total", "Origin polls that failed: unreachable, timed out, an error status or an oversized body.", metrics.KindCounter, "", ""},
+	{"Stats.UpdatesDetected", "corona_updates_detected_total", "Channel updates detected first-hand by this node's polls.", metrics.KindCounter, "", ""},
+	{"Stats.UpdatesReceived", "corona_updates_received_total", "Channel updates learned via cooperative dissemination.", metrics.KindCounter, "", ""},
+	{"Stats.NotificationsSent", "corona_notifications_sent_total", "Per-client notifications sent toward entry nodes.", metrics.KindCounter, "", ""},
+	{"Stats.NotifyBatchesSent", "corona_notify_batches_sent_total", "Entry-node notify batches emitted (local and overlay).", metrics.KindCounter, "", ""},
+	{"Stats.DelegateUpdates", "corona_delegate_updates_total", "Per-delegate update disseminations sent by owned channels.", metrics.KindCounter, "", ""},
+	{"Stats.MaintenanceRounds", "corona_maintenance_rounds_total", "Maintenance protocol rounds completed.", metrics.KindCounter, "", ""},
+	{"Stats.LevelChanges", "corona_level_changes_total", "Polling level transitions applied by maintenance.", metrics.KindCounter, "", ""},
+	{"Stats.LeaseRefreshes", "corona_lease_refreshes_total", "Entry-node lease heartbeats applied at owned channels.", metrics.KindCounter, "", ""},
+	{"Stats.LeaseReroutes", "corona_lease_reroutes_total", "Dead entry records re-pointed by the lease sweep.", metrics.KindCounter, "", ""},
+	{"Stats.OwnerClaimsRouted", "corona_owner_claims_routed_total", "Anti-entropy ownership claims routed by displaced owners.", metrics.KindCounter, "", ""},
+	{"Stats.SubscriptionsHeld", "corona_subscriptions_held", "Subscribers of the channels this node owns, summed over those channels.", metrics.KindGauge, "", ""},
+	{"Stats.ChannelsOwned", "corona_channels_owned", "Channels this node currently owns.", metrics.KindGauge, "", ""},
+	{"Stats.ChannelsPolled", "corona_channels_polled", "Channels this node currently polls at some level.", metrics.KindGauge, "", ""},
+	{"Stats.DelegatesHeld", "corona_delegates_held", "Fan-out partitions this node carries for other owners.", metrics.KindGauge, "", ""},
+	{"Stats.DelegatesActive", "corona_delegates_active", "Delegates recruited across this node's owned channels.", metrics.KindGauge, "", ""},
+	{"Stats.Replication.FullPushes", "corona_replication_sent_total", helpReplication, metrics.KindCounter, "kind", "full"},
+	{"Stats.Replication.Deltas", "corona_replication_sent_total", helpReplication, metrics.KindCounter, "kind", "delta"},
+	{"Stats.Replication.Heartbeats", "corona_replication_sent_total", helpReplication, metrics.KindCounter, "kind", "heartbeat"},
+	{"Stats.Replication.Resyncs", "corona_replication_sent_total", helpReplication, metrics.KindCounter, "kind", "resync"},
+	{"Store.Generation", "corona_store_generation", "Durable store snapshot/WAL generation.", metrics.KindGauge, "", ""},
+	{"Store.WALBytes", "corona_store_wal_bytes", "Current write-ahead log size on disk.", metrics.KindGauge, "", ""},
+	{"Store.RecordsSinceSnapshot", "corona_store_records_since_snapshot", "WAL records a restart would replay.", metrics.KindGauge, "", ""},
+	{"Overlay.MessagesSent", "corona_overlay_messages_sent_total", "Overlay messages originated by this node.", metrics.KindCounter, "", ""},
+	{"Overlay.MessagesRouted", "corona_overlay_messages_routed_total", "Overlay messages forwarded through this node.", metrics.KindCounter, "", ""},
+	{"Overlay.MessagesDelivered", "corona_overlay_messages_delivered_total", "Overlay messages delivered to this node.", metrics.KindCounter, "", ""},
+	{"Overlay.BroadcastsSent", "corona_overlay_broadcasts_sent_total", "Leaf-set broadcasts originated by this node.", metrics.KindCounter, "", ""},
+	{"Overlay.RouteHopsTotal", "corona_overlay_route_hops_total", "Accumulated hop counts of delivered overlay messages.", metrics.KindCounter, "", ""},
+	{"Overlay.Repairs", "corona_overlay_repairs_total", "Leaf-set and routing-table repairs performed.", metrics.KindCounter, "", ""},
+	{"Overlay.WireBytesSent", "corona_wire_bytes_sent_total", "Bytes written to overlay peer connections.", metrics.KindCounter, "", ""},
+	{"Overlay.WireBytesReceived", "corona_wire_bytes_received_total", "Bytes read from overlay peer connections.", metrics.KindCounter, "", ""},
+	{"Overlay.WireDropped", "corona_wire_dropped_total", "Outbound overlay messages discarded locally before the wire.", metrics.KindCounter, "", ""},
+	{"Web.SessionsWS", "corona_web_sessions", helpWebSessions, metrics.KindGauge, "transport", "ws"},
+	{"Web.SessionsSSE", "corona_web_sessions", helpWebSessions, metrics.KindGauge, "transport", "sse"},
+	{"Web.ReplayHits", "corona_web_replay_hits_total", "Resume cursors served completely from the replay ring.", metrics.KindCounter, "", ""},
+	{"Web.ReplayMissesBufferWrap", "corona_web_replay_misses_total", "Resume cursors past the replay window, answered snapshot-required.", metrics.KindCounter, "", ""},
+	{"Web.ReplayWraps", "corona_web_replay_wraps_total", "Replay ring entries overwritten by wrap-around.", metrics.KindCounter, "", ""},
+	{"Web.DroppedSlowClient", "corona_web_notify_dropped_total", helpWebDropped, metrics.KindCounter, "cause", "slow_client"},
+	{"Web.DroppedOversize", "corona_web_notify_dropped_total", helpWebDropped, metrics.KindCounter, "cause", "oversize"},
+	{"Web.DisconnectsSlowClient", "corona_web_disconnects_total", helpWebDisconnect, metrics.KindCounter, "cause", "slow_client"},
+	{"Web.DisconnectsDisplaced", "corona_web_disconnects_total", helpWebDisconnect, metrics.KindCounter, "cause", "displaced"},
+	{"Web.Notifies", "corona_web_notifies_total", "Notify events enqueued to web sessions.", metrics.KindCounter, "", ""},
+	{"OriginDials", "corona_origin_dials_total", "Connections dialed to channel origins; polls reuse idle keep-alive connections, so this stays far below the poll count.", metrics.KindCounter, "", ""},
+	{"Undeliverable", "corona_gateway_undeliverable_total", "Notifications for a client with no live session on this node.", metrics.KindCounter, "", ""},
+	{"NotifyDropped", "corona_client_notify_dropped_total", "Notifications dropped by the binary and line edges: evicted from full client outbound queues, or oversize.", metrics.KindCounter, "", ""},
+	{"NotifyBatchesRecv", "corona_gateway_notify_batches_total", "Batched notification calls received by the node's client registry.", metrics.KindCounter, "", ""},
+	{"BatchClients", "corona_gateway_batch_clients_total", "Client deliveries covered by those notification batches.", metrics.KindCounter, "", ""},
 }
 
 // liveStatValue resolves a liveStatsSpec dot path against a LiveStats
@@ -103,24 +119,38 @@ func liveStatValue(ls LiveStats, path string) (float64, bool) {
 }
 
 // newRegistry builds the node's metric registry: the liveStatsSpec
-// scalars, the overlay/transport counters, the store's commit-latency
-// histogram re-exposed in its native buckets, per-peer queue gauges,
-// and the per-stage notification latency histogram (it wires the core
-// node's two stages; each client edge gets its stage's observer from
-// observeStage when it is constructed). Snapshot-fed families refresh in
-// one OnGather pass per scrape, each source read through a single
-// coherent snapshot.
+// families, the store's commit-latency histogram re-exposed in its
+// native buckets, the store and join flags, per-peer queue gauges, the
+// client session gauges, and the per-stage notification latency
+// histogram (it wires the core node's two stages; each client edge gets
+// its stage's observer from observeStage when it is constructed). The
+// snapshot-fed families refresh in one OnGather pass per scrape, each
+// source read through a single coherent snapshot.
 func (ln *LiveNode) newRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 
-	counters := make(map[string]*metrics.Counter, len(liveStatsSpec))
-	gauges := make(map[string]*metrics.Gauge, len(liveStatsSpec))
-	for _, spec := range liveStatsSpec {
-		switch spec.kind {
-		case statCounter:
-			counters[spec.field] = reg.Counter(spec.name, spec.help)
-		case statGauge:
-			gauges[spec.field] = reg.Gauge(spec.name, spec.help)
+	// One instrument per spec row. Every family is registered as a
+	// vector, with no labels for a single-series family, so the rows of
+	// a labelled family share the vector their first row registers.
+	counters := make([]*metrics.Counter, len(liveStatsSpec))
+	gauges := make([]*metrics.Gauge, len(liveStatsSpec))
+	counterVecs := make(map[string]*metrics.CounterVec)
+	gaugeVecs := make(map[string]*metrics.GaugeVec)
+	for i, spec := range liveStatsSpec {
+		var labels, values []string
+		if spec.label != "" {
+			labels, values = []string{spec.label}, []string{spec.value}
+		}
+		if spec.kind == metrics.KindCounter {
+			if counterVecs[spec.name] == nil {
+				counterVecs[spec.name] = reg.CounterVec(spec.name, spec.help, labels...)
+			}
+			counters[i] = counterVecs[spec.name].With(values...)
+		} else {
+			if gaugeVecs[spec.name] == nil {
+				gaugeVecs[spec.name] = reg.GaugeVec(spec.name, spec.help, labels...)
+			}
+			gauges[i] = gaugeVecs[spec.name].With(values...)
 		}
 	}
 	storeEnabled := reg.Gauge("corona_store_enabled", "1 when the node persists channel state (DataDir set).")
@@ -131,26 +161,11 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 	}
 	commitLat := reg.Histogram("corona_store_commit_latency_seconds",
 		"Group-commit (write+fsync) latency, re-exposed from the store's native buckets.", commitBounds)
-
-	overlaySent := reg.Counter("corona_overlay_messages_sent_total", "Overlay messages originated by this node.")
-	overlayRouted := reg.Counter("corona_overlay_messages_routed_total", "Overlay messages forwarded through this node.")
-	overlayDelivered := reg.Counter("corona_overlay_messages_delivered_total", "Overlay messages delivered to this node.")
-	overlayBroadcasts := reg.Counter("corona_overlay_broadcasts_sent_total", "Leaf-set broadcasts originated by this node.")
-	overlayHops := reg.Counter("corona_overlay_route_hops_total", "Accumulated hop counts of delivered overlay messages.")
-	overlayRepairs := reg.Counter("corona_overlay_repairs_total", "Leaf-set and routing-table repairs performed.")
 	overlayJoined := reg.Gauge("corona_overlay_joined", "1 once the node's ring join handshake has completed.")
-	wireSent := reg.Counter("corona_wire_bytes_sent_total", "Bytes written to overlay peer connections.")
-	wireRecv := reg.Counter("corona_wire_bytes_received_total", "Bytes read from overlay peer connections.")
-	wireDropped := reg.Counter("corona_wire_dropped_total", "Outbound overlay messages discarded locally before the wire.")
 
 	peerDepth := reg.GaugeVec("corona_peer_queue_depth", "Outbound send-queue depth toward one overlay peer.", "peer")
 	peerCapacity := reg.GaugeVec("corona_peer_queue_capacity", "Outbound send-queue capacity toward one overlay peer.", "peer")
 	peerDrops := reg.CounterVec("corona_peer_queue_dropped_total", "Messages toward one overlay peer dropped locally.", "peer")
-
-	// One labelled family for the replication message kinds, so an
-	// operator reads resyncs against the steady heartbeat traffic.
-	replSent := reg.CounterVec("corona_replication_sent_total",
-		"Replication messages sent, by kind: full pushes, deltas, per-round heartbeats, and resync requests.", "kind")
 
 	clientSessions := reg.GaugeVec("corona_client_sessions",
 		"Binary and line client sessions currently logged in, by transport.", "transport")
@@ -164,24 +179,16 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 
 	reg.OnGather(func() {
 		ls := ln.Stats()
-		for _, spec := range liveStatsSpec {
+		for i, spec := range liveStatsSpec {
 			v, ok := liveStatValue(ls, spec.field)
 			if !ok {
 				continue // spec/struct mismatch; the completeness test catches it
 			}
-			switch spec.kind {
-			case statCounter:
-				counters[spec.field].Set(uint64(v))
-			case statGauge:
-				gauges[spec.field].Set(v)
+			if spec.kind == metrics.KindCounter {
+				counters[i].Set(uint64(v))
+			} else {
+				gauges[i].Set(v)
 			}
-		}
-		for _, k := range replicationKinds {
-			v, ok := liveStatValue(ls, "Stats.Replication."+k.field)
-			if !ok {
-				continue // the completeness test catches a missing field
-			}
-			replSent.With(k.kind).Set(uint64(v))
 		}
 		if ls.Store.Enabled {
 			storeEnabled.Set(1)
@@ -192,23 +199,11 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 		} else {
 			storeIOError.Set(0)
 		}
-
-		os := ln.overlay.Stats()
-		overlaySent.Set(os.MessagesSent)
-		overlayRouted.Set(os.MessagesRouted)
-		overlayDelivered.Set(os.MessagesDelivered)
-		overlayBroadcasts.Set(os.BroadcastsSent)
-		overlayHops.Set(os.RouteHopsTotal)
-		overlayRepairs.Set(os.Repairs)
 		if ln.overlay.Joined() {
 			overlayJoined.Set(1)
 		} else {
 			overlayJoined.Set(0)
 		}
-		sent, recv := ln.transport.WireBytes()
-		wireSent.Set(sent)
-		wireRecv.Set(recv)
-		wireDropped.Set(ln.transport.Dropped())
 
 		// Peer queues churn with the leaf set; rebuild the label sets
 		// from scratch so departed peers' series disappear.

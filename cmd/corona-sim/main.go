@@ -59,7 +59,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want fig34, fig56, fig78, fig910, table2, all)\n", *experiment)
 		os.Exit(2)
 	}
-	fmt.Printf("completed in %v\n", time.Since(start).Round(time.Millisecond))
+	// Wall time goes to stderr so stdout is a pure function of the seed.
+	fmt.Fprintf(os.Stderr, "completed in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 // normalize maps individual figure names onto their combined runners.

@@ -9,8 +9,9 @@ import (
 
 // TestMapOrder pins the deterministic-iteration analyzer against the
 // pre-PR-7 KnownNodes shape (red) and the collect-then-sort fix (green),
-// and checks the package gating: the same shapes pass clean in a
-// non-deterministic package.
+// float sums taken in map order (red) against integer sums and sums over
+// a sorted snapshot (green), and checks the package gating: the same
+// shapes pass clean in a non-deterministic package.
 func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.MapOrder,
 		"corona/internal/pastry",

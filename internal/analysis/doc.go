@@ -17,9 +17,12 @@
 // into seeded-draw indexing and wire traffic. maporder flags a `range`
 // over a map in the deterministic packages (core, pastry, chaos,
 // eventsim, honeycomb) when the loop body sends messages, appends to a
-// slice that outlives the loop, or draws from a seeded *rand.Rand. The
-// PR-7 fix shape — collect, then sort.*/slices.* — is recognized and
-// not flagged.
+// slice that outlives the loop, draws from a seeded *rand.Rand, or adds
+// to a floating-point variable that outlives the loop: core's
+// maintenance once summed cluster factors in map order, and table 2
+// differed between runs of one seed (sums inside a method call, such as
+// ClusterSet.MergeSet, are beyond the check). The PR-7 fix shape —
+// collect, then sort.*/slices.* — is recognized and not flagged.
 //
 // lockblock (no blocking under lock). PR 2 found pastry's fanOut
 // allocating and sending while holding the node's RLock: one slow peer

@@ -69,7 +69,6 @@ type listedPackage struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
 	ImportMap    map[string]string
 	Standard     bool
 	Module       *struct {
@@ -84,7 +83,7 @@ type listedPackage struct {
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,Imports,ImportMap,Standard,Module",
+		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,ImportMap,Standard,Module",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

@@ -2,15 +2,18 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // MapOrder (deterministic-iteration) flags `range` over a map in the
 // packages that must behave identically under one seed, when the loop
 // body lets the iteration order escape: it sends overlay/network traffic,
-// appends to a slice declared outside the loop, or draws from a seeded
-// *math/rand.Rand. Order-dependent effects from map ranges are exactly
-// the class of bug the PR-7 chaos harness caught at runtime in
+// appends to a slice declared outside the loop, draws from a seeded
+// *math/rand.Rand, or adds to a floating-point variable declared outside
+// the loop (float sums round, so their last bits follow the order;
+// integer sums pass). Order-dependent effects from map ranges are
+// exactly the class of bug the PR-7 chaos harness caught at runtime in
 // ownerAntiEntropy and pastry.KnownNodes: identically-seeded runs
 // desynchronized because Go randomizes map iteration.
 //
@@ -21,7 +24,8 @@ var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "flags map iteration in deterministic packages (core, pastry, chaos, eventsim, honeycomb) " +
 		"whose loop body sends messages, appends to an escaping slice without a subsequent sort, " +
-		"or feeds a seeded RNG — map order would desynchronize identically-seeded runs",
+		"feeds a seeded RNG, or accumulates a float declared outside it — map order would " +
+		"desynchronize identically-seeded runs",
 	Run: runMapOrder,
 }
 
@@ -77,9 +81,39 @@ func checkMapRangeBody(pass *Pass, file *ast.File, rs *ast.RangeStmt) {
 			pass.Reportf(n.Pos(), "channel send inside range over map %s: send order follows map iteration order; iterate a sorted snapshot instead", exprString(rs.X))
 		case *ast.CallExpr:
 			checkMapRangeCall(pass, file, rs, n)
+		case *ast.AssignStmt:
+			if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN {
+				checkFloatAccum(pass, rs, n)
+			}
 		}
 		return true
 	})
+}
+
+// checkFloatAccum reports `x += e` / `x -= e` on a floating-point x whose
+// variable outlives one iteration of the map range.
+func checkFloatAccum(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt) {
+	lhs := as.Lhs[0]
+	t := pass.Info.TypeOf(lhs)
+	if t == nil {
+		return
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	if base := baseIdent(lhs); base != nil && declaredIn(pass, base, rs.Body) {
+		return
+	}
+	pass.Reportf(as.Pos(), "floating-point %s %s inside range over map %s: the rounded sum follows map iteration order; accumulate over a sorted snapshot instead", exprString(lhs), as.Tok, exprString(rs.X))
+}
+
+// declaredIn reports whether id's object is declared inside node.
+func declaredIn(pass *Pass, id *ast.Ident, node ast.Node) bool {
+	obj := pass.Info.Uses[id]
+	if obj == nil {
+		obj = pass.Info.Defs[id]
+	}
+	return obj != nil && obj.Pos() >= node.Pos() && obj.Pos() <= node.End()
 }
 
 func checkMapRangeCall(pass *Pass, file *ast.File, rs *ast.RangeStmt, call *ast.CallExpr) {
@@ -117,21 +151,15 @@ func checkMapRangeCall(pass *Pass, file *ast.File, rs *ast.RangeStmt, call *ast.
 		}
 		// Declared inside the loop body: the slice dies with the
 		// iteration, order cannot escape.
-		if obj.Pos() >= rs.Body.Pos() && obj.Pos() <= rs.Body.End() {
+		if declaredIn(pass, target, rs.Body) {
 			return
 		}
 		// The base variable of a composite target (h in h.subs) declared
 		// inside the loop body: each iteration appends to its own value,
 		// so THIS map's order cannot shape the element order — only inner
 		// ranges can, and those are checked in their own right.
-		if base := baseIdent(call.Args[0]); base != nil && base != target {
-			bobj := pass.Info.Uses[base]
-			if bobj == nil {
-				bobj = pass.Info.Defs[base]
-			}
-			if bobj != nil && bobj.Pos() >= rs.Body.Pos() && bobj.Pos() <= rs.Body.End() {
-				return
-			}
+		if base := baseIdent(call.Args[0]); base != nil && base != target && declaredIn(pass, base, rs.Body) {
+			return
 		}
 		if sortedAfter(pass, file, rs, obj) {
 			return
@@ -219,33 +247,16 @@ func sortedAfter(pass *Pass, file *ast.File, rs *ast.RangeStmt, obj types.Object
 	return sorted
 }
 
-// rootIdent returns the base identifier of expressions like x, x[i],
-// x.f, *x — the object whose storage the expression reaches.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.SelectorExpr:
-			e = v.Sel
-		default:
-			return nil
-		}
-	}
-}
+// rootIdent returns the identifier whose storage expressions like x,
+// x[i], x.f, *x reach: x, or the field f for a selector.
+func rootIdent(e ast.Expr) *ast.Ident { return chainIdent(e, true) }
 
 // baseIdent returns the leftmost identifier of expressions like x.f[i]
 // — the variable the whole chain hangs off — unlike rootIdent, which
 // resolves x.f to the field f.
-func baseIdent(e ast.Expr) *ast.Ident {
+func baseIdent(e ast.Expr) *ast.Ident { return chainIdent(e, false) }
+
+func chainIdent(e ast.Expr, field bool) *ast.Ident {
 	for {
 		switch v := e.(type) {
 		case *ast.Ident:
@@ -259,6 +270,9 @@ func baseIdent(e ast.Expr) *ast.Ident {
 		case *ast.UnaryExpr:
 			e = v.X
 		case *ast.SelectorExpr:
+			if field {
+				return v.Sel
+			}
 			e = v.X
 		default:
 			return nil

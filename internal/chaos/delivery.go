@@ -24,11 +24,10 @@ type clientChannel struct {
 // assert exactly-once delivery over the whole run and per-client liveness
 // over the probe window.
 type DeliveryLog struct {
-	mu       sync.Mutex
-	seen     map[deliveryKey]int
-	total    uint64
-	dups     uint64
-	firstDup string
+	mu    sync.Mutex
+	seen  map[deliveryKey]int
+	total uint64
+	dups  uint64
 
 	// window counts per-(client, channel) deliveries since MarkWindow,
 	// the probe phase's liveness evidence. windowSeen/windowDups scope the
@@ -79,9 +78,6 @@ func (d *DeliveryLog) record(client, url string, version uint64) {
 	d.seen[k]++
 	if d.seen[k] > 1 {
 		d.dups++
-		if d.firstDup == "" {
-			d.firstDup = fmt.Sprintf("client %s, channel %s, version %d", client, url, version)
-		}
 	}
 	if d.window != nil {
 		d.window[clientChannel{client, url}]++
@@ -144,13 +140,6 @@ func (d *DeliveryLog) Duplicates() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dups
-}
-
-// FirstDuplicate describes the first duplicate delivery, for diagnostics.
-func (d *DeliveryLog) FirstDuplicate() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.firstDup
 }
 
 // WindowDuplicates returns how many deliveries since MarkWindow repeated a

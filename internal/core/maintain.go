@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -64,36 +66,15 @@ func (n *Node) optimizePhase() {
 	env := n.env()
 
 	n.mu.Lock()
-	var owned []*channelState
-	var meanSizeTotal float64
-	var meanSizeCount int
-	for _, ch := range n.channels {
-		if ch.isOwner {
-			owned = append(owned, ch)
-			if ch.sizeBytes > 0 {
-				meanSizeTotal += float64(ch.sizeBytes)
-				meanSizeCount++
-			}
-		}
-	}
-	// Map iteration order is random; sort so solver tie-breaking — and
-	// therefore the whole simulation — is deterministic for a seed.
-	sort.Slice(owned, func(a, b int) bool {
-		return owned[a].id.Cmp(owned[b].id) < 0
-	})
-	meanSize := 4096.0
-	if meanSizeCount > 0 {
-		meanSize = meanSizeTotal / float64(meanSizeCount)
-	}
+	owned := n.ownedSortedLocked()
+	meanSize := meanSizeOf(owned)
 
 	// Remote knowledge: merge the cluster aggregates most recently
 	// received from routing contacts. Combined, they summarize all
 	// channels owned outside this node's subtree.
 	remote := honeycomb.NewClusterSet(n.cfg.TradeoffBins, env.MaxLevel)
 	for _, row := range n.clusterIn {
-		for _, cs := range row {
-			remote.MergeSet(cs)
-		}
+		mergeRow(remote, row)
 	}
 
 	entries := make([]honeycomb.Entry, 0, len(owned)+32)
@@ -209,7 +190,7 @@ func (n *Node) handlePollCtl(msg pastry.Message) {
 	ch.epoch = p.Epoch
 	ch.level = p.Level
 	if p.Q > 0 {
-		ch.subs.count = maxInt(ch.subs.count, 0)
+		ch.subs.count = max(ch.subs.count, 0)
 		if !ch.isOwner && !ch.isReplica {
 			ch.subs.count = p.Q
 		}
@@ -249,46 +230,7 @@ func (n *Node) aggregationPhase() {
 	maxRows := n.overlay.Config().MaxTableRows
 
 	n.mu.Lock()
-	// own: summary of this node's owned channels.
-	own := honeycomb.NewClusterSet(n.cfg.TradeoffBins, env.MaxLevel)
-	meanSize := 4096.0
-	var total float64
-	var count int
-	for _, ch := range n.channels {
-		if ch.isOwner && ch.sizeBytes > 0 {
-			total += float64(ch.sizeBytes)
-			count++
-		}
-	}
-	if count > 0 {
-		meanSize = total / float64(count)
-	}
-	for _, ch := range n.channels {
-		if !ch.isOwner {
-			continue
-		}
-		level := ch.level
-		if level < 0 {
-			level = env.MaxLevel
-		}
-		own.Add(honeycomb.ChannelFactors{
-			Q:      float64(ch.subs.count),
-			S:      float64(ch.sizeBytes) / meanSize,
-			U:      ch.est.interval().Seconds(),
-			Level:  level,
-			Orphan: ch.orphan,
-		})
-	}
-	// subtree[i] = S_i = own + Σ_{r ≥ i} contacts' S_{r+1}.
-	subtree := make([]*honeycomb.ClusterSet, maxRows+1)
-	subtree[maxRows] = own
-	for i := maxRows - 1; i >= 0; i-- {
-		s := subtree[i+1].Clone()
-		for _, cs := range n.clusterIn[i] {
-			s.MergeSet(cs)
-		}
-		subtree[i] = s
-	}
+	subtree := n.subtreeAggregatesLocked(env, maxRows)
 	n.mu.Unlock()
 
 	// Send S_{i+1} to every row-i contact. Sends are fire-and-forget:
@@ -303,6 +245,76 @@ func (n *Node) aggregationPhase() {
 		for _, c := range contacts {
 			n.overlay.SendDirect(c, msgMaintain, msg)
 		}
+	}
+}
+
+// subtreeAggregatesLocked returns S_0..S_maxRows: S_maxRows summarizes
+// this node's owned channels, and S_i = own + Σ_{r ≥ i} contacts'
+// S_{r+1}, each folded in a fixed order so the float sums do not vary.
+func (n *Node) subtreeAggregatesLocked(env TradeoffEnv, maxRows int) []*honeycomb.ClusterSet {
+	owned := n.ownedSortedLocked()
+	meanSize := meanSizeOf(owned)
+	own := honeycomb.NewClusterSet(n.cfg.TradeoffBins, env.MaxLevel)
+	for _, ch := range owned {
+		level := ch.level
+		if level < 0 {
+			level = env.MaxLevel
+		}
+		own.Add(honeycomb.ChannelFactors{
+			Q:      float64(ch.subs.count),
+			S:      float64(ch.sizeBytes) / meanSize,
+			U:      ch.est.interval().Seconds(),
+			Level:  level,
+			Orphan: ch.orphan,
+		})
+	}
+	subtree := make([]*honeycomb.ClusterSet, maxRows+1)
+	subtree[maxRows] = own
+	for i := maxRows - 1; i >= 0; i-- {
+		s := subtree[i+1].Clone()
+		mergeRow(s, n.clusterIn[i])
+		subtree[i] = s
+	}
+	return subtree
+}
+
+// ownedSortedLocked returns the channels this node owns, sorted by ID so
+// the solver's tie-breaking and every float sum over them, and with them
+// the whole simulation, do not follow map order.
+func (n *Node) ownedSortedLocked() []*channelState {
+	var owned []*channelState
+	for _, ch := range n.channels {
+		if ch.isOwner {
+			owned = append(owned, ch)
+		}
+	}
+	sort.Slice(owned, func(a, b int) bool {
+		return owned[a].id.Cmp(owned[b].id) < 0
+	})
+	return owned
+}
+
+// meanSizeOf returns the mean content size of the channels whose size
+// is known, or 4096 bytes when none is.
+func meanSizeOf(chs []*channelState) float64 {
+	total, count := 0.0, 0
+	for _, ch := range chs {
+		if ch.sizeBytes > 0 {
+			total += float64(ch.sizeBytes)
+			count++
+		}
+	}
+	if count == 0 {
+		return 4096
+	}
+	return total / float64(count)
+}
+
+// mergeRow folds one clusterIn row's aggregates into dst in column
+// order, so the floating-point sums do not follow map order.
+func mergeRow(dst *honeycomb.ClusterSet, row map[int]*honeycomb.ClusterSet) {
+	for _, col := range slices.Sorted(maps.Keys(row)) {
+		dst.MergeSet(row[col])
 	}
 }
 
@@ -351,12 +363,4 @@ func (n *Node) registerHandlers() {
 // durationSeconds converts float seconds into a time.Duration.
 func durationSeconds(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

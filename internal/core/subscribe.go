@@ -267,7 +267,7 @@ func (n *Node) demoteLocked(ch *channelState, toReplica bool) {
 	if !toReplica {
 		ch.subs.clear()
 	}
-	if ch.polling && !n.overlay.Base().InWedge(n.Self().ID, ch.id, maxInt(ch.level, 0)) {
+	if ch.polling && !n.overlay.Base().InWedge(n.Self().ID, ch.id, max(ch.level, 0)) {
 		n.stopPollingLocked(ch)
 	}
 }

@@ -69,10 +69,8 @@ type Options struct {
 	// the first hour (deployment, §5.2) instead of issuing all at once
 	// (simulation, §5.1).
 	RampSubscriptions bool
-	// ContentMode turns on real document fetching and the difference
-	// engine inside Corona nodes.
-	ContentMode bool
-	// Notifier receives client notifications; nil counts them silently.
+	// Notifier receives client notifications; nil discards them (the
+	// nodes still count them in NotificationsSent).
 	Notifier core.Notifier
 	// Identity tracks full per-client subscriber identity (entry records,
 	// leases, delegation) instead of counting-mode aggregation, and
@@ -94,15 +92,13 @@ type Options struct {
 	UpdateEvery time.Duration
 }
 
-// countingNotifier is the default sink for notifications.
-type countingNotifier struct{ count uint64 }
+// discardNotifier is the default sink for notifications: it drops
+// them. It must be non-nil, because a node with a nil notifier skips
+// the NotificationsSent accounting the figures read.
+type discardNotifier struct{}
 
-func (c *countingNotifier) NotifyBatch(clients []string, url string, version uint64, diff string, at time.Time) {
-	c.count += uint64(len(clients))
-}
-func (c *countingNotifier) NotifyCount(url string, version uint64, n int, at time.Time) {
-	c.count += uint64(n)
-}
+func (discardNotifier) NotifyBatch([]string, string, uint64, string, time.Time) {}
+func (discardNotifier) NotifyCount(string, uint64, int, time.Time)              {}
 
 // legacyOrigin mirrors a workload onto a second origin with identical
 // update processes, so Corona and legacy load accounting stay separate
@@ -166,7 +162,7 @@ func NewHarness(scale Scale, opts Options) *Harness {
 	h.Down = make(map[int]bool)
 	h.notifier = opts.Notifier
 	if h.notifier == nil {
-		h.notifier = &countingNotifier{}
+		h.notifier = discardNotifier{}
 	}
 	h.fetcher = &core.OriginFetcher{Origin: h.Origin, Clock: h.Sim}
 	for i, overlay := range h.Net.Ring(pastry.DefaultConfig(), scale.Nodes, h.Sim.RNG("harness-node-ids")) {
@@ -195,7 +191,6 @@ func (h *Harness) nodeConfig(i int) core.Config {
 	cfg.NodeCount = h.Scale.Nodes
 	cfg.CountSubscribersOnly = !h.opts.Identity
 	cfg.OwnerReplicas = h.opts.OwnerReplicas
-	cfg.ContentMode = h.opts.ContentMode
 	cfg.Seed = h.Scale.Seed + int64(i)
 	if h.opts.LeaseTTL != 0 {
 		cfg.LeaseTTL = h.opts.LeaseTTL

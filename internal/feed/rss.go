@@ -190,10 +190,3 @@ func DetectKind(doc []byte) Kind {
 		return KindUnknown
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -36,11 +36,6 @@ func HashString(s string) ID {
 	return ID(sha1.Sum([]byte(s)))
 }
 
-// HashBytes derives an identifier from a byte slice.
-func HashBytes(b []byte) ID {
-	return ID(sha1.Sum(b))
-}
-
 // FromHex parses a 40-character hexadecimal string into an ID.
 func FromHex(s string) (ID, error) {
 	var id ID

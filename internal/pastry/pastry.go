@@ -231,8 +231,8 @@ type PeerQueueStat struct {
 }
 
 // QueueReporter is implemented by transports with bounded per-peer send
-// queues (netwire). The overlay and the experiment harness surface the
-// reports so backpressure is observable instead of silent loss.
+// queues (netwire). The overlay surfaces the reports (on a live node's
+// /metrics) so backpressure is observable instead of silent loss.
 type QueueReporter interface {
 	// PeerQueues snapshots every live peer's queue state.
 	PeerQueues() []PeerQueueStat

@@ -1,8 +1,10 @@
 // Package stats provides the measurement and reporting primitives the
-// evaluation harness uses: bucketed time series (the x-axis of Figures 3,
-// 4, 9, 10), weighted means (the paper's subscription-weighted update
-// detection time), and fixed-width table rendering for paper-shaped
-// output.
+// simulated evaluation harness (internal/experiments) uses: bucketed time
+// series (the x-axis of Figures 3, 4, 9, 10), weighted means (the paper's
+// subscription-weighted update detection time), and fixed-width table
+// rendering for paper-shaped output. It keeps no quantiles and no queue
+// state: latency quantiles come from metrics.Histogram, and a live
+// node's per-peer send queues are on its /metrics as corona_peer_queue_*.
 package stats
 
 import (

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/metrics"
 )
 
 // Backend is the node surface the gateway drives — identical to the
@@ -217,43 +216,6 @@ func (s *Server) Counters() Counters {
 		ReplayWraps:            r.Wraps,
 		Notifies:               e.Notifies,
 	}
-}
-
-// RegisterMetrics registers the gateway's instruments on a node metric
-// registry (LiveNode.Metrics()): session gauges by transport, replay
-// hit/miss/wrap counters, and drop/disconnect counters by cause, all
-// refreshed from one Counters snapshot per scrape.
-func (s *Server) RegisterMetrics(reg *metrics.Registry) {
-	sessions := reg.GaugeVec("corona_web_sessions",
-		"Web-gateway sessions currently attached, by transport.", "transport")
-	sessWS, sessSSE := sessions.With(TransportWS), sessions.With(TransportSSE)
-	hits := reg.Counter("corona_web_replay_hits_total",
-		"Resume cursors served completely from the replay ring.")
-	misses := reg.Counter("corona_web_replay_misses_total",
-		"Resume cursors past the replay window, answered snapshot-required.")
-	wraps := reg.Counter("corona_web_replay_wraps_total",
-		"Replay ring entries overwritten by wrap-around.")
-	drops := reg.CounterVec("corona_web_notify_dropped_total",
-		"Web notify events shed before delivery, by cause.", "cause")
-	dropSlow, dropOversize := drops.With("slow_client"), drops.With("oversize")
-	disc := reg.CounterVec("corona_web_disconnects_total",
-		"Web sessions closed by the gateway, by cause.", "cause")
-	discSlow, discDisplaced := disc.With("slow_client"), disc.With("displaced")
-	notifies := reg.Counter("corona_web_notifies_total",
-		"Notify events enqueued to web sessions.")
-	reg.OnGather(func() {
-		c := s.Counters()
-		sessWS.Set(float64(c.SessionsWS))
-		sessSSE.Set(float64(c.SessionsSSE))
-		hits.Set(c.ReplayHits)
-		misses.Set(c.ReplayMissesBufferWrap)
-		wraps.Set(c.ReplayWraps)
-		dropSlow.Set(c.DroppedSlowClient)
-		dropOversize.Set(c.DroppedOversize)
-		discSlow.Set(c.DisconnectsSlowClient)
-		discDisplaced.Set(c.DisconnectsDisplaced)
-		notifies.Set(c.Notifies)
-	})
 }
 
 // clientMsg is one client-to-server JSON message (WS only; SSE carries

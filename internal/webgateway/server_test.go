@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"corona/internal/clientproto"
-	"corona/internal/metrics"
 )
 
 // fakeBackend implements Backend in-memory.
@@ -648,30 +646,4 @@ func TestServerCloseTearsDownSessions(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestMetricsRegistration(t *testing.T) {
-	b := newFakeBackend()
-	s, _ := startServer(t, Config{Backend: b})
-	reg := metrics.NewRegistry()
-	s.RegisterMetrics(reg)
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`corona_web_sessions{transport="ws"}`,
-		`corona_web_sessions{transport="sse"}`,
-		"corona_web_replay_hits_total",
-		"corona_web_replay_misses_total",
-		"corona_web_replay_wraps_total",
-		`corona_web_notify_dropped_total{cause="slow_client"}`,
-		`corona_web_disconnects_total{cause="displaced"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics exposition missing %s", want)
-		}
-	}
-	_ = http.StatusOK
 }

@@ -189,14 +189,3 @@ func (o *Origin) Process(url string) (UpdateProcess, bool) {
 	}
 	return ch.cfg.Process, true
 }
-
-// Size returns a channel's configured content size.
-func (o *Origin) Size(url string) (int, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ch, ok := o.channels[url]
-	if !ok {
-		return 0, false
-	}
-	return ch.cfg.SizeBytes, true
-}

@@ -54,18 +54,6 @@ type Config struct {
 	URLPrefix string
 }
 
-// DefaultSimulation returns the paper's simulation-scale workload
-// (§5.1: 20,000 channels, 1,000,000 subscriptions, Zipf 0.5).
-func DefaultSimulation() Config {
-	return Config{Channels: 20000, Subscriptions: 1000000, ZipfExponent: 0.5, Seed: 1}
-}
-
-// DefaultDeployment returns the deployment-scale workload (§5.2: 3,000
-// channels, 30,000 subscriptions).
-func DefaultDeployment() Config {
-	return Config{Channels: 3000, Subscriptions: 30000, ZipfExponent: 0.5, Seed: 1}
-}
-
 // Generate synthesizes the workload.
 func Generate(cfg Config) *Workload {
 	if cfg.Channels <= 0 {

@@ -321,10 +321,10 @@ func (ln *LiveNode) ServeIM(bind string) (addr string, err error) {
 // ServeWeb starts the web edge gateway (internal/webgateway: /ws and
 // /sse with per-channel replay rings) on bind and returns the bound
 // address. The gateway shares the node's session table with the binary
-// and line listeners, has the table start keeping replay rings, and
-// registers its instruments on the node's metric registry. A node
-// serves at most one web listener, which closes with the node;
-// StartLiveNode calls it when WebBind is set.
+// and line listeners and has the table start keeping replay rings; its
+// counters reach /metrics through LiveStats.Web. A node serves at most
+// one web listener, which closes with the node; StartLiveNode calls it
+// when WebBind is set.
 func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 	if ln.web != nil {
 		return "", fmt.Errorf("corona: web listener already running at %s", ln.web.Addr())
@@ -340,7 +340,6 @@ func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 	}, ln.observeStage("web_enqueue"))
 	web.Serve(l)
 	ln.web = web
-	web.RegisterMetrics(ln.reg)
 	return web.Addr(), nil
 }
 
@@ -378,17 +377,13 @@ func (ln *LiveNode) Info() clientproto.ServerInfo {
 	for _, leaf := range ln.overlay.Leaves() {
 		si.Peers = append(si.Peers, leaf.Endpoint)
 	}
-	if ln.store != nil {
-		st := ln.store.Stats()
-		si.Store = clientproto.StoreInfo{
-			Enabled:              true,
-			Generation:           st.Generation,
-			WALBytes:             uint64(st.WALBytes),
-			RecordsSinceSnapshot: uint64(st.RecordsSinceSnapshot),
-		}
-		if st.Err != nil {
-			si.Store.Err = st.Err.Error()
-		}
+	st := ln.storeStats()
+	si.Store = clientproto.StoreInfo{
+		Enabled:              st.Enabled,
+		Generation:           st.Generation,
+		WALBytes:             uint64(st.WALBytes),
+		RecordsSinceSnapshot: uint64(st.RecordsSinceSnapshot),
+		Err:                  st.Err,
 	}
 	return si
 }
@@ -418,15 +413,20 @@ type StoreStats struct {
 }
 
 // LiveStats extends the node's protocol counters with deployment-only
-// state: the durable store's health and the client and web edges'
-// delivery counters.
+// state: the overlay's message and wire counters, the durable store's
+// health and the client and web edges' delivery counters. It is the one
+// snapshot /metrics reads its node counters from (admin.go's
+// liveStatsSpec).
 type LiveStats struct {
 	core.Stats
 	Store StoreStats
+	// Overlay is the overlay node's activity, including the transport's
+	// wire byte and local drop counters.
+	Overlay pastry.Stats
 	// Web is the web edge gateway's session and delivery accounting,
-	// zero-valued when no web listener runs. Its fields are exposed by
-	// the gateway's own labeled metric families (corona_web_*) rather
-	// than the liveStatsSpec scalars.
+	// zero-valued when no web listener runs; liveStatsSpec exposes it as
+	// the corona_web_* families, which a node without a web edge
+	// reports at zero.
 	Web webgateway.Counters
 	// OriginDials counts connections the node dialed to channel origins.
 	OriginDials uint64
@@ -447,7 +447,12 @@ type LiveStats struct {
 // Stats exposes the node's activity counters and, for durable nodes, the
 // store's WAL size, records-since-snapshot, and latched IO error.
 func (ln *LiveNode) Stats() LiveStats {
-	ls := LiveStats{Stats: ln.node.Stats(), OriginDials: ln.fetcher.Dials()}
+	ls := LiveStats{
+		Stats:       ln.node.Stats(),
+		Store:       ln.storeStats(),
+		Overlay:     ln.overlay.Stats(),
+		OriginDials: ln.fetcher.Dials(),
+	}
 	// One table lock acquisition for the whole counter group, so the
 	// batch totals and undeliverable count come from the same instant.
 	gc := ln.sessions.DeliveryStats()
@@ -462,49 +467,46 @@ func (ln *LiveNode) Stats() LiveStats {
 	if ln.web != nil {
 		ls.Web = ln.web.Counters()
 	}
-	if ln.store != nil {
-		st := ln.store.Stats()
-		ls.Store = StoreStats{
-			Enabled:              true,
-			Generation:           st.Generation,
-			WALBytes:             st.WALBytes,
-			RecordsSinceSnapshot: st.RecordsSinceSnapshot,
-			CommitLatency:        st.CommitLatency[:],
-			CommitLatencySum:     st.CommitLatencySum,
-		}
-		if st.Err != nil {
-			ls.Store.Err = st.Err.Error()
-		}
-	}
 	return ls
+}
+
+// storeStats converts the durable store's snapshot into its LiveStats
+// form, zero-valued with Enabled false for in-memory nodes.
+func (ln *LiveNode) storeStats() StoreStats {
+	if ln.store == nil {
+		return StoreStats{}
+	}
+	st := ln.store.Stats()
+	ss := StoreStats{
+		Enabled:              true,
+		Generation:           st.Generation,
+		WALBytes:             st.WALBytes,
+		RecordsSinceSnapshot: st.RecordsSinceSnapshot,
+		CommitLatency:        st.CommitLatency[:],
+		CommitLatencySum:     st.CommitLatencySum,
+	}
+	if st.Err != nil {
+		ss.Err = st.Err.Error()
+	}
+	return ss
 }
 
 // PeerQueueStat describes one peer's outbound send queue on this node's
 // transport: instantaneous depth against capacity, plus messages to that
 // peer dropped locally (backpressure, encode failure, retry exhaustion).
-type PeerQueueStat struct {
-	Endpoint string
-	Depth    int
-	Capacity int
-	Drops    uint64
-}
+type PeerQueueStat = pastry.PeerQueueStat
 
 // PeerQueues snapshots the transport's per-peer send queues, making
 // backpressure toward slow or dead peers observable. The transport-wide
 // drop total is in WireDropped.
 func (ln *LiveNode) PeerQueues() []PeerQueueStat {
-	qs := ln.overlay.PeerQueues()
-	out := make([]PeerQueueStat, len(qs))
-	for i, q := range qs {
-		out[i] = PeerQueueStat{Endpoint: q.Endpoint, Depth: q.Depth, Capacity: q.Capacity, Drops: q.Drops}
-	}
-	return out
+	return ln.overlay.PeerQueues()
 }
 
 // WireDropped returns how many outbound messages this node's transport
 // discarded locally before they reached the wire.
 func (ln *LiveNode) WireDropped() uint64 {
-	return ln.transport.Dropped()
+	return ln.overlay.Stats().WireDropped
 }
 
 // closeAdmin tears down the admin listener and in-flight admin

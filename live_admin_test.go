@@ -21,60 +21,40 @@ import (
 )
 
 // TestLiveStatsSpecCompleteness reflects over LiveStats and asserts that
-// every numeric field (embedded structs included) is exposed: either
-// through the liveStatsSpec scalar table or through the explicit
-// histogram coverage list. Adding a counter to core.Stats or LiveStats
-// without wiring it into the admin registry fails here, not on a
-// dashboard later.
+// every numeric field (embedded structs included) has a liveStatsSpec
+// row, save the two that make up the store's commit-latency histogram.
+// Adding a counter to core.Stats or LiveStats without wiring it into the
+// admin registry fails here, not on a dashboard later. Rows sharing a
+// family must agree on its help, kind and label, and name distinct
+// series.
 func TestLiveStatsSpecCompleteness(t *testing.T) {
-	// Fields exposed as histogram components rather than spec scalars.
+	// Fields exposed as histogram components rather than spec rows.
 	histogramCovered := map[string]string{
 		"Store.CommitLatency":    "corona_store_commit_latency_seconds buckets",
 		"Store.CommitLatencySum": "corona_store_commit_latency_seconds sum",
 	}
-	// Fields mirrored by the web gateway's self-registered labeled
-	// families (webgateway.RegisterMetrics) rather than spec scalars —
-	// the vec form keeps transports and causes as labels instead of a
-	// metric name per combination.
-	webCovered := map[string]string{
-		"Web.SessionsWS":             `corona_web_sessions{transport="ws"}`,
-		"Web.SessionsSSE":            `corona_web_sessions{transport="sse"}`,
-		"Web.DroppedSlowClient":      `corona_web_notify_dropped_total{cause="slow_client"}`,
-		"Web.DroppedOversize":        `corona_web_notify_dropped_total{cause="oversize"}`,
-		"Web.DisconnectsSlowClient":  `corona_web_disconnects_total{cause="slow_client"}`,
-		"Web.DisconnectsDisplaced":   `corona_web_disconnects_total{cause="displaced"}`,
-		"Web.ReplayHits":             "corona_web_replay_hits_total",
-		"Web.ReplayMissesBufferWrap": "corona_web_replay_misses_total",
-		"Web.ReplayWraps":            "corona_web_replay_wraps_total",
-		"Web.Notifies":               "corona_web_notifies_total",
-	}
-	for path, name := range webCovered {
-		if _, dup := histogramCovered[path]; dup {
-			t.Errorf("web coverage entry %s duplicates a histogram entry", path)
-		}
-		histogramCovered[path] = name
-	}
-	// The replication counters surface as one labelled family,
-	// corona_replication_sent_total{kind}.
-	for _, k := range replicationKinds {
-		path := "Stats.Replication." + k.field
-		if _, dup := histogramCovered[path]; dup {
-			t.Errorf("replication coverage entry %s duplicates another entry", path)
-		}
-		histogramCovered[path] = fmt.Sprintf("corona_replication_sent_total{kind=%q}", k.kind)
-	}
 
 	specFields := make(map[string]liveStatSpec, len(liveStatsSpec))
-	names := make(map[string]string, len(liveStatsSpec))
+	families := make(map[string]liveStatSpec, len(liveStatsSpec))
+	series := make(map[string]string, len(liveStatsSpec))
 	for _, spec := range liveStatsSpec {
 		if _, dup := specFields[spec.field]; dup {
 			t.Errorf("duplicate spec entry for field %s", spec.field)
 		}
 		specFields[spec.field] = spec
-		if prev, dup := names[spec.name]; dup {
-			t.Errorf("metric name %s used by both %s and %s", spec.name, prev, spec.field)
+		if first, ok := families[spec.name]; !ok {
+			families[spec.name] = spec
+		} else if first.help != spec.help || first.kind != spec.kind || first.label != spec.label || spec.label == "" {
+			t.Errorf("rows %s and %s of family %s disagree on help, kind or label", first.field, spec.field, spec.name)
 		}
-		names[spec.name] = spec.field
+		if (spec.label == "") != (spec.value == "") {
+			t.Errorf("spec field %s has a label without a value or a value without a label", spec.field)
+		}
+		key := spec.name + "{" + spec.label + "=" + spec.value + "}"
+		if prev, dup := series[key]; dup {
+			t.Errorf("series %s used by both %s and %s", key, prev, spec.field)
+		}
+		series[key] = spec.field
 		if _, ok := liveStatValue(LiveStats{}, spec.field); !ok {
 			t.Errorf("spec field %s does not resolve to a numeric LiveStats field", spec.field)
 		}
@@ -109,7 +89,7 @@ func TestLiveStatsSpecCompleteness(t *testing.T) {
 		_, inSpec := specFields[path]
 		_, inHist := histogramCovered[path]
 		if !inSpec && !inHist {
-			t.Errorf("LiveStats field %s has no registered metric: add it to liveStatsSpec (or the histogram coverage list)", path)
+			t.Errorf("LiveStats field %s has no registered metric: add it to liveStatsSpec", path)
 		}
 		if inSpec && inHist {
 			t.Errorf("LiveStats field %s is double-covered", path)
@@ -247,9 +227,9 @@ func TestAdminReadiness(t *testing.T) {
 }
 
 // TestAdminMetricsRegistryBuilds asserts the registry renders every
-// spec-declared family even on a fresh in-memory node (no store, no
-// clients): a scrape must never 500 or panic because a subsystem is
-// absent.
+// spec-declared family and labelled series, the web edge's included,
+// even on a fresh in-memory node (no store, no clients, no web edge): a
+// scrape must never 500 or panic because a subsystem is absent.
 func TestAdminMetricsRegistryBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -275,8 +255,11 @@ func TestAdminMetricsRegistryBuilds(t *testing.T) {
 	if !strings.Contains(body, "# TYPE corona_notify_stage_latency_seconds histogram") {
 		t.Error("/metrics missing the notify-stage latency histogram family")
 	}
-	for _, k := range replicationKinds {
-		if sample := fmt.Sprintf("corona_replication_sent_total{kind=%q} 0", k.kind); !strings.Contains(body, sample) {
+	for _, spec := range liveStatsSpec {
+		if spec.label == "" {
+			continue
+		}
+		if sample := fmt.Sprintf("%s{%s=%q} 0", spec.name, spec.label, spec.value); !strings.Contains(body, sample) {
 			t.Errorf("/metrics missing %s on an idle node", sample)
 		}
 	}

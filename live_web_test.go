@@ -305,6 +305,13 @@ func TestWebGatewayResumeEndToEnd(t *testing.T) {
 		`corona_web_sessions{transport="ws"}`,
 		`corona_web_sessions{transport="sse"}`,
 		"corona_web_replay_hits_total",
+		"corona_web_replay_misses_total",
+		"corona_web_replay_wraps_total",
+		`corona_web_notify_dropped_total{cause="slow_client"}`,
+		`corona_web_notify_dropped_total{cause="oversize"}`,
+		`corona_web_disconnects_total{cause="slow_client"}`,
+		`corona_web_disconnects_total{cause="displaced"}`,
+		"corona_web_notifies_total",
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("/metrics missing %s", want)
