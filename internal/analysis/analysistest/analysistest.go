@@ -10,12 +10,13 @@
 //
 // Every reported diagnostic must match a want on its line, and every
 // want must be matched by a diagnostic; mismatches fail the test with
-// the full delta.
+// the full delta. A want comment whose text is not a list of quoted
+// regexps fails the test too.
 package analysistest
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -24,12 +25,6 @@ import (
 	"corona/internal/analysis"
 	"corona/internal/analysis/load"
 )
-
-// lineKey addresses one fixture source line.
-type lineKey struct {
-	file string
-	line int
-}
 
 // Run loads the fixture packages at <testdata>/src/<path> and applies
 // the analyzer, comparing findings with // want comments. The driver's
@@ -45,91 +40,97 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
+	for _, p := range check(pkgs, findings) {
+		t.Error(p)
+	}
+}
 
-	wants := map[lineKey][]*regexp.Regexp{}
+// want is one expected finding: a regexp for the message of a finding
+// on its file and line.
+type want struct {
+	file    string
+	line    int
+	re      *regexp.Regexp
+	matched bool
+}
+
+// check compares findings with the // want comments in pkgs' files and
+// returns one problem per mismatch, each naming its file:line: a finding
+// no want on its line matches, a want no finding matches, and a want
+// comment that does not parse. Each want matches at most one finding.
+func check(pkgs []*load.Package, findings []analysis.Finding) []string {
+	var wants []*want
+	var problems []string
 	for _, pkg := range pkgs {
-		files := append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-		for _, f := range files {
-			collectWants(t, pkg.Fset, f, wants)
+		for _, f := range append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...) {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := wantRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					res, err := parseWants(m[1])
+					if err != nil {
+						problems = append(problems, fmt.Sprintf("%s:%d: bad want comment: %v", pos.Filename, pos.Line, err))
+					}
+					for _, re := range res {
+						wants = append(wants, &want{file: pos.Filename, line: pos.Line, re: re})
+					}
+				}
+			}
 		}
 	}
-
-	matched := map[*regexp.Regexp]bool{}
 	for _, f := range findings {
-		k := lineKey{f.Pos.Filename, f.Pos.Line}
-		ok := false
-		for _, re := range wants[k] {
-			if !matched[re] && re.MatchString(f.Message) {
-				matched[re] = true
-				ok = true
-				break
-			}
+		if w := firstMatch(wants, f); w != nil {
+			w.matched = true
+			continue
 		}
-		if !ok {
-			t.Errorf("unexpected finding at %s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
+		problems = append(problems, fmt.Sprintf("unexpected finding at %s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message))
+	}
+	for _, w := range wants {
+		if !w.matched {
+			problems = append(problems, fmt.Sprintf("missing finding at %s:%d: want match for %q", w.file, w.line, w.re))
 		}
 	}
-	for k, res := range wants {
-		for _, re := range res {
-			if !matched[re] {
-				t.Errorf("missing finding at %s:%d: want match for %q", k.file, k.line, re)
-			}
-		}
-	}
+	return problems
 }
 
-var wantRe = regexp.MustCompile(`// want (.*)$`)
-
-// collectWants parses // want comments into per-line expectations.
-func collectWants(t *testing.T, fset *token.FileSet, f *ast.File, wants map[lineKey][]*regexp.Regexp) {
-	t.Helper()
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			m := wantRe.FindStringSubmatch(c.Text)
-			if m == nil {
-				continue
-			}
-			pos := fset.Position(c.Pos())
-			for _, q := range splitQuoted(m[1]) {
-				pat, err := strconv.Unquote(q)
-				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %s: %v", pos.Filename, pos.Line, q, err)
-				}
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, pat, err)
-				}
-				k := lineKey{pos.Filename, pos.Line}
-				wants[k] = append(wants[k], re)
-			}
+// firstMatch returns the first unmatched want on f's line that matches
+// f's message, or nil.
+func firstMatch(wants []*want, f analysis.Finding) *want {
+	for _, w := range wants {
+		if !w.matched && w.file == f.Pos.Filename && w.line == f.Pos.Line && w.re.MatchString(f.Message) {
+			return w
 		}
 	}
+	return nil
 }
 
-// splitQuoted splits `"a" "b c"` into quoted chunks.
-func splitQuoted(s string) []string {
-	var out []string
+var wantRe = regexp.MustCompile(`// want\b(.*)$`)
+
+// parseWants compiles the quoted regexps of a want comment's text, such
+// as `"a" "b c"`. Text that is not a quoted Go string, a string that is
+// not a regexp, or no string at all is an error, returned with the
+// regexps before it.
+func parseWants(s string) ([]*regexp.Regexp, error) {
+	var res []*regexp.Regexp
 	s = strings.TrimSpace(s)
-	for s != "" {
-		if s[0] != '"' {
-			break
-		}
-		end := 1
-		for end < len(s) {
-			if s[end] == '\\' {
-				end += 2
-				continue
-			}
-			if s[end] == '"' {
-				break
-			}
-			end++
-		}
-		if end >= len(s) {
-			break
-		}
-		out = append(out, s[:end+1])
-		s = strings.TrimSpace(s[end+1:])
+	if s == "" {
+		return nil, fmt.Errorf("no pattern")
 	}
-	return out
+	for s != "" {
+		q, err := strconv.QuotedPrefix(s)
+		if err != nil {
+			return res, fmt.Errorf("want a quoted pattern at %q", s)
+		}
+		pat, _ := strconv.Unquote(q) // QuotedPrefix vouched for it
+		re, err := regexp.Compile(pat)
+		if err != nil {
+			return res, fmt.Errorf("bad regexp %q: %v", pat, err)
+		}
+		res = append(res, re)
+		s = strings.TrimSpace(s[len(q):])
+	}
+	return res, nil
 }

@@ -206,3 +206,43 @@ func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
 		t.Fatalf("second delivery decoded the diff (%d decodes in all)", decodes)
 	}
 }
+
+// TestMismatchedBaseSkipsDiffDecode delivers an update whose diff starts
+// from a version this node does not cache: the header alone rules it
+// out, so the diff is never decoded and the cache stays as it is.
+func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
+	const url = "http://feeds.example.net/behind.xml"
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
+	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("behind"), Endpoint: "sim://0"})
+	overlay.Bootstrap()
+	cfg := DefaultConfig()
+	cfg.ContentMode = true
+	n := NewNode(cfg, overlay, sim, &OriginFetcher{Origin: webserver.NewOrigin(), Clock: sim}, &diffRecorder{diffs: make(map[uint64]string)}, nil)
+
+	decodes := 0
+	t.Cleanup(func() { decodeDiff = diffengine.Decode })
+	decodeDiff = func(s string) (*diffengine.Diff, error) {
+		decodes++
+		return diffengine.Decode(s)
+	}
+
+	v1 := []string{"<item>a</item>"}
+	v2, v3 := append(slices.Clone(v1), "<item>b</item>"), append(slices.Clone(v1), "<item>b</item>", "<item>c</item>")
+	ch := n.channel(url)
+	n.mu.Lock()
+	ch.content, ch.contentVersion, ch.lastVersion = v1, 1, 1
+	n.mu.Unlock()
+	n.handleUpdate(pastry.Message{From: pastry.Addr{ID: ids.HashString("peer"), Endpoint: "sim://1"}, Payload: &updateMsg{
+		URL: url, Version: 3, Diff: diffengine.Encode(diffengine.Compute(v2, v3, 2, 3)),
+	}})
+	n.mu.Lock()
+	got, ver := slices.Clone(ch.content), ch.contentVersion
+	n.mu.Unlock()
+	if ver != 1 || !slices.Equal(got, v1) {
+		t.Fatalf("a diff from v2 moved v1 content to v%d %q", ver, got)
+	}
+	if decodes != 0 {
+		t.Fatalf("a diff from a base this node lacks was decoded %d times, want 0", decodes)
+	}
+}

@@ -439,15 +439,21 @@ var decodeDiff = diffengine.Decode
 // applyDiff patches the locally cached core content so this node can
 // generate future diffs against the newest version (§3.1: every polling
 // node keeps a copy of the latest version). Only a diff whose base is the
-// cached content's version applies; others leave the cache as it is.
+// cached content's version applies; others leave the cache as it is, and
+// are never decoded past their header.
 func (n *Node) applyDiff(ch *channelState, encoded string) {
-	d, err := decodeDiff(encoded)
+	oldV, newV, err := diffengine.Versions(encoded)
 	if err != nil {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if d.OldVersion != ch.contentVersion || d.NewVersion <= ch.contentVersion {
+	if oldV != ch.contentVersion || newV <= ch.contentVersion {
+		return
+	}
+	// Decoding costs no more than the Apply below, which holds the lock too.
+	d, err := decodeDiff(encoded)
+	if err != nil {
 		return
 	}
 	patched, err := d.Apply(ch.content)

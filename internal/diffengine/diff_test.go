@@ -227,6 +227,23 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestVersionsReadsHeaderOnly: Versions returns the pair Decode would,
+// rejects the headers Decode rejects, and ignores the hunks below.
+func TestVersionsReadsHeaderOnly(t *testing.T) {
+	d := Compute([]string{"a"}, []string{"a", "b"}, 7, 9)
+	if oldV, newV, err := Versions(Encode(d)); err != nil || oldV != 7 || newV != 9 {
+		t.Fatalf("Versions = %d, %d, %v; want 7, 9, nil", oldV, newV, err)
+	}
+	if oldV, newV, err := Versions("CORONA-DIFF v3 4\nnot a hunk\n"); err != nil || oldV != 3 || newV != 4 {
+		t.Fatalf("Versions over bad hunks = %d, %d, %v; want 3, 4, nil", oldV, newV, err)
+	}
+	for _, c := range []string{"", "BOGUS HEADER\n", "CORONA-DIFF v1 2 3\n", "CORONA-DIFF v1 2\r\n1,1d\r\n"} {
+		if _, _, err := Versions(c); err == nil {
+			t.Errorf("Versions(%q) succeeded, want error", c)
+		}
+	}
+}
+
 func TestWireSizeSmallerThanContent(t *testing.T) {
 	// A small edit to a large document must encode much smaller than the
 	// document itself — the point of delta encoding (paper §3.4).

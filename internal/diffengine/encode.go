@@ -159,6 +159,14 @@ func (r *lineReader) body() ([]string, error) {
 	}
 }
 
+// Versions reads the version pair from the header line of an encoded
+// diff without decoding its hunks, so a receiver can skip a diff whose
+// base it does not hold for the cost of one line.
+func Versions(s string) (oldV, newV uint64, err error) {
+	header, _, _ := strings.Cut(s, "\n")
+	return parseHeader(header)
+}
+
 func parseHeader(line string) (oldV, newV uint64, err error) {
 	rest, ok := strings.CutPrefix(line, "CORONA-DIFF v")
 	o, n, ok2 := strings.Cut(rest, " ")

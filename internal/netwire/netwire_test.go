@@ -522,14 +522,7 @@ func TestPastryOverTCP(t *testing.T) {
 	}
 	peers[0].node.Bootstrap()
 	for i := 1; i < n; i++ {
-		if err := peers[i].node.Join(peers[0].node.Self()); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for !peers[i].node.Joined() && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if !peers[i].node.Joined() {
+		if !<-peers[i].node.JoinWait(peers[0].node.Self(), time.Second, 5*time.Second) {
 			t.Fatalf("node %d never joined", i)
 		}
 	}

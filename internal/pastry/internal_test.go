@@ -161,6 +161,39 @@ func TestLeafSetIgnoresSelfAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestLeafSetCoversWholeSmallRing: while the ring has at most 2k nodes the
+// two sides of the leaf set overlap, hold every other node, and cover
+// every key, the arcs either side of self included. In a larger ring only
+// the span of the leaf set is covered.
+func TestLeafSetCoversWholeSmallRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const k = 4
+	for size := 2; size <= 2*k; size++ {
+		ls := newLeafSet(ids.Random(rng), k)
+		for i := 1; i < size; i++ {
+			ls.add(Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("m%d", i)})
+		}
+		for j := 0; j < 64; j++ {
+			if key := ids.Random(rng); !ls.coversKey(key) {
+				t.Fatalf("ring of %d: key %v not covered by a leaf set holding every node", size, key)
+			}
+		}
+	}
+	ls := newLeafSet(ids.Random(rng), k)
+	for i := 1; i < 50; i++ {
+		ls.add(Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("m%d", i)})
+	}
+	uncovered := 0
+	for j := 0; j < 64; j++ {
+		if !ls.coversKey(ids.Random(rng)) {
+			uncovered++
+		}
+	}
+	if uncovered == 0 {
+		t.Fatal("a leaf set of 8 in a ring of 50 covered 64 random keys")
+	}
+}
+
 // TestNextHopInCoveredRingAllocatesNothing pins the leaf-set fast path:
 // in a ring the leaf set covers — every corona-load cluster — each Route
 // and each owner's IsRoot self-check resolves through closestToKey, which

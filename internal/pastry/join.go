@@ -2,7 +2,9 @@ package pastry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"corona/internal/ids"
 )
@@ -47,9 +49,36 @@ func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
 
 // Bootstrap initializes this node as the first member of a new ring.
 func (n *Node) Bootstrap() {
+	n.markJoined()
+}
+
+// markJoined closes joined unless it already is, and ends every pending
+// JoinWait.
+func (n *Node) markJoined() {
 	n.mu.Lock()
-	n.joined = true
+	if !n.Joined() {
+		close(n.joined)
+	}
+	n.announce = nil
+	waits := n.joinWaits
+	n.joinWaits = nil
 	n.mu.Unlock()
+	for _, out := range waits {
+		out <- true
+	}
+}
+
+// answered records that a member this node announced itself to has
+// learned it, or has died, and completes the join once none is left.
+func (n *Node) answered(id ids.ID) {
+	n.mu.Lock()
+	_, pending := n.announce[id]
+	delete(n.announce, id)
+	done := pending && len(n.announce) == 0
+	n.mu.Unlock()
+	if done {
+		n.markJoined()
+	}
 }
 
 // Join enters the ring through the given seed node: the join request is
@@ -71,11 +100,87 @@ func (n *Node) Join(seed Addr) error {
 	return n.send(seed, msg)
 }
 
-// Joined reports whether the node has completed a Join or Bootstrap.
+// Joined reports whether the node has completed a Join or Bootstrap. A
+// Join completes when the join reply has landed and every member the
+// reply taught this node has answered its announcement, so the members
+// it knows of also know it.
 func (n *Node) Joined() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.joined
+	select {
+	case <-n.joined:
+		return true
+	default:
+		return false
+	}
+}
+
+// JoinWait joins through seed and reports on the returned channel whether
+// the node joined: true the moment the join completes (at once if the
+// node has already joined), false if the first join cannot be sent or
+// timeout passes without a reply. Until the reply lands the join is
+// re-sent every resend: a reply can vanish into a stale one-directional
+// connection at the seed (a restarted node rejoining on its old address
+// is exactly that case), and the join protocol itself is
+// fire-and-forget. Once it has landed, a member that leaves the
+// announcement unanswered holds the join up until the next re-send tick
+// at most. The timers run on the node's clock, and the channel buffers
+// its one value, so a callback on a simulator clock never blocks. Once
+// the node has joined, a pending re-send timer fires once more and does
+// nothing.
+func (n *Node) JoinWait(seed Addr, resend, timeout time.Duration) <-chan bool {
+	out := make(chan bool, 1)
+	n.mu.Lock()
+	joined := n.Joined()
+	if !joined {
+		n.joinWaits = append(n.joinWaits, out)
+	}
+	n.mu.Unlock()
+	if joined {
+		out <- true
+		return out
+	}
+	if err := n.Join(seed); err != nil {
+		n.failJoinWait(out)
+		return out
+	}
+	deadline := n.clk.Now().Add(timeout)
+	var tick func()
+	tick = func() {
+		if n.Joined() {
+			return
+		}
+		n.mu.RLock()
+		replied := n.announce != nil
+		n.mu.RUnlock()
+		if replied {
+			// The reply landed but a member has not answered for a whole
+			// re-send period; it need not hold the join up any longer.
+			n.markJoined()
+			return
+		}
+		left := deadline.Sub(n.clk.Now())
+		if left <= 0 {
+			n.failJoinWait(out)
+			return
+		}
+		n.Join(seed)
+		n.clk.AfterFunc(min(resend, left), tick)
+	}
+	n.clk.AfterFunc(min(resend, timeout), tick)
+	return out
+}
+
+// failJoinWait yields false on a JoinWait's channel unless markJoined has
+// already taken it and yielded true.
+func (n *Node) failJoinWait(out chan bool) {
+	n.mu.Lock()
+	i := slices.Index(n.joinWaits, out)
+	if i >= 0 {
+		n.joinWaits = slices.Delete(n.joinWaits, i, i+1)
+	}
+	n.mu.Unlock()
+	if i >= 0 {
+		out <- false
+	}
 }
 
 func (n *Node) handleProtocol(msg Message) {
@@ -145,17 +250,24 @@ func (n *Node) handleJoinReply(msg Message) {
 	for _, a := range p.Table {
 		n.Learn(a)
 	}
+	if n.Joined() {
+		return
+	}
+	// Announce ourselves to everyone we just learned about so they can
+	// fold us into their own state (Pastry's join broadcast to the new
+	// node's leaf set and row contacts). The join completes once each has
+	// answered: a node that routed on before they knew it would have its
+	// first messages rooted on views that leave it out. A re-sent join's
+	// reply announces again.
+	known := n.KnownNodes()
 	n.mu.Lock()
-	wasJoined := n.joined
-	n.joined = true
+	n.announce = make(map[ids.ID]struct{}, len(known))
+	for _, a := range known {
+		n.announce[a.ID] = struct{}{}
+	}
 	n.mu.Unlock()
-	if !wasJoined {
-		// Announce ourselves to everyone we just learned about so they
-		// can fold us into their own state (Pastry's join broadcast to
-		// the new node's leaf set and row contacts).
-		for _, a := range n.KnownNodes() {
-			n.SendDirect(a, msgStateRequest, nil)
-		}
+	for _, a := range known {
+		n.SendDirect(a, msgStateRequest, nil)
 	}
 }
 
@@ -176,6 +288,7 @@ func (n *Node) handleStateReply(msg Message) {
 	for _, a := range p.Leaves {
 		n.Learn(a)
 	}
+	n.answered(msg.From.ID)
 }
 
 // Stabilize runs one round of leaf-set anti-entropy: ask one known
@@ -233,7 +346,7 @@ func BuildStaticOverlay(nodes []*Node) {
 			node.leaves.add(sorted[(i+d)%m].self)
 			node.leaves.add(sorted[(i-d+m)%m].self)
 		}
-		node.joined = true
+		node.markJoined()
 		node.gen++
 	}
 	// Routing tables: group nodes by digit prefix. For each node and each

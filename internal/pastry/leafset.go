@@ -159,5 +159,11 @@ func (l *leafSet) coversKey(key ids.ID) bool {
 	}
 	lo := l.ccw[len(l.ccw)-1].ID // farthest counter-clockwise member
 	hi := l.cw[len(l.cw)-1].ID   // farthest clockwise member
+	if containsID(l.cw, lo) {
+		// The sides overlap, so the leaf set holds every node this node
+		// knows of and spans the whole ring; (lo, hi] would leave out the
+		// arcs on either side of self.
+		return true
+	}
 	return key.Between(lo, hi) || key == l.self
 }

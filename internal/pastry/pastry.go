@@ -298,8 +298,13 @@ type Node struct {
 	table    *routingTable
 	leaves   *leafSet
 	handlers map[string]HandlerFunc
-	// deliverSelf is invoked when a routed message terminates here.
-	joined bool
+	// joined is closed, once and under mu, when the node completes a
+	// Join or Bootstrap; joinWaits are the pending JoinWait channels
+	// that closing it answers, and announce the members a joining node
+	// has announced itself to and not yet heard back from.
+	joined    chan struct{}
+	joinWaits []chan bool
+	announce  map[ids.ID]struct{}
 
 	// onFault, if set, is called when a peer is detected dead. Corona
 	// uses it to trigger subscription-state handoff checks.
@@ -346,6 +351,7 @@ func NewNode(cfg Config, self Addr, transport Transport, clk clock.Clock) *Node 
 		table:     newRoutingTable(cfg.Base, self.ID, cfg.MaxTableRows),
 		leaves:    newLeafSet(self.ID, cfg.LeafSetSize),
 		handlers:  make(map[string]HandlerFunc),
+		joined:    make(chan struct{}),
 	}
 	n.registerProtocolHandlers()
 	if at, ok := transport.(AsyncTransport); ok {

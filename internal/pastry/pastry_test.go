@@ -168,6 +168,47 @@ func TestBroadcastCoversWedgeExactly(t *testing.T) {
 	}
 }
 
+// TestSmallRingRoutesInOneHop: in a ring small enough for every leaf set
+// to hold every node, a routed message goes straight to its key's root. A
+// detour through a third node is lost when that node has just died (an
+// asynchronous transport learns of the death only after the send).
+func TestSmallRingRoutesInOneHop(t *testing.T) {
+	sim, _, nodes := testRing(t, 3, 11)
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 64; trial++ {
+		key := ids.Random(rng)
+		root := nodes[0]
+		for _, n := range nodes[1:] {
+			if n.Self().ID.Distance(key).Cmp(root.Self().ID.Distance(key)) < 0 {
+				root = n
+			}
+		}
+		var at *pastry.Node
+		hops := -1
+		typ := fmt.Sprintf("test.small.%d", trial)
+		for _, n := range nodes {
+			n := n
+			n.Handle(typ, func(m pastry.Message) { at, hops = n, m.Hops })
+		}
+		src := nodes[trial%len(nodes)]
+		if err := src.Route(key, typ, nil); err != nil {
+			t.Fatal(err)
+		}
+		sim.RunFor(time.Second)
+		want := 1
+		if src == root {
+			want = 0
+		}
+		if at != root || hops != want {
+			got := "nowhere"
+			if at != nil {
+				got = at.Self().Endpoint
+			}
+			t.Fatalf("key %v from %s: delivered at %s in %d hops, want %s in %d", key, src.Self().Endpoint, got, hops, root.Self().Endpoint, want)
+		}
+	}
+}
+
 func TestJoinProtocolConverges(t *testing.T) {
 	sim := eventsim.New(41)
 	net := simnet.New(sim, simnet.FixedLatency(2*time.Millisecond))

@@ -92,4 +92,5 @@ func (n *Node) peerFailed(dead Addr) {
 	if cb != nil && (removedTable || removedLeaf) {
 		cb(dead)
 	}
+	n.answered(dead.ID) // a dead member need not learn of a joiner
 }

@@ -127,6 +127,15 @@ func init() {
 // starts the protocol, then serves the client edges LiveConfig names
 // (ClientBind, WebBind, AdminBind). Clients of the line protocol are
 // served by ServeIM, which cmd/corona-node calls for its -im address.
+//
+// With Seeds set, StartLiveNode proceeds the moment the join completes:
+// the join reply has landed and the members it names have answered this
+// node's announcement, so they route with this node in view (one that
+// stays silent holds the join up until the next re-send at most). The
+// seeds are tried in order: each one gets the join re-sent once a second
+// and a deadline of the transport's dial budget plus 2 s, and a seed that
+// misses its deadline hands over to the next. StartLiveNode fails when
+// none of them answers.
 func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	if cfg.Bind == "" {
 		return nil, fmt.Errorf("corona: Bind address required")
@@ -219,15 +228,11 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	} else {
 		// Join is asynchronous under netwire: Send enqueues and dial
 		// failures surface through the transport's fault callback. Wait
-		// for the join handshake to land before falling back to the next
-		// seed.
+		// for the join to complete before falling back to the next seed.
 		joined := false
 		for _, seed := range cfg.Seeds {
 			seedAddr := pastry.Addr{ID: idFromEndpoint(seed), Endpoint: seed}
-			if err := overlay.Join(seedAddr); err != nil {
-				continue
-			}
-			if waitJoined(overlay, seedAddr, transport.DialBudget()+2*time.Second) {
+			if <-overlay.JoinWait(seedAddr, time.Second, transport.DialBudget()+2*time.Second) {
 				joined = true
 				break
 			}
@@ -571,27 +576,6 @@ func (ln *LiveNode) Kill() {
 // subscriber count), if it tracks one.
 func (ln *LiveNode) Channel(url string) (core.ChannelInfo, bool) {
 	return ln.node.Channel(url)
-}
-
-// waitJoined polls for join-handshake completion up to the deadline,
-// re-sending the join once a second: a reply can vanish into a stale
-// one-directional connection at the seed (a restarted node rejoining on
-// its old address is exactly that case), and the join protocol itself is
-// fire-and-forget, so the retry has to live here.
-func waitJoined(overlay *pastry.Node, seed pastry.Addr, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	resend := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if overlay.Joined() {
-			return true
-		}
-		if now := time.Now(); now.After(resend) {
-			overlay.Join(seed)
-			resend = now.Add(time.Second)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return overlay.Joined()
 }
 
 // idFromEndpoint derives the node identifier from its advertised address,

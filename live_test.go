@@ -139,6 +139,33 @@ func TestLiveRingAttachRealTime(t *testing.T) {
 	}
 }
 
+// TestJoinProceedsOnReply: four nodes join one seed in sequence over
+// loopback, and each StartLiveNode returns once its join reply lands, so
+// the four calls together take well under one re-send period.
+func TestJoinProceedsOnReply(t *testing.T) {
+	seed, err := StartLiveNode(LiveConfig{Bind: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	var took time.Duration
+	for i := 0; i < 4; i++ {
+		start := time.Now()
+		n, err := StartLiveNode(LiveConfig{Bind: "127.0.0.1:0", Seeds: []string{seed.Addr()}})
+		took += time.Since(start)
+		if err != nil {
+			t.Fatalf("joiner %d: %v", i, err)
+		}
+		defer n.Close()
+		if !n.overlay.Joined() {
+			t.Fatalf("joiner %d returned before joining", i)
+		}
+	}
+	if took >= 100*time.Millisecond {
+		t.Fatalf("four joins took %v, want under 100ms", took)
+	}
+}
+
 // reservePorts grabs n distinct loopback ports and releases them, so a
 // test can restart a node on the same address (the node identifier is
 // derived from the advertised address, so a restarted node must rebind
