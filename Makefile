@@ -75,9 +75,9 @@ bench:
 
 # The torture suite: every chaos scenario at CI scale, with the invariant
 # sweep (single owner, no black holes, monotonic versions, exactly-once
-# after convergence, consistent delegate rosters). Convergence time,
-# messages-to-converge, violation count (must be 0), and peak owner load
-# are recorded in BENCH_scale.json.
+# after convergence, consistent delegate rosters). Deliveries and
+# duplicates, delivery latency, violation count (must be 0), and peak
+# owner load are recorded in BENCH_scale.json.
 chaos:
 	$(GO) run ./cmd/corona-chaos -o BENCH_scale.json
 

@@ -302,10 +302,6 @@ func (ln *LiveNode) ServeAdmin(bind string) (addr string, err error) {
 				return
 			}
 		}
-		if ln.web != nil && ln.web.Closed() {
-			http.Error(w, "not ready: web gateway stopped", http.StatusServiceUnavailable)
-			return
-		}
 		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("/channels", func(w http.ResponseWriter, r *http.Request) {

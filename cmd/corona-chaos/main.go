@@ -78,9 +78,9 @@ func main() {
 			sc.Name, cfg.Nodes, cfg.Channels, cfg.Subscriptions, cfg.Seed)
 		res := chaos.Execute(sc, cfg)
 		results = append(results, res)
-		fmt.Printf("converged=%v in %v, %d deliveries (%d dup), %d lost channels, "+
+		fmt.Printf("converged=%v, %d deliveries (%d dup), %d lost channels, "+
 			"peak owner %d notifies, wall %v\n",
-			res.Converged, res.ConvergeTime, res.Deliveries, res.Duplicates,
+			res.Converged, res.Deliveries, res.Duplicates,
 			res.LostChannels, res.PeakOwnerNotifies, res.WallTime.Round(res.WallTime/100+1))
 		if res.DeliveryLatencyP50 > 0 {
 			fmt.Printf("delivery latency (detection to client, virtual time): p50=%v p99=%v\n",

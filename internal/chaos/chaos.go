@@ -177,9 +177,7 @@ func Execute(sc Scenario, cfg Config) Result {
 	// Convergence loop: step one maintenance interval at a time until the
 	// structural invariants hold on every live node, bounded by the
 	// deadline so a scenario that cannot stabilize fails loudly.
-	msgs0 := r.H.Net.Delivered()
-	convergeStart := r.H.Sim.Now()
-	deadline := convergeStart.Add(cfg.ConvergeDeadline)
+	deadline := r.H.Sim.Now().Add(cfg.ConvergeDeadline)
 	converged := false
 	var structural []Violation
 	for {
@@ -198,8 +196,6 @@ func Execute(sc Scenario, cfg Config) Result {
 		}
 		r.H.Sim.RunFor(step)
 	}
-	convergeTime := r.H.Sim.Now().Sub(convergeStart)
-	msgsToConverge := r.H.Net.Delivered() - msgs0
 	if !converged {
 		r.violations = append(r.violations, structural...)
 	}
@@ -220,19 +216,17 @@ func Execute(sc Scenario, cfg Config) Result {
 
 	live := len(r.H.LiveNodes())
 	res := Result{
-		Scenario:       sc.Name,
-		Seed:           cfg.Seed,
-		Nodes:          len(r.H.Nodes),
-		LiveNodes:      live,
-		Channels:       cfg.Channels,
-		Subscriptions:  len(r.H.Subs),
-		Converged:      converged,
-		ConvergeTime:   convergeTime,
-		MsgsToConverge: msgsToConverge,
-		Violations:     r.violations,
-		Deliveries:     r.Log.Total(),
-		Duplicates:     r.Log.Duplicates(),
-		LostChannels:   len(r.lost),
+		Scenario:      sc.Name,
+		Seed:          cfg.Seed,
+		Nodes:         len(r.H.Nodes),
+		LiveNodes:     live,
+		Channels:      cfg.Channels,
+		Subscriptions: len(r.H.Subs),
+		Converged:     converged,
+		Violations:    r.violations,
+		Deliveries:    r.Log.Total(),
+		Duplicates:    r.Log.Duplicates(),
+		LostChannels:  len(r.lost),
 		//lint:allow wallclock reporting-only: WallTime measures real harness runtime and never feeds simulation state
 		WallTime: time.Since(start),
 	}

@@ -17,9 +17,8 @@ func TestScenarios(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			res := Execute(sc, cfg)
-			t.Logf("%s: converged=%v in %v, %d msgs, %d deliveries (%d dup), %d lost channels, peak owner %d notifies",
-				sc.Name, res.Converged, res.ConvergeTime, res.MsgsToConverge,
-				res.Deliveries, res.Duplicates, res.LostChannels, res.PeakOwnerNotifies)
+			t.Logf("%s: converged=%v, %d deliveries (%d dup), %d lost channels, peak owner %d notifies",
+				sc.Name, res.Converged, res.Deliveries, res.Duplicates, res.LostChannels, res.PeakOwnerNotifies)
 			if !res.Converged {
 				t.Errorf("did not converge within %v", cfg.ConvergeDeadline)
 			}

@@ -10,18 +10,16 @@ import (
 
 // Result is the outcome of one scenario execution.
 type Result struct {
-	Scenario       string        `json:"scenario"`
-	Seed           int64         `json:"seed"`
-	Nodes          int           `json:"nodes"`
-	LiveNodes      int           `json:"live_nodes"`
-	Channels       int           `json:"channels"`
-	Subscriptions  int           `json:"subscriptions"`
-	Converged      bool          `json:"converged"`
-	ConvergeTime   time.Duration `json:"converge_time_ns"`
-	MsgsToConverge uint64        `json:"msgs_to_converge"`
-	Violations     []Violation   `json:"violations,omitempty"`
-	Deliveries     uint64        `json:"deliveries"`
-	Duplicates     uint64        `json:"duplicates"`
+	Scenario      string      `json:"scenario"`
+	Seed          int64       `json:"seed"`
+	Nodes         int         `json:"nodes"`
+	LiveNodes     int         `json:"live_nodes"`
+	Channels      int         `json:"channels"`
+	Subscriptions int         `json:"subscriptions"`
+	Converged     bool        `json:"converged"`
+	Violations    []Violation `json:"violations,omitempty"`
+	Deliveries    uint64      `json:"deliveries"`
+	Duplicates    uint64      `json:"duplicates"`
 	// DeliveryLatencyP50/P99 are detection-to-delivery percentiles in
 	// virtual time, estimated from the delivery log's histogram; zero
 	// when no delivery carried a detection timestamp.
@@ -71,8 +69,6 @@ func WriteReport(w io.Writer, scaleName string, seed int64, results []Result) er
 			Package:    "corona/internal/chaos",
 			Iterations: 1,
 			Metrics: map[string]float64{
-				"converge_s":           res.ConvergeTime.Seconds(),
-				"msgs_to_converge":     float64(res.MsgsToConverge),
 				"invariant_violations": float64(len(res.Violations)),
 				"deliveries":           float64(res.Deliveries),
 				"dup_deliveries":       float64(res.Duplicates),

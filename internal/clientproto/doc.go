@@ -1,14 +1,16 @@
 // Package clientproto is Corona's length-framed binary client protocol:
 // the wire surface between a subscriber (the corona/client SDK) and one
-// node's client port. It replaces the prototype's stringly IM line
-// protocol as the primary ingress; the line protocol survives on a
-// separate port as a second framing of the same session server
-// (line.go): its LOGIN, SUBSCRIBE, UNSUBSCRIBE and QUIT lines are the
+// node's client port — and the session model every client framing
+// shares. One session loop (Session.Serve) serves three framings: this
+// binary protocol; the prototype's IM line protocol on a separate port
+// (line.go), whose LOGIN, SUBSCRIBE, UNSUBSCRIBE and QUIT lines are the
 // Login, Subscribe and Unsubscribe requests below plus an end-of-session
 // request, its OK/ERR lines the Ack and Nak, and its MSG lines the
-// Notify, under the same session, resumption and slow-client rules
-// (a line client has no resume token, so it cannot displace a live
-// session).
+// Notify (a line client has no resume token, so it cannot displace a
+// live session); and the web gateway's WebSocket JSON messages. The web
+// gateway's SSE handler calls the same session's Login, Subscribe and
+// KeepAlive. Every framing thus answers a request the same way, under
+// the same session, resumption and slow-client rules.
 //
 // # Hello
 //

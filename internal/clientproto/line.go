@@ -3,6 +3,7 @@ package clientproto
 import (
 	"bufio"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 )
@@ -26,22 +27,21 @@ const TransportLine = "line"
 // stay on one line) is "UPDATE <url> v<version>\n" followed by the diff;
 // a line longer than MaxFrame is dropped and counted, like an oversize
 // binary frame. Request lines are bounded by MaxFrame too.
-var lineFraming = framing[string]{
-	transport: TransportLine,
-	reader:    lineReader,
-	reply:     replyLine,
-	write: func(bw *bufio.Writer, q Queued[string]) error {
+var lineFraming = Framing[string]{
+	Transport: TransportLine,
+	Reader:    lineReader,
+	Reply:     replyLine,
+	Write: func(bw *bufio.Writer, q Queued[string]) error {
 		_, err := bw.WriteString(q.Msg)
 		return err
 	},
-	encode: encodeLine,
 }
 
 // errLineUsage answers a line that is no command.
-const errLineUsage = badRequest("expected LOGIN <handle> | SUBSCRIBE <url> | UNSUBSCRIBE <url> | QUIT")
+const errLineUsage = BadRequest("expected LOGIN <handle> | SUBSCRIBE <url> | UNSUBSCRIBE <url> | QUIT")
 
-func lineReader(r io.Reader) func() (Frame, error) {
-	sc := bufio.NewScanner(r)
+func lineReader(conn net.Conn, _ *Outbox[string]) func() (Frame, error) {
+	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 4096), MaxFrame)
 	return func() (Frame, error) {
 		for sc.Scan() {

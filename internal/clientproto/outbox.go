@@ -1,7 +1,6 @@
 package clientproto
 
 import (
-	"bufio"
 	"net"
 	"slices"
 	"sync"
@@ -303,18 +302,22 @@ func (o *Outbox[T]) signal() {
 	}
 }
 
-// Subscribe runs subscribe with live delivery on channel held back, then
-// — when it succeeds — runs catchUp (if set) with the outbox locked and
-// releases the channel. Whatever catchUp queues goes out after anything
-// already queued and before any later live notify for the channel, and
-// the watermark keeps the union free of duplicates: any live update
-// suppressed meanwhile must be one catchUp can find (the SessionTable
-// appends every update to its replay rings before any deliverer runs).
-func (o *Outbox[T]) Subscribe(channel string, subscribe func() error, catchUp func(Gap[T])) error {
-	o.mu.Lock()
-	o.gated[channel] = struct{}{}
-	o.mu.Unlock()
-	err := subscribe()
+// subscribe runs call, then — when it succeeds — adds channel to the
+// session's channel set and runs catchUp (if set) with the outbox
+// locked: what catchUp queues (controlLocked, replayLocked, skipLocked)
+// goes out after anything already queued and before any later live
+// notify for the channel. With hold set, live delivery on channel is
+// held back while call runs, and the watermark keeps the union free of
+// duplicates: any live update suppressed meanwhile must be one catchUp
+// can find (the SessionTable appends every update to its replay rings
+// before any deliverer runs).
+func (o *Outbox[T]) subscribe(channel string, hold bool, call func() error, catchUp func()) error {
+	if hold {
+		o.mu.Lock()
+		o.gated[channel] = struct{}{}
+		o.mu.Unlock()
+	}
+	err := call()
 	o.mu.Lock()
 	delete(o.gated, channel)
 	if err == nil {
@@ -322,7 +325,7 @@ func (o *Outbox[T]) Subscribe(channel string, subscribe func() error, catchUp fu
 			o.last[channel] = 0
 		}
 		if !o.closed && catchUp != nil {
-			catchUp(Gap[T]{o: o, channel: channel})
+			catchUp()
 		}
 	}
 	slow := o.overflow
@@ -352,43 +355,36 @@ func (o *Outbox[T]) Channels() []string {
 	return urls
 }
 
-// Gap is a subscribe's catch-up step, valid only inside the catchUp
-// callback of Subscribe (the outbox is locked).
-type Gap[T any] struct {
-	o       *Outbox[T]
-	channel string
-}
-
-// Control queues a control item.
-func (g Gap[T]) Control(msg T) {
-	if !g.o.pushControl(msg) {
-		g.o.overflow = true
+// controlLocked queues a control item from a catch-up; a full bound
+// closes the session as slow once subscribe unlocks.
+func (o *Outbox[T]) controlLocked(msg T) {
+	if !o.pushControl(msg) {
+		o.overflow = true
 	}
 }
 
-// Replay queues a notification the session missed, unless its version
-// is not above the channel's watermark. n.Shared must be set.
-func (g Gap[T]) Replay(n Notification) {
-	o := g.o
-	if n.Version <= o.last[g.channel] {
+// replayLocked queues a notification the session missed, unless its
+// version is not above the channel's watermark. n.Shared must be set.
+func (o *Outbox[T]) replayLocked(n Notification) {
+	if n.Version <= o.last[n.Channel] {
 		return
 	}
-	o.last[g.channel] = n.Version
+	o.last[n.Channel] = n.Version
 	msg, ok := o.edge.encode(n)
 	if !ok {
 		o.edge.droppedOversize.Add(1)
 		return
 	}
-	o.pushNotify(Queued[T]{Msg: msg, Channel: g.channel, Version: n.Version, notify: true})
+	o.pushNotify(Queued[T]{Msg: msg, Channel: n.Channel, Version: n.Version, notify: true})
 }
 
-// Skip gives up on the gap: it raises the channel's watermark to version
-// and queues msg, a control item telling the client so.
-func (g Gap[T]) Skip(version uint64, msg T) {
-	if version > g.o.last[g.channel] {
-		g.o.last[g.channel] = version
+// skipLocked gives up on a channel's gap: it raises the watermark to
+// version and queues msg, a control item telling the client so.
+func (o *Outbox[T]) skipLocked(channel string, version uint64, msg T) {
+	if version > o.last[channel] {
+		o.last[channel] = version
 	}
-	g.Control(msg)
+	o.controlLocked(msg)
 }
 
 // Drain is every edge's writer loop. It waits for queued items, hands
@@ -434,21 +430,6 @@ func (o *Outbox[T]) next(spare []Queued[T]) (batch []Queued[T], open bool) {
 		o.mu.Unlock()
 		<-o.kick
 	}
-}
-
-// Pump runs Drain for a socket session in its own goroutine: each batch
-// is written into one buffered writer and flushed once, every socket
-// write under WriteTimeout. conn is closed when the loop ends; the
-// returned channel is closed after that.
-func (o *Outbox[T]) Pump(conn net.Conn, write func(*bufio.Writer, Queued[T]) error) <-chan struct{} {
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		defer conn.Close()
-		bw := bufio.NewWriter(timedWriter{conn})
-		o.Drain(func(q Queued[T]) error { return write(bw, q) }, bw.Flush)
-	}()
-	return stopped
 }
 
 // timedWriter sets the write deadline before every socket write, so a

@@ -53,6 +53,9 @@ type Login struct {
 type Subscribe struct {
 	ReqID uint64
 	URL   string
+	// Since, when set, is a resume cursor (Session.Subscribe): the web
+	// framings carry it, the binary wire does not.
+	Since *uint64
 }
 
 // Unsubscribe removes one.

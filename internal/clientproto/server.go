@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -73,44 +74,54 @@ const TransportBinary = "binary"
 
 // binaryFraming is the length-framed binary protocol this package's doc
 // specifies.
-var binaryFraming = framing[Frame]{
-	transport: TransportBinary,
-	hello:     Negotiate,
-	reader: func(r io.Reader) func() (Frame, error) {
-		br := bufio.NewReader(r)
+var binaryFraming = Framing[Frame]{
+	Transport: TransportBinary,
+	Hello:     Negotiate,
+	Reader: func(conn net.Conn, _ *Outbox[Frame]) func() (Frame, error) {
+		br := bufio.NewReader(conn)
 		return func() (Frame, error) { return ReadFrame(br) }
 	},
-	reply:  replyFrame,
-	info:   func(si ServerInfo) Frame { return &si },
-	write:  writeFrame,
-	encode: encodeNotify,
+	Reply:      replyFrame,
+	Info:       func(si ServerInfo, _ []byte) Frame { return &si },
+	InfoOnPing: true,
+	Write:      writeFrame,
 }
 
-// framing is one socket encoding of the client session model. The
-// Server runs the session — accept loop, outbox, session-table claim,
-// request dispatch — and calls its framing only to read requests off
-// the socket and to render what goes back.
-type framing[T any] struct {
-	// transport names the framing's sessions in the session table.
-	transport string
-	// hello runs the connection's opening exchange; nil when there is
-	// none.
-	hello func(io.ReadWriter) error
-	// reader returns the connection's request reader. Each call yields
-	// the next request: *Login, *Subscribe, *Unsubscribe, *LeaseRefresh,
-	// *Ping or *quit. A badRequest error is answered and the session
-	// reads on; any other error ends the session.
-	reader func(io.Reader) func() (Frame, error)
-	// reply renders a request's outcome: err is nil on success, token is
-	// set only on a login's success. req is nil for a badRequest.
-	reply func(req Frame, token []byte, err error) T
-	// info renders the ServerInfo pushed after a login and after each
-	// ping; nil when the framing carries none.
-	info func(ServerInfo) T
-	// write writes one queued item into the connection's buffered writer.
-	write func(*bufio.Writer, Queued[T]) error
-	// encode is the edge's notify encoder (NewEdge).
-	encode func(Notification) (T, bool)
+// Framing is one socket encoding of the client session model. A Session
+// runs the session — outbox, handle claim, request dispatch, resume,
+// keep-alive — and calls its framing only to read requests and to
+// render what goes back. The web gateway defines the WS and SSE ones.
+type Framing[T any] struct {
+	// Transport names the framing's sessions in the session table.
+	Transport string
+	// Hello runs the connection's opening exchange; nil for none.
+	Hello func(io.ReadWriter) error
+	// Reader returns the connection's request reader, which may queue
+	// answers of its own (a WS pong) on out. Each call yields the next
+	// *Login, *Subscribe, *Unsubscribe, *LeaseRefresh, *Ping or *quit.
+	// A BadRequest error is answered with the reply to the request it
+	// comes with, if any, and the session reads on; any other error ends
+	// the session.
+	Reader func(conn net.Conn, out *Outbox[T]) func() (Frame, error)
+	// Reply renders a request's outcome: err is nil on success, token is
+	// set only on a login's success. Nil when nothing is answered (SSE).
+	Reply func(req Frame, token []byte, err error) T
+	// Info renders the ServerInfo pushed after a login's reply (token is
+	// the login's), and after each ping when InfoOnPing is set; nil when
+	// the framing carries none.
+	Info       func(si ServerInfo, token []byte) T
+	InfoOnPing bool
+	// Snapshot renders the answer to a resume cursor the replay rings
+	// have wrapped past: the newest version, which the client refetches.
+	Snapshot func(channel string, newest uint64) T
+	// Write writes one queued item into the connection's buffered writer.
+	Write func(*bufio.Writer, Queued[T]) error
+	// Heartbeat, HeartbeatEvery and LeaseEvery set the keep-alive of a
+	// framing whose clients send no lease refresh (KeepAlive); a zero
+	// HeartbeatEvery means none.
+	Heartbeat      T
+	HeartbeatEvery time.Duration
+	LeaseEvery     time.Duration
 }
 
 // quit asks the server to end the session once its reply and whatever
@@ -122,29 +133,21 @@ type quit struct{}
 func (*quit) frameType() byte              { return 0 }
 func (*quit) appendBody(dst []byte) []byte { return dst }
 
-// badRequest is a reader error for a request that could not be parsed
+// BadRequest is a reader error for a request that could not be parsed
 // while the stream stays intact: the session answers it and reads on.
-type badRequest string
+type BadRequest string
 
-func (e badRequest) Error() string { return string(e) }
+func (e BadRequest) Error() string { return string(e) }
 
 // Server accepts connections on a listener and serves them against a
-// Backend, one outbox per connection, in one framing.
+// Backend, one session per connection, in one framing.
 type Server struct {
-	backend  Backend
 	table    *SessionTable
 	listener net.Listener
 	edge     interface {
 		Stats() EdgeStats
 		Shutdown()
 	}
-}
-
-// Serve starts accepting binary-protocol connections from ln with a
-// private session table. Close stops the server and every live
-// connection.
-func Serve(ln net.Listener, backend Backend) *Server {
-	return ServeSessions(ln, backend, NewSessionTable(nil), nil)
 }
 
 // ServeSessions starts accepting binary-protocol connections from ln,
@@ -154,20 +157,32 @@ func Serve(ln net.Listener, backend Backend) *Server {
 // time from the update's detection to the frame entering a client's
 // outbox (the admin plane's client_enqueue stage).
 func ServeSessions(ln net.Listener, backend Backend, table *SessionTable, observe func(time.Duration)) *Server {
-	return serve(ln, backend, table, &binaryFraming, observe)
+	return serve(ln, backend, table, &binaryFraming, encodeNotify, observe)
 }
 
 // ServeLine is ServeSessions for the line framing (line.go), the
 // prototype's IM line protocol; observe feeds the im_enqueue stage.
 func ServeLine(ln net.Listener, backend Backend, table *SessionTable, observe func(time.Duration)) *Server {
-	return serve(ln, backend, table, &lineFraming, observe)
+	return serve(ln, backend, table, &lineFraming, encodeLine, observe)
 }
 
-func serve[T any](ln net.Listener, backend Backend, table *SessionTable, f *framing[T], observe func(time.Duration)) *Server {
-	e := NewEdge(DefaultQueueLen, f.encode, observe)
-	s := &Server{backend: backend, table: table, listener: ln, edge: e}
-	go acceptLoop(s, f, e)
-	return s
+func serve[T any](ln net.Listener, backend Backend, table *SessionTable, f *Framing[T], encode func(Notification) (T, bool), observe func(time.Duration)) *Server {
+	e := NewEdge(DefaultQueueLen, encode, observe)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			sess, ok := OpenSession(e, f, backend, table, func() { conn.Close() })
+			if !ok {
+				conn.Close()
+				return
+			}
+			go sess.Serve(conn)
+		}
+	}()
+	return &Server{table: table, listener: ln, edge: e}
 }
 
 // Addr returns the listener address.
@@ -189,21 +204,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-func acceptLoop[T any](s *Server, f *framing[T], e *Edge[T]) {
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		o, ok := e.Open(func() { conn.Close() })
-		if !ok {
-			conn.Close()
-			return
-		}
-		go serveConn(s, f, conn, o)
-	}
-}
-
 // writeFrame is the binary framing of a queued item. Notifies arrive
 // pre-encoded as shared frames (oversized ones never reach the queue);
 // a control frame beyond MaxFrame is skipped, since it would make the
@@ -221,62 +221,102 @@ func writeFrame(bw *bufio.Writer, q Queued[Frame]) error {
 	return err
 }
 
+// RequestID returns the client-chosen ID a request carries; 0 for nil.
+func RequestID(req Frame) uint64 {
+	switch r := req.(type) {
+	case *Login:
+		return r.ReqID
+	case *Subscribe:
+		return r.ReqID
+	case *Unsubscribe:
+		return r.ReqID
+	case *LeaseRefresh:
+		return r.ReqID
+	case *Ping:
+		return r.ReqID
+	}
+	return 0
+}
+
 // replyFrame renders a request's outcome as the Ack or Nak echoing its
 // request ID.
 func replyFrame(req Frame, token []byte, err error) Frame {
-	var id uint64
-	switch r := req.(type) {
-	case *Login:
-		id = r.ReqID
-	case *Subscribe:
-		id = r.ReqID
-	case *Unsubscribe:
-		id = r.ReqID
-	case *LeaseRefresh:
-		id = r.ReqID
-	case *Ping:
-		id = r.ReqID
-	}
 	if err != nil {
-		return &Nak{ReqID: id, Reason: err.Error()}
+		return &Nak{ReqID: RequestID(req), Reason: err.Error()}
 	}
-	return &Ack{ReqID: id, Token: token}
+	return &Ack{ReqID: RequestID(req), Token: token}
 }
 
-// serveConn owns one connection: the framing's hello, then a read loop
-// dispatching requests. Everything to the client goes through the
-// connection's outbox, so notification delivery (from NotifyBatch
-// callers) cannot interleave with request replies.
-func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
-	stopped := o.Pump(conn, f.write)
-	defer func() {
-		o.Close(CloseGone)
-		<-stopped
-		o.End()
+// Session is one client session, whatever its framing: its outbox, its
+// claim on a handle, and the requests every framing shares. Serve runs
+// it on a socket; the SSE handler, whose requests all arrive in one HTTP
+// request, calls Login, Subscribe and KeepAlive itself, then End.
+type Session[T any] struct {
+	f       *Framing[T]
+	backend Backend
+	table   *SessionTable
+	out     *Outbox[T]
+
+	mu     sync.Mutex // guards handle for the keep-alive; only Login writes it
+	handle string
+	claim  *TableSession
+}
+
+// OpenSession opens a session in framing f on edge e (Edge.Open),
+// serving backend and logging in to table; false once e shuts down.
+func OpenSession[T any](e *Edge[T], f *Framing[T], backend Backend, table *SessionTable, teardown func()) (*Session[T], bool) {
+	out, ok := e.Open(teardown)
+	if !ok {
+		return nil, false
+	}
+	return &Session[T]{f: f, backend: backend, table: table, out: out}, true
+}
+
+// Outbox returns the session's outbox.
+func (s *Session[T]) Outbox() *Outbox[T] { return s.out }
+
+// End releases the session's handle and ends its outbox (Outbox.End).
+func (s *Session[T]) End() {
+	s.release()
+	s.out.End()
+}
+
+func (s *Session[T]) release() {
+	if s.handle != "" {
+		s.table.End(s.handle, s.claim)
+	}
+}
+
+// Serve runs the session on conn until either end closes it: the
+// framing's hello, then a loop dispatching requests, beside the writer
+// and the keep-alive. Replies and notifies alike go through the outbox,
+// so they never interleave.
+func (s *Session[T]) Serve(conn net.Conn) {
+	stopped := make(chan struct{})
+	go func() { // the writer: each batch buffered, then flushed once
+		defer close(stopped)
+		defer conn.Close()
+		bw := bufio.NewWriter(timedWriter{conn})
+		s.out.Drain(func(q Queued[T]) error { return s.f.Write(bw, q) }, bw.Flush)
 	}()
-	if f.hello != nil && f.hello(conn) != nil {
+	alive := s.KeepAlive()
+	defer func() {
+		s.release()
+		s.out.Close(CloseGone)
+		<-stopped
+		<-alive
+		s.out.End()
+	}()
+	if s.f.Hello != nil && s.f.Hello(conn) != nil {
 		return
 	}
+	reply := func(req Frame, err error) { s.out.Control(s.f.Reply(req, nil, err)) }
 
-	var handle string
-	var sess *TableSession
-	defer func() {
-		if handle != "" {
-			s.table.End(handle, sess)
-		}
-	}()
-	reply := func(req Frame, err error) { o.Control(f.reply(req, nil, err)) }
-	info := func() {
-		if f.info != nil {
-			o.Control(f.info(s.backend.Info()))
-		}
-	}
-
-	read := f.reader(conn)
+	read := s.f.Reader(conn, s.out)
 	for {
 		req, err := read()
-		if bad, ok := err.(badRequest); ok {
-			reply(nil, bad)
+		if bad, ok := err.(BadRequest); ok {
+			reply(req, bad)
 			continue
 		}
 		if err != nil {
@@ -284,36 +324,26 @@ func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
 		}
 		switch req := req.(type) {
 		case *Login:
-			if handle != "" {
-				reply(req, errors.New("already logged in as "+handle))
-				continue
+			if err := s.Login(req); err != nil {
+				reply(req, err)
 			}
-			if req.Handle == "" {
-				reply(req, errors.New("empty handle"))
-				continue
-			}
-			token, ts, ok := s.table.Begin(req.Handle, req.ResumeToken, f.transport,
-				func() { o.Close(CloseDisplaced) }, o.Deliver)
-			if !ok {
-				reply(req, errors.New("handle in use (resume token mismatch)"))
-				continue
-			}
-			handle, sess = req.Handle, ts
-			o.Control(f.reply(req, token, nil))
-			info()
 		case *Subscribe:
-			reply(req, s.subscribe(handle, req.URL, false))
+			if err := s.Subscribe(req); err != nil {
+				reply(req, err)
+			}
 		case *Unsubscribe:
-			reply(req, s.subscribe(handle, req.URL, true))
+			reply(req, s.unsubscribe(req.URL))
 		case *LeaseRefresh:
-			if handle == "" {
+			if s.handle == "" {
 				reply(req, errNotLoggedIn)
 				continue
 			}
-			reply(req, s.backend.RefreshLeases(handle, req.URLs))
+			reply(req, s.backend.RefreshLeases(s.handle, req.URLs))
 		case *Ping:
 			reply(req, nil)
-			info()
+			if s.f.InfoOnPing {
+				s.out.Control(s.f.Info(s.backend.Info(), nil))
+			}
 		case *quit:
 			reply(req, nil)
 			return
@@ -325,15 +355,126 @@ func serveConn[T any](s *Server, f *framing[T], conn net.Conn, o *Outbox[T]) {
 
 var errNotLoggedIn = errors.New("not logged in")
 
-// subscribe runs one subscribe or unsubscribe request.
-func (s *Server) subscribe(handle, url string, remove bool) error {
+// Login claims req.Handle for the session, then queues the framing's
+// Reply and Info, which carry the resume token the client presents next
+// time.
+func (s *Session[T]) Login(req *Login) error {
+	if s.handle != "" {
+		return errors.New("already logged in as " + s.handle)
+	}
+	if req.Handle == "" {
+		return errors.New("empty handle")
+	}
+	token, claim, ok := s.table.Begin(req.Handle, req.ResumeToken, s.f.Transport,
+		func() { s.out.Close(CloseDisplaced) }, s.out.Deliver)
+	if !ok {
+		return errors.New("handle in use (resume token mismatch)")
+	}
+	s.mu.Lock()
+	s.handle, s.claim = req.Handle, claim
+	s.mu.Unlock()
+	if s.f.Reply != nil {
+		s.out.Control(s.f.Reply(req, token, nil))
+	}
+	if s.f.Info != nil {
+		s.out.Control(s.f.Info(s.backend.Info(), token))
+	}
+	return nil
+}
+
+// Subscribe runs one subscribe. Once the backend takes it, the
+// framing's Reply and — given a cursor — the catch-up are queued ahead
+// of any later live notify on the channel. Only a subscribe with a
+// cursor holds live delivery back meanwhile: only its catch-up can
+// deliver what was held.
+func (s *Session[T]) Subscribe(req *Subscribe) error {
+	if err := s.check(req.URL); err != nil {
+		return err
+	}
+	return s.out.subscribe(req.URL, req.Since != nil,
+		func() error { return s.backend.Subscribe(s.handle, req.URL) },
+		func() {
+			if s.f.Reply != nil {
+				s.out.controlLocked(s.f.Reply(req, nil, nil))
+			}
+			if req.Since != nil {
+				s.catchUp(req.URL, *req.Since)
+			}
+		})
+}
+
+// catchUp queues what a resuming subscriber missed on url: every
+// buffered version above since, or the framing's Snapshot when the ring
+// has wrapped past it. Callers hold the outbox's lock.
+func (s *Session[T]) catchUp(url string, since uint64) {
+	r := s.table.replay.Load()
+	entries, complete := r.From(url, since)
+	if !complete {
+		newest := r.Newest(url)
+		s.out.skipLocked(url, newest, s.f.Snapshot(url, newest))
+		return
+	}
+	for _, e := range entries {
+		s.out.replayLocked(Notification{Channel: url, Version: e.Version, Diff: e.Diff, At: e.At, Shared: &Shared{}})
+	}
+}
+
+// unsubscribe runs one unsubscribe, then drops the channel from the
+// session's channel set.
+func (s *Session[T]) unsubscribe(url string) error {
+	if err := s.check(url); err != nil {
+		return err
+	}
+	if err := s.backend.Unsubscribe(s.handle, url); err != nil {
+		return err
+	}
+	s.out.Forget(url)
+	return nil
+}
+
+// check vets a request naming a channel.
+func (s *Session[T]) check(url string) error {
 	switch {
-	case handle == "":
+	case s.handle == "":
 		return errNotLoggedIn
 	case url == "":
 		return errors.New("empty url")
-	case remove:
-		return s.backend.Unsubscribe(handle, url)
 	}
-	return s.backend.Subscribe(handle, url)
+	return nil
+}
+
+// KeepAlive runs the framing's keep-alive until the outbox closes: the
+// Heartbeat every HeartbeatEvery and, every LeaseEvery, a refresh of the
+// session's entry-node leases at its channels' owners, which keeps a
+// client sending no LeaseRefresh (a browser) in the lease-failover
+// machinery. The returned channel is closed when it stops.
+func (s *Session[T]) KeepAlive() <-chan struct{} {
+	stopped := make(chan struct{})
+	if s.f.HeartbeatEvery <= 0 {
+		close(stopped)
+		return stopped
+	}
+	go func() {
+		defer close(stopped)
+		hb := time.NewTicker(s.f.HeartbeatEvery)
+		lease := time.NewTicker(s.f.LeaseEvery)
+		defer hb.Stop()
+		defer lease.Stop()
+		for {
+			select {
+			case <-s.out.Done():
+				return
+			case <-hb.C:
+				s.out.Control(s.f.Heartbeat)
+			case <-lease.C:
+				s.mu.Lock()
+				handle := s.handle
+				s.mu.Unlock()
+				if urls := s.out.Channels(); handle != "" && len(urls) > 0 {
+					s.backend.RefreshLeases(handle, urls)
+				}
+			}
+		}
+	}()
+	return stopped
 }

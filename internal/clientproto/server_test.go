@@ -108,7 +108,7 @@ func startServer(t *testing.T, b Backend) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(l, b)
+	s := ServeSessions(l, b, NewSessionTable(nil), nil)
 	t.Cleanup(func() { s.Close() })
 	return s
 }

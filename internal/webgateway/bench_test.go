@@ -24,16 +24,16 @@ func BenchmarkWebFanoutDeliver(b *testing.B) {
 	for _, clients := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			s := New(Config{Backend: newFakeBackend(), QueueLen: 1 << 16}, nil)
-			sessions := make([]*webSession, clients)
+			sessions := make([]*clientproto.Outbox[outEvent], clients)
 			var writers sync.WaitGroup
 			for i := range sessions {
-				ws, _ := s.open(nil)
+				out, _ := s.edge.Open(nil)
 				writers.Add(1)
 				go func() {
 					defer writers.Done()
-					ws.out.Drain(discard, flush)
+					out.Drain(discard, flush)
 				}()
-				sessions[i] = ws
+				sessions[i] = out
 			}
 			at := time.Now()
 			b.ReportAllocs()
@@ -41,13 +41,13 @@ func BenchmarkWebFanoutDeliver(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				shared := &clientproto.Shared{}
 				n := clientproto.Notification{Channel: "u", Version: uint64(i + 1), Diff: diff, At: at, Shared: shared}
-				for _, ws := range sessions {
-					ws.out.Deliver(n)
+				for _, out := range sessions {
+					out.Deliver(n)
 				}
 			}
 			b.StopTimer()
-			for _, ws := range sessions {
-				ws.out.Close(clientproto.CloseGone)
+			for _, out := range sessions {
+				out.Close(clientproto.CloseGone)
 			}
 			writers.Wait()
 		})

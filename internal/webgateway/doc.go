@@ -3,7 +3,12 @@
 // else speaking WebSocket or Server-Sent Events — join the pub-sub
 // system with no SDK, while keeping the node's session semantics:
 // resume tokens, handle displacement, entry-node lease refreshes, and
-// the encode-once fan-out path.
+// the encode-once fan-out path. WebSocket is a framing of clientproto's
+// session loop (clientproto.Session.Serve), beside the binary and line
+// framings, so every request is checked and answered as on the binary
+// port. SSE keeps its own handler, since its login errors are HTTP
+// statuses sent before the stream, but calls the same session's Login,
+// Subscribe and KeepAlive.
 //
 // # Endpoints
 //
@@ -35,11 +40,12 @@
 //	{"type":"snapshot_required","channel":"...","version":57}
 //
 // req is an opaque client-chosen correlation number echoed in the ack
-// or nak. Login must come first; a handle already live under a
-// different resume token is refused (nak), while presenting the live
-// session's token displaces it — exactly the binary protocol's rules,
-// and enforced by the same node-wide session table, so displacement
-// works across transports.
+// or nak; a message that is not JSON is answered with a nak carrying no
+// req. Login must come first; a handle already live under a different
+// resume token is refused (nak), while presenting the live session's
+// token displaces it — exactly the binary protocol's rules, and enforced
+// by the same node-wide session table, so displacement works across
+// transports.
 //
 // # Resume and replay
 //
@@ -53,7 +59,8 @@
 // exactly once, every buffered version strictly greater than since,
 // merged gap-free with live deliveries (a gate suppresses live events
 // for the channel while the subscribe is in flight; the ring holds
-// them). When the ring has wrapped past the cursor — the buffer cannot
+// them). A subscribe without since holds nothing back, so a live notify
+// racing it can arrive before its ack. When the ring has wrapped past the cursor — the buffer cannot
 // prove it covers the gap — the server sends snapshot_required with the
 // newest version it knows, and the client must refetch the document
 // before resuming the diff stream from there.
@@ -69,23 +76,16 @@
 // overlap) are filtered at the queue boundary by a per-channel
 // watermark.
 //
-// # Slow clients
+// # Slow clients and liveness
 //
-// Every session — WS and SSE here, and the binary protocol's — queues
-// through the same outbox (clientproto.Outbox) with one shed rule. At
-// most QueueLen (default 256) notify events wait per session; when
-// another arrives, the oldest queued notify is evicted, and the client
-// sees a version gap it can replay later (subscribe with since on WS,
-// reconnect with the cursor on SSE). Control events — acks, naks, hello,
-// snapshot_required, heartbeats, pongs — are never shed, but they are
-// bounded too: a session that lets QueueLen of them pile up unread (a
-// client sending pings and never reading, say) is closed and counted as
-// a slow-client disconnect. Evictions, oversize drops, slow-client
-// disconnects and displacement evictions are counted by cause in the
-// node's stats and /metrics. On Close, each session writes what its
-// outbox holds, for up to a few seconds, before its connection closes.
-//
-// # Liveness
+// Every session queues through the shared outbox (clientproto.Outbox),
+// whose one shed rule is specified in clientproto's doc: at most
+// QueueLen (default 256) notify events wait, the oldest evicted first;
+// control events are never shed, but a session that lets QueueLen of
+// them pile up unread is closed as slow. The client sees an evicted
+// version as a gap it can replay (subscribe with since on WS, reconnect
+// with the cursor on SSE). On Close each session writes what its outbox
+// holds, for up to a few seconds, before its connection closes.
 //
 // The server pings (WS) or writes comment heartbeats (SSE) every
 // HeartbeatEvery, and refreshes the session's entry-node leases at

@@ -13,11 +13,6 @@ import (
 	"corona/internal/clientproto"
 )
 
-// Backend is the node surface the gateway drives — identical to the
-// binary protocol's, because the web edge is a projection of the same
-// session model. corona.LiveNode implements it.
-type Backend = clientproto.Backend
-
 // Session-table transport names for the two web frontends.
 const (
 	TransportWS  = "ws"
@@ -38,8 +33,8 @@ var sharedKeyJSON = new(byte)
 
 // Config configures a web gateway server.
 type Config struct {
-	// Backend is the node; required.
-	Backend Backend
+	// Backend is the node (corona.LiveNode); required.
+	Backend clientproto.Backend
 	// Sessions is the node's client registry, shared with the binary
 	// and line servers so displacement spans transports; it delivers
 	// notifications to the gateway's sessions and keeps the replay
@@ -67,16 +62,15 @@ type Config struct {
 // client-protocol session model over the shared session outbox
 // (clientproto.Outbox), backed by per-channel replay rings.
 type Server struct {
-	backend Backend
+	backend clientproto.Backend
 	table   *clientproto.SessionTable
 	replay  *clientproto.Replay
 	edge    *clientproto.Edge[outEvent]
-
-	leaseEvery time.Duration
-	heartbeat  time.Duration
+	// ws and sse are the gateway's framings: one keep-alive and one
+	// resume path, and WS adds requests and their replies.
+	ws, sse clientproto.Framing[outEvent]
 
 	mu       sync.Mutex
-	closed   bool
 	http     *http.Server
 	listener net.Listener
 }
@@ -87,22 +81,35 @@ type Server struct {
 // Call Handler to mount the server, or Serve to run it on a listener.
 func New(cfg Config, observe func(time.Duration)) *Server {
 	s := &Server{
-		backend:    cfg.Backend,
-		table:      cfg.Sessions,
-		edge:       clientproto.NewEdge(cfg.QueueLen, encodeNotify, observe),
-		leaseEvery: cfg.LeaseEvery,
-		heartbeat:  cfg.HeartbeatEvery,
+		backend: cfg.Backend,
+		table:   cfg.Sessions,
+		edge:    clientproto.NewEdge(cfg.QueueLen, encodeNotify, observe),
 	}
 	if s.table == nil {
 		s.table = clientproto.NewSessionTable(nil)
 	}
 	s.replay = s.table.EnableReplay(cfg.ReplayCap)
-	if s.leaseEvery <= 0 {
-		s.leaseEvery = defaultLeaseEvery
+	heartbeat, leaseEvery := cfg.HeartbeatEvery, cfg.LeaseEvery
+	if heartbeat <= 0 {
+		heartbeat = defaultHeartbeat
 	}
-	if s.heartbeat <= 0 {
-		s.heartbeat = defaultHeartbeat
+	if leaseEvery <= 0 {
+		leaseEvery = defaultLeaseEvery
 	}
+	s.sse = clientproto.Framing[outEvent]{
+		Transport:      TransportSSE,
+		Info:           hello,
+		Snapshot:       snapshotRequired,
+		Heartbeat:      outEvent{opcode: opPing},
+		HeartbeatEvery: heartbeat,
+		LeaseEvery:     leaseEvery,
+	}
+	s.ws = s.sse
+	s.ws.Transport = TransportWS
+	s.ws.Reader = wsReader(heartbeat)
+	s.ws.Reply = replyWS
+	s.ws.Info = func(si clientproto.ServerInfo, _ []byte) outEvent { return hello(si, nil) }
+	s.ws.Write = writeWS
 	return s
 }
 
@@ -149,26 +156,14 @@ func (s *Server) Addr() string {
 // sessions still alive after the drain window are force-closed — then
 // stops the HTTP server.
 func (s *Server) Close() error {
+	s.edge.Shutdown()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
 	srv := s.http
 	s.mu.Unlock()
-	s.edge.Shutdown()
-	if srv != nil {
-		return srv.Close()
+	if srv == nil {
+		return nil
 	}
-	return nil
-}
-
-// Closed reports whether Close has run.
-func (s *Server) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	return srv.Close()
 }
 
 // Counters is the web edge's session and delivery accounting — the
@@ -276,84 +271,16 @@ func encodeNotify(n clientproto.Notification) (outEvent, bool) {
 	return outEvent{name: "notify", opcode: opText, json: data}, len(data) <= maxWSMessage
 }
 
-// webSession is one live WS or SSE session: its outbox, and the handle
-// its lease refreshes name (set at login, read by the keep-alive loop).
-type webSession struct {
-	out *clientproto.Outbox[outEvent]
-
-	mu     sync.Mutex
-	handle string
+// hello is the web framings' ServerInfo; an SSE hello carries the resume
+// token, since SSE has no login ack.
+func hello(si clientproto.ServerInfo, token []byte) outEvent {
+	return event(serverMsg{Type: "hello", Token: hex.EncodeToString(token), Node: si.Node, Peers: si.Peers})
 }
 
-// open starts a session on the edge; false once the gateway is closed.
-// conn, when known, is what a displaced or undrainable session's
-// teardown closes.
-func (s *Server) open(conn net.Conn) (*webSession, bool) {
-	var teardown func()
-	if conn != nil {
-		teardown = func() { conn.Close() }
-	}
-	out, ok := s.edge.Open(teardown)
-	if !ok {
-		return nil, false
-	}
-	return &webSession{out: out}, true
-}
-
-func (ws *webSession) login(handle string) {
-	ws.mu.Lock()
-	ws.handle = handle
-	ws.mu.Unlock()
-}
-
-// keepAlive queues a heartbeat every HeartbeatEvery and refreshes the
-// session's entry-node leases at channel owners every LeaseEvery — what
-// keeps web subscribers inside the lease-failover machinery — until the
-// outbox closes. The returned channel is closed when it stops.
-func (s *Server) keepAlive(ws *webSession) <-chan struct{} {
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		hb := time.NewTicker(s.heartbeat)
-		lease := time.NewTicker(s.leaseEvery)
-		defer hb.Stop()
-		defer lease.Stop()
-		for {
-			select {
-			case <-ws.out.Done():
-				return
-			case <-hb.C:
-				ws.out.Control(outEvent{opcode: opPing})
-			case <-lease.C:
-				ws.mu.Lock()
-				handle := ws.handle
-				ws.mu.Unlock()
-				if urls := ws.out.Channels(); handle != "" && len(urls) > 0 {
-					s.backend.RefreshLeases(handle, urls)
-				}
-			}
-		}
-	}()
-	return stopped
-}
-
-// catchUp replays what a resuming subscriber missed on url: with a
-// cursor, every buffered version above it — or snapshot_required, with
-// the newest version known, when the ring has wrapped past the cursor.
-// Without one, delivery simply starts live.
-func (s *Server) catchUp(g clientproto.Gap[outEvent], url string, since *uint64) {
-	if since == nil {
-		return
-	}
-	entries, complete := s.replay.From(url, *since)
-	if !complete {
-		newest := s.replay.Newest(url)
-		g.Skip(newest, event(serverMsg{Type: "snapshot_required", Channel: url, Version: newest}))
-		return
-	}
-	for _, e := range entries {
-		g.Replay(clientproto.Notification{Channel: url, Version: e.Version, Diff: e.Diff, At: e.At, Shared: &clientproto.Shared{}})
-	}
+// snapshotRequired is the web framings' answer to a resume cursor the
+// replay ring has wrapped past.
+func snapshotRequired(channel string, newest uint64) outEvent {
+	return event(serverMsg{Type: "snapshot_required", Channel: channel, Version: newest})
 }
 
 // writeWS is the WS framing of a queued event.
@@ -365,121 +292,78 @@ func writeWS(bw *bufio.Writer, q clientproto.Queued[outEvent]) error {
 	return err
 }
 
-// handleWS serves one WebSocket connection: hijack, then a read loop
-// dispatching JSON messages, with the outbox's writer loop and the
-// keep-alive loop beside it.
+// replyWS renders a request's outcome as the ack or nak echoing its req.
+func replyWS(req clientproto.Frame, token []byte, err error) outEvent {
+	if err != nil {
+		return event(serverMsg{Type: "nak", Req: clientproto.RequestID(req), Reason: err.Error()})
+	}
+	return event(serverMsg{Type: "ack", Req: clientproto.RequestID(req), Token: hex.EncodeToString(token)})
+}
+
+// wsReader returns the WS framing's request reader: one JSON clientMsg
+// per message. Pings get pongs; any control frame proves liveness and
+// extends the read deadline, which three missed heartbeats let lapse.
+func wsReader(heartbeat time.Duration) func(net.Conn, *clientproto.Outbox[outEvent]) func() (clientproto.Frame, error) {
+	return func(conn net.Conn, out *clientproto.Outbox[outEvent]) func() (clientproto.Frame, error) {
+		br := bufio.NewReader(conn)
+		onControl := func(opcode byte, payload []byte) error {
+			conn.SetReadDeadline(time.Now().Add(3 * heartbeat))
+			if opcode == opPing {
+				out.Control(outEvent{opcode: opPong, json: payload})
+			}
+			return nil
+		}
+		return func() (clientproto.Frame, error) {
+			conn.SetReadDeadline(time.Now().Add(3 * heartbeat))
+			_, data, err := readWSMessage(br, true, onControl)
+			if err != nil {
+				return nil, err // EOF, deadline, close frame, or malformed framing
+			}
+			var m clientMsg
+			if err := json.Unmarshal(data, &m); err != nil {
+				return nil, clientproto.BadRequest("malformed message: " + err.Error())
+			}
+			switch m.Type {
+			case "login":
+				token, err := hex.DecodeString(m.Token)
+				req := &clientproto.Login{ReqID: m.Req, Handle: m.Handle, ResumeToken: token}
+				if err != nil {
+					return req, clientproto.BadRequest("malformed token: not hex")
+				}
+				return req, nil
+			case "subscribe":
+				return &clientproto.Subscribe{ReqID: m.Req, URL: m.URL, Since: m.Since}, nil
+			case "unsubscribe":
+				return &clientproto.Unsubscribe{ReqID: m.Req, URL: m.URL}, nil
+			case "ping":
+				return &clientproto.Ping{ReqID: m.Req}, nil
+			}
+			// The Ping only carries the req the nak echoes.
+			return &clientproto.Ping{ReqID: m.Req}, clientproto.BadRequest("unknown message type " + m.Type)
+		}
+	}
+}
+
+// hijacked is a connection taken over from the HTTP server: its reads go
+// through the reader the server had buffered them in.
+type hijacked struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func (c hijacked) Read(p []byte) (int, error) { return c.br.Read(p) }
+
+// handleWS serves one WebSocket connection: hijack, then the WS
+// framing's session (clientproto.Session.Serve).
 func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	conn, br, err := upgradeWS(w, r)
 	if err != nil {
 		return
 	}
-	ws, ok := s.open(conn)
+	sess, ok := clientproto.OpenSession(s.edge, &s.ws, s.backend, s.table, func() { conn.Close() })
 	if !ok {
 		conn.Close()
 		return
 	}
-	stopped := ws.out.Pump(conn, writeWS)
-	alive := s.keepAlive(ws)
-	defer func() {
-		ws.out.Close(clientproto.CloseGone)
-		<-stopped
-		<-alive
-		ws.out.End()
-	}()
-
-	var handle string
-	var sess *clientproto.TableSession
-	defer func() {
-		if handle != "" {
-			s.table.End(handle, sess)
-		}
-	}()
-
-	onControl := func(opcode byte, payload []byte) error {
-		// Any control traffic (a pong answering our heartbeat, a client
-		// ping) proves liveness; extend the deadline so a quiet-but-
-		// responsive client is not presumed dead mid-readWSMessage.
-		conn.SetReadDeadline(time.Now().Add(3 * s.heartbeat))
-		if opcode == opPing {
-			ws.out.Control(outEvent{opcode: opPong, json: payload})
-		}
-		return nil
-	}
-	for {
-		// The heartbeat keeps healthy connections inside the deadline;
-		// three missed rounds reads as a dead peer.
-		conn.SetReadDeadline(time.Now().Add(3 * s.heartbeat))
-		_, data, err := readWSMessage(br, true, onControl)
-		if err != nil {
-			return // EOF, deadline, close frame, or malformed framing
-		}
-		var req clientMsg
-		if err := json.Unmarshal(data, &req); err != nil {
-			ws.out.Control(event(serverMsg{Type: "nak", Reason: "malformed message: " + err.Error()}))
-			continue
-		}
-		nak := func(reason string) {
-			ws.out.Control(event(serverMsg{Type: "nak", Req: req.Req, Reason: reason}))
-		}
-		switch req.Type {
-		case "login":
-			if handle != "" {
-				nak("already logged in as " + handle)
-				continue
-			}
-			if req.Handle == "" {
-				nak("empty handle")
-				continue
-			}
-			token, err := hex.DecodeString(req.Token)
-			if err != nil {
-				nak("malformed token: not hex")
-				continue
-			}
-			tok, ts, ok := s.table.Begin(req.Handle, token, TransportWS,
-				func() { ws.out.Close(clientproto.CloseDisplaced) }, ws.out.Deliver)
-			if !ok {
-				nak("handle in use (resume token mismatch)")
-				continue
-			}
-			handle, sess = req.Handle, ts
-			ws.login(handle)
-			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req, Token: hex.EncodeToString(tok)}))
-			info := s.backend.Info()
-			ws.out.Control(event(serverMsg{Type: "hello", Node: info.Node, Peers: info.Peers}))
-		case "subscribe":
-			if handle == "" {
-				nak("not logged in")
-				continue
-			}
-			if req.URL == "" {
-				nak("empty url")
-				continue
-			}
-			err := ws.out.Subscribe(req.URL,
-				func() error { return s.backend.Subscribe(handle, req.URL) },
-				func(g clientproto.Gap[outEvent]) {
-					g.Control(event(serverMsg{Type: "ack", Req: req.Req}))
-					s.catchUp(g, req.URL, req.Since)
-				})
-			if err != nil {
-				nak(err.Error())
-			}
-		case "unsubscribe":
-			if handle == "" {
-				nak("not logged in")
-				continue
-			}
-			if err := s.backend.Unsubscribe(handle, req.URL); err != nil {
-				nak(err.Error())
-				continue
-			}
-			ws.out.Forget(req.URL)
-			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req}))
-		case "ping":
-			ws.out.Control(event(serverMsg{Type: "ack", Req: req.Req}))
-		default:
-			nak("unknown message type " + req.Type)
-		}
-	}
+	sess.Serve(hijacked{conn, br})
 }

@@ -14,11 +14,12 @@ import (
 	"corona/internal/clientproto"
 )
 
-// fakeBackend implements Backend in-memory.
+// fakeBackend implements clientproto.Backend in-memory.
 type fakeBackend struct {
 	mu        sync.Mutex
 	subs      map[string]map[string]bool
 	refreshes map[string]int
+	calls     []string // "sub <client> <url>" and "unsub <client> <url>", in order
 	subErr    error
 	// subscribeGate, when non-nil, is received from inside Subscribe —
 	// tests use it to hold a subscribe in flight deterministically.
@@ -44,6 +45,7 @@ func (b *fakeBackend) Subscribe(client, url string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.calls = append(b.calls, "sub "+client+" "+url)
 	if b.subs[client] == nil {
 		b.subs[client] = make(map[string]bool)
 	}
@@ -54,6 +56,7 @@ func (b *fakeBackend) Subscribe(client, url string) error {
 func (b *fakeBackend) Unsubscribe(client, url string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.calls = append(b.calls, "unsub "+client+" "+url)
 	delete(b.subs[client], url)
 	return nil
 }
@@ -339,18 +342,18 @@ func TestWSDisplacementAcrossConnections(t *testing.T) {
 func TestSlowClientDropOldest(t *testing.T) {
 	b := newFakeBackend()
 	s := New(Config{Backend: b, QueueLen: 4}, nil)
-	ws, _ := s.open(nil)
+	out, _ := s.edge.Open(nil)
 	// No writer drains the queue: fill it past capacity.
 	for v := uint64(1); v <= 10; v++ {
-		ws.out.Deliver(clientproto.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &clientproto.Shared{}})
+		out.Deliver(clientproto.Notification{Channel: "u", Version: v, Diff: "d", At: time.Now(), Shared: &clientproto.Shared{}})
 	}
 	c := s.Counters()
 	if c.DroppedSlowClient != 6 || c.DisconnectsSlowClient != 0 {
 		t.Fatalf("counters = %+v, want 6 slow drops, no disconnects", c)
 	}
 	// Control events still get through a full queue.
-	ws.out.Control(event(serverMsg{Type: "ack"}))
-	queued := drained(ws.out)
+	out.Control(event(serverMsg{Type: "ack"}))
+	queued := drained(out)
 	if got := entryVersionsOut(queued); fmt.Sprint(got) != "[7 8 9 10]" {
 		t.Fatalf("queue = %v, want the newest 4", got)
 	}

@@ -93,7 +93,6 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed token: not hex", http.StatusBadRequest)
 		return
 	}
-	channels := q["ch"]
 	cursor := make(map[string]uint64)
 	if id := r.Header.Get("Last-Event-ID"); id != "" {
 		cursor = parseCursor(id)
@@ -102,21 +101,20 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 	}
 
 	conn, _ := r.Context().Value(connKey{}).(net.Conn)
-	ws, ok := s.open(conn)
+	var teardown func()
+	if conn != nil {
+		teardown = func() { conn.Close() }
+	}
+	sess, ok := clientproto.OpenSession(s.edge, &s.sse, s.backend, s.table, teardown)
 	if !ok {
 		http.Error(w, "gateway closed", http.StatusServiceUnavailable)
 		return
 	}
-	defer ws.out.End()
-
-	tok, sess, ok := s.table.Begin(handle, token, TransportSSE,
-		func() { ws.out.Close(clientproto.CloseDisplaced) }, ws.out.Deliver)
-	if !ok {
-		http.Error(w, "handle in use (resume token mismatch)", http.StatusConflict)
+	defer sess.End()
+	if err := sess.Login(&clientproto.Login{Handle: handle, ResumeToken: token}); err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	ws.login(handle)
-	defer s.table.End(handle, sess)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -131,22 +129,17 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 	// event's id is exactly the stream position after that event.
 	written := make(map[string]uint64, len(cursor))
 
-	info := s.backend.Info()
-	ws.out.Control(event(serverMsg{Type: "hello", Token: hex.EncodeToString(tok), Node: info.Node, Peers: info.Peers}))
-
+	out := sess.Outbox()
 	// Subscribe each channel; per-channel failures become nak events on
 	// the stream rather than killing it (the client may hold a mix of
 	// valid and stale URLs after a failover).
-	for _, ch := range channels {
+	for _, ch := range q["ch"] {
 		var since *uint64
 		if v, resumed := cursor[ch]; resumed {
 			since = &v
 		}
-		err := ws.out.Subscribe(ch,
-			func() error { return s.backend.Subscribe(handle, ch) },
-			func(g clientproto.Gap[outEvent]) { s.catchUp(g, ch, since) })
-		if err != nil {
-			ws.out.Control(event(serverMsg{Type: "nak", Channel: ch, Reason: err.Error()}))
+		if err := sess.Subscribe(&clientproto.Subscribe{URL: ch, Since: since}); err != nil {
+			out.Control(event(serverMsg{Type: "nak", Channel: ch, Reason: err.Error()}))
 			continue
 		}
 		if since != nil {
@@ -154,11 +147,11 @@ func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	alive := s.keepAlive(ws)
-	stop := context.AfterFunc(r.Context(), func() { ws.out.Close(clientproto.CloseGone) })
+	alive := sess.KeepAlive()
+	stop := context.AfterFunc(r.Context(), func() { out.Close(clientproto.CloseGone) })
 	defer stop()
 	rc := http.NewResponseController(w)
-	ws.out.Drain(func(q clientproto.Queued[outEvent]) error {
+	out.Drain(func(q clientproto.Queued[outEvent]) error {
 		rc.SetWriteDeadline(time.Now().Add(clientproto.WriteTimeout))
 		return writeSSEEvent(w, q, written)
 	}, rc.Flush)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,4 +142,69 @@ func TestWSTranscript(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEmptyURLNaks: a request naming no channel is answered "empty url"
+// on every path that names one — a WS unsubscribe, and an SSE stream
+// with an empty ch — and never reaches the backend, where the root of
+// the empty key would take ownership of channel "" and poll it.
+func TestEmptyURLNaks(t *testing.T) {
+	noEmptyCalls := func(t *testing.T, b *fakeBackend) {
+		t.Helper()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for _, call := range b.calls {
+			if strings.HasSuffix(call, " ") {
+				t.Fatalf("backend saw %q; calls %q", call, b.calls)
+			}
+		}
+	}
+	t.Run("ws unsubscribe", func(t *testing.T) {
+		b := newFakeBackend()
+		_, addr := startServer(t, Config{Backend: b})
+		c, err := DialWS("ws://" + addr + "/ws")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wsLogin(t, c, "alice", "")
+		raw, _ := json.Marshal(clientMsg{Type: "unsubscribe", Req: 3})
+		want := []wireMsg{{Type: "nak", Req: 3, Reason: "empty url"}}
+		if got := wsTranscript(t, c, raw); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("answer %+v, want %+v", got, want)
+		}
+		noEmptyCalls(t, b)
+	})
+	t.Run("sse empty ch", func(t *testing.T) {
+		b := newFakeBackend()
+		_, addr := startServer(t, Config{Backend: b, HeartbeatEvery: 20 * time.Millisecond})
+		conn, br := sseConnect(t, addr, "handle=bob&ch=&ch=u", "")
+		defer conn.Close()
+		if ev := readSSEEvent(t, br); ev.name != "hello" {
+			t.Fatalf("first event %q, want hello", ev.name)
+		}
+		// The subscribe results are queued before the keep-alive starts,
+		// so a nak comes before the first heartbeat.
+		var ev sseEvent
+		for ev.name == "" || ev.data == "" {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch line = strings.TrimRight(line, "\r\n"); {
+			case line == ": hb":
+				t.Fatal("heartbeat before any nak: the empty channel was subscribed")
+			case strings.HasPrefix(line, "event: "):
+				ev.name = line[7:]
+			case strings.HasPrefix(line, "data: "):
+				ev.data = line[6:]
+			}
+		}
+		var m serverMsg
+		json.Unmarshal([]byte(ev.data), &m)
+		if ev.name != "nak" || m.Reason != "empty url" || m.Channel != "" {
+			t.Fatalf("event %q %+v, want a nak for the empty channel", ev.name, m)
+		}
+		noEmptyCalls(t, b)
+	})
 }

@@ -87,18 +87,13 @@ func DialWS(rawURL string) (*WSClient, error) {
 	return &WSClient{conn: conn, br: br}, nil
 }
 
-// appendMaskedFrame appends one final, masked client frame to dst.
+// appendMaskedFrame appends one final, masked client frame to dst: the
+// server frame's header with the mask bit set, the mask, then the
+// masked payload.
 func appendMaskedFrame(dst []byte, opcode byte, payload []byte) []byte {
-	dst = append(dst, 0x80|opcode)
-	switch n := len(payload); {
-	case n <= 125:
-		dst = append(dst, 0x80|byte(n))
-	case n <= 1<<16-1:
-		dst = append(dst, 0x80|126, byte(n>>8), byte(n))
-	default:
-		dst = append(dst, 0x80|127, byte(uint64(n)>>56), byte(uint64(n)>>48),
-			byte(uint64(n)>>40), byte(uint64(n)>>32), byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	}
+	start := len(dst)
+	dst = appendWSHeader(dst, opcode, len(payload))
+	dst[start+1] |= 0x80
 	var mask [4]byte
 	rand.Read(mask[:])
 	dst = append(dst, mask[:]...)
