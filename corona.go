@@ -71,9 +71,9 @@ func (s Scheme) coreScheme() core.Scheme {
 
 // Notification is one update delivered to a subscriber: Client (the
 // handle it was addressed to), Channel (the subscribed URL), Version,
-// Diff (the delta-encoded change, see internal/diffengine; empty in
-// version-only mode) and At (the detection time, or the delivery time
-// when the update carried none). It is the same value
+// Diff (the delta-encoded change, see internal/diffengine; empty when
+// the origin serves no body) and At (the detection time, or the delivery
+// time when the update carried none). It is the same value
 // the node's client registry delivers and the client protocol carries,
 // aliased so the structure cannot drift between the public API and the
 // delivery path.
@@ -143,8 +143,6 @@ func (o Options) coreConfig(seed int64) core.Config {
 	cfg.PollInterval = o.PollInterval
 	cfg.MaintenanceInterval = o.MaintenanceInterval
 	cfg.NodeCount = o.Nodes
-	cfg.CountSubscribersOnly = false
-	cfg.ContentMode = true
 	cfg.OwnerReplicas = o.Replicas
 	cfg.DelegateThreshold = o.DelegateThreshold
 	cfg.Seed = seed

@@ -148,7 +148,6 @@ func Execute(sc Scenario, cfg Config) Result {
 		Seed:                cfg.Seed,
 	}
 	opts := experiments.Options{
-		Identity:          true,
 		OwnerReplicas:     cfg.OwnerReplicas,
 		LeaseTTL:          cfg.LeaseTTL,
 		DelegateThreshold: cfg.DelegateThreshold,

@@ -101,14 +101,6 @@ func (d *DeliveryLog) NotifyBatch(clients []string, url string, version uint64, 
 	d.mu.Unlock()
 }
 
-// NotifyCount implements core.Notifier. Chaos runs use identity mode, so
-// counting-mode notifications only bump the total.
-func (d *DeliveryLog) NotifyCount(url string, version uint64, n int, at time.Time) {
-	d.mu.Lock()
-	d.total += uint64(n)
-	d.mu.Unlock()
-}
-
 // MarkWindow starts (or restarts) the probe window.
 func (d *DeliveryLog) MarkWindow() {
 	d.mu.Lock()

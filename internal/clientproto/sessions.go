@@ -184,10 +184,6 @@ func (t *SessionTable) NotifyBatch(clients []string, channelURL string, version 
 	}
 }
 
-// NotifyCount implements the Notifier's counting mode, which nodes with
-// a client registry never run (they track clients), so it does nothing.
-func (t *SessionTable) NotifyCount(channelURL string, version uint64, count int, at time.Time) {}
-
 // DeliveryStats is one coherent snapshot of the table's delivery
 // counters.
 type DeliveryStats struct {

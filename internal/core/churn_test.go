@@ -26,7 +26,6 @@ func TestNodeJoinsMidRun(t *testing.T) {
 	cfg.NodeCount = 13
 	cfg.PollInterval = 10 * time.Minute
 	cfg.MaintenanceInterval = 20 * time.Minute
-	cfg.CountSubscribersOnly = false
 	cfg.Seed = 99
 	fetcher := &core.OriginFetcher{Origin: tc.origin, Clock: tc.sim}
 	joiner := core.NewNode(cfg, overlay, tc.sim, fetcher, tc.notify, tc.sink)

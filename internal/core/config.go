@@ -52,18 +52,6 @@ type Config struct {
 	// deployment must (§5.3 "dynamically learns the parameters").
 	NodeCount int
 
-	// CountSubscribersOnly, when set, keeps only subscriber counts
-	// instead of per-client identities, and reports notifications to the
-	// sink without delivering IM payloads. Paper-scale simulations
-	// (1,000,000 subscriptions) use this; deployment-scale runs track
-	// full identities.
-	CountSubscribersOnly bool
-
-	// ContentMode, when set, fetches real documents and runs the
-	// difference engine on every detected change. Version-only mode
-	// trusts the Fetcher's version counter (the simulator's fast path).
-	ContentMode bool
-
 	// LeaseTTL enables entry-node leases at owned channels: a subscriber
 	// whose entry node has not proved liveness for it within the TTL (or
 	// whose entry node was detected dead) has its entry record re-pointed
@@ -81,7 +69,6 @@ type Config struct {
 	// subscribers, bounded by the leaf set), partitions the entry records
 	// across them, and disseminates one update per delegate instead of
 	// one batch per entry node. Zero or negative disables sharding.
-	// Ignored in counting mode, which holds no entry records to shard.
 	DelegateThreshold int
 
 	// Seed drives the node's local randomness (maintenance phase, ring
@@ -93,13 +80,12 @@ type Config struct {
 // DefaultConfig returns the simulation defaults from §5.1.
 func DefaultConfig() Config {
 	return Config{
-		Pastry:               pastry.DefaultConfig(),
-		Policy:               PolicyConfig{Scheme: SchemeLite},
-		PollInterval:         30 * time.Minute,
-		MaintenanceInterval:  time.Hour,
-		OwnerReplicas:        2,
-		TradeoffBins:         16,
-		CountSubscribersOnly: true,
+		Pastry:              pastry.DefaultConfig(),
+		Policy:              PolicyConfig{Scheme: SchemeLite},
+		PollInterval:        30 * time.Minute,
+		MaintenanceInterval: time.Hour,
+		OwnerReplicas:       2,
+		TradeoffBins:        16,
 	}
 }
 

@@ -28,8 +28,6 @@ func (r *diffRecorder) NotifyBatch(_ []string, _ string, version uint64, diff st
 	r.diffs[version] = diff
 }
 
-func (r *diffRecorder) NotifyCount(string, uint64, int, time.Time) {}
-
 func (r *diffRecorder) diff(version uint64) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -69,8 +67,6 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 			for i, overlay := range overlays {
 				cfg := DefaultConfig()
 				cfg.NodeCount = len(overlays)
-				cfg.ContentMode = true
-				cfg.CountSubscribersOnly = false
 				cfg.PollInterval = 1000 * time.Hour // the test drives every poll
 				cfg.Seed = int64(i)
 				n := NewNode(cfg, overlay, sim, fetcher, rec, nil)
@@ -170,7 +166,6 @@ func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
 	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("dup"), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
-	cfg.ContentMode = true
 	n := NewNode(cfg, overlay, sim, &OriginFetcher{Origin: webserver.NewOrigin(), Clock: sim}, &diffRecorder{diffs: make(map[uint64]string)}, nil)
 
 	decodes := 0
@@ -217,7 +212,6 @@ func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("behind"), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
-	cfg.ContentMode = true
 	n := NewNode(cfg, overlay, sim, &OriginFetcher{Origin: webserver.NewOrigin(), Clock: sim}, &diffRecorder{diffs: make(map[uint64]string)}, nil)
 
 	decodes := 0

@@ -64,13 +64,6 @@ func newRecordingNotifier() *recordingNotifier {
 	return &recordingNotifier{perUser: make(map[string][]uint64), counts: make(map[string]int)}
 }
 
-func (r *recordingNotifier) Notify(client, url string, version uint64, diff string, at time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.perUser[client] = append(r.perUser[client], version)
-	r.counts[url]++
-}
-
 func (r *recordingNotifier) NotifyBatch(clients []string, url string, version uint64, diff string, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -78,12 +71,6 @@ func (r *recordingNotifier) NotifyBatch(clients []string, url string, version ui
 		r.perUser[c] = append(r.perUser[c], version)
 		r.counts[url]++
 	}
-}
-
-func (r *recordingNotifier) NotifyCount(url string, version uint64, count int, at time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counts[url] += count
 }
 
 // total reports how many notifications the channel has delivered.
@@ -110,7 +97,6 @@ func newTestCloud(t testing.TB, n int, mutate func(i int, cfg *core.Config)) *te
 		cfg.NodeCount = n
 		cfg.PollInterval = 10 * time.Minute
 		cfg.MaintenanceInterval = 20 * time.Minute
-		cfg.CountSubscribersOnly = false
 		cfg.OwnerReplicas = 2
 		cfg.Seed = int64(i)
 		if mutate != nil {
@@ -232,7 +218,6 @@ func TestPopularChannelGetsMorePollers(t *testing.T) {
 	// The optimizer must give the popular channel at least as many
 	// pollers as any niche channel and more than the typical one.
 	tc := newTestCloud(t, 32, func(i int, cfg *core.Config) {
-		cfg.CountSubscribersOnly = true
 		cfg.OwnerReplicas = 0
 	})
 	popular := "http://feeds.example.net/popular.xml"
@@ -272,7 +257,6 @@ func TestLiteLoadConvergesToBudget(t *testing.T) {
 	// Corona-Lite's core promise (Figure 3): total polling load settles
 	// near the legacy budget Σqᵢ per polling interval.
 	tc := newTestCloud(t, 32, func(i int, cfg *core.Config) {
-		cfg.CountSubscribersOnly = true
 		cfg.OwnerReplicas = 0
 	})
 	const channels = 40
@@ -305,7 +289,6 @@ func TestLiteLoadConvergesToBudget(t *testing.T) {
 
 func TestCooperativeDetectionFasterThanSolo(t *testing.T) {
 	tc := newTestCloud(t, 32, func(i int, cfg *core.Config) {
-		cfg.CountSubscribersOnly = true
 		cfg.OwnerReplicas = 0
 	})
 	url := "http://feeds.example.net/fast.xml"
@@ -349,7 +332,6 @@ func TestCooperativeDetectionFasterThanSolo(t *testing.T) {
 
 func TestWedgeMembershipRespected(t *testing.T) {
 	tc := newTestCloud(t, 32, func(i int, cfg *core.Config) {
-		cfg.CountSubscribersOnly = true
 		cfg.OwnerReplicas = 0
 	})
 	url := "http://feeds.example.net/wedge.xml"
@@ -375,7 +357,6 @@ func TestWedgeMembershipRespected(t *testing.T) {
 
 func TestUpdateDisseminationReachesWedge(t *testing.T) {
 	tc := newTestCloud(t, 32, func(i int, cfg *core.Config) {
-		cfg.CountSubscribersOnly = true
 		cfg.OwnerReplicas = 0
 	})
 	url := "http://feeds.example.net/diss.xml"

@@ -141,9 +141,6 @@ type delegatePush struct {
 // subscriber count and re-pushes full partitions; the delegate side drops
 // partitions whose owner has gone quiet.
 func (n *Node) delegateMaintain() {
-	if n.cfg.CountSubscribersOnly {
-		return
-	}
 	now := n.now()
 	n.mu.Lock()
 	for id, at := range n.recentFaults {
@@ -183,7 +180,7 @@ func (n *Node) sendDelegatePushes(pushes []delegatePush) {
 // within one maintenance interval. Callers hold n.mu.
 func (n *Node) refreshDelegatesLocked(ch *channelState, pushes []delegatePush, exclude ids.ID) []delegatePush {
 	want := 0
-	if t := n.cfg.DelegateThreshold; t > 0 && !n.cfg.CountSubscribersOnly {
+	if t := n.cfg.DelegateThreshold; t > 0 {
 		want = ch.subs.count / t
 	}
 	var next []pastry.Addr

@@ -119,7 +119,6 @@ func TestOwnerEpochHandshakeAfterRestart(t *testing.T) {
 	cfg.NodeCount = 16
 	cfg.PollInterval = 10 * time.Minute
 	cfg.MaintenanceInterval = 20 * time.Minute
-	cfg.CountSubscribersOnly = false
 	cfg.OwnerReplicas = 2
 	cfg.Seed = 4242
 	fetcher := &core.OriginFetcher{Origin: tc.origin, Clock: tc.sim}

@@ -167,8 +167,8 @@ func (f *HTTPFetcher) Close() {
 func (f *HTTPFetcher) Dials() uint64 { return f.dials.Load() }
 
 // Fetch implements Fetcher. The returned version is the server's ETag when
-// numeric, else a content-hash-derived counter is unavailable and the
-// caller must operate in content mode.
+// numeric, else haveVersion+1; either way the result carries the body,
+// which the node diffs against the content it holds.
 func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
 	p, err := f.lookup(rawURL)
 	if err != nil {

@@ -123,8 +123,6 @@ func TestOversizedBodyIsNoUpdate(t *testing.T) {
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1
-	cfg.ContentMode = true
-	cfg.CountSubscribersOnly = false
 	cfg.PollInterval = 1000 * time.Hour // the test drives every poll
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
@@ -189,8 +187,6 @@ func TestHTTPFetchReusesReleasedBody(t *testing.T) {
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1
-	cfg.ContentMode = true
-	cfg.CountSubscribersOnly = false
 	cfg.PollInterval = 1000 * time.Hour // the test drives every poll
 	n := NewNode(cfg, overlay, sim, f, &diffRecorder{diffs: make(map[uint64]string)}, nil)
 	n.Start()

@@ -102,7 +102,6 @@ func newReplRing(t testing.TB, size int, maintenance time.Duration) *replRing {
 	for i, overlay := range overlays {
 		cfg := DefaultConfig()
 		cfg.NodeCount = size
-		cfg.CountSubscribersOnly = false
 		cfg.PollInterval = 1000 * time.Hour
 		cfg.MaintenanceInterval = maintenance
 		cfg.OwnerReplicas = 2

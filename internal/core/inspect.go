@@ -33,10 +33,11 @@ type ChannelRecords struct {
 	Pollers  int
 	PollSlot int
 
-	// Owner-side records. Subscribers maps client → entry record (nil in
-	// counting mode, where only SubscriberCount is meaningful). OwnEntries
-	// is the owner's slot of the sharded set when delegates carry the rest
-	// (nil when unsharded).
+	// Owner-side records. Subscribers maps client → entry record, and
+	// SubscriberCount is its size (at a wedge member holding no
+	// identities, the owner's Q from poll control). OwnEntries is the
+	// owner's slot of the sharded set when delegates carry the rest (nil
+	// when unsharded).
 	Subscribers     map[string]pastry.Addr
 	SubscriberCount int
 	Leases          map[string]time.Time

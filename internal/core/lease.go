@@ -75,7 +75,7 @@ func (n *Node) tombstoneLocked(ch *channelState, client string) {
 // the unsubscribe routed must not resurrect the subscriber.
 func (n *Node) handleLease(msg pastry.Message) {
 	p, ok := msg.Payload.(*leaseMsg)
-	if !ok || n.cfg.CountSubscribersOnly {
+	if !ok {
 		return
 	}
 	n.mu.Lock()
@@ -87,7 +87,7 @@ func (n *Node) handleLease(msg pastry.Message) {
 		}
 		delete(ch.unsubbed, p.Client)
 	}
-	changed := ch.subs.add(p.Client, p.Entry, false)
+	changed := ch.subs.add(p.Client, p.Entry)
 	wasOwner := ch.isOwner
 	n.becomeOwnerLocked(ch)
 	now := n.now()
@@ -129,7 +129,7 @@ func (n *Node) handleLease(msg pastry.Message) {
 // cannot churn a repaired subscription.
 func (n *Node) handleLeaseExpire(msg pastry.Message) {
 	p, ok := msg.Payload.(*leaseExpireMsg)
-	if !ok || n.cfg.CountSubscribersOnly || p.Entry.IsZero() {
+	if !ok || p.Entry.IsZero() {
 		return
 	}
 	n.mu.Lock()
@@ -159,7 +159,7 @@ func (n *Node) handleLeaseExpire(msg pastry.Message) {
 // failed over to, corrects it authoritatively.
 func (n *Node) leaseSweep() {
 	ttl := n.cfg.LeaseTTL
-	if ttl <= 0 || n.cfg.CountSubscribersOnly {
+	if ttl <= 0 {
 		return
 	}
 	now := n.now()
@@ -199,7 +199,7 @@ func (n *Node) leaseSweep() {
 				ch.leases[client] = now
 				continue
 			}
-			ch.subs.add(client, fallback, false)
+			ch.subs.add(client, fallback)
 			// The re-route is one-shot: drop the lease mark rather than
 			// re-arming it. A live client's next heartbeat re-creates the
 			// lease (and re-points the entry authoritatively); a

@@ -189,11 +189,8 @@ func (n *Node) handlePollCtl(msg pastry.Message) {
 	}
 	ch.epoch = p.Epoch
 	ch.level = p.Level
-	if p.Q > 0 {
-		ch.subs.count = max(ch.subs.count, 0)
-		if !ch.isOwner && !ch.isReplica {
-			ch.subs.count = p.Q
-		}
+	if p.Q > 0 && !ch.isOwner && !ch.isReplica {
+		ch.subs.count = p.Q
 	}
 	if p.SizeBytes > 0 && ch.sizeBytes == 0 {
 		ch.sizeBytes = p.SizeBytes

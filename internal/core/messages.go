@@ -95,10 +95,10 @@ type replicateMsg struct {
 	// Seq is the owner's replication sequence for the pushed state; a
 	// replica adopting the push continues from it.
 	Seq uint64 `json:"seq"`
-	// Subscribers lists client identities with their entry nodes, or is
-	// nil in counting mode.
+	// Subscribers lists client identities with their entry nodes (nil
+	// when the set is empty).
 	Subscribers []replicatedSub `json:"subscribers,omitempty"`
-	// Count is the subscriber count (authoritative in counting mode).
+	// Count is the subscriber count, len(Subscribers) from an owner.
 	Count int `json:"count"`
 	// SizeBytes and IntervalSec replicate the tradeoff factors.
 	SizeBytes   int     `json:"size_bytes"`
@@ -179,12 +179,12 @@ type pollCtlMsg struct {
 }
 
 // updateMsg disseminates a detected update through the channel's wedge
-// (§3.4). In content mode Diff carries the encoded delta; in version mode
-// only version metadata travels.
+// (§3.4). Diff carries the encoded delta when the detecting node fetched
+// a body; an origin that serves versions alone sends none.
 type updateMsg struct {
 	URL     string `json:"url"`
 	Version uint64 `json:"version"`
-	// Diff is the encoded delta (empty in version-only mode).
+	// Diff is the encoded delta (empty when the origin sent no body).
 	Diff string `json:"diff,omitempty"`
 	// Bytes is the transfer size for load accounting.
 	Bytes int `json:"bytes"`

@@ -33,8 +33,7 @@ type Fetcher interface {
 
 // Notifier delivers update notifications to subscribers, the role of the
 // paper's IM gateway (§3.5); a node's client registry
-// (clientproto.SessionTable) implements it. In counting mode the node
-// calls NotifyCount instead of NotifyBatch.
+// (clientproto.SessionTable) implements it.
 type Notifier interface {
 	// NotifyBatch sends every listed client the same diff for a channel
 	// update — one call per entry node per update, so the notifier can
@@ -45,9 +44,6 @@ type Notifier interface {
 	// slice is only valid for the duration of the call; the notifier
 	// must copy it if it retains the handles.
 	NotifyBatch(clients []string, channelURL string, version uint64, diff string, at time.Time)
-	// NotifyCount reports that count subscribers of a channel were
-	// notified of version (counting mode, used at simulation scale).
-	NotifyCount(channelURL string, version uint64, count int, at time.Time)
 }
 
 // DetectionSink receives update-detection events for measurement. The
@@ -59,21 +55,19 @@ type DetectionSink interface {
 	UpdateDetected(channelURL string, version uint64, at time.Time)
 }
 
-// subscriberSet tracks subscribers either by identity (with the entry
-// node that delivers their notifications) or by count alone. sum is the
-// set's replication digest in identity mode: the sum of subHash over
-// every (client, entry) record, kept current in O(1) by each change.
+// subscriberSet tracks subscribers by identity, with the entry node that
+// delivers their notifications. sum is the set's replication digest: the
+// sum of subHash over every (client, entry) record, kept current in O(1)
+// by each change. count is len(ids) at owners and replicas; a wedge
+// member that holds no identities keeps the owner's subscriber count Q
+// from poll control there instead.
 type subscriberSet struct {
 	count int
-	ids   map[string]pastry.Addr // client -> entry node; nil in counting mode
+	ids   map[string]pastry.Addr // client -> entry node
 	sum   uint64
 }
 
-func (s *subscriberSet) add(client string, entry pastry.Addr, countOnly bool) bool {
-	if countOnly {
-		s.count++
-		return true
-	}
+func (s *subscriberSet) add(client string, entry pastry.Addr) bool {
 	if s.ids == nil {
 		s.ids = make(map[string]pastry.Addr)
 	}
@@ -94,14 +88,7 @@ func (s *subscriberSet) add(client string, entry pastry.Addr, countOnly bool) bo
 	return true
 }
 
-func (s *subscriberSet) remove(client string, countOnly bool) bool {
-	if countOnly {
-		if s.count > 0 {
-			s.count--
-			return true
-		}
-		return false
-	}
+func (s *subscriberSet) remove(client string) bool {
 	entry, ok := s.ids[client]
 	if !ok {
 		return false
@@ -133,27 +120,13 @@ func (s *subscriberSet) clear() {
 	s.sum = 0
 }
 
-// digest is the set's replication digest: order-independent, identical
-// across processes for identical sets, and in counting mode the count.
-func (s *subscriberSet) digest(countOnly bool) uint64 {
-	if countOnly {
-		return uint64(s.count)
-	}
-	return s.sum
-}
+// digest is the set's replication digest: order-independent, and
+// identical across processes for identical sets.
+func (s *subscriberSet) digest() uint64 { return s.sum }
 
 // digestAfter is the digest the set would have after one add or remove,
 // without applying it, so a replica can check a delta before taking it.
-func (s *subscriberSet) digestAfter(client string, entry pastry.Addr, remove, countOnly bool) uint64 {
-	if countOnly {
-		if remove {
-			if s.count == 0 {
-				return 0
-			}
-			return uint64(s.count - 1)
-		}
-		return uint64(s.count + 1)
-	}
+func (s *subscriberSet) digestAfter(client string, entry pastry.Addr, remove bool) uint64 {
 	sum := s.sum
 	if prev, ok := s.ids[client]; ok {
 		sum -= subHash(client, prev)
@@ -284,9 +257,9 @@ type channelState struct {
 	est         intervalEstimator
 	lastVersion uint64
 	// content is the extracted core content of version contentVersion
-	// (content mode; nil and 0 until known). contentVersion moves only
-	// forward, unless a diff fails to apply and the cache is dropped, and
-	// may trail lastVersion.
+	// (nil and 0 until a fetched body or an applied diff supplies it).
+	// contentVersion moves only forward, unless a diff fails to apply and
+	// the cache is dropped, and may trail lastVersion.
 	content        []string
 	contentVersion uint64
 

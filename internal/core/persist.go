@@ -146,10 +146,10 @@ func (n *Node) RestoreChannels(channels []store.Channel) {
 		if c.IntervalSec > 0 {
 			ch.est.ewma = c.IntervalSec
 		}
-		if len(c.Subs) > 0 && !n.cfg.CountSubscribersOnly {
+		if len(c.Subs) > 0 {
 			ch.subs.clear()
 			for _, s := range c.Subs {
-				ch.subs.add(s.Client, pastry.Addr{ID: s.EntryID, Endpoint: s.EntryEndpoint}, false)
+				ch.subs.add(s.Client, pastry.Addr{ID: s.EntryID, Endpoint: s.EntryEndpoint})
 			}
 		} else {
 			ch.subs.count = c.Count
@@ -158,7 +158,7 @@ func (n *Node) RestoreChannels(channels []store.Channel) {
 		// discipline; their timestamps predate the outage, so each gets a
 		// fresh grace window instead — an entry node that really died
 		// simply fails to refresh and expires one TTL from now.
-		if len(c.Leases) > 0 && !n.cfg.CountSubscribersOnly {
+		if len(c.Leases) > 0 {
 			now := n.now()
 			ch.leases = make(map[string]time.Time, len(c.Leases))
 			for _, l := range c.Leases {
@@ -172,7 +172,7 @@ func (n *Node) RestoreChannels(channels []store.Channel) {
 		// partitions themselves are soft state — the post-reconcile
 		// delegate refresh recomputes and re-pushes them, and it will also
 		// shrink or clear a roster whose nodes died during the outage.
-		if len(c.Delegates) > 0 && !n.cfg.CountSubscribersOnly {
+		if len(c.Delegates) > 0 {
 			ch.delegates = make([]pastry.Addr, 0, len(c.Delegates))
 			for _, d := range c.Delegates {
 				ch.delegates = append(ch.delegates, pastry.Addr{ID: d.ID, Endpoint: d.Endpoint})

@@ -149,7 +149,6 @@ func TestStateSinkRecordsAndRecovers(t *testing.T) {
 	cfg.NodeCount = 1
 	cfg.PollInterval = 10 * time.Minute
 	cfg.MaintenanceInterval = 20 * time.Minute
-	cfg.CountSubscribersOnly = false
 	notify := newRecordingNotifier()
 	node := core.NewNode(cfg, overlay, sim, &core.OriginFetcher{Origin: origin, Clock: sim}, notify, nil)
 	node.RestoreChannels(recovered)

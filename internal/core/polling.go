@@ -251,7 +251,7 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 
 	var diffText string
 	var diffBytes int
-	if n.cfg.ContentMode && res.Body != nil {
+	if res.Body != nil {
 		// Run the difference engine over extracted core content; only
 		// germane changes disseminate (§3.4). The diff names as its base
 		// the version of the content it was computed against, which may
@@ -417,7 +417,7 @@ func (n *Node) handleUpdate(msg pastry.Message) {
 	// A diff against the content this node holds moves it forward even
 	// when the version is not news here: a replicate push may have raised
 	// lastVersion before the update carrying the content arrived.
-	if n.cfg.ContentMode && p.Diff != "" && newContent {
+	if p.Diff != "" && newContent {
 		n.applyDiff(ch, p.Diff)
 	}
 	if !fresh {

@@ -134,7 +134,7 @@ func TestReplicaRepairsPlantedDigestMismatch(t *testing.T) {
 	replica := replicas[1]
 	// Corrupt the copy without touching its Seq: only the digest can tell.
 	replica.mu.Lock()
-	replica.channels[ids.HashString(repairURL)].subs.add("mallory", replica.Self(), false)
+	replica.channels[ids.HashString(repairURL)].subs.add("mallory", replica.Self())
 	replica.mu.Unlock()
 	requireRepaired(t, r, owner, replica)
 }
@@ -299,7 +299,6 @@ func TestConcurrentChangesLeaveInSeqOrder(t *testing.T) {
 		if overlay.IsRoot(ids.HashString(repairURL)) {
 			cfg := DefaultConfig()
 			cfg.NodeCount = len(overlays)
-			cfg.CountSubscribersOnly = false
 			cfg.OwnerReplicas = 2
 			owner, rec = NewNode(cfg, overlay, sim, &OriginFetcher{}, nil, nil), transports[i]
 		}

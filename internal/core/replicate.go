@@ -115,7 +115,7 @@ func (n *Node) replicateSubLocked(ch *channelState, wasOwner, changed bool, clie
 			URL:        ch.url,
 			OwnerEpoch: ch.ownerEpoch,
 			Seq:        ch.replSeq,
-			Digest:     ch.subs.digest(n.cfg.CountSubscribersOnly),
+			Digest:     ch.subs.digest(),
 			Client:     client,
 			Entry:      entry,
 			Remove:     remove,
@@ -134,7 +134,7 @@ func (n *Node) beatEntryLocked(ch *channelState) replBeatEntry {
 		URL:         ch.url,
 		OwnerEpoch:  ch.ownerEpoch,
 		Seq:         ch.replSeq,
-		Digest:      ch.subs.digest(n.cfg.CountSubscribersOnly),
+		Digest:      ch.subs.digest(),
 		Count:       ch.subs.count,
 		LastVersion: ch.lastVersion,
 		Level:       ch.level,
@@ -186,7 +186,6 @@ func (n *Node) handleReplDelta(msg pastry.Message) {
 	if !ok || msg.From.ID == n.Self().ID {
 		return
 	}
-	countOnly := n.cfg.CountSubscribersOnly
 	n.mu.Lock()
 	ch := n.getChannel(p.URL)
 	if ch.isReplica && !ch.isOwner && ch.ownerEpoch == p.OwnerEpoch {
@@ -194,22 +193,17 @@ func (n *Node) handleReplDelta(msg pastry.Message) {
 			n.mu.Unlock()
 			return
 		}
-		if p.Seq == ch.replSeq+1 && ch.subs.digestAfter(p.Client, p.Entry, p.Remove, countOnly) == p.Digest {
+		if p.Seq == ch.replSeq+1 && ch.subs.digestAfter(p.Client, p.Entry, p.Remove) == p.Digest {
 			if p.Remove {
-				ch.subs.remove(p.Client, countOnly)
+				ch.subs.remove(p.Client)
 			} else {
-				ch.subs.add(p.Client, p.Entry, countOnly)
+				ch.subs.add(p.Client, p.Entry)
 			}
 			ch.replSeq = p.Seq
 			ch.ownerSeen = n.now()
 			// Journal the one change; the store's subscribe records are
-			// idempotent upserts and removals. Counting mode has no
-			// identities, so its count rides a metadata record.
-			if countOnly {
-				n.emitMetaLocked(ch, false)
-			} else {
-				n.emitSubLocked(ch, p.Client, p.Entry, p.Remove)
-			}
+			// idempotent upserts and removals.
+			n.emitSubLocked(ch, p.Client, p.Entry, p.Remove)
 			n.mu.Unlock()
 			return
 		}
@@ -242,7 +236,6 @@ func (n *Node) handleReplBeat(msg pastry.Message) {
 		n.answerResync(msg.From, p.Channels)
 		return
 	}
-	countOnly := n.cfg.CountSubscribersOnly
 	now := n.now()
 	var want []replBeatEntry
 	n.mu.Lock()
@@ -250,7 +243,7 @@ func (n *Node) handleReplBeat(msg pastry.Message) {
 		e := &p.Channels[i]
 		ch, known := n.channels[ids.HashString(e.URL)]
 		if !known || !ch.isReplica || ch.isOwner || ch.ownerEpoch != e.OwnerEpoch ||
-			ch.replSeq != e.Seq || ch.subs.digest(countOnly) != e.Digest || n.overlay.IsRoot(ch.id) {
+			ch.replSeq != e.Seq || ch.subs.digest() != e.Digest || n.overlay.IsRoot(ch.id) {
 			want = append(want, replBeatEntry{URL: e.URL})
 			if known {
 				ch.resyncAsked = true
@@ -272,8 +265,7 @@ func (n *Node) handleReplBeat(msg pastry.Message) {
 // adoptBeatLocked folds a matching heartbeat entry's scalar fields into
 // replica state with the rules a full push applies, and reports whether
 // any moved. The count needs no adopting: a matching digest is a
-// matching set, and in counting mode the digest is the count. Callers
-// hold n.mu.
+// matching set. Callers hold n.mu.
 func (n *Node) adoptBeatLocked(ch *channelState, e *replBeatEntry) bool {
 	changed := false
 	if ch.sizeBytes != e.SizeBytes {

@@ -46,7 +46,6 @@ func TestReplicatePushKeepsEqualSubscriberSet(t *testing.T) {
 	for i, overlay := range overlays {
 		cfg := DefaultConfig()
 		cfg.NodeCount = len(overlays)
-		cfg.CountSubscribersOnly = false
 		cfg.PollInterval = 1000 * time.Hour
 		cfg.Seed = int64(i)
 		n := NewNode(cfg, overlay, sim, &OriginFetcher{}, nil, nil)

@@ -33,17 +33,15 @@ func (n *Node) handleSubscribe(msg pastry.Message) {
 	ch := n.getChannel(p.URL)
 	changed := false
 	if p.Remove {
-		changed = ch.subs.remove(p.Client, n.cfg.CountSubscribersOnly)
+		changed = ch.subs.remove(p.Client)
 		delete(ch.leases, p.Client)
 		// Tombstone even when the remove was a no-op: an owner that lost
 		// its subscriber set (in-memory restart, stateless promotion)
 		// still must not let an in-flight lease heartbeat resurrect the
 		// client after this unsubscribe.
-		if !n.cfg.CountSubscribersOnly {
-			n.tombstoneLocked(ch, p.Client)
-		}
+		n.tombstoneLocked(ch, p.Client)
 	} else {
-		changed = ch.subs.add(p.Client, p.Entry, n.cfg.CountSubscribersOnly)
+		changed = ch.subs.add(p.Client, p.Entry)
 		delete(ch.unsubbed, p.Client) // an explicit subscribe overrides the tombstone
 	}
 	wasOwner := ch.isOwner
@@ -119,14 +117,12 @@ func (n *Node) buildReplicateLocked(ch *channelState) *replicateMsg {
 		OwnerEpoch:  ch.ownerEpoch,
 		FromOwner:   ch.isOwner,
 	}
-	if !n.cfg.CountSubscribersOnly {
-		for c, entry := range ch.subs.ids {
-			rep.Subscribers = append(rep.Subscribers, replicatedSub{Client: c, Entry: entry})
-		}
-		// Replication payload bytes must be a pure function of the
-		// subscriber set, not of map iteration order.
-		sort.Slice(rep.Subscribers, func(i, j int) bool { return rep.Subscribers[i].Client < rep.Subscribers[j].Client })
+	for c, entry := range ch.subs.ids {
+		rep.Subscribers = append(rep.Subscribers, replicatedSub{Client: c, Entry: entry})
 	}
+	// Replication payload bytes must be a pure function of the
+	// subscriber set, not of map iteration order.
+	sort.Slice(rep.Subscribers, func(i, j int) bool { return rep.Subscribers[i].Client < rep.Subscribers[j].Client })
 	return rep
 }
 
@@ -467,32 +463,30 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 	// (the dead peer owned the channel AND was a subscriber's entry)
 	// marks those entries too.
 	var pushes []delegatePush
-	if !n.cfg.CountSubscribersOnly {
-		for _, ch := range n.channels {
-			// A partition delegated by the dead peer is orphaned; drop it
-			// now so a stale notify cannot race the successor's recruit.
-			if ch.delegSubs != nil && ch.delegFrom.ID == dead.ID {
-				ch.delegSubs = nil
-				ch.delegFrom = pastry.Addr{}
-			}
-			if !ch.isOwner {
-				continue
-			}
-			// A dead delegate leaves its slice of subscribers unserved;
-			// re-partition over the survivors immediately — the window
-			// where its slice misses updates is one fault detection, not
-			// a maintenance round. Exclude the dead identifier in case
-			// the overlay has not pruned its leaf set yet.
-			if addrsContain(ch.delegates, dead) {
-				pushes = n.refreshDelegatesLocked(ch, pushes, dead.ID)
-			}
-			for client, entry := range ch.subs.ids {
-				if entry.ID == dead.ID {
-					if ch.leases == nil {
-						ch.leases = make(map[string]time.Time)
-					}
-					ch.leases[client] = time.Time{}
+	for _, ch := range n.channels {
+		// A partition delegated by the dead peer is orphaned; drop it
+		// now so a stale notify cannot race the successor's recruit.
+		if ch.delegSubs != nil && ch.delegFrom.ID == dead.ID {
+			ch.delegSubs = nil
+			ch.delegFrom = pastry.Addr{}
+		}
+		if !ch.isOwner {
+			continue
+		}
+		// A dead delegate leaves its slice of subscribers unserved;
+		// re-partition over the survivors immediately — the window
+		// where its slice misses updates is one fault detection, not
+		// a maintenance round. Exclude the dead identifier in case
+		// the overlay has not pruned its leaf set yet.
+		if addrsContain(ch.delegates, dead) {
+			pushes = n.refreshDelegatesLocked(ch, pushes, dead.ID)
+		}
+		for client, entry := range ch.subs.ids {
+			if entry.ID == dead.ID {
+				if ch.leases == nil {
+					ch.leases = make(map[string]time.Time)
 				}
+				ch.leases[client] = time.Time{}
 			}
 		}
 	}
@@ -502,13 +496,12 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 }
 
 // notifySubscribers delivers an update to every subscriber of an owned
-// channel through the IM gateway (§3.5). Counting mode reports the batch
-// size to the sink without materializing per-client sends. Identity mode
-// groups subscribers by entry node — one notifyBatch per remote gateway,
-// the paper's centralized IM intermediary generalized to the overlay (§4)
-// — so the owner's per-update cost scales with distinct entry nodes, and
-// a sharded channel (delegate.go) sends one delegateNotify per delegate
-// plus batches for the owner's own slot, scaling with delegates alone.
+// channel through the IM gateway (§3.5). Subscribers are grouped by entry
+// node — one notifyBatch per remote gateway, the paper's centralized IM
+// intermediary generalized to the overlay (§4) — so the owner's
+// per-update cost scales with distinct entry nodes, and a sharded channel
+// (delegate.go) sends one delegateNotify per delegate plus batches for
+// the owner's own slot, scaling with delegates alone.
 func (n *Node) notifySubscribers(ch *channelState, version uint64, diff string, at time.Time) {
 	n.mu.Lock()
 	notify := n.notify
@@ -517,15 +510,6 @@ func (n *Node) notifySubscribers(ch *channelState, version uint64, diff string, 
 		return
 	}
 	obsOwnerSend := n.obsOwnerSend
-	if n.cfg.CountSubscribersOnly {
-		count := ch.subs.count
-		n.stats.NotificationsSent += uint64(count)
-		n.mu.Unlock()
-		if count > 0 {
-			notify.NotifyCount(ch.url, version, count, at)
-		}
-		return
-	}
 	src := ch.subs.ids
 	var delegates []pastry.Addr
 	if len(ch.delegates) > 0 {
@@ -571,7 +555,7 @@ func (n *Node) notifySubscribers(ch *channelState, version uint64, diff string, 
 // update that failed to deliver schedules the repair, and the next lease
 // sweep re-points the records at survivors.
 func (n *Node) expireFailedEntries(ch *channelState, failed []notifyTarget) {
-	if len(failed) == 0 || n.cfg.CountSubscribersOnly {
+	if len(failed) == 0 {
 		return
 	}
 	n.mu.Lock()

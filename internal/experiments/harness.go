@@ -31,9 +31,8 @@ type Harness struct {
 	Endpoints []string
 	Down      map[int]bool
 
-	// Subs records every issued subscription when Options.Identity is set,
-	// so invariant checkers can audit the durable subscription set against
-	// owner-side records.
+	// Subs records every issued subscription, so invariant checkers can
+	// audit the durable subscription set against owner-side records.
 	Subs []IssuedSub
 
 	opts     Options
@@ -72,14 +71,8 @@ type Options struct {
 	// Notifier receives client notifications; nil discards them (the
 	// nodes still count them in NotificationsSent).
 	Notifier core.Notifier
-	// Identity tracks full per-client subscriber identity (entry records,
-	// leases, delegation) instead of counting-mode aggregation, and
-	// records issued subscriptions in Harness.Subs so invariant checkers
-	// can audit them. Figure runs keep counting mode for memory.
-	Identity bool
-	// OwnerReplicas sets the additional owner replica count (identity
-	// chaos runs want the PR-5 replication machinery active; figure runs
-	// keep 0).
+	// OwnerReplicas sets the additional owner replica count (chaos runs
+	// want the replication machinery active; figure runs keep 0).
 	OwnerReplicas int
 	// LeaseTTL and DelegateThreshold override the corresponding
 	// core.Config fields when nonzero.
@@ -98,7 +91,6 @@ type Options struct {
 type discardNotifier struct{}
 
 func (discardNotifier) NotifyBatch([]string, string, uint64, string, time.Time) {}
-func (discardNotifier) NotifyCount(string, uint64, int, time.Time)              {}
 
 // legacyOrigin mirrors a workload onto a second origin with identical
 // update processes, so Corona and legacy load accounting stay separate
@@ -189,7 +181,6 @@ func (h *Harness) nodeConfig(i int) core.Config {
 	cfg.PollInterval = h.Scale.PollInterval
 	cfg.MaintenanceInterval = h.Scale.MaintenanceInterval
 	cfg.NodeCount = h.Scale.Nodes
-	cfg.CountSubscribersOnly = !h.opts.Identity
 	cfg.OwnerReplicas = h.opts.OwnerReplicas
 	cfg.Seed = h.Scale.Seed + int64(i)
 	if h.opts.LeaseTTL != 0 {
@@ -235,9 +226,9 @@ func (h *Harness) issueSubscriptions(opts Options) {
 	if opts.RampSubscriptions {
 		ramp = time.Hour
 	}
-	// In counting mode, per-client identity is irrelevant; issue one
-	// Subscribe per subscription with a synthetic handle. Entry node is
-	// random per subscription, as clients connect to arbitrary nodes.
+	// Issue one Subscribe per subscription with a synthetic handle "u<i>".
+	// Entry node is random per subscription, as clients connect to
+	// arbitrary nodes.
 	subIdx := 0
 	for _, ch := range h.Work.Channels {
 		for s := 0; s < ch.Subscribers; s++ {
@@ -246,9 +237,7 @@ func (h *Harness) issueSubscriptions(opts Options) {
 			url := ch.URL
 			client := fmt.Sprintf("u%d", subIdx)
 			subIdx++
-			if opts.Identity {
-				h.Subs = append(h.Subs, IssuedSub{Client: client, URL: url, Entry: entryIdx})
-			}
+			h.Subs = append(h.Subs, IssuedSub{Client: client, URL: url, Entry: entryIdx})
 			if ramp == 0 {
 				entry.Subscribe(client, url)
 				continue

@@ -90,7 +90,10 @@ type linkKey struct{ from, to string }
 type Network struct {
 	sim     *eventsim.Sim
 	latency LatencyModel
-	rng     *rand.Rand
+	// rng is the one stream every message's latency (and drop) draw comes
+	// from, so a message added anywhere shifts later latencies under a
+	// random model such as WANLatency.
+	rng *rand.Rand
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint

@@ -437,8 +437,8 @@ func (rec Record) apply(state map[string]*Channel) {
 			ch.replaceSubs(rec.Subs)
 			ch.Count = len(ch.Subs)
 		} else if len(ch.Subs) == 0 {
-			// Counting-mode totals carry no identities; the meta record is
-			// authoritative. With identities present, the set itself is.
+			// A record with no identities carries the count alone; with
+			// identities present, the set itself is authoritative.
 			ch.Count = rec.Count
 		}
 	case OpVersion:

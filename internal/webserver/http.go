@@ -76,7 +76,7 @@ func (h *HTTPOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Body == nil {
-		// Version-only channels have no materialized body over HTTP.
+		// A channel with no Generator has no body to serve over HTTP.
 		http.Error(w, "channel has no content generator", http.StatusUnprocessableEntity)
 		return
 	}

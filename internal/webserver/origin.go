@@ -18,7 +18,8 @@ type FetchResult struct {
 	// Bytes is the number of payload bytes transferred, the unit of the
 	// paper's network-load accounting.
 	Bytes int
-	// Body is the document itself; nil in version-only mode.
+	// Body is the document itself; nil for a channel with no content
+	// Generator, which serves versions alone.
 	Body []byte
 }
 
