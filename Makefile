@@ -53,8 +53,8 @@ lint:
 # series) recorded in BENCH_obs.json; web-edge benchmarks (the session
 # table's replay ring append/replay, WS frame encode, notify-to-queue
 # delivery with the encode-once shared slot) recorded in BENCH_web.json; difference-engine
-# benchmarks (Extract, Compute, Encode, Decode+Apply on one update of a
-# feed.Generator channel) and the origin poll that feeds them (HTTPFetch,
+# benchmarks (Extract, ExtractDiff, Compute, Encode, Decode+Apply on one
+# update of a feed.Generator channel) and the origin poll that feeds them (HTTPFetch,
 # 304 and 200 over loopback) recorded in BENCH_diff.json.
 bench:
 	$(GO) test -run xxx -bench 'Wire|UpdateEncode|UpdateDecodeForward|FanOutEncode|UpdateDissemination' -benchmem . ./internal/core/ \
@@ -69,7 +69,7 @@ bench:
 		| $(GO) run ./cmd/bench2json -o BENCH_obs.json
 	$(GO) test -run xxx -bench 'Web' -benchmem ./internal/webgateway/ ./internal/clientproto/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_web.json
-	$(GO) test -run xxx -bench '^Benchmark(Extract|ExtractDecorated|Compute|Encode|DecodeApply|HTTPFetch)$$' -benchmem ./internal/diffengine/ ./internal/core/ \
+	$(GO) test -run xxx -bench '^Benchmark(Extract|ExtractDecorated|ExtractDiff|Compute|Encode|DecodeApply|HTTPFetch)$$' -benchmem ./internal/diffengine/ ./internal/core/ \
 		| $(GO) run ./cmd/bench2json -o BENCH_diff.json
 	$(MAKE) chaos
 

@@ -46,6 +46,7 @@ var liveStatsSpec = []liveStatSpec{
 	{"Stats.PollErrors", "corona_poll_errors_total", "Origin polls that failed: unreachable, timed out, an error status or an oversized body.", metrics.KindCounter, "", ""},
 	{"Stats.UpdatesDetected", "corona_updates_detected_total", "Channel updates detected first-hand by this node's polls.", metrics.KindCounter, "", ""},
 	{"Stats.UpdatesReceived", "corona_updates_received_total", "Channel updates learned via cooperative dissemination.", metrics.KindCounter, "", ""},
+	{"Stats.DiffBaseMismatches", "corona_diff_base_mismatch_total", "Disseminated diffs not applied because their base was not the content this node held.", metrics.KindCounter, "", ""},
 	{"Stats.NotificationsSent", "corona_notifications_sent_total", "Per-client notifications sent toward entry nodes.", metrics.KindCounter, "", ""},
 	{"Stats.NotifyBatchesSent", "corona_notify_batches_sent_total", "Entry-node notify batches emitted (local and overlay).", metrics.KindCounter, "", ""},
 	{"Stats.DelegateUpdates", "corona_delegate_updates_total", "Per-delegate update disseminations sent by owned channels.", metrics.KindCounter, "", ""},

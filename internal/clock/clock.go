@@ -10,6 +10,12 @@ type Timer interface {
 	// Stop cancels the timer. It reports whether the callback was
 	// prevented from running (false if it already ran or was stopped).
 	Stop() bool
+	// Reset schedules the timer's callback to run once more, d from now,
+	// whether it is pending, stopped or has already run; a pending run is
+	// moved, not added to. It reports whether a run was pending. A
+	// periodic loop re-arms its one timer this way instead of allocating
+	// a new one per period.
+	Reset(d time.Duration) bool
 }
 
 // Clock supplies the current time and one-shot timers. Implementations:

@@ -200,11 +200,15 @@ func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
 	if decodes != 1 {
 		t.Fatalf("second delivery decoded the diff (%d decodes in all)", decodes)
 	}
+	if got := n.Stats().DiffBaseMismatches; got != 0 {
+		t.Fatalf("a duplicate delivery counted %d base mismatches, want 0", got)
+	}
 }
 
 // TestMismatchedBaseSkipsDiffDecode delivers an update whose diff starts
 // from a version this node does not cache: the header alone rules it
-// out, so the diff is never decoded and the cache stays as it is.
+// out, so the diff is never decoded and the cache stays as it is, and
+// the node counts the mismatch.
 func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	const url = "http://feeds.example.net/behind.xml"
 	sim := eventsim.New(1)
@@ -238,5 +242,8 @@ func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	}
 	if decodes != 0 {
 		t.Fatalf("a diff from a base this node lacks was decoded %d times, want 0", decodes)
+	}
+	if got := n.Stats().DiffBaseMismatches; got != 1 {
+		t.Fatalf("a diff from a base this node lacks counted %d base mismatches, want 1", got)
 	}
 }

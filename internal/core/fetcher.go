@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"os"
 	"slices"
@@ -98,6 +97,14 @@ var errBodyTooLarge = fmt.Errorf("core: body exceeds %d bytes", maxBodyBytes)
 // reply on the calling goroutine; no goroutine, context or timer lives
 // per connection or per request. Construct it with NewHTTPFetcher.
 //
+// The reply is not read through net/http: readHead parses the status
+// line and the few header fields a poll uses (ETag, Content-Length,
+// Transfer-Encoding, Connection, Content-Encoding, Location) in place
+// from the connection's reader, under net/http's rules, and a body is
+// read through a reader the connection embeds. A 304 poll over a pooled
+// connection allocates nothing. A response head longer than maxHeadBytes
+// is a poll error.
+//
 // A 200 body is read into a buffer the fetcher reuses: the node hands it
 // back through ReleaseBody once the difference engine has consumed it,
 // and a later poll reads into it.
@@ -135,6 +142,8 @@ type originConn struct {
 	key  string
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	line []byte     // the head line being parsed, reused across polls
+	body bodyReader // the body of the response being read
 }
 
 // NewHTTPFetcher returns a fetcher for a node polling every
@@ -177,40 +186,40 @@ func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchR
 	//lint:allow wallclock a socket deadline is wall time; HTTPFetcher only ever talks to real origins
 	deadline := time.Now().Add(f.timeout)
 	t := p.target
+	var h respHead
 	for redirects := 0; ; {
-		oc, resp, err := f.roundTrip(t, haveVersion, deadline)
+		oc, err := f.roundTrip(t, haveVersion, deadline, &h)
 		if err != nil {
 			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: %w", rawURL, err)
 		}
-		loc := resp.Header.Get("Location")
-		if !isRedirect(resp.StatusCode) || loc == "" {
-			return f.finish(p, oc, resp, rawURL, haveVersion)
+		if h.location == "" {
+			return f.finish(p, oc, &h, rawURL, haveVersion)
 		}
-		f.release(oc, resp, drain(resp))
+		f.release(oc, &h, oc.drain(&h))
 		if redirects++; redirects >= maxRedirects {
 			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: stopped after %d redirects", rawURL, maxRedirects)
 		}
-		next, err := t.url.Parse(loc)
+		next, err := t.url.Parse(h.location)
 		if err == nil {
 			t, err = newOriginTarget(next)
 		}
 		if err != nil {
-			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: redirect to %q: %w", rawURL, loc, err)
+			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: redirect to %q: %w", rawURL, h.location, err)
 		}
 	}
 }
 
 // finish turns a final response into a fetch result and hands its
 // connection back.
-func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, resp *http.Response, rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		f.release(oc, resp, true)
+func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, h *respHead, rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
+	switch h.status {
+	case statusNotModified:
+		f.release(oc, h, true)
 		return webserver.FetchResult{Version: haveVersion, Modified: false, Bytes: 300}, nil
-	case http.StatusOK:
-		r, contentLength := io.Reader(resp.Body), resp.ContentLength
-		if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-			zr, err := gzip.NewReader(resp.Body)
+	case statusOK:
+		r, contentLength := oc.openBody(h), h.length
+		if h.gzip {
+			zr, err := gzip.NewReader(r)
 			if err != nil {
 				oc.conn.Close()
 				return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, err)
@@ -232,20 +241,18 @@ func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, resp *http.Response, 
 			oc.conn.Close()
 			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, err)
 		}
-		f.release(oc, resp, true)
+		f.release(oc, h, true)
 		f.mu.Lock()
 		p.size = len(body)
 		f.mu.Unlock()
 		version := haveVersion + 1
-		if etag := resp.Header.Get("ETag"); etag != "" {
-			if v, err := strconv.ParseUint(etag, 10, 64); err == nil {
-				version = v
-			}
+		if h.etagOK {
+			version = h.etag
 		}
 		return webserver.FetchResult{Version: version, Modified: true, Bytes: len(body), Body: body}, nil
 	default:
-		f.release(oc, resp, drain(resp))
-		return webserver.FetchResult{}, fmt.Errorf("core: polling %s: status %d", rawURL, resp.StatusCode)
+		f.release(oc, h, oc.drain(h))
+		return webserver.FetchResult{}, fmt.Errorf("core: polling %s: status %d", rawURL, h.status)
 	}
 }
 
@@ -342,33 +349,33 @@ func newOriginTarget(u *url.URL) (*originTarget, error) {
 	}, nil
 }
 
-// roundTrip sends one GET for t and reads the response head. A pooled
-// connection the origin closed while it sat idle fails before any byte
-// of a response arrives; the GET is idempotent, so it is sent once more
-// on a fresh connection.
-func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, deadline time.Time) (*originConn, *http.Response, error) {
+// roundTrip sends one GET for t and reads the response head into h. A
+// pooled connection the origin closed while it sat idle fails before any
+// byte of a response arrives; the GET is idempotent, so it is sent once
+// more on a fresh connection.
+func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, deadline time.Time, h *respHead) (*originConn, error) {
 	oc, reused, err := f.take(t, deadline)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	resp, answered, err := oc.exchange(t, haveVersion)
+	answered, err := oc.exchange(t, haveVersion, h)
 	if err != nil && reused && !answered && !errors.Is(err, os.ErrDeadlineExceeded) {
 		oc.conn.Close()
 		if oc, err = f.dial(t, deadline); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		resp, _, err = oc.exchange(t, haveVersion)
+		_, err = oc.exchange(t, haveVersion, h)
 	}
 	if err != nil {
 		oc.conn.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return oc, resp, nil
+	return oc, nil
 }
 
-// exchange writes the GET and parses the response head. answered
+// exchange writes the GET and parses the response head into h. answered
 // reports whether any byte of a response arrived.
-func (oc *originConn) exchange(t *originTarget, haveVersion uint64) (resp *http.Response, answered bool, err error) {
+func (oc *originConn) exchange(t *originTarget, haveVersion uint64, h *respHead) (answered bool, err error) {
 	oc.bw.WriteString(t.head)
 	if haveVersion != 0 {
 		oc.bw.WriteString("If-None-Match: ")
@@ -377,18 +384,18 @@ func (oc *originConn) exchange(t *originTarget, haveVersion uint64) (resp *http.
 	}
 	oc.bw.WriteString("\r\n")
 	if err := oc.bw.Flush(); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if _, err := oc.br.Peek(1); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	resp, err = http.ReadResponse(oc.br, nil)
+	err = oc.readHead(h)
 	// Skip interim responses (103 Early Hints, a stray 100 Continue), as
 	// net/http's client does.
-	for i := 0; err == nil && resp.StatusCode < 200 && resp.StatusCode != http.StatusSwitchingProtocols && i < 5; i++ {
-		resp, err = http.ReadResponse(oc.br, nil)
+	for i := 0; err == nil && h.status < 200 && h.status != statusSwitchingProtocols && i < 5; i++ {
+		err = oc.readHead(h)
 	}
-	return resp, true, err
+	return true, err
 }
 
 // take returns a connection to t's origin with its deadline set: the
@@ -439,8 +446,8 @@ func (f *HTTPFetcher) dial(t *originTarget, deadline time.Time) (*originConn, er
 // release pools oc when its response was read to the end (consumed) and
 // leaves the connection fit for another request; otherwise, or once the
 // fetcher is closed or the origin's pool is full, it closes oc.
-func (f *HTTPFetcher) release(oc *originConn, resp *http.Response, consumed bool) {
-	if consumed && !resp.Close && resp.StatusCode >= 200 && oc.br.Buffered() == 0 {
+func (f *HTTPFetcher) release(oc *originConn, h *respHead, consumed bool) {
+	if consumed && !h.close && h.status >= 200 && oc.br.Buffered() == 0 {
 		f.mu.Lock()
 		if !f.closed && len(f.idle[oc.key]) < originIdleConnsPerHost {
 			f.idle[oc.key] = append(f.idle[oc.key], oc)
@@ -453,22 +460,29 @@ func (f *HTTPFetcher) release(oc *originConn, resp *http.Response, consumed bool
 	}
 }
 
-// drain reads up to maxDrainBytes of a response body that is not wanted
+// drain reads up to maxDrainBytes of the body of h, which is not wanted,
 // and reports whether that reached its end, leaving the connection
 // reusable.
-func drain(resp *http.Response) bool {
-	if resp.Close {
+func (oc *originConn) drain(h *respHead) bool {
+	if h.close {
 		return false
 	}
-	_, err := io.CopyN(io.Discard, resp.Body, maxDrainBytes+1)
+	_, err := io.CopyN(io.Discard, oc.openBody(h), maxDrainBytes+1)
 	return err == io.EOF
 }
 
-// isRedirect reports the statuses a poll follows to their Location.
+// The statuses a poll tells apart.
+const (
+	statusSwitchingProtocols = 101
+	statusOK                 = 200
+	statusNotModified        = 304
+)
+
+// isRedirect reports the statuses a poll follows to their Location: 301,
+// 302, 303, 307 and 308.
 func isRedirect(status int) bool {
 	switch status {
-	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
-		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+	case 301, 302, 303, 307, 308:
 		return true
 	}
 	return false

@@ -281,7 +281,9 @@ func TestHTTPFetchConcurrentPolls(t *testing.T) {
 }
 
 // BenchmarkHTTPFetch polls a feed.Generator document over a loopback
-// origin: "304" answers the validator, "200" serves the whole body.
+// origin: "304" answers the validator, "200" serves the whole body; both
+// count the net/http server's work too. "304-canned" polls an origin that
+// answers from a fixed buffer, so its figures are the poller's own.
 func BenchmarkHTTPFetch(b *testing.B) {
 	doc, err := feed.NewGenerator("http://bench.example/feed.xml", 1).Snapshot(eventsim.Epoch)
 	if err != nil {
@@ -296,16 +298,17 @@ func BenchmarkHTTPFetch(b *testing.B) {
 		w.Write(doc)
 	}))
 	defer srv.Close()
+	canned := cannedOrigin(b, "HTTP/1.1 304 Not Modified\r\nETag: 1\r\n\r\n")
 	for _, arm := range []struct {
-		name string
-		have uint64
-	}{{"304", 1}, {"200", 0}} {
+		name, url string
+		have      uint64
+	}{{"304", srv.URL, 1}, {"200", srv.URL, 0}, {"304-canned", canned, 1}} {
 		b.Run(arm.name, func(b *testing.B) {
 			f := NewHTTPFetcher(10 * time.Second)
 			defer f.Close()
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := f.Fetch(srv.URL, arm.have); err != nil {
+				if _, err := f.Fetch(arm.url, arm.have); err != nil {
 					b.Fatal(err)
 				}
 			}

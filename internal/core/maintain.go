@@ -22,7 +22,7 @@ func (n *Node) maintenanceTick() {
 		n.mu.Unlock()
 		return
 	}
-	n.maintTimer = n.clk.AfterFunc(n.cfg.MaintenanceInterval, n.maintenanceTick)
+	n.maintTimer.Reset(n.cfg.MaintenanceInterval)
 	n.stats.MaintenanceRounds++
 	draw := n.rng.Int()
 	n.mu.Unlock()

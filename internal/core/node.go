@@ -263,10 +263,10 @@ type channelState struct {
 	content        []string
 	contentVersion uint64
 
+	// pollTimer is the poll loop's one timer, made on the channel's first
+	// poll and re-armed (Reset) for every later one, so rescheduling
+	// allocates nothing.
 	pollTimer clock.Timer
-	// pollFn is the poll loop's timer callback, built once per channel so
-	// rescheduling allocates no closure.
-	pollFn func()
 	// The poll slot (see polling.go): the offset within the poll interval
 	// this node polls at, its rank among the channel's pollers (-1 when
 	// it places itself by identifier instead), and the poller count,
@@ -280,24 +280,28 @@ type channelState struct {
 
 // Stats counts a node's Corona-level activity.
 type Stats struct {
-	PollsIssued       uint64
-	PollErrors        uint64 // polls whose fetch failed: unreachable, timed out, error status, oversized
-	UpdatesDetected   uint64
-	UpdatesReceived   uint64 // learned via dissemination
-	NotificationsSent uint64
-	NotifyBatchesSent uint64 // entry-node notify batches emitted (local + overlay)
-	DelegateUpdates   uint64 // one-per-delegate update disseminations sent by owners
-	MaintenanceRounds uint64
-	LevelChanges      uint64
-	LeaseRefreshes    uint64 // entry-node lease heartbeats applied at owned channels
-	LeaseReroutes     uint64 // dead entry records re-pointed by the lease sweep
-	OwnerClaimsRouted uint64 // anti-entropy claims routed by displaced owners
-	SubscriptionsHeld int    // subscribers of the channels this node owns, summed over them
-	ChannelsOwned     int
-	ChannelsPolled    int
-	DelegatesHeld     int // fan-out partitions this node carries for other owners
-	DelegatesActive   int // delegates recruited across this node's owned channels
-	Replication       ReplicationStats
+	PollsIssued     uint64
+	PollErrors      uint64 // polls whose fetch failed: unreachable, timed out, error status, oversized
+	UpdatesDetected uint64
+	UpdatesReceived uint64 // learned via dissemination
+	// DiffBaseMismatches counts disseminated diffs to a newer version
+	// whose base was not the content this node held, so they could not
+	// be applied.
+	DiffBaseMismatches uint64
+	NotificationsSent  uint64
+	NotifyBatchesSent  uint64 // entry-node notify batches emitted (local + overlay)
+	DelegateUpdates    uint64 // one-per-delegate update disseminations sent by owners
+	MaintenanceRounds  uint64
+	LevelChanges       uint64
+	LeaseRefreshes     uint64 // entry-node lease heartbeats applied at owned channels
+	LeaseReroutes      uint64 // dead entry records re-pointed by the lease sweep
+	OwnerClaimsRouted  uint64 // anti-entropy claims routed by displaced owners
+	SubscriptionsHeld  int    // subscribers of the channels this node owns, summed over them
+	ChannelsOwned      int
+	ChannelsPolled     int
+	DelegatesHeld      int // fan-out partitions this node carries for other owners
+	DelegatesActive    int // delegates recruited across this node's owned channels
+	Replication        ReplicationStats
 }
 
 // ReplicationStats counts the replication messages a node sends, one per

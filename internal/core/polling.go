@@ -185,10 +185,12 @@ func (n *Node) startPollingLocked(ch *channelState) {
 		return
 	}
 	ch.polling = true
-	if ch.pollFn == nil {
-		ch.pollFn = func() { n.pollChannel(ch) }
+	d := nextSlotDelay(n.now(), n.cfg.PollInterval, ch.slotPhase, 0)
+	if ch.pollTimer == nil {
+		ch.pollTimer = n.clk.AfterFunc(d, func() { n.pollChannel(ch) })
+		return
 	}
-	ch.pollTimer = n.clk.AfterFunc(nextSlotDelay(n.now(), n.cfg.PollInterval, ch.slotPhase, 0), ch.pollFn)
+	ch.pollTimer.Reset(d)
 }
 
 // stopPollingLocked halts the poll loop.
@@ -199,16 +201,15 @@ func (n *Node) stopPollingLocked(ch *channelState) {
 	ch.polling = false
 	if ch.pollTimer != nil {
 		ch.pollTimer.Stop()
-		ch.pollTimer = nil
 	}
 }
 
-// schedulePollLocked arms the channel's timer for its next slot instant.
-// It runs once per poll, so it uses the cached slot and allocates
-// nothing itself. Callers hold n.mu.
+// schedulePollLocked re-arms the channel's one timer for its next slot
+// instant. It runs once per poll, so it uses the cached slot and
+// allocates nothing. Callers hold n.mu.
 func (n *Node) schedulePollLocked(ch *channelState) {
 	tau := n.cfg.PollInterval
-	ch.pollTimer = n.clk.AfterFunc(nextSlotDelay(n.now(), tau, ch.slotPhase, tau/2), ch.pollFn)
+	ch.pollTimer.Reset(nextSlotDelay(n.now(), tau, ch.slotPhase, tau/2))
 }
 
 // pollChannel performs one poll and reschedules the next.
@@ -239,7 +240,7 @@ func (n *Node) pollChannel(ch *channelState) {
 			Version:      res.Version,
 			Bytes:        res.Bytes,
 			Body:         res.Body,
-			HasTimestamp: true, // simulated origins expose modification versions
+			HasTimestamp: true, // the fetcher names the version: the origin's (an ETag, a simulated version) or have+1
 		})
 	}
 	n.fetcher.ReleaseBody(res.Body)
@@ -256,18 +257,24 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 		// germane changes disseminate (§3.4). The diff names as its base
 		// the version of the content it was computed against, which may
 		// trail lastVersion: replicate pushes, delegate notifies and
-		// restarts raise lastVersion alone.
-		newContent := rssExtractor.ExtractBytes(res.Body)
+		// restarts raise lastVersion alone. The new content shares its
+		// unchanged lines with the old.
 		n.mu.Lock()
 		old, oldVersion := ch.content, ch.contentVersion
-		if res.Version > oldVersion {
-			ch.content, ch.contentVersion = newContent, res.Version
-		}
 		n.mu.Unlock()
 		if res.Version <= oldVersion {
 			return // raced with dissemination
 		}
-		d := diffengine.Compute(old, newContent, oldVersion, res.Version)
+		newContent, d := rssExtractor.ExtractDiff(old, res.Body, oldVersion, res.Version)
+		n.mu.Lock()
+		stale := res.Version <= ch.contentVersion
+		if !stale {
+			ch.content, ch.contentVersion = newContent, res.Version
+		}
+		n.mu.Unlock()
+		if stale {
+			return // raced with dissemination
+		}
 		if d.Empty() && oldVersion > 0 {
 			// Superficial churn only: remember the version, no dissemination.
 			n.mu.Lock()
@@ -439,8 +446,9 @@ var decodeDiff = diffengine.Decode
 // applyDiff patches the locally cached core content so this node can
 // generate future diffs against the newest version (§3.1: every polling
 // node keeps a copy of the latest version). Only a diff whose base is the
-// cached content's version applies; others leave the cache as it is, and
-// are never decoded past their header.
+// cached content's version applies; others leave the cache as it is, are
+// never decoded past their header, and count in
+// Stats.DiffBaseMismatches when they would have moved the content on.
 func (n *Node) applyDiff(ch *channelState, encoded string) {
 	oldV, newV, err := diffengine.Versions(encoded)
 	if err != nil {
@@ -448,7 +456,11 @@ func (n *Node) applyDiff(ch *channelState, encoded string) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if oldV != ch.contentVersion || newV <= ch.contentVersion {
+	if newV <= ch.contentVersion {
+		return
+	}
+	if oldV != ch.contentVersion {
+		n.stats.DiffBaseMismatches++
 		return
 	}
 	// Decoding costs no more than the Apply below, which holds the lock too.

@@ -15,7 +15,8 @@ import (
 // what AllocsPerRun counts is the poll path's own work.
 type stubTimer struct{}
 
-func (*stubTimer) Stop() bool { return true }
+func (*stubTimer) Stop() bool               { return true }
+func (*stubTimer) Reset(time.Duration) bool { return true }
 
 type stubClock struct {
 	now   time.Time

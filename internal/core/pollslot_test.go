@@ -65,8 +65,16 @@ type lateClock struct {
 }
 
 func (c lateClock) AfterFunc(d time.Duration, f func()) clock.Timer {
-	return c.Sim.AfterFunc(d+c.late, f)
+	return lateTimer{c.Sim.AfterFunc(d+c.late, f), c.late}
 }
+
+// lateTimer re-arms its timer as late as lateClock arms it.
+type lateTimer struct {
+	clock.Timer
+	late time.Duration
+}
+
+func (t lateTimer) Reset(d time.Duration) bool { return t.Timer.Reset(d + t.late) }
 
 // slotCloud is a simnet deployment with chosen node identifiers and a
 // poll log, for observing when each node polls.

@@ -46,6 +46,22 @@ func BenchmarkExtractDecorated(b *testing.B) {
 	}
 }
 
+// BenchmarkExtractDiff detects the update the way a polling node does:
+// one ExtractDiff of the fetched body against the content held, which
+// extracts it, diffs it and shares the unchanged lines.
+func BenchmarkExtractDiff(b *testing.B) {
+	oldDoc, newDoc, _, _ := benchPair()
+	e := RSSProfile()
+	prev := e.Extract(oldDoc)
+	buf := make([]byte, len(newDoc))
+	b.SetBytes(int64(len(newDoc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(buf, newDoc)
+		benchSink, benchSink = e.ExtractDiff(prev, buf, 1, 2)
+	}
+}
+
 func BenchmarkCompute(b *testing.B) {
 	_, _, old, new := benchPair()
 	b.ReportAllocs()

@@ -15,6 +15,14 @@
 // changed content, whether it is an addition, omission, or replacement,
 // and the version number of the old content to apply against. Encode and
 // Decode carry a delta as text; Apply rebuilds the new version.
+//
+// A poller detects an update with one call, Extractor.ExtractDiff: it
+// extracts the fetched body in place, compares the kept lines with the
+// content held without copying them, and returns the diff and the new
+// content. The new content shares lines with the old: each unchanged
+// line is the old content's own string and each inserted line is a
+// string of its own, so an update allocates about what it adds, and no
+// kept line holds a whole document (or an older version) in memory.
 package diffengine
 
 import (
@@ -90,11 +98,12 @@ func (d *Diff) WireSize() int {
 }
 
 // Compute produces the delta from old to new using Myers' O(ND) algorithm
-// on lines. Version numbers are the caller's concern.
+// on lines. Version numbers are the caller's concern. Each hunk's
+// NewLines is a subslice of new, capped at its end.
 func Compute(old, new []string, oldVersion, newVersion uint64) *Diff {
-	d := &Diff{OldVersion: oldVersion, NewVersion: newVersion}
-	d.Ops = myersOps(old, new)
-	return d
+	sc := myersPool.Get().(*myersScratch)
+	defer myersPool.Put(sc)
+	return &Diff{OldVersion: oldVersion, NewVersion: newVersion, Ops: myersOps(old, new, sc)}
 }
 
 // Apply reconstructs the new document from the old one. It returns an
@@ -140,7 +149,9 @@ func (d *Diff) Apply(old []string) ([]string, error) {
 
 // myersOps computes the ops via Myers' greedy O(ND) shortest-edit-script
 // algorithm, then coalesces adjacent delete+insert runs into replace ops.
-func myersOps(a, b []string) []Op {
+// A hunk's inserted lines are consecutive lines of b, so its NewLines is
+// b's own subslice.
+func myersOps(a, b []string, sc *myersScratch) []Op {
 	n, m := len(a), len(b)
 	if n == 0 && m == 0 {
 		return nil
@@ -159,8 +170,6 @@ func myersOps(a, b []string) []Op {
 	b = b[prefix : m-suffix]
 	n, m = len(a), len(b)
 
-	sc := myersPool.Get().(*myersScratch)
-	defer myersPool.Put(sc)
 	script := sc.script[:0]
 	switch {
 	case n == 0 && m == 0:
@@ -183,15 +192,24 @@ func myersOps(a, b []string) []Op {
 
 	// Group consecutive edits into hunks. Edits belong to the same hunk
 	// while they touch a contiguous region of the old document: deletes
-	// consume old lines (advancing pos), inserts attach at pos.
-	var ops []Op
+	// consume old lines (advancing pos), inserts attach at pos. A first
+	// pass counts the hunks, so the ops are allocated once.
+	hunks := 0
+	for i := 0; i < len(script); hunks++ {
+		for pos := script[i].ai; i < len(script) && script[i].ai == pos; i++ {
+			if script[i].del {
+				pos++
+			}
+		}
+	}
+	ops := make([]Op, 0, hunks)
 	i := 0
 	for i < len(script) {
 		hunkStart := script[i].ai
 		pos := hunkStart
 		firstDel := -1
 		delCount := 0
-		var inserted []string
+		insFirst, insCount := 0, 0
 		for i < len(script) && script[i].ai == pos {
 			e := script[i]
 			if e.del {
@@ -201,10 +219,14 @@ func myersOps(a, b []string) []Op {
 				delCount++
 				pos++
 			} else {
-				inserted = append(inserted, b[e.bi])
+				if insCount == 0 {
+					insFirst = e.bi
+				}
+				insCount++
 			}
 			i++
 		}
+		inserted := b[insFirst : insFirst+insCount : insFirst+insCount]
 		// Emit the hunk with 1-based line numbers in the untrimmed old doc.
 		switch {
 		case delCount > 0 && len(inserted) > 0:
@@ -219,12 +241,14 @@ func myersOps(a, b []string) []Op {
 }
 
 // myersScratch is the working memory of one Myers run: the frontier,
-// the trace of every step's frontier, and the edit script. Runs take it
-// from myersPool, so a steady stream of diffs reuses the same slices.
+// the trace of every step's frontier, the edit script, and for
+// ExtractDiff the extracted lines. Runs take it from myersPool, so a
+// steady stream of diffs reuses the same slices.
 type myersScratch struct {
 	v      []int
 	trace  []int
 	script []edits
+	lines  []string
 }
 
 var myersPool = sync.Pool{New: func() any { return new(myersScratch) }}

@@ -349,9 +349,9 @@ func FuzzDiffRoundTrip(f *testing.F) {
 	})
 }
 
-// TestConcurrentExtractAndDiff runs the pooled scratch — the folded twin
-// Extract cuts against and the Myers frontier and trace — from several
-// goroutines at once: every result must equal the one-goroutine result.
+// TestConcurrentExtractAndDiff runs the pooled scratch — the extracted
+// lines, the Myers frontier and trace — from several goroutines at once:
+// every result must equal the one-goroutine result.
 func TestConcurrentExtractAndDiff(t *testing.T) {
 	docs := generatorDocs(3, 6)
 	e := RSSProfile()
@@ -370,8 +370,8 @@ func TestConcurrentExtractAndDiff(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				var prev []string
 				for i, doc := range docs {
-					cur := e.ExtractBytes([]byte(doc))
-					if got := Encode(Compute(prev, cur, uint64(i), uint64(i+1))); got != want[i] {
+					cur, d := e.ExtractDiff(prev, []byte(doc), uint64(i), uint64(i+1))
+					if got := Encode(d); got != want[i] {
 						t.Errorf("version %d: concurrent diff differs:\n got %q\nwant %q", i+1, got, want[i])
 						return
 					}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/bits"
 	"strings"
+	"unsafe"
 )
 
 // Extractor isolates the core content of a polled document before
@@ -122,19 +123,62 @@ func RSSProfile() *Extractor {
 
 // Extract returns the core-content lines of a document. The output is the
 // canonical form handed to Compute; two documents with equal extractions
-// carry no germane update. It copies doc and extracts the copy with
-// ExtractBytes.
+// carry no germane update. It is ExtractDiff of a copy of doc against no
+// previous content, so each line is a string of its own.
 func (e *Extractor) Extract(doc string) []string {
-	return e.ExtractBytes([]byte(doc))
+	content, _ := e.ExtractDiff(nil, []byte(doc), 0, 0)
+	return content
 }
 
-// ExtractBytes is Extract for a document held in bytes the caller hands
-// over: the cuts and the per-line rules run in place in doc, so the
-// caller must not use doc afterwards. The kept lines are copied once, into
-// one string, and the returned lines are substrings of it.
-func (e *Extractor) ExtractBytes(doc []byte) []string {
-	doc = e.cut(doc)
-	w := 0
+// ExtractDiff extracts doc, a document the caller hands over, and diffs
+// its core content against prev, the content of version prevVersion. It
+// returns the new content and the diff from prev to it: the same lines
+// as Extract(string(doc)) and the same diff as Compute(prev, those lines,
+// prevVersion, newVersion), so Encode renders it byte for byte the same.
+// The cuts and the per-line rules run in place in doc, so the caller must
+// not use doc afterwards; nothing returned refers to it.
+//
+// The kept lines are compared with prev where they lie in doc, without
+// being copied. The new content shares lines instead: each unchanged
+// line is prev's own string, and each inserted line is copied into a
+// string of its own, which is also what the diff's hunks hold. No line
+// pins a larger allocation (a whole document, or another version's
+// lines), and an update allocates only the content slice, the diff with
+// its hunk list, and the inserted lines. When nothing changed, the
+// content is prev itself.
+func (e *Extractor) ExtractDiff(prev []string, doc []byte, prevVersion, newVersion uint64) ([]string, *Diff) {
+	sc := myersPool.Get().(*myersScratch)
+	defer myersPool.Put(sc)
+	views := e.lines(e.cut(doc), sc.lines[:0])
+	// The views alias doc: none may outlive this call or stay in the pool.
+	defer func() { clear(views); sc.lines = views[:0] }()
+	d := &Diff{OldVersion: prevVersion, NewVersion: newVersion, Ops: myersOps(prev, views, sc)}
+	if len(d.Ops) == 0 {
+		return prev, d
+	}
+	content := make([]string, 0, len(views))
+	cursor := 0 // the next line of prev to keep
+	for i := range d.Ops {
+		op := &d.Ops[i]
+		upTo := op.Old - 1
+		if op.Kind == OpAdd {
+			upTo = op.Old
+		}
+		content = append(content, prev[cursor:upTo]...)
+		cursor = upTo + op.OldCount
+		start := len(content)
+		for _, l := range op.NewLines {
+			content = append(content, strings.Clone(l))
+		}
+		op.NewLines = content[start:len(content):len(content)]
+	}
+	return append(content, prev[cursor:]...), d
+}
+
+// lines runs the per-line rules over doc, which the cuts have already
+// run over, and appends to dst each kept line as a string that aliases
+// doc: valid only while doc is neither changed nor reused.
+func (e *Extractor) lines(doc []byte, dst []string) []string {
 	for pos := 0; pos < len(doc); {
 		end := bytes.IndexByte(doc[pos:], '\n')
 		if end < 0 {
@@ -144,21 +188,11 @@ func (e *Extractor) ExtractBytes(doc []byte) []string {
 		}
 		line := extractLine(doc[pos:end])
 		pos = end + 1
-		if len(line) == 0 {
-			continue
+		if len(line) > 0 {
+			dst = append(dst, unsafe.String(&line[0], len(line)))
 		}
-		// Kept lines, never empty, are packed to the front of doc with
-		// '\n' between them; w stays behind the line being read.
-		if w > 0 {
-			doc[w] = '\n'
-			w++
-		}
-		w += copy(doc[w:], line)
 	}
-	if w == 0 {
-		return []string{}
-	}
-	return strings.Split(string(doc[:w]), "\n")
+	return dst
 }
 
 // cut applies the comment and volatile-tag cuts in place and returns

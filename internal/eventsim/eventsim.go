@@ -22,6 +22,7 @@ import (
 var Epoch = time.Date(2006, 5, 1, 0, 0, 0, 0, time.UTC)
 
 type event struct {
+	s       *Sim
 	at      time.Time
 	seq     uint64 // FIFO tiebreaker for simultaneous events
 	fn      func()
@@ -93,20 +94,33 @@ func (s *Sim) Processed() uint64 { return s.processed }
 // Pending returns the number of events currently scheduled.
 func (s *Sim) Pending() int { return len(s.events) }
 
-// timer adapts *event to clock.Timer.
-type timer struct {
-	s *Sim
-	e *event
-}
-
 // Stop cancels the pending event. It reports whether the event had not yet
-// fired.
-func (t timer) Stop() bool {
-	if t.e.stopped || t.e.index == -1 {
+// fired. A stopped event stays queued, skipped, until it is popped or
+// Reset.
+func (e *event) Stop() bool {
+	if e.stopped || e.index == -1 {
 		return false
 	}
-	t.e.stopped = true
+	e.stopped = true
 	return true
+}
+
+// Reset schedules the event to fire again after virtual duration d
+// (negative is zero), as AfterFunc would: it takes a fresh sequence
+// number, so it fires after every event already scheduled for that
+// instant, exactly where a new AfterFunc event would. It reports whether
+// the event was pending.
+func (e *event) Reset(d time.Duration) bool {
+	s := e.s
+	pending := !e.stopped && e.index != -1
+	e.at, e.seq, e.stopped = s.now.Add(max(d, 0)), s.seq, false
+	s.seq++
+	if e.index == -1 {
+		heap.Push(&s.events, e)
+	} else {
+		heap.Fix(&s.events, e.index)
+	}
+	return pending
 }
 
 // AfterFunc schedules f to run after virtual duration d. Negative durations
@@ -124,10 +138,10 @@ func (s *Sim) At(t time.Time, f func()) clock.Timer {
 	if t.Before(s.now) {
 		t = s.now
 	}
-	e := &event{at: t, seq: s.seq, fn: f}
+	e := &event{s: s, at: t, seq: s.seq, fn: f}
 	s.seq++
 	heap.Push(&s.events, e)
-	return timer{s: s, e: e}
+	return e
 }
 
 // Step executes the next pending event, advancing the clock to its

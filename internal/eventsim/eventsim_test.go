@@ -1,8 +1,11 @@
 package eventsim
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"corona/internal/clock"
 )
 
 func TestEventsFireInOrder(t *testing.T) {
@@ -168,5 +171,55 @@ func TestProcessedCount(t *testing.T) {
 	s.RunFor(time.Minute)
 	if s.Processed() != 7 {
 		t.Fatalf("Processed = %d, want 7", s.Processed())
+	}
+}
+
+// TestResetOrdersLikeAfterFunc pins Reset's place in the event order: a
+// timer re-armed for an instant fires after every event already
+// scheduled for it and before every one scheduled later, exactly where a
+// fresh AfterFunc would, whether the timer was pending, stopped or had
+// fired.
+func TestResetOrdersLikeAfterFunc(t *testing.T) {
+	s := New(1)
+	var order []string
+	note := func(name string) func() { return func() { order = append(order, name) } }
+	pending := s.AfterFunc(time.Hour, note("pending"))
+	stopped := s.AfterFunc(time.Hour, note("stopped"))
+	fired := s.AfterFunc(0, note("fired"))
+	s.RunFor(0)
+	stopped.Stop()
+	s.AfterFunc(time.Second, note("first"))
+	if !pending.Reset(time.Second) {
+		t.Error("Reset of a pending timer reported it idle")
+	}
+	if stopped.Reset(time.Second) || fired.Reset(time.Second) {
+		t.Error("Reset of a stopped or fired timer reported it pending")
+	}
+	s.AfterFunc(time.Second, note("last"))
+	s.RunFor(2 * time.Hour)
+	want := []string{"fired", "first", "pending", "stopped", "fired", "last"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired in order %v, want %v", order, want)
+	}
+}
+
+// TestResetRunsAgainFromItsCallback re-arms a timer from its own
+// callback, the way a poll loop does, once per period.
+func TestResetRunsAgainFromItsCallback(t *testing.T) {
+	s := New(1)
+	var at []time.Duration
+	var tm clock.Timer
+	tm = s.AfterFunc(time.Second, func() {
+		at = append(at, s.Elapsed())
+		if len(at) < 3 {
+			tm.Reset(2 * time.Second)
+		}
+	})
+	s.RunFor(time.Minute)
+	if want := []time.Duration{time.Second, 3 * time.Second, 5 * time.Second}; !slices.Equal(at, want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events still queued", s.Pending())
 	}
 }

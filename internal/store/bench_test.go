@@ -40,7 +40,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 	// Spread across many channels so the materialized image matches a
 	// real owner (many channels, small subscriber sets each).
 	rec := subscribeRec("http://bench.example.net/feed/0.xml", 0)
-	frameLen := len(appendFrame(nil, appendRecord(nil, rec)))
+	frameLen := len(appendFrame(nil, rec))
 	b.SetBytes(int64(frameLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,7 +15,7 @@ import (
 func buildWAL(recs []Record) (buf []byte, frameEnds []int) {
 	buf = appendWALHeader(nil, 1)
 	for _, rec := range recs {
-		buf = appendFrame(buf, appendRecord(nil, rec))
+		buf = appendFrame(buf, rec)
 		frameEnds = append(frameEnds, len(buf))
 	}
 	return buf, frameEnds
@@ -197,7 +197,7 @@ func TestReplayTornFinalRecord(t *testing.T) {
 func TestReplayHostileLength(t *testing.T) {
 	dir := t.TempDir()
 	path := walPath(dir, 1)
-	valid := appendFrame(appendWALHeader(nil, 1), appendRecord(nil, subscribeRec("http://a", 1)))
+	valid := appendFrame(appendWALHeader(nil, 1), subscribeRec("http://a", 1))
 	for _, hostile := range []uint32{MaxRecordBytes + 1, 1 << 31, 0xffffffff} {
 		buf := append([]byte(nil), valid...)
 		buf = binary.LittleEndian.AppendUint32(buf, hostile)

@@ -54,7 +54,11 @@ type Store struct {
 	gen        uint64
 	pending    []byte // encoded frames awaiting the next group commit
 	walRecords int    // records in the current WAL (compaction trigger)
+	// flushTimer is the group-commit timer, made by the first windowed
+	// append and re-armed (Reset) for every later window; flushArmed
+	// reports a window open, its flush not yet run.
 	flushTimer *time.Timer
+	flushArmed bool
 	compacting bool
 	rotating   bool // compaction file IO in flight; commits pause
 	closed     bool
@@ -245,8 +249,13 @@ func (s *Store) Append(rec Record) {
 		s.appendLocked(rec)
 	}
 	syncNow := s.opts.CommitWindow < 0
-	if !syncNow && s.flushTimer == nil {
-		s.flushTimer = time.AfterFunc(s.opts.CommitWindow, s.flushWindow)
+	if !syncNow && !s.flushArmed {
+		s.flushArmed = true
+		if s.flushTimer == nil {
+			s.flushTimer = time.AfterFunc(s.opts.CommitWindow, s.flushWindow)
+		} else {
+			s.flushTimer.Reset(s.opts.CommitWindow)
+		}
 	}
 	compactNow := s.walRecords >= s.opts.CompactEvery && !s.compacting
 	if compactNow {
@@ -265,15 +274,19 @@ func (s *Store) Append(rec Record) {
 // hold mu.
 func (s *Store) appendLocked(rec Record) {
 	rec.apply(s.state)
-	s.pending = appendFrame(s.pending, appendRecord(nil, rec))
+	s.pending = appendFrame(s.pending, rec)
 	s.walRecords++
 }
+
+// maxKeptPending bounds the frame buffer a store keeps between group
+// commits.
+const maxKeptPending = 64 << 10
 
 // flushWindow is the group-commit timer callback.
 func (s *Store) flushWindow() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushTimer = nil
+	s.flushArmed = false
 	if s.closed {
 		return
 	}
@@ -290,9 +303,14 @@ func (s *Store) commitLocked() {
 		return
 	}
 	frames := s.pending
-	s.pending = nil
 	t0 := time.Now()
 	err := s.wal.commit(frames)
+	// The write is done with the buffer: the next window appends into it,
+	// unless a burst grew it past maxKeptPending.
+	s.pending = nil
+	if cap(frames) <= maxKeptPending {
+		s.pending = frames[:0]
+	}
 	elapsed := time.Since(t0)
 	bucket := len(CommitLatencyBounds)
 	for i, bound := range CommitLatencyBounds {
@@ -506,7 +524,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	if s.flushTimer != nil {
 		s.flushTimer.Stop()
-		s.flushTimer = nil
 	}
 	s.commitLocked()
 	if s.wal != nil {
@@ -532,7 +549,6 @@ func (s *Store) Abort() {
 	s.closed = true
 	if s.flushTimer != nil {
 		s.flushTimer.Stop()
-		s.flushTimer = nil
 	}
 	s.pending = nil
 	if s.wal != nil {

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -475,5 +478,41 @@ func TestRecordChanges(t *testing.T) {
 		if got := tc.rec.changes(tc.ch); got != tc.want {
 			t.Errorf("%s: changes = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestWALBytesUnchanged pins the log's bytes: records appended through
+// the store, across several group-commit windows, land in the WAL as the
+// file header followed by one frame per record that changes the image,
+// each frame its payload's length and CRC-32C (little-endian) and then
+// the payload appendRecord encodes on its own.
+func TestWALBytesUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{CommitWindow: time.Millisecond})
+	want := appendWALHeader(nil, s.gen)
+	image := make(map[string]*Channel)
+	for i, rec := range testRecords() {
+		if rec.changes(image[rec.URL]) {
+			rec.apply(image)
+			payload := appendRecord(nil, rec)
+			want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+			want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+			want = append(want, payload...)
+		}
+		s.Append(rec)
+		if i%7 == 6 {
+			time.Sleep(3 * time.Millisecond) // let a window close
+		}
+	}
+	gen := s.gen
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(walPath(dir, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL holds %d bytes, want %d:\n got %x\nwant %x", len(got), len(want), got, want)
 	}
 }

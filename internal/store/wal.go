@@ -25,11 +25,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // frameHeaderLen is the fixed per-frame prefix: u32 length + u32 CRC.
 const frameHeaderLen = 8
 
-// appendFrame wraps one encoded record payload in the WAL frame format.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// appendFrame appends rec to dst as one WAL frame: the record is encoded
+// in place after room for the frame header, which is filled in after.
+func appendFrame(dst []byte, rec Record) []byte {
+	start := len(dst)
+	dst = appendRecord(append(dst, make([]byte, frameHeaderLen)...), rec)
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // appendWALHeader writes the file header of a generation-gen WAL.
