@@ -297,8 +297,8 @@ func (ln *LiveNode) ServeAdmin(bind string) (addr string, err error) {
 			http.Error(w, "not ready: overlay join pending", http.StatusServiceUnavailable)
 			return
 		}
-		if ln.store != nil {
-			if serr := ln.store.Err(); serr != nil {
+		if st := ln.node.Store(); st != nil {
+			if serr := st.Err(); serr != nil {
 				http.Error(w, "not ready: store: "+serr.Error(), http.StatusServiceUnavailable)
 				return
 			}

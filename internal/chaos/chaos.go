@@ -135,6 +135,12 @@ type Run struct {
 
 // Execute runs one scenario to completion and returns its result.
 func Execute(sc Scenario, cfg Config) Result {
+	res, _ := execute(sc, cfg)
+	return res
+}
+
+// execute is Execute that also hands back the run's delivery log.
+func execute(sc Scenario, cfg Config) (Result, *DeliveryLog) {
 	r := &Run{Cfg: cfg, Scenario: sc, Log: NewDeliveryLog()}
 	scale := experiments.Scale{
 		Nodes:               cfg.Nodes,
@@ -171,7 +177,7 @@ func Execute(sc Scenario, cfg Config) Result {
 		})
 	}
 	sc.Inject(r)
-	r.H.Run(opts)
+	r.H.Run()
 
 	// Convergence loop: step one maintenance interval at a time until the
 	// structural invariants hold on every live node, bounded by the
@@ -243,7 +249,7 @@ func Execute(sc Scenario, cfg Config) Result {
 			res.PeakOwnerMsgs = m
 		}
 	}
-	return res
+	return res, r.Log
 }
 
 // probe runs one fresh update round through the converged cloud and

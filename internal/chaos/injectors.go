@@ -46,7 +46,7 @@ func HealPartition() Scenario {
 			r.H.InjectAt(at, func() {
 				for _, i := range r.H.LiveNodes() {
 					if r.rng.Intn(2) == 1 {
-						r.H.Net.Partition(r.H.Endpoints[i], 1)
+						r.H.Net.Partition(r.H.Nodes[i].Self().Endpoint, 1)
 					}
 				}
 			})
@@ -206,7 +206,7 @@ func SlowLinks() Scenario {
 						if to == from {
 							continue
 						}
-						r.H.Net.SetLinkFaultBoth(r.H.Endpoints[from], r.H.Endpoints[to], simnet.LinkFault{
+						r.H.Net.SetLinkFaultBoth(r.H.Nodes[from].Self().Endpoint, r.H.Nodes[to].Self().Endpoint, simnet.LinkFault{
 							ExtraLatency: 2*time.Second + time.Duration(r.rng.Int63n(int64(6*time.Second))),
 							DropRate:     0.3,
 						})

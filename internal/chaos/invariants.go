@@ -52,7 +52,7 @@ func (r *Run) checkStructural() []Violation {
 
 	liveEndpoint := make(map[string]int) // endpoint name -> live node index
 	for _, i := range r.H.LiveNodes() {
-		liveEndpoint[r.H.Endpoints[i]] = i
+		liveEndpoint[r.H.Nodes[i].Self().Endpoint] = i
 	}
 
 	// Expected subscription set per channel (flash-crowd injectors append
@@ -171,7 +171,7 @@ func (r *Run) checkDelegates(url string, own ownerView, liveEndpoint map[string]
 			})
 			continue
 		}
-		if dr.DelegateFrom.Endpoint != r.H.Endpoints[own.idx] {
+		if dr.DelegateFrom.Endpoint != r.H.Nodes[own.idx].Self().Endpoint {
 			out = append(out, Violation{
 				Invariant: "delegate-roster",
 				Channel:   url,

@@ -12,20 +12,18 @@
 //
 // The same Node runs under the discrete-event simulator and over real TCP:
 // time comes from a clock.Clock, messages from a pastry.Transport, and
-// content from a Fetcher.
+// content from a Fetcher. Assemble composes a node from those seams, and
+// every node in the tree, live or simulated, is built by it.
 package core
 
-import (
-	"time"
+import "time"
 
-	"corona/internal/pastry"
-)
+// tradeoffBins is the number of aggregation clusters per polling level
+// (16 in the prototype, §4).
+const tradeoffBins = 16
 
 // Config parameterizes a Corona node.
 type Config struct {
-	// Pastry configures the underlying overlay.
-	Pastry pastry.Config
-
 	// Policy selects the optimization scheme (Table 1) and its target.
 	Policy PolicyConfig
 
@@ -42,10 +40,6 @@ type Config struct {
 	// neighbors of the primary owner) holding subscription state for
 	// failure tolerance (§3.3).
 	OwnerReplicas int
-
-	// TradeoffBins is the number of aggregation clusters per polling
-	// level (16 in the prototype, §4).
-	TradeoffBins int
 
 	// NodeCount, when positive, fixes N for the tradeoff formulas.
 	// When zero, nodes estimate N from leaf-set density, the way a
@@ -80,12 +74,10 @@ type Config struct {
 // DefaultConfig returns the simulation defaults from §5.1.
 func DefaultConfig() Config {
 	return Config{
-		Pastry:              pastry.DefaultConfig(),
 		Policy:              PolicyConfig{Scheme: SchemeLite},
 		PollInterval:        30 * time.Minute,
 		MaintenanceInterval: time.Hour,
 		OwnerReplicas:       2,
-		TradeoffBins:        16,
 	}
 }
 
@@ -95,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaintenanceInterval <= 0 {
 		c.MaintenanceInterval = time.Hour
-	}
-	if c.TradeoffBins <= 0 {
-		c.TradeoffBins = 16
 	}
 	if c.OwnerReplicas < 0 {
 		c.OwnerReplicas = 0

@@ -72,7 +72,7 @@ func (n *Node) optimizePhase() {
 	// Remote knowledge: merge the cluster aggregates most recently
 	// received from routing contacts. Combined, they summarize all
 	// channels owned outside this node's subtree.
-	remote := honeycomb.NewClusterSet(n.cfg.TradeoffBins, env.MaxLevel)
+	remote := honeycomb.NewClusterSet(tradeoffBins, env.MaxLevel)
 	for _, row := range n.clusterIn {
 		mergeRow(remote, row)
 	}
@@ -221,7 +221,7 @@ func (n *Node) handlePollCtl(msg pastry.Message) {
 // S_{i+1}: the summary of channels owned by nodes sharing at least i+1
 // prefix digits with this node (itself plus deeper contacts' aggregates).
 // Received aggregates refresh clusterIn and feed the next optimization
-// (§3.2: overhead is TradeoffBins clusters per level per contact).
+// (§3.2: overhead is tradeoffBins clusters per level per contact).
 func (n *Node) aggregationPhase() {
 	env := n.env()
 	maxRows := n.overlay.Config().MaxTableRows
@@ -251,7 +251,7 @@ func (n *Node) aggregationPhase() {
 func (n *Node) subtreeAggregatesLocked(env TradeoffEnv, maxRows int) []*honeycomb.ClusterSet {
 	owned := n.ownedSortedLocked()
 	meanSize := meanSizeOf(owned)
-	own := honeycomb.NewClusterSet(n.cfg.TradeoffBins, env.MaxLevel)
+	own := honeycomb.NewClusterSet(tradeoffBins, env.MaxLevel)
 	for _, ch := range owned {
 		level := ch.level
 		if level < 0 {

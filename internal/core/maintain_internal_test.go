@@ -42,7 +42,7 @@ func TestSubtreeAggregatesAreOrderFree(t *testing.T) {
 	for row := 0; row < 3; row++ {
 		n.clusterIn[row] = make(map[int]*honeycomb.ClusterSet)
 		for col := 0; col < 8; col++ {
-			cs := honeycomb.NewClusterSet(cfg.TradeoffBins, env.MaxLevel)
+			cs := honeycomb.NewClusterSet(tradeoffBins, env.MaxLevel)
 			for j := 0; j < 40; j++ {
 				cs.Add(honeycomb.ChannelFactors{
 					Q:     1 + rng.Float64()*500,

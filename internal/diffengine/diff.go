@@ -13,8 +13,10 @@
 // algorithm) and emits a compact delta. Deltas resemble POSIX diff
 // output: each hunk carries the line numbers where the change occurs, the
 // changed content, whether it is an addition, omission, or replacement,
-// and the version number of the old content to apply against. Encode and
-// Decode carry a delta as text; Apply rebuilds the new version.
+// and the version number of the old content to apply against. An edit of
+// more than 512 changed lines is one replacement hunk instead, which
+// bounds a diff's working memory. Encode and Decode carry a delta as
+// text; Apply rebuilds the new version.
 //
 // A poller detects an update with one call, Extractor.ExtractDiff: it
 // extracts the fetched body in place, compares the kept lines with the
@@ -99,7 +101,9 @@ func (d *Diff) WireSize() int {
 
 // Compute produces the delta from old to new using Myers' O(ND) algorithm
 // on lines. Version numbers are the caller's concern. Each hunk's
-// NewLines is a subslice of new, capped at its end.
+// NewLines is a subslice of new, capped at its end. An edit of more than
+// maxEditDistance inserted and deleted lines is one OpReplace of
+// everything between the documents' common prefix and suffix.
 func Compute(old, new []string, oldVersion, newVersion uint64) *Diff {
 	sc := myersPool.Get().(*myersScratch)
 	defer myersPool.Put(sc)
@@ -147,6 +151,12 @@ func (d *Diff) Apply(old []string) ([]string, error) {
 	return out, nil
 }
 
+// maxEditDistance caps the edit distance D that Myers' algorithm searches.
+// Its trace holds D² ints, so the cap bounds one diff's working memory at
+// about 3 MiB however large the documents; a larger edit (a rewritten
+// page) is sent whole instead.
+const maxEditDistance = 512
+
 // myersOps computes the ops via Myers' greedy O(ND) shortest-edit-script
 // algorithm, then coalesces adjacent delete+insert runs into replace ops.
 // A hunk's inserted lines are consecutive lines of b, so its NewLines is
@@ -183,7 +193,11 @@ func myersOps(a, b []string, sc *myersScratch) []Op {
 			script = append(script, edits{del: true, ai: i})
 		}
 	default:
-		script = sc.run(a, b, script)
+		var found bool
+		if script, found = sc.run(a, b, script); !found {
+			sc.script = script
+			return []Op{{Kind: OpReplace, Old: prefix + 1, OldCount: n, NewLines: b[:m:m]}}
+		}
 	}
 	sc.script = script
 	if len(script) == 0 {
@@ -257,10 +271,11 @@ var myersPool = sync.Pool{New: func() any { return new(myersScratch) }}
 // the edit script, appending it to script. Backtracking needs the
 // frontier of every step, but step d only reaches diagonals -d..d, so the
 // trace keeps those 2d+1 entries per step, D² in all, in one flat slice:
-// step d's diagonal k sits at trace[d*d+d+k].
-func (sc *myersScratch) run(a, b []string, script []edits) []edits {
+// step d's diagonal k sits at trace[d*d+d+k]. It reports false, with
+// script unchanged, when D exceeds maxEditDistance.
+func (sc *myersScratch) run(a, b []string, script []edits) ([]edits, bool) {
 	n, m := len(a), len(b)
-	max := n + m
+	max := min(n+m, maxEditDistance)
 	// v[k+max] = furthest x on diagonal k.
 	v := slices.Grow(sc.v[:0], 2*max+1)[:2*max+1]
 	clear(v)
@@ -287,9 +302,22 @@ outer:
 				break outer
 			}
 		}
+		if len(trace)+2*d+1 > cap(trace) {
+			// Grow fourfold, and straight to the most the search can
+			// keep once that is less than four times further, so even a
+			// capped search allocates about its final trace in all.
+			want := 4 * (d + 1) * (d + 1)
+			if 4*want > (max+1)*(max+1) {
+				want = (max + 1) * (max + 1)
+			}
+			trace = slices.Grow(trace, want-len(trace))
+		}
 		trace = append(trace, v[max-d:max+d+1]...)
 	}
 	sc.trace = trace
+	if dFound < 0 {
+		return script, false
+	}
 	// Backtrack.
 	first := len(script)
 	x, y := n, m
@@ -323,7 +351,7 @@ outer:
 	for i, j := first, len(script)-1; i < j; i, j = i+1, j-1 {
 		script[i], script[j] = script[j], script[i]
 	}
-	return script
+	return script, true
 }
 
 // edits mirrors the edit type used by myersOps; declared at package scope

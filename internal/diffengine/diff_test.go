@@ -1,8 +1,10 @@
 package diffengine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -321,6 +323,38 @@ func TestDecodeKeepsCarriageReturns(t *testing.T) {
 	old := []string{"<title>one</title>\r", "x"}
 	new := []string{"<title>two</title>\r", "x", "\r"}
 	back, err := Decode(Encode(Compute(old, new, 1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkApply(t, old, new, back)
+}
+
+// TestComputeBoundsLargeEdits: two 5,000-line documents that share only
+// their first and last lines are an edit far past maxEditDistance. Compute
+// sends the middle whole, as one OpReplace, which round-trips through
+// Encode, Decode and Apply, and allocates under 4 MiB (about 2.2 MiB on
+// amd64). Uncapped, Myers' trace alone would hold D² = 10^8 ints.
+func TestComputeBoundsLargeEdits(t *testing.T) {
+	const lines = 5000
+	old, new := make([]string, lines), make([]string, lines)
+	for i := range old {
+		old[i], new[i] = fmt.Sprintf("old line %d", i), fmt.Sprintf("new line %d", i)
+	}
+	old[0], new[0] = "<rss>", "<rss>"
+	old[lines-1], new[lines-1] = "</rss>", "</rss>"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := Compute(old, new, 1, 2)
+	runtime.ReadMemStats(&after)
+	// The race build's slices.Grow allocates a scratch slice as large as
+	// the growth, so the bound holds only without it.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 && !raceEnabled {
+		t.Errorf("Compute allocated %d KiB, want under 4 MiB", got>>10)
+	}
+	if len(d.Ops) != 1 || d.Ops[0].Kind != OpReplace || d.Ops[0].Old != 2 || d.Ops[0].OldCount != lines-2 {
+		t.Fatalf("want one OpReplace of lines 2..%d, got %d ops, first %c at %d", lines-1, len(d.Ops), d.Ops[0].Kind, d.Ops[0].Old)
+	}
+	back, err := Decode(Encode(d))
 	if err != nil {
 		t.Fatal(err)
 	}

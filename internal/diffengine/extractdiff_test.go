@@ -90,9 +90,10 @@ func FuzzExtractDiffMatchesCompute(f *testing.F) {
 	f.Add("same\r\nlines", "same\nlines\n")
 	e := RSSProfile()
 	f.Fuzz(func(t *testing.T, a, b string) {
-		// Myers keeps a trace quadratic in the edit distance: keep the
-		// documents to a few hundred lines.
-		if strings.Count(a, "\n")+strings.Count(b, "\n") > 600 || len(a)+len(b) > 1<<16 {
+		// Keep the edit within maxEditDistance (D is at most the two
+		// documents' line count), so the fuzzer compares Myers' scripts
+		// rather than the whole-region replace.
+		if strings.Count(a, "\n")+strings.Count(b, "\n")+2 > maxEditDistance || len(a)+len(b) > 1<<16 {
 			return
 		}
 		checkExtractDiff(t, e, e.Extract(a), b)

@@ -29,7 +29,7 @@ func TestDetectionMatchesModelAtFixedLevel(t *testing.T) {
 	}
 	opts := Options{Scheme: core.SchemeLite, UpdateEvery: 47 * time.Minute}
 	h := NewHarness(scale, opts)
-	h.Run(opts)
+	h.Run()
 
 	for i, p := range h.PollersPerChannel() {
 		if p != scale.Nodes {

@@ -24,7 +24,7 @@ func TestSurvivesNodeCrashes(t *testing.T) {
 			victim.Stop()
 		}
 	})
-	h.Run(opts)
+	h.Run()
 
 	// Detections must continue well past the crash point.
 	pts := h.Recorder.Series.Means()
@@ -56,7 +56,7 @@ func TestSurvivesMessageLoss(t *testing.T) {
 	opts := Options{Scheme: core.SchemeLite}
 	h := NewHarness(scale, opts)
 	h.Net.SetDropRate(0.05)
-	h.Run(opts)
+	h.Run()
 
 	if h.Recorder.Overall.Weight() == 0 {
 		t.Fatal("no detections under 5% message loss")
@@ -88,7 +88,7 @@ func TestPartitionHeals(t *testing.T) {
 		}
 	})
 	h.Sim.AfterFunc(3*time.Hour, func() { h.Net.Heal() })
-	h.Run(opts)
+	h.Run()
 
 	pts := h.Recorder.Series.Means()
 	healBucket := int(3*time.Hour/scale.Bucket) + 1
@@ -116,7 +116,7 @@ func TestAllSchemesRunCleanly(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			opts := Options{Scheme: s, FastTarget: 30 * time.Second}
 			h := NewHarness(scale, opts)
-			h.Run(opts)
+			h.Run()
 			if h.Recorder.Overall.Weight() == 0 {
 				t.Fatalf("%v: no detections", s)
 			}

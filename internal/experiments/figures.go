@@ -34,17 +34,15 @@ func (s Series) Render() string {
 // schemeRun executes one Corona run under a scheme, with the legacy
 // baseline alongside when wantLegacy is set.
 func schemeRun(scale Scale, scheme core.Scheme, fastTarget time.Duration, wantLegacy bool) *Harness {
-	opts := Options{Scheme: scheme, FastTarget: fastTarget, LegacyOn: wantLegacy}
-	h := NewHarness(scale, opts)
-	h.Run(opts)
+	h := NewHarness(scale, Options{Scheme: scheme, FastTarget: fastTarget, LegacyOn: wantLegacy})
+	h.Run()
 	return h
 }
 
 // legacyRun executes a pure legacy-RSS run.
 func legacyRun(scale Scale) *Harness {
-	opts := Options{CoronaOff: true}
-	h := NewHarness(scale, opts)
-	h.Run(opts)
+	h := NewHarness(scale, Options{CoronaOff: true})
+	h.Run()
 	return h
 }
 
@@ -318,13 +316,12 @@ func RunFigure910(scale Scale) *Figure910Result {
 	res := &Figure910Result{Scale: scale}
 
 	leg := legacyRun(scale)
-	opts := Options{
+	cor := NewHarness(scale, Options{
 		Scheme:            core.SchemeLite,
 		WANLatency:        true,
 		RampSubscriptions: true,
-	}
-	cor := NewHarness(scale, opts)
-	cor.Run(opts)
+	})
+	cor.Run()
 
 	toSeconds := func(points []stats.Point) []float64 {
 		out := make([]float64, len(points))

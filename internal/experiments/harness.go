@@ -21,23 +21,24 @@ type Harness struct {
 	Net      *simnet.Network
 	Origin   *webserver.Origin
 	Work     *workload.Workload
-	Nodes    []*core.Node
+	Nodes    []*core.Member
 	Recorder *Recorder
 	Loads    *LoadSampler
 	Baseline *legacy.Baseline
 
-	// Endpoints[i] is the simnet endpoint name of Nodes[i]; Down[i] marks
-	// nodes the harness crashed (CrashNode) or that failed to join.
-	Endpoints []string
-	Down      map[int]bool
+	// Down[i] marks nodes the harness crashed (CrashNode) or that failed
+	// to join.
+	Down map[int]bool
 
 	// Subs records every issued subscription, so invariant checkers can
 	// audit the durable subscription set against owner-side records.
 	Subs []IssuedSub
 
-	opts     Options
-	fetcher  core.Fetcher
-	notifier core.Notifier
+	opts Options
+	// cfg and seams are what every member is assembled from, initial or
+	// joined; assemble fills in the overlay and the member's seed.
+	cfg   core.Config
+	seams core.Seams
 }
 
 // IssuedSub is one recorded subscription: which client subscribed to which
@@ -74,8 +75,8 @@ type Options struct {
 	// OwnerReplicas sets the additional owner replica count (chaos runs
 	// want the replication machinery active; figure runs keep 0).
 	OwnerReplicas int
-	// LeaseTTL and DelegateThreshold override the corresponding
-	// core.Config fields when nonzero.
+	// LeaseTTL and DelegateThreshold set the corresponding core.Config
+	// fields.
 	LeaseTTL          time.Duration
 	DelegateThreshold int
 	// UpdateEvery, when positive, pins every channel's update interval
@@ -115,7 +116,7 @@ func buildOrigin(w *workload.Workload, start time.Time, seed int64) *webserver.O
 
 // NewHarness builds a run. Call Run to execute it.
 func NewHarness(scale Scale, opts Options) *Harness {
-	h := &Harness{Scale: scale}
+	h := &Harness{Scale: scale, opts: opts}
 	h.Sim = eventsim.New(scale.Seed)
 	var latency simnet.LatencyModel = simnet.FixedLatency(10 * time.Millisecond)
 	if opts.WANLatency {
@@ -150,17 +151,27 @@ func NewHarness(scale Scale, opts Options) *Harness {
 		return h
 	}
 
-	h.opts = opts
 	h.Down = make(map[int]bool)
-	h.notifier = opts.Notifier
-	if h.notifier == nil {
-		h.notifier = discardNotifier{}
+	h.cfg = core.Config{
+		Policy:              core.PolicyConfig{Scheme: opts.Scheme, FastTarget: opts.FastTarget},
+		PollInterval:        scale.PollInterval,
+		MaintenanceInterval: scale.MaintenanceInterval,
+		OwnerReplicas:       opts.OwnerReplicas,
+		NodeCount:           scale.Nodes,
+		LeaseTTL:            opts.LeaseTTL,
+		DelegateThreshold:   opts.DelegateThreshold,
 	}
-	h.fetcher = &core.OriginFetcher{Origin: h.Origin, Clock: h.Sim}
-	for i, overlay := range h.Net.Ring(pastry.DefaultConfig(), scale.Nodes, h.Sim.RNG("harness-node-ids")) {
-		n := core.NewNode(h.nodeConfig(i), overlay, h.Sim, h.fetcher, h.notifier, h.Recorder)
-		h.Nodes = append(h.Nodes, n)
-		h.Endpoints = append(h.Endpoints, overlay.Self().Endpoint)
+	h.seams = core.Seams{
+		Clock:    h.Sim,
+		Fetcher:  &core.OriginFetcher{Origin: h.Origin, Clock: h.Sim},
+		Notifier: opts.Notifier,
+		Sink:     h.Recorder,
+	}
+	if h.seams.Notifier == nil {
+		h.seams.Notifier = discardNotifier{}
+	}
+	for _, overlay := range h.Net.Ring(pastry.DefaultConfig(), scale.Nodes, h.Sim.RNG("harness-node-ids")) {
+		h.assemble(overlay)
 	}
 
 	if opts.LegacyOn {
@@ -173,29 +184,25 @@ func NewHarness(scale Scale, opts Options) *Harness {
 	return h
 }
 
-// nodeConfig builds the core configuration for the i-th node (initial or
-// churn-joined) from the harness scale and options.
-func (h *Harness) nodeConfig(i int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Policy = core.PolicyConfig{Scheme: h.opts.Scheme, FastTarget: h.opts.FastTarget}
-	cfg.PollInterval = h.Scale.PollInterval
-	cfg.MaintenanceInterval = h.Scale.MaintenanceInterval
-	cfg.NodeCount = h.Scale.Nodes
-	cfg.OwnerReplicas = h.opts.OwnerReplicas
-	cfg.Seed = h.Scale.Seed + int64(i)
-	if h.opts.LeaseTTL != 0 {
-		cfg.LeaseTTL = h.opts.LeaseTTL
+// assemble builds the next member (an initial ring member or a joiner)
+// on overlay and appends it to Nodes.
+func (h *Harness) assemble(overlay *pastry.Node) *core.Member {
+	cfg := h.cfg
+	cfg.Seed = h.Scale.Seed + int64(len(h.Nodes))
+	seams := h.seams
+	seams.Overlay = overlay
+	m, err := core.Assemble(cfg, seams)
+	if err != nil {
+		panic(err) // only opening a store fails, and harness members have none
 	}
-	if h.opts.DelegateThreshold != 0 {
-		cfg.DelegateThreshold = h.opts.DelegateThreshold
-	}
-	return cfg
+	h.Nodes = append(h.Nodes, m)
+	return m
 }
 
 // Run executes the experiment: subscriptions are issued (at once or
 // ramped), nodes start, the load sampler ticks every bucket, and the
 // simulator runs for the configured duration.
-func (h *Harness) Run(opts Options) {
+func (h *Harness) Run() {
 	// Arm the periodic load sampler.
 	var tick func()
 	tick = func() {
@@ -211,7 +218,7 @@ func (h *Harness) Run(opts Options) {
 		n.Start()
 	}
 	if len(h.Nodes) > 0 {
-		h.issueSubscriptions(opts)
+		h.issueSubscriptions()
 	}
 	h.Sim.RunFor(h.Scale.Duration)
 }
@@ -220,10 +227,10 @@ func (h *Harness) Run(opts Options) {
 // Simulation runs issue everything at the start (§5.1: "issue all
 // subscriptions at once before collecting performance data"); deployment
 // runs ramp them over the first hour (§5.2).
-func (h *Harness) issueSubscriptions(opts Options) {
+func (h *Harness) issueSubscriptions() {
 	rng := h.Sim.RNG("subscription-entry")
 	ramp := time.Duration(0)
-	if opts.RampSubscriptions {
+	if h.opts.RampSubscriptions {
 		ramp = time.Hour
 	}
 	// Issue one Subscribe per subscription with a synthetic handle "u<i>".
@@ -276,8 +283,8 @@ func (h *Harness) CrashNode(i int) {
 		return
 	}
 	h.Down[i] = true
-	h.Net.Crash(h.Endpoints[i])
-	h.Nodes[i].Stop()
+	h.Net.Crash(h.Nodes[i].Self().Endpoint)
+	h.Nodes[i].Crash()
 }
 
 // LiveNodes returns the indexes of nodes not crashed by CrashNode.
@@ -292,53 +299,31 @@ func (h *Harness) LiveNodes() []int {
 }
 
 // JoinNode grows the cloud through the message-driven join protocol: a
-// fresh node with the given name joins via a live node, and once the join
-// completes (polled each virtual second, bounded by joinDeadline) it
-// starts and is appended to Nodes/Endpoints; onStarted, if non-nil, then
-// receives its index. A node whose join never completes is marked Down.
-// Callable from inside the simulation (churn injectors), so it never
-// blocks on virtual time.
+// fresh node with the given name is appended to Nodes and joins through
+// Nodes[via] as a live node joins its seed (core.Member.Join), re-sending
+// its join once a second for up to five minutes. Once the join completes
+// the node starts and onStarted, if non-nil, receives its index. A node
+// whose join fails is crashed, so that Down implies unreachable: a
+// half-joined overlay left attached keeps answering routed messages,
+// adopting channel state and winning ownership claims no audit that
+// trusts Down would see. JoinNode returns an error when the join cannot
+// even be sent. Callable from inside the simulation (churn injectors), so
+// it never blocks on virtual time.
 func (h *Harness) JoinNode(name string, via int, onStarted func(idx int)) error {
-	ep := "sim://" + name
-	overlay := h.Net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString(name), Endpoint: ep})
 	idx := len(h.Nodes)
-	n := core.NewNode(h.nodeConfig(idx), overlay, h.Sim, h.fetcher, h.notifier, h.Recorder)
-	h.Nodes = append(h.Nodes, n)
-	h.Endpoints = append(h.Endpoints, ep)
-	// abort kills a node whose join never completed. Marking it Down is
-	// not enough: the endpoint is already attached to the network and the
-	// half-joined overlay keeps answering routed messages — a "dead" node
-	// that is actually alive adopts channel state, wins ownership claims,
-	// and attracts lease re-points, all invisible to any audit that trusts
-	// Down. Down must imply genuinely unreachable.
-	abort := func() {
-		h.Down[idx] = true
-		h.Net.Crash(ep)
-		n.Stop()
-	}
-	if err := overlay.Join(h.Nodes[via].Self()); err != nil {
-		abort()
-		return err
-	}
-	const joinDeadline = 5 * time.Minute
-	deadline := h.Sim.Now().Add(joinDeadline)
-	var wait func()
-	wait = func() {
-		if overlay.Joined() {
-			n.Start()
-			if onStarted != nil {
-				onStarted(idx)
-			}
-			return
+	m := h.assemble(h.Net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString(name), Endpoint: "sim://" + name}))
+	var err error
+	m.Join([]pastry.Addr{h.Nodes[via].Self()}, 5*time.Minute, func(joined bool) {
+		switch {
+		case !joined:
+			h.CrashNode(idx)
+			// Seen by the return below only when no join could be sent.
+			err = fmt.Errorf("experiments: %s could not join through node %d", name, via)
+		case onStarted != nil:
+			onStarted(idx)
 		}
-		if h.Sim.Now().After(deadline) {
-			abort()
-			return
-		}
-		h.Sim.AfterFunc(time.Second, wait)
-	}
-	h.Sim.AfterFunc(time.Second, wait)
-	return nil
+	})
+	return err
 }
 
 // PollersPerChannel counts, for each channel index, the nodes currently

@@ -7,6 +7,7 @@ import (
 	"corona/internal/core"
 	"corona/internal/ids"
 	"corona/internal/pastry"
+	"corona/internal/simnet"
 )
 
 // TestAbortedJoinIsUnreachable pins the zombie-join bug: a node whose
@@ -50,5 +51,43 @@ func TestAbortedJoinIsUnreachable(t *testing.T) {
 	err := probe.Send(pastry.Addr{ID: ids.HashString("zombie"), Endpoint: "sim://zombie"}, pastry.Message{})
 	if err == nil {
 		t.Fatalf("aborted joiner still reachable after heal: Down node left attached (zombie)")
+	}
+}
+
+// TestJoinerResendsAfterLostReply: a harness joiner joins the way a live
+// node does, re-sending its join until the reply lands. Every link into
+// the joiner drops for its first 2 s, so the replies to its first joins
+// are lost; the join re-sent once the links clear completes, and the
+// node starts.
+func TestJoinerResendsAfterLostReply(t *testing.T) {
+	scale := tinyScale()
+	scale.Nodes = 16
+	scale.Channels = 4
+	scale.Subscriptions = 40
+	h := NewHarness(scale, Options{Scheme: core.SchemeLite})
+	for _, n := range h.Nodes {
+		n.Start()
+	}
+	h.Sim.RunFor(time.Minute)
+
+	for _, n := range h.Nodes {
+		h.Net.SetLinkFault(n.Self().Endpoint, "sim://late", simnet.LinkFault{DropRate: 1})
+	}
+	h.InjectAt(2*time.Second, h.Net.ClearLinkFaults)
+	started := -1
+	if err := h.JoinNode("late", 0, func(idx int) { started = idx }); err != nil {
+		t.Fatalf("JoinNode: %v", err)
+	}
+	idx := len(h.Nodes) - 1
+	h.Sim.RunFor(time.Second)
+	if started >= 0 {
+		t.Fatal("joined although every reply was dropped")
+	}
+	h.Sim.RunFor(time.Minute)
+	if started != idx || h.Down[idx] {
+		t.Fatalf("joiner started=%d down=%v; want started %d and up", started, h.Down[idx], idx)
+	}
+	if !h.Nodes[idx].Overlay().Joined() {
+		t.Fatal("joiner started before its overlay joined")
 	}
 }

@@ -522,7 +522,9 @@ func TestPastryOverTCP(t *testing.T) {
 	}
 	peers[0].node.Bootstrap()
 	for i := 1; i < n; i++ {
-		if !<-peers[i].node.JoinWait(peers[0].node.Self(), time.Second, 5*time.Second) {
+		joined := make(chan bool, 1)
+		peers[i].node.JoinWait(peers[0].node.Self(), time.Second, 5*time.Second, func(ok bool) { joined <- ok })
+		if !<-joined {
 			t.Fatalf("node %d never joined", i)
 		}
 	}

@@ -63,8 +63,8 @@ func (n *Node) markJoined() {
 	waits := n.joinWaits
 	n.joinWaits = nil
 	n.mu.Unlock()
-	for _, out := range waits {
-		out <- true
+	for _, w := range waits {
+		w.done(true)
 	}
 }
 
@@ -113,34 +113,38 @@ func (n *Node) Joined() bool {
 	}
 }
 
-// JoinWait joins through seed and reports on the returned channel whether
-// the node joined: true the moment the join completes (at once if the
-// node has already joined), false if the first join cannot be sent or
-// timeout passes without a reply. Until the reply lands the join is
-// re-sent every resend: a reply can vanish into a stale one-directional
+// joinWait is one pending JoinWait: done runs once, with the outcome.
+type joinWait struct{ done func(joined bool) }
+
+// JoinWait joins through seed and calls done once with whether the node
+// joined: true the moment the join completes (at once if the node has
+// already joined), false if the first join cannot be sent or timeout
+// passes without a reply. Until the reply lands the join is re-sent
+// every resend: a reply can vanish into a stale one-directional
 // connection at the seed (a restarted node rejoining on its old address
 // is exactly that case), and the join protocol itself is
 // fire-and-forget. Once it has landed, a member that leaves the
 // announcement unanswered holds the join up until the next re-send tick
-// at most. The timers run on the node's clock, and the channel buffers
-// its one value, so a callback on a simulator clock never blocks. Once
-// the node has joined, a pending re-send timer fires once more and does
+// at most. The timers run on the node's clock, and done runs on the
+// goroutine that completes the join (a delivery or a timer), holding no
+// overlay lock, so a callback on a simulator clock never blocks. Once the
+// node has joined, a pending re-send timer fires once more and does
 // nothing.
-func (n *Node) JoinWait(seed Addr, resend, timeout time.Duration) <-chan bool {
-	out := make(chan bool, 1)
+func (n *Node) JoinWait(seed Addr, resend, timeout time.Duration, done func(joined bool)) {
+	w := &joinWait{done: done}
 	n.mu.Lock()
 	joined := n.Joined()
 	if !joined {
-		n.joinWaits = append(n.joinWaits, out)
+		n.joinWaits = append(n.joinWaits, w)
 	}
 	n.mu.Unlock()
 	if joined {
-		out <- true
-		return out
+		done(true)
+		return
 	}
 	if err := n.Join(seed); err != nil {
-		n.failJoinWait(out)
-		return out
+		n.failJoinWait(w)
+		return
 	}
 	deadline := n.clk.Now().Add(timeout)
 	var tick func()
@@ -159,27 +163,26 @@ func (n *Node) JoinWait(seed Addr, resend, timeout time.Duration) <-chan bool {
 		}
 		left := deadline.Sub(n.clk.Now())
 		if left <= 0 {
-			n.failJoinWait(out)
+			n.failJoinWait(w)
 			return
 		}
 		n.Join(seed)
 		n.clk.AfterFunc(min(resend, left), tick)
 	}
 	n.clk.AfterFunc(min(resend, timeout), tick)
-	return out
 }
 
-// failJoinWait yields false on a JoinWait's channel unless markJoined has
-// already taken it and yielded true.
-func (n *Node) failJoinWait(out chan bool) {
+// failJoinWait ends a JoinWait with false unless markJoined has already
+// ended it with true.
+func (n *Node) failJoinWait(w *joinWait) {
 	n.mu.Lock()
-	i := slices.Index(n.joinWaits, out)
+	i := slices.Index(n.joinWaits, w)
 	if i >= 0 {
 		n.joinWaits = slices.Delete(n.joinWaits, i, i+1)
 	}
 	n.mu.Unlock()
 	if i >= 0 {
-		out <- false
+		w.done(false)
 	}
 }
 

@@ -22,6 +22,15 @@ func joinPair(t *testing.T) (*eventsim.Sim, *simnet.Network, *pastry.Node, *past
 	return sim, net, seed, joiner
 }
 
+// joinWait starts a JoinWait with a 1 s re-send whose outcome lands on
+// the returned channel. The channel holds one value: a second call of the
+// callback would block the simulator and fail the test by deadlock.
+func joinWait(n *pastry.Node, seed pastry.Addr, timeout time.Duration) <-chan bool {
+	c := make(chan bool, 1)
+	n.JoinWait(seed, time.Second, timeout, func(joined bool) { c <- joined })
+	return c
+}
+
 // result reads the wait's value if it is in, without blocking.
 func result(c <-chan bool) (joined, in bool) {
 	select {
@@ -58,7 +67,7 @@ const joinDone = 8 * time.Millisecond
 // at once.
 func TestJoinWaitYieldsOnReply(t *testing.T) {
 	sim, _, seed, joiner := joinPair(t)
-	wait := joiner.JoinWait(seed.Self(), time.Second, 10*time.Second)
+	wait := joinWait(joiner, seed.Self(), 10*time.Second)
 	if !stepUntilResult(t, sim, wait) {
 		t.Fatal("wait yielded false")
 	}
@@ -76,7 +85,7 @@ func TestJoinWaitYieldsOnReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunFor(time.Second) // a second join reply lands on a joined node
-	if v, in := result(joiner.JoinWait(seed.Self(), time.Second, 10*time.Second)); !in || !v {
+	if v, in := result(joinWait(joiner, seed.Self(), 10*time.Second)); !in || !v {
 		t.Fatalf("wait on a joined node: value %v, yielded %v; want true at once", v, in)
 	}
 }
@@ -86,7 +95,7 @@ func TestJoinWaitYieldsOnReply(t *testing.T) {
 func TestJoinWaitResendsAfterLostReply(t *testing.T) {
 	sim, net, seed, joiner := joinPair(t)
 	net.SetLinkFault(seed.Self().Endpoint, joiner.Self().Endpoint, simnet.LinkFault{DropRate: 1})
-	wait := joiner.JoinWait(seed.Self(), time.Second, 10*time.Second)
+	wait := joinWait(joiner, seed.Self(), 10*time.Second)
 	sim.RunFor(500 * time.Millisecond)
 	if _, in := result(wait); in || joiner.Joined() {
 		t.Fatal("joined although every reply was dropped")
@@ -106,7 +115,7 @@ func TestJoinWaitTimesOut(t *testing.T) {
 	sim, net, seed, joiner := joinPair(t)
 	net.SetLinkFault(seed.Self().Endpoint, joiner.Self().Endpoint, simnet.LinkFault{DropRate: 1})
 	const timeout = 3500 * time.Millisecond
-	wait := joiner.JoinWait(seed.Self(), time.Second, timeout)
+	wait := joinWait(joiner, seed.Self(), timeout)
 	if stepUntilResult(t, sim, wait) {
 		t.Fatal("wait yielded true with every reply dropped")
 	}
@@ -128,7 +137,7 @@ func TestJoinCompletesPastSilentMember(t *testing.T) {
 	ring := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("ring-ids"))
 	joiner := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
 	net.SetLinkFault(joiner.Self().Endpoint, ring[1].Self().Endpoint, simnet.LinkFault{DropRate: 1})
-	wait := joiner.JoinWait(ring[0].Self(), time.Second, 10*time.Second)
+	wait := joinWait(joiner, ring[0].Self(), 10*time.Second)
 	if !stepUntilResult(t, sim, wait) {
 		t.Fatal("wait yielded false")
 	}

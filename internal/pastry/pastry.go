@@ -299,11 +299,11 @@ type Node struct {
 	leaves   *leafSet
 	handlers map[string]HandlerFunc
 	// joined is closed, once and under mu, when the node completes a
-	// Join or Bootstrap; joinWaits are the pending JoinWait channels
-	// that closing it answers, and announce the members a joining node
+	// Join or Bootstrap; joinWaits are the pending JoinWaits that
+	// closing it answers, and announce the members a joining node
 	// has announced itself to and not yet heard back from.
 	joined    chan struct{}
-	joinWaits []chan bool
+	joinWaits []*joinWait
 	announce  map[ids.ID]struct{}
 
 	// onFault, if set, is called when a peer is detected dead. Corona

@@ -6,8 +6,8 @@
 // with roughly 10% of channels changing within an hour and roughly half
 // not changing at all over five days (the simulations cap these at one
 // week); contents average a few kilobytes, with a typical update touching
-// ≈6.8% of the bytes. This package synthesizes channel populations and
-// subscription traces with those marginals, deterministically from a seed.
+// ≈6.8% of the bytes. This package synthesizes channel populations with
+// those marginals, deterministically from a seed.
 package workload
 
 import (
@@ -169,42 +169,4 @@ func (w *Workload) MeanSize() float64 {
 		total += float64(c.SizeBytes)
 	}
 	return total / float64(len(w.Channels))
-}
-
-// Subscription is one client subscription event for trace-driven runs.
-type Subscription struct {
-	// Client identifies the subscriber (IM handle).
-	Client string
-	// ChannelIndex indexes Workload.Channels.
-	ChannelIndex int
-	// Offset is when the subscription is issued, relative to experiment
-	// start (§5.2: issued at a uniform rate during the first hour).
-	Offset time.Duration
-}
-
-// SubscriptionTrace expands the workload into per-client subscription
-// events, issued uniformly over rampUp. Client identities are synthetic IM
-// handles; each subscription gets a distinct client, matching the paper's
-// accounting where every subscription is a separate end-user unit (§3.1).
-func (w *Workload) SubscriptionTrace(rampUp time.Duration, seed int64) []Subscription {
-	rng := rand.New(rand.NewSource(seed))
-	subs := make([]Subscription, 0, w.TotalSubscriptions)
-	for idx, ch := range w.Channels {
-		for s := 0; s < ch.Subscribers; s++ {
-			subs = append(subs, Subscription{
-				Client:       fmt.Sprintf("user-%d-%d", idx, s),
-				ChannelIndex: idx,
-			})
-		}
-	}
-	// Shuffle then spread offsets uniformly so channel order and issue
-	// order are independent.
-	rng.Shuffle(len(subs), func(i, j int) { subs[i], subs[j] = subs[j], subs[i] })
-	if rampUp > 0 && len(subs) > 0 {
-		step := float64(rampUp) / float64(len(subs))
-		for i := range subs {
-			subs[i].Offset = time.Duration(float64(i) * step)
-		}
-	}
-	return subs
 }

@@ -109,36 +109,6 @@ func TestMeanSize(t *testing.T) {
 	}
 }
 
-func TestSubscriptionTrace(t *testing.T) {
-	w := Generate(Config{Channels: 50, Subscriptions: 2000, Seed: 5})
-	trace := w.SubscriptionTrace(time.Hour, 9)
-	if len(trace) != 2000 {
-		t.Fatalf("trace has %d events, want 2000", len(trace))
-	}
-	perChannel := make(map[int]int)
-	clients := make(map[string]bool)
-	var prev time.Duration = -1
-	for _, s := range trace {
-		perChannel[s.ChannelIndex]++
-		if clients[s.Client] {
-			t.Fatalf("client %q subscribed twice", s.Client)
-		}
-		clients[s.Client] = true
-		if s.Offset < prev {
-			t.Fatal("offsets not monotone")
-		}
-		prev = s.Offset
-		if s.Offset < 0 || s.Offset >= time.Hour {
-			t.Fatalf("offset %v outside ramp-up window", s.Offset)
-		}
-	}
-	for i, ch := range w.Channels {
-		if perChannel[i] != ch.Subscribers {
-			t.Fatalf("channel %d got %d trace events, want %d", i, perChannel[i], ch.Subscribers)
-		}
-	}
-}
-
 func TestGeneratePanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -93,9 +93,8 @@ type LiveConfig struct {
 type LiveNode struct {
 	transport *netwire.Transport
 	overlay   *pastry.Node
-	node      *core.Node
+	node      *core.Member
 	fetcher   *core.HTTPFetcher
-	store     *store.Store        // nil when DataDir is unset
 	clients   *clientproto.Server // nil until ServeClients
 	lines     *clientproto.Server // nil until ServeIM
 	web       *webgateway.Server  // nil until ServeWeb
@@ -161,7 +160,8 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		advertise = transport.Addr()
 	}
 	self := pastry.Addr{ID: idFromEndpoint(advertise), Endpoint: advertise}
-	overlay := pastry.NewNode(pastry.DefaultConfig(), self, transport, clock.Real{})
+	clk := clock.Real{}
+	overlay := pastry.NewNode(pastry.DefaultConfig(), self, transport, clk)
 	transport.OnDeliver(overlay.Deliver)
 
 	seed := cfg.Seed
@@ -177,28 +177,15 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		Replicas:            cfg.Replicas,
 		DelegateThreshold:   cfg.DelegateThreshold,
 	}.coreConfig(seed)
-	if cfg.LeaseTTL > 0 {
-		ccfg.LeaseTTL = cfg.LeaseTTL
-	}
+	ccfg.LeaseTTL = cfg.LeaseTTL // negative disables the sweep in core too
 
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
 	sessions := clientproto.NewSessionTable(nil)
-	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, sessions, nil)
-
-	// Durable state: recover the previous incarnation's channel image
-	// before joining, so the ring sees a member that already holds its
-	// subscriptions. Ownership is reconciled after the join lands.
-	var st *store.Store
-	if cfg.DataDir != "" {
-		var recovered []store.Channel
-		var err error
-		st, recovered, err = store.Open(store.Options{Dir: cfg.DataDir, CommitWindow: cfg.CommitWindow})
-		if err != nil {
-			transport.Close()
-			return nil, fmt.Errorf("corona: opening data dir: %w", err)
-		}
-		node.SetStateSink(st)
-		node.RestoreChannels(recovered)
+	node, err := core.Assemble(ccfg, core.Seams{Overlay: overlay, Clock: clk, Fetcher: fetcher, Notifier: sessions,
+		Store: store.Options{Dir: cfg.DataDir, CommitWindow: cfg.CommitWindow}})
+	if err != nil {
+		transport.Close()
+		return nil, fmt.Errorf("corona: %w", err)
 	}
 
 	ln := &LiveNode{
@@ -206,7 +193,6 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		overlay:      overlay,
 		node:         node,
 		fetcher:      fetcher,
-		store:        st,
 		sessions:     sessions,
 		webReplayCap: cfg.WebReplayCap,
 	}
@@ -216,41 +202,25 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	// after the node is already ready.
 	if cfg.AdminBind != "" {
 		if _, err := ln.ServeAdmin(cfg.AdminBind); err != nil {
-			transport.Close()
-			if st != nil {
-				st.Close()
-			}
+			ln.Close()
 			return nil, err
 		}
 	}
 	if len(cfg.Seeds) == 0 {
-		overlay.Bootstrap()
+		node.Bootstrap()
 	} else {
 		// Join is asynchronous under netwire: Send enqueues and dial
-		// failures surface through the transport's fault callback. Wait
-		// for the join to complete before falling back to the next seed.
-		joined := false
-		for _, seed := range cfg.Seeds {
-			seedAddr := pastry.Addr{ID: idFromEndpoint(seed), Endpoint: seed}
-			if <-overlay.JoinWait(seedAddr, time.Second, transport.DialBudget()+2*time.Second) {
-				joined = true
-				break
-			}
+		// failures surface through the transport's fault callback.
+		seeds := make([]pastry.Addr, len(cfg.Seeds))
+		for i, seed := range cfg.Seeds {
+			seeds[i] = pastry.Addr{ID: idFromEndpoint(seed), Endpoint: seed}
 		}
-		if !joined {
-			ln.closeAdmin()
-			transport.Close()
-			if st != nil {
-				st.Close()
-			}
+		joined := make(chan bool, 1)
+		node.Join(seeds, transport.DialBudget()+2*time.Second, func(ok bool) { joined <- ok })
+		if !<-joined {
+			ln.Close()
 			return nil, fmt.Errorf("corona: no seed reachable among %v", cfg.Seeds)
 		}
-	}
-	node.Start()
-	if st != nil {
-		// Resume ownership of recovered channels this node still roots;
-		// hand the rest to their current owners via the replicate path.
-		node.ReconcileRecovered()
 	}
 	if cfg.ClientBind != "" {
 		if _, err := ln.ServeClients(cfg.ClientBind); err != nil {
@@ -478,10 +448,10 @@ func (ln *LiveNode) Stats() LiveStats {
 // storeStats converts the durable store's snapshot into its LiveStats
 // form, zero-valued with Enabled false for in-memory nodes.
 func (ln *LiveNode) storeStats() StoreStats {
-	if ln.store == nil {
+	if ln.node.Store() == nil {
 		return StoreStats{}
 	}
-	st := ln.store.Stats()
+	st := ln.node.Store().Stats()
 	ss := StoreStats{
 		Enabled:              true,
 		Generation:           st.Generation,
@@ -539,20 +509,17 @@ func (ln *LiveNode) CloseClients() {
 	}
 }
 
-// Close stops the client listeners (draining every session's outbox), the
-// protocol, the origin connections and the transport, then flushes and
-// closes the durable store so no committed-window state is lost on a
-// graceful shutdown.
+// Close stops the client listeners (draining every session's outbox) and
+// the protocol, flushing and closing the durable store so no
+// committed-window state is lost on a graceful shutdown, then closes the
+// origin connections and the transport.
 func (ln *LiveNode) Close() error {
 	ln.closeAdmin()
 	ln.CloseClients()
-	ln.node.Stop()
+	err := ln.node.Stop()
 	ln.fetcher.Close()
-	err := ln.transport.Close()
-	if ln.store != nil {
-		if serr := ln.store.Close(); serr != nil && err == nil {
-			err = serr
-		}
+	if terr := ln.transport.Close(); err == nil {
+		err = terr
 	}
 	return err
 }
@@ -564,12 +531,9 @@ func (ln *LiveNode) Close() error {
 func (ln *LiveNode) Kill() {
 	ln.closeAdmin()
 	ln.CloseClients() // connected clients see an abrupt EOF, as in a crash
-	ln.node.Stop()
+	ln.node.Crash()
 	ln.fetcher.Close()
 	ln.transport.Close()
-	if ln.store != nil {
-		ln.store.Abort()
-	}
 }
 
 // Channel reports this node's view of a channel (ownership, level,

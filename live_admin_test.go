@@ -127,19 +127,22 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 	ccfg.MaintenanceInterval = time.Hour
 	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
 	sessions := clientproto.NewSessionTable(nil)
-	node := core.NewNode(ccfg, overlay, clock.Real{}, fetcher, sessions, nil)
-	st, _, err := store.Open(store.Options{Dir: t.TempDir()})
+	node, err := core.Assemble(ccfg, core.Seams{
+		Overlay:  overlay,
+		Clock:    clock.Real{},
+		Fetcher:  fetcher,
+		Notifier: sessions,
+		Store:    store.Options{Dir: t.TempDir()},
+	})
 	if err != nil {
 		transport.Close()
 		t.Fatal(err)
 	}
-	node.SetStateSink(st)
 	ln := &LiveNode{
 		transport: transport,
 		overlay:   overlay,
 		node:      node,
 		fetcher:   fetcher,
-		store:     st,
 		sessions:  sessions,
 	}
 	ln.reg = ln.newRegistry()
@@ -187,8 +190,7 @@ func TestAdminReadiness(t *testing.T) {
 		t.Fatalf("/readyz 503 body should name the join: %q", body)
 	}
 
-	ln.overlay.Bootstrap()
-	ln.node.Start()
+	ln.node.Bootstrap()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, body = httpGet(t, base+"/readyz")
@@ -201,7 +203,7 @@ func TestAdminReadiness(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	ln.store.InjectIOError(errors.New("injected disk fault"))
+	ln.node.Store().InjectIOError(errors.New("injected disk fault"))
 	code, body = httpGet(t, base+"/readyz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with latched store error: got %d, want 503 (body %q)", code, body)

@@ -24,7 +24,7 @@ type Simulation struct {
 	sim    *eventsim.Sim
 	net    *simnet.Network
 	origin *webserver.Origin
-	nodes  []*core.Node
+	nodes  []*core.Member
 	// clients is every node's notifier: each subscriber's callback is
 	// an in-process claim on its handle.
 	clients *clientproto.SessionTable
@@ -49,7 +49,11 @@ func NewSimulation(opts Options) (*Simulation, error) {
 	}
 	fetcher := &core.OriginFetcher{Origin: s.origin, Clock: sim}
 	for i, overlay := range s.net.Ring(pastry.DefaultConfig(), opts.Nodes, sim.RNG("corona-cluster-ids")) {
-		n := core.NewNode(opts.coreConfig(opts.Seed+int64(i)), overlay, sim, fetcher, s.clients, nil)
+		n, err := core.Assemble(opts.coreConfig(opts.Seed+int64(i)),
+			core.Seams{Overlay: overlay, Clock: sim, Fetcher: fetcher, Notifier: s.clients})
+		if err != nil {
+			return nil, err
+		}
 		s.nodes = append(s.nodes, n)
 		n.Start()
 	}
@@ -78,7 +82,7 @@ func (s *Simulation) HostFeed(url string, updateEvery time.Duration) error {
 }
 
 // entryNode picks the overlay entry point for a client deterministically.
-func (s *Simulation) entryNode(client string) *core.Node {
+func (s *Simulation) entryNode(client string) *core.Member {
 	h := ids.HashString(client)
 	return s.nodes[int(h[0])%len(s.nodes)]
 }
