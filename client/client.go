@@ -42,9 +42,11 @@ import (
 	"corona/internal/clientproto"
 )
 
+// dialTimeout bounds each connection attempt, and each frame write.
+const dialTimeout = 3 * time.Second
+
 // Defaults for the Options below.
 const (
-	defaultDialTimeout  = 3 * time.Second
 	defaultRetryWait    = 500 * time.Millisecond
 	defaultPingInterval = 30 * time.Second
 	defaultNotifyBuffer = 64
@@ -56,8 +58,6 @@ type Options struct {
 	// keyed by handle in the cloud, so a client reconnecting anywhere
 	// with the same handle is the same subscriber.
 	Handle string
-	// DialTimeout bounds each connection attempt (default 3s).
-	DialTimeout time.Duration
 	// RetryWait is the pause between full sweeps of the address list
 	// while reconnecting (default 500ms).
 	RetryWait time.Duration
@@ -73,9 +73,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = defaultDialTimeout
-	}
 	if o.RetryWait <= 0 {
 		o.RetryWait = defaultRetryWait
 	}
@@ -383,7 +380,7 @@ func (c *Conn) send(f clientproto.Frame) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(c.opts.DialTimeout))
+	conn.SetWriteDeadline(time.Now().Add(dialTimeout))
 	if err := clientproto.WriteFrame(conn, f); err != nil {
 		conn.Close() // the read loop notices and reconnects
 		return err
@@ -395,12 +392,12 @@ func (c *Conn) send(f clientproto.Frame) error {
 // with the held token), re-asserts the subscription set, and installs the
 // connection as current.
 func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := clientproto.Hello(conn); err != nil {
 		conn.Close()
 		return nil, err

@@ -318,3 +318,20 @@ func (r *Run) pickLive() int {
 	live := r.H.LiveNodes()
 	return live[r.rng.Intn(len(live))]
 }
+
+// pickLiveNear returns a random live node index in endpoint's partition
+// group, which a message from endpoint can reach; with none there, any
+// live node. Without a partition it draws as pickLive does.
+func (r *Run) pickLiveNear(endpoint string) int {
+	group := r.H.Net.Group(endpoint)
+	var near []int
+	for _, i := range r.H.LiveNodes() {
+		if r.H.Net.Group(r.H.Nodes[i].Self().Endpoint) == group {
+			near = append(near, i)
+		}
+	}
+	if len(near) == 0 {
+		return r.pickLive()
+	}
+	return near[r.rng.Intn(len(near))]
+}

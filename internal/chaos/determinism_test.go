@@ -45,3 +45,55 @@ func TestChurnRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("same-seed churn runs ended with %d/%d vs %d/%d nodes/live", a.Nodes, a.LiveNodes, b.Nodes, b.LiveNodes)
 	}
 }
+
+// TestChurnJoinsOnJoinersSideOfPartition cuts half the initial cloud off
+// for the whole churn window. Every churn joiner must send its join to a
+// live node on its own side of the cut: a join sent across the cut fails
+// at once, and its joiner is crashed in the same instant, so that join
+// event does nothing. The test samples the joiners every 100 ms of
+// virtual time (churn events are at least 1 s apart) and fails on any
+// joiner already down when first seen.
+func TestChurnJoinsOnJoinersSideOfPartition(t *testing.T) {
+	cfg := CIScale()
+	cfg.Nodes = 24
+	cfg.Channels = 12
+	cfg.Subscriptions = 300
+	cfg.DelegateThreshold = 20
+	cfg.ConvergeDeadline = time.Hour
+	downAtBirth := map[string]bool{}
+	joined := 0
+	sc := Scenario{Name: "partitioned-churn", Inject: func(r *Run) {
+		r.H.InjectAt(cfg.Duration/8, func() {
+			for i := 1; i < cfg.Nodes; i += 2 {
+				r.H.Net.Partition(r.H.Nodes[i].Self().Endpoint, 1)
+			}
+		})
+		Churn().Inject(r)
+		r.H.EveryCheckpoint(100*time.Millisecond, func(time.Time) {
+			for i := cfg.Nodes; i < len(r.H.Nodes); i++ {
+				ep := r.H.Nodes[i].Self().Endpoint
+				if _, seen := downAtBirth[ep]; !seen {
+					downAtBirth[ep] = r.H.Down[i]
+				}
+			}
+		})
+		// Churn joins until 3/4 of the run; a join resolves within 5 min.
+		r.H.InjectAt(cfg.Duration*3/4+6*time.Minute, func() {
+			for i := cfg.Nodes; i < len(r.H.Nodes); i++ {
+				if r.H.Nodes[i].Overlay().Joined() {
+					joined++
+				}
+			}
+			r.H.Net.Heal()
+		})
+	}}
+	execute(sc, cfg)
+	if len(downAtBirth) == 0 || joined == 0 {
+		t.Fatalf("%d churn joiners, %d joined; the test needs joins that complete", len(downAtBirth), joined)
+	}
+	for ep, down := range downAtBirth {
+		if down {
+			t.Errorf("churn joiner %s was crashed the instant it joined: its join crossed the cut", ep)
+		}
+	}
+}

@@ -95,7 +95,8 @@ func RackFailure() Scenario {
 
 // Churn runs a sustained Poisson join/leave process over the middle half
 // of the run: leaves fail-stop random live nodes, joins grow the cloud
-// through the message-driven join protocol. The population floor keeps
+// through the message-driven join protocol, each through a live node on
+// the joiner's side of any active partition. The population floor keeps
 // leaves from hollowing out the cloud; joins are capped so the overlay
 // stays comparable to the configured scale.
 func Churn() Scenario {
@@ -127,7 +128,7 @@ func Churn() Scenario {
 					if join {
 						joined++
 						name := fmt.Sprintf("churn%d", joined)
-						_ = r.H.JoinNode(name, r.pickLive(), nil)
+						_ = r.H.JoinNode(name, r.pickLiveNear("sim://"+name), nil)
 					} else if len(live) > floor {
 						r.CrashMany([]int{r.pickLive()})
 					}

@@ -76,8 +76,8 @@ type Edge[T any] struct {
 	ended  sync.WaitGroup
 }
 
-// NewEdge returns an edge whose sessions queue at most queueLen notifies
-// (DefaultQueueLen when zero or less). encode turns a notification into
+// NewEdge returns an edge whose sessions queue at most queueLen notifies.
+// encode turns a notification into
 // the edge's queued message, and reports false for one beyond the edge's
 // message bound; it runs once per recipient, so it should cache its work
 // in the notification's Shared cell. observe, when set, receives the
@@ -85,9 +85,6 @@ type Edge[T any] struct {
 // runs under the outbox's lock, so the writer cannot send the notify
 // before it is counted, and must not block.
 func NewEdge[T any](queueLen int, encode func(Notification) (T, bool), observe func(time.Duration)) *Edge[T] {
-	if queueLen <= 0 {
-		queueLen = DefaultQueueLen
-	}
 	return &Edge[T]{queueLen: queueLen, encode: encode, observe: observe, live: make(map[*Outbox[T]]struct{})}
 }
 

@@ -93,7 +93,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 				return res.Version
 			}
 			detect := func(v uint64) {
-				replica.updateDetected(replica.channel(url), fetchedUpdate{Version: v, Bytes: len(bodies[v]), Body: bytes.Clone(bodies[v]), HasTimestamp: true})
+				replica.updateDetected(replica.channel(url), fetchedUpdate{Version: v, Bytes: len(bodies[v]), Body: bytes.Clone(bodies[v])})
 				sim.RunFor(time.Second)
 			}
 			core := func(v uint64) []string { return diffengine.RSSProfile().Extract(string(bodies[v])) }

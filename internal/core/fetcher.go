@@ -31,18 +31,12 @@ type OriginFetcher struct {
 	Origin *webserver.Origin
 	// Clock supplies poll timestamps.
 	Clock clock.Clock
-	// Conditional selects validator-based polling: unchanged content
-	// costs only a probe. Legacy-RSS-era clients fetch unconditionally;
-	// Corona also fetches full content by default since it needs the
-	// document to diff, matching the paper's load accounting.
-	Conditional bool
 }
 
-// Fetch implements Fetcher.
-func (f *OriginFetcher) Fetch(url string, haveVersion uint64) (webserver.FetchResult, error) {
-	if f.Conditional {
-		return f.Origin.FetchConditional(url, f.Clock.Now(), haveVersion)
-	}
+// Fetch implements Fetcher. It fetches full content unconditionally:
+// Corona needs the document to diff, and the paper's load accounting
+// counts every poll as a full fetch, as legacy RSS clients make them.
+func (f *OriginFetcher) Fetch(url string, _ uint64) (webserver.FetchResult, error) {
 	return f.Origin.Fetch(url, f.Clock.Now())
 }
 
@@ -84,10 +78,15 @@ const maxRedirects = 10
 var errBodyTooLarge = fmt.Errorf("core: body exceeds %d bytes", maxBodyBytes)
 
 // HTTPFetcher polls real HTTP origins, using ETag validators when the
-// server provides them. It is the live-deployment Fetcher. It speaks
-// HTTP/1.1 over plain TCP or TLS (http:// and https:// URLs), offers
-// gzip and decodes it, and follows up to 10 redirects. A poll, redirects
-// included, gives up one poll interval after it starts. Proxy
+// server provides them. It is the live-deployment Fetcher. A decimal
+// ETag is the version, and a poll sends the version it holds as
+// If-None-Match. Any other ETag (a quoted one, say) is kept with the
+// version its 200 was given, and sent back as If-None-Match while the
+// poll holds that version, so unchanged content is answered 304.
+//
+// It speaks HTTP/1.1 over plain TCP or TLS (http:// and https:// URLs),
+// offers gzip and decodes it, and follows up to 10 redirects. A poll,
+// redirects included, gives up one poll interval after it starts. Proxy
 // environment variables are not consulted: polls go straight to the
 // origin.
 //
@@ -120,10 +119,16 @@ type HTTPFetcher struct {
 	bodies [][]byte                 // released body buffers, for readBody
 }
 
-// polledURL is what the fetcher keeps per polled URL.
+// polledURL is what the fetcher keeps per polled URL. Its fields after
+// target are guarded by HTTPFetcher.mu.
 type polledURL struct {
 	target *originTarget
-	size   int // length of the URL's last 200 body; guarded by HTTPFetcher.mu
+	size   int // length of the URL's last 200 body
+	// etag is the last 200's ETag when it was not a decimal version, and
+	// etagVersion the version that 200 was given; etag is empty
+	// otherwise.
+	etag        string
+	etagVersion uint64
 }
 
 // originTarget is one URL's request, resolved once.
@@ -179,7 +184,7 @@ func (f *HTTPFetcher) Dials() uint64 { return f.dials.Load() }
 // numeric, else haveVersion+1; either way the result carries the body,
 // which the node diffs against the content it holds.
 func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
-	p, err := f.lookup(rawURL)
+	p, etag, err := f.lookup(rawURL, haveVersion)
 	if err != nil {
 		return webserver.FetchResult{}, fmt.Errorf("core: building request: %w", err)
 	}
@@ -188,7 +193,7 @@ func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchR
 	t := p.target
 	var h respHead
 	for redirects := 0; ; {
-		oc, err := f.roundTrip(t, haveVersion, deadline, &h)
+		oc, err := f.roundTrip(t, haveVersion, etag, deadline, &h)
 		if err != nil {
 			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: %w", rawURL, err)
 		}
@@ -242,13 +247,14 @@ func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, h *respHead, rawURL s
 			return webserver.FetchResult{}, fmt.Errorf("core: reading %s: %w", rawURL, err)
 		}
 		f.release(oc, h, true)
-		f.mu.Lock()
-		p.size = len(body)
-		f.mu.Unlock()
 		version := haveVersion + 1
 		if h.etagOK {
 			version = h.etag
 		}
+		f.mu.Lock()
+		p.size = len(body)
+		p.etag, p.etagVersion = h.opaqueETag, version
+		f.mu.Unlock()
 		return webserver.FetchResult{Version: version, Modified: true, Bytes: len(body), Body: body}, nil
 	default:
 		f.release(oc, h, oc.drain(h))
@@ -284,24 +290,28 @@ func (f *HTTPFetcher) takeBody() []byte {
 }
 
 // lookup returns the fetcher's record of rawURL, resolving its request
-// on the first poll.
-func (f *HTTPFetcher) lookup(rawURL string) (*polledURL, error) {
+// on the first poll, and the opaque ETag a poll holding haveVersion
+// sends back, if any.
+func (f *HTTPFetcher) lookup(rawURL string, haveVersion uint64) (p *polledURL, etag string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p := f.polled[rawURL]; p != nil {
-		return p, nil
+	if p = f.polled[rawURL]; p != nil {
+		if p.etagVersion == haveVersion {
+			etag = p.etag
+		}
+		return p, etag, nil
 	}
 	u, err := url.Parse(rawURL)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	t, err := newOriginTarget(u)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	p := &polledURL{target: t}
+	p = &polledURL{target: t}
 	f.polled[rawURL] = p
-	return p, nil
+	return p, "", nil
 }
 
 // newOriginTarget resolves the request for u: where to connect and the
@@ -349,22 +359,23 @@ func newOriginTarget(u *url.URL) (*originTarget, error) {
 	}, nil
 }
 
-// roundTrip sends one GET for t and reads the response head into h. A
+// roundTrip sends one GET for t and reads the response head into h. The
+// GET's If-None-Match is etag when set, else haveVersion when non-zero. A
 // pooled connection the origin closed while it sat idle fails before any
 // byte of a response arrives; the GET is idempotent, so it is sent once
 // more on a fresh connection.
-func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, deadline time.Time, h *respHead) (*originConn, error) {
+func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, etag string, deadline time.Time, h *respHead) (*originConn, error) {
 	oc, reused, err := f.take(t, deadline)
 	if err != nil {
 		return nil, err
 	}
-	answered, err := oc.exchange(t, haveVersion, h)
+	answered, err := oc.exchange(t, haveVersion, etag, h)
 	if err != nil && reused && !answered && !errors.Is(err, os.ErrDeadlineExceeded) {
 		oc.conn.Close()
 		if oc, err = f.dial(t, deadline); err != nil {
 			return nil, err
 		}
-		_, err = oc.exchange(t, haveVersion, h)
+		_, err = oc.exchange(t, haveVersion, etag, h)
 	}
 	if err != nil {
 		oc.conn.Close()
@@ -375,9 +386,14 @@ func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, deadline ti
 
 // exchange writes the GET and parses the response head into h. answered
 // reports whether any byte of a response arrived.
-func (oc *originConn) exchange(t *originTarget, haveVersion uint64, h *respHead) (answered bool, err error) {
+func (oc *originConn) exchange(t *originTarget, haveVersion uint64, etag string, h *respHead) (answered bool, err error) {
 	oc.bw.WriteString(t.head)
-	if haveVersion != 0 {
+	switch {
+	case etag != "":
+		oc.bw.WriteString("If-None-Match: ")
+		oc.bw.WriteString(etag)
+		oc.bw.WriteString("\r\n")
+	case haveVersion != 0:
 		oc.bw.WriteString("If-None-Match: ")
 		oc.bw.Write(strconv.AppendUint(oc.bw.AvailableBuffer(), haveVersion, 10))
 		oc.bw.WriteString("\r\n")

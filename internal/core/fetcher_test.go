@@ -247,6 +247,69 @@ func TestHTTPFetchReusesConnection(t *testing.T) {
 	}
 }
 
+// TestHTTPFetchOpaqueETagRevalidates polls an origin whose ETags are
+// quoted strings, not versions, and which answers 304 only to the ETag it
+// last sent. The fetcher sends that ETag back while it holds the version
+// the 200 was given: unchanged content is a 304 at that version, changed
+// content a 200 at the next one, and a poll holding another version gets
+// a 200 without a validator.
+func TestHTTPFetchOpaqueETagRevalidates(t *testing.T) {
+	var mu sync.Mutex
+	etag, body := `"a1"`, "<rss>a</rss>\n"
+	var sent []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		sent = append(sent, r.Header.Get("If-None-Match"))
+		w.Header().Set("ETag", etag)
+		if r.Header.Get("If-None-Match") == etag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Write([]byte(body))
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	poll := func(have uint64) webserver.FetchResult {
+		t.Helper()
+		res, err := f.Fetch(srv.URL+"/feed", have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	if res := poll(0); !res.Modified || res.Version != 1 || string(res.Body) != "<rss>a</rss>\n" {
+		t.Fatalf("first poll = %+v, want a 200 at version 1", res)
+	}
+	for i := 0; i < 3; i++ {
+		if res := poll(1); res.Modified || res.Version != 1 {
+			t.Fatalf("poll %d of unchanged content = %+v, want a 304 at version 1", i, res)
+		}
+	}
+	mu.Lock()
+	etag, body = `"b2"`, "<rss>b</rss>\n"
+	mu.Unlock()
+	if res := poll(1); !res.Modified || res.Version != 2 || string(res.Body) != "<rss>b</rss>\n" {
+		t.Fatalf("poll of changed content = %+v, want a 200 at version 2", res)
+	}
+	if res := poll(2); res.Modified || res.Version != 2 {
+		t.Fatalf("poll after the change = %+v, want a 304 at version 2", res)
+	}
+	// A version the fetcher did not give (another node's push raised it)
+	// is not one the stored ETag stands for.
+	if res := poll(7); !res.Modified || res.Version != 8 {
+		t.Fatalf("poll holding version 7 = %+v, want a 200 at version 8", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"", `"a1"`, `"a1"`, `"a1"`, `"a1"`, `"b2"`, "7"}
+	if strings.Join(sent, " ") != strings.Join(want, " ") {
+		t.Fatalf("If-None-Match sent = %q, want %q", sent, want)
+	}
+}
+
 // TestHTTPFetchConcurrentPolls polls channels of different sizes from
 // several goroutines through one fetcher, racing its per-URL size hints,
 // the body buffers each poll hands back and a Close: every body must

@@ -36,6 +36,9 @@ type respHead struct {
 	status int
 	etag   uint64 // the first ETag, when etagOK
 	etagOK bool   // the first ETag is a decimal uint64
+	// opaqueETag is the first ETag of a 200 when it is not a decimal
+	// uint64, as the origin wrote it (quotes and W/ included).
+	opaqueETag string
 	// length is the body's length: 0 for a status without a body, -1 for
 	// a chunked body or one that runs to the close.
 	length   int64
@@ -93,6 +96,9 @@ func (oc *originConn) readHead(h *respHead) error {
 			if !seenETag {
 				seenETag = true
 				h.etag, h.etagOK = parseDecimal(value)
+				if !h.etagOK && h.status == statusOK {
+					h.opaqueETag = string(value)
+				}
 			}
 		case foldEq(key, "content-length"):
 			n, ok := parseDecimal(trimOWS(value))

@@ -51,8 +51,8 @@ func readHeadSeeds(tb testing.TB) []string {
 
 // FuzzReadHead runs readHead against net/http's ReadResponse: on every
 // input ReadResponse accepts, readHead must accept it too and read the
-// same status, ETag, body framing, Close, Content-Encoding and redirect
-// Location, and reading the body through openBody must give the bytes
+// same status, ETag (a 200's opaque one too), body framing, Close,
+// Content-Encoding and redirect Location, and reading the body through openBody must give the bytes
 // net/http gives. Interim heads are skipped as exchange skips them.
 // readHead must never panic.
 func FuzzReadHead(f *testing.F) {
@@ -91,6 +91,8 @@ func FuzzReadHead(f *testing.F) {
 		}
 		if want.etagOK {
 			want.etag = v
+		} else if want.status == statusOK {
+			want.opaqueETag = etag
 		}
 		if isRedirect(want.status) {
 			want.location = resp.Header.Get("Location")

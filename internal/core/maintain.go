@@ -347,7 +347,6 @@ func (n *Node) registerHandlers() {
 	n.overlay.Handle(msgReplBeat, n.handleReplBeat)
 	n.overlay.Handle(msgPollCtl, n.handlePollCtl)
 	n.overlay.Handle(msgUpdate, n.handleUpdate)
-	n.overlay.Handle(msgReport, n.handleReport)
 	n.overlay.Handle(msgMaintain, n.handleMaintain)
 	n.overlay.Handle(msgWedgeFwd, n.handleWedgeFwd)
 	n.overlay.Handle(msgNotifyBatch, n.handleNotifyBatch)

@@ -10,13 +10,11 @@ import (
 // deployments.
 func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
 	register(msgSubscribe, func() any { return &subscribeMsg{} })
-	register(msgUnsubscribe, func() any { return &subscribeMsg{} })
 	register(msgReplicate, func() any { return &replicateMsg{} })
 	register(msgReplDelta, func() any { return &replDeltaMsg{} })
 	register(msgReplBeat, func() any { return &replBeatMsg{} })
 	register(msgPollCtl, func() any { return &pollCtlMsg{} })
 	register(msgUpdate, func() any { return &updateMsg{} })
-	register(msgReport, func() any { return &reportMsg{} })
 	register(msgMaintain, func() any { return &maintainMsg{} })
 	register(msgWedgeFwd, func() any { return &wedgeFwdMsg{} })
 	register(msgNotifyBatch, func() any { return &notifyBatchMsg{} })
@@ -28,17 +26,15 @@ func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
 
 // Corona application message types carried over the overlay.
 const (
-	msgSubscribe   = "corona.subscribe"
-	msgUnsubscribe = "corona.unsubscribe"
-	msgReplicate   = "corona.replicate"
-	msgReplDelta   = "corona.repldelta"
-	msgReplBeat    = "corona.replbeat"
-	msgPollCtl     = "corona.pollctl"
-	msgUpdate      = "corona.update"
-	msgReport      = "corona.report"
-	msgMaintain    = "corona.maintain"
-	msgWedgeFwd    = "corona.wedgefwd"
-	msgLease       = "corona.lease"
+	msgSubscribe = "corona.subscribe"
+	msgReplicate = "corona.replicate"
+	msgReplDelta = "corona.repldelta"
+	msgReplBeat  = "corona.replbeat"
+	msgPollCtl   = "corona.pollctl"
+	msgUpdate    = "corona.update"
+	msgMaintain  = "corona.maintain"
+	msgWedgeFwd  = "corona.wedgefwd"
+	msgLease     = "corona.lease"
 
 	msgNotifyBatch    = "corona.notifybatch"
 	msgDelegate       = "corona.delegate"
@@ -200,18 +196,6 @@ type updateMsg struct {
 	// to the forwarding member, so From cannot serve as the tie-break
 	// identity or the counter-push target.
 	Owner pastry.Addr `json:"owner"`
-}
-
-// reportMsg is sent by a detecting node to the primary owner for channels
-// without reliable server timestamps: the owner assigns the version number
-// and initiates dissemination, discarding redundant simultaneous reports
-// (§3.4).
-type reportMsg struct {
-	URL string `json:"url"`
-	// ObservedVersion is the version the detector polled.
-	ObservedVersion uint64 `json:"observed_version"`
-	Diff            string `json:"diff,omitempty"`
-	Bytes           int    `json:"bytes"`
 }
 
 // wedgeFwdMsg delegates a wedge broadcast to a node closer (in prefix

@@ -58,7 +58,7 @@ func wireErr(what string, r *wirebin.Reader) error {
 	return nil
 }
 
-// --- subscribeMsg (corona.subscribe, corona.unsubscribe) -----------------
+// --- subscribeMsg (corona.subscribe) ------------------------------------
 
 // AppendBinary implements the codec binary payload contract.
 func (m *subscribeMsg) AppendBinary(dst []byte) ([]byte, error) {
@@ -365,26 +365,6 @@ func (m *updateMsg) DecodeBinary(src []byte) error {
 	m.OwnerEpoch = r.Uvarint()
 	m.Owner = readAddr(r)
 	return wireErr("update", r)
-}
-
-// --- reportMsg (corona.report) -------------------------------------------
-
-// AppendBinary implements the codec binary payload contract.
-func (m *reportMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirebin.AppendString(dst, m.URL)
-	dst = wirebin.AppendUvarint(dst, m.ObservedVersion)
-	dst = wirebin.AppendString(dst, m.Diff)
-	return wirebin.AppendSint(dst, m.Bytes), nil
-}
-
-// DecodeBinary implements the codec binary payload contract.
-func (m *reportMsg) DecodeBinary(src []byte) error {
-	r := wirebin.NewReader(src)
-	m.URL = r.String()
-	m.ObservedVersion = r.Uvarint()
-	m.Diff = r.String()
-	m.Bytes = r.Sint()
-	return wireErr("report", r)
 }
 
 // --- maintainMsg (corona.maintain) ---------------------------------------

@@ -125,10 +125,8 @@ func randReplBeat(rng *rand.Rand) *replBeatMsg {
 // type, including the wedgeFwd wrapper in each of its shapes.
 var payloadGenerators = map[string]func(rng *rand.Rand) any{
 	msgSubscribe: func(rng *rand.Rand) any {
-		return &subscribeMsg{URL: randString(rng), Client: randString(rng), Entry: randAddr(rng)}
-	},
-	msgUnsubscribe: func(rng *rand.Rand) any {
-		return &subscribeMsg{URL: randString(rng), Client: randString(rng), Entry: randAddr(rng), Remove: true}
+		// Remove set is an unsubscribe, which travels as msgSubscribe.
+		return &subscribeMsg{URL: randString(rng), Client: randString(rng), Entry: randAddr(rng), Remove: rng.Intn(2) == 1}
 	},
 	msgReplicate: func(rng *rand.Rand) any {
 		m := &replicateMsg{
@@ -152,9 +150,6 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 	msgReplBeat:  func(rng *rand.Rand) any { return randReplBeat(rng) },
 	msgPollCtl:   func(rng *rand.Rand) any { return randPollCtl(rng) },
 	msgUpdate:    func(rng *rand.Rand) any { return randUpdate(rng) },
-	msgReport: func(rng *rand.Rand) any {
-		return &reportMsg{URL: randString(rng), ObservedVersion: rng.Uint64(), Diff: randString(rng), Bytes: rng.Intn(1 << 20)}
-	},
 	msgMaintain: func(rng *rand.Rand) any {
 		m := &maintainMsg{Row: rng.Intn(10)}
 		if rng.Intn(8) != 0 {
@@ -390,7 +385,6 @@ var fuzzTargets = []func() binaryPayload{
 	func() binaryPayload { return &subscribeMsg{} },
 	func() binaryPayload { return &pollCtlMsg{} },
 	func() binaryPayload { return &updateMsg{} },
-	func() binaryPayload { return &reportMsg{} },
 	func() binaryPayload { return &maintainMsg{} },
 	func() binaryPayload { return &wedgeFwdMsg{} },
 	func() binaryPayload { return &replicateMsg{} },
@@ -400,6 +394,7 @@ var fuzzTargets = []func() binaryPayload{
 	func() binaryPayload { return &delegateNotifyMsg{} },
 	func() binaryPayload { return &replDeltaMsg{} },
 	func() binaryPayload { return &replBeatMsg{} },
+	func() binaryPayload { return &leaseExpireMsg{} },
 }
 
 // FuzzBinaryPayloadDecode throws arbitrary bytes at every native decoder:
@@ -413,18 +408,18 @@ func FuzzBinaryPayloadDecode(f *testing.F) {
 	f.Add(uint8(0), seedFor(&subscribeMsg{URL: "u", Client: "c", Entry: randAddr(rng)}))
 	f.Add(uint8(1), seedFor(randPollCtl(rng)))
 	f.Add(uint8(2), seedFor(randUpdate(rng)))
-	f.Add(uint8(3), seedFor(&reportMsg{URL: "u", ObservedVersion: 9}))
-	f.Add(uint8(4), seedFor(&maintainMsg{Row: 2, Clusters: randClusterSet(rng)}))
-	f.Add(uint8(5), seedFor(&wedgeFwdMsg{URL: "u", InnerType: msgUpdate, Update: randUpdate(rng)}))
-	f.Add(uint8(6), seedFor(payloadGenerators[msgReplicate](rng).(*replicateMsg)))
-	f.Add(uint8(7), seedFor(&leaseMsg{URL: "u", Client: "c", Entry: randAddr(rng)}))
-	f.Add(uint8(8), seedFor(payloadGenerators[msgNotifyBatch](rng).(*notifyBatchMsg)))
-	f.Add(uint8(9), seedFor(payloadGenerators[msgDelegate](rng).(*delegateMsg)))
-	f.Add(uint8(10), seedFor(&delegateNotifyMsg{URL: "u", Version: 7, Diff: "d", OwnerEpoch: 2, At: 12345}))
-	f.Add(uint8(5), []byte{})
-	f.Add(uint8(11), seedFor(randReplDelta(rng)))
-	f.Add(uint8(12), seedFor(&replBeatMsg{Channels: []replBeatEntry{{URL: "u", OwnerEpoch: 3, Seq: 9, Digest: 1 << 63, Count: 2, Level: 1}}}))
-	f.Add(uint8(12), seedFor(&replBeatMsg{Resync: true, Channels: []replBeatEntry{{URL: "u"}, {URL: "v"}}}))
+	f.Add(uint8(12), seedFor(&leaseExpireMsg{URL: "u", Entry: randAddr(rng), Clients: []string{"a", "b"}}))
+	f.Add(uint8(3), seedFor(&maintainMsg{Row: 2, Clusters: randClusterSet(rng)}))
+	f.Add(uint8(4), seedFor(&wedgeFwdMsg{URL: "u", InnerType: msgUpdate, Update: randUpdate(rng)}))
+	f.Add(uint8(5), seedFor(payloadGenerators[msgReplicate](rng).(*replicateMsg)))
+	f.Add(uint8(6), seedFor(&leaseMsg{URL: "u", Client: "c", Entry: randAddr(rng)}))
+	f.Add(uint8(7), seedFor(payloadGenerators[msgNotifyBatch](rng).(*notifyBatchMsg)))
+	f.Add(uint8(8), seedFor(payloadGenerators[msgDelegate](rng).(*delegateMsg)))
+	f.Add(uint8(9), seedFor(&delegateNotifyMsg{URL: "u", Version: 7, Diff: "d", OwnerEpoch: 2, At: 12345}))
+	f.Add(uint8(4), []byte{})
+	f.Add(uint8(10), seedFor(randReplDelta(rng)))
+	f.Add(uint8(11), seedFor(&replBeatMsg{Channels: []replBeatEntry{{URL: "u", OwnerEpoch: 3, Seq: 9, Digest: 1 << 63, Count: 2, Level: 1}}}))
+	f.Add(uint8(11), seedFor(&replBeatMsg{Resync: true, Channels: []replBeatEntry{{URL: "u"}, {URL: "v"}}}))
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		target := fuzzTargets[int(which)%len(fuzzTargets)]
 		m := target()
@@ -461,6 +456,24 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 	// An update whose payload lost its native-binary flag: malformed.
 	if body, err := codec.Encode(wireMessage(msgUpdate, randUpdate(rng), rng)); err == nil {
 		body[0] &^= 1 << 2
+		f.Add(body)
+	}
+	// Envelopes of the retired corona.report and corona.unsubscribe
+	// types: a node that registers neither keeps the envelope and drops
+	// the payload, as it does for a peer's newer type.
+	for _, retired := range []string{"corona.report", "corona.unsubscribe"} {
+		body, err := codec.Encode(wireMessage(msgSubscribe, payloadGenerators[msgSubscribe](rng), rng))
+		if err != nil {
+			f.Fatal(err)
+		}
+		msg, err := codec.Decode(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		msg.Type = retired
+		if body, err = codec.Encode(msg); err != nil {
+			f.Fatal(err)
+		}
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,11 +17,15 @@ import (
 // Fetcher polls a channel's content server. Simulations back it with
 // webserver.Origin under virtual time; live nodes use an HTTP client.
 type Fetcher interface {
-	// Fetch polls url. haveVersion is the validator: when the server's
-	// content still matches, the result reports Modified=false and costs
-	// only a probe. Version 0 forces a full fetch. The caller owns the
-	// returned Body until it hands it back through ReleaseBody: the
-	// difference engine cuts it in place.
+	// Fetch polls url. haveVersion is the version the node holds; a
+	// fetcher may use it to revalidate (HTTPFetcher sends it, or the
+	// origin's opaque ETag it stands for, as If-None-Match), and then
+	// unchanged content reports Modified=false at haveVersion and costs
+	// only a probe. Version 0 forces a full fetch, and OriginFetcher
+	// always fetches in full. A modified result names its version: the
+	// origin's, or haveVersion+1. The caller owns the returned Body
+	// until it hands it back through ReleaseBody: the difference engine
+	// cuts it in place.
 	Fetch(url string, haveVersion uint64) (webserver.FetchResult, error)
 	// ReleaseBody hands back a Body that Fetch returned, once the
 	// difference engine has extracted it (extraction copies what it

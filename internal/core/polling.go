@@ -236,12 +236,7 @@ func (n *Node) pollChannel(ch *channelState) {
 		return
 	}
 	if res.Modified && res.Version > have {
-		n.updateDetected(ch, fetchedUpdate{
-			Version:      res.Version,
-			Bytes:        res.Bytes,
-			Body:         res.Body,
-			HasTimestamp: true, // the fetcher names the version: the origin's (an ETag, a simulated version) or have+1
-		})
+		n.updateDetected(ch, fetchedUpdate{Version: res.Version, Bytes: res.Bytes, Body: res.Body})
 	}
 	n.fetcher.ReleaseBody(res.Body)
 }
@@ -329,34 +324,25 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 	}
 	n.sendToWedge(ch.id, ch.url, level, msgUpdate, nil, update)
 
-	switch {
-	case isOwner:
+	if isOwner {
 		n.notifySubscribers(ch, res.Version, diffText, now)
-	case !res.HasTimestamp:
-		// Channels without reliable server timestamps get their version
-		// assigned by the primary owner; report the observation (§3.4).
-		n.overlay.Route(ch.id, msgReport, &reportMsg{
-			URL:             ch.url,
-			ObservedVersion: res.Version,
-			Diff:            diffText,
-			Bytes:           diffBytes,
-		})
-	default:
-		// The owner may lie across a digit boundary outside the wedge;
-		// route it a copy so subscribers are notified. Owners
-		// deduplicate by version, so the common case (owner already in
-		// the wedge) costs one redundant message at most. Delivery is
-		// best-effort either way: the owner's own poll is the backstop.
-		n.overlay.Route(ch.id, msgUpdate, update)
+		return
 	}
+	// The owner may lie across a digit boundary outside the wedge; route
+	// it a copy so subscribers are notified. Owners deduplicate by
+	// version, so the common case (owner already in the wedge) costs one
+	// redundant message at most. Delivery is best-effort either way: the
+	// owner's own poll is the backstop.
+	n.overlay.Route(ch.id, msgUpdate, update)
 }
 
-// fetchedUpdate narrows webserver.FetchResult plus timestamp provenance.
+// fetchedUpdate narrows webserver.FetchResult to what detection uses.
+// The fetcher names the version: the origin's (an ETag, a simulated
+// version) or have+1.
 type fetchedUpdate struct {
-	Version      uint64
-	Bytes        int
-	Body         []byte
-	HasTimestamp bool
+	Version uint64
+	Bytes   int
+	Body    []byte
 }
 
 // handleUpdate processes a diff disseminated by another wedge member.
@@ -476,36 +462,4 @@ func (n *Node) applyDiff(ch *channelState, encoded string) {
 		return
 	}
 	ch.content, ch.contentVersion = patched, d.NewVersion
-}
-
-// handleReport runs at the primary owner for channels whose versions it
-// assigns: redundant simultaneous reports are discarded, fresh ones get a
-// version and are re-disseminated (§3.4).
-func (n *Node) handleReport(msg pastry.Message) {
-	p, ok := msg.Payload.(*reportMsg)
-	if !ok {
-		return
-	}
-	n.mu.Lock()
-	ch := n.getChannel(p.URL)
-	if !ch.isOwner {
-		n.mu.Unlock()
-		return
-	}
-	if p.ObservedVersion <= ch.lastVersion {
-		n.mu.Unlock()
-		return // redundant report
-	}
-	ch.lastVersion = p.ObservedVersion
-	ch.est.observe(n.now())
-	level := ch.level
-	claimEpoch := ch.ownerEpoch
-	n.emitVersionLocked(ch)
-	n.mu.Unlock()
-
-	n.overlay.Broadcast(level, msgUpdate, &updateMsg{
-		URL: p.URL, Version: p.ObservedVersion, Diff: p.Diff, Bytes: p.Bytes,
-		OwnerEpoch: claimEpoch, Owner: n.Self(),
-	})
-	n.notifySubscribers(ch, p.ObservedVersion, p.Diff, n.now())
 }

@@ -6,10 +6,7 @@
 // returns the series or table rows the paper plots.
 package experiments
 
-import (
-	"os"
-	"time"
-)
+import "time"
 
 // Scale groups the population and timing parameters of a run.
 type Scale struct {
@@ -122,21 +119,4 @@ func BenchDeployment() Scale {
 		Bucket:              15 * time.Minute,
 		Seed:                1,
 	}
-}
-
-// SimScaleFromEnv picks the simulation scale: CORONA_SCALE=paper selects
-// the full paper scale, anything else (or unset) the bench scale.
-func SimScaleFromEnv() Scale {
-	if os.Getenv("CORONA_SCALE") == "paper" {
-		return PaperSimulation()
-	}
-	return BenchSimulation()
-}
-
-// DeployScaleFromEnv picks the deployment scale analogously.
-func DeployScaleFromEnv() Scale {
-	if os.Getenv("CORONA_SCALE") == "paper" {
-		return PaperDeployment()
-	}
-	return BenchDeployment()
 }

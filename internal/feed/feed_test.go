@@ -53,44 +53,6 @@ func TestParseRSSRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAtomEncodeParseRoundTrip(t *testing.T) {
-	a := &Atom{
-		Title:   "Atom Feed",
-		ID:      "urn:feed:1",
-		Updated: t0.Format(time.RFC3339),
-		Entries: []AtomEntry{{Title: "e1", ID: "urn:e:1", Updated: t0.Format(time.RFC3339)}},
-	}
-	doc, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseAtom(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Title != "Atom Feed" || len(back.Entries) != 1 {
-		t.Fatalf("atom round trip lost data: %+v", back)
-	}
-}
-
-func TestDetectKind(t *testing.T) {
-	cases := []struct {
-		doc  string
-		want Kind
-	}{
-		{`<?xml version="1.0"?><rss version="2.0"><channel/></rss>`, KindRSS},
-		{`<?xml version="1.0"?><feed xmlns="http://www.w3.org/2005/Atom"/>`, KindAtom},
-		{`<!DOCTYPE html><html><body/></html>`, KindHTML},
-		{`plain text`, KindUnknown},
-		{``, KindUnknown},
-	}
-	for _, c := range cases {
-		if got := DetectKind([]byte(c.doc)); got != c.want {
-			t.Errorf("DetectKind(%.30q) = %v, want %v", c.doc, got, c.want)
-		}
-	}
-}
-
 func TestGeneratorBootstrapAndUpdate(t *testing.T) {
 	g := NewGenerator("http://example.com/feed.xml", 1)
 	r := g.Bootstrap(t0)

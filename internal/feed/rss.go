@@ -1,5 +1,5 @@
-// Package feed implements the micronews substrate: RSS 2.0 and Atom
-// document generation and parsing, plus a synthetic feed generator whose
+// Package feed implements the micronews substrate: RSS 2.0 document
+// generation and parsing, plus a synthetic feed generator whose
 // update behavior follows the Cornell RSS survey the paper's experiments
 // are parameterized by (paper §2, §5, [19]).
 package feed
@@ -7,7 +7,6 @@ package feed
 import (
 	"encoding/xml"
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -109,84 +108,4 @@ func NewItems(old, new *RSS) []RSSItem {
 		}
 	}
 	return fresh
-}
-
-// Atom is a minimal Atom 1.0 document ([1]).
-type Atom struct {
-	XMLName xml.Name    `xml:"feed"`
-	NS      string      `xml:"xmlns,attr"`
-	Title   string      `xml:"title"`
-	ID      string      `xml:"id"`
-	Updated string      `xml:"updated"`
-	Entries []AtomEntry `xml:"entry"`
-}
-
-// AtomEntry is one Atom entry.
-type AtomEntry struct {
-	Title   string `xml:"title"`
-	ID      string `xml:"id"`
-	Updated string `xml:"updated"`
-	Summary string `xml:"summary,omitempty"`
-}
-
-// ParseAtom decodes an Atom document.
-func ParseAtom(doc []byte) (*Atom, error) {
-	var a Atom
-	if err := xml.Unmarshal(doc, &a); err != nil {
-		return nil, fmt.Errorf("feed: parsing Atom: %w", err)
-	}
-	return &a, nil
-}
-
-// Encode renders the Atom document.
-func (a *Atom) Encode() ([]byte, error) {
-	if a.NS == "" {
-		a.NS = "http://www.w3.org/2005/Atom"
-	}
-	body, err := xml.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("feed: encoding Atom: %w", err)
-	}
-	return append([]byte(xml.Header), append(body, '\n')...), nil
-}
-
-// DetectKind sniffs whether a document is RSS, Atom, or something else
-// (generic web page), so the difference engine can pick a profile.
-type Kind int
-
-// Document kinds.
-const (
-	KindUnknown Kind = iota
-	KindRSS
-	KindAtom
-	KindHTML
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindRSS:
-		return "rss"
-	case KindAtom:
-		return "atom"
-	case KindHTML:
-		return "html"
-	default:
-		return "unknown"
-	}
-}
-
-// DetectKind classifies a document by its root element.
-func DetectKind(doc []byte) Kind {
-	head := strings.ToLower(string(doc[:min(len(doc), 512)]))
-	switch {
-	case strings.Contains(head, "<rss"):
-		return KindRSS
-	case strings.Contains(head, "<feed"):
-		return KindAtom
-	case strings.Contains(head, "<html") || strings.Contains(head, "<!doctype html"):
-		return KindHTML
-	default:
-		return KindUnknown
-	}
 }

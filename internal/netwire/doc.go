@@ -12,21 +12,20 @@
 // through the OnSendFault callback; the overlay uses them as failure
 // hints exactly as it used the seed's synchronous Send errors.
 //
-// The writer coalesces whatever is queued — up to MaxBatch messages —
+// The writer coalesces whatever is queued — up to 64 messages —
 // into a single multi-message frame, amortizing the syscall and frame
 // overhead across the batch under load while adding no delay when the
 // queue is shallow (a lone message ships immediately). Connections are
 // established lazily and re-established with exponential backoff; reads
-// and writes go through bufio. A writer whose queue stays empty past
-// IdleTimeout retires — its goroutine, queue, and connection are
+// and writes go through bufio. A writer whose queue stays empty for two
+// minutes retires — its goroutine, queue, and connection are
 // released, and a later Send revives the peer transparently — so
 // membership churn does not accumulate per-endpoint state forever.
 //
-// When a peer's queue is full, the backpressure policy decides: DropNewest
-// (the default) discards the new message and counts it in Dropped —
-// Corona's protocol tolerates loss the way it tolerates UDP loss, and the
-// next maintenance round repairs — while Block makes Send wait for space,
-// for callers that need lossless local handoff (tests, bulk transfers).
+// Each peer's queue holds 1024 messages. When it is full, Send discards
+// the new message and counts it in Dropped: Corona's protocol tolerates
+// loss the way it tolerates UDP loss, and the next maintenance round
+// repairs. Send never waits for a slow peer.
 //
 // # Buffer lifetimes
 //
@@ -68,8 +67,9 @@
 // Within a body, the payload region is a length-prefixed blob holding the
 // payload type's own AppendBinary encoding (codec.BinaryMarshaler), with
 // bit 2 of the envelope's flags byte set. Every Corona message type —
-// subscribe/unsubscribe, notifybatch, pollctl, update, report, maintain
-// (including the sparse honeycomb.ClusterSet form), the wedgefwd wrapper,
+// subscribe (an unsubscribe is a subscribe with Remove set), notifybatch,
+// pollctl, update, maintain (including the sparse honeycomb.ClusterSet
+// form), the wedgefwd wrapper,
 // replicate, lease and delegate traffic, and the overlay's own join and
 // state messages — travels this way; field layouts are documented at the
 // implementations in internal/core/messages_wire.go,

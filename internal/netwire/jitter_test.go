@@ -12,18 +12,17 @@ import (
 // arrive spread out rather than in synchronized waves.
 func TestReconnectBackoffJitterDesynchronizes(t *testing.T) {
 	schedule := func(tr *Transport) []time.Duration {
-		r := tr.retryPolicy()
 		var waits []time.Duration
-		backoff := r.base
+		backoff := tr.backoffBase
 		for attempt := 1; attempt <= 8; attempt++ {
-			waits = append(waits, tr.jitterDelay(r.next(attempt, backoff)))
+			waits = append(waits, tr.jitterDelay(tr.nextBackoff(attempt, backoff)))
 			backoff *= 2
 		}
 		return waits
 	}
 
-	a := &Transport{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}
-	b := &Transport{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}
+	a := &Transport{backoffBase: 50 * time.Millisecond, backoffMax: 2 * time.Second}
+	b := &Transport{backoffBase: 50 * time.Millisecond, backoffMax: 2 * time.Second}
 	sa, sb := schedule(a), schedule(b)
 
 	same := true
@@ -38,10 +37,9 @@ func TestReconnectBackoffJitterDesynchronizes(t *testing.T) {
 
 	// Every jittered wait stays within [cap/2, cap], so DialBudget (which
 	// sums the caps) remains a true worst-case bound.
-	r := a.retryPolicy()
-	backoff := r.base
+	backoff := a.backoffBase
 	for i, w := range sa {
-		capAt := r.next(i+1, backoff)
+		capAt := a.nextBackoff(i+1, backoff)
 		if w < capAt/2 || w > capAt {
 			t.Fatalf("attempt %d wait %v outside [%v, %v]", i+1, w, capAt/2, capAt)
 		}

@@ -27,39 +27,20 @@ const (
 	frameOverhead = 2 * binary.MaxVarintLen32
 )
 
-// Defaults for the tunables below.
 const (
-	defaultQueueLen     = 1024
-	defaultMaxBatch     = 64
-	defaultDialAttempts = 3
-	defaultBackoffBase  = 50 * time.Millisecond
-	defaultBackoffMax   = 2 * time.Second
-	defaultIdleTimeout  = 2 * time.Minute
-	bufSize             = 64 << 10
+	// maxBatch caps how many queued messages one frame coalesces.
+	maxBatch = 64
+	// writeTimeout bounds one frame's write to a peer.
+	writeTimeout = 10 * time.Second
+	bufSize      = 64 << 10
 	// maxKeptBuffer caps the frame and batch buffers a connection keeps
 	// across frames: one grown past it by a huge frame is dropped after
 	// that frame instead of pinning the memory.
 	maxKeptBuffer = 1 << 20
 )
 
-// BackpressurePolicy selects what Send does when a peer's outbound queue
-// is full.
-type BackpressurePolicy int
-
-const (
-	// DropNewest discards the message being sent and counts it in
-	// Dropped. The overlay treats wire loss like UDP loss; periodic
-	// maintenance repairs any state the lost message carried.
-	DropNewest BackpressurePolicy = iota
-	// Block makes Send wait until the queue has space (or the transport
-	// closes). Use when local loss is unacceptable and callers can
-	// tolerate stalling on a slow peer.
-	Block
-)
-
 // Transport is a TCP-backed pastry.Transport with asynchronous, batched
-// writes. The exported tunables must be set before the first Send; zero
-// values select the defaults.
+// writes.
 type Transport struct {
 	listener net.Listener
 
@@ -90,26 +71,21 @@ type Transport struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// DialTimeout and WriteTimeout bound blocking network operations.
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
-	// QueueLen is the per-peer outbound queue depth.
-	QueueLen int
-	// MaxBatch caps how many queued messages one frame coalesces.
-	MaxBatch int
-	// Backpressure selects the full-queue policy for Send.
-	Backpressure BackpressurePolicy
-	// DialAttempts is how many connection attempts a writer makes per
+	// dialTimeout bounds one connection attempt.
+	dialTimeout time.Duration
+	// queueLen is the per-peer outbound queue depth.
+	queueLen int
+	// dialAttempts is how many connection attempts a writer makes per
 	// batch before reporting a send fault.
-	DialAttempts int
-	// BackoffBase and BackoffMax bound the exponential backoff between
+	dialAttempts int
+	// backoffBase and backoffMax bound the exponential backoff between
 	// reconnect attempts.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// IdleTimeout is how long a peer's writer lingers with an empty
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	// idleTimeout is how long a peer's writer lingers with an empty
 	// queue before retiring (releasing its goroutine, queue, and
 	// connection). A later Send transparently revives the peer.
-	IdleTimeout time.Duration
+	idleTimeout time.Duration
 }
 
 // Listen binds a TCP listener at bind (for example "127.0.0.1:9001") and
@@ -126,8 +102,12 @@ func Listen(bind string, deliver func(pastry.Message)) (*Transport, error) {
 		peers:        make(map[string]*peer),
 		inbound:      make(map[net.Conn]struct{}),
 		closing:      make(chan struct{}),
-		DialTimeout:  3 * time.Second,
-		WriteTimeout: 10 * time.Second,
+		dialTimeout:  3 * time.Second,
+		queueLen:     1024,
+		dialAttempts: 3,
+		backoffBase:  50 * time.Millisecond,
+		backoffMax:   2 * time.Second,
+		idleTimeout:  2 * time.Minute,
 	}
 	go t.acceptLoop()
 	return t, nil
@@ -175,45 +155,16 @@ func (t *Transport) addBytesRecv(n uint64) {
 	t.wireMu.Unlock()
 }
 
-// retryPolicy is the resolved dial-retry configuration, shared by
-// connect() (which spends the budget) and DialBudget (which advertises
-// it) so the two cannot drift.
-type retryPolicy struct {
-	attempts          int
-	dial, base, capAt time.Duration
-}
-
-func (t *Transport) retryPolicy() retryPolicy {
-	r := retryPolicy{
-		attempts: t.DialAttempts,
-		dial:     t.DialTimeout,
-		base:     t.BackoffBase,
-		capAt:    t.BackoffMax,
-	}
-	if r.attempts <= 0 {
-		r.attempts = defaultDialAttempts
-	}
-	if r.base <= 0 {
-		r.base = defaultBackoffBase
-	}
-	if r.capAt <= 0 {
-		r.capAt = defaultBackoffMax
-	}
-	return r
-}
-
-// next advances the exponential backoff, returning the maximum delay to
-// wait before the given attempt (zero for the first). Actual reconnect
-// waits are jittered below this cap (jitterDelay); DialBudget uses the
-// cap directly, so it stays a true worst-case bound.
-func (r *retryPolicy) next(attempt int, backoff time.Duration) time.Duration {
+// nextBackoff returns the maximum delay to wait before the given dial
+// attempt (zero for the first), shared by connect() (which spends the
+// budget) and DialBudget (which advertises it) so the two cannot drift.
+// Actual reconnect waits are jittered below this cap (jitterDelay);
+// DialBudget uses the cap directly, so it stays a true worst-case bound.
+func (t *Transport) nextBackoff(attempt int, backoff time.Duration) time.Duration {
 	if attempt == 0 {
 		return 0
 	}
-	if backoff > r.capAt {
-		return r.capAt
-	}
-	return backoff
+	return min(backoff, t.backoffMax)
 }
 
 // transportSeeds decorrelates transports created within one clock tick.
@@ -243,11 +194,10 @@ func (t *Transport) jitterDelay(d time.Duration) time.Duration {
 // asynchronous handshake (the live join path) should allow at least this
 // long before failing over.
 func (t *Transport) DialBudget() time.Duration {
-	r := t.retryPolicy()
-	total := time.Duration(r.attempts) * r.dial
-	backoff := r.base
-	for i := 1; i < r.attempts; i++ {
-		total += r.next(i, backoff)
+	total := time.Duration(t.dialAttempts) * t.dialTimeout
+	backoff := t.backoffBase
+	for i := 1; i < t.dialAttempts; i++ {
+		total += t.nextBackoff(i, backoff)
 		backoff *= 2
 	}
 	return total
@@ -407,10 +357,12 @@ func (t *Transport) deliverFrame(body []byte) bool {
 }
 
 // Send implements pastry.Transport: a non-blocking enqueue on the
-// destination's outbound queue. A nil return means the message was
-// accepted locally, not that it was delivered; delivery failures arrive
-// through OnSendFault. Send returns an error only when the transport is
-// closed or the Block policy was interrupted by Close.
+// destination's outbound queue. When that queue is full, Send drops the
+// message and counts it in Dropped: the overlay treats wire loss like
+// UDP loss, and periodic maintenance repairs any state the lost message
+// carried. A nil return means the message was accepted locally or
+// dropped, not that it was delivered; delivery failures arrive through
+// OnSendFault. Send returns an error only when the transport is closed.
 func (t *Transport) Send(to pastry.Addr, msg pastry.Message) error {
 	for {
 		p, err := t.peerFor(to.Endpoint)
@@ -441,14 +393,10 @@ func (t *Transport) peerFor(endpoint string) (*peer, error) {
 	if p, ok := t.peers[endpoint]; ok {
 		return p, nil
 	}
-	queueLen := t.QueueLen
-	if queueLen <= 0 {
-		queueLen = defaultQueueLen
-	}
 	p := &peer{
 		t:        t,
 		endpoint: endpoint,
-		queue:    make(chan outMsg, queueLen),
+		queue:    make(chan outMsg, t.queueLen),
 	}
 	t.peers[endpoint] = p
 	go p.writeLoop()
@@ -456,10 +404,9 @@ func (t *Transport) peerFor(endpoint string) (*peer, error) {
 }
 
 // fault invokes the registered send-fault callback on a fresh goroutine:
-// the overlay's callback synchronously re-enters Send (repair sends state
-// requests), and under the Block policy that could stall — or, with two
-// writers faulting toward each other's full queues, deadlock — the writer
-// that reported the fault.
+// the overlay's callback takes the overlay's and the application's locks
+// and sends repair requests, and the writer that reported the fault must
+// not leave its queue undrained while it waits on that work.
 func (t *Transport) fault(to pastry.Addr, err error) {
 	t.mu.Lock()
 	f := t.onFault
@@ -504,26 +451,16 @@ func (p *peer) drop(n uint64) {
 	p.t.dropCount.Add(n)
 }
 
-// enqueue applies the transport's backpressure policy. ok=false means
-// the peer retired and the caller must fetch a fresh one.
+// enqueue queues a message, dropping it when the queue is full. ok=false
+// means the peer retired and the caller must fetch a fresh one.
 func (p *peer) enqueue(to pastry.Addr, msg pastry.Message) (ok bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.retired {
 		return false, nil
 	}
-	m := outMsg{to: to, msg: msg}
-	if p.t.Backpressure == Block {
-		//lint:allow lockblock Block policy deliberately parks the caller on the full queue; retire() only TryLocks this mutex, so no waiter deadlocks
-		select {
-		case p.queue <- m:
-			return true, nil
-		case <-p.t.closing:
-			return false, errClosed
-		}
-	}
 	select {
-	case p.queue <- m:
+	case p.queue <- outMsg{to: to, msg: msg}:
 		return true, nil
 	case <-p.t.closing:
 		return false, errClosed
@@ -534,18 +471,10 @@ func (p *peer) enqueue(to pastry.Addr, msg pastry.Message) (ok bool, err error) 
 }
 
 // retire removes the peer from the transport if its queue is empty,
-// reporting whether the writer should exit. The peer mutex is only
-// TryLock'd: a Block-policy enqueue parks on a full queue while holding
-// it, so blocking here (with the transport mutex held) would freeze the
-// writer that must drain that very queue — and with it every Send on the
-// transport. Losing the race just means the writer stays alive for
-// another idle period.
+// reporting whether the writer should exit.
 func (p *peer) retire() bool {
 	p.t.mu.Lock()
-	if !p.mu.TryLock() {
-		p.t.mu.Unlock()
-		return false // an enqueue is in flight; stay alive
-	}
+	p.mu.Lock()
 	if len(p.queue) == 0 {
 		p.retired = true
 		delete(p.t.peers, p.endpoint)
@@ -561,10 +490,7 @@ func (p *peer) retire() bool {
 // only goroutine that ever writes to this peer, so concurrent Send calls
 // cannot interleave partial frames.
 func (p *peer) writeLoop() {
-	maxBatch := p.t.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatch
-	}
+	idle := p.t.idleTimeout
 	var conn net.Conn
 	var bw *bufio.Writer
 	defer func() {
@@ -572,10 +498,6 @@ func (p *peer) writeLoop() {
 			conn.Close()
 		}
 	}()
-	idle := p.t.IdleTimeout
-	if idle <= 0 {
-		idle = defaultIdleTimeout
-	}
 	idleTimer := time.NewTimer(idle)
 	defer idleTimer.Stop()
 	batch := make([]outMsg, 0, maxBatch)
@@ -663,7 +585,7 @@ func (p *peer) writeLoop() {
 			// — and retry the unsent remainder before dropping anything.
 			remaining := bodies[sent:]
 			var rerr error
-			conn, bw, rerr = p.dialOnce(p.t.retryPolicy())
+			conn, bw, rerr = p.dialOnce()
 			if rerr == errClosed {
 				return
 			}
@@ -688,11 +610,10 @@ func (p *peer) writeLoop() {
 // connect dials the peer, retrying with exponential backoff up to the
 // transport's attempt budget, and sends the codec hello byte.
 func (p *peer) connect() (net.Conn, *bufio.Writer, error) {
-	r := p.t.retryPolicy()
-	backoff := r.base
+	backoff := p.t.backoffBase
 	var lastErr error
-	for attempt := 0; attempt < r.attempts; attempt++ {
-		if wait := r.next(attempt, backoff); wait > 0 {
+	for attempt := 0; attempt < p.t.dialAttempts; attempt++ {
+		if wait := p.t.nextBackoff(attempt, backoff); wait > 0 {
 			select {
 			case <-time.After(p.t.jitterDelay(wait)):
 			case <-p.t.closing:
@@ -700,7 +621,7 @@ func (p *peer) connect() (net.Conn, *bufio.Writer, error) {
 			}
 			backoff *= 2
 		}
-		conn, bw, err := p.dialOnce(r)
+		conn, bw, err := p.dialOnce()
 		if err != nil {
 			lastErr = err
 			continue
@@ -711,13 +632,13 @@ func (p *peer) connect() (net.Conn, *bufio.Writer, error) {
 }
 
 // dialOnce makes a single connection attempt and sends the hello byte.
-func (p *peer) dialOnce(r retryPolicy) (net.Conn, *bufio.Writer, error) {
+func (p *peer) dialOnce() (net.Conn, *bufio.Writer, error) {
 	select {
 	case <-p.t.closing:
 		return nil, nil, errClosed
 	default:
 	}
-	conn, err := net.DialTimeout("tcp", p.endpoint, r.dial)
+	conn, err := net.DialTimeout("tcp", p.endpoint, p.t.dialTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -748,9 +669,7 @@ func (p *peer) writeFrames(conn net.Conn, bw *bufio.Writer, bodies [][]byte) (in
 		}
 		length := uvarintLen(uint64(n)) + size
 
-		if p.t.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(p.t.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		for shift := 24; shift >= 0; shift -= 8 {
 			bw.WriteByte(byte(length >> shift))
 		}

@@ -69,11 +69,33 @@ type collector struct {
 	mu   sync.Mutex
 	msgs []pastry.Message
 	ch   chan struct{}
+	win  window // released once per delivery when set
 }
 
 func newCollector() *collector {
 	return &collector{ch: make(chan struct{}, 128)}
 }
+
+// window paces senders so that fewer messages are outstanding (sent but
+// not yet delivered) than a peer's queue holds. Send drops a message when
+// the queue is full, and the tests pacing through a window assert that
+// nothing is lost.
+type window chan struct{}
+
+// acquire takes a slot before a Send, reporting false if no delivery
+// frees one within 10s.
+func (w window) acquire(t *testing.T) bool {
+	select {
+	case w <- struct{}{}:
+		return true
+	case <-time.After(10 * time.Second):
+		t.Errorf("no delivery freed a send slot in 10s (%d outstanding)", len(w))
+		return false
+	}
+}
+
+// release frees the slot of one delivered message.
+func (w window) release() { <-w }
 
 func (c *collector) deliver(m pastry.Message) {
 	// The transport hands over lazily-decoded payloads (the overlay
@@ -85,6 +107,9 @@ func (c *collector) deliver(m pastry.Message) {
 	c.mu.Lock()
 	c.msgs = append(c.msgs, m)
 	c.mu.Unlock()
+	if c.win != nil {
+		c.win.release()
+	}
 	select {
 	case c.ch <- struct{}{}:
 	default:
@@ -162,8 +187,8 @@ func TestSendToDeadEndpointReportsFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.DialTimeout = 200 * time.Millisecond
-	a.BackoffBase = 10 * time.Millisecond
+	a.SetDialTimeout(200 * time.Millisecond)
+	a.SetBackoffBase(10 * time.Millisecond)
 
 	faults := make(chan pastry.Addr, 1)
 	a.OnSendFault(func(to pastry.Addr, err error) {
@@ -197,9 +222,9 @@ func TestPeerQueueStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.QueueLen = 4
-	a.DialTimeout = 100 * time.Millisecond
-	a.DialAttempts = 1
+	a.SetQueueLen(4)
+	a.SetDialTimeout(100 * time.Millisecond)
+	a.SetDialAttempts(1)
 
 	dead := pastry.Addr{ID: ids.HashString("dead"), Endpoint: "127.0.0.1:1"}
 	for i := 0; i < 32; i++ {
@@ -231,9 +256,8 @@ func TestManyMessagesInOrderPerConnection(t *testing.T) {
 	defer a.Close()
 	b, _ := netwire.Listen("127.0.0.1:0", rx.deliver)
 	defer b.Close()
-	a.Backpressure = netwire.Block
 	to := pastry.Addr{Endpoint: b.Addr()}
-	const n = 200
+	const n = 200 // below the queue's 1024: none is dropped
 	for i := 0; i < n; i++ {
 		if err := a.Send(to, pastry.Message{Type: "test.typed", Payload: &typedPayload{Count: i}}); err != nil {
 			t.Fatal(err)
@@ -257,7 +281,6 @@ func TestUnencodablePayloadIsDropped(t *testing.T) {
 	defer a.Close()
 	b, _ := netwire.Listen("127.0.0.1:0", rx.deliver)
 	defer b.Close()
-	a.Backpressure = netwire.Block
 	to := pastry.Addr{Endpoint: b.Addr()}
 	if err := a.Send(to, pastry.Message{Type: "test.unregistered", Payload: &typedPayload{Text: "lost"}}); err != nil {
 		t.Fatal(err)
@@ -313,6 +336,7 @@ func TestNonBinaryHelloDropsConnection(t *testing.T) {
 // bug where two goroutines interleaved partial frames on one net.Conn.
 func TestConcurrentSendersFrameIntegrity(t *testing.T) {
 	rx := newCollector()
+	rx.win = make(window, 512) // half the queue: the test asserts zero loss
 	a, err := netwire.Listen("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +347,6 @@ func TestConcurrentSendersFrameIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a.Backpressure = netwire.Block // the test asserts zero loss
 
 	const senders = 16
 	const perSender = 250
@@ -338,6 +361,9 @@ func TestConcurrentSendersFrameIntegrity(t *testing.T) {
 		go func(sender int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
+				if !rx.win.acquire(t) {
+					return
+				}
 				msg := pastry.Message{
 					Type:    "test.seq",
 					From:    pastry.Addr{ID: ids.HashString(fmt.Sprintf("s%d", sender)), Endpoint: a.Addr()},
@@ -378,7 +404,7 @@ func TestConcurrentSendersFrameIntegrity(t *testing.T) {
 		perSenderNext[p.Sender] = p.Seq + 1
 	}
 	if a.Dropped() != 0 {
-		t.Fatalf("blocking transport dropped %d messages", a.Dropped())
+		t.Fatalf("paced transport dropped %d messages", a.Dropped())
 	}
 }
 
@@ -392,7 +418,7 @@ func TestIdlePeerRetirementAndRevival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.IdleTimeout = 50 * time.Millisecond
+	a.SetIdleTimeout(50 * time.Millisecond)
 	b, err := netwire.Listen("127.0.0.1:0", rx.deliver)
 	if err != nil {
 		t.Fatal(err)
@@ -418,22 +444,22 @@ func TestIdlePeerRetirementAndRevival(t *testing.T) {
 	}
 }
 
-// TestBlockPolicyUnderAggressiveRetirement drives the worst case for the
-// idle-retire/Block-enqueue interaction: a tiny queue, an idle timeout
-// short enough to fire between bursts, and several blocking senders. A
-// retire() that blocked on the peer mutex here would freeze the whole
-// transport (the regression this guards); the run must stay live and
-// lossless.
-func TestBlockPolicyUnderAggressiveRetirement(t *testing.T) {
+// TestRetirementRacesConcurrentSenders drives retire-and-revive as hard
+// as it goes: an idle timeout short enough to fire between sends, a tiny
+// queue, and several senders kept under its bound. A writer retires only
+// with an empty queue and an enqueue never lands on a retired peer, so
+// every message must arrive exactly once and nothing may deadlock.
+func TestRetirementRacesConcurrentSenders(t *testing.T) {
+	const queue = 8
 	rx := newCollector()
+	rx.win = make(window, queue)
 	a, err := netwire.Listen("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.Backpressure = netwire.Block
-	a.QueueLen = 2
-	a.IdleTimeout = time.Millisecond
+	a.SetQueueLen(queue)
+	a.SetIdleTimeout(time.Millisecond)
 	b, err := netwire.Listen("127.0.0.1:0", rx.deliver)
 	if err != nil {
 		t.Fatal(err)
@@ -449,6 +475,9 @@ func TestBlockPolicyUnderAggressiveRetirement(t *testing.T) {
 		go func(sender int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
+				if !rx.win.acquire(t) {
+					return
+				}
 				if err := a.Send(to, pastry.Message{Type: "test.seq", Payload: &seqPayload{Sender: sender, Seq: i}}); err != nil {
 					t.Errorf("sender %d: %v", sender, err)
 					return
@@ -460,9 +489,18 @@ func TestBlockPolicyUnderAggressiveRetirement(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	rx.wait(t, senders*perSender)
-	if a.Dropped() != 0 {
-		t.Fatalf("blocking transport dropped %d messages", a.Dropped())
+	msgs := rx.wait(t, senders*perSender)
+	seen := make(map[[2]int]bool, len(msgs))
+	for _, m := range msgs {
+		p := m.Payload.(*seqPayload)
+		key := [2]int{p.Sender, p.Seq}
+		if seen[key] {
+			t.Fatalf("duplicate delivery: sender %d seq %d", p.Sender, p.Seq)
+		}
+		seen[key] = true
+	}
+	if len(seen) != senders*perSender || a.Dropped() != 0 {
+		t.Fatalf("delivered %d distinct messages of %d, dropped %d", len(seen), senders*perSender, a.Dropped())
 	}
 }
 
@@ -579,7 +617,6 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	src.Backpressure = netwire.Block
 	type hop struct {
 		tr   *netwire.Transport
 		node *pastry.Node
@@ -591,7 +628,6 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		tr.Backpressure = netwire.Block
 		addr := pastry.Addr{ID: ids.HashString(fmt.Sprintf("reuse-node-%d", i)), Endpoint: tr.Addr()}
 		*h = hop{tr: tr, node: pastry.NewNode(pastry.DefaultConfig(), addr, tr, clock.Real{})}
 	}
@@ -599,11 +635,15 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 	mid.tr.OnDeliver(mid.node.Deliver)
 
 	// The final node records each payload's raw bytes as they arrive.
+	// The source paces itself to half a queue of messages not yet at the
+	// final node, so neither hop's queue fills and drops one.
 	const n = 3000
+	win := make(window, 512)
 	var mu sync.Mutex
 	got := map[int][]byte{}
 	done := make(chan struct{})
 	dst.tr.OnDeliver(func(m pastry.Message) {
+		defer win.release()
 		raw, _ := m.RawPayload()
 		raw = bytes.Clone(raw)
 		if err := m.MaterializePayload(); err != nil {
@@ -630,6 +670,9 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 		p := &seqPayload{Sender: i % 2, Seq: i, Fill: strings.Repeat(string(rune('a'+i%26)), 1+(i*37)%500)}
 		want[i], _ = p.AppendBinary(nil)
 		msg := pastry.Message{Type: "test.seq", From: from, Payload: p}
+		if !win.acquire(t) {
+			break
+		}
 		if i%2 == 0 {
 			msg.Key = dst.node.Self().ID
 		} else {

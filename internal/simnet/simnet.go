@@ -275,6 +275,14 @@ func (n *Network) Partition(name string, group int) {
 	n.mu.Unlock()
 }
 
+// Group returns the partition group a host is in (0 unless Partition
+// moved it).
+func (n *Network) Group(name string) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.partition[name]
+}
+
 // Heal removes all partitions.
 func (n *Network) Heal() {
 	n.mu.Lock()

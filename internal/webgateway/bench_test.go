@@ -23,7 +23,9 @@ func BenchmarkWebFanoutDeliver(b *testing.B) {
 	flush := func() error { return nil }
 	for _, clients := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			s := New(Config{Backend: newFakeBackend(), QueueLen: 1 << 16}, nil)
+			tm := liveTimings
+			tm.queueLen = 1 << 16
+			s := newServer(Config{Backend: newFakeBackend()}, tm, nil)
 			sessions := make([]*clientproto.Outbox[outEvent], clients)
 			var writers sync.WaitGroup
 			for i := range sessions {

@@ -80,16 +80,16 @@
 //
 // Every session queues through the shared outbox (clientproto.Outbox),
 // whose one shed rule is specified in clientproto's doc: at most
-// QueueLen (default 256) notify events wait, the oldest evicted first;
-// control events are never shed, but a session that lets QueueLen of
-// them pile up unread is closed as slow. The client sees an evicted
+// 256 notify events wait (clientproto.DefaultQueueLen), the oldest
+// evicted first; control events are never shed, but a session that lets
+// 256 of them pile up unread is closed as slow. The client sees an evicted
 // version as a gap it can replay (subscribe with since on WS, reconnect
 // with the cursor on SSE). On Close each session writes what its outbox
 // holds, for up to a few seconds, before its connection closes.
 //
-// The server pings (WS) or writes comment heartbeats (SSE) every
-// HeartbeatEvery, and refreshes the session's entry-node leases at
-// channel owners every LeaseEvery — web subscribers ride the same
+// The server pings (WS) or writes comment heartbeats (SSE) every 25s,
+// and refreshes the session's entry-node leases at channel owners every
+// 30s — web subscribers ride the same
 // lease-failover machinery as SDK clients. A WS peer silent for three
 // heartbeat intervals is presumed dead.
 package webgateway

@@ -243,9 +243,8 @@ func lineHarness(t *testing.T) *edgeHarness {
 	}
 }
 
-func webHarness(t *testing.T, cfg Config) (*edgeHarness, *Server, *bufio.Reader, net.Conn) {
-	cfg.Backend = newFakeBackend()
-	s := New(cfg, nil)
+func webHarness(t *testing.T, tm timings) (*edgeHarness, *Server, *bufio.Reader, net.Conn) {
+	s := newServer(Config{Backend: newFakeBackend()}, tm, nil)
 	l := newPipeListener()
 	s.Serve(l)
 	t.Cleanup(func() { s.Close() })
@@ -261,7 +260,7 @@ func webHarness(t *testing.T, cfg Config) (*edgeHarness, *Server, *bufio.Reader,
 }
 
 func wsHarness(t *testing.T) *edgeHarness {
-	h, _, br, conn := webHarness(t, Config{})
+	h, _, br, conn := webHarness(t, liveTimings)
 	c := dialWSPipe(t, conn, br)
 	wsLogin(t, c, "h", "")
 	h.next = func() (edgeItem, error) {
@@ -296,7 +295,9 @@ func dialWSPipe(t *testing.T, conn net.Conn, br *bufio.Reader) *WSClient {
 const sseHeartbeat = 20 * time.Millisecond
 
 func sseHarness(t *testing.T) *edgeHarness {
-	h, _, br, conn := webHarness(t, Config{HeartbeatEvery: sseHeartbeat})
+	tm := liveTimings
+	tm.heartbeat = sseHeartbeat
+	h, _, br, conn := webHarness(t, tm)
 	fmt.Fprintf(conn, "GET /sse?handle=h HTTP/1.1\r\nHost: x\r\n\r\n")
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -448,7 +449,9 @@ func TestOutboxPerFraming(t *testing.T) {
 // session is closed and counted as slow instead.
 func TestWSControlFloodClosesSlowSession(t *testing.T) {
 	const bound = 4
-	_, s, br, conn := webHarness(t, Config{QueueLen: bound})
+	tm := liveTimings
+	tm.queueLen = bound
+	_, s, br, conn := webHarness(t, tm)
 	c := dialWSPipe(t, conn, br)
 	// The writer blocks on its first batch of pongs (nothing reads the
 	// pipe), so every later pong stays queued; a pipe write returns only

@@ -19,11 +19,25 @@ const (
 	TransportSSE = "sse"
 )
 
-// Server tunables.
-const (
-	defaultLeaseEvery = 30 * time.Second
-	defaultHeartbeat  = 25 * time.Second
-)
+// timings are the per-session queue bound and cadences a Server is built
+// with. New uses liveTimings; the package's tests shorten them.
+type timings struct {
+	// queueLen bounds queued notify events per session, and separately
+	// queued control events, as on the binary edge.
+	queueLen int
+	// leaseEvery is the session lease-refresh cadence, matching the
+	// SDK's ping loop: the refresh keeps a web subscriber's entry-node
+	// lease alive at channel owners.
+	leaseEvery time.Duration
+	// heartbeat is the WS ping / SSE comment cadence.
+	heartbeat time.Duration
+}
+
+var liveTimings = timings{
+	queueLen:   clientproto.DefaultQueueLen,
+	leaseEvery: 30 * time.Second,
+	heartbeat:  25 * time.Second,
+}
 
 // sharedKeyJSON keys this package's slot in a batch's Shared cell:
 // the marshaled notify JSON, encoded once per batch and reused by every
@@ -45,16 +59,6 @@ type Config struct {
 	// created by the first gateway built on it, with that gateway's
 	// capacity.
 	ReplayCap int
-	// QueueLen is the per-session bound on queued notify events, and
-	// separately on queued control events (default 256, matching the
-	// binary edge).
-	QueueLen int
-	// LeaseEvery is the session lease-refresh cadence (default 30s,
-	// matching the SDK's ping loop); the refresh is what keeps a web
-	// subscriber's entry-node lease alive at channel owners.
-	LeaseEvery time.Duration
-	// HeartbeatEvery is the WS ping / SSE comment cadence (default 25s).
-	HeartbeatEvery time.Duration
 }
 
 // Server is the web edge: an http.Handler exposing /ws (RFC 6455) and
@@ -80,33 +84,30 @@ type Server struct {
 // entering a session's outbox (the admin plane's web_enqueue stage).
 // Call Handler to mount the server, or Serve to run it on a listener.
 func New(cfg Config, observe func(time.Duration)) *Server {
+	return newServer(cfg, liveTimings, observe)
+}
+
+func newServer(cfg Config, tm timings, observe func(time.Duration)) *Server {
 	s := &Server{
 		backend: cfg.Backend,
 		table:   cfg.Sessions,
-		edge:    clientproto.NewEdge(cfg.QueueLen, encodeNotify, observe),
+		edge:    clientproto.NewEdge(tm.queueLen, encodeNotify, observe),
 	}
 	if s.table == nil {
 		s.table = clientproto.NewSessionTable(nil)
 	}
 	s.replay = s.table.EnableReplay(cfg.ReplayCap)
-	heartbeat, leaseEvery := cfg.HeartbeatEvery, cfg.LeaseEvery
-	if heartbeat <= 0 {
-		heartbeat = defaultHeartbeat
-	}
-	if leaseEvery <= 0 {
-		leaseEvery = defaultLeaseEvery
-	}
 	s.sse = clientproto.Framing[outEvent]{
 		Transport:      TransportSSE,
 		Info:           hello,
 		Snapshot:       snapshotRequired,
 		Heartbeat:      outEvent{opcode: opPing},
-		HeartbeatEvery: heartbeat,
-		LeaseEvery:     leaseEvery,
+		HeartbeatEvery: tm.heartbeat,
+		LeaseEvery:     tm.leaseEvery,
 	}
 	s.ws = s.sse
 	s.ws.Transport = TransportWS
-	s.ws.Reader = wsReader(heartbeat)
+	s.ws.Reader = wsReader(tm.heartbeat)
 	s.ws.Reply = replyWS
 	s.ws.Info = func(si clientproto.ServerInfo, _ []byte) outEvent { return hello(si, nil) }
 	s.ws.Write = writeWS

@@ -87,7 +87,13 @@ func notify(s *Server, channel string, version uint64, diff string) {
 // startServer runs a gateway on a loopback listener.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	s := New(cfg, nil)
+	return startServerTimed(t, cfg, liveTimings)
+}
+
+// startServerTimed is startServer with the session timings tm.
+func startServerTimed(t *testing.T, cfg Config, tm timings) (*Server, string) {
+	t.Helper()
+	s := newServer(cfg, tm, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +347,9 @@ func TestWSDisplacementAcrossConnections(t *testing.T) {
 
 func TestSlowClientDropOldest(t *testing.T) {
 	b := newFakeBackend()
-	s := New(Config{Backend: b, QueueLen: 4}, nil)
+	tm := liveTimings
+	tm.queueLen = 4
+	s := newServer(Config{Backend: b}, tm, nil)
 	out, _ := s.edge.Open(nil)
 	// No writer drains the queue: fill it past capacity.
 	for v := uint64(1); v <= 10; v++ {
@@ -552,7 +560,9 @@ func TestCursorRoundTrip(t *testing.T) {
 
 func TestLeaseRefreshLoop(t *testing.T) {
 	b := newFakeBackend()
-	_, addr := startServer(t, Config{Backend: b, LeaseEvery: 20 * time.Millisecond})
+	tm := liveTimings
+	tm.leaseEvery = 20 * time.Millisecond
+	_, addr := startServerTimed(t, Config{Backend: b}, tm)
 	c, err := DialWS("ws://" + addr + "/ws")
 	if err != nil {
 		t.Fatal(err)
@@ -602,7 +612,9 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 // extends — a quiet but ping-answering client stays connected.
 func TestWSHeartbeatPing(t *testing.T) {
 	b := newFakeBackend()
-	s, addr := startServer(t, Config{Backend: b, HeartbeatEvery: 30 * time.Millisecond})
+	tm := liveTimings
+	tm.heartbeat = 30 * time.Millisecond
+	s, addr := startServerTimed(t, Config{Backend: b}, tm)
 	c, err := DialWS("ws://" + addr + "/ws")
 	if err != nil {
 		t.Fatal(err)

@@ -177,7 +177,9 @@ func TestEmptyURLNaks(t *testing.T) {
 	})
 	t.Run("sse empty ch", func(t *testing.T) {
 		b := newFakeBackend()
-		_, addr := startServer(t, Config{Backend: b, HeartbeatEvery: 20 * time.Millisecond})
+		tm := liveTimings
+		tm.heartbeat = 20 * time.Millisecond
+		_, addr := startServerTimed(t, Config{Backend: b}, tm)
 		conn, br := sseConnect(t, addr, "handle=bob&ch=&ch=u", "")
 		defer conn.Close()
 		if ev := readSSEEvent(t, br); ev.name != "hello" {
