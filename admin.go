@@ -123,8 +123,8 @@ func liveStatValue(ls LiveStats, path string) (float64, bool) {
 // families, the store's commit-latency histogram re-exposed in its
 // native buckets, the store and join flags, per-peer queue gauges, the
 // client session gauges, and the per-stage notification latency
-// histogram (it wires the core node's two stages; each client edge gets
-// its stage's observer from observeStage when it is constructed). The
+// histogram (the core node and each client edge get their stages'
+// observers from observeStage when they are constructed). The
 // snapshot-fed families refresh in one OnGather pass per scrape, each
 // source read through a single coherent snapshot.
 func (ln *LiveNode) newRegistry() *metrics.Registry {
@@ -176,7 +176,6 @@ func (ln *LiveNode) newRegistry() *metrics.Registry {
 	ln.stages = reg.HistogramVec("corona_notify_stage_latency_seconds",
 		"Wall-clock latency from update detection to each notification pipeline stage.",
 		metrics.DurationBuckets, "stage")
-	ln.node.SetStageObservers(ln.observeStage("owner_send"), ln.observeStage("entry_recv"))
 
 	reg.OnGather(func() {
 		ls := ln.Stats()

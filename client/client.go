@@ -8,15 +8,14 @@
 //
 // The connection survives node failure: when the serving node dies, the
 // Conn dials the next address in the list, resumes its session with the
-// token minted at first login, and asserts its subscription set with one
-// lease-refresh frame — which re-points each channel owner's entry-node
-// record at the new node, no Subscribe replay — so the application keeps
-// receiving notifications without re-calling Subscribe. The same frame
-// repeats on every ping tick as an entry-node lease heartbeat, letting
-// owners detect and route around dead entry nodes server-side. Failover
-// is invisible apart from the gap it takes to reconnect. Only a node that
-// naks the lease refresh gets the subscriptions re-asserted one Subscribe
-// at a time.
+// token minted at first login, and replays its subscription set, one
+// Subscribe per channel — which re-points each channel owner's entry-node
+// record at the new node — so the application keeps receiving
+// notifications without re-calling Subscribe. Failover is invisible apart
+// from the gap it takes to reconnect. The client sends no lease
+// heartbeats: the serving node keeps its sessions' entry-node leases
+// alive at the owners, which lets owners detect and route around dead
+// entry nodes server-side.
 //
 //	conn, err := client.Dial(ctx, []string{"10.0.0.1:9201", "10.0.0.2:9201"},
 //		client.Options{Handle: "alice"})
@@ -63,7 +62,8 @@ type Options struct {
 	RetryWait time.Duration
 	// PingInterval is the liveness-probe period; each ping is acked and
 	// refreshes ServerInfo. Zero means the 30s default; negative
-	// disables pinging (and with it the read-idle timeout).
+	// disables pinging (and with it the read-idle timeout). Leases do
+	// not depend on it: the serving node refreshes them.
 	PingInterval time.Duration
 	// NotifyBuffer is the Notifications channel capacity (default 64).
 	// When the application falls behind, the oldest buffered
@@ -435,13 +435,11 @@ func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
 	}
 	conn.SetDeadline(time.Time{})
 
-	// Install, re-assert the desired subscription set, and only then
-	// mark the Conn connected. One LeaseRefresh frame per chunk carries
-	// the whole set: each channel owner refreshes the subscriber's lease
-	// and re-points its entry record at this node — failover without a
-	// Subscribe replay. Keeping connReady unreadied until the
-	// frames are written means a concurrent Subscribe or Unsubscribe
-	// call's frame is ordered AFTER the re-assert, so the server's final
+	// Install, replay the desired subscription set, and only then mark
+	// the Conn connected. Each replayed Subscribe re-points its channel
+	// owner's entry record at this node. Keeping connReady unreadied until
+	// the frames are written means a concurrent Subscribe or Unsubscribe
+	// call's frame is ordered AFTER the replay, so the server's final
 	// state matches the desired set.
 	c.mu.Lock()
 	if c.closed {
@@ -457,74 +455,15 @@ func (c *Conn) connect(ctx context.Context, addr string) (net.Conn, error) {
 		urls = append(urls, u)
 	}
 	c.mu.Unlock()
-	for _, chunk := range chunkLeaseURLs(urls) {
-		id, ch := c.register()
-		if err := c.send(&clientproto.LeaseRefresh{ReqID: id, URLs: chunk}); err != nil {
-			c.unregister(id) // the read loop will reconnect and re-assert
-			break
+	for _, u := range urls {
+		if !c.replaySubscribe(u) {
+			break // the read loop will reconnect and replay
 		}
-		// Watch the reply: a nak (a server that cannot route leases)
-		// falls back to the explicit replay so the subscriptions are
-		// not stranded until the next reconnect.
-		go c.watchLeaseRefresh(chunk, ch)
 	}
 	c.mu.Lock()
 	close(c.connReady)
 	c.mu.Unlock()
 	return conn, nil
-}
-
-// leaseRefreshChunkBytes bounds the URL payload of one LeaseRefresh
-// frame, far below the protocol's 1 MiB MaxFrame: a frame the server
-// would reject as oversized gets resent identically on every reconnect,
-// wedging the connection in a flap loop, so it must never be built.
-const leaseRefreshChunkBytes = 256 * 1024
-
-// chunkLeaseURLs splits a subscription set into LeaseRefresh-sized
-// batches.
-func chunkLeaseURLs(urls []string) [][]string {
-	var chunks [][]string
-	var cur []string
-	size := 0
-	for _, u := range urls {
-		// ~8 bytes of length-prefix/framing slack per URL.
-		if len(cur) > 0 && size+len(u)+8 > leaseRefreshChunkBytes {
-			chunks = append(chunks, cur)
-			cur, size = nil, 0
-		}
-		cur = append(cur, u)
-		size += len(u) + 8
-	}
-	if len(cur) > 0 {
-		chunks = append(chunks, cur)
-	}
-	return chunks
-}
-
-// watchLeaseRefresh follows one reconnect-time LeaseRefresh: an ack or a
-// disconnect ends it (the owners were told, or the next reconnect
-// re-asserts anyway); a nak falls back to per-URL Subscribe replay.
-func (c *Conn) watchLeaseRefresh(urls []string, ch chan result) {
-	var r result
-	select {
-	case r = <-ch:
-	case <-c.closeCh:
-		return
-	}
-	if r.err != nil || r.nak == "" {
-		return
-	}
-	for _, u := range urls {
-		c.mu.Lock()
-		_, want := c.subs[u]
-		c.mu.Unlock()
-		if !want {
-			continue
-		}
-		if !c.replaySubscribe(u) {
-			return
-		}
-	}
 }
 
 // replaySubscribe sends one re-asserting Subscribe for url and follows
@@ -699,10 +638,7 @@ func (c *Conn) deliver(n corona.Notification) {
 }
 
 // pingLoop probes connection liveness; the acks also refresh ServerInfo
-// and keep the read deadline fed. Each tick also heartbeats the
-// entry-node lease for every subscribed channel, which is
-// what keeps the owners' lease records fresh — an owner that stops
-// hearing these re-routes the subscriber's notifications elsewhere.
+// and keep the read deadline fed.
 func (c *Conn) pingLoop(conn net.Conn, stop chan struct{}) {
 	t := time.NewTicker(c.opts.PingInterval)
 	defer t.Stop()
@@ -714,20 +650,6 @@ func (c *Conn) pingLoop(conn net.Conn, stop chan struct{}) {
 				c.unregister(id)
 				conn.Close()
 				return
-			}
-			c.mu.Lock()
-			urls := make([]string, 0, len(c.subs))
-			for u := range c.subs {
-				urls = append(urls, u)
-			}
-			c.mu.Unlock()
-			for _, chunk := range chunkLeaseURLs(urls) {
-				id, _ := c.register()
-				if err := c.send(&clientproto.LeaseRefresh{ReqID: id, URLs: chunk}); err != nil {
-					c.unregister(id)
-					conn.Close()
-					return
-				}
 			}
 		case <-stop:
 			return

@@ -58,18 +58,11 @@ func (b *fakeBackend) Unsubscribe(client, url string) error {
 	return nil
 }
 
-// RefreshLeases mirrors the real backend's semantics: a lease refresh is
-// an idempotent subscription assert at the channel owner, so the fake
-// records it through Subscribe — including Subscribe's nak injection, so
-// tests can drive the SDK's fallback-to-replay path.
-func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
-	for _, u := range urls {
-		if err := b.Subscribe(client, u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// RefreshLeases records nothing: these tests pin what the SDK sends,
+// and the server's own lease refresh is no subscription replay.
+func (b *fakeBackend) RefreshLeases(string, []string) error { return nil }
+
+func (b *fakeBackend) LeaseCadence() time.Duration { return 10 * time.Millisecond }
 
 func (b *fakeBackend) Info() clientproto.ServerInfo {
 	return clientproto.ServerInfo{Node: b.name}
@@ -263,9 +256,8 @@ func TestFailoverResumesAndReplaysSubscriptions(t *testing.T) {
 	}
 
 	// Kill node 1. The SDK must fail over to node 2, resume, and
-	// re-assert both subscriptions (one LeaseRefresh frame on a v2
-	// server; the fake maps each refreshed URL through Subscribe) without
-	// the application doing anything.
+	// replay both subscriptions, one Subscribe each, without the
+	// application doing anything.
 	s1.Close()
 	b2.waitAttached(t, "alice")
 	deadline := time.Now().Add(5 * time.Second)

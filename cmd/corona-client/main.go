@@ -2,9 +2,9 @@
 // the corona/client SDK: it connects to one of the given nodes' client
 // ports, subscribes to the given URLs, and prints notifications as they
 // arrive — the "feed reader" end of the system. Given several node
-// addresses it survives node failure: the SDK resumes the session and
-// re-asserts the subscriptions with one lease refresh against the next
-// address.
+// addresses it survives node failure: the SDK resumes the session against
+// the next address and replays the subscriptions there, one Subscribe
+// each; the serving node keeps their leases alive.
 //
 // Usage:
 //

@@ -39,6 +39,8 @@ func (f *fakeSub) Unsubscribe(client, url string) error {
 
 func (f *fakeSub) RefreshLeases(string, []string) error { return nil }
 
+func (f *fakeSub) LeaseCadence() time.Duration { return time.Hour }
+
 func (f *fakeSub) Info() clientproto.ServerInfo { return clientproto.ServerInfo{} }
 
 // runIMSession sends lines to a line-protocol server over TCP, one reply

@@ -43,11 +43,10 @@
 // Client to server — every request carries a client-chosen request ID
 // that the server echoes in exactly one Ack or Nak reply:
 //
-//	0x01 Login         req uvarint · handle string · resumeToken bytes
-//	0x02 Subscribe     req uvarint · url string
-//	0x03 Unsubscribe   req uvarint · url string
-//	0x04 Ping          req uvarint
-//	0x05 LeaseRefresh  req uvarint · urls list(string)
+//	0x01 Login        req uvarint · handle string · resumeToken bytes
+//	0x02 Subscribe    req uvarint · url string
+//	0x03 Unsubscribe  req uvarint · url string
+//	0x04 Ping         req uvarint
 //
 // Server to client:
 //
@@ -79,19 +78,19 @@
 // already holds.
 //
 // Subscriptions live in the overlay (at the channel's owner), not in the
-// session. A client reconnecting after failover sends one LeaseRefresh
-// listing its subscription set instead of replaying
-// Subscribe frames: the serving node routes an entry-node lease
-// heartbeat to each channel's owner, which refreshes the subscriber's
-// lease, re-points its entry record at this node, and — being an
-// idempotent subscription assert — re-creates the subscription if an
-// in-memory owner lost it. The SDK repeats the LeaseRefresh on every
-// ping tick, which is what keeps the owner-side lease alive; an owner
-// whose lease for a subscriber expires (its entry node died without the
-// client reappearing) proactively re-routes the entry record to a
-// surviving node. The durable store (internal/store) remains the server
-// half of failover. A node that naks a LeaseRefresh gets the listed
-// subscriptions re-asserted one Subscribe frame at a time.
+// session. A client reconnecting after failover replays its
+// subscription set, one Subscribe frame per channel: each routes to the
+// channel's owner with this node as the entry, re-points the
+// subscriber's entry record here, and re-creates the subscription if an
+// in-memory owner lost it. The client sends nothing else to keep its
+// subscriptions: the session itself (Session.KeepAlive, on every
+// framing) routes an entry-node lease heartbeat for each channel of its
+// set to the channel's owner every quarter of the node's lease TTL,
+// which keeps the owner-side lease alive. An owner whose lease for a
+// subscriber expires (its entry node died without the client
+// reappearing) proactively re-routes the entry record to a surviving
+// node. The durable store (internal/store) remains the server half of
+// failover.
 //
 // After a successful Login, and again after every Ping ack, the server
 // pushes a ServerInfo frame: the node's advertised overlay endpoint, the

@@ -11,24 +11,24 @@ import (
 )
 
 // Version is the protocol's hello byte. Both ends must send exactly this
-// value; there is no negotiation. It is 4 because that is the byte
-// earlier SDK builds already sent.
-const Version = 4
+// value; there is no negotiation. It is 5 since frame type 0x05, a
+// client-sent lease refresh, left the protocol: a client that still
+// sends one fails at the hello instead of being dropped mid-session.
+const Version = 5
 
 // MaxFrame bounds one frame's type+body byte count.
 const MaxFrame = 1 << 20
 
 // Frame type bytes (doc.go).
 const (
-	TypeLogin        = 0x01
-	TypeSubscribe    = 0x02
-	TypeUnsubscribe  = 0x03
-	TypePing         = 0x04
-	TypeLeaseRefresh = 0x05
-	TypeAck          = 0x10
-	TypeNak          = 0x11
-	TypeNotify       = 0x12
-	TypeServerInfo   = 0x13
+	TypeLogin       = 0x01
+	TypeSubscribe   = 0x02
+	TypeUnsubscribe = 0x03
+	TypePing        = 0x04
+	TypeAck         = 0x10
+	TypeNak         = 0x11
+	TypeNotify      = 0x12
+	TypeServerInfo  = 0x13
 )
 
 // ErrFrame is returned for malformed frames: unknown type, short body,
@@ -67,18 +67,6 @@ type Unsubscribe struct {
 // Ping is a liveness probe; the server acks it and refreshes ServerInfo.
 type Ping struct {
 	ReqID uint64
-}
-
-// LeaseRefresh asserts that the logged-in handle is alive on
-// this connection and still wants the listed channels. The serving node
-// forwards each assertion to the channel's owner as an entry-node lease
-// heartbeat, which refreshes the subscriber's lease and re-points its
-// entry record at this node — so a failed-over client needs no
-// Subscribe replay. The SDK sends one after login on a reconnect and on
-// every ping tick.
-type LeaseRefresh struct {
-	ReqID uint64
-	URLs  []string
 }
 
 // Ack is the success reply to a request. Token is non-empty only on
@@ -129,15 +117,14 @@ type ServerInfo struct {
 	Store StoreInfo
 }
 
-func (f *Login) frameType() byte        { return TypeLogin }
-func (f *Subscribe) frameType() byte    { return TypeSubscribe }
-func (f *Unsubscribe) frameType() byte  { return TypeUnsubscribe }
-func (f *Ping) frameType() byte         { return TypePing }
-func (f *LeaseRefresh) frameType() byte { return TypeLeaseRefresh }
-func (f *Ack) frameType() byte          { return TypeAck }
-func (f *Nak) frameType() byte          { return TypeNak }
-func (f *Notify) frameType() byte       { return TypeNotify }
-func (f *ServerInfo) frameType() byte   { return TypeServerInfo }
+func (f *Login) frameType() byte       { return TypeLogin }
+func (f *Subscribe) frameType() byte   { return TypeSubscribe }
+func (f *Unsubscribe) frameType() byte { return TypeUnsubscribe }
+func (f *Ping) frameType() byte        { return TypePing }
+func (f *Ack) frameType() byte         { return TypeAck }
+func (f *Nak) frameType() byte         { return TypeNak }
+func (f *Notify) frameType() byte      { return TypeNotify }
+func (f *ServerInfo) frameType() byte  { return TypeServerInfo }
 
 func (f *Login) appendBody(dst []byte) []byte {
 	dst = wirebin.AppendUvarint(dst, f.ReqID)
@@ -157,15 +144,6 @@ func (f *Unsubscribe) appendBody(dst []byte) []byte {
 
 func (f *Ping) appendBody(dst []byte) []byte {
 	return wirebin.AppendUvarint(dst, f.ReqID)
-}
-
-func (f *LeaseRefresh) appendBody(dst []byte) []byte {
-	dst = wirebin.AppendUvarint(dst, f.ReqID)
-	dst = wirebin.AppendUvarint(dst, uint64(len(f.URLs)))
-	for _, u := range f.URLs {
-		dst = wirebin.AppendString(dst, u)
-	}
-	return dst
 }
 
 func (f *Ack) appendBody(dst []byte) []byte {
@@ -227,15 +205,6 @@ func DecodeFrame(body []byte) (Frame, error) {
 		f = &Unsubscribe{ReqID: r.Uvarint(), URL: r.String()}
 	case TypePing:
 		f = &Ping{ReqID: r.Uvarint()}
-	case TypeLeaseRefresh:
-		lr := &LeaseRefresh{ReqID: r.Uvarint()}
-		if n := r.ListLen(1); n > 0 {
-			lr.URLs = make([]string, 0, n)
-			for i := 0; i < n; i++ {
-				lr.URLs = append(lr.URLs, r.String())
-			}
-		}
-		f = lr
 	case TypeAck:
 		f = &Ack{ReqID: r.Uvarint(), Token: cloned(r.Bytes())}
 	case TypeNak:

@@ -18,8 +18,6 @@ func everyFrame() []Frame {
 		&Subscribe{ReqID: 9, URL: "http://example.com/feed.xml"},
 		&Unsubscribe{ReqID: 10, URL: "http://example.com/feed.xml"},
 		&Ping{ReqID: 11},
-		&LeaseRefresh{ReqID: 12, URLs: []string{"http://example.com/feed.xml", "http://x/g.xml"}},
-		&LeaseRefresh{ReqID: 13},
 		&Ack{ReqID: 7, Token: []byte{4, 5, 6, 7}},
 		&Ack{ReqID: 9},
 		&Nak{ReqID: 10, Reason: "handle in use"},
@@ -91,6 +89,10 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	if _, err := DecodeFrame([]byte{0x7F, 1, 2}); err == nil {
 		t.Fatal("unknown frame type decoded")
 	}
+	// The retired lease-refresh frame (0x05: req, one URL) is unknown too.
+	if _, err := DecodeFrame([]byte{0x05, 12, 1, 1, 'u'}); err == nil {
+		t.Fatal("retired lease-refresh frame decoded")
+	}
 	if _, err := DecodeFrame(nil); err == nil {
 		t.Fatal("empty body decoded")
 	}
@@ -148,8 +150,10 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 
 	// Any other byte — an older or newer version, or 0 — is refused with
-	// a 0 reply: the check is an exact match, not a negotiation.
-	for _, b := range []byte{0, 1, 2, 3, Version + 1, 0xFF} {
+	// a 0 reply: the check is an exact match, not a negotiation. Version
+	// 4 clients, which still send the retired lease-refresh frame, fail
+	// here.
+	for _, b := range []byte{0, 1, 2, 3, 4, Version + 1, 0xFF} {
 		reply, err := hello(b)
 		if reply != 0 || err == nil {
 			t.Fatalf("hello %d: reply %d err %v, want reply 0 and an error", b, reply, err)

@@ -26,6 +26,9 @@ type Backend interface {
 	// client's channels: each channel owner refreshes the subscriber's
 	// lease and re-points its entry record at this node.
 	RefreshLeases(client string, urls []string) error
+	// LeaseCadence is how often a session refreshes its leases: a
+	// quarter of the node's lease TTL.
+	LeaseCadence() time.Duration
 	// Info returns the node's current ServerInfo advertisement.
 	Info() ServerInfo
 }
@@ -98,7 +101,7 @@ type Framing[T any] struct {
 	Hello func(io.ReadWriter) error
 	// Reader returns the connection's request reader, which may queue
 	// answers of its own (a WS pong) on out. Each call yields the next
-	// *Login, *Subscribe, *Unsubscribe, *LeaseRefresh, *Ping or *quit.
+	// *Login, *Subscribe, *Unsubscribe, *Ping or *quit.
 	// A BadRequest error is answered with the reply to the request it
 	// comes with, if any, and the session reads on; any other error ends
 	// the session.
@@ -116,12 +119,10 @@ type Framing[T any] struct {
 	Snapshot func(channel string, newest uint64) T
 	// Write writes one queued item into the connection's buffered writer.
 	Write func(*bufio.Writer, Queued[T]) error
-	// Heartbeat, HeartbeatEvery and LeaseEvery set the keep-alive of a
-	// framing whose clients send no lease refresh (KeepAlive); a zero
-	// HeartbeatEvery means none.
+	// Heartbeat is queued every HeartbeatEvery by a framing that has one
+	// (KeepAlive); a zero HeartbeatEvery means none.
 	Heartbeat      T
 	HeartbeatEvery time.Duration
-	LeaseEvery     time.Duration
 }
 
 // quit asks the server to end the session once its reply and whatever
@@ -230,8 +231,6 @@ func RequestID(req Frame) uint64 {
 		return r.ReqID
 	case *Unsubscribe:
 		return r.ReqID
-	case *LeaseRefresh:
-		return r.ReqID
 	case *Ping:
 		return r.ReqID
 	}
@@ -333,12 +332,6 @@ func (s *Session[T]) Serve(conn net.Conn) {
 			}
 		case *Unsubscribe:
 			reply(req, s.unsubscribe(req.URL))
-		case *LeaseRefresh:
-			if s.handle == "" {
-				reply(req, errNotLoggedIn)
-				continue
-			}
-			reply(req, s.backend.RefreshLeases(s.handle, req.URLs))
 		case *Ping:
 			reply(req, nil)
 			if s.f.InfoOnPing {
@@ -443,28 +436,29 @@ func (s *Session[T]) check(url string) error {
 	return nil
 }
 
-// KeepAlive runs the framing's keep-alive until the outbox closes: the
-// Heartbeat every HeartbeatEvery and, every LeaseEvery, a refresh of the
-// session's entry-node leases at its channels' owners, which keeps a
-// client sending no LeaseRefresh (a browser) in the lease-failover
-// machinery. The returned channel is closed when it stops.
+// KeepAlive runs the session's keep-alive until the outbox closes:
+// every LeaseCadence it refreshes the entry-node leases of the session's
+// channels at their owners, which keeps every subscriber in the
+// lease-failover machinery whatever its framing, and every
+// HeartbeatEvery it queues the framing's Heartbeat, if it has one. The
+// returned channel is closed when it stops.
 func (s *Session[T]) KeepAlive() <-chan struct{} {
 	stopped := make(chan struct{})
-	if s.f.HeartbeatEvery <= 0 {
-		close(stopped)
-		return stopped
-	}
 	go func() {
 		defer close(stopped)
-		hb := time.NewTicker(s.f.HeartbeatEvery)
-		lease := time.NewTicker(s.f.LeaseEvery)
-		defer hb.Stop()
+		lease := time.NewTicker(s.backend.LeaseCadence())
 		defer lease.Stop()
+		var beat <-chan time.Time
+		if s.f.HeartbeatEvery > 0 {
+			hb := time.NewTicker(s.f.HeartbeatEvery)
+			defer hb.Stop()
+			beat = hb.C
+		}
 		for {
 			select {
 			case <-s.out.Done():
 				return
-			case <-hb.C:
+			case <-beat:
 				s.out.Control(s.f.Heartbeat)
 			case <-lease.C:
 				s.mu.Lock()

@@ -3,23 +3,33 @@ package clientproto
 import (
 	"fmt"
 	"net"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeBackend records subscription calls.
+// fakeBackend records subscription calls, and each lease refresh as
+// its time and channel set, keyed by client.
 type fakeBackend struct {
-	mu        sync.Mutex
-	subs      []string
-	unsubs    []string
-	leases    []string
-	failSub   bool
-	failLease bool
+	mu      sync.Mutex
+	subs    []string
+	unsubs  []string
+	leases  map[string][]leaseCall
+	failSub bool
 }
 
+type leaseCall struct {
+	at   time.Time
+	urls []string
+}
+
+// fakeLeaseCadence is the fake node's session lease cadence.
+const fakeLeaseCadence = 10 * time.Millisecond
+
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{}
+	return &fakeBackend{leases: make(map[string][]leaseCall)}
 }
 
 func (b *fakeBackend) Subscribe(client, url string) error {
@@ -42,14 +52,13 @@ func (b *fakeBackend) Unsubscribe(client, url string) error {
 func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.failLease {
-		return fmt.Errorf("overlay down")
-	}
-	for _, u := range urls {
-		b.leases = append(b.leases, client+" "+u)
-	}
+	urls = append([]string(nil), urls...)
+	sort.Strings(urls)
+	b.leases[client] = append(b.leases[client], leaseCall{at: time.Now(), urls: urls})
 	return nil
 }
+
+func (b *fakeBackend) LeaseCadence() time.Duration { return fakeLeaseCadence }
 
 func (b *fakeBackend) Info() ServerInfo {
 	return ServerInfo{
@@ -259,44 +268,72 @@ func TestServerDropsMalformedStream(t *testing.T) {
 	}
 }
 
-// TestServerLeaseRefresh covers the lease heartbeat frame: a
-// logged-in client's refresh fans out to the backend and is acked, a
-// refresh before login is naked, and a backend failure naks with its
-// reason (the SDK's cue to fall back to Subscribe replay).
-func TestServerLeaseRefresh(t *testing.T) {
+// TestSessionRefreshesLeases pins the one lease driver: a logged-in
+// session, binary or line, refreshes its channel set's entry-node leases
+// every LeaseCadence of its backend while its client sends nothing at
+// all.
+func TestSessionRefreshesLeases(t *testing.T) {
 	b := newFakeBackend()
-	s := startServer(t, b)
-	c := dialServer(t, s.Addr())
+	table := NewSessionTable(nil)
+	bin := startServer(t, b)
+	line := startLine(t, b, table)
+
+	c := dialServer(t, bin.Addr())
 	defer c.conn.Close()
-
-	c.send(&LeaseRefresh{ReqID: 1, URLs: []string{"http://x/f.xml"}})
-	if nak, ok := c.read().(*Nak); !ok || nak.ReqID != 1 {
-		t.Fatalf("pre-login lease refresh reply = %#v", nak)
-	}
-
-	c.send(&Login{ReqID: 2, Handle: "alice"})
-	if a, ok := c.read().(*Ack); !ok || a.ReqID != 2 {
-		t.Fatalf("login reply = %#v", a)
-	}
+	c.send(&Login{ReqID: 1, Handle: "alice"})
+	c.read() // Ack
 	c.read() // ServerInfo
-
-	c.send(&LeaseRefresh{ReqID: 3, URLs: []string{"http://x/f.xml", "http://x/g.xml"}})
-	if a, ok := c.read().(*Ack); !ok || a.ReqID != 3 {
-		t.Fatalf("lease refresh reply = %#v", a)
+	for i, u := range []string{"http://x/g.xml", "http://x/f.xml"} {
+		c.send(&Subscribe{ReqID: uint64(2 + i), URL: u})
+		if a, ok := c.read().(*Ack); !ok || a.ReqID != uint64(2+i) {
+			t.Fatalf("subscribe reply = %#v", a)
+		}
 	}
-	b.mu.Lock()
-	leases := append([]string(nil), b.leases...)
-	b.mu.Unlock()
-	if len(leases) != 2 || leases[0] != "alice http://x/f.xml" || leases[1] != "alice http://x/g.xml" {
-		t.Fatalf("backend leases = %v", leases)
-	}
+	binaryFrom := time.Now()
 
-	b.mu.Lock()
-	b.failLease = true
-	b.mu.Unlock()
-	c.send(&LeaseRefresh{ReqID: 4, URLs: []string{"http://x/f.xml"}})
-	if nak, ok := c.read().(*Nak); !ok || nak.ReqID != 4 || nak.Reason == "" {
-		t.Fatalf("failed lease refresh reply = %#v", nak)
+	lc := dialLine(t, line.Addr())
+	if r := lc.do("LOGIN bob"); !strings.HasPrefix(r, "OK") {
+		t.Fatalf("LOGIN reply %q", r)
+	}
+	if r := lc.do("SUBSCRIBE http://x/h.xml"); !strings.HasPrefix(r, "OK") {
+		t.Fatalf("SUBSCRIBE reply %q", r)
+	}
+	lineFrom := time.Now()
+
+	waitLeaseCalls(t, b, "alice", binaryFrom, []string{"http://x/f.xml", "http://x/g.xml"})
+	waitLeaseCalls(t, b, "bob", lineFrom, []string{"http://x/h.xml"})
+}
+
+// waitLeaseCalls waits for five lease refreshes of client's channel
+// set after since, then checks they came no faster than the cadence.
+func waitLeaseCalls(t *testing.T, b *fakeBackend, client string, since time.Time, want []string) {
+	t.Helper()
+	const n = 5
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		var calls []leaseCall
+		for _, c := range b.leases[client] {
+			if !c.at.Before(since) {
+				calls = append(calls, c)
+			}
+		}
+		b.mu.Unlock()
+		if len(calls) >= n {
+			for _, c := range calls {
+				if strings.Join(c.urls, " ") != strings.Join(want, " ") {
+					t.Fatalf("%s: lease refresh for %v, want its channel set %v", client, c.urls, want)
+				}
+			}
+			if span := calls[len(calls)-1].at.Sub(since); len(calls) > int(span/fakeLeaseCadence)+2 {
+				t.Fatalf("%s: %d lease refreshes in %v, faster than one per %v", client, len(calls), span, fakeLeaseCadence)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d lease refreshes after its subscribes, want %d with no client frame", client, len(calls), n)
+		}
+		time.Sleep(fakeLeaseCadence)
 	}
 }
 

@@ -14,13 +14,22 @@ import (
 // simnet overlay, the simulator and an origin fetcher. Overlay is built
 // by the caller and not yet in a ring (or on a static one); Sink may be
 // nil; an empty Store.Dir keeps the member's state in memory.
+//
+// OwnerSend and EntryRecv, either of which may be nil, observe the
+// notification path, each with the elapsed time since the update's
+// detection: OwnerSend as the owner hands an update to dissemination,
+// EntryRecv as an entry node receives a notify batch for its attached
+// clients. The admin plane feeds them into latency histograms; a member
+// without observers pays only a nil check.
 type Seams struct {
-	Overlay  *pastry.Node
-	Clock    clock.Clock
-	Fetcher  Fetcher
-	Notifier Notifier
-	Sink     DetectionSink
-	Store    store.Options
+	Overlay   *pastry.Node
+	Clock     clock.Clock
+	Fetcher   Fetcher
+	Notifier  Notifier
+	Sink      DetectionSink
+	Store     store.Options
+	OwnerSend func(time.Duration)
+	EntryRecv func(time.Duration)
 }
 
 // Member is one assembled Corona node: the protocol node and, when its
@@ -39,6 +48,7 @@ type Member struct {
 // when its overlay is on a static ring already.
 func Assemble(cfg Config, s Seams) (*Member, error) {
 	m := &Member{Node: NewNode(cfg, s.Overlay, s.Clock, s.Fetcher, s.Notifier, s.Sink)}
+	m.obsOwnerSend, m.obsEntryRecv = s.OwnerSend, s.EntryRecv
 	if s.Store.Dir == "" {
 		return m, nil
 	}

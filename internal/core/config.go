@@ -52,9 +52,9 @@ type Config struct {
 	// at a surviving node by the maintain pass, once per expiry. Zero or
 	// negative disables the sweep (lease refreshes still re-point entries
 	// on arrival). Heartbeat-driven expiry applies only to subscribers
-	// whose entry nodes heartbeat — client-protocol sessions; IM and
-	// simulation subscribers are touched only by the one-shot re-route
-	// when their entry node is detected dead.
+	// whose entry nodes heartbeat — client sessions of every framing;
+	// simulated and in-process subscribers are touched only by the
+	// one-shot re-route when their entry node is detected dead.
 	LeaseTTL time.Duration
 
 	// DelegateThreshold enables hot-channel fan-out sharding: when an

@@ -82,7 +82,7 @@ func (n *Node) putTargetScratch(ts *[]notifyTarget) {
 // the lease machinery (owners mark the leases expired themselves;
 // delegates report them to their owner) instead of dropping them. The
 // failed slice is freshly allocated — targets may live in pooled scratch.
-func (n *Node) sendEntryBatches(notify Notifier, url string, version uint64, diff string, at time.Time, targets []notifyTarget) (int, []notifyTarget) {
+func (n *Node) sendEntryBatches(url string, version uint64, diff string, at time.Time, targets []notifyTarget) (int, []notifyTarget) {
 	if len(targets) == 0 {
 		return 0, nil
 	}
@@ -111,13 +111,10 @@ func (n *Node) sendEntryBatches(notify Notifier, url string, version uint64, dif
 		if entry := targets[start].entry; entry.IsZero() || entry.ID == self {
 			// The local branch IS this batch's entry-node receipt — the
 			// overlay hop it skips is what handleNotifyBatch observes.
-			n.mu.Lock()
-			obs := n.obsEntryRecv
-			n.mu.Unlock()
-			if obs != nil && !at.IsZero() {
-				obs(n.now().Sub(at))
+			if n.obsEntryRecv != nil && !at.IsZero() {
+				n.obsEntryRecv(n.now().Sub(at))
 			}
-			notify.NotifyBatch(clients, url, version, diff, at)
+			n.notify.NotifyBatch(clients, url, version, diff, at)
 		} else if n.overlay.SendDirect(entry, msgNotifyBatch, &notifyBatchMsg{
 			URL: url, Version: version, Diff: diff, Clients: clients, At: atNanos(at),
 		}) != nil {
@@ -337,10 +334,12 @@ func (n *Node) handleDelegateNotify(msg pastry.Message) {
 	if !ok {
 		return
 	}
+	if n.notify == nil {
+		return
+	}
 	n.mu.Lock()
-	notify := n.notify
 	ch := n.getChannel(p.URL)
-	if notify == nil || ch.delegSubs == nil || p.OwnerEpoch < ch.delegEpoch {
+	if ch.delegSubs == nil || p.OwnerEpoch < ch.delegEpoch {
 		n.mu.Unlock()
 		return
 	}
@@ -355,7 +354,7 @@ func (n *Node) handleDelegateNotify(msg pastry.Message) {
 	owner := ch.delegFrom
 	n.stats.NotificationsSent += uint64(len(*targets))
 	n.mu.Unlock()
-	batches, failed := n.sendEntryBatches(notify, p.URL, p.Version, p.Diff, atTime(p.At), *targets)
+	batches, failed := n.sendEntryBatches(p.URL, p.Version, p.Diff, atTime(p.At), *targets)
 	n.putTargetScratch(targets)
 	if batches > 0 {
 		n.mu.Lock()

@@ -13,9 +13,9 @@ import (
 // the channel owner names the node that delivers its notifications; when
 // that node dies, the record black-holes every notification until the
 // client replays its subscriptions. Leases make the repair server-side:
-// entry nodes heartbeat liveness for their attached sessions (the client
-// protocol's lease-refresh frame, driven by the SDK's ping loop, fans out
-// into leaseMsg routes here), owners timestamp each subscriber's entry
+// entry nodes heartbeat liveness for their attached sessions (each client
+// session's keep-alive, on every framing, fans out into leaseMsg routes
+// here), owners timestamp each subscriber's entry
 // record, and the owner's maintain pass expires dead entries and
 // re-routes their notifications to a surviving leaf-set node proactively
 // — the proactive repair posture of Scribe's multicast-tree maintenance.
@@ -46,8 +46,8 @@ func (n *Node) RefreshLeases(client string, urls []string) error {
 // leaseAssertTombstone is how long after an unsubscribe a lease assert
 // for the departed client is ignored. It only needs to outlive overlay
 // message reordering (an in-flight heartbeat racing the unsubscribe);
-// after the client's SDK drops the URL from its desired set no further
-// heartbeats mention it.
+// once the client's session drops the URL from its channel set no
+// further heartbeats mention it.
 const leaseAssertTombstone = 30 * time.Second
 
 // tombstoneLocked records an unsubscribe so racing lease asserts cannot

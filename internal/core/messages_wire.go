@@ -20,18 +20,6 @@ import (
 // string. Every encoding is deterministic, so re-encoding a decoded
 // payload reproduces the original bytes.
 
-func appendAddr(dst []byte, a pastry.Addr) []byte {
-	dst = append(dst, a.ID[:]...)
-	return wirebin.AppendString(dst, a.Endpoint)
-}
-
-func readAddr(r *wirebin.Reader) pastry.Addr {
-	var a pastry.Addr
-	copy(a.ID[:], r.Take(ids.Bytes))
-	a.Endpoint = r.String()
-	return a
-}
-
 // appendFixed64 and readFixed64 carry a 64-bit digest as 8 fixed
 // little-endian bytes: hash sums are uniformly large, so a varint would
 // cost more.
@@ -64,7 +52,7 @@ func wireErr(what string, r *wirebin.Reader) error {
 func (m *subscribeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendString(dst, m.Client)
-	dst = appendAddr(dst, m.Entry)
+	dst = pastry.AppendAddr(dst, m.Entry)
 	return wirebin.AppendBool(dst, m.Remove), nil
 }
 
@@ -73,7 +61,7 @@ func (m *subscribeMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
 	m.Client = r.String()
-	m.Entry = readAddr(r)
+	m.Entry = pastry.ReadAddr(r)
 	m.Remove = r.Bool()
 	return wireErr("subscribe", r)
 }
@@ -117,14 +105,14 @@ func (m *notifyBatchMsg) DecodeBinary(src []byte) error {
 func (m *delegateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.OwnerEpoch)
-	dst = appendAddr(dst, m.Owner)
+	dst = pastry.AppendAddr(dst, m.Owner)
 	dst = wirebin.AppendUvarint(dst, m.Seq)
 	dst = wirebin.AppendBool(dst, m.Replace)
 	dst = wirebin.AppendBool(dst, m.Revoke)
 	dst = wirebin.AppendUvarint(dst, uint64(len(m.Subs)))
 	for _, s := range m.Subs {
 		dst = wirebin.AppendString(dst, s.Client)
-		dst = appendAddr(dst, s.Entry)
+		dst = pastry.AppendAddr(dst, s.Entry)
 	}
 	dst = wirebin.AppendUvarint(dst, uint64(len(m.Removed)))
 	for _, c := range m.Removed {
@@ -138,7 +126,7 @@ func (m *delegateMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
 	m.OwnerEpoch = r.Uvarint()
-	m.Owner = readAddr(r)
+	m.Owner = pastry.ReadAddr(r)
 	m.Seq = r.Uvarint()
 	m.Replace = r.Bool()
 	m.Revoke = r.Bool()
@@ -149,7 +137,7 @@ func (m *delegateMsg) DecodeBinary(src []byte) error {
 	if n > 0 {
 		m.Subs = make([]replicatedSub, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			m.Subs = append(m.Subs, replicatedSub{Client: r.String(), Entry: readAddr(r)})
+			m.Subs = append(m.Subs, replicatedSub{Client: r.String(), Entry: pastry.ReadAddr(r)})
 		}
 	}
 	n = r.ListLen(1)
@@ -194,7 +182,7 @@ func (m *replicateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendUvarint(dst, uint64(len(m.Subscribers)))
 	for _, s := range m.Subscribers {
 		dst = wirebin.AppendString(dst, s.Client)
-		dst = appendAddr(dst, s.Entry)
+		dst = pastry.AppendAddr(dst, s.Entry)
 	}
 	dst = wirebin.AppendSint(dst, m.Count)
 	dst = wirebin.AppendSint(dst, m.SizeBytes)
@@ -218,7 +206,7 @@ func (m *replicateMsg) DecodeBinary(src []byte) error {
 	if n > 0 {
 		m.Subscribers = make([]replicatedSub, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			m.Subscribers = append(m.Subscribers, replicatedSub{Client: r.String(), Entry: readAddr(r)})
+			m.Subscribers = append(m.Subscribers, replicatedSub{Client: r.String(), Entry: pastry.ReadAddr(r)})
 		}
 	}
 	m.Count = r.Sint()
@@ -241,7 +229,7 @@ func (m *replDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendUvarint(dst, m.Seq)
 	dst = appendFixed64(dst, m.Digest)
 	dst = wirebin.AppendString(dst, m.Client)
-	dst = appendAddr(dst, m.Entry)
+	dst = pastry.AppendAddr(dst, m.Entry)
 	return wirebin.AppendBool(dst, m.Remove), nil
 }
 
@@ -253,7 +241,7 @@ func (m *replDeltaMsg) DecodeBinary(src []byte) error {
 	m.Seq = r.Uvarint()
 	m.Digest = readFixed64(r)
 	m.Client = r.String()
-	m.Entry = readAddr(r)
+	m.Entry = pastry.ReadAddr(r)
 	m.Remove = r.Bool()
 	return wireErr("repldelta", r)
 }
@@ -352,7 +340,7 @@ func (m *updateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.Diff)
 	dst = wirebin.AppendSint(dst, m.Bytes)
 	dst = wirebin.AppendUvarint(dst, m.OwnerEpoch)
-	return appendAddr(dst, m.Owner), nil
+	return pastry.AppendAddr(dst, m.Owner), nil
 }
 
 // DecodeBinary implements the codec binary payload contract.
@@ -363,7 +351,7 @@ func (m *updateMsg) DecodeBinary(src []byte) error {
 	m.Diff = r.String()
 	m.Bytes = r.Sint()
 	m.OwnerEpoch = r.Uvarint()
-	m.Owner = readAddr(r)
+	m.Owner = pastry.ReadAddr(r)
 	return wireErr("update", r)
 }
 
@@ -405,7 +393,7 @@ func (m *maintainMsg) DecodeBinary(src []byte) error {
 func (m *leaseMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendString(dst, m.Client)
-	return appendAddr(dst, m.Entry), nil
+	return pastry.AppendAddr(dst, m.Entry), nil
 }
 
 // DecodeBinary implements the codec binary payload contract.
@@ -413,7 +401,7 @@ func (m *leaseMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
 	m.Client = r.String()
-	m.Entry = readAddr(r)
+	m.Entry = pastry.ReadAddr(r)
 	return wireErr("lease", r)
 }
 
@@ -422,7 +410,7 @@ func (m *leaseMsg) DecodeBinary(src []byte) error {
 // AppendBinary implements the codec binary payload contract.
 func (m *leaseExpireMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
-	dst = appendAddr(dst, m.Entry)
+	dst = pastry.AppendAddr(dst, m.Entry)
 	dst = wirebin.AppendUvarint(dst, uint64(len(m.Clients)))
 	for _, c := range m.Clients {
 		dst = wirebin.AppendString(dst, c)
@@ -434,7 +422,7 @@ func (m *leaseExpireMsg) AppendBinary(dst []byte) ([]byte, error) {
 func (m *leaseExpireMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
-	m.Entry = readAddr(r)
+	m.Entry = pastry.ReadAddr(r)
 	// Each client handle costs at least its one length byte.
 	n := r.ListLen(1)
 	m.Clients = nil

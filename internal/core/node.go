@@ -367,7 +367,9 @@ type Node struct {
 	replFlushing bool
 
 	// obsOwnerSend/obsEntryRecv are per-stage latency callbacks on the
-	// notification path (SetStageObservers); nil disables them.
+	// notification path (Seams.OwnerSend, Seams.EntryRecv); nil disables
+	// them. Like notify, they are set at assembly and never change, so
+	// they are read without mu.
 	obsOwnerSend func(time.Duration)
 	obsEntryRecv func(time.Duration)
 
@@ -397,20 +399,6 @@ func NewNode(cfg Config, overlay *pastry.Node, clk clock.Clock, fetcher Fetcher,
 
 // Overlay returns the underlying overlay node.
 func (n *Node) Overlay() *pastry.Node { return n.overlay }
-
-// SetStageObservers installs per-stage latency callbacks on the
-// notification hot path, each invoked with the elapsed time since the
-// update's detection timestamp: ownerSend as the owner hands the update
-// to dissemination, entryRecv as an entry node receives a notify batch
-// for its attached clients. Either may be nil. The admin plane wires
-// these into latency histograms; a node without observers pays only a
-// nil check.
-func (n *Node) SetStageObservers(ownerSend, entryRecv func(time.Duration)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.obsOwnerSend = ownerSend
-	n.obsEntryRecv = entryRecv
-}
 
 // Self returns the node's overlay address.
 func (n *Node) Self() pastry.Addr { return n.overlay.Self() }

@@ -46,6 +46,13 @@ func (n *Node) handleSubscribe(msg pastry.Message) {
 	}
 	wasOwner := ch.isOwner
 	n.becomeOwnerLocked(ch)
+	if _, leased := ch.leases[p.Client]; leased && ch.isOwner && !p.Remove && msg.From.ID == p.Entry.ID {
+		// A subscribe sent by the entry node it names proves that entry
+		// alive, as a lease refresh does: without this, an expiry mark
+		// left when the client's old entry died would have the next sweep
+		// re-point a client that just re-subscribed through a live node.
+		ch.leases[p.Client] = n.now()
+	}
 	var push *delegatePush
 	if changed {
 		n.emitSubLocked(ch, p.Client, p.Entry, p.Remove)
@@ -503,13 +510,10 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 // (delegate.go) sends one delegateNotify per delegate plus batches for
 // the owner's own slot, scaling with delegates alone.
 func (n *Node) notifySubscribers(ch *channelState, version uint64, diff string, at time.Time) {
-	n.mu.Lock()
-	notify := n.notify
-	if notify == nil {
-		n.mu.Unlock()
+	if n.notify == nil {
 		return
 	}
-	obsOwnerSend := n.obsOwnerSend
+	n.mu.Lock()
 	src := ch.subs.ids
 	var delegates []pastry.Addr
 	if len(ch.delegates) > 0 {
@@ -528,15 +532,15 @@ func (n *Node) notifySubscribers(ch *channelState, version uint64, diff string, 
 	n.stats.NotificationsSent += uint64(len(*targets))
 	n.stats.DelegateUpdates += uint64(len(delegates))
 	n.mu.Unlock()
-	if obsOwnerSend != nil && !at.IsZero() {
-		obsOwnerSend(n.now().Sub(at))
+	if n.obsOwnerSend != nil && !at.IsZero() {
+		n.obsOwnerSend(n.now().Sub(at))
 	}
 	for _, d := range delegates {
 		n.overlay.SendDirect(d, msgDelegateNotify, &delegateNotifyMsg{
 			URL: ch.url, Version: version, Diff: diff, OwnerEpoch: epoch, At: atNanos(at),
 		})
 	}
-	batches, failed := n.sendEntryBatches(notify, ch.url, version, diff, at, *targets)
+	batches, failed := n.sendEntryBatches(ch.url, version, diff, at, *targets)
 	n.putTargetScratch(targets)
 	if batches > 0 {
 		n.mu.Lock()
@@ -583,16 +587,12 @@ func (n *Node) handleNotifyBatch(msg pastry.Message) {
 	if !ok || len(p.Clients) == 0 {
 		return
 	}
-	n.mu.Lock()
-	notify := n.notify
-	obs := n.obsEntryRecv
-	n.mu.Unlock()
 	at := atTime(p.At)
-	if obs != nil && !at.IsZero() {
-		obs(n.now().Sub(at))
+	if n.obsEntryRecv != nil && !at.IsZero() {
+		n.obsEntryRecv(n.now().Sub(at))
 	}
-	if notify != nil {
-		notify.NotifyBatch(p.Clients, p.URL, p.Version, p.Diff, at)
+	if n.notify != nil {
+		n.notify.NotifyBatch(p.Clients, p.URL, p.Version, p.Diff, at)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"corona/internal/core"
 	"corona/internal/eventsim"
 	"corona/internal/ids"
-	"corona/internal/legacy"
 	"corona/internal/pastry"
 	"corona/internal/simnet"
 	"corona/internal/webserver"
@@ -24,7 +23,7 @@ type Harness struct {
 	Nodes    []*core.Member
 	Recorder *Recorder
 	Loads    *LoadSampler
-	Baseline *legacy.Baseline
+	Baseline *Baseline
 
 	// Down[i] marks nodes the harness crashed (CrashNode) or that failed
 	// to join.
@@ -144,10 +143,7 @@ func NewHarness(scale Scale, opts Options) *Harness {
 	h.Loads = NewLoadSampler(h.Origin, h.Sim.Now(), scale.Bucket)
 
 	if opts.CoronaOff {
-		h.Baseline = legacy.New(h.Sim, h.Origin, h.Work, h.Recorder, legacy.Config{
-			PollInterval: scale.PollInterval,
-			Seed:         scale.Seed + 17,
-		})
+		h.Baseline = newBaseline(h.Sim, h.Origin, h.Work, h.Recorder, scale.PollInterval, scale.Seed+17)
 		return h
 	}
 
@@ -176,10 +172,7 @@ func NewHarness(scale Scale, opts Options) *Harness {
 
 	if opts.LegacyOn {
 		legacyOrigin := buildOrigin(h.Work, h.Sim.Now(), scale.Seed)
-		h.Baseline = legacy.New(h.Sim, legacyOrigin, h.Work, h.Recorder, legacy.Config{
-			PollInterval: scale.PollInterval,
-			Seed:         scale.Seed + 17,
-		})
+		h.Baseline = newBaseline(h.Sim, legacyOrigin, h.Work, h.Recorder, scale.PollInterval, scale.Seed+17)
 	}
 	return h
 }

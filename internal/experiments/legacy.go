@@ -1,20 +1,4 @@
-// Package legacy implements the comparison baseline in every experiment:
-// legacy RSS readers that poll independently and without coordination
-// (paper §5: "we compare the performance of Corona with the performance of
-// legacy RSS, a widely-used micronews syndication system").
-//
-// Each subscription is an independent client polling its channel every τ
-// with a uniformly random phase. A client detects an update at its first
-// poll after the update is published, so per-client detection latency
-// averages τ/2 regardless of channel popularity, while the origin absorbs
-// qᵢ polls per τ per channel — the uncoordinated-polling pathology Corona
-// removes.
-//
-// The implementation keeps one pending simulator event per channel rather
-// than per client: client phases are pre-sorted and a cursor walks them,
-// so memory stays proportional to channels while every poll is still
-// simulated and accounted.
-package legacy
+package experiments
 
 import (
 	"math/rand"
@@ -26,28 +10,27 @@ import (
 	"corona/internal/workload"
 )
 
-// Recorder receives per-client detection events.
-type Recorder interface {
-	// LegacyDetection reports that one legacy client detected an update
-	// with the given latency at virtual time at.
-	LegacyDetection(channelIndex int, latency time.Duration, at time.Time)
-}
-
-// Config parameterizes the baseline.
-type Config struct {
-	// PollInterval is each client's polling period (τ).
-	PollInterval time.Duration
-	// Seed drives phase randomization.
-	Seed int64
-}
-
-// Baseline simulates the legacy client population.
+// Baseline is the comparison baseline in every experiment: legacy RSS
+// readers that poll independently and without coordination (paper §5:
+// "we compare the performance of Corona with the performance of legacy
+// RSS, a widely-used micronews syndication system").
+//
+// Each subscription is an independent client polling its channel every τ
+// with a uniformly random phase. A client detects an update at its first
+// poll after the update is published, so per-client detection latency
+// averages τ/2 regardless of channel popularity, while the origin absorbs
+// qᵢ polls per τ per channel — the uncoordinated-polling pathology Corona
+// removes.
+//
+// The baseline keeps one pending simulator event per channel rather than
+// per client: client phases are pre-sorted and a cursor walks them, so
+// memory stays proportional to channels while every poll is still
+// simulated and accounted.
 type Baseline struct {
 	sim      *eventsim.Sim
 	origin   *webserver.Origin
-	work     *workload.Workload
-	cfg      Config
-	recorder Recorder
+	interval time.Duration
+	recorder *Recorder
 
 	channels []*channelPollState
 	running  bool
@@ -63,14 +46,13 @@ type channelPollState struct {
 	process webserver.UpdateProcess
 }
 
-// New builds the baseline for a workload served by origin. Channels with
+// newBaseline builds the baseline for a workload served by origin: every
+// client polls every interval, with phases drawn from seed, and reports
+// each detection to recorder (Recorder.LegacyDetection). Channels with
 // zero subscribers are skipped (nobody polls them).
-func New(sim *eventsim.Sim, origin *webserver.Origin, work *workload.Workload, recorder Recorder, cfg Config) *Baseline {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 30 * time.Minute
-	}
-	b := &Baseline{sim: sim, origin: origin, work: work, cfg: cfg, recorder: recorder}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func newBaseline(sim *eventsim.Sim, origin *webserver.Origin, work *workload.Workload, recorder *Recorder, interval time.Duration, seed int64) *Baseline {
+	b := &Baseline{sim: sim, origin: origin, interval: interval, recorder: recorder}
+	rng := rand.New(rand.NewSource(seed))
 	for i, ch := range work.Channels {
 		if ch.Subscribers == 0 {
 			continue
@@ -86,7 +68,7 @@ func New(sim *eventsim.Sim, origin *webserver.Origin, work *workload.Workload, r
 			process: proc,
 		}
 		for j := range st.phases {
-			st.phases[j] = time.Duration(rng.Int63n(int64(cfg.PollInterval)))
+			st.phases[j] = time.Duration(rng.Int63n(int64(interval)))
 		}
 		sort.Slice(st.phases, func(a, c int) bool { return st.phases[a] < st.phases[c] })
 		b.channels = append(b.channels, st)
@@ -114,7 +96,7 @@ func (b *Baseline) Stop() { b.running = false }
 func (b *Baseline) scheduleNext(st *channelPollState) {
 	if st.cursor >= len(st.phases) {
 		st.cursor = 0
-		st.cycle = st.cycle.Add(b.cfg.PollInterval)
+		st.cycle = st.cycle.Add(b.interval)
 	}
 	at := st.cycle.Add(st.phases[st.cursor])
 	b.sim.At(at, func() { b.poll(st) })
@@ -128,14 +110,14 @@ func (b *Baseline) poll(st *channelPollState) {
 		return
 	}
 	now := b.sim.Now()
-	if _, err := b.origin.Fetch(st.url, now); err == nil && b.recorder != nil {
+	if _, err := b.origin.Fetch(st.url, now); err == nil {
 		// This client last polled exactly τ ago (or never, at startup).
-		prev := now.Add(-b.cfg.PollInterval)
+		prev := now.Add(-b.interval)
 		vPrev := st.process.VersionAt(prev)
 		vNow := st.process.VersionAt(now)
 		for v := vPrev + 1; v <= vNow; v++ {
 			latency := now.Sub(st.process.UpdateTime(v))
-			if latency >= 0 && latency <= b.cfg.PollInterval {
+			if latency >= 0 && latency <= b.interval {
 				b.recorder.LegacyDetection(st.index, latency, now)
 			}
 		}

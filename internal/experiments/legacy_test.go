@@ -1,4 +1,4 @@
-package legacy
+package experiments
 
 import (
 	"testing"
@@ -8,19 +8,6 @@ import (
 	"corona/internal/webserver"
 	"corona/internal/workload"
 )
-
-type captureRecorder struct {
-	latencies []time.Duration
-	perChan   map[int]int
-}
-
-func (c *captureRecorder) LegacyDetection(idx int, latency time.Duration, at time.Time) {
-	c.latencies = append(c.latencies, latency)
-	if c.perChan == nil {
-		c.perChan = make(map[int]int)
-	}
-	c.perChan[idx]++
-}
 
 // buildFixture hosts a small workload on an origin.
 func buildFixture(t *testing.T, subsPerChannel []int, interval time.Duration) (*eventsim.Sim, *webserver.Origin, *workload.Workload) {
@@ -43,14 +30,20 @@ func buildFixture(t *testing.T, subsPerChannel []int, interval time.Duration) (*
 	return sim, origin, w
 }
 
+// legacyRecorder records every legacy detection from the fixture's
+// start, with no warm-up.
+func legacyRecorder(sim *eventsim.Sim, origin *webserver.Origin, w *workload.Workload) *Recorder {
+	return NewRecorder(w, origin, sim.Now(), 0, time.Hour)
+}
+
 func urlFor(i int) string {
 	return "http://legacy.example.net/" + string(rune('a'+i)) + ".xml"
 }
 
 func TestLoadMatchesSubscriptions(t *testing.T) {
 	sim, origin, w := buildFixture(t, []int{10, 5, 1}, time.Hour)
-	rec := &captureRecorder{}
-	b := New(sim, origin, w, rec, Config{PollInterval: 30 * time.Minute, Seed: 1})
+	rec := legacyRecorder(sim, origin, w)
+	b := newBaseline(sim, origin, w, rec, 30*time.Minute, 1)
 	if got := b.ExpectedLoadPerInterval(); got != 16 {
 		t.Fatalf("ExpectedLoadPerInterval = %d, want 16", got)
 	}
@@ -70,7 +63,7 @@ func TestLoadMatchesSubscriptions(t *testing.T) {
 
 func TestPerChannelLoadProportionalToPopularity(t *testing.T) {
 	sim, origin, w := buildFixture(t, []int{40, 4}, time.Hour)
-	b := New(sim, origin, w, nil, Config{PollInterval: 30 * time.Minute, Seed: 2})
+	b := newBaseline(sim, origin, w, legacyRecorder(sim, origin, w), 30*time.Minute, 2)
 	b.Start()
 	sim.RunFor(4 * time.Hour)
 	l0, _ := origin.Load(urlFor(0))
@@ -85,18 +78,15 @@ func TestDetectionLatencyAveragesHalfInterval(t *testing.T) {
 	// With many clients and periodic updates, mean detection latency must
 	// approach τ/2 (the paper's 15 min for τ=30 min).
 	sim, origin, w := buildFixture(t, []int{200}, 47*time.Minute)
-	rec := &captureRecorder{}
-	b := New(sim, origin, w, rec, Config{PollInterval: 30 * time.Minute, Seed: 3})
+	rec := legacyRecorder(sim, origin, w)
+	b := newBaseline(sim, origin, w, rec, 30*time.Minute, 3)
 	b.Start()
 	sim.RunFor(12 * time.Hour)
-	if len(rec.latencies) < 1000 {
-		t.Fatalf("too few detections: %d", len(rec.latencies))
+	got := rec.LegacyPerChannel[0]
+	if got.Count < 1000 {
+		t.Fatalf("too few detections: %d", got.Count)
 	}
-	var total time.Duration
-	for _, l := range rec.latencies {
-		total += l
-	}
-	mean := total / time.Duration(len(rec.latencies))
+	mean := got.Mean()
 	if mean < 13*time.Minute || mean > 17*time.Minute {
 		t.Fatalf("mean legacy detection %v, want ≈15m", mean)
 	}
@@ -104,13 +94,13 @@ func TestDetectionLatencyAveragesHalfInterval(t *testing.T) {
 
 func TestEveryClientDetectsEveryUpdate(t *testing.T) {
 	sim, origin, w := buildFixture(t, []int{7}, time.Hour)
-	rec := &captureRecorder{}
-	b := New(sim, origin, w, rec, Config{PollInterval: 20 * time.Minute, Seed: 4})
+	rec := legacyRecorder(sim, origin, w)
+	b := newBaseline(sim, origin, w, rec, 20*time.Minute, 4)
 	b.Start()
 	sim.RunFor(6*time.Hour + time.Minute)
 	// Updates at +1m, +61m, ..., i.e. 6 updates within the horizon eligible
 	// for detection by all 7 clients (the last may straddle the boundary).
-	got := rec.perChan[0]
+	got := rec.LegacyPerChannel[0].Count
 	if got < 5*7 || got > 7*7 {
 		t.Fatalf("detections = %d, want ≈42 (6 updates x 7 clients)", got)
 	}
@@ -118,7 +108,7 @@ func TestEveryClientDetectsEveryUpdate(t *testing.T) {
 
 func TestZeroSubscriberChannelsSkipped(t *testing.T) {
 	sim, origin, w := buildFixture(t, []int{0, 3}, time.Hour)
-	b := New(sim, origin, w, nil, Config{PollInterval: 30 * time.Minute, Seed: 5})
+	b := newBaseline(sim, origin, w, legacyRecorder(sim, origin, w), 30*time.Minute, 5)
 	b.Start()
 	sim.RunFor(2 * time.Hour)
 	l0, _ := origin.Load(urlFor(0))
@@ -129,7 +119,7 @@ func TestZeroSubscriberChannelsSkipped(t *testing.T) {
 
 func TestStopHaltsPolling(t *testing.T) {
 	sim, origin, w := buildFixture(t, []int{5}, time.Hour)
-	b := New(sim, origin, w, nil, Config{PollInterval: 10 * time.Minute, Seed: 6})
+	b := newBaseline(sim, origin, w, legacyRecorder(sim, origin, w), 10*time.Minute, 6)
 	b.Start()
 	sim.RunFor(time.Hour)
 	b.Stop()

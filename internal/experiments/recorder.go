@@ -26,9 +26,9 @@ func (c ChannelDetection) Mean() time.Duration {
 	return c.Sum / time.Duration(c.Count)
 }
 
-// Recorder implements core.DetectionSink and legacy.Recorder: it converts
-// detection events into the measurements the figures need. Detection
-// latencies for Corona are deduplicated per (channel, version), keeping
+// Recorder implements core.DetectionSink and takes the legacy baseline's
+// detections (LegacyDetection): it converts detection events into the
+// measurements the figures need. Detection latencies for Corona are deduplicated per (channel, version), keeping
 // the earliest report — cooperative detection counts once for the whole
 // cloud, exactly as the paper measures it.
 type Recorder struct {
@@ -143,8 +143,9 @@ func weightedChannelMean(per []ChannelDetection, work *workload.Workload) float6
 	return m.Mean()
 }
 
-// LegacyDetection implements legacy.Recorder: every client's detection of
-// every update counts with weight one (each client is one subscription).
+// LegacyDetection records one legacy client's detection of an update:
+// every client's detection of every update counts with weight one (each
+// client is one subscription).
 func (r *Recorder) LegacyDetection(channelIndex int, latency time.Duration, at time.Time) {
 	r.LegacySeries.AddWeighted(at, latency.Seconds(), 1)
 	if at.Sub(r.start) >= r.warmUp {

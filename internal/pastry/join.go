@@ -222,13 +222,12 @@ func (n *Node) handleJoin(msg Message) {
 	}
 	p.Rows = append(p.Rows, contribution...)
 
-	// Compute the next hop before learning the joiner: the join root is
-	// the closest *existing* member, never the joiner itself.
-	next, more := n.nextHop(p.Joiner.ID)
+	// Forward before learning the joiner: the join root is the closest
+	// *existing* member, never the joiner itself (which a re-sent join
+	// finds already known).
+	forwarded := n.forward(msg, p.Joiner.ID)
 	n.Learn(p.Joiner)
-	if more && next.ID != p.Joiner.ID {
-		msg.Hops++
-		n.send(next, msg)
+	if forwarded {
 		return
 	}
 	// We are the root for the joiner's identifier: send back our state

@@ -13,12 +13,16 @@ import (
 // deterministic byte encoding. Conventions are the wirebin house rules: uvarint counts, length-prefixed strings, and a
 // raw 20-byte identifier plus endpoint string per address.
 
-func appendAddr(dst []byte, a Addr) []byte {
+// AppendAddr appends an address's wire form — the raw 20-byte
+// identifier, then the endpoint string — which every payload carrying an
+// address, the overlay's and Corona's, shares.
+func AppendAddr(dst []byte, a Addr) []byte {
 	dst = append(dst, a.ID[:]...)
 	return wirebin.AppendString(dst, a.Endpoint)
 }
 
-func readAddr(r *wirebin.Reader) Addr {
+// ReadAddr reads an address AppendAddr wrote.
+func ReadAddr(r *wirebin.Reader) Addr {
 	var a Addr
 	copy(a.ID[:], r.Take(ids.Bytes))
 	a.Endpoint = r.String()
@@ -28,7 +32,7 @@ func readAddr(r *wirebin.Reader) Addr {
 func appendAddrs(dst []byte, as []Addr) []byte {
 	dst = wirebin.AppendUvarint(dst, uint64(len(as)))
 	for _, a := range as {
-		dst = appendAddr(dst, a)
+		dst = AppendAddr(dst, a)
 	}
 	return dst
 }
@@ -40,7 +44,7 @@ func readAddrs(r *wirebin.Reader) []Addr {
 	}
 	out := make([]Addr, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, readAddr(r))
+		out = append(out, ReadAddr(r))
 	}
 	return out
 }
@@ -58,14 +62,14 @@ func wireErr(what string, r *wirebin.Reader) error {
 
 // AppendBinary implements the codec binary payload contract.
 func (p *joinPayload) AppendBinary(dst []byte) ([]byte, error) {
-	dst = appendAddr(dst, p.Joiner)
+	dst = AppendAddr(dst, p.Joiner)
 	return appendAddrs(dst, p.Rows), nil
 }
 
 // DecodeBinary implements the codec binary payload contract.
 func (p *joinPayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
-	p.Joiner = readAddr(r)
+	p.Joiner = ReadAddr(r)
 	p.Rows = readAddrs(r)
 	return wireErr("join", r)
 }

@@ -526,33 +526,12 @@ func (n *Node) Deliver(msg Message) {
 		n.handleProtocol(msg)
 		return
 	}
-	if !msg.Key.IsZero() && msg.Cover == 0 {
-		// Routed application message: forward if we are not the root. A
-		// synchronous send failure already evicted the dead hop (inside
-		// send), so retry against the post-eviction tables instead of
-		// dropping the message — each failure strictly shrinks the
-		// candidate set, and when no hop remains this node has become the
-		// root and the message belongs here. Without the retry, every
-		// routed message racing a node death is silently lost at whichever
-		// hop still lists the corpse.
-		detached := false
-		for {
-			next, ok := n.nextHop(msg.Key)
-			if !ok {
-				break
-			}
-			if !detached {
-				msg.detachRaw() // the send outlives the receive buffer
-				detached = true
-			}
-			msg.Hops++
-			n.mu.Lock()
-			n.stats.MessagesRouted++
-			n.mu.Unlock()
-			if n.send(next, msg) == nil {
-				return
-			}
-		}
+	if !msg.Key.IsZero() && msg.Cover == 0 && n.forward(msg, ids.ID{}) {
+		// Routed application message, forwarded: this node is not the root.
+		n.mu.Lock()
+		n.stats.MessagesRouted++
+		n.mu.Unlock()
+		return
 	}
 	if msg.Cover > 0 {
 		// Prefix broadcast: deliver locally and re-forward deeper.
@@ -594,20 +573,12 @@ func (n *Node) SendDirect(to Addr, msgType string, payload any) error {
 // Route sends an application message toward the node whose identifier is
 // numerically closest to key. The message is delivered to the handler for
 // msgType at the root node (possibly this node itself). A dead first hop
-// is evicted (inside send) and the next candidate tried — mirroring the
-// forwarding retry in Deliver — so Route only gives up by running out of
+// is skipped (forward), so Route only gives up by running out of
 // candidates, at which point this node is the root and delivers locally.
 func (n *Node) Route(key ids.ID, msgType string, payload any) error {
 	msg := Message{Type: msgType, Key: key, From: n.self, Payload: payload}
-	for {
-		next, ok := n.nextHop(key)
-		if !ok {
-			n.deliverLocal(msg)
-			return nil
-		}
-		msg.Hops = 1
-		if n.send(next, msg) == nil {
-			return nil
-		}
+	if !n.forward(msg, ids.ID{}) {
+		n.deliverLocal(msg)
 	}
+	return nil
 }

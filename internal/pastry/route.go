@@ -51,6 +51,31 @@ func (n *Node) nextHop(key ids.ID) (Addr, bool) {
 	return Addr{}, false
 }
 
+// forward sends msg one hop toward msg.Key, the one forwarding loop of
+// routed messages, joins and Route alike. A synchronous send failure has
+// already evicted the dead hop (inside send), so it retries against the
+// post-eviction tables instead of dropping the message: each failure
+// strictly shrinks the candidate set. It reports false, having sent
+// nothing, once no hop remains — this node is the root and the message
+// belongs here — or the next hop is stop. Without the retry, every
+// message racing a node death is lost at whichever hop still lists the
+// corpse.
+func (n *Node) forward(msg Message, stop ids.ID) bool {
+	msg.Hops++
+	for detached := false; ; detached = true {
+		next, ok := n.nextHop(msg.Key)
+		if !ok || next.ID == stop {
+			return false
+		}
+		if !detached {
+			msg.detachRaw() // the send outlives the receive buffer
+		}
+		if n.send(next, msg) == nil {
+			return true
+		}
+	}
+}
+
 // IsRoot reports whether this node is currently the root for key: the
 // numerically closest node it knows of. Channel ownership in Corona is
 // exactly rootship of the channel identifier (paper §3.3).

@@ -14,9 +14,9 @@ import (
 	"time"
 )
 
-// TimeSeries accumulates samples into fixed-width time buckets. Each
-// bucket records sum and count, so a series can report either per-bucket
-// means (detection times) or rates (polls per minute).
+// TimeSeries accumulates samples into fixed-width time buckets, each
+// recording sum and count, and reports per-bucket means (detection
+// times).
 type TimeSeries struct {
 	start  time.Time
 	bucket time.Duration
@@ -59,7 +59,7 @@ func (ts *TimeSeries) AddWeighted(t time.Time, value, weight float64) {
 type Point struct {
 	// T is the bucket start offset from the series start.
 	T time.Duration
-	// Value is the bucket's mean or rate, depending on the accessor.
+	// Value is the bucket's mean.
 	Value float64
 	// N is the total sample weight in the bucket.
 	N float64
@@ -77,21 +77,6 @@ func (ts *TimeSeries) Means() []Point {
 	}
 	return out
 }
-
-// Rates returns per-bucket sum divided by the bucket width in `per` units
-// (for example per=time.Minute gives polls/minute when samples are poll
-// counts).
-func (ts *TimeSeries) Rates(per time.Duration) []Point {
-	out := make([]Point, len(ts.sums))
-	scale := float64(per) / float64(ts.bucket)
-	for i := range ts.sums {
-		out[i] = Point{T: time.Duration(i) * ts.bucket, Value: ts.sums[i] * scale, N: ts.counts[i]}
-	}
-	return out
-}
-
-// Buckets returns the number of buckets materialized.
-func (ts *TimeSeries) Buckets() int { return len(ts.sums) }
 
 // WeightedMean accumulates a weighted average incrementally.
 type WeightedMean struct {

@@ -26,22 +26,10 @@ func TestTimeSeriesMeans(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesRates(t *testing.T) {
-	ts := NewTimeSeries(t0, 10*time.Minute)
-	// 30 polls in the first 10-minute bucket = 3 polls/min.
-	for i := 0; i < 30; i++ {
-		ts.Add(t0.Add(time.Duration(i)*time.Second), 1)
-	}
-	rates := ts.Rates(time.Minute)
-	if rates[0].Value != 3 {
-		t.Fatalf("rate = %v polls/min, want 3", rates[0].Value)
-	}
-}
-
 func TestTimeSeriesDropsPreStart(t *testing.T) {
 	ts := NewTimeSeries(t0, time.Minute)
 	ts.Add(t0.Add(-time.Second), 1)
-	if ts.Buckets() != 0 {
+	if len(ts.Means()) != 0 {
 		t.Fatal("pre-start sample created a bucket")
 	}
 }

@@ -87,9 +87,11 @@
 // with the cursor on SSE). On Close each session writes what its outbox
 // holds, for up to a few seconds, before its connection closes.
 //
-// The server pings (WS) or writes comment heartbeats (SSE) every 25s,
-// and refreshes the session's entry-node leases at channel owners every
-// 30s — web subscribers ride the same
-// lease-failover machinery as SDK clients. A WS peer silent for three
-// heartbeat intervals is presumed dead.
+// The server pings (WS) or writes comment heartbeats (SSE) every 25s. Its
+// session keep-alive (clientproto.Session.KeepAlive), the one every
+// framing runs, refreshes the session's entry-node leases at channel
+// owners every quarter of the node's lease TTL (30s at the 2-minute
+// default), so web subscribers ride the same lease-failover machinery as
+// binary and line clients. A WS peer silent for three heartbeat
+// intervals is presumed dead.
 package webgateway

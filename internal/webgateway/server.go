@@ -19,24 +19,19 @@ const (
 	TransportSSE = "sse"
 )
 
-// timings are the per-session queue bound and cadences a Server is built
+// timings are the per-session queue bound and heartbeat a Server is built
 // with. New uses liveTimings; the package's tests shorten them.
 type timings struct {
 	// queueLen bounds queued notify events per session, and separately
 	// queued control events, as on the binary edge.
 	queueLen int
-	// leaseEvery is the session lease-refresh cadence, matching the
-	// SDK's ping loop: the refresh keeps a web subscriber's entry-node
-	// lease alive at channel owners.
-	leaseEvery time.Duration
 	// heartbeat is the WS ping / SSE comment cadence.
 	heartbeat time.Duration
 }
 
 var liveTimings = timings{
-	queueLen:   clientproto.DefaultQueueLen,
-	leaseEvery: 30 * time.Second,
-	heartbeat:  25 * time.Second,
+	queueLen:  clientproto.DefaultQueueLen,
+	heartbeat: 25 * time.Second,
 }
 
 // sharedKeyJSON keys this package's slot in a batch's Shared cell:
@@ -103,7 +98,6 @@ func newServer(cfg Config, tm timings, observe func(time.Duration)) *Server {
 		Snapshot:       snapshotRequired,
 		Heartbeat:      outEvent{opcode: opPing},
 		HeartbeatEvery: tm.heartbeat,
-		LeaseEvery:     tm.leaseEvery,
 	}
 	s.ws = s.sse
 	s.ws.Transport = TransportWS

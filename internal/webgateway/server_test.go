@@ -68,6 +68,8 @@ func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
 	return nil
 }
 
+func (b *fakeBackend) LeaseCadence() time.Duration { return 20 * time.Millisecond }
+
 func (b *fakeBackend) Info() clientproto.ServerInfo {
 	return clientproto.ServerInfo{Node: "overlay:1", Peers: []string{"overlay:2"}}
 }
@@ -560,9 +562,7 @@ func TestCursorRoundTrip(t *testing.T) {
 
 func TestLeaseRefreshLoop(t *testing.T) {
 	b := newFakeBackend()
-	tm := liveTimings
-	tm.leaseEvery = 20 * time.Millisecond
-	_, addr := startServerTimed(t, Config{Backend: b}, tm)
+	_, addr := startServer(t, Config{Backend: b})
 	c, err := DialWS("ws://" + addr + "/ws")
 	if err != nil {
 		t.Fatal(err)

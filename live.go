@@ -48,21 +48,17 @@ type LiveConfig struct {
 	// recovers its subscriptions, rejoins the ring, and keeps delivering
 	// without clients re-subscribing. Empty keeps everything in memory.
 	DataDir string
-	// CommitWindow is the store's group-commit window (how much recent
-	// state a hard kill may lose). Zero uses the store default; negative
-	// fsyncs every record.
-	CommitWindow time.Duration
 	// ClientBind, when set, serves the binary client protocol
 	// (internal/clientproto; the corona/client SDK's wire format) on this
 	// TCP address alongside the overlay port. Empty starts no client
 	// listener; ServeClients can start one later.
 	ClientBind string
-	// LeaseTTL is the entry-node lease window: a client-protocol
-	// subscriber whose entry node has not heartbeat for it within the TTL
-	// (or was detected dead) has its notifications re-routed to a
-	// surviving node by the owner's maintain pass. Zero uses the 2-minute
-	// default (comfortably above the SDK's 30s ping interval); negative
-	// disables the expiry sweep.
+	// LeaseTTL is the entry-node lease window: a client subscriber whose
+	// entry node has not heartbeat for it within the TTL (or was detected
+	// dead) has its notifications re-routed to a surviving node by the
+	// owner's maintain pass. Every client session refreshes its leases
+	// every quarter of the TTL. Zero or negative uses the 2-minute
+	// default.
 	LeaseTTL time.Duration
 	// DelegateThreshold is the per-channel subscriber count at which an
 	// owner recruits leaf-set delegates and shards notification fan-out
@@ -114,6 +110,8 @@ type LiveNode struct {
 	// webReplayCap is captured from LiveConfig for a ServeWeb that runs
 	// after StartLiveNode.
 	webReplayCap int
+	// leaseTTL is the node's entry-node lease window (LiveConfig.LeaseTTL).
+	leaseTTL time.Duration
 }
 
 func init() {
@@ -148,7 +146,7 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
 	}
-	if cfg.LeaseTTL == 0 {
+	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Minute
 	}
 	transport, err := netwire.Listen(cfg.Bind, nil)
@@ -177,26 +175,24 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		Replicas:            cfg.Replicas,
 		DelegateThreshold:   cfg.DelegateThreshold,
 	}.coreConfig(seed)
-	ccfg.LeaseTTL = cfg.LeaseTTL // negative disables the sweep in core too
-
-	fetcher := core.NewHTTPFetcher(ccfg.PollInterval)
-	sessions := clientproto.NewSessionTable(nil)
-	node, err := core.Assemble(ccfg, core.Seams{Overlay: overlay, Clock: clk, Fetcher: fetcher, Notifier: sessions,
-		Store: store.Options{Dir: cfg.DataDir, CommitWindow: cfg.CommitWindow}})
-	if err != nil {
-		transport.Close()
-		return nil, fmt.Errorf("corona: %w", err)
-	}
+	ccfg.LeaseTTL = cfg.LeaseTTL
 
 	ln := &LiveNode{
 		transport:    transport,
 		overlay:      overlay,
-		node:         node,
-		fetcher:      fetcher,
-		sessions:     sessions,
+		fetcher:      core.NewHTTPFetcher(ccfg.PollInterval),
+		sessions:     clientproto.NewSessionTable(nil),
 		webReplayCap: cfg.WebReplayCap,
+		leaseTTL:     cfg.LeaseTTL,
 	}
 	ln.reg = ln.newRegistry()
+	node, err := core.Assemble(ccfg, core.Seams{Overlay: overlay, Clock: clk, Fetcher: ln.fetcher, Notifier: ln.sessions,
+		Store: store.Options{Dir: cfg.DataDir}, OwnerSend: ln.observeStage("owner_send"), EntryRecv: ln.observeStage("entry_recv")})
+	if err != nil {
+		transport.Close()
+		return nil, fmt.Errorf("corona: %w", err)
+	}
+	ln.node = node
 	// The admin plane comes up before the join so /healthz answers and
 	// /readyz reports the 503→200 transition instead of appearing only
 	// after the node is already ready.
@@ -258,6 +254,11 @@ func (ln *LiveNode) Unsubscribe(client, url string) error {
 func (ln *LiveNode) RefreshLeases(client string, urls []string) error {
 	return ln.node.RefreshLeases(client, urls)
 }
+
+// LeaseCadence implements clientproto.Backend: every client session on
+// this node refreshes its leases a quarter of the lease TTL apart, so a
+// live session's lease never lapses for want of one lost refresh.
+func (ln *LiveNode) LeaseCadence() time.Duration { return ln.leaseTTL / 4 }
 
 // ServeClients starts serving the binary client protocol on bind and
 // returns the bound address. A node serves at most one client listener,

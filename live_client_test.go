@@ -37,9 +37,8 @@ func startFailoverOrigin(t *testing.T, updateEvery time.Duration) (feedURL strin
 // a client holding two node addresses subscribes through its entry node,
 // the entry node is hard-killed, and the client keeps receiving update
 // notifications by resuming against the second node — the application
-// never re-calls Subscribe; the SDK's reconnect-time lease refresh
-// re-points the channel owner at the surviving node (no Subscribe
-// replay).
+// never re-calls Subscribe; the SDK's reconnect-time Subscribe replay
+// re-points the channel owner at the surviving node.
 func TestClientFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -145,8 +144,8 @@ func TestClientFailover(t *testing.T) {
 	if got := conn.Addr(); got != nodes[failIdx].ClientAddr() {
 		t.Fatalf("after failover serving addr = %s, want %s", got, nodes[failIdx].ClientAddr())
 	}
-	// And the subscription set was re-asserted by the lease refresh, not
-	// re-requested: the desired set is unchanged.
+	// And the subscription set was replayed by the SDK, not re-requested
+	// by the application: the desired set is unchanged.
 	if subs := conn.Subscriptions(); len(subs) != 1 || subs[0] != feedURL {
 		t.Fatalf("desired subscriptions after failover = %v", subs)
 	}

@@ -14,10 +14,10 @@ import (
 // client's entry node is hard-killed, and both keep receiving — the
 // second without any involvement (its entry is alive; the owner's lease
 // bookkeeping routes around the dead gateway instead of black-holing),
-// the first by failing over to the surviving node, whose lease-refresh
-// frame re-points the owner's entry record. Neither client calls
-// Subscribe again and the SDK performs no Subscribe replay: the
-// reconnect path sends a single LeaseRefresh.
+// the first by failing over to the surviving node, where the SDK's
+// Subscribe replay re-points the owner's entry record and the node's
+// session keep-alive then refreshes the lease. Neither application calls
+// Subscribe again.
 func TestEntryNodeLeaseReroute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -72,8 +72,8 @@ func TestEntryNodeLeaseReroute(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// Alice enters through the doomed node, with the surviving node as
-	// her failover target; a fast ping loop doubles as her entry node's
-	// lease heartbeat.
+	// her failover target. Each node refreshes its sessions' leases every
+	// LeaseTTL/4; the fast ping loop only probes liveness.
 	alice, err := client.Dial(ctx,
 		[]string{nodes[entryIdx].ClientAddr(), nodes[altIdx].ClientAddr()},
 		client.Options{Handle: "alice", RetryWait: 100 * time.Millisecond, PingInterval: 200 * time.Millisecond})
@@ -125,17 +125,20 @@ func TestEntryNodeLeaseReroute(t *testing.T) {
 	// subscription replay — the dead entry node must not stall delivery.
 	waitNotify(bob, "bob", "after kill", 20*time.Second)
 
-	// Alice fails over to the surviving node; its lease refresh re-points
-	// the owner's entry record — no Subscribe replay — and fresh versions
-	// flow again.
+	// Alice fails over to the surviving node; the SDK's Subscribe replay
+	// re-points the owner's entry record and fresh versions flow again.
 	waitNotify(alice, "alice", "after kill", 30*time.Second)
 	if got := alice.Addr(); got != nodes[altIdx].ClientAddr() {
 		t.Fatalf("alice serving addr = %s, want failover node %s", got, nodes[altIdx].ClientAddr())
 	}
-	// The owner applied lease heartbeats (the re-point path), and the
-	// desired sets were never re-requested.
-	if got := nodes[ownerIdx].Stats().LeaseRefreshes; got == 0 {
-		t.Fatal("owner applied no lease refreshes")
+	// The owner applies the sessions' lease heartbeats, which the entry
+	// nodes send every LeaseTTL/4 with no client frame, and the
+	// application never changed its desired set.
+	for deadline := time.Now().Add(5 * time.Second); nodes[ownerIdx].Stats().LeaseRefreshes == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("owner applied no lease refreshes")
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 	if subs := alice.Subscriptions(); len(subs) != 1 || subs[0] != feedURL {
 		t.Fatalf("alice desired subscriptions = %v", subs)
