@@ -189,6 +189,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	si := AppendFrame(nil, &ServerInfo{Node: "10.0.0.1:9001"})[4:]
 	f.Add(append(append([]byte(nil), si...), 12, 4, 3, 2, 1, 9))
 	f.Add(append(append([]byte(nil), si...), 12, 4, 3, 2, 1, 9, 3, 0, 5, 1))
+	// Version-4 lease-refresh bodies (type 0x05: req, URL count, URLs):
+	// the frame is retired, so its type is unknown.
+	f.Add([]byte{0x05, 12, 2, 3, 'a', '/', 'b', 1, 'c'})
+	f.Add([]byte{0x05, 13, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := DecodeFrame(body)
 		if err != nil {
