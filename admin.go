@@ -73,9 +73,9 @@ var liveStatsSpec = []liveStatSpec{
 	{"Overlay.BroadcastsSent", "corona_overlay_broadcasts_sent_total", "Leaf-set broadcasts originated by this node.", metrics.KindCounter, "", ""},
 	{"Overlay.RouteHopsTotal", "corona_overlay_route_hops_total", "Accumulated hop counts of delivered overlay messages.", metrics.KindCounter, "", ""},
 	{"Overlay.Repairs", "corona_overlay_repairs_total", "Leaf-set and routing-table repairs performed.", metrics.KindCounter, "", ""},
-	{"Overlay.WireBytesSent", "corona_wire_bytes_sent_total", "Bytes written to overlay peer connections.", metrics.KindCounter, "", ""},
-	{"Overlay.WireBytesReceived", "corona_wire_bytes_received_total", "Bytes read from overlay peer connections.", metrics.KindCounter, "", ""},
-	{"Overlay.WireDropped", "corona_wire_dropped_total", "Outbound overlay messages discarded locally before the wire.", metrics.KindCounter, "", ""},
+	{"Wire.BytesSent", "corona_wire_bytes_sent_total", "Bytes written to overlay peer connections.", metrics.KindCounter, "", ""},
+	{"Wire.BytesReceived", "corona_wire_bytes_received_total", "Bytes read from overlay peer connections.", metrics.KindCounter, "", ""},
+	{"Wire.Dropped", "corona_wire_dropped_total", "Outbound overlay messages discarded locally before the wire.", metrics.KindCounter, "", ""},
 	{"Web.SessionsWS", "corona_web_sessions", helpWebSessions, metrics.KindGauge, "transport", "ws"},
 	{"Web.SessionsSSE", "corona_web_sessions", helpWebSessions, metrics.KindGauge, "transport", "sse"},
 	{"Web.ReplayHits", "corona_web_replay_hits_total", "Resume cursors served completely from the replay ring.", metrics.KindCounter, "", ""},

@@ -268,7 +268,7 @@ func reportTail(b *testing.B, name string, vals []float64, scale experiments.Sca
 // liteEntries builds a Corona-Lite-shaped honeycomb instance of size m.
 func liteEntries(m int, seed int64) []honeycomb.Entry {
 	rng := rand.New(rand.NewSource(seed))
-	env := core.TradeoffEnv{Nodes: 1024, Radix: 16, PollInterval: 30 * time.Minute, MaxLevel: 3}
+	env := core.TradeoffEnv{Nodes: 1024, PollInterval: 30 * time.Minute, MaxLevel: 3}
 	entries := make([]honeycomb.Entry, m)
 	for i := range entries {
 		tr := core.ChannelTradeoff{
@@ -377,7 +377,7 @@ func BenchmarkAblationTradeoffBins(b *testing.B) {
 					U: math.Exp(rng.Float64() * 12),
 				})
 			}
-			env := core.TradeoffEnv{Nodes: 1024, Radix: 16, PollInterval: 30 * time.Minute, MaxLevel: 3}
+			env := core.TradeoffEnv{Nodes: 1024, PollInterval: 30 * time.Minute, MaxLevel: 3}
 			var clustered []honeycomb.Entry
 			for _, c := range cs.NonEmpty() {
 				tr := core.ChannelTradeoff{Q: c.MeanQ(), SNorm: c.MeanS(), U: time.Duration(c.MeanU()) * time.Second}
@@ -404,7 +404,7 @@ func BenchmarkPastryRouting(b *testing.B) {
 	net := simnet.New(sim, simnet.FixedLatency(0))
 	rng := sim.RNG("bench-route")
 	const n = 256
-	nodes := net.Ring(pastry.DefaultConfig(), n, rng)
+	nodes := net.Ring(n, rng)
 	delivered := 0
 	for _, nd := range nodes {
 		nd.Handle("bench.route", func(pastry.Message) { delivered++ })
@@ -430,7 +430,7 @@ func BenchmarkWedgeMulticast(b *testing.B) {
 	net := simnet.New(sim, simnet.FixedLatency(0))
 	rng := sim.RNG("bench-bcast")
 	const n = 256
-	nodes := net.Ring(pastry.DefaultConfig(), n, rng)
+	nodes := net.Ring(n, rng)
 	received := 0
 	for _, nd := range nodes {
 		nd.Handle("bench.bcast", func(pastry.Message) { received++ })
@@ -571,7 +571,7 @@ func BenchmarkUpdateDissemination(b *testing.B) {
 		net := simnet.New(sim, simnet.FixedLatency(0))
 		rng := sim.RNG("bench-dissem")
 		const n = 256
-		nodes := net.Ring(pastry.DefaultConfig(), n, rng)
+		nodes := net.Ring(n, rng)
 		received := 0
 		for _, nd := range nodes {
 			nd.Handle("bench.wire", func(pastry.Message) { received++ })

@@ -12,7 +12,6 @@ import (
 	"corona/internal/core"
 	"corona/internal/experiments"
 	"corona/internal/netwire"
-	"corona/internal/pastry"
 	"corona/internal/store"
 	"corona/internal/webgateway"
 )
@@ -29,7 +28,6 @@ func TestConfigInventory(t *testing.T) {
 		client.Options{},
 		core.Config{},
 		core.PolicyConfig{},
-		pastry.Config{},
 		store.Options{},
 		webgateway.Config{},
 		experiments.Options{},

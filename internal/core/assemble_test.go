@@ -26,7 +26,7 @@ func TestAssembledMemberRecoversUnderVirtualClock(t *testing.T) {
 	sim := eventsim.New(11)
 	net := simnet.New(sim, simnet.FixedLatency(2*time.Millisecond))
 	origin := webserver.NewOrigin()
-	ring := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("assemble-ids"))
+	ring := net.Ring(2, sim.RNG("assemble-ids"))
 	self := ring[1].Self()
 	url := ""
 	for i := 0; url == ""; i++ {
@@ -89,7 +89,7 @@ func TestAssembledMemberRecoversUnderVirtualClock(t *testing.T) {
 	sim.RunFor(time.Minute) // deliveries in flight to the dead member lapse
 	net.Restart(self.Endpoint)
 
-	restarted := assemble(net.Node(pastry.DefaultConfig(), self), dir)
+	restarted := assemble(net.Node(self), dir)
 	joined := make(chan bool, 1)
 	restarted.Join([]pastry.Addr{survivor.Self()}, 10*time.Second, func(ok bool) { joined <- ok })
 	sim.RunFor(time.Minute)

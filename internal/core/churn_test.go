@@ -21,7 +21,7 @@ func TestNodeJoinsMidRun(t *testing.T) {
 	tc.sim.RunFor(30 * time.Minute)
 
 	// A thirteenth node joins through node 0.
-	overlay := tc.net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
+	overlay := tc.net.Node(pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
 	cfg := core.DefaultConfig()
 	cfg.NodeCount = 13
 	cfg.PollInterval = 10 * time.Minute

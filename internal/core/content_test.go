@@ -62,7 +62,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 			fetcher := &OriginFetcher{Origin: origin, Clock: sim}
 			rec := &diffRecorder{diffs: make(map[uint64]string)}
 
-			overlays := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("ids"))
+			overlays := net.Ring(2, sim.RNG("ids"))
 			var owner, replica *Node
 			for i, overlay := range overlays {
 				cfg := DefaultConfig()
@@ -163,7 +163,7 @@ func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
 	const url = "http://feeds.example.net/dup.xml"
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("dup"), Endpoint: "sim://0"})
+	overlay := net.Node(pastry.Addr{ID: ids.HashString("dup"), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	n := NewNode(cfg, overlay, sim, &OriginFetcher{Origin: webserver.NewOrigin(), Clock: sim}, &diffRecorder{diffs: make(map[uint64]string)}, nil)
@@ -213,7 +213,7 @@ func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	const url = "http://feeds.example.net/behind.xml"
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("behind"), Endpoint: "sim://0"})
+	overlay := net.Node(pastry.Addr{ID: ids.HashString("behind"), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	n := NewNode(cfg, overlay, sim, &OriginFetcher{Origin: webserver.NewOrigin(), Clock: sim}, &diffRecorder{diffs: make(map[uint64]string)}, nil)

@@ -9,7 +9,6 @@ import (
 	"corona/internal/core"
 	"corona/internal/eventsim"
 	"corona/internal/ids"
-	"corona/internal/pastry"
 	"corona/internal/simnet"
 	"corona/internal/webserver"
 )
@@ -90,7 +89,7 @@ func newTestCloud(t testing.TB, n int, mutate func(i int, cfg *core.Config)) *te
 	}
 	tc.net = simnet.New(tc.sim, simnet.FixedLatency(10*time.Millisecond))
 	tc.origin = webserver.NewOrigin()
-	overlays := tc.net.Ring(pastry.DefaultConfig(), n, tc.sim.RNG("cloud-ids"))
+	overlays := tc.net.Ring(n, tc.sim.RNG("cloud-ids"))
 	fetcher := &core.OriginFetcher{Origin: tc.origin, Clock: tc.sim}
 	for i, overlay := range overlays {
 		cfg := core.DefaultConfig()
@@ -133,7 +132,7 @@ func (tc *testCloud) ownerOf(url string) *core.Node {
 func (tc *testCloud) pollers(url string) int {
 	count := 0
 	for _, n := range tc.nodes {
-		if _, polling, ok := n.ChannelLevel(url); ok && polling {
+		if c, ok := n.Channel(url); ok && c.Polling {
 			count++
 		}
 	}
@@ -342,15 +341,14 @@ func TestWedgeMembershipRespected(t *testing.T) {
 	tc.sim.RunFor(3 * time.Hour)
 
 	id := ids.HashString(url)
-	base := tc.nodes[0].Overlay().Base()
 	for _, n := range tc.nodes {
-		level, polling, ok := n.ChannelLevel(url)
-		if !ok || !polling {
+		c, ok := n.Channel(url)
+		if !ok || !c.Polling {
 			continue
 		}
 		isOwner := n.Overlay().IsRoot(id)
-		if !isOwner && !base.InWedge(n.Self().ID, id, level) {
-			t.Fatalf("node %v polls outside its wedge (level %d)", n.Self(), level)
+		if !isOwner && !ids.InWedge(n.Self().ID, id, c.Level) {
+			t.Fatalf("node %v polls outside its wedge (level %d)", n.Self(), c.Level)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"corona/internal/core"
-	"corona/internal/pastry"
 	"corona/internal/store"
 )
 
@@ -114,7 +113,7 @@ func TestOwnerEpochHandshakeAfterRestart(t *testing.T) {
 	}
 	defer st2.Close()
 	tc.net.Restart(owner.Self().Endpoint)
-	overlay2 := tc.net.Node(pastry.DefaultConfig(), owner.Self())
+	overlay2 := tc.net.Node(owner.Self())
 	cfg := core.DefaultConfig()
 	cfg.NodeCount = 16
 	cfg.PollInterval = 10 * time.Minute

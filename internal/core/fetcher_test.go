@@ -119,7 +119,7 @@ func TestOversizedBodyIsNoUpdate(t *testing.T) {
 
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
+	overlay := net.Node(pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1
@@ -183,7 +183,7 @@ func TestHTTPFetchReusesReleasedBody(t *testing.T) {
 
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
+	overlay := net.Node(pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1
@@ -684,7 +684,7 @@ func TestPollErrorsCounted(t *testing.T) {
 
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	overlay := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
+	overlay := net.Node(pastry.Addr{ID: ids.Random(sim.RNG("ids")), Endpoint: "sim://0"})
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1

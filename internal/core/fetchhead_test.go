@@ -218,7 +218,7 @@ func TestPollOverLoopbackAllocatesNothing(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	var clk clock.Real
-	overlay := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("loopback-node"), Endpoint: "sim://0"}, nil, clk)
+	overlay := pastry.NewNode(pastry.Addr{ID: ids.HashString("loopback-node"), Endpoint: "sim://0"}, nil, clk)
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1

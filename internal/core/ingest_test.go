@@ -95,7 +95,7 @@ func newReplRing(t testing.TB, size int, maintenance time.Duration) *replRing {
 			}
 		})
 		tapped := &tappedEndpoint{Endpoint: attached, name: ep, wire: r.wire}
-		overlay = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, tapped, r.sim)
+		overlay = pastry.NewNode(pastry.Addr{ID: ids.Random(rng), Endpoint: ep}, tapped, r.sim)
 		overlays[i] = overlay
 	}
 	pastry.BuildStaticOverlay(overlays)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"corona/internal/honeycomb"
+	"corona/internal/ids"
 	"corona/internal/pastry"
 )
 
@@ -198,7 +199,7 @@ func (n *Node) handlePollCtl(msg pastry.Message) {
 	if p.IntervalSec > 0 && ch.est.ewma == 0 && !ch.isOwner {
 		ch.est.ewma = p.IntervalSec
 	}
-	inWedge := n.overlay.Base().InWedge(n.Self().ID, ch.id, p.Level)
+	inWedge := ids.InWedge(n.Self().ID, ch.id, p.Level)
 	switch {
 	case inWedge, ch.polling && ch.isOwner:
 		// Start polling, or re-slot the running loop at the new level.
@@ -224,16 +225,15 @@ func (n *Node) handlePollCtl(msg pastry.Message) {
 // (§3.2: overhead is tradeoffBins clusters per level per contact).
 func (n *Node) aggregationPhase() {
 	env := n.env()
-	maxRows := n.overlay.Config().MaxTableRows
 
 	n.mu.Lock()
-	subtree := n.subtreeAggregatesLocked(env, maxRows)
+	subtree := n.subtreeAggregatesLocked(env)
 	n.mu.Unlock()
 
 	// Send S_{i+1} to every row-i contact. Sends are fire-and-forget:
 	// aggregation is periodic, so a lost message only delays one round,
 	// and unreachable contacts are evicted via the transport fault path.
-	for i := 0; i < maxRows; i++ {
+	for i := 0; i < pastry.MaxTableRows; i++ {
 		contacts := n.overlay.RowContacts(i)
 		if len(contacts) == 0 {
 			continue
@@ -245,10 +245,12 @@ func (n *Node) aggregationPhase() {
 	}
 }
 
-// subtreeAggregatesLocked returns S_0..S_maxRows: S_maxRows summarizes
-// this node's owned channels, and S_i = own + Σ_{r ≥ i} contacts'
-// S_{r+1}, each folded in a fixed order so the float sums do not vary.
-func (n *Node) subtreeAggregatesLocked(env TradeoffEnv, maxRows int) []*honeycomb.ClusterSet {
+// subtreeAggregatesLocked returns S_0..S_maxRows (maxRows is
+// pastry.MaxTableRows): S_maxRows summarizes this node's owned channels,
+// and S_i = own + Σ_{r ≥ i} contacts' S_{r+1}, each folded in a fixed
+// order so the float sums do not vary.
+func (n *Node) subtreeAggregatesLocked(env TradeoffEnv) []*honeycomb.ClusterSet {
+	const maxRows = pastry.MaxTableRows
 	owned := n.ownedSortedLocked()
 	meanSize := meanSizeOf(owned)
 	own := honeycomb.NewClusterSet(tradeoffBins, env.MaxLevel)
@@ -335,7 +337,7 @@ func (n *Node) handleMaintain(msg pastry.Message) {
 	}
 	// Key by the sender's digit at the row, which identifies the subtree
 	// it speaks for.
-	col := n.overlay.Base().Digit(msg.From.ID, row)
+	col := ids.Digit(msg.From.ID, row)
 	n.clusterIn[row][col] = p.Clusters
 }
 

@@ -20,13 +20,12 @@ import (
 // so reflect.DeepEqual's float == is a bit-for-bit comparison here.
 func TestSubtreeAggregatesAreOrderFree(t *testing.T) {
 	clk := &stubClock{now: eventsim.Epoch, timer: &stubTimer{}}
-	overlay := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("aggregate-node"), Endpoint: "sim://0"}, nil, clk)
+	overlay := pastry.NewNode(pastry.Addr{ID: ids.HashString("aggregate-node"), Endpoint: "sim://0"}, nil, clk)
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 4096
 	n := NewNode(cfg, overlay, clk, notModified{}, nil, nil)
 	env := n.env()
-	maxRows := overlay.Config().MaxTableRows
 	rng := rand.New(rand.NewSource(33))
 
 	n.mu.Lock()
@@ -55,9 +54,9 @@ func TestSubtreeAggregatesAreOrderFree(t *testing.T) {
 		}
 	}
 
-	want := n.subtreeAggregatesLocked(env, maxRows)
+	want := n.subtreeAggregatesLocked(env)
 	for run := 1; run < 20; run++ {
-		if got := n.subtreeAggregatesLocked(env, maxRows); !reflect.DeepEqual(got, want) {
+		if got := n.subtreeAggregatesLocked(env); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d folded different aggregates from the same state", run)
 		}
 	}

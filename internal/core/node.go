@@ -390,8 +390,7 @@ func NewNode(cfg Config, overlay *pastry.Node, clk clock.Clock, fetcher Fetcher,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(beUint64(overlay.Self().ID)))),
 		channels: make(map[ids.ID]*channelState),
 	}
-	maxRows := overlay.Config().MaxTableRows
-	n.clusterIn = make([]map[int]*honeycomb.ClusterSet, maxRows)
+	n.clusterIn = make([]map[int]*honeycomb.ClusterSet, pastry.MaxTableRows)
 	n.registerHandlers()
 	overlay.OnFault(n.handlePeerFault)
 	return n
@@ -422,18 +421,6 @@ func (n *Node) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// ChannelLevel reports the node's current belief of a channel's polling
-// level and whether this node polls it (for the evaluation harness).
-func (n *Node) ChannelLevel(url string) (level int, polling bool, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ch, exists := n.channels[ids.HashString(url)]
-	if !exists {
-		return 0, false, false
-	}
-	return ch.level, ch.polling, true
 }
 
 // ChannelInfo is a snapshot of one channel's state at this node, for
@@ -539,12 +526,10 @@ func (n *Node) env() TradeoffEnv {
 	if nodes <= 0 {
 		nodes = estimateNodeCount(n.overlay.Self().ID, n.overlay.Leaves())
 	}
-	base := n.overlay.Base()
 	return TradeoffEnv{
 		Nodes:        nodes,
-		Radix:        base.Radix(),
 		PollInterval: n.cfg.PollInterval,
-		MaxLevel:     base.MaxLevel(nodes),
+		MaxLevel:     ids.MaxLevel(nodes),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"corona/internal/core"
 	"corona/internal/eventsim"
-	"corona/internal/pastry"
 	"corona/internal/simnet"
 	"corona/internal/store"
 	"corona/internal/webserver"
@@ -143,7 +142,7 @@ func TestStateSinkRecordsAndRecovers(t *testing.T) {
 		Process:   webserver.PeriodicProcess{Origin: eventsim.Epoch.Add(time.Minute), Interval: 10 * time.Minute},
 	})
 	self := owner.Self()
-	overlay := net.Node(pastry.DefaultConfig(), self)
+	overlay := net.Node(self)
 	overlay.Bootstrap()
 	cfg := core.DefaultConfig()
 	cfg.NodeCount = 1

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"corona/internal/honeycomb"
+	"corona/internal/ids"
 )
 
 // Scheme identifies one of the optimization problems of Table 1.
@@ -57,12 +58,10 @@ type PolicyConfig struct {
 }
 
 // TradeoffEnv captures the system-wide quantities the tradeoff formulas
-// need: N, b, τ, and the base level K.
+// need: N, τ, and the base level K (b is ids.Radix).
 type TradeoffEnv struct {
 	// Nodes is N, the (estimated) overlay size.
 	Nodes int
-	// Radix is b.
-	Radix int
 	// PollInterval is τ.
 	PollInterval time.Duration
 	// MaxLevel is K = ceil(log_b N), the owner-only level.
@@ -74,7 +73,7 @@ type TradeoffEnv struct {
 func (env TradeoffEnv) Pollers(level int) float64 {
 	p := float64(env.Nodes)
 	for i := 0; i < level; i++ {
-		p /= float64(env.Radix)
+		p /= ids.Radix
 	}
 	if p < 1 {
 		p = 1

@@ -10,7 +10,6 @@ import (
 
 var testEnv = TradeoffEnv{
 	Nodes:        1024,
-	Radix:        16,
 	PollInterval: 30 * time.Minute,
 	MaxLevel:     3,
 }

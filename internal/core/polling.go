@@ -65,18 +65,17 @@ func (n *Node) assignSlotLocked(ch *channelState) {
 		return
 	}
 	ch.slotSeq, ch.slotLevel = ring.seq, ch.level
-	base := n.overlay.Base()
 	level := ch.level
 	if level < 0 {
 		level = n.env().MaxLevel
 	}
-	rank, pollers := pollRank(base, n.Self().ID, ch.id, level, ring)
+	rank, pollers := pollRank(n.Self().ID, ch.id, level, ring)
 	ch.slotRank, ch.slotPollers = rank, pollers
 	var x uint64 // the slot's offset in the interval, in units of 2^-64
 	if rank >= 0 {
 		x = uint64(rank) * (math.MaxUint64 / uint64(pollers))
 	} else {
-		x = idBits64(n.Self().ID, level*bits.TrailingZeros(uint(base.Radix())))
+		x = idBits64(n.Self().ID, 4*level) // 4 bits per hex digit
 	}
 	x += beUint64(ch.id)
 	phase, _ := bits.Mul64(x, uint64(n.cfg.PollInterval))
@@ -89,12 +88,12 @@ func (n *Node) assignSlotLocked(ch *channelState) {
 // set spans the wedge (whole ring known, or both leaf-set ends outside a
 // wedge that lies between them), and rank -1 with the count of pollers
 // known so far otherwise.
-func pollRank(base ids.Base, self, channel ids.ID, level int, ring *ringView) (rank, pollers int) {
+func pollRank(self, channel ids.ID, level int, ring *ringView) (rank, pollers int) {
 	exact := ring.whole || (level > 0 &&
-		!base.InWedge(ring.ccw, channel, level) && !base.InWedge(ring.cw, channel, level) &&
+		!ids.InWedge(ring.ccw, channel, level) && !ids.InWedge(ring.cw, channel, level) &&
 		channel.Between(ring.ccw, ring.cw))
 	known := ring.known
-	inWedge := func(id ids.ID) bool { return base.InWedge(id, channel, level) }
+	inWedge := func(id ids.ID) bool { return ids.InWedge(id, channel, level) }
 	// The wedge is a contiguous range of identifiers around the channel,
 	// so its known members are a contiguous run of the sorted view.
 	lo := sort.Search(len(known), func(i int) bool {

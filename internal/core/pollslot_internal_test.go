@@ -41,7 +41,7 @@ func (notModified) ReleaseBody([]byte) {}
 // changes, never per poll.
 func TestPollRescheduleAllocatesNothing(t *testing.T) {
 	clk := &stubClock{now: eventsim.Epoch, timer: &stubTimer{}}
-	overlay := pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("alloc-node"), Endpoint: "sim://0"}, nil, clk)
+	overlay := pastry.NewNode(pastry.Addr{ID: ids.HashString("alloc-node"), Endpoint: "sim://0"}, nil, clk)
 	overlay.Bootstrap()
 	cfg := DefaultConfig()
 	cfg.NodeCount = 1

@@ -87,7 +87,7 @@ type slotCloud struct {
 
 const slotTau = 10 * time.Minute
 
-func newSlotCloud(t *testing.T, nodeIDs []ids.ID, pcfg pastry.Config, late time.Duration) *slotCloud {
+func newSlotCloud(t *testing.T, nodeIDs []ids.ID, late time.Duration) *slotCloud {
 	t.Helper()
 	sc := &slotCloud{
 		sim:    eventsim.New(11),
@@ -101,7 +101,7 @@ func newSlotCloud(t *testing.T, nodeIDs []ids.ID, pcfg pastry.Config, late time.
 	}
 	overlays := make([]*pastry.Node, len(nodeIDs))
 	for i, id := range nodeIDs {
-		overlays[i] = net.Node(pcfg, pastry.Addr{ID: id, Endpoint: fmt.Sprintf("sim://%d", i)})
+		overlays[i] = net.Node(pastry.Addr{ID: id, Endpoint: fmt.Sprintf("sim://%d", i)})
 	}
 	pastry.BuildStaticOverlay(overlays)
 	origin := &core.OriginFetcher{Origin: sc.origin, Clock: sc.sim}
@@ -135,19 +135,19 @@ func (sc *slotCloud) subscribe(url string, subscribers int) {
 
 // wedgeIDs draws members node identifiers sharing the channel's first
 // `level` digits, and others that share fewer.
-func wedgeIDs(rng *rand.Rand, base ids.Base, channel ids.ID, level, members, others int) []ids.ID {
+func wedgeIDs(rng *rand.Rand, channel ids.ID, level, members, others int) []ids.ID {
 	var out []ids.ID
 	for i := 0; i < members; i++ {
 		id := ids.Random(rng)
 		for d := 0; d < level; d++ {
-			id = base.WithDigit(id, d, base.Digit(channel, d))
+			id = ids.WithDigit(id, d, ids.Digit(channel, d))
 		}
 		out = append(out, id)
 	}
 	for i := 0; i < others; i++ {
 		id := ids.Random(rng)
-		if base.InWedge(id, channel, 1) {
-			id = base.WithDigit(id, 0, (base.Digit(channel, 0)+1+i%15)%base.Radix())
+		if ids.InWedge(id, channel, 1) {
+			id = ids.WithDigit(id, 0, (ids.Digit(channel, 0)+1+i%15)%ids.Radix)
 		}
 		out = append(out, id)
 	}
@@ -159,24 +159,23 @@ func wedgeIDs(rng *rand.Rand, base ids.Base, channel ids.ID, level, members, oth
 // whole ring at level 0 and for a level-1 wedge inside a larger ring.
 // Independent random phases would leave the gaps uneven.
 func TestWedgePollersSpreadEvenly(t *testing.T) {
-	base := ids.MustBase(16)
 	for _, tc := range []struct {
-		name     string
-		url      string
-		level    int
-		members  int // nodes inside the level's wedge
-		others   int // nodes outside it
-		leafSize int
+		name    string
+		url     string
+		level   int
+		members int // nodes inside the level's wedge
+		others  int // nodes outside it
 	}{
-		{"level0-3pollers", "http://feeds.example.net/spread0.xml", 0, 3, 0, 4},
-		{"level1-6members", "http://feeds.example.net/spread1.xml", 1, 6, 14, 8},
+		{"level0-3pollers", "http://feeds.example.net/spread0.xml", 0, 3, 0},
+		// Every member's leaf set (4 per side) must reach past the wedge
+		// on both sides for the member to rank itself exactly, so the
+		// wedge holds at most 4 members.
+		{"level1-4members", "http://feeds.example.net/spread1.xml", 1, 4, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			channel := ids.HashString(tc.url)
 			rng := rand.New(rand.NewSource(5))
-			pcfg := pastry.DefaultConfig()
-			pcfg.LeafSetSize = tc.leafSize
-			sc := newSlotCloud(t, wedgeIDs(rng, base, channel, tc.level, tc.members, tc.others), pcfg, 0)
+			sc := newSlotCloud(t, wedgeIDs(rng, channel, tc.level, tc.members, tc.others), 0)
 			sc.subscribe(tc.url, 10)
 			sc.sim.RunFor(3 * time.Hour)
 
@@ -239,7 +238,7 @@ func TestWedgePollersSpreadEvenly(t *testing.T) {
 // and lose a poll every ten intervals.
 func TestPollCadenceHoldsSlot(t *testing.T) {
 	const url = "http://feeds.example.net/cadence.xml"
-	sc := newSlotCloud(t, []ids.ID{ids.HashString("cadence-node")}, pastry.DefaultConfig(), slotTau/10)
+	sc := newSlotCloud(t, []ids.ID{ids.HashString("cadence-node")}, slotTau/10)
 	sc.subscribe(url, 1)
 	sc.sim.RunFor(2 * slotTau)
 

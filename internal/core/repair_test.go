@@ -169,7 +169,7 @@ func TestReplicaRestartedFromStaleImageRepairs(t *testing.T) {
 	}
 	defer st2.Close()
 	r.net.Restart(old.Self().Endpoint)
-	overlay := r.net.Node(pastry.DefaultConfig(), old.Self())
+	overlay := r.net.Node(old.Self())
 	restarted := NewNode(old.cfg, overlay, r.sim, &OriginFetcher{}, nil, nil)
 	restarted.SetStateSink(st2)
 	restarted.RestoreChannels(image)
@@ -201,7 +201,7 @@ func TestJoinedNodeBecomesReplica(t *testing.T) {
 		id = owner.Self().ID.Sub(one)
 	}
 	const name = "sim://joined"
-	overlay := r.net.Node(pastry.DefaultConfig(), pastry.Addr{ID: id, Endpoint: name})
+	overlay := r.net.Node(pastry.Addr{ID: id, Endpoint: name})
 	joined := NewNode(owner.cfg, overlay, r.sim, &OriginFetcher{}, nil, nil)
 	if err := overlay.Join(r.nodes[0].Self()); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestConcurrentChangesLeaveInSeqOrder(t *testing.T) {
 	for i := range overlays {
 		transports[i] = &recordingTransport{sent: make(map[string][]pastry.Message)}
 		addr := pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("rec://%d", i)}
-		overlays[i] = pastry.NewNode(pastry.DefaultConfig(), addr, transports[i], sim)
+		overlays[i] = pastry.NewNode(addr, transports[i], sim)
 	}
 	pastry.BuildStaticOverlay(overlays)
 	var owner *Node

@@ -41,7 +41,7 @@ func TestReplicatePushKeepsEqualSubscriberSet(t *testing.T) {
 	const url = "http://feeds.example.net/replicated.xml"
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
-	overlays := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("ids"))
+	overlays := net.Ring(2, sim.RNG("ids"))
 	var owner, replica *Node
 	for i, overlay := range overlays {
 		cfg := DefaultConfig()

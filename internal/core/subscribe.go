@@ -101,8 +101,7 @@ func (n *Node) becomeOwnerLocked(ch *channelState) {
 	// matching prefix digits. Orphans stay pinned at owner-only polling;
 	// their tradeoff factors flow into the slack cluster that corrects
 	// the optimization target before solving.
-	base := n.overlay.Base()
-	ch.ownerPrefix = base.CommonPrefix(n.Self().ID, ch.id)
+	ch.ownerPrefix = ids.CommonPrefix(n.Self().ID, ch.id)
 	ch.orphan = !n.wedgeReachable(ch.id, env.MaxLevel-1)
 	n.startPollingLocked(ch)
 	n.emitMetaLocked(ch, false)
@@ -270,7 +269,7 @@ func (n *Node) demoteLocked(ch *channelState, toReplica bool) {
 	if !toReplica {
 		ch.subs.clear()
 	}
-	if ch.polling && !n.overlay.Base().InWedge(n.Self().ID, ch.id, max(ch.level, 0)) {
+	if ch.polling && !ids.InWedge(n.Self().ID, ch.id, max(ch.level, 0)) {
 		n.stopPollingLocked(ch)
 	}
 }

@@ -13,9 +13,8 @@ import (
 // boundaries). It reports false when no path into the wedge exists — the
 // wedge is empty and the channel is effectively an orphan (§4).
 func (n *Node) sendToWedge(channelID ids.ID, url string, level int, innerType string, pollCtl *pollCtlMsg, update *updateMsg) bool {
-	base := n.overlay.Base()
 	self := n.Self().ID
-	if base.InWedge(self, channelID, level) {
+	if ids.InWedge(self, channelID, level) {
 		switch innerType {
 		case msgPollCtl:
 			n.overlay.Broadcast(level, msgPollCtl, pollCtl)
@@ -28,8 +27,8 @@ func (n *Node) sendToWedge(channelID ids.ID, url string, level int, innerType st
 	// "handed to the transport", not "delivered": under async transports
 	// a dead contact surfaces through the fault callback and the next
 	// maintenance round retries with a repaired table.
-	p := base.CommonPrefix(self, channelID)
-	contact := n.overlay.RoutingEntry(p, base.Digit(channelID, p))
+	p := ids.CommonPrefix(self, channelID)
+	contact := n.overlay.RoutingEntry(p, ids.Digit(channelID, p))
 	if contact.IsZero() {
 		return false
 	}
@@ -60,11 +59,10 @@ func (n *Node) handleWedgeFwd(msg pastry.Message) {
 // closer. Owners use it to classify orphans (§4: "there are no nodes with
 // enough matching prefix digits in the system").
 func (n *Node) wedgeReachable(channelID ids.ID, level int) bool {
-	base := n.overlay.Base()
 	self := n.Self().ID
-	if base.InWedge(self, channelID, level) {
+	if ids.InWedge(self, channelID, level) {
 		return true
 	}
-	p := base.CommonPrefix(self, channelID)
-	return !n.overlay.RoutingEntry(p, base.Digit(channelID, p)).IsZero()
+	p := ids.CommonPrefix(self, channelID)
+	return !n.overlay.RoutingEntry(p, ids.Digit(channelID, p)).IsZero()
 }

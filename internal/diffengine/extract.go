@@ -16,8 +16,8 @@ import (
 //
 //  1. Every "<!-- ... -->" region is cut out of the document; an
 //     unterminated comment runs to the end of the document.
-//  2. For each volatile tag in turn — script and style, then those added
-//     with WithVolatileTag — every "<tag ...>...</tag>" region and every
+//  2. For each volatile tag in turn — script and style, then the
+//     profile's own (RSSProfile's lastBuildDate, ttl, ...) — every "<tag ...>...</tag>" region and every
 //     self-closing "<tag .../>" is cut out. A tag starts at "<tag"
 //     followed by a space, tab, newline, carriage return, '>' or '/', so
 //     "<a" does not match "<article". An unterminated element runs to the
@@ -46,7 +46,7 @@ import (
 // boundaries, digits and whitespace are ASCII-only, so neither rune is a
 // word character.
 //
-// The zero value is not usable; construct with NewExtractor. An Extractor
+// The zero value is not usable; construct with RSSProfile. An Extractor
 // is safe for concurrent use.
 type Extractor struct {
 	tags  []volatileTag
@@ -61,16 +61,6 @@ type Extractor struct {
 type volatileTag struct {
 	open  []byte // "<name"
 	close []byte // "</name>"
-}
-
-// Option customizes an Extractor.
-type Option func(*Extractor)
-
-// WithVolatileTag adds an element name whose entire content is dropped
-// (beyond the built-in script/style/comment handling). Feed-specific
-// profiles add, for example, RSS's lastBuildDate.
-func WithVolatileTag(tag string) Option {
-	return func(e *Extractor) { e.addTag(tag) }
 }
 
 func (e *Extractor) addTag(tag string) {
@@ -93,15 +83,15 @@ func (e *Extractor) addTag(tag string) {
 	}
 }
 
-// NewExtractor builds an extractor with the built-in rules (see
-// Extractor) plus the given options.
-func NewExtractor(opts ...Option) *Extractor {
+// newExtractor builds an extractor with the built-in rules (see
+// Extractor) that also drops the entire content of each named element.
+func newExtractor(tags ...string) *Extractor {
 	e := &Extractor{}
 	e.next['!'] = 1 // pass 0, comments
 	e.addTag("script")
 	e.addTag("style")
-	for _, o := range opts {
-		o(e)
+	for _, tag := range tags {
+		e.addTag(tag)
 	}
 	return e
 }
@@ -111,14 +101,7 @@ func NewExtractor(opts ...Option) *Extractor {
 // elements the standards define (lastBuildDate, ttl, skipHours, skipDays,
 // cloud) which change or reorder without the feed carrying news.
 func RSSProfile() *Extractor {
-	return NewExtractor(
-		WithVolatileTag("lastBuildDate"),
-		WithVolatileTag("ttl"),
-		WithVolatileTag("skipHours"),
-		WithVolatileTag("skipDays"),
-		WithVolatileTag("cloud"),
-		WithVolatileTag("generator"),
-	)
+	return newExtractor("lastBuildDate", "ttl", "skipHours", "skipDays", "cloud", "generator")
 }
 
 // Extract returns the core-content lines of a document. The output is the

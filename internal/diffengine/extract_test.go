@@ -19,7 +19,7 @@ func changed(e *Extractor, old, new string) bool {
 }
 
 func TestExtractStripsComments(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	doc := "<html>\n<!-- cache key 8231 -->\n<p>news</p>\n</html>"
 	got := e.Extract(doc)
 	for _, l := range got {
@@ -30,7 +30,7 @@ func TestExtractStripsComments(t *testing.T) {
 }
 
 func TestExtractStripsScriptAndStyle(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	doc := "<p>before</p>\n<script>var t = Date.now();</script>\n<style>.x{color:red}</style>\n<p>after</p>"
 	got := strings.Join(e.Extract(doc), "\n")
 	if strings.Contains(got, "Date.now") || strings.Contains(got, "color:red") {
@@ -42,7 +42,7 @@ func TestExtractStripsScriptAndStyle(t *testing.T) {
 }
 
 func TestExtractStripsAdElements(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	doc := `<div class="story">headline</div>` + "\n" +
 		`<div class="ad banner">BUY NOW $9.99 offer 1234</div>` + "\n" +
 		`<div id="sponsor-box">sponsored</div>`
@@ -56,7 +56,7 @@ func TestExtractStripsAdElements(t *testing.T) {
 }
 
 func TestExtractBlanksTimestamps(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	v1 := "<p>Served at Tue, 02 May 2006 15:04:05 GMT</p>\n<p>story</p>"
 	v2 := "<p>Served at Tue, 02 May 2006 16:11:32 GMT</p>\n<p>story</p>"
 	if changed(e, v1, v2) {
@@ -70,7 +70,7 @@ func TestExtractBlanksTimestamps(t *testing.T) {
 }
 
 func TestExtractBlanksCounters(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	v1 := "<p>8241 visitors so far</p>\n<p>page generated in 12 ms</p>\n<p>story</p>"
 	v2 := "<p>8250 visitors so far</p>\n<p>page generated in 48 ms</p>\n<p>story</p>"
 	if changed(e, v1, v2) {
@@ -79,7 +79,7 @@ func TestExtractBlanksCounters(t *testing.T) {
 }
 
 func TestExtractDetectsRealChanges(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	v1 := "<p>old headline</p>\n<p>posted Tue, 02 May 2006 15:04:05 GMT</p>"
 	v2 := "<p>new headline</p>\n<p>posted Tue, 02 May 2006 16:00:00 GMT</p>"
 	if !changed(e, v1, v2) {
@@ -126,7 +126,7 @@ func TestRSSProfileDiffIsNewItemSized(t *testing.T) {
 }
 
 func TestStripTagSelfClosing(t *testing.T) {
-	e := NewExtractor(WithVolatileTag("cloud"))
+	e := newExtractor("cloud")
 	doc := `<channel><cloud domain="x" port="80"/><title>keep</title></channel>`
 	got := strings.Join(e.Extract(doc), "\n")
 	if strings.Contains(got, "cloud") {
@@ -138,7 +138,7 @@ func TestStripTagSelfClosing(t *testing.T) {
 }
 
 func TestStripTagDoesNotOvermatchPrefix(t *testing.T) {
-	e := NewExtractor(WithVolatileTag("a"))
+	e := newExtractor("a")
 	doc := "<article>long form</article>\n<a href=\"x\">link</a>"
 	got := strings.Join(e.Extract(doc), "\n")
 	if !strings.Contains(got, "long form") {
@@ -150,7 +150,7 @@ func TestStripTagDoesNotOvermatchPrefix(t *testing.T) {
 }
 
 func TestExtractUnterminatedBlocks(t *testing.T) {
-	e := NewExtractor()
+	e := newExtractor()
 	// Must not panic or hang on malformed input.
 	for _, doc := range []string{
 		"<p>x</p><!-- unterminated",

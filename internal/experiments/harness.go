@@ -166,7 +166,7 @@ func NewHarness(scale Scale, opts Options) *Harness {
 	if h.seams.Notifier == nil {
 		h.seams.Notifier = discardNotifier{}
 	}
-	for _, overlay := range h.Net.Ring(pastry.DefaultConfig(), scale.Nodes, h.Sim.RNG("harness-node-ids")) {
+	for _, overlay := range h.Net.Ring(scale.Nodes, h.Sim.RNG("harness-node-ids")) {
 		h.assemble(overlay)
 	}
 
@@ -304,7 +304,7 @@ func (h *Harness) LiveNodes() []int {
 // it never blocks on virtual time.
 func (h *Harness) JoinNode(name string, via int, onStarted func(idx int)) error {
 	idx := len(h.Nodes)
-	m := h.assemble(h.Net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString(name), Endpoint: "sim://" + name}))
+	m := h.assemble(h.Net.Node(pastry.Addr{ID: ids.HashString(name), Endpoint: "sim://" + name}))
 	var err error
 	m.Join([]pastry.Addr{h.Nodes[via].Self()}, 5*time.Minute, func(joined bool) {
 		switch {

@@ -33,7 +33,6 @@ type Baseline struct {
 	recorder *Recorder
 
 	channels []*channelPollState
-	running  bool
 }
 
 // channelPollState walks one channel's client phases in order.
@@ -78,10 +77,6 @@ func newBaseline(sim *eventsim.Sim, origin *webserver.Origin, work *workload.Wor
 
 // Start schedules the first poll of every channel's earliest-phase client.
 func (b *Baseline) Start() {
-	if b.running {
-		return
-	}
-	b.running = true
 	now := b.sim.Now()
 	for _, st := range b.channels {
 		st.cycle = now
@@ -89,9 +84,6 @@ func (b *Baseline) Start() {
 		b.scheduleNext(st)
 	}
 }
-
-// Stop halts the baseline; pending events become no-ops.
-func (b *Baseline) Stop() { b.running = false }
 
 func (b *Baseline) scheduleNext(st *channelPollState) {
 	if st.cursor >= len(st.phases) {
@@ -106,9 +98,6 @@ func (b *Baseline) scheduleNext(st *channelPollState) {
 // the era polled unconditionally) plus detection accounting for the
 // updates published since this client's previous poll.
 func (b *Baseline) poll(st *channelPollState) {
-	if !b.running {
-		return
-	}
 	now := b.sim.Now()
 	if _, err := b.origin.Fetch(st.url, now); err == nil {
 		// This client last polled exactly τ ago (or never, at startup).
@@ -124,14 +113,4 @@ func (b *Baseline) poll(st *channelPollState) {
 	}
 	st.cursor++
 	b.scheduleNext(st)
-}
-
-// ExpectedLoadPerInterval returns Σqᵢ, the total polls the baseline issues
-// per polling interval — the budget Corona-Lite inherits (Table 1).
-func (b *Baseline) ExpectedLoadPerInterval() int {
-	total := 0
-	for _, st := range b.channels {
-		total += len(st.phases)
-	}
-	return total
 }

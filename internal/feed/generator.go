@@ -138,9 +138,6 @@ func (g *Generator) Snapshot(now time.Time) ([]byte, error) {
 	return doc.Encode()
 }
 
-// Current returns the current parsed document.
-func (g *Generator) Current() *RSS { return g.current }
-
 func shortName(url string) string {
 	s := strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
 	if i := strings.IndexByte(s, '/'); i >= 0 {

@@ -3,16 +3,16 @@
 //
 // Identifiers are SHA-1 hashes (of a node's address or a channel's URL)
 // interpreted as unsigned 160-bit integers on a ring. The overlay treats an
-// identifier as a sequence of base-b digits, where b is a power of two; the
-// prefix digits shared between a node ID and a channel ID determine wedge
-// membership for cooperative polling (paper §3.1).
+// identifier as a sequence of 40 hexadecimal digits (base 16, as in the
+// prototype); the prefix digits shared between a node ID and a channel ID
+// determine wedge membership for cooperative polling (paper §3.1).
 package ids
 
 import (
 	"crypto/sha1"
 	"encoding/hex"
-	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -154,111 +154,59 @@ func (id ID) Between(from, to ID) bool {
 	return id.Cmp(from) > 0 || id.Cmp(to) <= 0
 }
 
-// Base describes the digit radix used by the overlay. The paper's prototype
-// uses base 16 (§4); bases must be powers of two so digits align to bits.
-type Base struct {
-	bits int // bits per digit: 1, 2, or 4
+// Radix is the digit radix of the overlay: identifiers are read as
+// hexadecimal digits, as in the paper's base-16 prototype (§4).
+const Radix = 16
+
+// NumDigits is how many base-16 digits an identifier has.
+const NumDigits = Bits / 4
+
+// Digit returns the i-th most significant hex digit of id, in [0,Radix).
+func Digit(id ID, i int) int {
+	return int(id[i/2]>>(4-4*(i%2))) & 0xf
 }
 
-// NewBase constructs a Base for radix b, which must be 2, 4, or 16.
-func NewBase(b int) (Base, error) {
-	switch b {
-	case 2:
-		return Base{bits: 1}, nil
-	case 4:
-		return Base{bits: 2}, nil
-	case 16:
-		return Base{bits: 4}, nil
-	}
-	return Base{}, errors.New("ids: base must be 2, 4, or 16")
-}
-
-// MustBase is NewBase for configuration literals; it panics on error.
-func MustBase(b int) Base {
-	base, err := NewBase(b)
-	if err != nil {
-		panic(err)
-	}
-	return base
-}
-
-// Radix returns the numeric radix (2, 4, or 16).
-func (b Base) Radix() int {
-	return 1 << b.bits
-}
-
-// NumDigits returns how many base-b digits an identifier has.
-func (b Base) NumDigits() int {
-	return Bits / b.bits
-}
-
-// Digit returns the i-th most significant base-b digit of id, in [0,Radix).
-func (b Base) Digit(id ID, i int) int {
-	bitOff := i * b.bits
-	byteOff := bitOff / 8
-	shift := 8 - b.bits - (bitOff % 8)
-	return int(id[byteOff]>>shift) & (b.Radix() - 1)
-}
-
-// CommonPrefix returns the number of leading base-b digits shared by a and b.
-func (b Base) CommonPrefix(x, y ID) int {
-	n := 0
-	for i := 0; i < b.NumDigits(); i++ {
-		if b.Digit(x, i) != b.Digit(y, i) {
-			break
+// CommonPrefix returns the number of leading hex digits shared by x and y.
+func CommonPrefix(x, y ID) int {
+	for i := 0; i < Bytes; i++ {
+		if d := x[i] ^ y[i]; d != 0 {
+			return 2*i + bits.LeadingZeros8(d)/4
 		}
-		n++
 	}
-	return n
+	return NumDigits
 }
 
 // InWedge reports whether node belongs to the level-l wedge of channel:
 // the set of nodes sharing at least l prefix digits with the channel ID.
 // Level 0 is the whole ring (paper §3.1).
-func (b Base) InWedge(node, channel ID, level int) bool {
+func InWedge(node, channel ID, level int) bool {
 	if level <= 0 {
 		return true
 	}
-	return b.CommonPrefix(node, channel) >= level
+	return CommonPrefix(node, channel) >= level
 }
 
 // WithDigit returns a copy of id whose i-th digit is set to d. It is used
 // when constructing routing-table probe targets.
-func (b Base) WithDigit(id ID, i, d int) ID {
-	bitOff := i * b.bits
-	byteOff := bitOff / 8
-	shift := 8 - b.bits - (bitOff % 8)
-	mask := byte((b.Radix() - 1) << shift)
-	id[byteOff] = (id[byteOff] &^ mask) | byte(d<<shift)&mask
+func WithDigit(id ID, i, d int) ID {
+	shift := 4 - 4*(i%2)
+	id[i/2] = id[i/2]&^(0xf<<shift) | byte(d&0xf)<<shift
 	return id
 }
 
-// MaxLevel returns ceil(log_b n), the base polling level K at which, in
+// MaxLevel returns ceil(log_16 n), the base polling level K at which, in
 // expectation, a single node (the owner) shares K prefix digits with a
 // channel (paper §3.3: "initially, only the owner nodes at level
 // K = ceil(log N) poll for the channels").
-func (b Base) MaxLevel(n int) int {
+func MaxLevel(n int) int {
 	if n <= 1 {
 		return 0
 	}
 	level := 0
 	total := 1
 	for total < n {
-		total *= b.Radix()
+		total *= Radix
 		level++
 	}
 	return level
-}
-
-// WedgeSize returns the expected number of nodes in a level-l wedge of an
-// n-node overlay: n / b^l, with a floor of 1 (the owner always polls).
-func (b Base) WedgeSize(n, level int) float64 {
-	size := float64(n)
-	for i := 0; i < level; i++ {
-		size /= float64(b.Radix())
-	}
-	if size < 1 {
-		return 1
-	}
-	return size
 }

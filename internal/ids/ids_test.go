@@ -134,53 +134,33 @@ func TestBetween(t *testing.T) {
 	}
 }
 
-func TestBaseValidation(t *testing.T) {
-	for _, b := range []int{2, 4, 16} {
-		if _, err := NewBase(b); err != nil {
-			t.Errorf("NewBase(%d): %v", b, err)
-		}
-	}
-	for _, b := range []int{0, 1, 3, 8, 32, 256} {
-		if _, err := NewBase(b); err == nil {
-			t.Errorf("NewBase(%d) succeeded, want error", b)
-		}
-	}
-}
-
 func TestDigitExtraction(t *testing.T) {
 	id := MustFromHex("0123456789abcdef0123456789abcdef01234567")
-	b16 := MustBase(16)
 	want := []int{0x0, 0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7, 0x8, 0x9, 0xa, 0xb, 0xc, 0xd, 0xe, 0xf}
 	for i, w := range want {
-		if got := b16.Digit(id, i); got != w {
-			t.Errorf("base16 digit %d = %#x, want %#x", i, got, w)
+		if got := Digit(id, i); got != w {
+			t.Errorf("digit %d = %#x, want %#x", i, got, w)
 		}
 	}
-	b2 := MustBase(2)
-	// First hex digit 0x0 -> bits 0,0,0,0; second 0x1 -> 0,0,0,1.
-	wantBits := []int{0, 0, 0, 0, 0, 0, 0, 1}
-	for i, w := range wantBits {
-		if got := b2.Digit(id, i); got != w {
-			t.Errorf("base2 digit %d = %d, want %d", i, got, w)
-		}
+	if got := Digit(id, NumDigits-1); got != 0x7 {
+		t.Errorf("last digit = %#x, want 0x7", got)
 	}
-	if b16.NumDigits() != 40 || b2.NumDigits() != 160 || MustBase(4).NumDigits() != 80 {
-		t.Error("NumDigits wrong")
+	if NumDigits != 40 || Radix != 16 {
+		t.Error("geometry wrong")
 	}
 }
 
 func TestWithDigit(t *testing.T) {
-	b := MustBase(16)
 	id := HashString("withdigit")
-	for i := 0; i < b.NumDigits(); i += 7 {
-		for d := 0; d < 16; d += 5 {
-			got := b.WithDigit(id, i, d)
-			if b.Digit(got, i) != d {
-				t.Fatalf("WithDigit(%d,%d): digit = %d", i, d, b.Digit(got, i))
+	for i := 0; i < NumDigits; i += 7 {
+		for d := 0; d < Radix; d += 5 {
+			got := WithDigit(id, i, d)
+			if Digit(got, i) != d {
+				t.Fatalf("WithDigit(%d,%d): digit = %d", i, d, Digit(got, i))
 			}
 			// Other digits unchanged.
-			for j := 0; j < b.NumDigits(); j++ {
-				if j != i && b.Digit(got, j) != b.Digit(id, j) {
+			for j := 0; j < NumDigits; j++ {
+				if j != i && Digit(got, j) != Digit(id, j) {
 					t.Fatalf("WithDigit(%d,%d) perturbed digit %d", i, d, j)
 				}
 			}
@@ -189,68 +169,89 @@ func TestWithDigit(t *testing.T) {
 }
 
 func TestCommonPrefix(t *testing.T) {
-	b := MustBase(16)
 	id := HashString("prefix")
-	if got := b.CommonPrefix(id, id); got != b.NumDigits() {
-		t.Fatalf("CommonPrefix(id,id) = %d, want %d", got, b.NumDigits())
+	if got := CommonPrefix(id, id); got != NumDigits {
+		t.Fatalf("CommonPrefix(id,id) = %d, want %d", got, NumDigits)
 	}
-	for i := 0; i < b.NumDigits(); i += 3 {
-		other := b.WithDigit(id, i, (b.Digit(id, i)+1)%16)
-		if got := b.CommonPrefix(id, other); got != i {
+	for i := 0; i < NumDigits; i += 3 {
+		other := WithDigit(id, i, (Digit(id, i)+1)%Radix)
+		if got := CommonPrefix(id, other); got != i {
 			t.Errorf("CommonPrefix with digit %d flipped = %d, want %d", i, got, i)
 		}
 	}
 }
 
+// digitwisePrefix is the reference CommonPrefix: compare digit by digit.
+func digitwisePrefix(x, y ID) int {
+	n := 0
+	for n < NumDigits && Digit(x, n) == Digit(y, n) {
+		n++
+	}
+	return n
+}
+
+// TestCommonPrefixMatchesDigitwise holds the byte-XOR CommonPrefix to the
+// digit-by-digit reference, on random pairs (which mostly differ early)
+// and on pairs built to share exactly k digits for every k.
+func TestCommonPrefixMatchesDigitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 2000; i++ {
+		x, y := Random(rng), Random(rng)
+		if got, want := CommonPrefix(x, y), digitwisePrefix(x, y); got != want {
+			t.Fatalf("CommonPrefix(%v, %v) = %d, reference %d", x, y, got, want)
+		}
+	}
+	for k := 0; k <= NumDigits; k++ {
+		for trial := 0; trial < 20; trial++ {
+			x, y := Random(rng), Random(rng)
+			for i := 0; i < k; i++ {
+				y = WithDigit(y, i, Digit(x, i))
+			}
+			if k < NumDigits {
+				// Any differing digit at k, then random tails.
+				y = WithDigit(y, k, (Digit(x, k)+1+rng.Intn(Radix-1))%Radix)
+			}
+			got, want := CommonPrefix(x, y), digitwisePrefix(x, y)
+			if got != k || want != k {
+				t.Fatalf("k=%d: CommonPrefix(%v, %v) = %d, reference %d", k, x, y, got, want)
+			}
+		}
+	}
+}
+
 func TestInWedge(t *testing.T) {
-	b := MustBase(16)
 	channel := HashString("channel")
-	node := b.WithDigit(channel, 2, (b.Digit(channel, 2)+1)%16) // shares exactly 2 digits
+	node := WithDigit(channel, 2, (Digit(channel, 2)+1)%Radix) // shares exactly 2 digits
 	for level := 0; level <= 4; level++ {
 		want := level <= 2
-		if got := b.InWedge(node, channel, level); got != want {
+		if got := InWedge(node, channel, level); got != want {
 			t.Errorf("InWedge level %d = %v, want %v", level, got, want)
 		}
 	}
 }
 
 func TestMaxLevel(t *testing.T) {
-	b := MustBase(16)
 	cases := []struct{ n, want int }{
 		{1, 0}, {2, 1}, {16, 1}, {17, 2}, {256, 2}, {1024, 3}, {4096, 3}, {4097, 4},
 	}
 	for _, c := range cases {
-		if got := b.MaxLevel(c.n); got != c.want {
+		if got := MaxLevel(c.n); got != c.want {
 			t.Errorf("MaxLevel(%d) = %d, want %d", c.n, got, c.want)
 		}
-	}
-}
-
-func TestWedgeSize(t *testing.T) {
-	b := MustBase(16)
-	if got := b.WedgeSize(1024, 0); got != 1024 {
-		t.Errorf("WedgeSize(1024,0) = %v", got)
-	}
-	if got := b.WedgeSize(1024, 1); got != 64 {
-		t.Errorf("WedgeSize(1024,1) = %v", got)
-	}
-	if got := b.WedgeSize(1024, 3); got != 1 {
-		t.Errorf("WedgeSize(1024,3) = %v, want floor of 1", got)
 	}
 }
 
 func TestPrefixMonotonicity(t *testing.T) {
 	// Property: if a node is in a wedge at level l, it is in every wedge
 	// at level < l (wedges are nested).
-	b := MustBase(16)
 	f := func(node, channel ID) bool {
-		p := b.CommonPrefix(node, channel)
+		p := CommonPrefix(node, channel)
 		for l := 0; l <= p; l++ {
-			if !b.InWedge(node, channel, l) {
+			if !InWedge(node, channel, l) {
 				return false
 			}
 		}
-		return !b.InWedge(node, channel, p+1) || p == b.NumDigits()
+		return !InWedge(node, channel, p+1) || p == NumDigits
 	}
 	if err := quick.Check(f, &quick.Config{Values: randomIDPair}); err != nil {
 		t.Fatal(err)

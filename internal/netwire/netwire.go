@@ -134,9 +134,9 @@ func (t *Transport) Addr() string {
 	return t.listener.Addr().String()
 }
 
-// WireBytes returns total bytes written to and read from the network,
-// implementing pastry.ByteCounter. The pair is read under one lock, so
-// callers never see a torn sent/received combination.
+// WireBytes returns total bytes written to and read from the network.
+// The pair is read under one lock, so callers never see a torn
+// sent/received combination.
 func (t *Transport) WireBytes() (sent, received uint64) {
 	t.wireMu.Lock()
 	defer t.wireMu.Unlock()
@@ -205,25 +205,37 @@ func (t *Transport) DialBudget() time.Duration {
 
 // Dropped returns how many messages were discarded locally: backpressure
 // drops, encode failures, and messages abandoned when a peer stayed
-// unreachable through the retry budget. It implements pastry.DropCounter.
+// unreachable through the retry budget.
 func (t *Transport) Dropped() uint64 {
 	return t.dropCount.Load()
 }
 
+// PeerQueueStat describes one peer's outbound send queue: its
+// instantaneous depth against capacity, plus how many messages to that
+// peer were dropped locally (backpressure, encode failure, retry budget
+// exhausted).
+type PeerQueueStat struct {
+	Endpoint string
+	Depth    int
+	Capacity int
+	Drops    uint64
+}
+
 // PeerQueues snapshots every live peer's outbound queue — instantaneous
-// depth against capacity plus that peer's cumulative local drops —
-// implementing pastry.QueueReporter. Retired (idle) peers drop out of the
-// report; their drops remain in the transport-wide Dropped total.
-func (t *Transport) PeerQueues() []pastry.PeerQueueStat {
+// depth against capacity plus that peer's cumulative local drops — so
+// backpressure is observable (on a live node's /metrics) instead of
+// silent loss. Retired (idle) peers drop out of the report; their drops
+// remain in the transport-wide Dropped total.
+func (t *Transport) PeerQueues() []PeerQueueStat {
 	t.mu.Lock()
 	peers := make([]*peer, 0, len(t.peers))
 	for _, p := range t.peers {
 		peers = append(peers, p)
 	}
 	t.mu.Unlock()
-	out := make([]pastry.PeerQueueStat, len(peers))
+	out := make([]PeerQueueStat, len(peers))
 	for i, p := range peers {
-		out[i] = pastry.PeerQueueStat{
+		out[i] = PeerQueueStat{
 			Endpoint: p.endpoint,
 			Depth:    len(p.queue),
 			Capacity: cap(p.queue),

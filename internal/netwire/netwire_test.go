@@ -554,7 +554,7 @@ func TestPastryOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		addr := pastry.Addr{ID: ids.HashString(fmt.Sprintf("tcp-node-%d", i)), Endpoint: tr.Addr()}
-		node := pastry.NewNode(pastry.DefaultConfig(), addr, tr, clock.Real{})
+		node := pastry.NewNode(addr, tr, clock.Real{})
 		tr.OnDeliver(node.Deliver)
 		peers = append(peers, &peer{node: node, tr: tr})
 	}
@@ -597,9 +597,9 @@ func TestPastryOverTCP(t *testing.T) {
 	// protocol must have moved bytes in both directions somewhere.
 	var sent, recv uint64
 	for _, p := range peers {
-		s := p.node.Stats()
-		sent += s.WireBytesSent
-		recv += s.WireBytesReceived
+		s, r := p.tr.WireBytes()
+		sent += s
+		recv += r
 	}
 	if sent == 0 || recv == 0 {
 		t.Fatalf("wire byte counters dead: sent=%d recv=%d", sent, recv)
@@ -629,7 +629,7 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 		}
 		defer tr.Close()
 		addr := pastry.Addr{ID: ids.HashString(fmt.Sprintf("reuse-node-%d", i)), Endpoint: tr.Addr()}
-		*h = hop{tr: tr, node: pastry.NewNode(pastry.DefaultConfig(), addr, tr, clock.Real{})}
+		*h = hop{tr: tr, node: pastry.NewNode(addr, tr, clock.Real{})}
 	}
 	pastry.BuildStaticOverlay([]*pastry.Node{mid.node, dst.node})
 	mid.tr.OnDeliver(mid.node.Deliver)
@@ -663,7 +663,7 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 	// node push them one row deeper, to the final node. Payload lengths
 	// vary, so a forwarded copy still aliasing the middle node's frame
 	// buffer would be overwritten by a later frame.
-	row := pastry.DefaultConfig().Base.CommonPrefix(mid.node.Self().ID, dst.node.Self().ID)
+	row := ids.CommonPrefix(mid.node.Self().ID, dst.node.Self().ID)
 	want := make(map[int][]byte, n)
 	from := pastry.Addr{ID: ids.HashString("reuse-src"), Endpoint: src.Addr()}
 	for i := 0; i < n; i++ {

@@ -60,7 +60,6 @@ func (n *Node) fanOut(msg Message, fromRow int) {
 		hops = new([]hop)
 	}
 	n.mu.RLock()
-	maxRows := n.cfg.MaxTableRows
 	if fromRow < 0 {
 		fromRow = 0
 	}
@@ -69,7 +68,7 @@ func (n *Node) fanOut(msg Message, fromRow int) {
 	} else {
 		*hops = (*hops)[:0]
 	}
-	for r := fromRow; r < maxRows; r++ {
+	for r := fromRow; r < MaxTableRows; r++ {
 		n.table.eachInRow(r, func(a Addr) {
 			*hops = append(*hops, hop{to: a, cover: r + 2}) // depth r+1, stored +1
 		})

@@ -14,23 +14,22 @@ func addrN(i int) Addr {
 }
 
 func TestRoutingTableSlotPlacement(t *testing.T) {
-	base := ids.MustBase(16)
 	self := ids.HashString("table-self")
-	tbl := newRoutingTable(base, self, 10)
+	tbl := newRoutingTable(self)
 
 	// A peer differing at digit 0 lands in row 0 at its digit-0 column.
-	other := base.WithDigit(self, 0, (base.Digit(self, 0)+1)%16)
+	other := ids.WithDigit(self, 0, (ids.Digit(self, 0)+1)%16)
 	a := Addr{ID: other, Endpoint: "x"}
 	if !tbl.add(a) {
 		t.Fatal("add failed")
 	}
-	got := tbl.get(0, base.Digit(other, 0))
+	got := tbl.get(0, ids.Digit(other, 0))
 	if got.ID != other {
 		t.Fatalf("entry not at expected slot")
 	}
 	// The same slot does not get replaced by add.
-	b := Addr{ID: base.WithDigit(other, 5, (base.Digit(other, 5)+1)%16), Endpoint: "y"}
-	if base.CommonPrefix(self, b.ID) != 0 || base.Digit(b.ID, 0) != base.Digit(other, 0) {
+	b := Addr{ID: ids.WithDigit(other, 5, (ids.Digit(other, 5)+1)%16), Endpoint: "y"}
+	if ids.CommonPrefix(self, b.ID) != 0 || ids.Digit(b.ID, 0) != ids.Digit(other, 0) {
 		t.Skip("hash landed elsewhere; placement covered by other cases")
 	}
 	if tbl.add(b) {
@@ -44,18 +43,16 @@ func TestRoutingTableSlotPlacement(t *testing.T) {
 }
 
 func TestRoutingTableSelfRejected(t *testing.T) {
-	base := ids.MustBase(16)
 	self := ids.HashString("self-reject")
-	tbl := newRoutingTable(base, self, 10)
+	tbl := newRoutingTable(self)
 	if tbl.add(Addr{ID: self, Endpoint: "me"}) {
 		t.Fatal("table accepted its own node")
 	}
 }
 
 func TestRoutingTableRemove(t *testing.T) {
-	base := ids.MustBase(16)
 	self := ids.HashString("remove-self")
-	tbl := newRoutingTable(base, self, 10)
+	tbl := newRoutingTable(self)
 	peer := Addr{ID: ids.HashString("remove-peer"), Endpoint: "p"}
 	tbl.add(peer)
 	if !tbl.remove(peer.ID) {
@@ -199,7 +196,7 @@ func TestLeafSetCoversWholeSmallRing(t *testing.T) {
 // and each owner's IsRoot self-check resolves through closestToKey, which
 // must not build a member list per call.
 func TestNextHopInCoveredRingAllocatesNothing(t *testing.T) {
-	n := NewNode(DefaultConfig(), addrN(0), nil, nil)
+	n := NewNode(addrN(0), nil, nil)
 	for i := 1; i < 12; i++ {
 		n.Learn(addrN(i))
 	}
@@ -234,7 +231,7 @@ func TestNextHopInCoveredRingAllocatesNothing(t *testing.T) {
 // map: every peer of the leaf set and the routing table exactly once,
 // sorted by identifier, in one allocation (the result).
 func TestKnownNodesSortedDistinct(t *testing.T) {
-	n := NewNode(DefaultConfig(), addrN(0), nil, nil)
+	n := NewNode(addrN(0), nil, nil)
 	want := map[ids.ID]bool{}
 	for i := 1; i < 40; i++ {
 		n.Learn(addrN(i))
@@ -266,7 +263,7 @@ func TestKnownNodesSortedDistinct(t *testing.T) {
 // reports its two farthest leaves, and the generation advances with
 // every change of routing state and only then.
 func TestLeafReachAndGeneration(t *testing.T) {
-	n := NewNode(DefaultConfig(), addrN(0), dropTransport{}, nil)
+	n := NewNode(addrN(0), dropTransport{}, nil)
 	if _, _, whole := n.LeafReach(); !whole {
 		t.Fatal("a lone node's leaf set must hold the whole ring")
 	}

@@ -214,7 +214,7 @@ func (n *Node) handleJoin(msg Message) {
 	}
 	// Contribute the routing row the joiner will index at our shared
 	// prefix depth, plus ourselves.
-	row := n.cfg.Base.CommonPrefix(n.self.ID, p.Joiner.ID)
+	row := ids.CommonPrefix(n.self.ID, p.Joiner.ID)
 	contribution := append([]Addr{n.self}, n.RowContacts(row)...)
 	if row > 0 {
 		// Shallower rows help too when the joiner's table is empty.
@@ -343,8 +343,7 @@ func BuildStaticOverlay(nodes []*Node) {
 	// Leaf sets: k nearest on each side in ring order.
 	m := len(sorted)
 	for i, node := range sorted {
-		k := node.cfg.LeafSetSize
-		for d := 1; d <= k && d < m; d++ {
+		for d := 1; d <= leafSetSize && d < m; d++ {
 			node.leaves.add(sorted[(i+d)%m].self)
 			node.leaves.add(sorted[(i-d+m)%m].self)
 		}
@@ -355,32 +354,30 @@ func BuildStaticOverlay(nodes []*Node) {
 	// row r, the entry at column j is any node whose first r digits match
 	// the node's and whose digit r equals j. We index nodes by prefix
 	// string to fill tables in O(N * rows * radix) expected time.
-	base := sorted[0].cfg.Base
 	type prefixKey struct {
 		depth int
 		hash  ids.ID // ID with digits beyond depth zeroed
 	}
-	maxRows := sorted[0].cfg.MaxTableRows
 	index := make(map[prefixKey][]*Node)
 	zeroBeyond := func(id ids.ID, depth int) ids.ID {
-		for d := depth; d < base.NumDigits(); d++ {
-			id = base.WithDigit(id, d, 0)
+		for d := depth; d < ids.NumDigits; d++ {
+			id = ids.WithDigit(id, d, 0)
 		}
 		return id
 	}
 	for _, node := range sorted {
-		for depth := 1; depth <= maxRows; depth++ {
+		for depth := 1; depth <= MaxTableRows; depth++ {
 			k := prefixKey{depth: depth, hash: zeroBeyond(node.self.ID, depth)}
 			index[k] = append(index[k], node)
 		}
 	}
 	for _, node := range sorted {
-		for row := 0; row < maxRows; row++ {
-			for col := 0; col < base.Radix(); col++ {
-				if base.Digit(node.self.ID, row) == col {
+		for row := 0; row < MaxTableRows; row++ {
+			for col := 0; col < ids.Radix; col++ {
+				if ids.Digit(node.self.ID, row) == col {
 					continue // that prefix is this node's own
 				}
-				want := base.WithDigit(node.self.ID, row, col)
+				want := ids.WithDigit(node.self.ID, row, col)
 				k := prefixKey{depth: row + 1, hash: zeroBeyond(want, row+1)}
 				candidates := index[k]
 				if len(candidates) == 0 {

@@ -16,8 +16,8 @@ func joinPair(t *testing.T) (*eventsim.Sim, *simnet.Network, *pastry.Node, *past
 	t.Helper()
 	sim := eventsim.New(5)
 	net := simnet.New(sim, simnet.FixedLatency(2*time.Millisecond))
-	seed := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("seed"), Endpoint: "sim://seed"})
-	joiner := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
+	seed := net.Node(pastry.Addr{ID: ids.HashString("seed"), Endpoint: "sim://seed"})
+	joiner := net.Node(pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
 	seed.Bootstrap()
 	return sim, net, seed, joiner
 }
@@ -134,8 +134,8 @@ func TestJoinWaitTimesOut(t *testing.T) {
 func TestJoinCompletesPastSilentMember(t *testing.T) {
 	sim := eventsim.New(6)
 	net := simnet.New(sim, simnet.FixedLatency(2*time.Millisecond))
-	ring := net.Ring(pastry.DefaultConfig(), 2, sim.RNG("ring-ids"))
-	joiner := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
+	ring := net.Ring(2, sim.RNG("ring-ids"))
+	joiner := net.Node(pastry.Addr{ID: ids.HashString("joiner"), Endpoint: "sim://joiner"})
 	net.SetLinkFault(joiner.Self().Endpoint, ring[1].Self().Endpoint, simnet.LinkFault{DropRate: 1})
 	wait := joinWait(joiner, ring[0].Self(), 10*time.Second)
 	if !stepUntilResult(t, sim, wait) {

@@ -211,85 +211,27 @@ type AsyncTransport interface {
 	OnSendFault(func(to Addr, err error))
 }
 
-// ByteCounter is implemented by transports that meter traffic; the
-// overlay surfaces the counters in Stats.
-type ByteCounter interface {
-	// WireBytes returns total bytes sent to and received from the wire
-	// (or, under simulation, their codec-measured equivalents).
-	WireBytes() (sent, received uint64)
-}
-
-// PeerQueueStat describes one peer's outbound send queue at a transport:
-// its instantaneous depth against capacity, plus how many messages to that
-// peer were dropped locally (backpressure, encode failure, retry budget
-// exhausted).
-type PeerQueueStat struct {
-	Endpoint string
-	Depth    int
-	Capacity int
-	Drops    uint64
-}
-
-// QueueReporter is implemented by transports with bounded per-peer send
-// queues (netwire). The overlay surfaces the reports (on a live node's
-// /metrics) so backpressure is observable instead of silent loss.
-type QueueReporter interface {
-	// PeerQueues snapshots every live peer's queue state.
-	PeerQueues() []PeerQueueStat
-}
-
-// DropCounter is implemented by transports that count messages discarded
-// locally before reaching the wire.
-type DropCounter interface {
-	// Dropped returns the total local drop count.
-	Dropped() uint64
-}
-
 // ErrUnreachable is returned by transports when the destination is down.
 var ErrUnreachable = errors.New("pastry: destination unreachable")
 
 // HandlerFunc processes an application message delivered to this node.
 type HandlerFunc func(msg Message)
 
-// Config parameterizes an overlay node.
-type Config struct {
-	// Base is the digit radix; the prototype uses 16 (paper §4).
-	Base ids.Base
-	// LeafSetSize is the number of neighbors kept on each side of the
-	// ring (the paper's f: channel state is replicated on the f closest
-	// neighbors of the primary owner, §3.3).
-	LeafSetSize int
-	// MaxTableRows bounds the routing table depth. With n random nodes
-	// prefixes longer than log_b(n)+3 digits are vanishingly rare, so
-	// deeper rows stay empty; bounding them keeps memory proportional
-	// to useful state. Zero means ids.NumDigits rows.
-	MaxTableRows int
-}
+// leafSetSize is the number of neighbors the leaf set keeps on each side
+// of the ring (the paper's f: channel state is replicated on the f
+// closest neighbors of the primary owner, §3.3).
+const leafSetSize = 4
 
-// DefaultConfig returns the configuration used by the prototype: base 16
-// and a leaf set of 8 (4 per side).
-func DefaultConfig() Config {
-	return Config{Base: ids.MustBase(16), LeafSetSize: 4, MaxTableRows: 10}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Base == (ids.Base{}) {
-		c.Base = ids.MustBase(16)
-	}
-	if c.LeafSetSize <= 0 {
-		c.LeafSetSize = 4
-	}
-	if c.MaxTableRows <= 0 || c.MaxTableRows > c.Base.NumDigits() {
-		c.MaxTableRows = c.Base.NumDigits()
-	}
-	return c
-}
+// MaxTableRows bounds the routing table depth. With n random nodes,
+// prefixes longer than log_16(n)+3 digits are vanishingly rare, so deeper
+// rows would stay empty; bounding them keeps memory proportional to
+// useful state.
+const MaxTableRows = 10
 
 // Node is one overlay participant. Its methods are safe for concurrent use:
 // live deployments invoke them from multiple connection goroutines, while
 // simulations run single-threaded through the event loop.
 type Node struct {
-	cfg       Config
 	self      Addr
 	transport Transport
 	clk       clock.Clock
@@ -322,7 +264,9 @@ type Node struct {
 	stats Stats
 }
 
-// Stats counts overlay activity for the evaluation harness.
+// Stats counts overlay activity for the evaluation harness. Traffic
+// below the overlay (wire bytes, local drops, send queues) is counted by
+// the transport itself.
 type Stats struct {
 	MessagesSent      uint64
 	MessagesRouted    uint64 // routed messages forwarded through this node
@@ -330,26 +274,17 @@ type Stats struct {
 	BroadcastsSent    uint64
 	RouteHopsTotal    uint64 // accumulated hop counts of delivered messages
 	Repairs           uint64
-	// WireBytesSent and WireBytesReceived mirror the transport's byte
-	// counters when it implements ByteCounter (zero otherwise).
-	WireBytesSent     uint64
-	WireBytesReceived uint64
-	// WireDropped mirrors the transport's local drop counter when it
-	// implements DropCounter (zero otherwise).
-	WireDropped uint64
 }
 
 // NewNode creates an overlay node. The node does not join a ring until
 // Bootstrap or Join is called.
-func NewNode(cfg Config, self Addr, transport Transport, clk clock.Clock) *Node {
-	cfg = cfg.withDefaults()
+func NewNode(self Addr, transport Transport, clk clock.Clock) *Node {
 	n := &Node{
-		cfg:       cfg,
 		self:      self,
 		transport: transport,
 		clk:       clk,
-		table:     newRoutingTable(cfg.Base, self.ID, cfg.MaxTableRows),
-		leaves:    newLeafSet(self.ID, cfg.LeafSetSize),
+		table:     newRoutingTable(self.ID),
+		leaves:    newLeafSet(self.ID, leafSetSize),
 		handlers:  make(map[string]HandlerFunc),
 		joined:    make(chan struct{}),
 	}
@@ -365,34 +300,11 @@ func NewNode(cfg Config, self Addr, transport Transport, clk clock.Clock) *Node 
 // Self returns this node's address.
 func (n *Node) Self() Addr { return n.self }
 
-// Base returns the digit radix in use.
-func (n *Node) Base() ids.Base { return n.cfg.Base }
-
-// Config returns the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
-
-// Stats returns a snapshot of the node's activity counters, including the
-// transport's wire-byte counters when it meters them.
+// Stats returns a snapshot of the node's activity counters.
 func (n *Node) Stats() Stats {
 	n.mu.RLock()
-	s := n.stats
-	n.mu.RUnlock()
-	if bc, ok := n.transport.(ByteCounter); ok {
-		s.WireBytesSent, s.WireBytesReceived = bc.WireBytes()
-	}
-	if dc, ok := n.transport.(DropCounter); ok {
-		s.WireDropped = dc.Dropped()
-	}
-	return s
-}
-
-// PeerQueues snapshots the transport's per-peer send queues, or nil when
-// the transport has none (simnet delivers synchronously).
-func (n *Node) PeerQueues() []PeerQueueStat {
-	if qr, ok := n.transport.(QueueReporter); ok {
-		return qr.PeerQueues()
-	}
-	return nil
+	defer n.mu.RUnlock()
+	return n.stats
 }
 
 // OnFault registers a callback invoked when the node detects that a peer

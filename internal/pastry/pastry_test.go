@@ -17,7 +17,7 @@ func testRing(t testing.TB, n int, seed int64) (*eventsim.Sim, *simnet.Network, 
 	t.Helper()
 	sim := eventsim.New(seed)
 	net := simnet.New(sim, simnet.FixedLatency(5*time.Millisecond))
-	return sim, net, net.Ring(pastry.DefaultConfig(), n, sim.RNG("ring-ids"))
+	return sim, net, net.Ring(n, sim.RNG("ring-ids"))
 }
 
 func TestRoutingReachesNumericallyClosestNode(t *testing.T) {
@@ -116,7 +116,6 @@ func TestConsistentRootAcrossSources(t *testing.T) {
 
 func TestBroadcastCoversWedgeExactly(t *testing.T) {
 	sim, _, nodes := testRing(t, 128, 23)
-	base := nodes[0].Base()
 	rng := rand.New(rand.NewSource(31))
 
 	for _, level := range []int{0, 1, 2} {
@@ -124,8 +123,8 @@ func TestBroadcastCoversWedgeExactly(t *testing.T) {
 		// Find a node in the wedge to initiate (the owner-side member).
 		var initiator *pastry.Node
 		for _, n := range nodes {
-			if base.InWedge(n.Self().ID, channel, level) {
-				if initiator == nil || base.CommonPrefix(n.Self().ID, channel) > base.CommonPrefix(initiator.Self().ID, channel) {
+			if ids.InWedge(n.Self().ID, channel, level) {
+				if initiator == nil || ids.CommonPrefix(n.Self().ID, channel) > ids.CommonPrefix(initiator.Self().ID, channel) {
 					initiator = n
 				}
 			}
@@ -144,7 +143,7 @@ func TestBroadcastCoversWedgeExactly(t *testing.T) {
 
 		want := map[string]bool{}
 		for _, n := range nodes {
-			if base.InWedge(n.Self().ID, channel, level) {
+			if ids.InWedge(n.Self().ID, channel, level) {
 				want[n.Self().Endpoint] = true
 			}
 		}
@@ -215,7 +214,7 @@ func TestJoinProtocolConverges(t *testing.T) {
 	rng := sim.RNG("join-ids")
 
 	mk := func(i int) *pastry.Node {
-		return net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("sim://%d", i)})
+		return net.Node(pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("sim://%d", i)})
 	}
 	first := mk(0)
 	first.Bootstrap()
@@ -298,7 +297,7 @@ func TestFailureRepair(t *testing.T) {
 func TestLearnIgnoresSelfAndZero(t *testing.T) {
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(0))
-	n := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("self"), Endpoint: "sim://0"})
+	n := net.Node(pastry.Addr{ID: ids.HashString("self"), Endpoint: "sim://0"})
 	n.Learn(pastry.Addr{})
 	n.Learn(n.Self())
 	if got := len(n.KnownNodes()); got != 0 {
@@ -309,7 +308,7 @@ func TestLearnIgnoresSelfAndZero(t *testing.T) {
 func TestDuplicateHandlerPanics(t *testing.T) {
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(0))
-	n := net.Node(pastry.DefaultConfig(), pastry.Addr{ID: ids.HashString("x"), Endpoint: "sim://0"})
+	n := net.Node(pastry.Addr{ID: ids.HashString("x"), Endpoint: "sim://0"})
 	n.Handle("dup", func(pastry.Message) {})
 	defer func() {
 		if recover() == nil {

@@ -24,7 +24,7 @@ func (n *Node) nextHop(key ids.ID) (Addr, bool) {
 		}
 		return addr, true
 	}
-	prefixLen := n.cfg.Base.CommonPrefix(n.self.ID, key)
+	prefixLen := ids.CommonPrefix(n.self.ID, key)
 	if e := n.table.bestForKey(key); !e.IsZero() {
 		return e, true
 	}
@@ -38,7 +38,7 @@ func (n *Node) nextHop(key ids.ID) (Addr, bool) {
 	var best Addr
 	bestDist := selfDist
 	for _, a := range n.leaves.all() {
-		if n.cfg.Base.CommonPrefix(a.ID, key) < prefixLen {
+		if ids.CommonPrefix(a.ID, key) < prefixLen {
 			continue
 		}
 		if d := a.ID.Distance(key); d.Cmp(bestDist) < 0 {

@@ -6,26 +6,19 @@ import "corona/internal/ids"
 // to a node whose identifier shares exactly i prefix digits with this
 // node's identifier and has j as its (i+1)-th digit (paper §3.1).
 type routingTable struct {
-	base    ids.Base
-	self    ids.ID
-	maxRows int
-	rows    [][]Addr // lazily allocated; rows[i][j]
+	self ids.ID
+	rows [][]Addr // MaxTableRows rows, each lazily allocated; rows[i][j]
 }
 
-func newRoutingTable(base ids.Base, self ids.ID, maxRows int) *routingTable {
-	return &routingTable{
-		base:    base,
-		self:    self,
-		maxRows: maxRows,
-		rows:    make([][]Addr, maxRows),
-	}
+func newRoutingTable(self ids.ID) *routingTable {
+	return &routingTable{self: self, rows: make([][]Addr, MaxTableRows)}
 }
 
 func (t *routingTable) get(row, col int) Addr {
-	if row < 0 || row >= t.maxRows || t.rows[row] == nil {
+	if row < 0 || row >= MaxTableRows || t.rows[row] == nil {
 		return Addr{}
 	}
-	if col < 0 || col >= t.base.Radix() {
+	if col < 0 || col >= ids.Radix {
 		return Addr{}
 	}
 	return t.rows[row][col]
@@ -38,11 +31,11 @@ func (t *routingTable) slot(id ids.ID) (row, col int, ok bool) {
 	if id == t.self {
 		return 0, 0, false
 	}
-	row = t.base.CommonPrefix(t.self, id)
-	if row >= t.maxRows {
+	row = ids.CommonPrefix(t.self, id)
+	if row >= MaxTableRows {
 		return 0, 0, false
 	}
-	col = t.base.Digit(id, row)
+	col = ids.Digit(id, row)
 	return row, col, true
 }
 
@@ -55,7 +48,7 @@ func (t *routingTable) add(addr Addr) bool {
 		return false
 	}
 	if t.rows[row] == nil {
-		t.rows[row] = make([]Addr, t.base.Radix())
+		t.rows[row] = make([]Addr, ids.Radix)
 	}
 	if !t.rows[row][col].IsZero() {
 		return false
@@ -72,7 +65,7 @@ func (t *routingTable) replace(addr Addr) Addr {
 		return Addr{}
 	}
 	if t.rows[row] == nil {
-		t.rows[row] = make([]Addr, t.base.Radix())
+		t.rows[row] = make([]Addr, ids.Radix)
 	}
 	prev := t.rows[row][col]
 	t.rows[row][col] = addr
@@ -95,7 +88,7 @@ func (t *routingTable) remove(id ids.ID) bool {
 
 // row returns the non-empty entries of row r.
 func (t *routingTable) row(r int) []Addr {
-	if r < 0 || r >= t.maxRows || t.rows[r] == nil {
+	if r < 0 || r >= MaxTableRows || t.rows[r] == nil {
 		return nil
 	}
 	var out []Addr
@@ -109,7 +102,7 @@ func (t *routingTable) row(r int) []Addr {
 
 // eachInRow visits every non-empty entry of row r without allocating.
 func (t *routingTable) eachInRow(r int, f func(Addr)) {
-	if r < 0 || r >= t.maxRows || t.rows[r] == nil {
+	if r < 0 || r >= MaxTableRows || t.rows[r] == nil {
 		return
 	}
 	for _, a := range t.rows[r] {
@@ -123,7 +116,7 @@ func (t *routingTable) eachInRow(r int, f func(Addr)) {
 // so fan-out can size its destination buffer in one allocation.
 func (t *routingTable) contactCount(fromRow int) int {
 	n := 0
-	for r := fromRow; r >= 0 && r < t.maxRows; r++ {
+	for r := fromRow; r >= 0 && r < MaxTableRows; r++ {
 		for _, a := range t.rows[r] {
 			if !a.IsZero() {
 				n++
@@ -147,11 +140,11 @@ func (t *routingTable) each(f func(Addr)) {
 // bestForKey returns the routing entry for key: the entry at
 // (commonPrefix(self,key), nextDigit(key)).
 func (t *routingTable) bestForKey(key ids.ID) Addr {
-	row := t.base.CommonPrefix(t.self, key)
-	if row >= t.maxRows {
+	row := ids.CommonPrefix(t.self, key)
+	if row >= MaxTableRows {
 		return Addr{}
 	}
-	return t.get(row, t.base.Digit(key, row))
+	return t.get(row, ids.Digit(key, row))
 }
 
 // closerThanSelf scans for any known node that shares at least prefixLen
@@ -161,9 +154,9 @@ func (t *routingTable) closerThanSelf(key ids.ID, prefixLen int) Addr {
 	selfDist := t.self.Distance(key)
 	var best Addr
 	bestDist := selfDist
-	for r := prefixLen; r < t.maxRows; r++ {
+	for r := prefixLen; r < MaxTableRows; r++ {
 		for _, a := range t.row(r) {
-			if t.base.CommonPrefix(a.ID, key) < prefixLen {
+			if ids.CommonPrefix(a.ID, key) < prefixLen {
 				continue
 			}
 			if d := a.ID.Distance(key); d.Cmp(bestDist) < 0 {

@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"corona/internal/codec"
@@ -135,21 +134,12 @@ func (n *Network) SetByteAccounting(enabled bool) {
 }
 
 // Endpoint is one attachment point on the network. It implements
-// pastry.Transport for the node that owns it, and pastry.ByteCounter so
-// per-node wire volume shows up in overlay stats with the same
-// codec-measured sizes a live deployment would put on the wire.
+// pastry.Transport for the node that owns it; the bytes it sends count
+// toward the network-wide total (Network.Bytes).
 type Endpoint struct {
 	net     *Network
 	name    string
 	deliver func(pastry.Message)
-
-	bytesSent atomic.Uint64
-	bytesRecv atomic.Uint64
-}
-
-// WireBytes implements pastry.ByteCounter with codec-measured sizes.
-func (ep *Endpoint) WireBytes() (sent, received uint64) {
-	return ep.bytesSent.Load(), ep.bytesRecv.Load()
 }
 
 // Attach registers an endpoint under the given name (the Addr.Endpoint
@@ -165,22 +155,22 @@ func (n *Network) Attach(name string, deliver func(pastry.Message)) *Endpoint {
 // Node attaches an endpoint named addr.Endpoint and builds the overlay
 // node that owns it on the network's simulator clock. The node is not yet
 // in any ring: Bootstrap, Join or BuildStaticOverlay it.
-func (n *Network) Node(cfg pastry.Config, addr pastry.Addr) *pastry.Node {
+func (n *Network) Node(addr pastry.Addr) *pastry.Node {
 	var node *pastry.Node
 	// Deliveries run from the event queue, so node is set before the
 	// first one.
 	ep := n.Attach(addr.Endpoint, func(m pastry.Message) { node.Deliver(m) })
-	node = pastry.NewNode(cfg, addr, ep, n.sim)
+	node = pastry.NewNode(addr, ep, n.sim)
 	return node
 }
 
 // Ring builds count nodes named sim://0 .. sim://count-1, drawing their
 // identifiers from rng in that order, and converges them with
 // pastry.BuildStaticOverlay.
-func (n *Network) Ring(cfg pastry.Config, count int, rng *rand.Rand) []*pastry.Node {
+func (n *Network) Ring(count int, rng *rand.Rand) []*pastry.Node {
 	nodes := make([]*pastry.Node, count)
 	for i := range nodes {
-		nodes[i] = n.Node(cfg, pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("sim://%d", i)})
+		nodes[i] = n.Node(pastry.Addr{ID: ids.Random(rng), Endpoint: fmt.Sprintf("sim://%d", i)})
 	}
 	pastry.BuildStaticOverlay(nodes)
 	return nodes
@@ -213,10 +203,8 @@ func (ep *Endpoint) Send(to pastry.Addr, msg pastry.Message) error {
 	}
 	// A message that left the sender costs wire bytes whether or not the
 	// network then loses it.
-	var size uint64
 	if measure {
-		size = uint64(codec.Measure(msg))
-		ep.bytesSent.Add(size)
+		size := uint64(codec.Measure(msg))
 		n.mu.Lock()
 		n.bytes += size
 		n.mu.Unlock()
@@ -233,7 +221,6 @@ func (ep *Endpoint) Send(to pastry.Addr, msg pastry.Message) error {
 		stillUp := !n.down[to.Endpoint]
 		n.mu.Unlock()
 		if stillUp {
-			dst.bytesRecv.Add(size)
 			dst.deliver(msg)
 		}
 	})

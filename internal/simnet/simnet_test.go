@@ -268,7 +268,7 @@ func TestRingMatchesHandBuiltRing(t *testing.T) {
 		ep := fmt.Sprintf("sim://%d", i)
 		var node *pastry.Node
 		endpoint := handNet.Attach(ep, func(m pastry.Message) { node.Deliver(m) })
-		node = pastry.NewNode(pastry.DefaultConfig(), pastry.Addr{ID: ids.Random(handRNG), Endpoint: ep}, endpoint, handSim)
+		node = pastry.NewNode(pastry.Addr{ID: ids.Random(handRNG), Endpoint: ep}, endpoint, handSim)
 		want[i] = node
 	}
 	pastry.BuildStaticOverlay(want)
@@ -276,7 +276,7 @@ func TestRingMatchesHandBuiltRing(t *testing.T) {
 	sim := eventsim.New(seed)
 	net := New(sim, FixedLatency(time.Millisecond))
 	rng := sim.RNG(label)
-	nodes := net.Ring(pastry.DefaultConfig(), size, rng)
+	nodes := net.Ring(size, rng)
 	if len(nodes) != size {
 		t.Fatalf("Ring built %d nodes, want %d", len(nodes), size)
 	}

@@ -159,7 +159,7 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	}
 	self := pastry.Addr{ID: idFromEndpoint(advertise), Endpoint: advertise}
 	clk := clock.Real{}
-	overlay := pastry.NewNode(pastry.DefaultConfig(), self, transport, clk)
+	overlay := pastry.NewNode(self, transport, clk)
 	transport.OnDeliver(overlay.Deliver)
 
 	seed := cfg.Seed
@@ -389,16 +389,18 @@ type StoreStats struct {
 }
 
 // LiveStats extends the node's protocol counters with deployment-only
-// state: the overlay's message and wire counters, the durable store's
+// state: the overlay's message counters, the transport's wire counters,
+// the durable store's
 // health and the client and web edges' delivery counters. It is the one
 // snapshot /metrics reads its node counters from (admin.go's
 // liveStatsSpec).
 type LiveStats struct {
 	core.Stats
 	Store StoreStats
-	// Overlay is the overlay node's activity, including the transport's
-	// wire byte and local drop counters.
+	// Overlay is the overlay node's routing and delivery activity.
 	Overlay pastry.Stats
+	// Wire is the TCP transport's traffic under the overlay.
+	Wire WireStats
 	// Web is the web edge gateway's session and delivery accounting,
 	// zero-valued when no web listener runs; liveStatsSpec exposes it as
 	// the corona_web_* families, which a node without a web edge
@@ -420,6 +422,15 @@ type LiveStats struct {
 	BatchClients      uint64
 }
 
+// WireStats counts the overlay transport's traffic: bytes written to and
+// read from peer connections, and outbound messages discarded locally
+// before the wire (backpressure, encode failure, retry exhaustion).
+type WireStats struct {
+	BytesSent     uint64
+	BytesReceived uint64
+	Dropped       uint64
+}
+
 // Stats exposes the node's activity counters and, for durable nodes, the
 // store's WAL size, records-since-snapshot, and latched IO error.
 func (ln *LiveNode) Stats() LiveStats {
@@ -429,6 +440,8 @@ func (ln *LiveNode) Stats() LiveStats {
 		Overlay:     ln.overlay.Stats(),
 		OriginDials: ln.fetcher.Dials(),
 	}
+	ls.Wire.BytesSent, ls.Wire.BytesReceived = ln.transport.WireBytes()
+	ls.Wire.Dropped = ln.transport.Dropped()
 	// One table lock acquisition for the whole counter group, so the
 	// batch totals and undeliverable count come from the same instant.
 	gc := ln.sessions.DeliveryStats()
@@ -470,19 +483,19 @@ func (ln *LiveNode) storeStats() StoreStats {
 // PeerQueueStat describes one peer's outbound send queue on this node's
 // transport: instantaneous depth against capacity, plus messages to that
 // peer dropped locally (backpressure, encode failure, retry exhaustion).
-type PeerQueueStat = pastry.PeerQueueStat
+type PeerQueueStat = netwire.PeerQueueStat
 
 // PeerQueues snapshots the transport's per-peer send queues, making
 // backpressure toward slow or dead peers observable. The transport-wide
 // drop total is in WireDropped.
 func (ln *LiveNode) PeerQueues() []PeerQueueStat {
-	return ln.overlay.PeerQueues()
+	return ln.transport.PeerQueues()
 }
 
 // WireDropped returns how many outbound messages this node's transport
 // discarded locally before they reached the wire.
 func (ln *LiveNode) WireDropped() uint64 {
-	return ln.overlay.Stats().WireDropped
+	return ln.transport.Dropped()
 }
 
 // closeAdmin tears down the admin listener and in-flight admin

@@ -120,7 +120,7 @@ func startUnjoinedNode(t *testing.T) *LiveNode {
 		t.Fatal(err)
 	}
 	self := pastry.Addr{ID: idFromEndpoint(transport.Addr()), Endpoint: transport.Addr()}
-	overlay := pastry.NewNode(pastry.DefaultConfig(), self, transport, clock.Real{})
+	overlay := pastry.NewNode(self, transport, clock.Real{})
 	transport.OnDeliver(overlay.Deliver)
 	ccfg := core.DefaultConfig()
 	ccfg.PollInterval = time.Hour

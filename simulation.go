@@ -9,7 +9,6 @@ import (
 	"corona/internal/eventsim"
 	"corona/internal/feed"
 	"corona/internal/ids"
-	"corona/internal/pastry"
 	"corona/internal/simnet"
 	"corona/internal/webserver"
 )
@@ -48,7 +47,7 @@ func NewSimulation(opts Options) (*Simulation, error) {
 		feedSeed: opts.Seed * 7919,
 	}
 	fetcher := &core.OriginFetcher{Origin: s.origin, Clock: sim}
-	for i, overlay := range s.net.Ring(pastry.DefaultConfig(), opts.Nodes, sim.RNG("corona-cluster-ids")) {
+	for i, overlay := range s.net.Ring(opts.Nodes, sim.RNG("corona-cluster-ids")) {
 		n, err := core.Assemble(opts.coreConfig(opts.Seed+int64(i)),
 			core.Seams{Overlay: overlay, Clock: sim, Fetcher: fetcher, Notifier: s.clients})
 		if err != nil {
