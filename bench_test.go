@@ -555,6 +555,64 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkWireIdlePeer reports the heap netwire keeps per idle contact
+// (B/peer), sender and receiver sides together: each iteration sends one
+// small message from a fresh transport to each of 32 fresh loopback
+// peers, waits for delivery, and compares the heap after a collection
+// with the heap before the sends.
+func BenchmarkWireIdlePeer(b *testing.B) {
+	const peers = 32
+	msg := wireBenchMessage()
+	var retained int64
+	for i := 0; i < b.N; i++ {
+		goroutines := runtime.NumGoroutine()
+		var got atomic.Int64
+		rxs := make([]*netwire.Transport, peers)
+		for j := range rxs {
+			rx, err := netwire.Listen("127.0.0.1:0", func(pastry.Message) { got.Add(1) })
+			if err != nil {
+				b.Fatal(err)
+			}
+			rxs[j] = rx
+		}
+		tx, err := netwire.Listen("127.0.0.1:0", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := liveHeapBytes()
+		for _, rx := range rxs {
+			if err := tx.Send(pastry.Addr{ID: ids.HashString(rx.Addr()), Endpoint: rx.Addr()}, msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for got.Load() < peers {
+			time.Sleep(100 * time.Microsecond)
+		}
+		retained += liveHeapBytes() - before
+		tx.Close()
+		for _, rx := range rxs {
+			rx.Close()
+		}
+		// The next iteration's baseline must not include this one's
+		// readers and writers, which exit after Close returns.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				b.Fatalf("%d goroutines still running after Close", runtime.NumGoroutine()-goroutines)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	b.ReportMetric(float64(retained)/float64(b.N*peers), "B/peer")
+}
+
+// liveHeapBytes returns the heap in use after a collection.
+func liveHeapBytes() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
 // BenchmarkUpdateDissemination runs the end-to-end hot path of §3.4 under
 // simnet with codec-measured byte accounting: a level-1 wedge broadcast of
 // an update diff floods the DAG across 256 nodes, every hop paying the

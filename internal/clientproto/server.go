@@ -12,6 +12,15 @@ import (
 // tokenLen is the resume-token size in bytes.
 const tokenLen = 16
 
+// acceptRetryMin and acceptRetryMax bound the pause before a server
+// retries a failed Accept (net/http's Server.Serve uses the same
+// schedule): a listener out of file descriptors recovers when some
+// close, so the server waits instead of refusing clients for good.
+const (
+	acceptRetryMin = 5 * time.Millisecond
+	acceptRetryMax = time.Second
+)
+
 // Backend is the node surface the protocol server drives: subscription
 // calls and the node's ServerInfo advertisement. Notifications reach a
 // session through the SessionTable it logged in to. corona.LiveNode
@@ -170,11 +179,18 @@ func ServeLine(ln net.Listener, backend Backend, table *SessionTable, observe fu
 func serve[T any](ln net.Listener, backend Backend, table *SessionTable, f *Framing[T], encode func(Notification) (T, bool), observe func(time.Duration)) *Server {
 	e := NewEdge(DefaultQueueLen, encode, observe)
 	go func() {
+		var pause time.Duration
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
-				return // listener closed
+				if errors.Is(err, net.ErrClosed) {
+					return
+				}
+				pause = min(max(2*pause, acceptRetryMin), acceptRetryMax)
+				time.Sleep(pause)
+				continue
 			}
+			pause = 0
 			sess, ok := OpenSession(e, f, backend, table, func() { conn.Close() })
 			if !ok {
 				conn.Close()

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -175,6 +177,40 @@ func TestServerLoginSubscribeNotify(t *testing.T) {
 	}
 	if _, ok := c.read().(*ServerInfo); !ok {
 		t.Fatal("no ServerInfo after ping")
+	}
+}
+
+// flakyListener fails its first Accept as a listener out of file
+// descriptors does, then accepts normally.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if !l.failed.Swap(true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerAcceptRetriesTransientError checks that one failed Accept
+// does not stop a server from taking clients.
+func TestServerAcceptRetriesTransientError(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ServeSessions(&flakyListener{Listener: l}, newFakeBackend(), NewSessionTable(nil), nil)
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := Hello(conn); err != nil {
+		t.Fatalf("hello after a failed Accept: %v", err)
 	}
 }
 

@@ -15,30 +15,46 @@
 // The writer coalesces whatever is queued — up to 64 messages —
 // into a single multi-message frame, amortizing the syscall and frame
 // overhead across the batch under load while adding no delay when the
-// queue is shallow (a lone message ships immediately). Connections are
-// established lazily and re-established with exponential backoff; reads
-// and writes go through bufio. A writer whose queue stays empty for two
-// minutes retires — its goroutine, queue, and connection are
-// released, and a later Send revives the peer transparently — so
-// membership churn does not accumulate per-endpoint state forever.
+// queue is shallow (a lone message ships immediately). It builds each
+// frame whole in one buffer and hands it to the socket in one write.
+// Connections are established lazily and re-established with
+// exponential backoff. A reader takes headers and small frames through
+// a default-size (4 KiB) bufio.Reader and reads each frame into one
+// buffer it reuses. A writer whose queue stays empty for two minutes
+// retires — its goroutine and connection are released, and a later Send
+// revives the peer transparently — so membership churn does not
+// accumulate per-endpoint state forever.
 //
-// Each peer's queue holds 1024 messages. When it is full, Send discards
-// the new message and counts it in Dropped: Corona's protocol tolerates
-// loss the way it tolerates UDP loss, and the next maintenance round
-// repairs. Send never waits for a slow peer.
+// Each peer's queue is bounded at 1024 messages waiting for the writer,
+// besides the batch the writer is sending. It is a ring that grows on
+// demand, and a writer whose queue has stayed empty for a second gives
+// back the storage its queue and buffers grew to: an idle contact costs
+// no queue storage, and a steady stream that drains its queue now and
+// then does not regrow it each time. When the queue is full, Send
+// discards the new message and counts it in Dropped: Corona's protocol
+// tolerates loss the way it tolerates UDP loss, and the next maintenance
+// round repairs. Send never waits for a slow peer.
+//
+// The listener survives a failed Accept other than its own close (a
+// process out of file descriptors, say): it retries after a pause that
+// starts at 5 ms and doubles up to 1 s.
 //
 // # Buffer lifetimes
 //
 // Each writer encodes a whole batch into one buffer (codec.AppendEncode)
-// that it reuses for the next batch, and each reader reads every frame of
-// its connection into one reused buffer. A decoded message's retained raw
-// payload aliases that frame buffer, so it is valid only during the
-// deliver callback: the callback must not keep the raw bytes (or the
+// and copies it into a frame buffer sized by the frame being written;
+// it reuses both for the next batch until a second of quiet releases
+// them. Each reader reads every frame of its connection into one reused
+// buffer. A decoded message's retained raw payload aliases that frame
+// buffer, so it is valid only during the deliver callback: the callback must not keep the raw bytes (or the
 // message, unmaterialized) once it returns. pastry.Node.Deliver keeps
 // that rule: a local handler sees a payload materialized by a decoder
 // that copies, and a routed next hop or a broadcast forwarded deeper
 // copies the raw payload once before it is queued. A buffer grown past
 // 1 MiB by a huge frame or batch is dropped afterwards rather than kept.
+// What an idle contact keeps is the reader's 4 KiB, the socket and small
+// buffers: about 7 KB of heap, sender and receiver together
+// (BenchmarkWireIdlePeer; TestIdlePeerFootprint holds it under 16 KiB).
 //
 // # Wire protocol
 //

@@ -3,10 +3,12 @@ package netwire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,13 +32,23 @@ const (
 const (
 	// maxBatch caps how many queued messages one frame coalesces.
 	maxBatch = 64
+	// quietAfter is how long a writer waits with an empty queue before
+	// it gives back the storage its queue, batch and frame buffers grew
+	// to. Storage outlives a momentary drain, so a steady stream reuses
+	// it instead of regrowing it after each one.
+	quietAfter = time.Second
 	// writeTimeout bounds one frame's write to a peer.
 	writeTimeout = 10 * time.Second
-	bufSize      = 64 << 10
 	// maxKeptBuffer caps the frame and batch buffers a connection keeps
 	// across frames: one grown past it by a huge frame is dropped after
 	// that frame instead of pinning the memory.
 	maxKeptBuffer = 1 << 20
+	// acceptRetryMin and acceptRetryMax bound the pause before retrying a
+	// failed Accept (net/http's Server.Serve uses the same schedule): a
+	// listener out of file descriptors recovers when some close, so the
+	// loop waits instead of giving up on inbound connections for good.
+	acceptRetryMin = 5 * time.Millisecond
+	acceptRetryMax = time.Second
 )
 
 // Transport is a TCP-backed pastry.Transport with asynchronous, batched
@@ -73,7 +85,7 @@ type Transport struct {
 
 	// dialTimeout bounds one connection attempt.
 	dialTimeout time.Duration
-	// queueLen is the per-peer outbound queue depth.
+	// queueLen bounds each peer's queue.
 	queueLen int
 	// dialAttempts is how many connection attempts a writer makes per
 	// batch before reporting a send fault.
@@ -96,6 +108,11 @@ func Listen(bind string, deliver func(pastry.Message)) (*Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netwire: listen %s: %w", bind, err)
 	}
+	return newTransport(l, deliver), nil
+}
+
+// newTransport returns a transport accepting inbound connections on l.
+func newTransport(l net.Listener, deliver func(pastry.Message)) *Transport {
 	t := &Transport{
 		listener:     l,
 		deliver:      deliver,
@@ -110,7 +127,7 @@ func Listen(bind string, deliver func(pastry.Message)) (*Transport, error) {
 		idleTimeout:  2 * time.Minute,
 	}
 	go t.acceptLoop()
-	return t, nil
+	return t
 }
 
 // OnDeliver sets the inbound message handler.
@@ -210,15 +227,17 @@ func (t *Transport) Dropped() uint64 {
 	return t.dropCount.Load()
 }
 
-// PeerQueueStat describes one peer's outbound send queue: its
-// instantaneous depth against capacity, plus how many messages to that
-// peer were dropped locally (backpressure, encode failure, retry budget
-// exhausted).
+// PeerQueueStat describes one peer's outbound send queue.
 type PeerQueueStat struct {
 	Endpoint string
-	Depth    int
+	// Depth is how many messages to the peer wait for its writer, not
+	// counting the batch the writer is sending.
+	Depth int
+	// Capacity is the bound on Depth; Send drops a message beyond it.
 	Capacity int
-	Drops    uint64
+	// Drops counts messages to the peer discarded locally: beyond the
+	// bound, unencodable, or undeliverable through the retry budget.
+	Drops uint64
 }
 
 // PeerQueues snapshots every live peer's outbound queue — instantaneous
@@ -235,10 +254,13 @@ func (t *Transport) PeerQueues() []PeerQueueStat {
 	t.mu.Unlock()
 	out := make([]PeerQueueStat, len(peers))
 	for i, p := range peers {
+		p.mu.Lock()
+		depth := p.n
+		p.mu.Unlock()
 		out[i] = PeerQueueStat{
 			Endpoint: p.endpoint,
-			Depth:    len(p.queue),
-			Capacity: cap(p.queue),
+			Depth:    depth,
+			Capacity: t.queueLen,
 			Drops:    p.drops.Load(),
 		}
 	}
@@ -264,12 +286,25 @@ func (t *Transport) Close() error {
 	return t.listener.Close()
 }
 
+// acceptLoop accepts inbound connections until the listener or the
+// transport closes, retrying any other Accept error after a pause.
 func (t *Transport) acceptLoop() {
+	var pause time.Duration
 	for {
 		conn, err := t.listener.Accept()
 		if err != nil {
-			return // listener closed
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			pause = min(max(2*pause, acceptRetryMin), acceptRetryMax)
+			select {
+			case <-time.After(pause):
+				continue
+			case <-t.closing:
+				return
+			}
 		}
+		pause = 0
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
@@ -293,10 +328,12 @@ func (t *Transport) forgetInbound(conn net.Conn) {
 // delivering every message in order. Every frame is read into one buffer
 // the connection reuses: delivery is synchronous, handlers see payloads
 // materialized by decoders that copy, and pastry copies a payload it
-// forwards, so nothing aliases the buffer once deliverFrame returns.
+// forwards, so nothing aliases the buffer once deliverFrame returns. The
+// default-size reader gathers headers and small frames; a body larger
+// than it is read mostly straight into the frame buffer.
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.forgetInbound(conn)
-	br := bufio.NewReaderSize(conn, bufSize)
+	br := bufio.NewReader(conn)
 	hello, err := br.ReadByte()
 	if err != nil {
 		return
@@ -381,11 +418,7 @@ func (t *Transport) Send(to pastry.Addr, msg pastry.Message) error {
 		if err != nil {
 			return err
 		}
-		ok, err := p.enqueue(to, msg)
-		if err != nil {
-			return err
-		}
-		if ok {
+		if p.enqueue(to, msg) {
 			return nil
 		}
 		// The peer retired between lookup and enqueue; loop to revive it.
@@ -408,7 +441,7 @@ func (t *Transport) peerFor(endpoint string) (*peer, error) {
 	p := &peer{
 		t:        t,
 		endpoint: endpoint,
-		queue:    make(chan outMsg, t.queueLen),
+		kick:     make(chan struct{}, 1),
 	}
 	t.peers[endpoint] = p
 	go p.writeLoop()
@@ -442,17 +475,24 @@ type outMsg struct {
 type peer struct {
 	t        *Transport
 	endpoint string
-	queue    chan outMsg
+	// kick wakes the writer after an enqueue. One pending wake is
+	// enough: the writer rereads the queue each time it wakes.
+	kick chan struct{}
 
 	// drops counts messages to this peer discarded locally (backpressure,
 	// encode failure, exhausted retry budget); the transport-wide
 	// dropCount accumulates the same events across all peers.
 	drops atomic.Uint64
 
-	// mu guards retired and is held across the queue insert, so
-	// retirement (which requires an empty queue) cannot slip between an
-	// enqueue's liveness check and its insert.
-	mu      sync.Mutex
+	// mu guards the queue and retired. It is held across an enqueue's
+	// liveness check and its insert, so retirement (which requires an
+	// empty queue) cannot slip between them.
+	mu sync.Mutex
+	// queue is a ring holding the n messages waiting for the writer, the
+	// oldest at head. It grows on demand up to the transport's queueLen
+	// and is released once the peer has been quiet for quietAfter.
+	queue   []outMsg
+	head, n int
 	retired bool
 }
 
@@ -465,20 +505,50 @@ func (p *peer) drop(n uint64) {
 
 // enqueue queues a message, dropping it when the queue is full. ok=false
 // means the peer retired and the caller must fetch a fresh one.
-func (p *peer) enqueue(to pastry.Addr, msg pastry.Message) (ok bool, err error) {
+func (p *peer) enqueue(to pastry.Addr, msg pastry.Message) (ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.retired {
-		return false, nil
+		return false
 	}
-	select {
-	case p.queue <- outMsg{to: to, msg: msg}:
-		return true, nil
-	case <-p.t.closing:
-		return false, errClosed
-	default:
+	if p.n >= p.t.queueLen {
 		p.drop(1)
-		return true, nil // backpressure loss is not a destination failure
+		return true // backpressure loss is not a destination failure
+	}
+	if p.n == len(p.queue) {
+		// Full: double the ring, oldest message first.
+		q := make([]outMsg, min(max(2*p.n, 1), p.t.queueLen))
+		copy(q[copy(q, p.queue[p.head:]):], p.queue[:p.head])
+		p.queue, p.head = q, 0
+	}
+	p.queue[(p.head+p.n)%len(p.queue)] = outMsg{to: to, msg: msg}
+	p.n++
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// take moves up to maxBatch of the oldest queued messages to dst.
+func (p *peer) take(dst []outMsg) []outMsg {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := min(p.n, maxBatch); k > 0; k-- {
+		dst = append(dst, p.queue[p.head])
+		p.queue[p.head] = outMsg{}
+		p.head = (p.head + 1) % len(p.queue)
+		p.n--
+	}
+	return dst
+}
+
+// release drops the queue's storage if it holds no message.
+func (p *peer) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.n == 0 {
+		p.queue, p.head = nil, 0
 	}
 }
 
@@ -487,7 +557,7 @@ func (p *peer) enqueue(to pastry.Addr, msg pastry.Message) (ok bool, err error) 
 func (p *peer) retire() bool {
 	p.t.mu.Lock()
 	p.mu.Lock()
-	if len(p.queue) == 0 {
+	if p.n == 0 {
 		p.retired = true
 		delete(p.t.peers, p.endpoint)
 	}
@@ -502,126 +572,160 @@ func (p *peer) retire() bool {
 // only goroutine that ever writes to this peer, so concurrent Send calls
 // cannot interleave partial frames.
 func (p *peer) writeLoop() {
-	idle := p.t.idleTimeout
-	var conn net.Conn
-	var bw *bufio.Writer
+	w := writer{p: p}
 	defer func() {
-		if conn != nil {
-			conn.Close()
+		if w.conn != nil {
+			w.conn.Close()
 		}
 	}()
-	idleTimer := time.NewTimer(idle)
-	defer idleTimer.Stop()
-	batch := make([]outMsg, 0, maxBatch)
-	bodies := make([][]byte, 0, maxBatch)
-	// buf holds the whole batch's encoded bodies, back to back; ends
-	// marks where each one stops. Both are reused across batches.
-	var buf []byte
-	ends := make([]int, 0, maxBatch)
+	timer := time.NewTimer(quietAfter)
+	defer timer.Stop()
 	for {
-		batch = batch[:0]
-		if cap(buf) > maxKeptBuffer {
-			buf = nil // a huge batch's buffer is not kept while idle
-		}
-		if !idleTimer.Stop() {
-			select {
-			case <-idleTimer.C:
-			default:
-			}
-		}
-		idleTimer.Reset(idle)
-		select {
-		case m := <-p.queue:
-			batch = append(batch, m)
-		case <-idleTimer.C:
-			if p.retire() {
+		w.batch = p.take(w.batch[:0])
+		if len(w.batch) == 0 {
+			if !w.await(timer) {
 				return
 			}
 			continue
-		case <-p.t.closing:
+		}
+		open := w.send(w.batch)
+		clear(w.batch) // the messages are sent; keep only the storage
+		if !open {
 			return
 		}
-	drain:
-		for len(batch) < maxBatch {
-			select {
-			case m := <-p.queue:
-				batch = append(batch, m)
-			default:
-				break drain
-			}
+		// A huge batch's buffers are not kept for the next one.
+		if cap(w.buf) > maxKeptBuffer {
+			w.buf = nil
 		}
-
-		buf, ends = buf[:0], ends[:0]
-		for _, m := range batch {
-			start := len(buf)
-			var err error
-			buf, err = codec.AppendEncode(buf, m.msg)
-			if err != nil || len(buf)-start > maxFrame-frameOverhead {
-				buf = buf[:start]
-				p.drop(1)
-				continue
-			}
-			ends = append(ends, len(buf))
-		}
-		if len(ends) == 0 {
-			continue
-		}
-		bodies = bodies[:0]
-		start := 0
-		for _, end := range ends {
-			bodies = append(bodies, buf[start:end])
-			start = end
-		}
-
-		if conn == nil {
-			var err error
-			conn, bw, err = p.connect()
-			if err != nil {
-				if err == errClosed {
-					return
-				}
-				// Count the drop before reporting the fault, so whoever
-				// the fault reaches already sees it in Dropped.
-				p.drop(uint64(len(bodies)))
-				p.t.fault(batch[len(batch)-1].to, err)
-				continue
-			}
-		}
-		if sent, err := p.writeFrames(conn, bw, bodies); err != nil {
-			conn.Close()
-			conn, bw = nil, nil
-			// A write failure on an established connection usually means
-			// the peer restarted since the last batch (the classic stale
-			// connection): redial ONCE — a single attempt, not the full
-			// backoff budget, so a genuinely dead peer still faults fast
-			// — and retry the unsent remainder before dropping anything.
-			remaining := bodies[sent:]
-			var rerr error
-			conn, bw, rerr = p.dialOnce()
-			if rerr == errClosed {
-				return
-			}
-			if rerr == nil {
-				var resent int
-				if resent, rerr = p.writeFrames(conn, bw, remaining); rerr != nil {
-					conn.Close()
-					conn, bw = nil, nil
-					remaining = remaining[resent:]
-				} else {
-					remaining = nil
-				}
-			}
-			if len(remaining) > 0 {
-				p.drop(uint64(len(remaining)))
-				p.t.fault(batch[len(batch)-1].to, err)
-			}
+		if cap(w.frame) > maxKeptBuffer {
+			w.frame = nil
 		}
 	}
 }
 
+// await waits for a message to be queued. A peer quiet for quietAfter
+// gives back its queue's and writer's storage; one quiet for the
+// transport's idleTimeout retires. await reports false when the writer
+// should exit: the peer retired or the transport closed.
+func (w *writer) await(timer *time.Timer) bool {
+	p := w.p
+	quiet := min(quietAfter, p.t.idleTimeout)
+	timer.Reset(quiet)
+	select {
+	case <-p.kick:
+		return true
+	case <-p.t.closing:
+		return false
+	case <-timer.C:
+	}
+	p.release()
+	w.batch, w.buf, w.ends, w.bodies, w.frame = nil, nil, nil, nil, nil
+	timer.Reset(p.t.idleTimeout - quiet)
+	select {
+	case <-p.kick:
+		return true
+	case <-p.t.closing:
+		return false
+	case <-timer.C:
+		return !p.retire()
+	}
+}
+
+// writer is a peer's writer goroutine's connection and the buffers it
+// reuses from batch to batch.
+type writer struct {
+	p    *peer
+	conn net.Conn
+	// batch holds the messages being sent, taken from the queue.
+	batch []outMsg
+	// buf holds a batch's encoded bodies, back to back; ends marks where
+	// each one stops, and bodies slices them out.
+	buf    []byte
+	ends   []int
+	bodies [][]byte
+	// frame holds the frame being written, sized by the largest frame
+	// written since the writer last released its storage.
+	frame []byte
+}
+
+// send encodes a batch and writes it to the peer, dialing first when no
+// connection is open. A message that cannot be encoded or delivered is
+// dropped and counted. send reports false once the transport has closed.
+func (w *writer) send(batch []outMsg) bool {
+	p := w.p
+	w.buf, w.ends = w.buf[:0], w.ends[:0]
+	for _, m := range batch {
+		start := len(w.buf)
+		var err error
+		w.buf, err = codec.AppendEncode(w.buf, m.msg)
+		if err != nil || len(w.buf)-start > maxFrame-frameOverhead {
+			w.buf = w.buf[:start]
+			p.drop(1)
+			continue
+		}
+		w.ends = append(w.ends, len(w.buf))
+	}
+	if len(w.ends) == 0 {
+		return true
+	}
+	w.bodies = w.bodies[:0]
+	start := 0
+	for _, end := range w.ends {
+		w.bodies = append(w.bodies, w.buf[start:end])
+		start = end
+	}
+	to := batch[len(batch)-1].to
+
+	if w.conn == nil {
+		conn, err := p.connect()
+		if err == errClosed {
+			return false
+		}
+		if err != nil {
+			// Count the drop before reporting the fault, so whoever the
+			// fault reaches already sees it in Dropped.
+			p.drop(uint64(len(w.bodies)))
+			p.t.fault(to, err)
+			return true
+		}
+		w.conn = conn
+	}
+	sent, err := w.writeFrames(w.bodies)
+	if err == nil {
+		return true
+	}
+	w.conn.Close()
+	// A write failure on an established connection usually means the
+	// peer restarted since the last batch (the classic stale connection):
+	// redial ONCE — a single attempt, not the full backoff budget, so a
+	// genuinely dead peer still faults fast — and retry the unsent
+	// remainder before dropping anything.
+	remaining := w.bodies[sent:]
+	var rerr error
+	w.conn, rerr = p.dialOnce()
+	if rerr == errClosed {
+		return false
+	}
+	if rerr == nil {
+		var resent int
+		if resent, rerr = w.writeFrames(remaining); rerr != nil {
+			w.conn.Close()
+			w.conn = nil
+			remaining = remaining[resent:]
+		} else {
+			remaining = nil
+		}
+	}
+	if len(remaining) > 0 {
+		p.drop(uint64(len(remaining)))
+		p.t.fault(to, err)
+	}
+	return true
+}
+
 // connect dials the peer, retrying with exponential backoff up to the
 // transport's attempt budget, and sends the codec hello byte.
-func (p *peer) connect() (net.Conn, *bufio.Writer, error) {
+func (p *peer) connect() (net.Conn, error) {
 	backoff := p.t.backoffBase
 	var lastErr error
 	for attempt := 0; attempt < p.t.dialAttempts; attempt++ {
@@ -629,45 +733,44 @@ func (p *peer) connect() (net.Conn, *bufio.Writer, error) {
 			select {
 			case <-time.After(p.t.jitterDelay(wait)):
 			case <-p.t.closing:
-				return nil, nil, errClosed
+				return nil, errClosed
 			}
 			backoff *= 2
 		}
-		conn, bw, err := p.dialOnce()
+		conn, err := p.dialOnce()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		return conn, bw, nil
+		return conn, nil
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
 // dialOnce makes a single connection attempt and sends the hello byte.
-func (p *peer) dialOnce() (net.Conn, *bufio.Writer, error) {
+func (p *peer) dialOnce() (net.Conn, error) {
 	select {
 	case <-p.t.closing:
-		return nil, nil, errClosed
+		return nil, errClosed
 	default:
 	}
 	conn, err := net.DialTimeout("tcp", p.endpoint, p.t.dialTimeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	bw := bufio.NewWriterSize(conn, bufSize)
-	if err := bw.WriteByte(codec.ID); err != nil {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := conn.Write([]byte{codec.ID}); err != nil {
 		conn.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	p.t.addBytesSent(1)
-	return conn, bw, nil
+	return conn, nil
 }
 
 // writeFrames packs encoded bodies into one or more frames (splitting
-// when a batch exceeds maxFrameFill) and flushes them. Each frame's
-// header, body lengths and bodies go straight into bw. It returns how
-// many bodies reached the wire before any error.
-func (p *peer) writeFrames(conn net.Conn, bw *bufio.Writer, bodies [][]byte) (int, error) {
+// when a batch exceeds maxFrameFill) and writes each frame with one
+// call. It returns how many bodies reached the wire before any error.
+func (w *writer) writeFrames(bodies [][]byte) (int, error) {
 	sent := 0
 	for len(bodies) > 0 {
 		n, size := 0, 0
@@ -681,33 +784,23 @@ func (p *peer) writeFrames(conn net.Conn, bw *bufio.Writer, bodies [][]byte) (in
 		}
 		length := uvarintLen(uint64(n)) + size
 
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		for shift := 24; shift >= 0; shift -= 8 {
-			bw.WriteByte(byte(length >> shift))
-		}
-		writeUvarint(bw, uint64(n))
+		f := slices.Grow(w.frame[:0], 4+length)
+		f = binary.BigEndian.AppendUint32(f, uint32(length))
+		f = binary.AppendUvarint(f, uint64(n))
 		for _, body := range bodies[:n] {
-			writeUvarint(bw, uint64(len(body)))
-			bw.Write(body)
+			f = binary.AppendUvarint(f, uint64(len(body)))
+			f = append(f, body...)
 		}
-		// bw latches the first write error; Flush reports it.
-		if err := bw.Flush(); err != nil {
+		w.frame = f
+		w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if _, err := w.conn.Write(f); err != nil {
 			return sent, err
 		}
-		p.t.addBytesSent(uint64(4 + length))
+		w.p.t.addBytesSent(uint64(len(f)))
 		sent += n
 		bodies = bodies[n:]
 	}
 	return sent, nil
-}
-
-// writeUvarint writes v to bw as a uvarint, a byte at a time so no
-// scratch escapes to the heap.
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	for ; v >= 0x80; v >>= 7 {
-		bw.WriteByte(byte(v) | 0x80)
-	}
-	bw.WriteByte(byte(v))
 }
 
 // uvarintLen is the length of v's uvarint encoding.
