@@ -407,7 +407,7 @@ func BenchmarkPastryRouting(b *testing.B) {
 	nodes := net.Ring(n, rng)
 	delivered := 0
 	for _, nd := range nodes {
-		nd.Handle("bench.route", func(pastry.Message) { delivered++ })
+		pastry.Handle(nd, "bench.route", func(pastry.Message, *pastry.NoPayload) { delivered++ })
 	}
 	keys := make([]ids.ID, 1024)
 	for i := range keys {
@@ -433,7 +433,7 @@ func BenchmarkWedgeMulticast(b *testing.B) {
 	nodes := net.Ring(n, rng)
 	received := 0
 	for _, nd := range nodes {
-		nd.Handle("bench.bcast", func(pastry.Message) { received++ })
+		pastry.Handle(nd, "bench.bcast", func(pastry.Message, *pastry.NoPayload) { received++ })
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -454,7 +454,7 @@ type wireBenchPayload struct {
 	Bytes   int
 }
 
-// AppendBinary implements codec.BinaryMarshaler.
+// AppendBinary implements pastry.Payload.
 func (p *wireBenchPayload) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, p.URL)
 	dst = wirebin.AppendUvarint(dst, p.Version)
@@ -462,7 +462,7 @@ func (p *wireBenchPayload) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendSint(dst, p.Bytes), nil
 }
 
-// DecodeBinary implements codec.BinaryUnmarshaler.
+// DecodeBinary implements pastry.Payload.
 func (p *wireBenchPayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	p.URL = r.String()
@@ -470,10 +470,6 @@ func (p *wireBenchPayload) DecodeBinary(src []byte) error {
 	p.Diff = r.String()
 	p.Bytes = r.Sint()
 	return r.Err()
-}
-
-func init() {
-	codec.RegisterPayload("bench.wire", func() any { return &wireBenchPayload{} })
 }
 
 func wireBenchMessage() pastry.Message {
@@ -632,7 +628,7 @@ func BenchmarkUpdateDissemination(b *testing.B) {
 		nodes := net.Ring(n, rng)
 		received := 0
 		for _, nd := range nodes {
-			nd.Handle("bench.wire", func(pastry.Message) { received++ })
+			pastry.Handle(nd, "bench.wire", func(pastry.Message, *wireBenchPayload) { received++ })
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

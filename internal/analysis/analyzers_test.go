@@ -1,10 +1,12 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"corona/internal/analysis"
 	"corona/internal/analysis/analysistest"
+	"corona/internal/analysis/load"
 )
 
 // TestMapOrder pins the deterministic-iteration analyzer against the
@@ -26,11 +28,21 @@ func TestLockBlock(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockBlock, "lockblock")
 }
 
-// TestWireSym pins the wire-symmetry analyzer: asymmetric encoder/
-// decoder pairs, registration without a binary form, and missing
-// truncation/fuzz coverage.
+// TestWireSym pins the wire-symmetry analyzer: a handler registration,
+// its type argument inferred or written out, whose payload type no
+// truncation/fuzz test references.
 func TestWireSym(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.WireSym, "wiresym")
+}
+
+// TestWireSymHalvesDoNotCompile pins what replaced the analyzer's
+// both-halves check: registering a handler for a payload type with an
+// encoder but no decoder is a type error.
+func TestWireSymHalvesDoNotCompile(t *testing.T) {
+	_, err := load.Fixtures("testdata", "wiresym/encodeonly")
+	if err == nil || !strings.Contains(err.Error(), "missing method DecodeBinary") {
+		t.Fatalf("an encode-only payload type registered without a type error: %v", err)
+	}
 }
 
 // TestWallClock pins the no-wall-clock analyzer across the always-

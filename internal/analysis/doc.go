@@ -37,18 +37,18 @@
 // the same function is held.
 //
 // wiresym (wire symmetry). The codec's binary payload contract
-// (PR 2) lets a registered type ship a native AppendBinary/DecodeBinary
-// pair; anything else rode a JSON fallback, since removed (the codec
-// now refuses to register or encode a payload without the binary
-// contract). That asymmetry bit twice: replicateMsg stayed JSON until
-// PR 3 made replication hot,
-// and the PR 5/6/8 message additions each had to remember the
-// truncation-at-every-byte/fuzz suite by convention. wiresym checks
-// every type handed to a codec registration (codec.RegisterPayload or
-// the register-callback shape core/pastry use) for both halves of the
-// contract and for a referencing truncation/fuzz test in the package,
-// so a half-implemented or untested wire form fails the build instead
-// of surfacing as a cross-version decode error.
+// (PR 2) lets a payload type ship a native AppendBinary/DecodeBinary
+// pair; anything else rode a JSON fallback, since removed. That
+// asymmetry bit twice: replicateMsg stayed JSON until PR 3 made
+// replication hot, and the PR 5/6/8 message additions each had to
+// remember the truncation-at-every-byte/fuzz suite by convention. A
+// payload type is now bound to its message type once, where its handler
+// is registered (pastry.Handle), and that registration constrains it to
+// both halves of the contract, so a half-implemented wire form does not
+// compile. wiresym checks every type named in such a registration for a
+// referencing truncation/fuzz test in its package, so an untested wire
+// form fails the build instead of surfacing as a panic on a hostile
+// frame.
 //
 // wallclock (virtual clock discipline). chaos, eventsim, and simnet
 // run on a virtual clock, and PR 8's per-stage latency histograms only

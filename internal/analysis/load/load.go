@@ -190,6 +190,7 @@ func checkSource(fset *token.FileSet, lp *listedPackage, imp func(string) (*type
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	conf := types.Config{

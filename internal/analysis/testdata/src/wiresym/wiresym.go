@@ -1,46 +1,64 @@
-// Fixture: codec-registration symmetry. register has the registry shape
-// (msgType string, factory func() any), matching codec.RegisterPayload
-// and the register-callback in core.RegisterPayloadTypes.
+// Fixture: handler registration coverage. Handle has the shape of
+// pastry.Handle: a generic function binding a message type to a handler
+// of *T, with *T constrained to both halves of the binary form.
 package wiresym
 
-func register(msgType string, factory func() any) {}
+type Message struct{}
 
-// okMsg has both halves and fuzz coverage: clean.
+type Node struct{}
+
+type Payload interface {
+	AppendBinary(dst []byte) ([]byte, error)
+	DecodeBinary(src []byte) error
+}
+
+func Handle[T any, P interface {
+	*T
+	Payload
+}](n *Node, msgType string, h func(Message, P)) {
+}
+
+// PayloadAs has the instantiation shape of a registration but another
+// name: not a registration.
+func PayloadAs[T any, P interface {
+	*T
+	Payload
+}](msg Message) P {
+	return nil
+}
+
+// okMsg has fuzz coverage: clean.
 type okMsg struct{ A int }
 
 func (m *okMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 func (m *okMsg) DecodeBinary(src []byte) error           { return nil }
 
-// encOnlyMsg encodes but cannot decode what it sent.
-type encOnlyMsg struct{}
-
-func (m *encOnlyMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
-
-// decOnlyMsg decodes but falls back to JSON on encode.
-type decOnlyMsg struct{}
-
-func (m *decOnlyMsg) DecodeBinary(src []byte) error { return nil }
-
-// nakedMsg has no binary form at all.
-type nakedMsg struct{}
-
-// untestedMsg has both halves but no robustness test references it.
+// untestedMsg has no robustness test referencing it.
 type untestedMsg struct{}
 
 func (m *untestedMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 func (m *untestedMsg) DecodeBinary(src []byte) error           { return nil }
 
-func registerAll() {
-	register("w.ok", func() any { return &okMsg{} })
-	register("w.enc", func() any { return &encOnlyMsg{} })       // want "encOnlyMsg registered with an AppendBinary encoder but no DecodeBinary"
-	register("w.dec", func() any { return &decOnlyMsg{} })       // want "decOnlyMsg registered with a DecodeBinary decoder but no AppendBinary"
-	register("w.naked", func() any { return &nakedMsg{} })       // want "nakedMsg registered without a native binary wire form"
-	register("w.untested", func() any { return &untestedMsg{} }) // want "untestedMsg has no truncation/fuzz coverage"
-}
+// explicitMsg is untested too, and registered with its type argument
+// written out.
+type explicitMsg struct{}
 
-// notARegistration: two args but the wrong signature — ignored.
-func notARegistration(name string, n int) {}
+func (m *explicitMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
+func (m *explicitMsg) DecodeBinary(src []byte) error           { return nil }
 
-func otherCalls() {
-	notARegistration("x", 1)
+// unregisteredMsg is untested but never registered: ignored.
+type unregisteredMsg struct{}
+
+func (m *unregisteredMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
+func (m *unregisteredMsg) DecodeBinary(src []byte) error           { return nil }
+
+func handleOK(Message, *okMsg)             {}
+func handleUntested(Message, *untestedMsg) {}
+
+func registerAll(n *Node) {
+	Handle(n, "w.ok", handleOK)
+	Handle(n, "w.untested", handleUntested)                              // want "untestedMsg has no truncation/fuzz coverage"
+	Handle[explicitMsg](n, "w.explicit", func(Message, *explicitMsg) {}) // want "explicitMsg has no truncation/fuzz coverage"
+	Handle(n, "w.again", func(Message, *untestedMsg) {})                 // reported once, at the first site
+	_ = PayloadAs[unregisteredMsg](Message{})
 }

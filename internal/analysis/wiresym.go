@@ -8,27 +8,24 @@ import (
 )
 
 // WireSym (wire-symmetry) enforces the discipline the wire-format PRs
-// maintain by hand: every payload type registered with internal/codec's
-// binary registry must define BOTH halves of the native binary contract —
-// an AppendBinary encoder and a DecodeBinary decoder — and must be
-// exercised by a robustness test (a Fuzz* function or a truncation test)
-// in the package's _test.go files. A type with only one half panics at
-// registration or fails every encode at run time, which no test of its
-// own package necessarily exercises; a type without a truncation/fuzz test is one hostile frame
-// away from a panic in the decode path.
+// maintain by hand: every payload type an overlay handler is registered
+// for must be exercised by a robustness test (a Fuzz* function or a
+// truncation test) in the package's _test.go files, since a type without
+// one is one hostile frame away from a panic in the decode path. That the
+// type has both halves of its native binary form, an AppendBinary encoder
+// and a DecodeBinary decoder, is checked by the compiler: pastry.Handle
+// constrains its payload type to both.
 //
-// Registration sites are recognized structurally: any call of the
-// registry shape f(msgType string, factory func() any) whose factory
-// literal returns a composite literal &T{} — this covers direct
-// codec.RegisterPayload calls and the register-callback indirection in
-// core.RegisterPayloadTypes. Only types declared in the package under
-// analysis are checked (a cross-package registration is checked where
-// the type lives).
+// Registration sites are recognized structurally: any call of a generic
+// function named Handle instantiated with a named type T and *T, the
+// shape of pastry.Handle[T, *T], whether T is inferred from the handler
+// or written out. Only types declared in the package under analysis are
+// checked (a cross-package registration is checked where the type
+// lives).
 var WireSym = &Analyzer{
 	Name: "wiresym",
-	Doc: "verifies every codec-registered payload type defines both AppendBinary and DecodeBinary " +
-		"and is referenced by a truncation/fuzz test in the package's _test.go files",
-	Run: runWireSym,
+	Doc:  "verifies every payload type registered with an overlay handler is referenced by a truncation/fuzz test in the package's _test.go files",
+	Run:  runWireSym,
 }
 
 func runWireSym(pass *Pass) error {
@@ -58,85 +55,41 @@ func runWireSym(pass *Pass) error {
 
 	robust := robustTestRefs(pass)
 	for _, tn := range order {
-		site := regs[tn]
-		hasEnc := hasMethod(tn, "AppendBinary")
-		hasDec := hasMethod(tn, "DecodeBinary")
-		switch {
-		case hasEnc && !hasDec:
-			pass.Reportf(site.Pos(), "%s registered with an AppendBinary encoder but no DecodeBinary decoder: peers cannot parse what this node sends", tn.Name())
-		case !hasEnc && hasDec:
-			pass.Reportf(site.Pos(), "%s registered with a DecodeBinary decoder but no AppendBinary encoder: every send of it fails to encode", tn.Name())
-		case !hasEnc && !hasDec:
-			pass.Reportf(site.Pos(), "%s registered without a native binary wire form: define AppendBinary/DecodeBinary (or register a type that has them)", tn.Name())
-		}
-		if hasEnc && hasDec && !robust[tn.Name()] {
-			pass.Reportf(site.Pos(), "%s has no truncation/fuzz coverage: reference it from a Fuzz* or *Truncat* test in this package's _test.go files", tn.Name())
+		if !robust[tn.Name()] {
+			pass.Reportf(regs[tn].Pos(), "%s has no truncation/fuzz coverage: reference it from a Fuzz* or *Truncat* test in this package's _test.go files", tn.Name())
 		}
 	}
 	return nil
 }
 
-// registeredType returns the type name T when call has the registry
-// shape f("msg.type", func() any { return &T{} }), else nil.
+// registeredType returns the type name T when call has the registration
+// shape Handle[T, *T](...), else nil.
 func registeredType(pass *Pass, call *ast.CallExpr) *types.TypeName {
-	if len(call.Args) != 2 {
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
 		return nil
 	}
-	sig, ok := pass.Info.Types[call.Fun].Type.(*types.Signature)
-	if !ok || sig.Params().Len() != 2 {
+	inst, ok := pass.Info.Instances[id]
+	if !ok || id.Name != "Handle" || inst.TypeArgs.Len() != 2 {
 		return nil
 	}
-	if b, ok := sig.Params().At(0).Type().(*types.Basic); !ok || b.Kind() != types.String && b.Kind() != types.UntypedString {
-		return nil
-	}
-	fsig, ok := sig.Params().At(1).Type().Underlying().(*types.Signature)
-	if !ok || fsig.Params().Len() != 0 || fsig.Results().Len() != 1 {
-		return nil
-	}
-	if _, ok := fsig.Results().At(0).Type().Underlying().(*types.Interface); !ok {
-		return nil
-	}
-	lit, ok := call.Args[1].(*ast.FuncLit)
-	if !ok {
-		return nil
-	}
-	// The factory body must be a single `return &T{}` (or `return T{}`).
-	if len(lit.Body.List) != 1 {
-		return nil
-	}
-	ret, ok := lit.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return nil
-	}
-	expr := ret.Results[0]
-	if u, ok := expr.(*ast.UnaryExpr); ok {
-		expr = u.X
-	}
-	comp, ok := expr.(*ast.CompositeLit)
-	if !ok {
-		return nil
-	}
-	t := pass.Info.Types[comp].Type
-	named, ok := t.(*types.Named)
-	if !ok {
+	named, ok := inst.TypeArgs.At(0).(*types.Named)
+	if !ok || !types.Identical(inst.TypeArgs.At(1), types.NewPointer(named)) {
 		return nil
 	}
 	return named.Obj()
-}
-
-// hasMethod reports whether tn's type (or its pointer) declares a method
-// with the given name.
-func hasMethod(tn *types.TypeName, name string) bool {
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return false
-	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == name {
-			return true
-		}
-	}
-	return false
 }
 
 var robustFuncName = regexp.MustCompile(`^Fuzz|Truncat`)

@@ -116,17 +116,14 @@ const maxPooledScratch = 64 << 10
 func appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) {
 	payload, forwarded := msg.RawPayload()
 	if !forwarded && msg.Payload != nil {
-		bm, err := marshalerFor(msg)
-		if err != nil {
-			return nil, err
-		}
 		scratch := scratchPool.Get().(*[]byte)
 		defer func() {
 			if cap(*scratch) <= maxPooledScratch {
 				scratchPool.Put(scratch)
 			}
 		}()
-		if payload, err = bm.AppendBinary((*scratch)[:0]); err != nil {
+		var err error
+		if payload, err = msg.Payload.AppendBinary((*scratch)[:0]); err != nil {
 			return nil, fmt.Errorf("codec: encoding %s payload: %w", msg.Type, err)
 		}
 		*scratch = payload[:0]
@@ -161,9 +158,9 @@ func appendPrefix(dst []byte, msg pastry.Message) ([]byte, error) {
 
 // Decode parses a body produced by Encode. The payload is not
 // materialized: its raw bytes are retained on the message, aliasing body,
-// and resolve through the type registry when
-// pastry.Message.MaterializePayload runs. They are valid only as long as
-// body is: pastry copies them before it queues the message onward.
+// and the handler registered for the message's type decodes them when the
+// message reaches it (pastry.Handle). They are valid only as long as body
+// is: pastry copies them before it queues the message onward.
 func Decode(body []byte) (pastry.Message, error) {
 	r := wirebin.NewReader(body)
 	flags := r.Byte()

@@ -1,6 +1,7 @@
 package codec_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -15,13 +16,13 @@ type testPayload struct {
 	Count int
 }
 
-// AppendBinary implements codec.BinaryMarshaler.
+// AppendBinary implements pastry.Payload.
 func (p *testPayload) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, p.Text)
 	return wirebin.AppendSint(dst, p.Count), nil
 }
 
-// DecodeBinary implements codec.BinaryUnmarshaler.
+// DecodeBinary implements pastry.Payload.
 func (p *testPayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	p.Text = r.String()
@@ -29,14 +30,16 @@ func (p *testPayload) DecodeBinary(src []byte) error {
 	return r.Err()
 }
 
-// jsonOnlyPayload has no native binary form.
-type jsonOnlyPayload struct {
-	Text string `json:"text"`
+// failingPayload cannot produce its binary form.
+type failingPayload struct{}
+
+// AppendBinary implements pastry.Payload, and always fails.
+func (*failingPayload) AppendBinary(dst []byte) ([]byte, error) {
+	return dst, errors.New("no binary form")
 }
 
-func init() {
-	codec.RegisterPayload("codec.typed", func() any { return &testPayload{} })
-}
+// DecodeBinary implements pastry.Payload.
+func (*failingPayload) DecodeBinary([]byte) error { return nil }
 
 func sampleMessage() pastry.Message {
 	return pastry.Message{
@@ -73,12 +76,9 @@ func TestRoundTripBothCodecs(t *testing.T) {
 		if got.Payload != nil {
 			t.Fatalf("payload should stay lazy until materialized, got %#v", got.Payload)
 		}
-		if err := got.MaterializePayload(); err != nil {
+		p, err := pastry.PayloadAs[testPayload](got)
+		if err != nil {
 			t.Fatal(err)
-		}
-		p, ok := got.Payload.(*testPayload)
-		if !ok {
-			t.Fatalf("payload type = %T", got.Payload)
 		}
 		if *p != *want.Payload.(*testPayload) {
 			t.Fatalf("payload = %+v", p)
@@ -100,31 +100,30 @@ func TestRoundTripZeroKeyNilPayload(t *testing.T) {
 		if !got.Key.IsZero() {
 			t.Fatalf("key should stay zero, got %v", got.Key)
 		}
-		if err := got.MaterializePayload(); err != nil {
-			t.Fatal(err)
-		}
 		if got.Payload != nil {
 			t.Fatalf("payload should stay nil, got %#v", got.Payload)
+		}
+		if raw, ok := got.RawPayload(); ok {
+			t.Fatalf("no payload sent, but %d raw bytes retained", len(raw))
+		}
+		if _, err := pastry.PayloadAs[pastry.NoPayload](got); err != nil {
+			t.Fatalf("a message without payload does not reach a NoPayload handler: %v", err)
 		}
 	})
 }
 
 // TestEncodeRejectsNonBinaryPayload pins the fail-closed encode: a payload
-// whose type is unregistered, or whose value has no AppendBinary, is an
-// encode error (the transport drops the message) rather than a silent
-// JSON fallback.
+// whose AppendBinary fails yields no binary form, and that is an encode
+// error (the transport drops the message) rather than a silent fallback.
+// A payload without AppendBinary does not compile: pastry.Payload asks
+// for it.
 func TestEncodeRejectsNonBinaryPayload(t *testing.T) {
-	cases := map[string]pastry.Message{
-		"unregistered":    {Type: "codec.unregistered", Payload: &testPayload{Text: "x"}},
-		"no-AppendBinary": {Type: "codec.typed", Payload: &jsonOnlyPayload{Text: "x"}},
+	msg := pastry.Message{Type: "codec.failing", Payload: &failingPayload{}}
+	if body, err := codec.Encode(msg); err == nil {
+		t.Fatalf("encoded %d bytes, want an error", len(body))
 	}
-	for name, msg := range cases {
-		if body, err := codec.Encode(msg); err == nil {
-			t.Fatalf("%s: encoded %d bytes, want an error", name, len(body))
-		}
-		if n := codec.Measure(msg); n != 0 {
-			t.Fatalf("%s: Measure = %d, want 0 for an unencodable message", name, n)
-		}
+	if n := codec.Measure(msg); n != 0 {
+		t.Fatalf("Measure = %d, want 0 for an unencodable message", n)
 	}
 }
 
@@ -142,21 +141,11 @@ func TestDecodeRejectsUnflaggedPayload(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsNonBinaryType pins registration: a constructor whose
-// value cannot DecodeBinary would make every peer drop the payload, so
-// registering it panics at init rather than failing on the wire.
-func TestRegisterRejectsNonBinaryType(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a type without DecodeBinary did not panic")
-		}
-	}()
-	codec.RegisterPayload("codec.jsononly", func() any { return &jsonOnlyPayload{} })
-}
-
 // TestUnregisteredPayloadDropsOnMaterialize pins the version-skew rule:
-// a binary payload of a type this node never registered keeps its
-// envelope and materializes to no payload.
+// Decode keeps the envelope of a message whatever its type, and leaves its
+// payload as the bytes that arrived, for the handler of that type, if
+// the node has one, to decode. A payload that is not the type a handler
+// asks for materializes to an error, and the handler never runs.
 func TestUnregisteredPayloadDropsOnMaterialize(t *testing.T) {
 	body, err := codec.Encode(sampleMessage())
 	if err != nil {
@@ -167,11 +156,14 @@ func TestUnregisteredPayloadDropsOnMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg.Type = "codec.unregistered"
-	if err := msg.MaterializePayload(); err != nil {
-		t.Fatal(err)
-	}
 	if msg.Payload != nil {
-		t.Fatalf("unregistered payload materialized as %#v", msg.Payload)
+		t.Fatalf("payload materialized without a handler: %#v", msg.Payload)
+	}
+	if _, ok := msg.RawPayload(); !ok {
+		t.Fatal("payload bytes not kept for a handler")
+	}
+	if p, err := pastry.PayloadAs[pastry.NoPayload](msg); err == nil {
+		t.Fatalf("a testPayload body materialized as %#v", p)
 	}
 }
 
@@ -273,8 +265,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	forwarded.Hops++
-	unregistered := sampleMessage()
-	unregistered.Type = "codec.unregistered"
+	unencodable := pastry.Message{Type: "codec.failing", Payload: &failingPayload{}}
 
 	dst := []byte("earlier bodies")
 	for _, tc := range []struct {
@@ -302,9 +293,9 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 		dst = got
 	}
 	before := string(dst)
-	got, err := codec.AppendEncode(dst, unregistered)
+	got, err := codec.AppendEncode(dst, unencodable)
 	if err == nil {
-		t.Fatal("unregistered payload type encoded")
+		t.Fatal("a payload whose AppendBinary fails encoded")
 	}
 	if len(got) != len(before) || string(got) != before || string(dst) != before {
 		t.Fatalf("failed AppendEncode changed dst: got %q, want %q", got, before)

@@ -111,7 +111,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 			och.lastVersion = v2
 			push := owner.buildReplicateLocked(och)
 			owner.mu.Unlock()
-			replica.handleReplicate(pastry.Message{From: owner.Self(), Payload: push})
+			replica.handleReplicate(pastry.Message{From: owner.Self(), Payload: push}, push)
 			replica.mu.Lock()
 			raised := replica.getChannel(url).lastVersion
 			replica.mu.Unlock()
@@ -120,7 +120,8 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 			}
 			if tc.lateUpdate {
 				diff := diffengine.Encode(diffengine.Compute(core(v1), core(v2), v1, v2))
-				replica.handleUpdate(pastry.Message{From: owner.Self(), Payload: &updateMsg{URL: url, Version: v2, Diff: diff}})
+				u := &updateMsg{URL: url, Version: v2, Diff: diff}
+				replica.handleUpdate(pastry.Message{From: owner.Self(), Payload: u}, u)
 			}
 
 			sim.RunFor(time.Hour)
@@ -189,11 +190,11 @@ func TestDuplicateUpdateSkipsDiffDecode(t *testing.T) {
 		return slices.Clone(ch.content), ch.contentVersion
 	}
 
-	n.handleUpdate(update)
+	n.handleUpdate(update, update.Payload.(*updateMsg))
 	if got, ver := state(); ver != 2 || !slices.Equal(got, v2) || decodes != 1 {
 		t.Fatalf("first delivery: content v%d %q after %d decodes, want v2 %q after 1", ver, got, decodes, v2)
 	}
-	n.handleUpdate(update)
+	n.handleUpdate(update, update.Payload.(*updateMsg))
 	if got, ver := state(); ver != 2 || !slices.Equal(got, v2) {
 		t.Fatalf("second delivery moved the content to v%d %q", ver, got)
 	}
@@ -231,9 +232,8 @@ func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	n.mu.Lock()
 	ch.content, ch.contentVersion, ch.lastVersion = v1, 1, 1
 	n.mu.Unlock()
-	n.handleUpdate(pastry.Message{From: pastry.Addr{ID: ids.HashString("peer"), Endpoint: "sim://1"}, Payload: &updateMsg{
-		URL: url, Version: 3, Diff: diffengine.Encode(diffengine.Compute(v2, v3, 2, 3)),
-	}})
+	u := &updateMsg{URL: url, Version: 3, Diff: diffengine.Encode(diffengine.Compute(v2, v3, 2, 3))}
+	n.handleUpdate(pastry.Message{From: pastry.Addr{ID: ids.HashString("peer"), Endpoint: "sim://1"}, Payload: u}, u)
 	n.mu.Lock()
 	got, ver := slices.Clone(ch.content), ch.contentVersion
 	n.mu.Unlock()

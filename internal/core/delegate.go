@@ -278,11 +278,7 @@ func (n *Node) shardEntryChangedLocked(ch *channelState, client string, entry pa
 
 // handleDelegate installs, patches, or revokes a fan-out partition pushed
 // by a hot channel's owner.
-func (n *Node) handleDelegate(msg pastry.Message) {
-	p, ok := msg.Payload.(*delegateMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleDelegate(msg pastry.Message, p *delegateMsg) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ch := n.getChannel(p.URL)
@@ -329,11 +325,7 @@ func (n *Node) handleDelegate(msg pastry.Message) {
 
 // handleDelegateNotify fans one update out to the entry nodes of the
 // partition this node carries for the channel's owner.
-func (n *Node) handleDelegateNotify(msg pastry.Message) {
-	p, ok := msg.Payload.(*delegateNotifyMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleDelegateNotify(msg pastry.Message, p *delegateNotifyMsg) {
 	if n.notify == nil {
 		return
 	}

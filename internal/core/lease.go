@@ -73,11 +73,7 @@ func (n *Node) tombstoneLocked(ch *channelState, client string) {
 // timestamp the maintain sweep checks. Asserts for a freshly
 // unsubscribed client are dropped: a heartbeat already in flight when
 // the unsubscribe routed must not resurrect the subscriber.
-func (n *Node) handleLease(msg pastry.Message) {
-	p, ok := msg.Payload.(*leaseMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleLease(msg pastry.Message, p *leaseMsg) {
 	n.mu.Lock()
 	ch := n.getChannel(p.URL)
 	if ts, dead := ch.unsubbed[p.Client]; dead {
@@ -127,9 +123,8 @@ func (n *Node) handleLease(msg pastry.Message) {
 // re-points the entries at survivors. Clients whose entry record has
 // already moved off the reported node are skipped, so a delayed report
 // cannot churn a repaired subscription.
-func (n *Node) handleLeaseExpire(msg pastry.Message) {
-	p, ok := msg.Payload.(*leaseExpireMsg)
-	if !ok || p.Entry.IsZero() {
+func (n *Node) handleLeaseExpire(msg pastry.Message, p *leaseExpireMsg) {
+	if p.Entry.IsZero() {
 		return
 	}
 	n.mu.Lock()

@@ -177,11 +177,7 @@ func (n *Node) optimizePhase() {
 
 // handlePollCtl applies a poll-control broadcast: the receiver polls the
 // channel iff it belongs to the announced wedge.
-func (n *Node) handlePollCtl(msg pastry.Message) {
-	p, ok := msg.Payload.(*pollCtlMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handlePollCtl(msg pastry.Message, p *pollCtlMsg) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ch := n.getChannel(p.URL)
@@ -318,9 +314,8 @@ func mergeRow(dst *honeycomb.ClusterSet, row map[int]*honeycomb.ClusterSet) {
 }
 
 // handleMaintain stores a contact's subtree aggregate.
-func (n *Node) handleMaintain(msg pastry.Message) {
-	p, ok := msg.Payload.(*maintainMsg)
-	if !ok || p.Clusters == nil {
+func (n *Node) handleMaintain(msg pastry.Message, p *maintainMsg) {
+	if p.Clusters == nil {
 		return
 	}
 	// The aggregate proves the contact is alive; fold it back in (it may
@@ -343,19 +338,19 @@ func (n *Node) handleMaintain(msg pastry.Message) {
 
 // registerHandlers wires Corona's message types into the overlay.
 func (n *Node) registerHandlers() {
-	n.overlay.Handle(msgSubscribe, n.handleSubscribe)
-	n.overlay.Handle(msgReplicate, n.handleReplicate)
-	n.overlay.Handle(msgReplDelta, n.handleReplDelta)
-	n.overlay.Handle(msgReplBeat, n.handleReplBeat)
-	n.overlay.Handle(msgPollCtl, n.handlePollCtl)
-	n.overlay.Handle(msgUpdate, n.handleUpdate)
-	n.overlay.Handle(msgMaintain, n.handleMaintain)
-	n.overlay.Handle(msgWedgeFwd, n.handleWedgeFwd)
-	n.overlay.Handle(msgNotifyBatch, n.handleNotifyBatch)
-	n.overlay.Handle(msgLease, n.handleLease)
-	n.overlay.Handle(msgLeaseExpire, n.handleLeaseExpire)
-	n.overlay.Handle(msgDelegate, n.handleDelegate)
-	n.overlay.Handle(msgDelegateNotify, n.handleDelegateNotify)
+	pastry.Handle(n.overlay, msgSubscribe, n.handleSubscribe)
+	pastry.Handle(n.overlay, msgReplicate, n.handleReplicate)
+	pastry.Handle(n.overlay, msgReplDelta, n.handleReplDelta)
+	pastry.Handle(n.overlay, msgReplBeat, n.handleReplBeat)
+	pastry.Handle(n.overlay, msgPollCtl, n.handlePollCtl)
+	pastry.Handle(n.overlay, msgUpdate, n.handleUpdate)
+	pastry.Handle(n.overlay, msgMaintain, n.handleMaintain)
+	pastry.Handle(n.overlay, msgWedgeFwd, n.handleWedgeFwd)
+	pastry.Handle(n.overlay, msgNotifyBatch, n.handleNotifyBatch)
+	pastry.Handle(n.overlay, msgLease, n.handleLease)
+	pastry.Handle(n.overlay, msgLeaseExpire, n.handleLeaseExpire)
+	pastry.Handle(n.overlay, msgDelegate, n.handleDelegate)
+	pastry.Handle(n.overlay, msgDelegateNotify, n.handleDelegateNotify)
 }
 
 // durationSeconds converts float seconds into a time.Duration.

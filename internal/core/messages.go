@@ -5,25 +5,6 @@ import (
 	"corona/internal/pastry"
 )
 
-// RegisterPayloadTypes hands Corona's message payload constructors to a
-// wire codec (netwire) so typed payloads survive serialization in live
-// deployments.
-func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
-	register(msgSubscribe, func() any { return &subscribeMsg{} })
-	register(msgReplicate, func() any { return &replicateMsg{} })
-	register(msgReplDelta, func() any { return &replDeltaMsg{} })
-	register(msgReplBeat, func() any { return &replBeatMsg{} })
-	register(msgPollCtl, func() any { return &pollCtlMsg{} })
-	register(msgUpdate, func() any { return &updateMsg{} })
-	register(msgMaintain, func() any { return &maintainMsg{} })
-	register(msgWedgeFwd, func() any { return &wedgeFwdMsg{} })
-	register(msgNotifyBatch, func() any { return &notifyBatchMsg{} })
-	register(msgLease, func() any { return &leaseMsg{} })
-	register(msgLeaseExpire, func() any { return &leaseExpireMsg{} })
-	register(msgDelegate, func() any { return &delegateMsg{} })
-	register(msgDelegateNotify, func() any { return &delegateNotifyMsg{} })
-}
-
 // Corona application message types carried over the overlay.
 const (
 	msgSubscribe = "corona.subscribe"
@@ -47,20 +28,20 @@ const (
 // overlay, which routes all subscription requests of a channel
 // automatically to the node with the closest identifier").
 type subscribeMsg struct {
-	URL    string `json:"url"`
-	Client string `json:"client"`
+	URL    string
+	Client string
 	// Entry is the node the client is attached to (its IM access
 	// point); the owner sends this client's notifications back through
 	// it, the role the paper's centralized IM intermediary plays (§4).
-	Entry pastry.Addr `json:"entry"`
+	Entry pastry.Addr
 	// Remove distinguishes unsubscribe requests sharing the route path.
-	Remove bool `json:"remove,omitempty"`
+	Remove bool
 }
 
 // replicatedSub is one subscriber record inside a replicateMsg.
 type replicatedSub struct {
-	Client string      `json:"client"`
-	Entry  pastry.Addr `json:"entry"`
+	Client string
+	Entry  pastry.Addr
 }
 
 // notifyBatchMsg carries one update for one or many clients from the
@@ -70,15 +51,15 @@ type replicatedSub struct {
 // node's notifier re-fans it to the clients' sessions with a single
 // shared frame encoding.
 type notifyBatchMsg struct {
-	URL     string   `json:"url"`
-	Version uint64   `json:"version"`
-	Diff    string   `json:"diff,omitempty"`
-	Clients []string `json:"clients"`
+	URL     string
+	Version uint64
+	Diff    string
+	Clients []string
 	// At is the detection timestamp (unix nanoseconds): when the polling
 	// node first observed this version. It rides every hop of the
 	// notification path unchanged, so each stage can report its latency
 	// since detection.
-	At int64 `json:"at,omitempty"`
+	At int64
 }
 
 // replicateMsg carries a channel's whole owner state to the f closest
@@ -87,35 +68,35 @@ type notifyBatchMsg struct {
 // claims and counter-pushes, on recovery, and in answer to a replica's
 // resync request; ordinary subscriber changes travel as replDeltaMsg.
 type replicateMsg struct {
-	URL string `json:"url"`
+	URL string
 	// Seq is the owner's replication sequence for the pushed state; a
 	// replica adopting the push continues from it.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Subscribers lists client identities with their entry nodes (nil
 	// when the set is empty).
-	Subscribers []replicatedSub `json:"subscribers,omitempty"`
+	Subscribers []replicatedSub
 	// Count is the subscriber count, len(Subscribers) from an owner.
-	Count int `json:"count"`
+	Count int
 	// SizeBytes and IntervalSec replicate the tradeoff factors.
-	SizeBytes   int     `json:"size_bytes"`
-	IntervalSec float64 `json:"interval_sec"`
-	LastVersion uint64  `json:"last_version"`
-	Level       int     `json:"level"`
-	Epoch       uint64  `json:"epoch"`
+	SizeBytes   int
+	IntervalSec float64
+	LastVersion uint64
+	Level       int
+	Epoch       uint64
 	// OwnerEpoch is the sender's ownership fencing token. Every replicate
 	// push is an ownership claim at this epoch: a receiver holding a
 	// higher epoch rejects the push (and, if it is itself an owner,
 	// counter-pushes its own state so the stale claimant demotes
 	// immediately), while an owner receiving a higher epoch demotes on
 	// receipt instead of waiting for its next IsRoot self-check.
-	OwnerEpoch uint64 `json:"owner_epoch"`
+	OwnerEpoch uint64
 	// FromOwner marks pushes from a node holding the owner role. Only
 	// such claims may take the equal-epoch tie-break against a live
 	// owner (the dual-owner merge after a healed partition); a replica's
 	// anti-entropy claim at the same epoch must lose it, or a replica
 	// whose identifier happens to sit closer to the channel would demote
 	// a healthy owner every time its heartbeat went stale.
-	FromOwner bool `json:"from_owner,omitempty"`
+	FromOwner bool
 }
 
 // replDeltaMsg is one subscriber change, sent by a channel's owner to
@@ -123,13 +104,13 @@ type replicateMsg struct {
 // OwnerEpoch, holds Seq-1, and its digest after the change equals
 // Digest; otherwise it asks the owner for a full push.
 type replDeltaMsg struct {
-	URL        string      `json:"url"`
-	OwnerEpoch uint64      `json:"owner_epoch"`
-	Seq        uint64      `json:"seq"`
-	Digest     uint64      `json:"digest"`
-	Client     string      `json:"client"`
-	Entry      pastry.Addr `json:"entry"`
-	Remove     bool        `json:"remove,omitempty"`
+	URL        string
+	OwnerEpoch uint64
+	Seq        uint64
+	Digest     uint64
+	Client     string
+	Entry      pastry.Addr
+	Remove     bool
 }
 
 // replBeatMsg is an owner's per-round replication heartbeat to one
@@ -140,62 +121,62 @@ type replDeltaMsg struct {
 // asking the owner for full pushes of the listed channels — and its
 // entries carry only URL.
 type replBeatMsg struct {
-	Resync   bool            `json:"resync,omitempty"`
-	Channels []replBeatEntry `json:"channels"`
+	Resync   bool
+	Channels []replBeatEntry
 }
 
 // replBeatEntry summarizes one owned channel in a heartbeat.
 type replBeatEntry struct {
-	URL         string  `json:"url"`
-	OwnerEpoch  uint64  `json:"owner_epoch"`
-	Seq         uint64  `json:"seq"`
-	Digest      uint64  `json:"digest"`
-	Count       int     `json:"count"`
-	LastVersion uint64  `json:"last_version"`
-	Level       int     `json:"level"`
-	Epoch       uint64  `json:"epoch"`
-	SizeBytes   int     `json:"size_bytes"`
-	IntervalSec float64 `json:"interval_sec"`
+	URL         string
+	OwnerEpoch  uint64
+	Seq         uint64
+	Digest      uint64
+	Count       int
+	LastVersion uint64
+	Level       int
+	Epoch       uint64
+	SizeBytes   int
+	IntervalSec float64
 }
 
 // pollCtlMsg adjusts a channel's polling level across its wedge. It is
 // broadcast along the DAG; receivers poll iff they share Level prefix
 // digits with the channel (§3.3).
 type pollCtlMsg struct {
-	URL   string `json:"url"`
-	Level int    `json:"level"`
+	URL   string
+	Level int
 	// Epoch orders level changes; stale control messages are ignored.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Factors piggy-backs the owner's current estimates so wedge members
 	// and aggregation stay fresh (§3.3: estimates are carried on
 	// maintenance messages through the DAG).
-	Q           int     `json:"q"`
-	SizeBytes   int     `json:"size_bytes"`
-	IntervalSec float64 `json:"interval_sec"`
+	Q           int
+	SizeBytes   int
+	IntervalSec float64
 }
 
 // updateMsg disseminates a detected update through the channel's wedge
 // (§3.4). Diff carries the encoded delta when the detecting node fetched
 // a body; an origin that serves versions alone sends none.
 type updateMsg struct {
-	URL     string `json:"url"`
-	Version uint64 `json:"version"`
+	URL     string
+	Version uint64
 	// Diff is the encoded delta (empty when the origin sent no body).
-	Diff string `json:"diff,omitempty"`
+	Diff string
 	// Bytes is the transfer size for load accounting.
-	Bytes int `json:"bytes"`
+	Bytes int
 	// OwnerEpoch, when non-zero, marks an owner-originated dissemination
 	// and carries the sender's ownership fencing token, so a node still
 	// holding a stale isOwner flag learns of its demotion from ordinary
 	// update traffic (the poll-answer path) rather than from the next
 	// replication round. Zero on updates from plain wedge members.
-	OwnerEpoch uint64 `json:"owner_epoch,omitempty"`
+	OwnerEpoch uint64
 	// Owner is the claiming owner's address, set iff OwnerEpoch is
 	// non-zero. The claim must identify its claimant explicitly: wedge
 	// forwarding re-broadcasts updates with the envelope From rewritten
 	// to the forwarding member, so From cannot serve as the tie-break
 	// identity or the counter-push target.
-	Owner pastry.Addr `json:"owner"`
+	Owner pastry.Addr
 }
 
 // wedgeFwdMsg delegates a wedge broadcast to a node closer (in prefix
@@ -206,12 +187,12 @@ type updateMsg struct {
 // the broadcast. A channel for which no such contact exists has an empty
 // wedge — the paper's orphan (§4).
 type wedgeFwdMsg struct {
-	URL   string `json:"url"`
-	Level int    `json:"level"`
+	URL   string
+	Level int
 	// InnerType and one of the payloads carry the wrapped operation.
-	InnerType string      `json:"inner_type"`
-	PollCtl   *pollCtlMsg `json:"poll_ctl,omitempty"`
-	Update    *updateMsg  `json:"update,omitempty"`
+	InnerType string
+	PollCtl   *pollCtlMsg
+	Update    *updateMsg
 }
 
 // leaseMsg is an entry-node liveness heartbeat routed to a channel's
@@ -222,9 +203,9 @@ type wedgeFwdMsg struct {
 // The refresh is an idempotent subscription assert: an owner that lost
 // the subscriber (in-memory restart) re-creates it from the heartbeat.
 type leaseMsg struct {
-	URL    string      `json:"url"`
-	Client string      `json:"client"`
-	Entry  pastry.Addr `json:"entry"`
+	URL    string
+	Client string
+	Entry  pastry.Addr
 }
 
 // leaseExpireMsg is the delegate-side half of notify-failure feedback: a
@@ -236,9 +217,9 @@ type leaseMsg struct {
 // already moved elsewhere, so a stale report cannot churn a repaired
 // subscription.
 type leaseExpireMsg struct {
-	URL     string      `json:"url"`
-	Entry   pastry.Addr `json:"entry"`
-	Clients []string    `json:"clients"`
+	URL     string
+	Entry   pastry.Addr
+	Clients []string
 }
 
 // delegateMsg installs (or revokes) a fan-out partition on a delegate: a
@@ -252,23 +233,23 @@ type leaseExpireMsg struct {
 // round); incremental pushes upsert Subs and delete Removed, keeping the
 // partition current between refreshes.
 type delegateMsg struct {
-	URL        string      `json:"url"`
-	OwnerEpoch uint64      `json:"owner_epoch"`
-	Owner      pastry.Addr `json:"owner"`
+	URL        string
+	OwnerEpoch uint64
+	Owner      pastry.Addr
 	// Seq is the owner's roster revision within OwnerEpoch. A delegate
 	// ignores pushes whose (OwnerEpoch, Seq) is older than the last it
 	// accepted, so a push from a superseded roster — delayed in flight,
 	// or emitted by a periodic refresh that raced a fault-triggered
 	// re-partition — cannot overwrite a newer partition.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Replace marks a wholesale partition replacement; otherwise Subs
 	// upsert into and Removed delete from the existing partition.
-	Replace bool `json:"replace,omitempty"`
+	Replace bool
 	// Revoke dissolves the delegation (channel cooled below threshold or
 	// the owner demoted); Subs and Removed are ignored.
-	Revoke  bool            `json:"revoke,omitempty"`
-	Subs    []replicatedSub `json:"subs,omitempty"`
-	Removed []string        `json:"removed,omitempty"`
+	Revoke  bool
+	Subs    []replicatedSub
+	Removed []string
 }
 
 // delegateNotifyMsg is the owner's one-message-per-delegate update
@@ -277,12 +258,12 @@ type delegateMsg struct {
 // epoch the delegate holds, so a revoked or superseded delegate never
 // notifies from a stale partition.
 type delegateNotifyMsg struct {
-	URL        string `json:"url"`
-	Version    uint64 `json:"version"`
-	Diff       string `json:"diff,omitempty"`
-	OwnerEpoch uint64 `json:"owner_epoch"`
+	URL        string
+	Version    uint64
+	Diff       string
+	OwnerEpoch uint64
 	// At is the detection timestamp (unix nanoseconds); see notifyBatchMsg.At.
-	At int64 `json:"at,omitempty"`
+	At int64
 }
 
 // maintainMsg is the periodic exchange with routing-table contacts: the
@@ -293,7 +274,7 @@ type maintainMsg struct {
 	// Row is the routing-table row this message was sent along: the
 	// aggregate summarizes channels owned by nodes sharing Row+1 prefix
 	// digits with the sender.
-	Row int `json:"row"`
+	Row int
 	// Clusters is the subtree aggregate.
-	Clusters *honeycomb.ClusterSet `json:"clusters"`
+	Clusters *honeycomb.ClusterSet
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // Native binary wire forms for every Corona message payload — the
-// AppendBinary/DecodeBinary contract the codec package requires at
-// registration and is the only payload form on the wire.
+// AppendBinary/DecodeBinary contract of pastry.Payload, which every
+// handler's payload type meets and is the only payload form on the wire.
 //
 // Conventions (package wirebin): uvarint for unsigned counters, zigzag
 // svarint for int fields, length-prefixed strings, fixed 8-byte floats,
@@ -48,7 +48,7 @@ func wireErr(what string, r *wirebin.Reader) error {
 
 // --- subscribeMsg (corona.subscribe) ------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *subscribeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendString(dst, m.Client)
@@ -56,7 +56,7 @@ func (m *subscribeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendBool(dst, m.Remove), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *subscribeMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -68,7 +68,7 @@ func (m *subscribeMsg) DecodeBinary(src []byte) error {
 
 // --- notifyBatchMsg (corona.notifybatch) ---------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *notifyBatchMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.Version)
@@ -80,7 +80,7 @@ func (m *notifyBatchMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendUvarint(dst, uint64(m.At)), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *notifyBatchMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -101,7 +101,7 @@ func (m *notifyBatchMsg) DecodeBinary(src []byte) error {
 
 // --- delegateMsg (corona.delegate) ---------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *delegateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.OwnerEpoch)
@@ -121,7 +121,7 @@ func (m *delegateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *delegateMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -153,7 +153,7 @@ func (m *delegateMsg) DecodeBinary(src []byte) error {
 
 // --- delegateNotifyMsg (corona.delegatenotify) ---------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *delegateNotifyMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.Version)
@@ -162,7 +162,7 @@ func (m *delegateNotifyMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendUvarint(dst, uint64(m.At)), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *delegateNotifyMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -175,7 +175,7 @@ func (m *delegateNotifyMsg) DecodeBinary(src []byte) error {
 
 // --- replicateMsg (corona.replicate) -------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *replicateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.Seq)
@@ -194,7 +194,7 @@ func (m *replicateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendBool(dst, m.FromOwner), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *replicateMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -222,7 +222,7 @@ func (m *replicateMsg) DecodeBinary(src []byte) error {
 
 // --- replDeltaMsg (corona.repldelta) ------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *replDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.OwnerEpoch)
@@ -233,7 +233,7 @@ func (m *replDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendBool(dst, m.Remove), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *replDeltaMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -253,7 +253,7 @@ func (m *replDeltaMsg) DecodeBinary(src []byte) error {
 // digest and interval. A resync request's entries are URLs alone.
 const replBeatEntryMin = 8 + 8 + 8
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *replBeatMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendBool(dst, m.Resync)
 	dst = wirebin.AppendUvarint(dst, uint64(len(m.Channels)))
@@ -276,7 +276,7 @@ func (m *replBeatMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *replBeatMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.Resync = r.Bool()
@@ -309,7 +309,7 @@ func (m *replBeatMsg) DecodeBinary(src []byte) error {
 
 // --- pollCtlMsg (corona.pollctl) -----------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *pollCtlMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendSint(dst, m.Level)
@@ -319,7 +319,7 @@ func (m *pollCtlMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wirebin.AppendFloat64(dst, m.IntervalSec), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *pollCtlMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -333,7 +333,7 @@ func (m *pollCtlMsg) DecodeBinary(src []byte) error {
 
 // --- updateMsg (corona.update) -------------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *updateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendUvarint(dst, m.Version)
@@ -343,7 +343,7 @@ func (m *updateMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return pastry.AppendAddr(dst, m.Owner), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *updateMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -357,7 +357,7 @@ func (m *updateMsg) DecodeBinary(src []byte) error {
 
 // --- maintainMsg (corona.maintain) ---------------------------------------
 
-// AppendBinary implements the codec binary payload contract. The cluster
+// AppendBinary implements pastry.Payload. The cluster
 // set travels in honeycomb's sparse binary form behind a presence byte.
 func (m *maintainMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendSint(dst, m.Row)
@@ -368,7 +368,7 @@ func (m *maintainMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *maintainMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.Row = r.Sint()
@@ -389,14 +389,14 @@ func (m *maintainMsg) DecodeBinary(src []byte) error {
 
 // --- leaseMsg (corona.lease) ---------------------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *leaseMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = wirebin.AppendString(dst, m.Client)
 	return pastry.AppendAddr(dst, m.Entry), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *leaseMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -407,7 +407,7 @@ func (m *leaseMsg) DecodeBinary(src []byte) error {
 
 // --- leaseExpireMsg (corona.leaseexpire) ---------------------------------
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (m *leaseExpireMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
 	dst = pastry.AppendAddr(dst, m.Entry)
@@ -418,7 +418,7 @@ func (m *leaseExpireMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *leaseExpireMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()
@@ -443,7 +443,7 @@ const (
 	wedgeFwdHasUpdate  = 1 << 1
 )
 
-// AppendBinary implements the codec binary payload contract; the wrapped
+// AppendBinary implements pastry.Payload; the wrapped
 // operation nests the inner payload's own binary form, length-prefixed.
 func (m *wedgeFwdMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, m.URL)
@@ -482,7 +482,7 @@ func appendNested(dst []byte, inner interface {
 	return wirebin.AppendBytes(dst, b), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (m *wedgeFwdMsg) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	m.URL = r.String()

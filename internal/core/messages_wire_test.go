@@ -1,7 +1,7 @@
 package core
 
-// Property tests for the native binary payload path: for every registered
-// Corona message type, the binary encoding must round-trip to the original
+// Property tests for the native binary payload path: for every Corona
+// message type, the binary encoding must round-trip to the original
 // struct and re-encode byte-stably. Messages are exercised through the
 // codec envelope, the way they actually reach the wire, including lazy
 // materialization and verbatim re-encoding of forwarded payloads.
@@ -19,10 +19,6 @@ import (
 	"corona/internal/pastry"
 	"corona/internal/wirebin"
 )
-
-func init() {
-	RegisterPayloadTypes(codec.RegisterPayload)
-}
 
 // randString draws a printable string, sometimes empty, occasionally long
 // (diff-sized).
@@ -121,14 +117,14 @@ func randReplBeat(rng *rand.Rand) *replBeatMsg {
 	return m
 }
 
-// payloadGenerators builds one random payload per registered message
-// type, including the wedgeFwd wrapper in each of its shapes.
-var payloadGenerators = map[string]func(rng *rand.Rand) any{
-	msgSubscribe: func(rng *rand.Rand) any {
+// payloadGenerators builds one random payload per message type, including
+// the wedgeFwd wrapper in each of its shapes.
+var payloadGenerators = map[string]func(rng *rand.Rand) pastry.Payload{
+	msgSubscribe: func(rng *rand.Rand) pastry.Payload {
 		// Remove set is an unsubscribe, which travels as msgSubscribe.
 		return &subscribeMsg{URL: randString(rng), Client: randString(rng), Entry: randAddr(rng), Remove: rng.Intn(2) == 1}
 	},
-	msgReplicate: func(rng *rand.Rand) any {
+	msgReplicate: func(rng *rand.Rand) pastry.Payload {
 		m := &replicateMsg{
 			URL:         randString(rng),
 			Count:       rng.Intn(1000),
@@ -146,18 +142,18 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 		}
 		return m
 	},
-	msgReplDelta: func(rng *rand.Rand) any { return randReplDelta(rng) },
-	msgReplBeat:  func(rng *rand.Rand) any { return randReplBeat(rng) },
-	msgPollCtl:   func(rng *rand.Rand) any { return randPollCtl(rng) },
-	msgUpdate:    func(rng *rand.Rand) any { return randUpdate(rng) },
-	msgMaintain: func(rng *rand.Rand) any {
+	msgReplDelta: func(rng *rand.Rand) pastry.Payload { return randReplDelta(rng) },
+	msgReplBeat:  func(rng *rand.Rand) pastry.Payload { return randReplBeat(rng) },
+	msgPollCtl:   func(rng *rand.Rand) pastry.Payload { return randPollCtl(rng) },
+	msgUpdate:    func(rng *rand.Rand) pastry.Payload { return randUpdate(rng) },
+	msgMaintain: func(rng *rand.Rand) pastry.Payload {
 		m := &maintainMsg{Row: rng.Intn(10)}
 		if rng.Intn(8) != 0 {
 			m.Clusters = randClusterSet(rng)
 		}
 		return m
 	},
-	msgWedgeFwd: func(rng *rand.Rand) any {
+	msgWedgeFwd: func(rng *rand.Rand) pastry.Payload {
 		m := &wedgeFwdMsg{URL: randString(rng), Level: rng.Intn(5)}
 		switch rng.Intn(3) {
 		case 0:
@@ -171,17 +167,17 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 		}
 		return m
 	},
-	msgLease: func(rng *rand.Rand) any {
+	msgLease: func(rng *rand.Rand) pastry.Payload {
 		return &leaseMsg{URL: randString(rng), Client: randString(rng), Entry: randAddr(rng)}
 	},
-	msgNotifyBatch: func(rng *rand.Rand) any {
+	msgNotifyBatch: func(rng *rand.Rand) pastry.Payload {
 		m := &notifyBatchMsg{URL: randString(rng), Version: rng.Uint64() >> uint(rng.Intn(64)), Diff: randString(rng), At: rng.Int63() >> uint(rng.Intn(63))}
 		for i, n := 0, rng.Intn(6); i < n; i++ {
 			m.Clients = append(m.Clients, randString(rng))
 		}
 		return m
 	},
-	msgDelegate: func(rng *rand.Rand) any {
+	msgDelegate: func(rng *rand.Rand) pastry.Payload {
 		m := &delegateMsg{
 			URL:        randString(rng),
 			OwnerEpoch: rng.Uint64() >> uint(rng.Intn(64)),
@@ -198,7 +194,7 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 		}
 		return m
 	},
-	msgDelegateNotify: func(rng *rand.Rand) any {
+	msgDelegateNotify: func(rng *rand.Rand) pastry.Payload {
 		return &delegateNotifyMsg{
 			URL:        randString(rng),
 			Version:    rng.Uint64() >> uint(rng.Intn(64)),
@@ -207,7 +203,7 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 			At:         rng.Int63() >> uint(rng.Intn(63)),
 		}
 	},
-	msgLeaseExpire: func(rng *rand.Rand) any {
+	msgLeaseExpire: func(rng *rand.Rand) pastry.Payload {
 		m := &leaseExpireMsg{URL: randString(rng), Entry: randAddr(rng)}
 		for i, n := 0, rng.Intn(6); i < n; i++ {
 			m.Clients = append(m.Clients, randString(rng))
@@ -216,7 +212,7 @@ var payloadGenerators = map[string]func(rng *rand.Rand) any{
 	},
 }
 
-func wireMessage(msgType string, payload any, rng *rand.Rand) pastry.Message {
+func wireMessage(msgType string, payload pastry.Payload, rng *rand.Rand) pastry.Message {
 	return pastry.Message{
 		Type:    msgType,
 		Key:     ids.Random(rng),
@@ -228,21 +224,25 @@ func wireMessage(msgType string, payload any, rng *rand.Rand) pastry.Message {
 }
 
 // decodeAndMaterialize runs a body back through the codec the way the
-// overlay does on local delivery.
-func decodeAndMaterialize(t *testing.T, body []byte) pastry.Message {
+// overlay does on local delivery: the envelope, then the payload, into a
+// fresh value of like's type, as the handler of the message's type
+// decodes it. The message returned is the one that handler sees.
+func decodeAndMaterialize(t *testing.T, body []byte, like pastry.Payload) pastry.Message {
 	t.Helper()
 	msg, err := codec.Decode(body)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if err := msg.MaterializePayload(); err != nil {
+	p := reflect.New(reflect.TypeOf(like).Elem()).Interface().(pastry.Payload)
+	raw, _ := msg.RawPayload()
+	if err := p.DecodeBinary(raw); err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
-	return msg
+	return pastry.Message{Type: msg.Type, Key: msg.Key, From: msg.From, Hops: msg.Hops, Cover: msg.Cover, Payload: p}
 }
 
 // TestBinaryPayloadRoundTrip is the core round-trip property: for every
-// registered message type, sending through the codec yields exactly the
+// message type, sending through the codec yields exactly the
 // envelope and payload that were sent.
 func TestBinaryPayloadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -254,7 +254,7 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaBinary := decodeAndMaterialize(t, body)
+				viaBinary := decodeAndMaterialize(t, body, msg.Payload)
 				if viaBinary.Type != msg.Type || viaBinary.Key != msg.Key ||
 					viaBinary.From != msg.From || viaBinary.Hops != msg.Hops ||
 					viaBinary.Cover != msg.Cover {
@@ -295,7 +295,7 @@ func TestBinaryPayloadByteStable(t *testing.T) {
 					t.Fatal("verbatim forward re-encode not byte-identical")
 				}
 				// Materialized re-send: decode, materialize, re-encode.
-				mat := decodeAndMaterialize(t, body)
+				mat := decodeAndMaterialize(t, body, msg.Payload)
 				matBody, err := codec.Encode(mat)
 				if err != nil {
 					t.Fatal(err)
@@ -336,14 +336,6 @@ func TestForwardedPayloadStaysLazy(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatal("retained blob differs from the native payload encoding")
 	}
-	// Materializing clears the blob, so a mutated struct cannot be
-	// shadowed by stale bytes.
-	if err := got.MaterializePayload(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := got.RawPayload(); ok {
-		t.Fatal("raw blob survived materialization")
-	}
 }
 
 // TestReplicateTravelsNatively pins replicateMsg's retained blob to its
@@ -373,35 +365,28 @@ func TestReplicateTravelsNatively(t *testing.T) {
 	}
 }
 
-// binaryPayload is both halves of the native contract, for table-driven
-// fuzzing.
-type binaryPayload interface {
-	codec.BinaryMarshaler
-	codec.BinaryUnmarshaler
-}
-
 // fuzzTargets constructs one empty payload of each natively-encoded type.
-var fuzzTargets = []func() binaryPayload{
-	func() binaryPayload { return &subscribeMsg{} },
-	func() binaryPayload { return &pollCtlMsg{} },
-	func() binaryPayload { return &updateMsg{} },
-	func() binaryPayload { return &maintainMsg{} },
-	func() binaryPayload { return &wedgeFwdMsg{} },
-	func() binaryPayload { return &replicateMsg{} },
-	func() binaryPayload { return &leaseMsg{} },
-	func() binaryPayload { return &notifyBatchMsg{} },
-	func() binaryPayload { return &delegateMsg{} },
-	func() binaryPayload { return &delegateNotifyMsg{} },
-	func() binaryPayload { return &replDeltaMsg{} },
-	func() binaryPayload { return &replBeatMsg{} },
-	func() binaryPayload { return &leaseExpireMsg{} },
+var fuzzTargets = []func() pastry.Payload{
+	func() pastry.Payload { return &subscribeMsg{} },
+	func() pastry.Payload { return &pollCtlMsg{} },
+	func() pastry.Payload { return &updateMsg{} },
+	func() pastry.Payload { return &maintainMsg{} },
+	func() pastry.Payload { return &wedgeFwdMsg{} },
+	func() pastry.Payload { return &replicateMsg{} },
+	func() pastry.Payload { return &leaseMsg{} },
+	func() pastry.Payload { return &notifyBatchMsg{} },
+	func() pastry.Payload { return &delegateMsg{} },
+	func() pastry.Payload { return &delegateNotifyMsg{} },
+	func() pastry.Payload { return &replDeltaMsg{} },
+	func() pastry.Payload { return &replBeatMsg{} },
+	func() pastry.Payload { return &leaseExpireMsg{} },
 }
 
 // FuzzBinaryPayloadDecode throws arbitrary bytes at every native decoder:
 // none may panic, and anything accepted must re-encode byte-stably.
 func FuzzBinaryPayloadDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(46))
-	seedFor := func(m codec.BinaryMarshaler) []byte {
+	seedFor := func(m pastry.Payload) []byte {
 		b, _ := m.AppendBinary(nil)
 		return b
 	}
@@ -445,7 +430,8 @@ func FuzzBinaryPayloadDecode(f *testing.F) {
 }
 
 // FuzzBinaryEnvelopeDecode drives the whole codec with arbitrary bodies:
-// Decode plus MaterializePayload must never panic.
+// Decode, then decoding the payload as any message type's handler would,
+// must never panic.
 func FuzzBinaryEnvelopeDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(47))
 	for msgType, gen := range payloadGenerators {
@@ -459,8 +445,8 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 		f.Add(body)
 	}
 	// Envelopes of the retired corona.report and corona.unsubscribe
-	// types: a node that registers neither keeps the envelope and drops
-	// the payload, as it does for a peer's newer type.
+	// types: a node with a handler for neither keeps the envelope and
+	// never decodes the payload, as for a peer's newer type.
 	for _, retired := range []string{"corona.report", "corona.unsubscribe"} {
 		body, err := codec.Encode(wireMessage(msgSubscribe, payloadGenerators[msgSubscribe](rng), rng))
 		if err != nil {
@@ -481,7 +467,10 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = msg.MaterializePayload()
+		raw, _ := msg.RawPayload()
+		for _, target := range fuzzTargets {
+			_ = target().DecodeBinary(raw)
+		}
 	})
 }
 
@@ -496,7 +485,7 @@ func TestReplicationDecodersBoundCounts(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		m    binaryPayload
+		m    pastry.Payload
 		data []byte
 	}{
 		// 23 bytes cannot hold even one full heartbeat entry.
@@ -511,7 +500,7 @@ func TestReplicationDecodersBoundCounts(t *testing.T) {
 		}
 	}
 	// The bound is not stricter than the encoding: minimal entries decode.
-	for _, m := range []binaryPayload{
+	for _, m := range []pastry.Payload{
 		&replBeatMsg{Channels: make([]replBeatEntry, 40)},
 		&replBeatMsg{Resync: true, Channels: make([]replBeatEntry, 40)},
 	} {

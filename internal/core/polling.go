@@ -350,11 +350,7 @@ type fetchedUpdate struct {
 // winning claim — it stops answering polls immediately instead of
 // waiting for its next IsRoot self-check — and a live owner answers a
 // stale claim with a counter-push so the stale answerer demotes too.
-func (n *Node) handleUpdate(msg pastry.Message) {
-	p, ok := msg.Payload.(*updateMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleUpdate(msg pastry.Message, p *updateMsg) {
 	n.mu.Lock()
 	ch := n.getChannel(p.URL)
 	var counter *replicateMsg

@@ -304,7 +304,8 @@ func TestConcurrentChangesLeaveInSeqOrder(t *testing.T) {
 		}
 	}
 	subscribe := func(client string) {
-		owner.handleSubscribe(pastry.Message{Payload: &subscribeMsg{URL: repairURL, Client: client, Entry: owner.Self()}})
+		p := &subscribeMsg{URL: repairURL, Client: client, Entry: owner.Self()}
+		owner.handleSubscribe(pastry.Message{Payload: p}, p)
 	}
 	subscribe("first") // promotes the owner: a full push, not a delta
 

@@ -35,12 +35,12 @@ const replBeatCap = 256
 type replSend struct {
 	to      pastry.Addr
 	msgType string
-	payload any
+	payload pastry.Payload
 }
 
 // queueReplLocked appends one replication send to the ordered outbox.
 // Callers hold n.mu and call flushReplication after releasing it.
-func (n *Node) queueReplLocked(to pastry.Addr, msgType string, payload any) {
+func (n *Node) queueReplLocked(to pastry.Addr, msgType string, payload pastry.Payload) {
 	n.replOut = append(n.replOut, replSend{to: to, msgType: msgType, payload: payload})
 }
 
@@ -181,9 +181,8 @@ func (n *Node) requestResyncLocked(owner pastry.Addr, chans []replBeatEntry) {
 // While a resync is outstanding the deltas behind the gap ask nothing
 // more; the full push clears the mark, and the next heartbeat re-asks if
 // it was lost.
-func (n *Node) handleReplDelta(msg pastry.Message) {
-	p, ok := msg.Payload.(*replDeltaMsg)
-	if !ok || msg.From.ID == n.Self().ID {
+func (n *Node) handleReplDelta(msg pastry.Message, p *replDeltaMsg) {
+	if msg.From.ID == n.Self().ID {
 		return
 	}
 	n.mu.Lock()
@@ -224,9 +223,8 @@ func (n *Node) handleReplDelta(msg pastry.Message) {
 // journaled only if a scalar moved; every other entry — including one
 // for a channel this node owns or roots, which must reach the claim
 // handshake — is listed in one resync request back to the sender.
-func (n *Node) handleReplBeat(msg pastry.Message) {
-	p, ok := msg.Payload.(*replBeatMsg)
-	if !ok || msg.From.ID == n.Self().ID {
+func (n *Node) handleReplBeat(msg pastry.Message, p *replBeatMsg) {
+	if msg.From.ID == n.Self().ID {
 		return
 	}
 	// The message proves the sender is alive; fold it into routing state

@@ -74,7 +74,7 @@ func TestReplicatePushKeepsEqualSubscriberSet(t *testing.T) {
 		owner.mu.Lock()
 		rep := owner.buildReplicateLocked(owner.getChannel(url))
 		owner.mu.Unlock()
-		replica.handleReplicate(pastry.Message{From: owner.Self(), Payload: rep})
+		replica.handleReplicate(pastry.Message{From: owner.Self(), Payload: rep}, rep)
 	}
 	journaled := func() []string {
 		var clients []string

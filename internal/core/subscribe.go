@@ -24,11 +24,7 @@ func (n *Node) Unsubscribe(client, url string) error {
 }
 
 // handleSubscribe runs at the channel's primary owner.
-func (n *Node) handleSubscribe(msg pastry.Message) {
-	p, ok := msg.Payload.(*subscribeMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleSubscribe(msg pastry.Message, p *subscribeMsg) {
 	n.mu.Lock()
 	ch := n.getChannel(p.URL)
 	changed := false
@@ -301,11 +297,7 @@ func handoffMissingLocked(ch *channelState, pushed []replicatedSub) []replicated
 // comparison demotes on receipt — no waiting for an IsRoot self-check —
 // and a stale claimant is answered with a counter-push carrying the
 // winning state so it demotes symmetrically.
-func (n *Node) handleReplicate(msg pastry.Message) {
-	p, ok := msg.Payload.(*replicateMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleReplicate(msg pastry.Message, p *replicateMsg) {
 	// The push proves the sender is alive; fold it into routing state so
 	// IsRoot converges (the reconquest check below depends on it).
 	if msg.From.ID != n.Self().ID {
@@ -581,9 +573,8 @@ func (n *Node) expireFailedEntries(ch *channelState, failed []notifyTarget) {
 // handleNotifyBatch delivers one update to every listed client that
 // entered the system through this node, carrying the diff once per entry
 // node instead of once per subscriber.
-func (n *Node) handleNotifyBatch(msg pastry.Message) {
-	p, ok := msg.Payload.(*notifyBatchMsg)
-	if !ok || len(p.Clients) == 0 {
+func (n *Node) handleNotifyBatch(msg pastry.Message, p *notifyBatchMsg) {
+	if len(p.Clients) == 0 {
 		return
 	}
 	at := atTime(p.At)

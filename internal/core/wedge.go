@@ -45,11 +45,7 @@ func (n *Node) sendToWedge(channelID ids.ID, url string, level int, innerType st
 // handleWedgeFwd continues a delegated wedge delivery: wedge members
 // perform the broadcast, closer non-members forward again, dead ends drop
 // the message (next maintenance round retries).
-func (n *Node) handleWedgeFwd(msg pastry.Message) {
-	p, ok := msg.Payload.(*wedgeFwdMsg)
-	if !ok {
-		return
-	}
+func (n *Node) handleWedgeFwd(msg pastry.Message, p *wedgeFwdMsg) {
 	id := ids.HashString(p.URL)
 	n.sendToWedge(id, p.URL, p.Level, p.InnerType, p.PollCtl, p.Update)
 }

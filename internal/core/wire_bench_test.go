@@ -36,7 +36,7 @@ func representativeDiff(items int) string {
 	return diffengine.Encode(diffengine.Compute(old, new, 1, 2))
 }
 
-func benchUpdateMessage(diff string, payload any) pastry.Message {
+func benchUpdateMessage(diff string, payload pastry.Payload) pastry.Message {
 	return pastry.Message{
 		Type:    msgUpdate,
 		Key:     ids.HashString("bench-channel"),
@@ -97,9 +97,11 @@ func BenchmarkUpdateDecodeForward(b *testing.B) {
 					b.Fatal(err)
 				}
 				if tc.materialize {
-					if err := got.MaterializePayload(); err != nil {
+					p, err := pastry.PayloadAs[updateMsg](got)
+					if err != nil {
 						b.Fatal(err)
 					}
+					got = pastry.Message{Type: got.Type, Key: got.Key, From: got.From, Hops: got.Hops, Cover: got.Cover, Payload: p}
 				}
 				if _, err := codec.Encode(got); err != nil {
 					b.Fatal(err)

@@ -53,7 +53,7 @@ func readCluster(r *wirebin.Reader) Cluster {
 }
 
 // AppendBinary appends the set's native binary encoding to dst,
-// implementing the codec package's BinaryMarshaler contract.
+// the encoding half of the overlay's payload contract (pastry.Payload).
 func (cs *ClusterSet) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendSint(dst, cs.Bins)
 	dst = wirebin.AppendSint(dst, cs.MaxLevel)
@@ -81,7 +81,7 @@ func (cs *ClusterSet) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary parses an AppendBinary encoding into the receiver,
-// implementing the codec package's BinaryUnmarshaler contract.
+// the decoding half of the overlay's payload contract (pastry.Payload).
 func (cs *ClusterSet) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	bins := r.Sint()

@@ -81,7 +81,7 @@
 // # Payload formats
 //
 // Within a body, the payload region is a length-prefixed blob holding the
-// payload type's own AppendBinary encoding (codec.BinaryMarshaler), with
+// payload type's own AppendBinary encoding (pastry.Payload), with
 // bit 2 of the envelope's flags byte set. Every Corona message type —
 // subscribe (an unsubscribe is a subscribe with Remove set), notifybatch,
 // pollctl, update, maintain (including the sparse honeycomb.ClusterSet
@@ -91,12 +91,12 @@
 // implementations in internal/core/messages_wire.go,
 // internal/honeycomb/wire.go and internal/pastry/join_wire.go.
 //
-// A payload whose type is unregistered, or whose value has no
-// AppendBinary, fails to encode; the writer drops that message and counts
-// it in Dropped. A received payload without the binary flag makes the
-// envelope malformed and it is skipped. A received payload of a type this
-// node has no decoder for (version skew) keeps the envelope and drops the
-// payload.
+// A payload whose AppendBinary fails does not encode; the writer drops
+// that message and counts it in Dropped. A received payload without the
+// binary flag makes the envelope malformed and it is skipped. A received
+// message of a type this node has no handler for (version skew) is
+// delivered to none, its payload never decoded; one whose payload does
+// not decode as its handler's type is dropped.
 //
 // The binary envelope orders its fields so everything except the Hops and
 // Cover counters — which differ per broadcast recipient — forms a
@@ -107,8 +107,8 @@
 // retained payload blob verbatim, never re-marshaling it (see
 // internal/codec).
 //
-// Payload types are decoded lazily through the codec package's registry
-// keyed by message type, so the same application structs flow over the
+// Payloads are decoded lazily, by the handler registered for the message
+// type (pastry.Handle), so the same application structs flow over the
 // wire that flow by reference under simulation, and a message that is
 // only forwarded never materializes its payload at all.
 package netwire

@@ -2,6 +2,7 @@ package netwire_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -10,30 +11,24 @@ import (
 	"time"
 
 	"corona/internal/clock"
-	"corona/internal/codec"
 	"corona/internal/ids"
 	"corona/internal/netwire"
 	"corona/internal/pastry"
 	"corona/internal/wirebin"
 )
 
-func init() {
-	codec.RegisterPayload("test.typed", func() any { return &typedPayload{} })
-	codec.RegisterPayload("test.seq", func() any { return &seqPayload{} })
-}
-
 type typedPayload struct {
 	Text  string
 	Count int
 }
 
-// AppendBinary implements codec.BinaryMarshaler.
+// AppendBinary implements pastry.Payload.
 func (p *typedPayload) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendString(dst, p.Text)
 	return wirebin.AppendSint(dst, p.Count), nil
 }
 
-// DecodeBinary implements codec.BinaryUnmarshaler.
+// DecodeBinary implements pastry.Payload.
 func (p *typedPayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	p.Text = r.String()
@@ -48,20 +43,47 @@ type seqPayload struct {
 	Fill   string
 }
 
-// AppendBinary implements codec.BinaryMarshaler.
+// AppendBinary implements pastry.Payload.
 func (p *seqPayload) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirebin.AppendSint(dst, p.Sender)
 	dst = wirebin.AppendSint(dst, p.Seq)
 	return wirebin.AppendString(dst, p.Fill), nil
 }
 
-// DecodeBinary implements codec.BinaryUnmarshaler.
+// DecodeBinary implements pastry.Payload.
 func (p *seqPayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	p.Sender = r.Sint()
 	p.Seq = r.Sint()
 	p.Fill = r.String()
 	return r.Err()
+}
+
+// failingPayload cannot produce its binary form.
+type failingPayload struct{}
+
+// AppendBinary implements pastry.Payload, and always fails.
+func (*failingPayload) AppendBinary(dst []byte) ([]byte, error) {
+	return dst, errors.New("no binary form")
+}
+
+// DecodeBinary implements pastry.Payload.
+func (*failingPayload) DecodeBinary([]byte) error { return nil }
+
+// materialize decodes m's payload as the struct its test message type
+// carries, as the handler registered for that type would.
+func materialize(m *pastry.Message) error {
+	switch m.Type {
+	case "test.typed":
+		p, err := pastry.PayloadAs[typedPayload](*m)
+		m.Payload = p
+		return err
+	case "test.seq":
+		p, err := pastry.PayloadAs[seqPayload](*m)
+		m.Payload = p
+		return err
+	}
+	return nil
 }
 
 // collector accumulates delivered messages.
@@ -99,9 +121,9 @@ func (w window) release() { <-w }
 
 func (c *collector) deliver(m pastry.Message) {
 	// The transport hands over lazily-decoded payloads (the overlay
-	// materializes just before running a handler); do the same here so
+	// decodes just before running a handler); do the same here so
 	// assertions see typed structs.
-	if err := m.MaterializePayload(); err != nil {
+	if err := materialize(&m); err != nil {
 		panic(err)
 	}
 	c.mu.Lock()
@@ -272,7 +294,7 @@ func TestManyMessagesInOrderPerConnection(t *testing.T) {
 }
 
 // TestUnencodablePayloadIsDropped pins the fail-closed send: a payload
-// whose type is unregistered cannot be encoded, so the writer drops and
+// whose AppendBinary fails cannot be encoded, so the writer drops and
 // counts it instead of inventing a format, and the connection keeps
 // carrying well-formed messages.
 func TestUnencodablePayloadIsDropped(t *testing.T) {
@@ -282,7 +304,7 @@ func TestUnencodablePayloadIsDropped(t *testing.T) {
 	b, _ := netwire.Listen("127.0.0.1:0", rx.deliver)
 	defer b.Close()
 	to := pastry.Addr{Endpoint: b.Addr()}
-	if err := a.Send(to, pastry.Message{Type: "test.unregistered", Payload: &typedPayload{Text: "lost"}}); err != nil {
+	if err := a.Send(to, pastry.Message{Type: "test.failing", Payload: &failingPayload{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(to, pastry.Message{Type: "test.typed", Payload: &typedPayload{Text: "kept"}}); err != nil {
@@ -290,7 +312,7 @@ func TestUnencodablePayloadIsDropped(t *testing.T) {
 	}
 	got := rx.wait(t, 1)
 	if len(got) != 1 || got[0].Payload.(*typedPayload).Text != "kept" {
-		t.Fatalf("delivered %+v, want only the registered message", got)
+		t.Fatalf("delivered %+v, want only the encodable message", got)
 	}
 	if a.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1 (the unencodable message)", a.Dropped())
@@ -579,7 +601,7 @@ func TestPastryOverTCP(t *testing.T) {
 	done := make(chan pastry.Addr, n)
 	for _, p := range peers {
 		self := p.node.Self()
-		p.node.Handle("test.route", func(m pastry.Message) { done <- self })
+		pastry.Handle(p.node, "test.route", func(m pastry.Message, _ *pastry.NoPayload) { done <- self })
 	}
 	if err := peers[n-1].node.Route(key, "test.route", nil); err != nil {
 		t.Fatal(err)
@@ -646,7 +668,7 @@ func TestForwardedPayloadsSurviveFrameReuse(t *testing.T) {
 		defer win.release()
 		raw, _ := m.RawPayload()
 		raw = bytes.Clone(raw)
-		if err := m.MaterializePayload(); err != nil {
+		if err := materialize(&m); err != nil {
 			t.Error(err)
 			return
 		}

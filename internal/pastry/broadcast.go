@@ -13,7 +13,7 @@ package pastry
 //
 // The message is also delivered to the local handler, since the initiator
 // is a wedge member.
-func (n *Node) Broadcast(level int, msgType string, payload any) {
+func (n *Node) Broadcast(level int, msgType string, payload Payload) {
 	if level < 0 {
 		level = 0
 	}

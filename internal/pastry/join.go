@@ -15,36 +15,20 @@ const (
 	msgJoinReply    = "pastry.join_reply"
 	msgStateRequest = "pastry.state_request"
 	msgStateReply   = "pastry.state_reply"
-	msgProbe        = "pastry.probe"
-	msgProbeReply   = "pastry.probe_reply"
 )
 
 // joinPayload travels with a join request as it is routed toward the
 // joining node's own identifier; nodes along the path contribute the
 // routing rows relevant to the joiner.
 type joinPayload struct {
-	Joiner Addr   `json:"joiner"`
-	Rows   []Addr `json:"rows"` // accumulated contacts from path nodes
+	Joiner Addr
+	Rows   []Addr // accumulated contacts from path nodes
 }
 
 // statePayload carries a snapshot of a node's routing state.
 type statePayload struct {
-	Leaves []Addr `json:"leaves"`
-	Table  []Addr `json:"table"`
-}
-
-func (n *Node) registerProtocolHandlers() {
-	// Protocol messages are dispatched from Deliver directly.
-}
-
-// RegisterPayloadTypes hands the overlay's protocol payload constructors
-// to the wire codec so typed payloads survive serialization (the codec
-// package calls it from its init).
-func RegisterPayloadTypes(register func(msgType string, factory func() any)) {
-	register(msgJoin, func() any { return &joinPayload{} })
-	register(msgJoinReply, func() any { return &statePayload{} })
-	register(msgStateRequest, func() any { return &statePayload{} })
-	register(msgStateReply, func() any { return &statePayload{} })
+	Leaves []Addr
+	Table  []Addr
 }
 
 // Bootstrap initializes this node as the first member of a new ring.
@@ -186,32 +170,7 @@ func (n *Node) failJoinWait(w *joinWait) {
 	}
 }
 
-func (n *Node) handleProtocol(msg Message) {
-	if err := msg.MaterializePayload(); err != nil {
-		return
-	}
-	switch msg.Type {
-	case msgJoin:
-		n.handleJoin(msg)
-	case msgJoinReply:
-		n.handleJoinReply(msg)
-	case msgStateRequest:
-		n.handleStateRequest(msg)
-	case msgStateReply:
-		n.handleStateReply(msg)
-	case msgProbe:
-		n.SendDirect(msg.From, msgProbeReply, nil)
-	case msgProbeReply:
-		// Liveness confirmed; eviction is driven by send errors, so
-		// nothing to do here.
-	}
-}
-
-func (n *Node) handleJoin(msg Message) {
-	p, ok := msg.Payload.(*joinPayload)
-	if !ok {
-		return
-	}
+func (n *Node) handleJoin(msg Message, p *joinPayload) {
 	// Contribute the routing row the joiner will index at our shared
 	// prefix depth, plus ourselves.
 	row := ids.CommonPrefix(n.self.ID, p.Joiner.ID)
@@ -240,11 +199,7 @@ func (n *Node) handleJoin(msg Message) {
 	n.SendDirect(p.Joiner, msgJoinReply, reply)
 }
 
-func (n *Node) handleJoinReply(msg Message) {
-	p, ok := msg.Payload.(*statePayload)
-	if !ok {
-		return
-	}
+func (n *Node) handleJoinReply(msg Message, p *statePayload) {
 	n.Learn(msg.From)
 	for _, a := range p.Leaves {
 		n.Learn(a)
@@ -273,7 +228,7 @@ func (n *Node) handleJoinReply(msg Message) {
 	}
 }
 
-func (n *Node) handleStateRequest(msg Message) {
+func (n *Node) handleStateRequest(msg Message, _ *NoPayload) {
 	n.Learn(msg.From)
 	n.mu.RLock()
 	reply := &statePayload{Leaves: append(n.leaves.all(), n.self)}
@@ -281,11 +236,7 @@ func (n *Node) handleStateRequest(msg Message) {
 	n.SendDirect(msg.From, msgStateReply, reply)
 }
 
-func (n *Node) handleStateReply(msg Message) {
-	p, ok := msg.Payload.(*statePayload)
-	if !ok {
-		return
-	}
+func (n *Node) handleStateReply(msg Message, p *statePayload) {
 	n.Learn(msg.From)
 	for _, a := range p.Leaves {
 		n.Learn(a)

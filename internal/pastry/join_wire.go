@@ -7,9 +7,9 @@ import (
 	"corona/internal/wirebin"
 )
 
-// Native binary wire forms for the overlay's own protocol payloads,
-// matching the codec contract the Corona message set follows (package
-// core, messages_wire.go), so join requests and state snapshots have a
+// Native binary wire forms for the overlay's own protocol payloads: the
+// Payload contract the Corona message set follows too (package core,
+// messages_wire.go), so join requests and state snapshots have a
 // deterministic byte encoding. Conventions are the wirebin house rules: uvarint counts, length-prefixed strings, and a
 // raw 20-byte identifier plus endpoint string per address.
 
@@ -60,13 +60,13 @@ func wireErr(what string, r *wirebin.Reader) error {
 	return nil
 }
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (p *joinPayload) AppendBinary(dst []byte) ([]byte, error) {
 	dst = AppendAddr(dst, p.Joiner)
 	return appendAddrs(dst, p.Rows), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (p *joinPayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	p.Joiner = ReadAddr(r)
@@ -74,13 +74,13 @@ func (p *joinPayload) DecodeBinary(src []byte) error {
 	return wireErr("join", r)
 }
 
-// AppendBinary implements the codec binary payload contract.
+// AppendBinary implements pastry.Payload.
 func (p *statePayload) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendAddrs(dst, p.Leaves)
 	return appendAddrs(dst, p.Table), nil
 }
 
-// DecodeBinary implements the codec binary payload contract.
+// DecodeBinary implements pastry.Payload.
 func (p *statePayload) DecodeBinary(src []byte) error {
 	r := wirebin.NewReader(src)
 	p.Leaves = readAddrs(r)

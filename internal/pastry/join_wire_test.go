@@ -2,7 +2,8 @@ package pastry
 
 // Wire-symmetry tests for the overlay protocol payloads: binary
 // encodings must round-trip to identical structs and identical bytes,
-// and no truncation of a valid encoding may decode successfully.
+// no truncation of a valid encoding may decode successfully, and a
+// NoPayload decodes from nothing but an empty body.
 
 import (
 	"bytes"
@@ -33,12 +34,7 @@ func randWireAddrs(rng *rand.Rand) []Addr {
 	return out
 }
 
-type wirePayload interface {
-	AppendBinary(dst []byte) ([]byte, error)
-	DecodeBinary(src []byte) error
-}
-
-func checkWireRoundTrip(t *testing.T, orig, fresh wirePayload) []byte {
+func checkWireRoundTrip(t *testing.T, orig, fresh Payload) []byte {
 	t.Helper()
 	enc, err := orig.AppendBinary(nil)
 	if err != nil {
@@ -74,13 +70,13 @@ func TestJoinWireTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	jp := &joinPayload{Joiner: randWireAddr(rng), Rows: randWireAddrs(rng)}
 	sp := &statePayload{Leaves: randWireAddrs(rng), Table: randWireAddrs(rng)}
-	for _, p := range []wirePayload{jp, sp} {
+	for _, p := range []Payload{jp, sp} {
 		enc, err := p.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("encode %T: %v", p, err)
 		}
 		for n := 0; n < len(enc); n++ {
-			var fresh wirePayload
+			var fresh Payload
 			if _, ok := p.(*joinPayload); ok {
 				fresh = &joinPayload{}
 			} else {
@@ -111,6 +107,9 @@ func FuzzJoinWireDecode(f *testing.F) {
 		sp := &statePayload{}
 		if sp.DecodeBinary(data) == nil {
 			checkWireRoundTrip(t, sp, &statePayload{})
+		}
+		if err := new(NoPayload).DecodeBinary(data); (err == nil) != (len(data) == 0) {
+			t.Fatalf("NoPayload decoding %d bytes: err = %v", len(data), err)
 		}
 	})
 }

@@ -11,7 +11,10 @@
 //
 // The package is transport-agnostic: messages flow through the Transport
 // interface, implemented in-memory by simnet (for simulation) and over TCP
-// by netwire (for live deployment).
+// by netwire (for live deployment). Handle binds a message type to its
+// payload type and handler, for the overlay's own protocol and Corona's
+// alike; that binding is also how a payload that arrived as bytes is
+// decoded.
 package pastry
 
 import (
@@ -29,8 +32,8 @@ import (
 // transport-specific endpoint string (for example "sim://17" or
 // "128.84.223.105:9001").
 type Addr struct {
-	ID       ids.ID `json:"id"`
-	Endpoint string `json:"endpoint"`
+	ID       ids.ID
+	Endpoint string
 }
 
 // IsZero reports whether the address is unset.
@@ -43,24 +46,24 @@ func (a Addr) String() string {
 
 // Message is the overlay message envelope. Payloads are application-defined;
 // under simnet they are passed by reference (and must be treated as
-// immutable), under netwire they are serialized by the codec package in
-// each registered type's native binary form.
+// immutable), under netwire the codec package sends them in their native
+// binary form.
 type Message struct {
 	// Type selects the application handler at the destination.
-	Type string `json:"type"`
+	Type string
 	// Key is the routing key for routed messages; zero for direct sends.
-	Key ids.ID `json:"key"`
+	Key ids.ID
 	// From is the originating node.
-	From Addr `json:"from"`
+	From Addr
 	// Hops counts forwarding steps taken so far.
-	Hops int `json:"hops"`
+	Hops int
 	// Cover is the prefix-broadcast coverage depth (see Node.Broadcast).
-	Cover int `json:"cover,omitempty"`
+	Cover int
 	// Payload is the application body. On messages decoded from the wire
-	// it stays nil until MaterializePayload runs (the overlay materializes
-	// before invoking a local handler), so a node that only forwards a
-	// message never pays for payload decoding.
-	Payload any `json:"payload"`
+	// it stays nil until the handler registered for Type decodes it (see
+	// Handle), so a node that only forwards a message never pays for
+	// payload decoding.
+	Payload Payload
 
 	// raw retains the encoded payload body exactly as it arrived off the
 	// wire, so forwarding (routed next-hop or broadcast fan-out) re-sends
@@ -90,21 +93,9 @@ type sharedEncoding struct {
 	prefix []byte // nil until the first encode stores it
 }
 
-// payloadDecoder resolves a retained raw payload blob into its registered
-// typed struct. The codec package installs it from init, before any
-// message can be decoded; transports that never serialize (simnet) never
-// set raw, so a nil decoder is only reachable when no codec is linked in.
-var payloadDecoder func(msgType string, raw []byte) (any, error)
-
-// SetPayloadDecoder installs the raw-payload resolver. It is called once,
-// at init time, by the codec package.
-func SetPayloadDecoder(f func(msgType string, raw []byte) (any, error)) {
-	payloadDecoder = f
-}
-
 // SetRawPayload attaches the wire-encoded payload body to the message,
-// deferring typed decoding until MaterializePayload. The codec calls this
-// from Decode.
+// deferring typed decoding until a handler takes the message. The codec
+// calls this from Decode.
 func (m *Message) SetRawPayload(raw []byte) {
 	m.raw = raw
 	m.hasRaw = true
@@ -124,28 +115,6 @@ func (m *Message) detachRaw() {
 	if m.hasRaw {
 		m.raw = bytes.Clone(m.raw)
 	}
-}
-
-// MaterializePayload decodes the retained raw payload into its registered
-// typed struct, storing it in Payload. It is idempotent and a no-op for
-// messages without a retained blob. The blob is cleared on the first call:
-// once a handler can see (and mutate) the typed struct, re-encoding must
-// go through the struct, not the stale bytes.
-func (m *Message) MaterializePayload() error {
-	if !m.hasRaw {
-		return nil
-	}
-	raw := m.raw
-	m.raw, m.hasRaw = nil, false
-	if m.Payload != nil || payloadDecoder == nil {
-		return nil
-	}
-	p, err := payloadDecoder(m.Type, raw)
-	if err != nil {
-		return err
-	}
-	m.Payload = p
-	return nil
 }
 
 // ShareEncoding attaches a fresh encode-once cell to the message. Every
@@ -214,9 +183,6 @@ type AsyncTransport interface {
 // ErrUnreachable is returned by transports when the destination is down.
 var ErrUnreachable = errors.New("pastry: destination unreachable")
 
-// HandlerFunc processes an application message delivered to this node.
-type HandlerFunc func(msg Message)
-
 // leafSetSize is the number of neighbors the leaf set keeps on each side
 // of the ring (the paper's f: channel state is replicated on the f
 // closest neighbors of the primary owner, §3.3).
@@ -236,10 +202,12 @@ type Node struct {
 	transport Transport
 	clk       clock.Clock
 
-	mu       sync.RWMutex
-	table    *routingTable
-	leaves   *leafSet
-	handlers map[string]HandlerFunc
+	mu     sync.RWMutex
+	table  *routingTable
+	leaves *leafSet
+	// handlers maps each message type to the entry Handle made for it,
+	// which decodes the payload and runs the handler.
+	handlers map[string]func(Message)
 	// joined is closed, once and under mu, when the node completes a
 	// Join or Bootstrap; joinWaits are the pending JoinWaits that
 	// closing it answers, and announce the members a joining node
@@ -285,10 +253,13 @@ func NewNode(self Addr, transport Transport, clk clock.Clock) *Node {
 		clk:       clk,
 		table:     newRoutingTable(self.ID),
 		leaves:    newLeafSet(self.ID, leafSetSize),
-		handlers:  make(map[string]HandlerFunc),
+		handlers:  make(map[string]func(Message)),
 		joined:    make(chan struct{}),
 	}
-	n.registerProtocolHandlers()
+	Handle(n, msgJoin, n.handleJoin)
+	Handle(n, msgJoinReply, n.handleJoinReply)
+	Handle(n, msgStateRequest, n.handleStateRequest)
+	Handle(n, msgStateReply, n.handleStateReply)
 	if at, ok := transport.(AsyncTransport); ok {
 		// Route asynchronous delivery failures into the same eviction
 		// path synchronous Send errors take.
@@ -313,17 +284,6 @@ func (n *Node) OnFault(f func(Addr)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.onFault = f
-}
-
-// Handle registers the handler for an application message type. It panics
-// if the type is already registered, which catches wiring mistakes early.
-func (n *Node) Handle(msgType string, h HandlerFunc) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.handlers[msgType]; dup {
-		panic("pastry: duplicate handler for " + msgType)
-	}
-	n.handlers[msgType] = h
 }
 
 // Leaves returns the current leaf set, closest first on each side.
@@ -434,8 +394,11 @@ func (n *Node) send(to Addr, msg Message) error {
 // Deliver is the transport's entry point for inbound messages.
 func (n *Node) Deliver(msg Message) {
 	switch msg.Type {
-	case msgJoin, msgJoinReply, msgStateRequest, msgStateReply, msgProbe, msgProbeReply:
-		n.handleProtocol(msg)
+	case msgJoin, msgJoinReply, msgStateRequest, msgStateReply:
+		// The overlay's own protocol is never routed as an application
+		// message (a join takes handleJoin's own forward) nor counted as
+		// a delivery.
+		n.handler(msg.Type)(msg)
 		return
 	}
 	if !msg.Key.IsZero() && msg.Cover == 0 && n.forward(msg, ids.ID{}) {
@@ -453,28 +416,26 @@ func (n *Node) Deliver(msg Message) {
 }
 
 func (n *Node) deliverLocal(msg Message) {
-	n.mu.RLock()
-	h := n.handlers[msg.Type]
-	n.mu.RUnlock()
+	h := n.handler(msg.Type)
 	n.mu.Lock()
 	n.stats.MessagesDelivered++
 	n.stats.RouteHopsTotal += uint64(msg.Hops)
 	n.mu.Unlock()
 	if h != nil {
-		// Payload decoding is deferred until a local handler actually
-		// needs the typed struct; a message that was only forwarded never
-		// gets here. An undecodable payload drops the message, matching
-		// the transport's treatment of undecodable envelopes.
-		if err := msg.MaterializePayload(); err != nil {
-			return
-		}
 		h(msg)
 	}
 }
 
+// handler returns the entry Handle registered for msgType, or nil.
+func (n *Node) handler(msgType string) func(Message) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.handlers[msgType]
+}
+
 // SendDirect sends an application message straight to a known peer without
 // overlay routing.
-func (n *Node) SendDirect(to Addr, msgType string, payload any) error {
+func (n *Node) SendDirect(to Addr, msgType string, payload Payload) error {
 	if to.ID == n.self.ID {
 		n.Deliver(Message{Type: msgType, From: n.self, Payload: payload})
 		return nil
@@ -487,7 +448,7 @@ func (n *Node) SendDirect(to Addr, msgType string, payload any) error {
 // msgType at the root node (possibly this node itself). A dead first hop
 // is skipped (forward), so Route only gives up by running out of
 // candidates, at which point this node is the root and delivers locally.
-func (n *Node) Route(key ids.ID, msgType string, payload any) error {
+func (n *Node) Route(key ids.ID, msgType string, payload Payload) error {
 	msg := Message{Type: msgType, Key: key, From: n.self, Payload: payload}
 	if !n.forward(msg, ids.ID{}) {
 		n.deliverLocal(msg)

@@ -37,7 +37,7 @@ func TestRoutingReachesNumericallyClosestNode(t *testing.T) {
 		typ := fmt.Sprintf("test.route.%d", trial)
 		for _, n := range nodes {
 			n := n
-			n.Handle(typ, func(m pastry.Message) { deliveredAt = n })
+			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { deliveredAt = n })
 		}
 		src := nodes[rng.Intn(len(nodes))]
 		if err := src.Route(key, typ, nil); err != nil {
@@ -60,7 +60,7 @@ func TestRoutingHopCountLogarithmic(t *testing.T) {
 	var totalHops, delivered int
 	typ := "test.hops"
 	for _, n := range nodes {
-		n.Handle(typ, func(m pastry.Message) {
+		pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) {
 			totalHops += m.Hops
 			delivered++
 		})
@@ -85,7 +85,7 @@ func TestRouteToOwnKeyDeliversLocally(t *testing.T) {
 	sim, _, nodes := testRing(t, 16, 11)
 	n := nodes[3]
 	delivered := false
-	n.Handle("test.self", func(m pastry.Message) { delivered = true })
+	pastry.Handle(n, "test.self", func(m pastry.Message, _ *pastry.NoPayload) { delivered = true })
 	n.Route(n.Self().ID, "test.self", nil)
 	sim.RunFor(time.Second)
 	if !delivered {
@@ -102,7 +102,7 @@ func TestConsistentRootAcrossSources(t *testing.T) {
 		roots := map[string]bool{}
 		for _, n := range nodes {
 			n := n
-			n.Handle(typ, func(m pastry.Message) { roots[n.Self().ID.String()] = true })
+			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { roots[n.Self().ID.String()] = true })
 		}
 		for i := 0; i < 8; i++ {
 			nodes[rng.Intn(len(nodes))].Route(key, typ, nil)
@@ -136,7 +136,7 @@ func TestBroadcastCoversWedgeExactly(t *testing.T) {
 		got := map[string]int{}
 		for _, n := range nodes {
 			n := n
-			n.Handle(typ, func(m pastry.Message) { got[n.Self().Endpoint]++ })
+			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { got[n.Self().Endpoint]++ })
 		}
 		initiator.Broadcast(level, typ, nil)
 		sim.RunFor(time.Minute)
@@ -187,7 +187,7 @@ func TestSmallRingRoutesInOneHop(t *testing.T) {
 		typ := fmt.Sprintf("test.small.%d", trial)
 		for _, n := range nodes {
 			n := n
-			n.Handle(typ, func(m pastry.Message) { at, hops = n, m.Hops })
+			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { at, hops = n, m.Hops })
 		}
 		src := nodes[trial%len(nodes)]
 		if err := src.Route(key, typ, nil); err != nil {
@@ -243,7 +243,7 @@ func TestJoinProtocolConverges(t *testing.T) {
 		typ := fmt.Sprintf("test.join.%d", i)
 		for _, n := range nodes {
 			n := n
-			n.Handle(typ, func(m pastry.Message) { root = n })
+			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { root = n })
 		}
 		src.Route(key, typ, nil)
 		sim.RunFor(5 * time.Second)
@@ -283,7 +283,7 @@ func TestFailureRepair(t *testing.T) {
 		if n == victim {
 			continue
 		}
-		n.Handle(typ, func(m pastry.Message) { delivered++ })
+		pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { delivered++ })
 	}
 	for i := 0; i < 20; i++ {
 		nodes[8].Route(ids.Random(rng), typ, nil)
@@ -309,11 +309,11 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.FixedLatency(0))
 	n := net.Node(pastry.Addr{ID: ids.HashString("x"), Endpoint: "sim://0"})
-	n.Handle("dup", func(pastry.Message) {})
+	pastry.Handle(n, "dup", func(pastry.Message, *pastry.NoPayload) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Handle did not panic")
 		}
 	}()
-	n.Handle("dup", func(pastry.Message) {})
+	pastry.Handle(n, "dup", func(pastry.Message, *pastry.NoPayload) {})
 }

@@ -299,7 +299,7 @@ func TestRingMatchesHandBuiltRing(t *testing.T) {
 	var at *pastry.Node
 	for _, n := range nodes {
 		n := n
-		n.Handle("test.ring", func(pastry.Message) { at = n })
+		pastry.Handle(n, "test.ring", func(pastry.Message, *pastry.NoPayload) { at = n })
 	}
 	if err := nodes[0].Route(key, "test.ring", nil); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"corona/internal/clientproto"
 	"corona/internal/clock"
-	"corona/internal/codec"
 	"corona/internal/core"
 	"corona/internal/ids"
 	"corona/internal/metrics"
@@ -112,12 +111,6 @@ type LiveNode struct {
 	webReplayCap int
 	// leaseTTL is the node's entry-node lease window (LiveConfig.LeaseTTL).
 	leaseTTL time.Duration
-}
-
-func init() {
-	// Wire Corona's payload types once for every live node in the
-	// process (the codec registers the overlay's own).
-	core.RegisterPayloadTypes(codec.RegisterPayload)
 }
 
 // StartLiveNode binds the transport, joins (or bootstraps) the ring, and
