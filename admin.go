@@ -238,6 +238,7 @@ type adminChannel struct {
 	Replica         bool     `json:"replica"`
 	OwnerEpoch      uint64   `json:"owner_epoch"`
 	LastVersion     uint64   `json:"last_version"`
+	ContentVersion  uint64   `json:"content_version"`
 	Polling         bool     `json:"polling"`
 	Level           int      `json:"level"`
 	Pollers         int      `json:"pollers"`
@@ -256,6 +257,7 @@ func adminChannelFrom(rec core.ChannelRecords) adminChannel {
 		Replica:         rec.Replica,
 		OwnerEpoch:      rec.OwnerEpoch,
 		LastVersion:     rec.LastVersion,
+		ContentVersion:  rec.ContentVersion,
 		Polling:         rec.Polling,
 		Level:           rec.Level,
 		Pollers:         rec.Pollers,

@@ -162,6 +162,12 @@ type ChannelStatus struct {
 	// Delegates is the number of fan-out delegates the owner has
 	// recruited for the channel (zero below DelegateThreshold).
 	Delegates int
+	// Version is the newest version the owner knows of, and
+	// ContentVersion that of the content it holds to diff against. Where
+	// the origin names its versions, the content trails only until the
+	// owner's next poll.
+	Version        uint64
+	ContentVersion uint64
 }
 
 // NodeActivity is one node's cumulative fan-out work, labeled with its

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -85,7 +87,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 			bodies := map[uint64][]byte{}
 			poll := func() uint64 {
 				t.Helper()
-				res, err := fetcher.Fetch(url, 0)
+				res, err := fetcher.Fetch(url, 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,5 +247,135 @@ func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	}
 	if got := n.Stats().DiffBaseMismatches; got != 1 {
 		t.Fatalf("a diff from a base this node lacks counted %d base mismatches, want 1", got)
+	}
+}
+
+// downFetcher fails every poll while down is set, as an origin that
+// times out for one node does.
+type downFetcher struct {
+	Fetcher
+	down *bool
+}
+
+func (f downFetcher) Fetch(url string, have, content uint64) (webserver.FetchResult, error) {
+	if *f.down {
+		return webserver.FetchResult{}, errors.New("origin unreachable")
+	}
+	return f.Fetcher.Fetch(url, have, content)
+}
+
+// TestTrailingContentCatchesUpOnNextPoll drives a three-node wedge over
+// a generator-backed channel. Start-up alone can leave a member's
+// content behind its version, so first every member must hold the
+// owner's content a poll interval after the third version. Then one
+// member misses a version: its poll of the origin fails and the update
+// carrying the content is lost on its way, and the owner's replicate
+// push raises the member's version before it holds the content. Within
+// one poll interval every member's content must be the owner's again,
+// and the next version's diff, one version wide, must apply everywhere:
+// no base mismatch.
+func TestTrailingContentCatchesUpOnNextPoll(t *testing.T) {
+	const (
+		url   = "http://feeds.example.net/catchup.xml"
+		tau   = 10 * time.Minute
+		every = time.Hour
+	)
+	sim := eventsim.New(3)
+	net := simnet.New(sim, simnet.FixedLatency(10*time.Millisecond))
+	origin := webserver.NewOrigin()
+	first := eventsim.Epoch.Add(time.Minute)
+	origin.Host(webserver.ChannelConfig{
+		URL:       url,
+		Process:   webserver.PeriodicProcess{Origin: first, Interval: every},
+		Generator: feed.NewGenerator(url, 9),
+	})
+	overlays := net.Ring(3, sim.RNG("ids"))
+	nodes := make([]*Node, len(overlays))
+	down := make([]bool, len(overlays))
+	for i, overlay := range overlays {
+		cfg := DefaultConfig()
+		cfg.NodeCount = len(overlays)
+		cfg.PollInterval = tau
+		cfg.MaintenanceInterval = 20 * time.Minute
+		cfg.Seed = int64(i)
+		fetcher := downFetcher{Fetcher: &OriginFetcher{Origin: origin, Clock: sim}, down: &down[i]}
+		nodes[i] = NewNode(cfg, overlay, sim, fetcher, &diffRecorder{diffs: make(map[uint64]string)}, nil)
+		nodes[i].Start()
+	}
+	var owner *Node
+	member := -1
+	for i, n := range nodes {
+		if n.overlay.IsRoot(ids.HashString(url)) {
+			owner = n
+		} else {
+			member = i
+		}
+	}
+	for i := 0; i < 10; i++ {
+		nodes[i%len(nodes)].Subscribe(fmt.Sprintf("s%d", i), url)
+	}
+	// publication returns the instant the origin publishes version v.
+	publication := func(v int) time.Duration { return first.Add(time.Duration(v-1) * every).Sub(sim.Now()) }
+	versions := func() (content []uint64, mismatches uint64) {
+		for i, n := range nodes {
+			info, ok := n.Channel(url)
+			if !ok || !info.Polling {
+				t.Fatalf("node %d does not poll the channel: %+v", i, info)
+			}
+			content = append(content, info.ContentVersion)
+			mismatches += n.Stats().DiffBaseMismatches
+		}
+		return content, mismatches
+	}
+	converged := func(content []uint64, want uint64) bool {
+		for _, v := range content {
+			if v != want {
+				return false
+			}
+		}
+		return true
+	}
+
+	sim.RunFor(publication(3) + tau)
+	if content, _ := versions(); !converged(content, 3) {
+		t.Fatalf("after v3: content versions %v, want every member at v3", content)
+	}
+
+	// The member misses v4: its polls fail and the wedge's update is
+	// lost on the links into it.
+	m := nodes[member]
+	sim.RunFor(publication(4) - time.Minute)
+	down[member] = true
+	for _, n := range nodes {
+		if n != m {
+			net.SetLinkFault(n.Self().Endpoint, m.Self().Endpoint, simnet.LinkFault{DropRate: 1})
+		}
+	}
+	sim.RunFor(tau + 2*time.Minute)
+	down[member] = false
+	net.ClearLinkFaults()
+	owner.mu.Lock()
+	push := owner.buildReplicateLocked(owner.getChannel(url))
+	owner.mu.Unlock()
+	if push.LastVersion != 4 {
+		t.Fatalf("owner at v%d after the publication, want v4", push.LastVersion)
+	}
+	m.handleReplicate(pastry.Message{From: owner.Self(), Payload: push}, push)
+	if info, _ := m.Channel(url); info.LastVersion != 4 || info.ContentVersion != 3 {
+		t.Fatalf("member at v%d with content v%d after the push, want v4 with content v3", info.LastVersion, info.ContentVersion)
+	}
+
+	sim.RunFor(tau)
+	content, before := versions()
+	if !converged(content, 4) {
+		t.Fatalf("one poll interval after the push: content versions %v, want every member at the owner's v4", content)
+	}
+	sim.RunFor(publication(5) + tau)
+	content, after := versions()
+	if !converged(content, 5) {
+		t.Fatalf("after v5: content versions %v, want every member at v5", content)
+	}
+	if after != before {
+		t.Fatalf("base mismatches grew from %d to %d over v5", before, after)
 	}
 }

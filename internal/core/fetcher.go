@@ -36,7 +36,7 @@ type OriginFetcher struct {
 // Fetch implements Fetcher. It fetches full content unconditionally:
 // Corona needs the document to diff, and the paper's load accounting
 // counts every poll as a full fetch, as legacy RSS clients make them.
-func (f *OriginFetcher) Fetch(url string, _ uint64) (webserver.FetchResult, error) {
+func (f *OriginFetcher) Fetch(url string, _, _ uint64) (webserver.FetchResult, error) {
 	return f.Origin.Fetch(url, f.Clock.Now())
 }
 
@@ -79,10 +79,14 @@ var errBodyTooLarge = fmt.Errorf("core: body exceeds %d bytes", maxBodyBytes)
 
 // HTTPFetcher polls real HTTP origins, using ETag validators when the
 // server provides them. It is the live-deployment Fetcher. A decimal
-// ETag is the version, and a poll sends the version it holds as
-// If-None-Match. Any other ETag (a quoted one, say) is kept with the
-// version its 200 was given, and sent back as If-None-Match while the
-// poll holds that version, so unchanged content is answered 304.
+// ETag is the version, and a poll sends the version of the content it
+// holds as If-None-Match, so a node whose content trails the version it
+// knows of gets the body back. A 200 without one is given a version made
+// up as the version the poll knows of plus one, and from then on the
+// URL's polls revalidate against that version instead: any other ETag (a
+// quoted one, say) is kept with the version its 200 was given, and sent
+// back as If-None-Match while the poll holds that version, so unchanged
+// content is answered 304.
 //
 // It speaks HTTP/1.1 over plain TCP or TLS (http:// and https:// URLs),
 // offers gzip and decodes it, and follows up to 10 redirects. A poll,
@@ -129,6 +133,11 @@ type polledURL struct {
 	// otherwise.
 	etag        string
 	etagVersion uint64
+	// madeUp reports that the last 200 carried no decimal ETag, so its
+	// version was made up: a poll then revalidates against the version
+	// it knows of, not the content's, which would name no version this
+	// fetcher gave.
+	madeUp bool
 }
 
 // originTarget is one URL's request, resolved once.
@@ -183,8 +192,8 @@ func (f *HTTPFetcher) Dials() uint64 { return f.dials.Load() }
 // Fetch implements Fetcher. The returned version is the server's ETag when
 // numeric, else haveVersion+1; either way the result carries the body,
 // which the node diffs against the content it holds.
-func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
-	p, etag, err := f.lookup(rawURL, haveVersion)
+func (f *HTTPFetcher) Fetch(rawURL string, haveVersion, contentVersion uint64) (webserver.FetchResult, error) {
+	p, validator, etag, err := f.lookup(rawURL, haveVersion, contentVersion)
 	if err != nil {
 		return webserver.FetchResult{}, fmt.Errorf("core: building request: %w", err)
 	}
@@ -193,12 +202,12 @@ func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchR
 	t := p.target
 	var h respHead
 	for redirects := 0; ; {
-		oc, err := f.roundTrip(t, haveVersion, etag, deadline, &h)
+		oc, err := f.roundTrip(t, validator, etag, deadline, &h)
 		if err != nil {
 			return webserver.FetchResult{}, fmt.Errorf("core: polling %s: %w", rawURL, err)
 		}
 		if h.location == "" {
-			return f.finish(p, oc, &h, rawURL, haveVersion)
+			return f.finish(p, oc, &h, rawURL, haveVersion, validator)
 		}
 		f.release(oc, &h, oc.drain(&h))
 		if redirects++; redirects >= maxRedirects {
@@ -215,12 +224,13 @@ func (f *HTTPFetcher) Fetch(rawURL string, haveVersion uint64) (webserver.FetchR
 }
 
 // finish turns a final response into a fetch result and hands its
-// connection back.
-func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, h *respHead, rawURL string, haveVersion uint64) (webserver.FetchResult, error) {
+// connection back. validator is the version the poll revalidated
+// against.
+func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, h *respHead, rawURL string, haveVersion, validator uint64) (webserver.FetchResult, error) {
 	switch h.status {
 	case statusNotModified:
 		f.release(oc, h, true)
-		return webserver.FetchResult{Version: haveVersion, Modified: false, Bytes: 300}, nil
+		return webserver.FetchResult{Version: validator, Modified: false, Bytes: 300}, nil
 	case statusOK:
 		r, contentLength := oc.openBody(h), h.length
 		if h.gzip {
@@ -254,6 +264,7 @@ func (f *HTTPFetcher) finish(p *polledURL, oc *originConn, h *respHead, rawURL s
 		f.mu.Lock()
 		p.size = len(body)
 		p.etag, p.etagVersion = h.opaqueETag, version
+		p.madeUp = !h.etagOK
 		f.mu.Unlock()
 		return webserver.FetchResult{Version: version, Modified: true, Bytes: len(body), Body: body}, nil
 	default:
@@ -290,28 +301,31 @@ func (f *HTTPFetcher) takeBody() []byte {
 }
 
 // lookup returns the fetcher's record of rawURL, resolving its request
-// on the first poll, and the opaque ETag a poll holding haveVersion
-// sends back, if any.
-func (f *HTTPFetcher) lookup(rawURL string, haveVersion uint64) (p *polledURL, etag string, err error) {
+// on the first poll, and what the poll revalidates against: the version
+// of the content it holds, or, once the URL's versions are made up,
+// haveVersion and the opaque ETag it stands for, if any.
+func (f *HTTPFetcher) lookup(rawURL string, haveVersion, contentVersion uint64) (p *polledURL, validator uint64, etag string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p = f.polled[rawURL]; p != nil {
-		if p.etagVersion == haveVersion {
-			etag = p.etag
+	if p = f.polled[rawURL]; p == nil {
+		u, err := url.Parse(rawURL)
+		if err != nil {
+			return nil, 0, "", err
 		}
-		return p, etag, nil
+		t, err := newOriginTarget(u)
+		if err != nil {
+			return nil, 0, "", err
+		}
+		p = &polledURL{target: t}
+		f.polled[rawURL] = p
 	}
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, "", err
+	if !p.madeUp {
+		return p, contentVersion, "", nil
 	}
-	t, err := newOriginTarget(u)
-	if err != nil {
-		return nil, "", err
+	if p.etagVersion == haveVersion {
+		etag = p.etag
 	}
-	p = &polledURL{target: t}
-	f.polled[rawURL] = p
-	return p, "", nil
+	return p, haveVersion, etag, nil
 }
 
 // newOriginTarget resolves the request for u: where to connect and the
@@ -360,22 +374,22 @@ func newOriginTarget(u *url.URL) (*originTarget, error) {
 }
 
 // roundTrip sends one GET for t and reads the response head into h. The
-// GET's If-None-Match is etag when set, else haveVersion when non-zero. A
+// GET's If-None-Match is etag when set, else validator when non-zero. A
 // pooled connection the origin closed while it sat idle fails before any
 // byte of a response arrives; the GET is idempotent, so it is sent once
 // more on a fresh connection.
-func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, etag string, deadline time.Time, h *respHead) (*originConn, error) {
+func (f *HTTPFetcher) roundTrip(t *originTarget, validator uint64, etag string, deadline time.Time, h *respHead) (*originConn, error) {
 	oc, reused, err := f.take(t, deadline)
 	if err != nil {
 		return nil, err
 	}
-	answered, err := oc.exchange(t, haveVersion, etag, h)
+	answered, err := oc.exchange(t, validator, etag, h)
 	if err != nil && reused && !answered && !errors.Is(err, os.ErrDeadlineExceeded) {
 		oc.conn.Close()
 		if oc, err = f.dial(t, deadline); err != nil {
 			return nil, err
 		}
-		_, err = oc.exchange(t, haveVersion, etag, h)
+		_, err = oc.exchange(t, validator, etag, h)
 	}
 	if err != nil {
 		oc.conn.Close()
@@ -386,16 +400,16 @@ func (f *HTTPFetcher) roundTrip(t *originTarget, haveVersion uint64, etag string
 
 // exchange writes the GET and parses the response head into h. answered
 // reports whether any byte of a response arrived.
-func (oc *originConn) exchange(t *originTarget, haveVersion uint64, etag string, h *respHead) (answered bool, err error) {
+func (oc *originConn) exchange(t *originTarget, validator uint64, etag string, h *respHead) (answered bool, err error) {
 	oc.bw.WriteString(t.head)
 	switch {
 	case etag != "":
 		oc.bw.WriteString("If-None-Match: ")
 		oc.bw.WriteString(etag)
 		oc.bw.WriteString("\r\n")
-	case haveVersion != 0:
+	case validator != 0:
 		oc.bw.WriteString("If-None-Match: ")
-		oc.bw.Write(strconv.AppendUint(oc.bw.AvailableBuffer(), haveVersion, 10))
+		oc.bw.Write(strconv.AppendUint(oc.bw.AvailableBuffer(), validator, 10))
 		oc.bw.WriteString("\r\n")
 	}
 	oc.bw.WriteString("\r\n")

@@ -46,7 +46,7 @@ func TestHTTPFetchGivesUpAfterPollInterval(t *testing.T) {
 	defer f.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(srv.URL, 0)
+		_, err := f.Fetch(srv.URL, 0, 0)
 		done <- err
 	}()
 	select {
@@ -66,7 +66,7 @@ func TestHTTPFetchGivesUpAfterPollInterval(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.Fetch(srv.URL, 0)
+			f.Fetch(srv.URL, 0, 0)
 		}()
 		time.Sleep(interval)
 		peak = max(peak, runtime.NumGoroutine())
@@ -97,7 +97,7 @@ func TestHTTPFetchRejectsOversizedBody(t *testing.T) {
 			w.Write(oversized())
 		}))
 		f := NewHTTPFetcher(10 * time.Second)
-		res, err := f.Fetch(srv.URL, 0)
+		res, err := f.Fetch(srv.URL, 0, 0)
 		if !errors.Is(err, errBodyTooLarge) || res.Body != nil {
 			t.Errorf("declared=%v: Fetch = %d body bytes, err %v; want errBodyTooLarge", declared, len(res.Body), err)
 		}
@@ -160,12 +160,12 @@ func TestHTTPFetchReusesReleasedBody(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 
-	first, err := f.Fetch(srv.URL, 0)
+	first, err := f.Fetch(srv.URL, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.ReleaseBody(first.Body)
-	second, err := f.Fetch(srv.URL, 0)
+	second, err := f.Fetch(srv.URL, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +231,14 @@ func TestHTTPFetchReusesConnection(t *testing.T) {
 
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
-	if res, err := f.Fetch(srv.URL+"/feed", 0); err != nil || res.Version != 3 {
+	if res, err := f.Fetch(srv.URL+"/feed", 0, 0); err != nil || res.Version != 3 {
 		t.Fatalf("first fetch = %+v, %v", res, err)
 	}
 	for i := 0; i < 5; i++ {
-		if res, err := f.Fetch(srv.URL+"/feed", 3); err != nil || res.Modified {
+		if res, err := f.Fetch(srv.URL+"/feed", 3, 3); err != nil || res.Modified {
 			t.Fatalf("conditional fetch %d = %+v, %v; want not modified", i, res, err)
 		}
-		if _, err := f.Fetch(srv.URL+"/gone", 0); err == nil {
+		if _, err := f.Fetch(srv.URL+"/gone", 0, 0); err == nil {
 			t.Fatalf("fetch %d of a 404 succeeded", i)
 		}
 	}
@@ -273,7 +273,7 @@ func TestHTTPFetchOpaqueETagRevalidates(t *testing.T) {
 	defer f.Close()
 	poll := func(have uint64) webserver.FetchResult {
 		t.Helper()
-		res, err := f.Fetch(srv.URL+"/feed", have)
+		res, err := f.Fetch(srv.URL+"/feed", have, have)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,6 +310,103 @@ func TestHTTPFetchOpaqueETagRevalidates(t *testing.T) {
 	}
 }
 
+// TestHTTPFetchRevalidatesTrailingContent polls an origin whose ETags
+// are decimal versions on behalf of a node whose content trails the
+// version it knows of: the poll sends the content's version, so the
+// origin answers with the body at its own version, and once the content
+// has caught up the same poll is a 304.
+func TestHTTPFetchRevalidatesTrailingContent(t *testing.T) {
+	var sent []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent = append(sent, r.Header.Get("If-None-Match"))
+		w.Header().Set("ETag", "5")
+		if r.Header.Get("If-None-Match") == "5" {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Write([]byte("<rss>5</rss>\n"))
+	}))
+	defer srv.Close()
+	f := NewHTTPFetcher(10 * time.Second)
+	defer f.Close()
+	for i, tc := range []struct {
+		have, content uint64
+		modified      bool
+	}{
+		{0, 0, true},  // no content: a full fetch
+		{5, 5, false}, // content current: revalidated
+		{5, 3, true},  // content trails: the body comes back at the origin's version
+		{5, 0, true},  // no content: a full fetch
+	} {
+		res, err := f.Fetch(srv.URL, tc.have, tc.content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Modified != tc.modified || res.Version != 5 || tc.modified && string(res.Body) != "<rss>5</rss>\n" {
+			t.Fatalf("poll %d holding v%d with content v%d = %+v, want modified=%v at v5", i, tc.have, tc.content, res, tc.modified)
+		}
+	}
+	if want := []string{"", "5", "3", ""}; strings.Join(sent, " ") != strings.Join(want, " ") {
+		t.Fatalf("If-None-Match sent = %q, want %q", sent, want)
+	}
+}
+
+// TestHTTPFetchMadeUpVersionsIgnoreContent polls origins that do not name
+// their versions, with an opaque ETag or with none, on behalf of a node
+// whose content trails. Once the fetcher has made a version up (the
+// version held plus one) it revalidates against the version held, and
+// the new body is numbered after it: numbered after the content's
+// version, it would take a number the wedge already knows for other
+// content.
+func TestHTTPFetchMadeUpVersionsIgnoreContent(t *testing.T) {
+	for _, etag := range []string{`"opaque"`, ""} {
+		t.Run(fmt.Sprintf("etag=%s", etag), func(t *testing.T) {
+			var mu sync.Mutex
+			body := "<rss>a</rss>\n"
+			var sent []string
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				defer mu.Unlock()
+				sent = append(sent, r.Header.Get("If-None-Match"))
+				if etag != "" {
+					w.Header().Set("ETag", etag)
+					if r.Header.Get("If-None-Match") == etag {
+						w.WriteHeader(http.StatusNotModified)
+						return
+					}
+				}
+				w.Write([]byte(body))
+			}))
+			defer srv.Close()
+			f := NewHTTPFetcher(10 * time.Second)
+			defer f.Close()
+
+			first, err := f.Fetch(srv.URL, 0, 0)
+			if err != nil || first.Version != 1 {
+				t.Fatalf("first poll = %+v, %v; want a 200 at v1", first, err)
+			}
+			// Other pollers moved the wedge on to v3 with content of their
+			// own; this node still holds v1's.
+			mu.Lock()
+			body = "<rss>b</rss>\n"
+			mu.Unlock()
+			res, err := f.Fetch(srv.URL, 3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Modified || res.Version != 4 || string(res.Body) != "<rss>b</rss>\n" {
+				t.Fatalf("poll holding v3 with content v1 = %+v, want the new body at v4", res)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			want := []string{"", "3"}
+			if strings.Join(sent, " ") != strings.Join(want, " ") {
+				t.Fatalf("If-None-Match sent = %q, want %q", sent, want)
+			}
+		})
+	}
+}
+
 // TestHTTPFetchConcurrentPolls polls channels of different sizes from
 // several goroutines through one fetcher, racing its per-URL size hints,
 // the body buffers each poll hands back and a Close: every body must
@@ -328,7 +425,7 @@ func TestHTTPFetchConcurrentPolls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				n := 1 + (g+i)%8
-				res, err := f.Fetch(fmt.Sprintf("%s/%d", srv.URL, n), 0)
+				res, err := f.Fetch(fmt.Sprintf("%s/%d", srv.URL, n), 0, 0)
 				if err != nil || !bytes.Equal(res.Body, bytes.Repeat([]byte{'a' + byte(n%26)}, 1000*n)) {
 					t.Errorf("poll of /%d: %d bytes, err %v", n, len(res.Body), err)
 					return
@@ -371,7 +468,7 @@ func BenchmarkHTTPFetch(b *testing.B) {
 			defer f.Close()
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := f.Fetch(arm.url, arm.have); err != nil {
+				if _, err := f.Fetch(arm.url, arm.have, arm.have); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -390,12 +487,12 @@ func TestHTTPFetchHTTPS(t *testing.T) {
 
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
-	if _, err := f.Fetch(srv.URL, 0); err == nil {
+	if _, err := f.Fetch(srv.URL, 0, 0); err == nil {
 		t.Fatal("fetch from an origin with an untrusted certificate succeeded")
 	}
 	trustOrigin(f, srv)
 	for i := 0; i < 2; i++ {
-		res, err := f.Fetch(srv.URL+"/feed", 0)
+		res, err := f.Fetch(srv.URL+"/feed", 0, 0)
 		if err != nil || res.Version != 4 || string(res.Body) != "<rss>secure</rss>\n" {
 			t.Fatalf("https fetch %d = %+v, %v", i, res, err)
 		}
@@ -421,7 +518,7 @@ func TestHTTPFetchFollowsRedirects(t *testing.T) {
 	defer srv.Close()
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
-	res, err := f.Fetch(srv.URL+"/old", 0)
+	res, err := f.Fetch(srv.URL+"/old", 0, 0)
 	if err != nil || res.Version != 9 || string(res.Body) != "<rss>final</rss>\n" {
 		t.Fatalf("fetch through 301 -> 302 -> 200 = %+v, %v", res, err)
 	}
@@ -438,7 +535,7 @@ func TestHTTPFetchRedirectLoopFails(t *testing.T) {
 	defer srv.Close()
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
-	if res, err := f.Fetch(srv.URL+"/hop/0", 0); err == nil {
+	if res, err := f.Fetch(srv.URL+"/hop/0", 0, 0); err == nil {
 		t.Fatalf("fetch through a redirect loop = %+v, want an error", res)
 	}
 	if got := hops.Load(); got > 11 {
@@ -461,7 +558,7 @@ func TestHTTPFetchSendsURLCredentials(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	u := "http://reader:s3cret@" + strings.TrimPrefix(srv.URL, "http://") + "/private.xml"
-	if res, err := f.Fetch(u, 0); err != nil || res.Version != 3 {
+	if res, err := f.Fetch(u, 0, 0); err != nil || res.Version != 3 {
 		t.Fatalf("fetch with URL credentials = %+v, %v", res, err)
 	}
 }
@@ -479,7 +576,7 @@ func TestHTTPFetchSkipsInterimResponses(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	for i := 0; i < 2; i++ {
-		if res, err := f.Fetch(srv.URL, 0); err != nil || res.Version != 8 || string(res.Body) != "<rss>hinted</rss>\n" {
+		if res, err := f.Fetch(srv.URL, 0, 0); err != nil || res.Version != 8 || string(res.Body) != "<rss>hinted</rss>\n" {
 			t.Fatalf("fetch %d after a 103 = %+v, %v", i, res, err)
 		}
 	}
@@ -516,7 +613,7 @@ func TestHTTPFetchDecodesGzip(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	for i := 0; i < 2; i++ {
-		res, err := f.Fetch(srv.URL, 0)
+		res, err := f.Fetch(srv.URL, 0, 0)
 		if err != nil || res.Version != 12 || !bytes.Equal(res.Body, doc) {
 			t.Fatalf("gzip fetch %d = version %d, %d body bytes, err %v; want version 12, %d bytes", i, res.Version, len(res.Body), err, len(doc))
 		}
@@ -536,7 +633,7 @@ func TestHTTPFetchCapsDecodedGzipBody(t *testing.T) {
 	defer srv.Close()
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
-	res, err := f.Fetch(srv.URL, 0)
+	res, err := f.Fetch(srv.URL, 0, 0)
 	if !errors.Is(err, errBodyTooLarge) || res.Body != nil {
 		t.Fatalf("Fetch = %d body bytes, err %v; want errBodyTooLarge", len(res.Body), err)
 	}
@@ -557,7 +654,7 @@ func TestHTTPFetchRejectsControlCharacters(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	for _, bad := range []string{"/feed\r\nX-Injected: 1", "/feed\x00", "/feed\x7f"} {
-		if _, err := f.Fetch(srv.URL+bad, 0); err == nil {
+		if _, err := f.Fetch(srv.URL+bad, 0, 0); err == nil {
 			t.Errorf("fetch of %q succeeded", bad)
 		}
 	}
@@ -585,7 +682,7 @@ func TestHTTPFetchRetriesClosedIdleConnection(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	for i := 0; i < 3; i++ {
-		if res, err := f.Fetch(srv.URL, 0); err != nil || res.Version != 2 {
+		if res, err := f.Fetch(srv.URL, 0, 0); err != nil || res.Version != 2 {
 			t.Fatalf("poll %d = %+v, %v", i, res, err)
 		}
 		srv.CloseClientConnections()
@@ -623,7 +720,7 @@ func TestHTTPFetchCloseDuringPoll(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := f.Fetch(srv.URL, 0)
+		res, err := f.Fetch(srv.URL, 0, 0)
 		done <- result{res, err}
 	}()
 	<-entered
@@ -657,7 +754,7 @@ func TestHTTPFetchCountsDials(t *testing.T) {
 	defer f.Close()
 	poll := func() {
 		t.Helper()
-		if _, err := f.Fetch(srv.URL, 1); err != nil {
+		if _, err := f.Fetch(srv.URL, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

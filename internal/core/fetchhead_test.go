@@ -143,7 +143,7 @@ func TestHTTPFetchCapsResponseHead(t *testing.T) {
 	f := NewHTTPFetcher(timeout)
 	defer f.Close()
 	start := time.Now()
-	_, err = f.Fetch("http://"+ln.Addr().String()+"/feed.xml", 0)
+	_, err = f.Fetch("http://"+ln.Addr().String()+"/feed.xml", 0, 0)
 	if !errors.Is(err, errHeadTooLarge) {
 		t.Fatalf("Fetch from a streaming head = %v, want errHeadTooLarge", err)
 	}
@@ -253,7 +253,7 @@ func TestHTTPFetchChunkedTrailersKeepAlive(t *testing.T) {
 	f := NewHTTPFetcher(10 * time.Second)
 	defer f.Close()
 	for i := 0; i < 3; i++ {
-		res, err := f.Fetch(origin+"/feed.xml", 0)
+		res, err := f.Fetch(origin+"/feed.xml", 0, 0)
 		if err != nil || res.Version != 5 || string(res.Body) != "<rss>v5</rss>\n" {
 			t.Fatalf("poll %d = %+v, %v", i, res, err)
 		}

@@ -16,12 +16,13 @@ import (
 // tests use them to observe state the counter-based ChannelInfo summary
 // collapses.
 type ChannelRecords struct {
-	URL         string
-	Owner       bool
-	Replica     bool
-	OwnerEpoch  uint64
-	LastVersion uint64
-	Polling     bool
+	URL            string
+	Owner          bool
+	Replica        bool
+	OwnerEpoch     uint64
+	LastVersion    uint64
+	ContentVersion uint64 // the version of the content held to diff against
+	Polling        bool
 
 	// The channel's polling level as this node believes it, and — when
 	// this node polls — its poll slot: PollSlot is its rank k among the
@@ -95,6 +96,7 @@ func (ch *channelState) recordsLocked() ChannelRecords {
 		Replica:         ch.isReplica,
 		OwnerEpoch:      ch.ownerEpoch,
 		LastVersion:     ch.lastVersion,
+		ContentVersion:  ch.contentVersion,
 		Polling:         ch.polling,
 		Level:           ch.level,
 		Pollers:         pollers,

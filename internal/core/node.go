@@ -17,16 +17,19 @@ import (
 // Fetcher polls a channel's content server. Simulations back it with
 // webserver.Origin under virtual time; live nodes use an HTTP client.
 type Fetcher interface {
-	// Fetch polls url. haveVersion is the version the node holds; a
-	// fetcher may use it to revalidate (HTTPFetcher sends it, or the
-	// origin's opaque ETag it stands for, as If-None-Match), and then
-	// unchanged content reports Modified=false at haveVersion and costs
-	// only a probe. Version 0 forces a full fetch, and OriginFetcher
-	// always fetches in full. A modified result names its version: the
-	// origin's, or haveVersion+1. The caller owns the returned Body
-	// until it hands it back through ReleaseBody: the difference engine
-	// cuts it in place.
-	Fetch(url string, haveVersion uint64) (webserver.FetchResult, error)
+	// Fetch polls url. haveVersion is the newest version the node knows
+	// of, and contentVersion that of the content it holds to diff
+	// against (0 when it holds none). A fetcher may revalidate:
+	// HTTPFetcher sends contentVersion as If-None-Match, so content that
+	// trails comes back in full, unless it makes the URL's versions up;
+	// then it sends haveVersion, or the origin's opaque ETag it stands
+	// for. Unchanged content reports Modified=false at the version sent
+	// and costs only a probe. Version 0 forces a full
+	// fetch, and OriginFetcher always fetches in full. A modified result
+	// names its version: the origin's, or haveVersion+1. The caller owns
+	// the returned Body until it hands it back through ReleaseBody: the
+	// difference engine cuts it in place.
+	Fetch(url string, haveVersion, contentVersion uint64) (webserver.FetchResult, error)
 	// ReleaseBody hands back a Body that Fetch returned, once the
 	// difference engine has extracted it (extraction copies what it
 	// keeps) or once the poll drops it unused. The fetcher may read a
@@ -263,7 +266,12 @@ type channelState struct {
 	// content is the extracted core content of version contentVersion
 	// (nil and 0 until a fetched body or an applied diff supplies it).
 	// contentVersion moves only forward, unless a diff fails to apply and
-	// the cache is dropped, and may trail lastVersion.
+	// the cache is dropped. It trails lastVersion when a replicate push,
+	// heartbeat, delegate notify, restart or an update whose diff did not
+	// apply raised lastVersion alone, and then only until the channel's
+	// next poll: where the origin names its versions, that poll
+	// revalidates against contentVersion and stores the body it gets
+	// back (pollChannel).
 	content        []string
 	contentVersion uint64
 
@@ -439,7 +447,12 @@ type ChannelInfo struct {
 	// node fans out on another owner's behalf.
 	Delegates   int
 	DelegateFor int
-	LastVersion uint64
+	// LastVersion is the newest version this node knows of, and
+	// ContentVersion that of the content it holds to diff against. Where
+	// the origin names its versions, the content trails only until the
+	// channel's next poll.
+	LastVersion    uint64
+	ContentVersion uint64
 }
 
 // Channel reports this node's view of a channel, if it tracks one.
@@ -451,17 +464,18 @@ func (n *Node) Channel(url string) (ChannelInfo, bool) {
 		return ChannelInfo{}, false
 	}
 	return ChannelInfo{
-		URL:         ch.url,
-		Level:       ch.level,
-		Epoch:       ch.epoch,
-		OwnerEpoch:  ch.ownerEpoch,
-		Polling:     ch.polling,
-		Owner:       ch.isOwner,
-		Replica:     ch.isReplica,
-		Subscribers: ch.subs.count,
-		Delegates:   len(ch.delegates),
-		DelegateFor: len(ch.delegSubs),
-		LastVersion: ch.lastVersion,
+		URL:            ch.url,
+		Level:          ch.level,
+		Epoch:          ch.epoch,
+		OwnerEpoch:     ch.ownerEpoch,
+		Polling:        ch.polling,
+		Owner:          ch.isOwner,
+		Replica:        ch.isReplica,
+		Subscribers:    ch.subs.count,
+		Delegates:      len(ch.delegates),
+		DelegateFor:    len(ch.delegSubs),
+		LastVersion:    ch.lastVersion,
+		ContentVersion: ch.contentVersion,
 	}, true
 }
 

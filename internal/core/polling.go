@@ -212,6 +212,23 @@ func (n *Node) schedulePollLocked(ch *channelState) {
 }
 
 // pollChannel performs one poll and reschedules the next.
+//
+// The poll names two versions to the fetcher: the newest this node knows
+// of and that of the content it holds. The second trails the first once
+// a replicate push, heartbeat, delegate notify or an update whose diff
+// did not apply raised the version alone, and a validator of the newest
+// version would then be answered 304 until the origin moves again. So
+// where the origin names its versions (a decimal ETag, the simulated
+// origin) the poll revalidates against the content's version instead:
+// the origin answers 200, and updateDetected stores the body without
+// disseminating it, the version being known already. The node's next
+// detection then diffs one version, against the base every other member
+// holds. Where the fetcher makes versions up (have+1, for an opaque or
+// missing ETag) there is no catch-up: it revalidates against the newest
+// version, and a body it fetches is news at have+1. Numbering that body
+// after the content's version instead would give it a number the wedge
+// already holds for other content. A result without a body (a simulated
+// channel with no content) counts only when its version is news.
 func (n *Node) pollChannel(ch *channelState) {
 	n.mu.Lock()
 	if !ch.polling || n.stopped {
@@ -222,11 +239,11 @@ func (n *Node) pollChannel(ch *channelState) {
 	// loop, and so poll cadence is independent of processing time.
 	n.schedulePollLocked(ch)
 	n.stats.PollsIssued++
-	have := ch.lastVersion
+	have, content := ch.lastVersion, ch.contentVersion
 	url := ch.url
 	n.mu.Unlock()
 
-	res, err := n.fetcher.Fetch(url, have)
+	res, err := n.fetcher.Fetch(url, have, content)
 	if err != nil {
 		// Origin unreachable this round; keep polling.
 		n.mu.Lock()
@@ -234,13 +251,15 @@ func (n *Node) pollChannel(ch *channelState) {
 		n.mu.Unlock()
 		return
 	}
-	if res.Modified && res.Version > have {
+	if res.Modified && (res.Version > have || res.Body != nil && res.Version > content) {
 		n.updateDetected(ch, fetchedUpdate{Version: res.Version, Bytes: res.Bytes, Body: res.Body})
 	}
 	n.fetcher.ReleaseBody(res.Body)
 }
 
-// updateDetected runs when this node's own poll observed a fresh version.
+// updateDetected runs when this node's own poll observed a fresh version,
+// or a body newer than the content it holds (a catch-up poll, which
+// stores the content and disseminates nothing).
 func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 	now := n.now()
 
@@ -250,9 +269,8 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 		// Run the difference engine over extracted core content; only
 		// germane changes disseminate (§3.4). The diff names as its base
 		// the version of the content it was computed against, which may
-		// trail lastVersion: replicate pushes, delegate notifies and
-		// restarts raise lastVersion alone. The new content shares its
-		// unchanged lines with the old.
+		// trail lastVersion until a catch-up poll (see pollChannel). The
+		// new content shares its unchanged lines with the old.
 		n.mu.Lock()
 		old, oldVersion := ch.content, ch.contentVersion
 		n.mu.Unlock()
@@ -265,9 +283,10 @@ func (n *Node) updateDetected(ch *channelState, res fetchedUpdate) {
 		if !stale {
 			ch.content, ch.contentVersion = newContent, res.Version
 		}
+		known := res.Version <= ch.lastVersion
 		n.mu.Unlock()
-		if stale {
-			return // raced with dissemination
+		if stale || known {
+			return // raced with dissemination, or a catch-up poll
 		}
 		if d.Empty() && oldVersion > 0 {
 			// Superficial churn only: remember the version, no dissemination.
@@ -402,21 +421,19 @@ func (n *Node) handleUpdate(msg pastry.Message, p *updateMsg) {
 	for _, s := range handoff {
 		n.overlay.Route(ch.id, msgSubscribe, &subscribeMsg{URL: ch.url, Client: s.Client, Entry: s.Entry})
 	}
+	// Owners notify their subscribers when the update reaches them via
+	// dissemination rather than their own poll, before the content
+	// upkeep below: the notification does not wait on it. Updates carry
+	// no detection timestamp, so the receipt time anchors the latency
+	// stages — the dissemination hop before it is not counted.
+	if fresh && isOwner && msg.From.ID != n.Self().ID {
+		n.notifySubscribers(ch, p.Version, p.Diff, n.now())
+	}
 	// A diff against the content this node holds moves it forward even
 	// when the version is not news here: a replicate push may have raised
 	// lastVersion before the update carrying the content arrived.
 	if p.Diff != "" && newContent {
 		n.applyDiff(ch, p.Diff)
-	}
-	if !fresh {
-		return
-	}
-	// Owners notify their subscribers when the update reaches them via
-	// dissemination rather than their own poll. Updates carry no
-	// detection timestamp, so the receipt time anchors the latency
-	// stages — the dissemination hop before it is not counted.
-	if isOwner && msg.From.ID != n.Self().ID {
-		n.notifySubscribers(ch, p.Version, p.Diff, n.now())
 	}
 }
 

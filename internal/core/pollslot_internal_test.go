@@ -29,7 +29,7 @@ func (c *stubClock) AfterFunc(time.Duration, func()) clock.Timer { return c.time
 // notModified answers every poll with an unchanged version.
 type notModified struct{}
 
-func (notModified) Fetch(string, uint64) (webserver.FetchResult, error) {
+func (notModified) Fetch(string, uint64, uint64) (webserver.FetchResult, error) {
 	return webserver.FetchResult{Version: 1}, nil
 }
 func (notModified) ReleaseBody([]byte) {}

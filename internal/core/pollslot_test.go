@@ -50,11 +50,11 @@ type loggingFetcher struct {
 	log  *pollLog
 }
 
-func (f loggingFetcher) Fetch(url string, have uint64) (webserver.FetchResult, error) {
+func (f loggingFetcher) Fetch(url string, have, content uint64) (webserver.FetchResult, error) {
 	f.log.mu.Lock()
 	f.log.polls[url] = append(f.log.polls[url], pollAt{f.node, f.clk.Now()})
 	f.log.mu.Unlock()
-	return f.Fetcher.Fetch(url, have)
+	return f.Fetcher.Fetch(url, have, content)
 }
 
 // lateClock is the simulator's clock with every timer firing a fixed

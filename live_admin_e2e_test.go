@@ -2,6 +2,7 @@ package corona_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -50,8 +51,8 @@ func metricValue(body, sample string) (float64, bool) {
 // update → notify round trip to an SDK client, after which /metrics
 // reports the protocol counters and a count in every notification
 // pipeline stage histogram (owner_send, entry_recv, client_enqueue),
-// /channels lists the channel with its subscriber and poll slot, and
-// /readyz is 200.
+// /channels lists the channel with its subscriber, poll slot and
+// versions, and /readyz is 200.
 func TestAdminPlaneEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
@@ -100,7 +101,16 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		t.Fatal("timed out waiting for first update notification")
 	}
 
-	_, metricsBody := scrape(t, base, "/metrics")
+	// The subscription record reaches the WAL at the end of the store's
+	// group-commit window, which the first notification can beat: scrape
+	// once that commit has landed.
+	var metricsBody string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		_, metricsBody = scrape(t, base, "/metrics")
+		if v, _ := metricValue(metricsBody, "corona_store_commit_latency_seconds_count"); v >= 1 || time.Now().After(deadline) {
+			break
+		}
+	}
 	mustAtLeast := func(sample string, min float64) {
 		t.Helper()
 		v, ok := metricValue(metricsBody, sample)
@@ -123,7 +133,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	for _, stage := range []string{"owner_send", "entry_recv", "client_enqueue"} {
 		mustAtLeast(`corona_notify_stage_latency_seconds_count{stage="`+stage+`"}`, 1)
 	}
-	// The store has committed at least the subscription record, so the
+	// The store has committed the subscription record, so the
 	// native-bucket commit histogram must carry observations.
 	mustAtLeast("corona_store_commit_latency_seconds_count", 1)
 
@@ -143,6 +153,21 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		if !strings.Contains(channelsBody, field) {
 			t.Fatalf("/channels lacks %s: %s", field, channelsBody)
 		}
+	}
+	// Next to the version it knows of, /channels reports the version of
+	// the content a node diffs against. A lone node learns versions only
+	// from its own polls, so its content never trails (it leads for the
+	// moment a detection takes).
+	var versions []struct {
+		LastVersion    *uint64 `json:"last_version"`
+		ContentVersion *uint64 `json:"content_version"`
+	}
+	if err := json.Unmarshal([]byte(channelsBody), &versions); err != nil {
+		t.Fatalf("/channels: %v", err)
+	}
+	if len(versions) != 1 || versions[0].LastVersion == nil || versions[0].ContentVersion == nil ||
+		*versions[0].LastVersion == 0 || *versions[0].ContentVersion < *versions[0].LastVersion {
+		t.Fatalf("/channels versions: want one channel with content_version >= last_version > 0: %s", channelsBody)
 	}
 
 	if code, body := scrape(t, base, "/debug/pprof/cmdline"); code != http.StatusOK {

@@ -115,6 +115,7 @@ func (s *Simulation) ChannelStatus(url string) ChannelStatus {
 		if ok && !owner && n.Overlay().IsRoot(id) {
 			owner = true
 			st.Level, st.Subscribers, st.Delegates = info.Level, info.Subscribers, info.Delegates
+			st.Version, st.ContentVersion = info.LastVersion, info.ContentVersion
 		}
 	}
 	return st
