@@ -86,22 +86,13 @@ func (o Options) withDefaults() Options {
 }
 
 // ServerInfo is the serving node's most recent advertisement: its overlay
-// endpoint, its leaf-set siblings, and its durable store's health.
+// endpoint and its leaf-set siblings.
 type ServerInfo struct {
 	// Node is the serving node's advertised overlay endpoint.
 	Node string
 	// Peers are overlay endpoints of the node's ring neighbors
 	// (operator-visible topology, not dialable client ports).
 	Peers []string
-	// StoreEnabled reports whether the node persists channel state.
-	StoreEnabled bool
-	// StoreGeneration, StoreWALBytes and StoreRecordsSinceSnapshot
-	// describe the durable store's write-ahead log.
-	StoreGeneration           uint64
-	StoreWALBytes             int64
-	StoreRecordsSinceSnapshot int
-	// StoreErr is the store's latched IO error, empty while healthy.
-	StoreErr string
 }
 
 // ErrClosed is returned by operations on a Conn after Close.
@@ -603,15 +594,7 @@ func (c *Conn) readAll(conn net.Conn) {
 			})
 		case *clientproto.ServerInfo:
 			c.mu.Lock()
-			c.lastInfo = ServerInfo{
-				Node:                      m.Node,
-				Peers:                     append([]string(nil), m.Peers...),
-				StoreEnabled:              m.Store.Enabled,
-				StoreGeneration:           m.Store.Generation,
-				StoreWALBytes:             int64(m.Store.WALBytes),
-				StoreRecordsSinceSnapshot: int(m.Store.RecordsSinceSnapshot),
-				StoreErr:                  m.Store.Err,
-			}
+			c.lastInfo = ServerInfo{Node: m.Node, Peers: append([]string(nil), m.Peers...)}
 			c.haveInfo = true
 			c.mu.Unlock()
 		default:

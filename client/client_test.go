@@ -60,7 +60,7 @@ func (b *fakeBackend) Unsubscribe(client, url string) error {
 
 // RefreshLeases records nothing: these tests pin what the SDK sends,
 // and the server's own lease refresh is no subscription replay.
-func (b *fakeBackend) RefreshLeases(string, []string) error { return nil }
+func (b *fakeBackend) RefreshLeases(string, []string) {}
 
 func (b *fakeBackend) LeaseCadence() time.Duration { return 10 * time.Millisecond }
 

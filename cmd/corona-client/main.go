@@ -55,10 +55,6 @@ func main() {
 		}
 	}
 	log.Printf("corona-client: %s via %s, watching %d channels", *handle, conn.Addr(), len(urls))
-	if info, ok := conn.ServerInfo(); ok {
-		log.Printf("corona-client: node %s, %d ring peers, store enabled=%v",
-			info.Node, len(info.Peers), info.StoreEnabled)
-	}
 
 	for n := range conn.Notifications() {
 		fmt.Printf("--- %s v%d at %s ---\n%s\n",

@@ -69,7 +69,6 @@ func main() {
 	delegateThreshold := flag.Int("delegate-threshold", 0, "subscriber count at which an owner shards a channel's fan-out across delegates (0 = disabled)")
 	adminBind := flag.String("admin", "", "HTTP admin-plane listen address serving /metrics, /healthz, /readyz, /channels, /debug/pprof (empty = disabled)")
 	webBind := flag.String("web", "", "web edge gateway listen address serving /ws (WebSocket) and /sse (Server-Sent Events) with replay-ring resume (empty = disabled)")
-	webReplay := flag.Int("web-replay", 0, "web gateway per-channel replay ring capacity (0 = default)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -86,7 +85,6 @@ func main() {
 		DelegateThreshold:   *delegateThreshold,
 		AdminBind:           *adminBind,
 		WebBind:             *webBind,
-		WebReplayCap:        *webReplay,
 	}
 	if *seedNode != "" {
 		cfg.Seeds = []string{*seedNode}

@@ -37,7 +37,7 @@ func (f *fakeSub) Unsubscribe(client, url string) error {
 	return nil
 }
 
-func (f *fakeSub) RefreshLeases(string, []string) error { return nil }
+func (f *fakeSub) RefreshLeases(string, []string) {}
 
 func (f *fakeSub) LeaseCadence() time.Duration { return time.Hour }
 

@@ -211,9 +211,10 @@ func execute(sc Scenario, cfg Config) (Result, *DeliveryLog) {
 	probeViols := r.probe()
 	r.violations = append(r.violations, probeViols...)
 	r.violations = append(r.violations, r.checkDeliveries()...)
-	// The probe traffic itself must not have broken structure (a dead
-	// delegate discovered by a failed notify re-partitions, etc. — give
-	// the repair one maintenance round, then re-assert).
+	// The probe traffic itself must not have broken structure (each
+	// failed send reaches handlePeerFault: a dead delegate re-partitions,
+	// a dead entry node's records are marked for re-pointing — give the
+	// repair one maintenance round, then re-assert).
 	if post := r.checkStructural(); len(post) > 0 {
 		r.H.Sim.RunFor(cfg.MaintenanceInterval + time.Minute)
 		r.violations = append(r.violations, r.checkStructural()...)

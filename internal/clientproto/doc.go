@@ -54,14 +54,11 @@
 //	0x11 Nak          req uvarint · reason string
 //	0x12 Notify       channel string · version uvarint · diff string ·
 //	                  at uvarint (Unix nanoseconds)
-//	0x13 ServerInfo   node string · peers list(string) ·
-//	                  store: enabled bool · generation uvarint ·
-//	                  walBytes uvarint · recordsSinceSnapshot uvarint ·
-//	                  err string
+//	0x13 ServerInfo   node string · peers list(string)
 //
-// A node's fan-out and commit-latency counters are not part of
+// A node's counters and its durable store's health are not part of
 // ServerInfo; operators read them from the admin plane's /metrics and
-// from corona.LiveStats.
+// /readyz and from corona.LiveStats.
 //
 // # Sessions and resumption
 //
@@ -93,11 +90,9 @@
 // failover.
 //
 // After a successful Login, and again after every Ping ack, the server
-// pushes a ServerInfo frame: the node's advertised overlay endpoint, the
-// overlay endpoints of its leaf-set siblings (operator-visible topology,
-// not dialable client ports), and the durable store's health — WAL size,
-// records since the last snapshot, and the latched IO error, empty when
-// the store is healthy or the node runs in-memory.
+// pushes a ServerInfo frame: the node's advertised overlay endpoint and
+// the overlay endpoints of its leaf-set siblings (operator-visible
+// topology, not dialable client ports).
 //
 // # Slow clients
 //

@@ -11,10 +11,10 @@ import (
 )
 
 // Version is the protocol's hello byte. Both ends must send exactly this
-// value; there is no negotiation. It is 5 since frame type 0x05, a
-// client-sent lease refresh, left the protocol: a client that still
-// sends one fails at the hello instead of being dropped mid-session.
-const Version = 5
+// value; there is no negotiation. It is 6 since ServerInfo lost its
+// store-health fields: a client that still expects them fails at the
+// hello instead of failing to decode the first ServerInfo.
+const Version = 6
 
 // MaxFrame bounds one frame's type+body byte count.
 const MaxFrame = 1 << 20
@@ -90,22 +90,6 @@ type Notify struct {
 	At      time.Time
 }
 
-// StoreInfo is the durable store's health as advertised in ServerInfo.
-type StoreInfo struct {
-	// Enabled is false for in-memory nodes; the remaining fields are
-	// then zero.
-	Enabled bool
-	// Generation is the current snapshot/WAL generation.
-	Generation uint64
-	// WALBytes is the current write-ahead log's size.
-	WALBytes uint64
-	// RecordsSinceSnapshot counts WAL records appended since the last
-	// compaction (what a restart would replay).
-	RecordsSinceSnapshot uint64
-	// Err is the store's latched IO error, empty when healthy.
-	Err string
-}
-
 // ServerInfo advertises the serving node and its view of the ring.
 type ServerInfo struct {
 	// Node is the serving node's advertised overlay endpoint.
@@ -113,8 +97,6 @@ type ServerInfo struct {
 	// Peers are the overlay endpoints of the node's leaf-set siblings —
 	// operator-visible topology, not dialable client ports.
 	Peers []string
-	// Store is the durable store's health.
-	Store StoreInfo
 }
 
 func (f *Login) frameType() byte       { return TypeLogin }
@@ -169,11 +151,7 @@ func (f *ServerInfo) appendBody(dst []byte) []byte {
 	for _, p := range f.Peers {
 		dst = wirebin.AppendString(dst, p)
 	}
-	dst = wirebin.AppendBool(dst, f.Store.Enabled)
-	dst = wirebin.AppendUvarint(dst, f.Store.Generation)
-	dst = wirebin.AppendUvarint(dst, f.Store.WALBytes)
-	dst = wirebin.AppendUvarint(dst, f.Store.RecordsSinceSnapshot)
-	return wirebin.AppendString(dst, f.Store.Err)
+	return dst
 }
 
 // AppendFrame appends f's full wire form — u32 big-endian length, type
@@ -220,13 +198,6 @@ func DecodeFrame(body []byte) (Frame, error) {
 			for i := 0; i < n; i++ {
 				si.Peers = append(si.Peers, r.String())
 			}
-		}
-		si.Store = StoreInfo{
-			Enabled:              r.Bool(),
-			Generation:           r.Uvarint(),
-			WALBytes:             r.Uvarint(),
-			RecordsSinceSnapshot: r.Uvarint(),
-			Err:                  r.String(),
 		}
 		f = si
 	default:

@@ -26,8 +26,6 @@ func everyFrame() []Frame {
 		&ServerInfo{
 			Node:  "10.0.0.1:9001",
 			Peers: []string{"10.0.0.2:9001", "10.0.0.3:9001"},
-			Store: StoreInfo{Enabled: true, Generation: 3, WALBytes: 4096,
-				RecordsSinceSnapshot: 17, Err: "disk on fire"},
 		},
 		&ServerInfo{Node: "10.0.0.1:9001"},
 	}

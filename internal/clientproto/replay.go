@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// DefaultReplayCap is the per-channel ring capacity when the caller
-// leaves it zero: enough to ride out a browser reconnect (seconds to a
-// minute) on an active channel without holding feed history forever.
+// DefaultReplayCap is the per-channel capacity of a node's replay rings:
+// enough to ride out a browser reconnect (seconds to a minute) on an
+// active channel without holding feed history forever.
 const DefaultReplayCap = 256
 
 // Entry is one buffered notification: what a reconnecting client fetches
@@ -46,12 +46,9 @@ type ring struct {
 	n     int
 }
 
-// NewReplay returns a replay memory with the given per-channel capacity
-// (DefaultReplayCap when <= 0).
+// NewReplay returns a replay memory with the given positive per-channel
+// capacity.
 func NewReplay(capacity int) *Replay {
-	if capacity <= 0 {
-		capacity = DefaultReplayCap
-	}
 	return &Replay{capacity: capacity, channels: make(map[string]*ring)}
 }
 

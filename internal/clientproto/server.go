@@ -34,7 +34,7 @@ type Backend interface {
 	// RefreshLeases heartbeats entry-node liveness for an attached
 	// client's channels: each channel owner refreshes the subscriber's
 	// lease and re-points its entry record at this node.
-	RefreshLeases(client string, urls []string) error
+	RefreshLeases(client string, urls []string)
 	// LeaseCadence is how often a session refreshes its leases: a
 	// quarter of the node's lease TTL.
 	LeaseCadence() time.Duration

@@ -51,23 +51,18 @@ func (b *fakeBackend) Unsubscribe(client, url string) error {
 	return nil
 }
 
-func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
+func (b *fakeBackend) RefreshLeases(client string, urls []string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	urls = append([]string(nil), urls...)
 	sort.Strings(urls)
 	b.leases[client] = append(b.leases[client], leaseCall{at: time.Now(), urls: urls})
-	return nil
 }
 
 func (b *fakeBackend) LeaseCadence() time.Duration { return fakeLeaseCadence }
 
 func (b *fakeBackend) Info() ServerInfo {
-	return ServerInfo{
-		Node:  "overlay:1",
-		Peers: []string{"overlay:2"},
-		Store: StoreInfo{Enabled: true, Generation: 2, WALBytes: 512, RecordsSinceSnapshot: 5},
-	}
+	return ServerInfo{Node: "overlay:1", Peers: []string{"overlay:2"}}
 }
 
 // notify delivers one update to client through the server's session
@@ -139,7 +134,7 @@ func TestServerLoginSubscribeNotify(t *testing.T) {
 		t.Fatal("login ack carried no resume token")
 	}
 	si, ok := c.read().(*ServerInfo)
-	if !ok || si.Node != "overlay:1" || !si.Store.Enabled || si.Store.WALBytes != 512 {
+	if !ok || si.Node != "overlay:1" || len(si.Peers) != 1 || si.Peers[0] != "overlay:2" {
 		t.Fatalf("post-login ServerInfo = %#v", si)
 	}
 

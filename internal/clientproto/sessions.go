@@ -123,14 +123,14 @@ func (t *SessionTable) Count(transport string) int {
 }
 
 // EnableReplay makes the table record every update it notifies in
-// per-channel replay rings of the given capacity (DefaultReplayCap when
-// <= 0), and returns the rings. Only the first call sets the capacity; a
-// node without a web edge never calls it and holds no rings.
-func (t *SessionTable) EnableReplay(capacity int) *Replay {
+// per-channel replay rings of DefaultReplayCap versions, and returns the
+// rings. Later calls return the same rings; a node without a web edge
+// never calls it and holds no rings.
+func (t *SessionTable) EnableReplay() *Replay {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.replay.Load() == nil {
-		t.replay.Store(NewReplay(capacity))
+		t.replay.Store(NewReplay(DefaultReplayCap))
 	}
 	return t.replay.Load()
 }

@@ -22,7 +22,7 @@ import (
 // recipient's view of the cell. Run under -race.
 func TestNotifyBatchAttachDetachRace(t *testing.T) {
 	g := NewSessionTable(nil)
-	replay := g.EnableReplay(0)
+	replay := g.EnableReplay()
 
 	const clients = 24
 	handles := make([]string, clients)
@@ -226,7 +226,7 @@ func TestNotifyBatchCountsUndeliverable(t *testing.T) {
 	}
 	// With replay rings on, the update is recorded all the same, so the
 	// client can fetch it when it comes back.
-	r := g.EnableReplay(0)
+	r := g.EnableReplay()
 	g.NotifyBatch([]string{"ghost"}, "http://x/f.xml", 2, "d2", time.Time{})
 	if entries, complete := r.From("http://x/f.xml", 1); !complete || len(entries) != 1 || entries[0].Version != 2 {
 		t.Fatalf("ring after an undeliverable batch = %+v complete=%v, want v2", entries, complete)

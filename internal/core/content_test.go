@@ -79,9 +79,7 @@ func TestDetectedDiffAfterReplicatePush(t *testing.T) {
 					replica = n
 				}
 			}
-			if err := owner.Subscribe("alice", url); err != nil {
-				t.Fatal(err)
-			}
+			owner.Subscribe("alice", url)
 			sim.RunFor(2 * time.Minute)
 
 			bodies := map[uint64][]byte{}
@@ -248,6 +246,112 @@ func TestMismatchedBaseSkipsDiffDecode(t *testing.T) {
 	if got := n.Stats().DiffBaseMismatches; got != 1 {
 		t.Fatalf("a diff from a base this node lacks counted %d base mismatches, want 1", got)
 	}
+}
+
+// TestWholeDocumentDiffMovesEveryMember has a wedge member that holds
+// no content detect a version first: the update it disseminates carries
+// a diff from version 0, the whole document. Members holding an older
+// version must apply it to empty content, so every member's content
+// moves to the detected version and no base mismatch is counted.
+func TestWholeDocumentDiffMovesEveryMember(t *testing.T) {
+	const url = "http://feeds.example.net/whole.xml"
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.FixedLatency(time.Millisecond))
+	origin := webserver.NewOrigin()
+	origin.Host(webserver.ChannelConfig{
+		URL:       url,
+		Process:   webserver.PeriodicProcess{Origin: eventsim.Epoch.Add(time.Minute), Interval: time.Hour},
+		Generator: feed.NewGenerator(url, 5),
+	})
+	fetcher := &OriginFetcher{Origin: origin, Clock: sim}
+	overlays := net.Ring(3, sim.RNG("ids"))
+	nodes := make([]*Node, len(overlays))
+	var owner, detector *Node
+	for i, overlay := range overlays {
+		cfg := DefaultConfig()
+		cfg.NodeCount = len(overlays)
+		cfg.PollInterval = 1000 * time.Hour // the test drives every detection
+		cfg.MaintenanceInterval = 20 * time.Minute
+		cfg.Seed = int64(i)
+		nodes[i] = NewNode(cfg, overlay, sim, fetcher, &diffRecorder{diffs: make(map[uint64]string)}, nil)
+		nodes[i].Start()
+		if overlay.IsRoot(ids.HashString(url)) {
+			owner = nodes[i]
+		} else {
+			detector = nodes[i]
+		}
+	}
+	for i := 0; i < 10; i++ {
+		nodes[i%len(nodes)].Subscribe(fmt.Sprintf("s%d", i), url)
+	}
+	sim.RunFor(time.Hour)
+	detect := func(n *Node) uint64 {
+		t.Helper()
+		res, err := fetcher.Fetch(url, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.updateDetected(n.channel(url), fetchedUpdate{Version: res.Version, Bytes: len(res.Body), Body: res.Body})
+		sim.RunFor(time.Second)
+		return res.Version
+	}
+	contentVersions := func() []uint64 {
+		var vs []uint64
+		for _, n := range nodes {
+			info, _ := n.Channel(url)
+			vs = append(vs, info.ContentVersion)
+		}
+		return vs
+	}
+
+	// The owner detects v1; the update is lost on every link into the
+	// detector, which is left holding no content.
+	for _, n := range nodes {
+		if n != detector {
+			net.SetLinkFault(n.Self().Endpoint, detector.Self().Endpoint, simnet.LinkFault{DropRate: 1})
+		}
+	}
+	v1 := detect(owner)
+	net.ClearLinkFaults()
+	if info, _ := detector.Channel(url); info.ContentVersion != 0 {
+		t.Fatalf("detector holds content v%d, want none", info.ContentVersion)
+	}
+	if info, _ := owner.Channel(url); info.ContentVersion != v1 {
+		t.Fatalf("owner holds content v%d after detecting v%d", info.ContentVersion, v1)
+	}
+
+	sim.RunFor(time.Hour)
+	v2 := detect(detector)
+	for i, v := range contentVersions() {
+		if v != v2 {
+			t.Fatalf("after the contentless detector's v%d: content versions %v, want every member at v%d (node %d)", v2, contentVersions(), v2, i)
+		}
+	}
+	for i, n := range nodes {
+		if got := n.Stats().DiffBaseMismatches; got != 0 {
+			t.Fatalf("node %d counted %d base mismatches, want 0", i, got)
+		}
+	}
+	want := diffengine.RSSProfile().Extract(string(mustBody(t, fetcher, url)))
+	for i, n := range nodes {
+		ch := n.channel(url)
+		n.mu.Lock()
+		got := slices.Clone(ch.content)
+		n.mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d content differs from the origin's v%d", i, v2)
+		}
+	}
+}
+
+// mustBody fetches the origin's current body of url.
+func mustBody(t *testing.T, f Fetcher, url string) []byte {
+	t.Helper()
+	res, err := f.Fetch(url, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Body
 }
 
 // downFetcher fails every poll while down is set, as an origin that

@@ -74,17 +74,12 @@ func (n *Node) putTargetScratch(ts *[]notifyTarget) {
 // batch per group: a NotifyBatch through this node's own gateway for
 // clients attached here (or with no entry recorded), one notifyBatchMsg
 // overlay send per remote entry node. Targets are sorted in place. It
-// returns the number of batches emitted; callers must not hold n.mu.
-// sendEntryBatches fans an update out as one notifyBatch per distinct
-// entry node. It returns the batch count plus the targets of batches the
-// transport rejected synchronously: a dead entry node black-holes exactly
-// the traffic that discovers it, so callers feed the failures back into
-// the lease machinery (owners mark the leases expired themselves;
-// delegates report them to their owner) instead of dropping them. The
-// failed slice is freshly allocated — targets may live in pooled scratch.
-func (n *Node) sendEntryBatches(url string, version uint64, diff string, at time.Time, targets []notifyTarget) (int, []notifyTarget) {
+// returns the number of batches emitted; callers must not hold n.mu. A
+// batch to a dead entry node faults at the overlay, and handlePeerFault
+// has the records naming it re-pointed.
+func (n *Node) sendEntryBatches(url string, version uint64, diff string, at time.Time, targets []notifyTarget) int {
 	if len(targets) == 0 {
-		return 0, nil
+		return 0
 	}
 	self := n.Self().ID
 	// Order by (entry, client), not entry alone: the collect loops feed
@@ -98,7 +93,6 @@ func (n *Node) sendEntryBatches(url string, version uint64, diff string, at time
 		return targets[i].client < targets[j].client
 	})
 	batches := 0
-	var failed []notifyTarget
 	for start := 0; start < len(targets); {
 		end := start + 1
 		for end < len(targets) && targets[end].entry.ID == targets[start].entry.ID {
@@ -115,15 +109,15 @@ func (n *Node) sendEntryBatches(url string, version uint64, diff string, at time
 				n.obsEntryRecv(n.now().Sub(at))
 			}
 			n.notify.NotifyBatch(clients, url, version, diff, at)
-		} else if n.overlay.SendDirect(entry, msgNotifyBatch, &notifyBatchMsg{
-			URL: url, Version: version, Diff: diff, Clients: clients, At: atNanos(at),
-		}) != nil {
-			failed = append(failed, targets[start:end]...)
+		} else {
+			n.overlay.SendDirect(entry, msgNotifyBatch, &notifyBatchMsg{
+				URL: url, Version: version, Diff: diff, Clients: clients, At: atNanos(at),
+			})
 		}
 		batches++
 		start = end
 	}
-	return batches, failed
+	return batches
 }
 
 // delegatePush pairs an overlay target with a delegation payload, built
@@ -343,31 +337,14 @@ func (n *Node) handleDelegateNotify(msg pastry.Message, p *delegateNotifyMsg) {
 		//lint:allow maporder sendEntryBatches sorts targets by (entry, client) before anything is sent
 		*targets = append(*targets, notifyTarget{client: c, entry: entry})
 	}
-	owner := ch.delegFrom
 	n.stats.NotificationsSent += uint64(len(*targets))
 	n.mu.Unlock()
-	batches, failed := n.sendEntryBatches(p.URL, p.Version, p.Diff, atTime(p.At), *targets)
+	batches := n.sendEntryBatches(p.URL, p.Version, p.Diff, atTime(p.At), *targets)
 	n.putTargetScratch(targets)
 	if batches > 0 {
 		n.mu.Lock()
 		n.stats.NotifyBatchesSent += uint64(batches)
 		n.mu.Unlock()
-	}
-	// Only the owner's lease sweep can re-point a dead entry, and the
-	// owner never sends to a delegated client's entry itself — report the
-	// bounce so its records heal. Failures come back grouped by entry
-	// (sendEntryBatches sorts), one report per dead node.
-	for start := 0; start < len(failed); {
-		end := start + 1
-		for end < len(failed) && failed[end].entry.ID == failed[start].entry.ID {
-			end++
-		}
-		report := &leaseExpireMsg{URL: p.URL, Entry: failed[start].entry}
-		for _, t := range failed[start:end] {
-			report.Clients = append(report.Clients, t.client)
-		}
-		n.overlay.SendDirect(owner, msgLeaseExpire, report)
-		start = end
 	}
 }
 

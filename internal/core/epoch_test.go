@@ -80,16 +80,9 @@ func TestOwnerEpochHandshakeAfterRestart(t *testing.T) {
 		t.Fatal("no interim owner promoted during the outage")
 	}
 	// A brand-new subscriber registers at the interim during the outage;
-	// the merge must not lose it. (Retry past synchronous routing errors
-	// toward the dead owner, which the ring still gossips.)
-	for try := 0; try < 5; try++ {
-		if interim.Subscribe("bob", url) == nil {
-			break
-		}
-		// Synchronous routing error: the first hop was the dead owner
-		// (leaf-set repair gossip keeps resurrecting it); the failed send
-		// evicted it, so the immediate retry routes to the live root.
-	}
+	// the merge must not lose it. (A first hop at the dead owner, which
+	// the ring still gossips, is evicted and routed past.)
+	interim.Subscribe("bob", url)
 	tc.sim.RunFor(time.Minute)
 	if info, ok := interim.Channel(url); !ok || info.Subscribers != 2 {
 		t.Fatalf("bob never registered at the interim owner: %+v", info)

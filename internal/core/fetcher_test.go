@@ -128,9 +128,7 @@ func TestOversizedBodyIsNoUpdate(t *testing.T) {
 	defer f.Close()
 	n := NewNode(cfg, overlay, sim, f, &diffRecorder{diffs: make(map[uint64]string)}, nil)
 	n.Start()
-	if err := n.Subscribe("alice", srv.URL); err != nil {
-		t.Fatal(err)
-	}
+	n.Subscribe("alice", srv.URL)
 	sim.RunFor(time.Minute)
 	ch := n.channel(srv.URL)
 
@@ -190,9 +188,7 @@ func TestHTTPFetchReusesReleasedBody(t *testing.T) {
 	cfg.PollInterval = 1000 * time.Hour // the test drives every poll
 	n := NewNode(cfg, overlay, sim, f, &diffRecorder{diffs: make(map[uint64]string)}, nil)
 	n.Start()
-	if err := n.Subscribe("alice", srv.URL); err != nil {
-		t.Fatal(err)
-	}
+	n.Subscribe("alice", srv.URL)
 	sim.RunFor(time.Minute)
 	n.pollChannel(n.channel(srv.URL))
 	if got := n.Stats().UpdatesDetected; got != 1 {
@@ -790,9 +786,7 @@ func TestPollErrorsCounted(t *testing.T) {
 	defer f.Close()
 	n := NewNode(cfg, overlay, sim, f, nil, nil)
 	n.Start()
-	if err := n.Subscribe("alice", srv.URL); err != nil {
-		t.Fatal(err)
-	}
+	n.Subscribe("alice", srv.URL)
 	sim.RunFor(time.Minute)
 	before := n.Stats()
 	n.pollChannel(n.channel(srv.URL))

@@ -25,22 +25,17 @@ import (
 // assertion routes to the channel's owner, which refreshes the
 // subscriber's lease and re-points its entry record here — the
 // server-side half of client failover, needing no Subscribe replay.
-func (n *Node) RefreshLeases(client string, urls []string) error {
-	var firstErr error
+func (n *Node) RefreshLeases(client string, urls []string) {
 	for _, url := range urls {
 		if url == "" {
 			continue
 		}
-		err := n.overlay.Route(ids.HashString(url), msgLease, &leaseMsg{
+		n.overlay.Route(ids.HashString(url), msgLease, &leaseMsg{
 			URL:    url,
 			Client: client,
 			Entry:  n.Self(),
 		})
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
-	return firstErr
 }
 
 // leaseAssertTombstone is how long after an unsubscribe a lease assert
@@ -117,10 +112,11 @@ func (n *Node) handleLease(msg pastry.Message, p *leaseMsg) {
 	n.flushReplication()
 }
 
-// handleLeaseExpire runs at a channel owner: a delegate reports clients
-// whose notify batches bounced off a dead entry node. The owner plants
-// the same zero-time lease mark handlePeerFault does, and the next sweep
-// re-points the entries at survivors. Clients whose entry record has
+// handleLeaseExpire runs at a channel owner: a delegate's
+// handlePeerFault reports clients of its partition whose entry node it
+// found dead. The owner plants the same zero-time lease mark its own
+// handlePeerFault does, and the next sweep re-points the entries at
+// survivors. Clients whose entry record has
 // already moved off the reported node are skipped, so a delayed report
 // cannot churn a repaired subscription.
 func (n *Node) handleLeaseExpire(msg pastry.Message, p *leaseExpireMsg) {
@@ -229,7 +225,7 @@ func (n *Node) leaseSweep() {
 // peers that never sent to a dead node gossip it back through state
 // exchanges — so candidates recently reported dead are excluded too:
 // without that memory the sweep can re-point a dead entry at another
-// dead leaf, the failed-notify feedback re-arms the mark, and the pair
+// dead leaf, the fault of the next notify re-arms the mark, and the pair
 // livelocks (each pass excludes only the current entry, so the hash can
 // bounce the client between two corpses forever). Callers hold n.mu.
 func (n *Node) fallbackEntryLocked(client string, dead pastry.Addr) pastry.Addr {

@@ -208,14 +208,14 @@ type leaseMsg struct {
 	Entry  pastry.Addr
 }
 
-// leaseExpireMsg is the delegate-side half of notify-failure feedback: a
-// delegate whose notifyBatch to an entry node failed reports the affected
-// clients to the channel's owner, which force-expires their leases (the
-// owner never sends to a delegated client's entry itself, so its own
-// failed-send path cannot discover the death). Entry names the node the
-// batch bounced off; the owner ignores clients whose entry record has
-// already moved elsewhere, so a stale report cannot churn a repaired
-// subscription.
+// leaseExpireMsg is the delegate-side half of dead-entry repair: on a
+// peer fault, handlePeerFault at a delegate reports the clients of its
+// partition whose entry is the dead node to the channel's owner, which
+// force-expires their leases (the owner never sends to a delegated
+// client's entry itself, so its own faults cannot discover the death).
+// Entry names the dead node; the owner ignores clients whose entry
+// record has already moved elsewhere, so a stale report cannot churn a
+// repaired subscription.
 type leaseExpireMsg struct {
 	URL     string
 	Entry   pastry.Addr

@@ -447,6 +447,9 @@ var decodeDiff = diffengine.Decode
 // cached content's version applies; others leave the cache as it is, are
 // never decoded past their header, and count in
 // Stats.DiffBaseMismatches when they would have moved the content on.
+// A diff from version 0, disseminated by a poller that held no content,
+// is the whole document: it applies to empty content whatever this node
+// holds.
 func (n *Node) applyDiff(ch *channelState, encoded string) {
 	oldV, newV, err := diffengine.Versions(encoded)
 	if err != nil {
@@ -457,7 +460,10 @@ func (n *Node) applyDiff(ch *channelState, encoded string) {
 	if newV <= ch.contentVersion {
 		return
 	}
-	if oldV != ch.contentVersion {
+	base := ch.content
+	if oldV == 0 {
+		base = nil
+	} else if oldV != ch.contentVersion {
 		n.stats.DiffBaseMismatches++
 		return
 	}
@@ -466,7 +472,7 @@ func (n *Node) applyDiff(ch *channelState, encoded string) {
 	if err != nil {
 		return
 	}
-	patched, err := d.Apply(ch.content)
+	patched, err := d.Apply(base)
 	if err != nil {
 		// The diff does not fit the content it names as its base: drop
 		// the cache; the next poll diffs against nothing.

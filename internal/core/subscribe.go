@@ -10,17 +10,15 @@ import (
 
 // Subscribe registers a client's interest in a channel URL. The request is
 // routed through the overlay to the channel's primary owner, which may be
-// this node itself (paper §3.3, §3.5). A non-nil error means the request
-// never left this node; under asynchronous transports (netwire) delivery
-// failures surface later as overlay repair, and the subscription is
-// retried by the client layer.
-func (n *Node) Subscribe(client, url string) error {
-	return n.overlay.Route(ids.HashString(url), msgSubscribe, &subscribeMsg{URL: url, Client: client, Entry: n.Self()})
+// this node itself (paper §3.3, §3.5). A request lost to a failure is
+// repaired by the entry node's lease refreshes or the client's replay.
+func (n *Node) Subscribe(client, url string) {
+	n.overlay.Route(ids.HashString(url), msgSubscribe, &subscribeMsg{URL: url, Client: client, Entry: n.Self()})
 }
 
 // Unsubscribe removes a client's interest in a channel.
-func (n *Node) Unsubscribe(client, url string) error {
-	return n.overlay.Route(ids.HashString(url), msgSubscribe, &subscribeMsg{URL: url, Client: client, Entry: n.Self(), Remove: true})
+func (n *Node) Unsubscribe(client, url string) {
+	n.overlay.Route(ids.HashString(url), msgSubscribe, &subscribeMsg{URL: url, Client: client, Entry: n.Self(), Remove: true})
 }
 
 // handleSubscribe runs at the channel's primary owner.
@@ -425,11 +423,17 @@ func sameSubscribers(held map[string]pastry.Addr, pushed []replicatedSub) bool {
 	return true
 }
 
-// handlePeerFault runs when the overlay detects a dead peer: replicas
-// whose primary owner failed promote themselves if they are now the root
-// (§3.3: "In the event an owner fails, a new neighbor automatically
-// replaces it ... a node that becomes a new owner receives the state from
-// other owners of the channel").
+// handlePeerFault runs on every failed delivery to a peer, the one path
+// that repairs around a dead node: replicas whose primary owner failed
+// promote themselves if they are now the root (§3.3: "In the event an
+// owner fails, a new neighbor automatically replaces it ... a node that
+// becomes a new owner receives the state from other owners of the
+// channel"), and every entry record naming the dead node is marked for
+// the lease sweep to re-point — at once where this node owns the
+// channel, through a leaseExpireMsg to the owner where it only carries a
+// delegated partition. It runs again for each later failed send to the
+// same node, so a record inherited after the first fault (a promotion, a
+// handoff, a partition push) is repaired by the send that finds it.
 func (n *Node) handlePeerFault(dead pastry.Addr) {
 	n.mu.Lock()
 	// Remember the fault: the leaf set is not a liveness oracle (peers
@@ -461,12 +465,28 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 	// (the dead peer owned the channel AND was a subscriber's entry)
 	// marks those entries too.
 	var pushes []delegatePush
+	var reports []leaseReport
 	for _, ch := range n.channels {
 		// A partition delegated by the dead peer is orphaned; drop it
 		// now so a stale notify cannot race the successor's recruit.
 		if ch.delegSubs != nil && ch.delegFrom.ID == dead.ID {
 			ch.delegSubs = nil
 			ch.delegFrom = pastry.Addr{}
+		}
+		// Only the owner's lease sweep re-points an entry, and the owner
+		// never sends to a delegated client's entry itself: report the
+		// partition's clients whose entry died.
+		if ch.delegSubs != nil {
+			var clients []string
+			for client, entry := range ch.delegSubs {
+				if entry.ID == dead.ID {
+					clients = append(clients, client)
+				}
+			}
+			if len(clients) > 0 {
+				sort.Strings(clients)
+				reports = append(reports, leaseReport{to: ch.delegFrom, msg: &leaseExpireMsg{URL: ch.url, Entry: dead, Clients: clients}})
+			}
 		}
 		if !ch.isOwner {
 			continue
@@ -490,7 +510,19 @@ func (n *Node) handlePeerFault(dead pastry.Addr) {
 	}
 	n.mu.Unlock()
 	n.sendDelegatePushes(pushes)
+	// Report in URL order: the sends must be rerun-stable under one seed.
+	sort.Slice(reports, func(i, j int) bool { return reports[i].msg.URL < reports[j].msg.URL })
+	for _, r := range reports {
+		n.overlay.SendDirect(r.to, msgLeaseExpire, r.msg)
+	}
 	n.flushReplication()
+}
+
+// leaseReport pairs a delegate's leaseExpireMsg with the owner it goes
+// to, built under n.mu and sent after it is released.
+type leaseReport struct {
+	to  pastry.Addr
+	msg *leaseExpireMsg
 }
 
 // notifySubscribers delivers an update to every subscriber of an owned
@@ -531,42 +563,12 @@ func (n *Node) notifySubscribers(ch *channelState, version uint64, diff string, 
 			URL: ch.url, Version: version, Diff: diff, OwnerEpoch: epoch, At: atNanos(at),
 		})
 	}
-	batches, failed := n.sendEntryBatches(ch.url, version, diff, at, *targets)
+	batches := n.sendEntryBatches(ch.url, version, diff, at, *targets)
 	n.putTargetScratch(targets)
 	if batches > 0 {
 		n.mu.Lock()
 		n.stats.NotifyBatchesSent += uint64(batches)
 		n.mu.Unlock()
-	}
-	n.expireFailedEntries(ch, failed)
-}
-
-// expireFailedEntries force-expires the leases of clients whose notify
-// batch bounced off a dead entry node — the same zero-time mark
-// handlePeerFault plants, but driven by the owner's own delivery
-// failures. The overlay fault callback fires at most once per eviction,
-// so entries inherited after it (a replica promoted later, a handed-off
-// subscriber set) would otherwise black-hole forever; here the very
-// update that failed to deliver schedules the repair, and the next lease
-// sweep re-points the records at survivors.
-func (n *Node) expireFailedEntries(ch *channelState, failed []notifyTarget) {
-	if len(failed) == 0 {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !ch.isOwner {
-		return
-	}
-	for _, t := range failed {
-		entry, ok := ch.subs.ids[t.client]
-		if !ok || entry.ID != t.entry.ID {
-			continue // already re-pointed elsewhere
-		}
-		if ch.leases == nil {
-			ch.leases = make(map[string]time.Time)
-		}
-		ch.leases[t.client] = time.Time{}
 	}
 }
 

@@ -9,8 +9,12 @@
 // goroutine makes frame interleaving impossible by construction — any
 // number of goroutines may call Send concurrently. Delivery failures
 // (unreachable peer, write error after retries) are reported out of band
-// through the OnSendFault callback; the overlay uses them as failure
-// hints exactly as it used the seed's synchronous Send errors.
+// through the OnSendFault callback, once per batch the writer drops: the
+// overlay evicts the peer on the first report that finds it in the
+// routing state, and hands every report to the application's fault
+// callback, which repairs what still names the peer. A dead entry node
+// is therefore repaired around on the live stack exactly as in
+// simulation, where simnet's Send fails inline.
 //
 // The writer coalesces whatever is queued — up to 64 messages —
 // into a single multi-message frame, amortizing the syscall and frame

@@ -138,8 +138,9 @@ func (t *Transport) OnDeliver(deliver func(pastry.Message)) {
 }
 
 // OnSendFault registers the callback invoked (from a writer goroutine)
-// when delivery to a peer fails after retries. It implements
-// pastry.AsyncTransport; the overlay evicts and repairs around the peer.
+// each time delivery to a peer fails after retries. It implements
+// pastry.AsyncTransport; the overlay evicts the peer once and runs its
+// fault callback on every report.
 func (t *Transport) OnSendFault(f func(to pastry.Addr, err error)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

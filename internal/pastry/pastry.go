@@ -160,23 +160,25 @@ type Transport interface {
 	// Send hands msg to the transport for delivery to the node at to.
 	// Synchronous transports (simnet) deliver or fail inline: a non-nil
 	// error indicates the destination is unreachable (crashed,
-	// partitioned) and the overlay treats it as a failure hint and
-	// repairs its state. Asynchronous transports (netwire) return nil on
+	// partitioned). Asynchronous transports (netwire) return nil on
 	// local enqueue and report delivery failures later through the
-	// AsyncTransport fault callback; both paths converge on the same
-	// eviction-and-repair reaction.
+	// AsyncTransport fault callback. Either way the report reaches
+	// peerFailed: every failed delivery is one fault, which runs the
+	// application's OnFault callback; the peer is evicted from the
+	// routing state and repaired around once, on the first fault that
+	// finds it there.
 	Send(to Addr, msg Message) error
 }
 
 // AsyncTransport is implemented by transports whose Send enqueues rather
 // than delivers. The overlay registers a fault callback at construction so
-// asynchronous delivery failures feed the same peer-eviction path that
-// synchronous Send errors do.
+// asynchronous delivery failures take the same path synchronous Send
+// errors do: each one reaches OnFault, and the first one evicts.
 type AsyncTransport interface {
 	Transport
-	// OnSendFault registers the callback invoked when delivery to a peer
-	// fails after the transport's retry budget. The callback may be
-	// invoked from transport-internal goroutines.
+	// OnSendFault registers the callback invoked each time delivery to
+	// a peer fails after the transport's retry budget. The callback may
+	// be invoked from transport-internal goroutines.
 	OnSendFault(func(to Addr, err error))
 }
 
@@ -216,8 +218,8 @@ type Node struct {
 	joinWaits []*joinWait
 	announce  map[ids.ID]struct{}
 
-	// onFault, if set, is called when a peer is detected dead. Corona
-	// uses it to trigger subscription-state handoff checks.
+	// onFault, if set, is called on every failed delivery to a peer.
+	// Corona repairs ownership and dead entry records from it.
 	onFault func(Addr)
 
 	// gen counts changes to the leaf set and routing table, so callers
@@ -278,8 +280,12 @@ func (n *Node) Stats() Stats {
 	return n.stats
 }
 
-// OnFault registers a callback invoked when the node detects that a peer
-// has failed. At most one callback is kept.
+// OnFault registers a callback invoked on every failed delivery to a
+// peer, synchronous or reported by the transport later, whether or not
+// the peer was still in the routing state: eviction happens once, the
+// callback every time, so the application can repair state that names
+// the peer however long after the eviction it sends there. At most one
+// callback is kept.
 func (n *Node) OnFault(f func(Addr)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -375,11 +381,11 @@ func (n *Node) LeafReach() (ccw, cw ids.ID, whole bool) {
 	return l.ccw[len(l.ccw)-1].ID, l.cw[len(l.cw)-1].ID, false
 }
 
-// send transmits msg and handles synchronous transport failure by
-// evicting the dead peer and scheduling repair. Asynchronous transports
-// report failures through the fault callback wired in NewNode instead;
-// for them a non-nil error only means the message never left this node
-// (transport closed).
+// send transmits msg and reports a synchronous transport failure to
+// peerFailed. Asynchronous transports report failures through the fault
+// callback wired in NewNode instead; for them a non-nil error only means
+// the message never left this node (transport closed). forward alone
+// reads the result, to retry past a dead hop.
 func (n *Node) send(to Addr, msg Message) error {
 	err := n.transport.Send(to, msg)
 	n.mu.Lock()
@@ -434,13 +440,14 @@ func (n *Node) handler(msgType string) func(Message) {
 }
 
 // SendDirect sends an application message straight to a known peer without
-// overlay routing.
-func (n *Node) SendDirect(to Addr, msgType string, payload Payload) error {
+// overlay routing. A failed delivery reaches the OnFault callback, not the
+// caller.
+func (n *Node) SendDirect(to Addr, msgType string, payload Payload) {
 	if to.ID == n.self.ID {
 		n.Deliver(Message{Type: msgType, From: n.self, Payload: payload})
-		return nil
+		return
 	}
-	return n.send(to, Message{Type: msgType, From: n.self, Payload: payload})
+	n.send(to, Message{Type: msgType, From: n.self, Payload: payload})
 }
 
 // Route sends an application message toward the node whose identifier is
@@ -448,10 +455,9 @@ func (n *Node) SendDirect(to Addr, msgType string, payload Payload) error {
 // msgType at the root node (possibly this node itself). A dead first hop
 // is skipped (forward), so Route only gives up by running out of
 // candidates, at which point this node is the root and delivers locally.
-func (n *Node) Route(key ids.ID, msgType string, payload Payload) error {
+func (n *Node) Route(key ids.ID, msgType string, payload Payload) {
 	msg := Message{Type: msgType, Key: key, From: n.self, Payload: payload}
 	if !n.forward(msg, ids.ID{}) {
 		n.deliverLocal(msg)
 	}
-	return nil
 }

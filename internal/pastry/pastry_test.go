@@ -40,9 +40,7 @@ func TestRoutingReachesNumericallyClosestNode(t *testing.T) {
 			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { deliveredAt = n })
 		}
 		src := nodes[rng.Intn(len(nodes))]
-		if err := src.Route(key, typ, nil); err != nil {
-			t.Fatalf("route: %v", err)
-		}
+		src.Route(key, typ, nil)
 		sim.RunFor(5 * time.Second)
 		if deliveredAt == nil {
 			t.Fatalf("trial %d: message never delivered", trial)
@@ -190,9 +188,7 @@ func TestSmallRingRoutesInOneHop(t *testing.T) {
 			pastry.Handle(n, typ, func(m pastry.Message, _ *pastry.NoPayload) { at, hops = n, m.Hops })
 		}
 		src := nodes[trial%len(nodes)]
-		if err := src.Route(key, typ, nil); err != nil {
-			t.Fatal(err)
-		}
+		src.Route(key, typ, nil)
 		sim.RunFor(time.Second)
 		want := 1
 		if src == root {
@@ -261,15 +257,12 @@ func TestFailureRepair(t *testing.T) {
 	var faults []pastry.Addr
 	nodes[8].OnFault(func(a pastry.Addr) { faults = append(faults, a) })
 
-	// Sending to the dead node must fail and trigger eviction.
-	err := nodes[8].SendDirect(victim.Self(), "test.fail", nil)
-	if err == nil {
-		t.Fatal("send to crashed node succeeded")
-	}
-	sim.RunFor(10 * time.Second)
+	// Sending to the dead node must report the fault and evict it.
+	nodes[8].SendDirect(victim.Self(), "test.fail", nil)
 	if len(faults) != 1 || faults[0].ID != victim.Self().ID {
 		t.Fatalf("fault callback not invoked for victim: %v", faults)
 	}
+	sim.RunFor(10 * time.Second)
 	for _, a := range nodes[8].KnownNodes() {
 		if a.ID == victim.Self().ID {
 			t.Fatal("victim still present in routing state after failure")
@@ -291,6 +284,31 @@ func TestFailureRepair(t *testing.T) {
 	sim.RunFor(time.Minute)
 	if delivered < 19 { // a route may terminate at the dead root's key space
 		t.Fatalf("only %d of 20 messages delivered after failure", delivered)
+	}
+}
+
+// TestEveryFaultReachesOnFault pins the callback's contract: eviction
+// and repair happen once, on the first failed send, but every later
+// failed send to the same peer reaches OnFault too, so the application
+// can repair state that still names a peer the routing state forgot.
+func TestEveryFaultReachesOnFault(t *testing.T) {
+	_, net, nodes := testRing(t, 16, 11)
+	victim, sender := nodes[3], nodes[4]
+	net.Crash(victim.Self().Endpoint)
+	var faults []pastry.Addr
+	sender.OnFault(func(a pastry.Addr) { faults = append(faults, a) })
+
+	sender.SendDirect(victim.Self(), "test.fail", nil)
+	repairs := sender.Stats().Repairs
+	if repairs != 1 {
+		t.Fatalf("first failed send: %d repairs, want 1", repairs)
+	}
+	sender.SendDirect(victim.Self(), "test.fail", nil)
+	if got := sender.Stats().Repairs; got != repairs {
+		t.Fatalf("second failed send repaired again: %d repairs", got)
+	}
+	if len(faults) != 2 || faults[0] != victim.Self() || faults[1] != victim.Self() {
+		t.Fatalf("faults = %v, want the victim twice", faults)
 	}
 }
 

@@ -99,22 +99,26 @@ func (n *Node) Learn(addr Addr) {
 	n.mu.Unlock()
 }
 
-// peerFailed evicts a dead peer from all routing state and triggers repair
-// and the application fault callback.
+// peerFailed handles one reported delivery failure. A peer still in the
+// routing state is evicted and repaired around, once; the application
+// fault callback runs on every report, evicted or not, so a peer the
+// application keeps addressing (an entry node no table lists) is
+// repaired around however its death was observed.
 func (n *Node) peerFailed(dead Addr) {
 	n.mu.Lock()
 	removedTable := n.table.remove(dead.ID)
 	removedLeaf := n.leaves.remove(dead.ID)
-	if removedTable || removedLeaf {
+	evicted := removedTable || removedLeaf
+	if evicted {
 		n.stats.Repairs++
 		n.gen++
 	}
 	cb := n.onFault
 	n.mu.Unlock()
-	if removedTable || removedLeaf {
+	if evicted {
 		n.repairAfterFailure(dead)
 	}
-	if cb != nil && (removedTable || removedLeaf) {
+	if cb != nil {
 		cb(dead)
 	}
 	n.answered(dead.ID) // a dead member need not learn of a joiner

@@ -47,13 +47,9 @@ type Config struct {
 	// Sessions is the node's client registry, shared with the binary
 	// and line servers so displacement spans transports; it delivers
 	// notifications to the gateway's sessions and keeps the replay
-	// rings they resume from. Nil gets a private table.
+	// rings they resume from, of clientproto.DefaultReplayCap versions
+	// per channel. Nil gets a private table.
 	Sessions *clientproto.SessionTable
-	// ReplayCap is the per-channel replay ring capacity
-	// (clientproto.DefaultReplayCap when zero). The table's rings are
-	// created by the first gateway built on it, with that gateway's
-	// capacity.
-	ReplayCap int
 }
 
 // Server is the web edge: an http.Handler exposing /ws (RFC 6455) and
@@ -91,7 +87,7 @@ func newServer(cfg Config, tm timings, observe func(time.Duration)) *Server {
 	if s.table == nil {
 		s.table = clientproto.NewSessionTable(nil)
 	}
-	s.replay = s.table.EnableReplay(cfg.ReplayCap)
+	s.replay = s.table.EnableReplay()
 	s.sse = clientproto.Framing[outEvent]{
 		Transport:      TransportSSE,
 		Info:           hello,

@@ -61,11 +61,10 @@ func (b *fakeBackend) Unsubscribe(client, url string) error {
 	return nil
 }
 
-func (b *fakeBackend) RefreshLeases(client string, urls []string) error {
+func (b *fakeBackend) RefreshLeases(client string, urls []string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.refreshes[client] += len(urls)
-	return nil
 }
 
 func (b *fakeBackend) LeaseCadence() time.Duration { return 20 * time.Millisecond }
@@ -218,8 +217,10 @@ func TestWSResumeReplaysGap(t *testing.T) {
 
 func TestWSResumePastWindowSignalsSnapshot(t *testing.T) {
 	b := newFakeBackend()
-	s, addr := startServer(t, Config{Backend: b, ReplayCap: 4})
-	for v := uint64(1); v <= 10; v++ {
+	s, addr := startServer(t, Config{Backend: b})
+	// Fill the ring past its capacity: versions 1..6 wrap away.
+	newest := uint64(clientproto.DefaultReplayCap + 6)
+	for v := uint64(1); v <= newest; v++ {
 		s.replay.Append("u", v, "d", time.Now())
 	}
 	c, err := DialWS("ws://" + addr + "/ws")
@@ -232,15 +233,15 @@ func TestWSResumePastWindowSignalsSnapshot(t *testing.T) {
 	c.WriteJSON(clientMsg{Type: "subscribe", Req: 2, URL: "u", Since: &since})
 	wsExpect(t, c, "ack")
 	sr := wsExpect(t, c, "snapshot_required")
-	if sr.Channel != "u" || sr.Version != 10 {
-		t.Fatalf("snapshot_required = %+v, want channel u version 10", sr)
+	if sr.Channel != "u" || sr.Version != newest {
+		t.Fatalf("snapshot_required = %+v, want channel u version %d", sr, newest)
 	}
 	// The watermark advanced to newest: stale re-deliveries are dropped,
 	// newer ones flow.
-	notify(s, "u", 10, "d")
-	notify(s, "u", 11, "d11")
-	if n := wsExpect(t, c, "notify"); n.Version != 11 {
-		t.Fatalf("post-snapshot notify version %d, want 11", n.Version)
+	notify(s, "u", newest, "d")
+	notify(s, "u", newest+1, "d+1")
+	if n := wsExpect(t, c, "notify"); n.Version != newest+1 {
+		t.Fatalf("post-snapshot notify version %d, want %d", n.Version, newest+1)
 	}
 	if m := s.Counters().ReplayMissesBufferWrap; m != 1 {
 		t.Fatalf("replay misses = %d, want 1", m)

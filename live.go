@@ -76,11 +76,6 @@ type LiveConfig struct {
 	// per-channel replay ring buffers (internal/webgateway). Empty starts
 	// no web listener; ServeWeb can start one later.
 	WebBind string
-	// WebReplayCap is the per-channel capacity of the replay rings that
-	// web sessions resume from; zero uses the package default. The node's
-	// client registry keeps the rings, and only once ServeWeb runs: a
-	// node without a web edge holds none.
-	WebReplayCap int
 }
 
 // LiveNode is one Corona overlay member speaking TCP, polling real HTTP
@@ -106,9 +101,6 @@ type LiveNode struct {
 	// however it connects, and displacement works across transports),
 	// which delivers every notification batch to the sessions it names.
 	sessions *clientproto.SessionTable
-	// webReplayCap is captured from LiveConfig for a ServeWeb that runs
-	// after StartLiveNode.
-	webReplayCap int
 	// leaseTTL is the node's entry-node lease window (LiveConfig.LeaseTTL).
 	leaseTTL time.Duration
 }
@@ -171,12 +163,11 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	ccfg.LeaseTTL = cfg.LeaseTTL
 
 	ln := &LiveNode{
-		transport:    transport,
-		overlay:      overlay,
-		fetcher:      core.NewHTTPFetcher(ccfg.PollInterval),
-		sessions:     clientproto.NewSessionTable(nil),
-		webReplayCap: cfg.WebReplayCap,
-		leaseTTL:     cfg.LeaseTTL,
+		transport: transport,
+		overlay:   overlay,
+		fetcher:   core.NewHTTPFetcher(ccfg.PollInterval),
+		sessions:  clientproto.NewSessionTable(nil),
+		leaseTTL:  cfg.LeaseTTL,
 	}
 	ln.reg = ln.newRegistry()
 	node, err := core.Assemble(ccfg, core.Seams{Overlay: overlay, Clock: clk, Fetcher: ln.fetcher, Notifier: ln.sessions,
@@ -230,22 +221,27 @@ func StartLiveNode(cfg LiveConfig) (*LiveNode, error) {
 func (ln *LiveNode) Addr() string { return ln.overlay.Self().Endpoint }
 
 // Subscribe registers a client directly (bypassing the client edges),
-// with this node as the client's entry point.
+// with this node as the client's entry point. It implements
+// clientproto.Backend, whose other implementations may refuse a
+// request; this one hands every request to the overlay and returns nil.
 func (ln *LiveNode) Subscribe(client, url string) error {
-	return ln.node.Subscribe(client, url)
+	ln.node.Subscribe(client, url)
+	return nil
 }
 
-// Unsubscribe removes a client's subscription.
+// Unsubscribe removes a client's subscription; like Subscribe, it
+// returns nil.
 func (ln *LiveNode) Unsubscribe(client, url string) error {
-	return ln.node.Unsubscribe(client, url)
+	ln.node.Unsubscribe(client, url)
+	return nil
 }
 
 // RefreshLeases implements clientproto.Backend: it heartbeats entry-node
 // liveness for an attached client's channels, with this node as the
 // client's entry point. Each channel's owner refreshes the subscriber's
 // lease and re-points its entry record here.
-func (ln *LiveNode) RefreshLeases(client string, urls []string) error {
-	return ln.node.RefreshLeases(client, urls)
+func (ln *LiveNode) RefreshLeases(client string, urls []string) {
+	ln.node.RefreshLeases(client, urls)
 }
 
 // LeaseCadence implements clientproto.Backend: every client session on
@@ -303,9 +299,8 @@ func (ln *LiveNode) ServeWeb(bind string) (addr string, err error) {
 		return "", fmt.Errorf("corona: web listener: %w", err)
 	}
 	web := webgateway.New(webgateway.Config{
-		Backend:   ln,
-		Sessions:  ln.sessions,
-		ReplayCap: ln.webReplayCap,
+		Backend:  ln,
+		Sessions: ln.sessions,
 	}, ln.observeStage("web_enqueue"))
 	web.Serve(l)
 	ln.web = web
@@ -339,20 +334,11 @@ func (ln *LiveNode) Attach(client string, deliver func(Notification)) (detach fu
 }
 
 // Info implements clientproto.Backend: the node's advertisement to
-// connected clients — its overlay endpoint, its leaf-set siblings, and
-// the durable store's health.
+// connected clients — its overlay endpoint and its leaf-set siblings.
 func (ln *LiveNode) Info() clientproto.ServerInfo {
 	si := clientproto.ServerInfo{Node: ln.Addr()}
 	for _, leaf := range ln.overlay.Leaves() {
 		si.Peers = append(si.Peers, leaf.Endpoint)
-	}
-	st := ln.storeStats()
-	si.Store = clientproto.StoreInfo{
-		Enabled:              st.Enabled,
-		Generation:           st.Generation,
-		WALBytes:             uint64(st.WALBytes),
-		RecordsSinceSnapshot: uint64(st.RecordsSinceSnapshot),
-		Err:                  st.Err,
 	}
 	return si
 }

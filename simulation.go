@@ -93,12 +93,13 @@ func (s *Simulation) Subscribe(client, url string, fn func(Notification)) error 
 		return fmt.Errorf("corona: nil notification callback")
 	}
 	s.clients.Claim(client, fn)
-	return s.entryNode(client).Subscribe(client, url)
+	s.entryNode(client).Subscribe(client, url)
+	return nil
 }
 
 // Unsubscribe removes interest in url for the client.
-func (s *Simulation) Unsubscribe(client, url string) error {
-	return s.entryNode(client).Unsubscribe(client, url)
+func (s *Simulation) Unsubscribe(client, url string) {
+	s.entryNode(client).Unsubscribe(client, url)
 }
 
 // ChannelStatus reports the cloud's view of a channel: how many nodes
